@@ -43,9 +43,6 @@ from repro.shard import ShardedDeployment, ShardRouter, ShardSpec
 from repro.workload import (
     MetricsCollector,
     Workload,
-    kv_workload,
-    microbenchmark,
-    sharded_kv_workload,
 )
 from repro.scenarios import (
     SCENARIOS,
@@ -82,15 +79,12 @@ __all__ = [
     "ShardedDeployment",
     "ShardRouter",
     "ShardSpec",
-    "sharded_kv_workload",
     "SHARDED_SCENARIOS",
     "ShardedScenario",
     "run_sharded_scenario",
     "sweep_clients",
     "run_timeline",
     "Workload",
-    "microbenchmark",
-    "kv_workload",
     "MetricsCollector",
     "Scenario",
     "SCENARIOS",

@@ -4,307 +4,117 @@ Paxos messages are unsigned (crash model: channel MACs suffice); the
 BFT-style messages (PBFT and S-UpRight) are signed, matching how the
 original protocols are deployed and how the paper's cost comparison counts
 cryptographic work.
+
+Each class is one declaration (see :mod:`repro.smr.messages`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from repro.smr.messages import ProtocolMessage, _DIGEST_BYTES, _HEADER_BYTES, _SIGNED_BYTES
+from repro.wire.codec import DIGEST, ENTRIES, I64, PAYLOAD, STR, Entry, Field
 
-from repro.smr.messages import (
-    ProtocolMessage,
-    Request,
-    _DIGEST_BYTES,
-    _HEADER_BYTES,
-    _SEP,
-    _SIGNATURE_BYTES,
-)
+_SLOT = (Field("view", I64), Field("sequence", I64), Field("digest", DIGEST))
+_PROPOSAL = _SLOT + (Field("request", PAYLOAD),)
+_REPLICA = Field("replica_id", STR)
+_VOTE = _SLOT + (_REPLICA,)
 
 
 # -- Paxos (crash fault tolerant) ------------------------------------------------
 
 
-@dataclass
 class AcceptRequest(ProtocolMessage):
     """Leader -> replicas: order ``request`` at ``sequence`` (phase 2a)."""
 
-    view: int
-    sequence: int
-    digest: str
-    request: Request
-    signed: bool = False
-    signature: Optional[Any] = None
-
-    def signing_content(self) -> Dict[str, Any]:
-        return {
-            "type": "PAXOS-ACCEPT-REQUEST",
-            "view": self.view,
-            "sequence": self.sequence,
-            "digest": self.digest,
-        }
-
-    def signing_bytes(self) -> bytes:
-        return (
-            f"PAXOS-ACCEPT-REQUEST{_SEP}{self.view}{_SEP}{self.sequence}{_SEP}{self.digest}"
-        ).encode("utf-8")
-
-    def wire_size(self) -> int:
-        return _HEADER_BYTES + _DIGEST_BYTES + self.request.cached_wire_size()
+    TAG = 0x20
+    FIELDS = _PROPOSAL
+    SIGNED = False
+    SIZE = _HEADER_BYTES + _DIGEST_BYTES
 
 
-@dataclass
 class Accepted(ProtocolMessage):
     """Replica -> leader: acknowledgement of an AcceptRequest (phase 2b)."""
 
-    view: int
-    sequence: int
-    digest: str
-    replica_id: str
-    signed: bool = False
-    signature: Optional[Any] = None
-
-    def signing_content(self) -> Dict[str, Any]:
-        return {
-            "type": "PAXOS-ACCEPTED",
-            "view": self.view,
-            "sequence": self.sequence,
-            "digest": self.digest,
-            "replica": self.replica_id,
-        }
-
-    def signing_bytes(self) -> bytes:
-        return (
-            f"PAXOS-ACCEPTED{_SEP}{self.view}{_SEP}{self.sequence}"
-            f"{_SEP}{self.digest}{_SEP}{self.replica_id}"
-        ).encode("utf-8")
-
-    def wire_size(self) -> int:
-        return _HEADER_BYTES + _DIGEST_BYTES
+    TAG = 0x21
+    FIELDS = _VOTE
+    SIGNED = False
+    SIZE = _HEADER_BYTES + _DIGEST_BYTES
 
 
-@dataclass
 class Learn(ProtocolMessage):
     """Leader -> replicas: the value at ``sequence`` is chosen; execute it."""
 
-    view: int
-    sequence: int
-    digest: str
-    request: Request
-    signed: bool = False
-    signature: Optional[Any] = None
-
-    def signing_content(self) -> Dict[str, Any]:
-        return {
-            "type": "PAXOS-LEARN",
-            "view": self.view,
-            "sequence": self.sequence,
-            "digest": self.digest,
-        }
-
-    def signing_bytes(self) -> bytes:
-        return (
-            f"PAXOS-LEARN{_SEP}{self.view}{_SEP}{self.sequence}{_SEP}{self.digest}"
-        ).encode("utf-8")
-
-    def wire_size(self) -> int:
-        return _HEADER_BYTES + _DIGEST_BYTES + self.request.cached_wire_size()
+    TAG = 0x22
+    FIELDS = _PROPOSAL
+    SIGNED = False
+    SIZE = _HEADER_BYTES + _DIGEST_BYTES
 
 
 # -- PBFT / S-UpRight (Byzantine fault tolerant) --------------------------------------
 
 
-@dataclass
 class BftPrePrepare(ProtocolMessage):
     """Primary -> replicas: proposal of ``request`` at ``sequence``."""
 
-    view: int
-    sequence: int
-    digest: str
-    request: Request
-    signed: bool = True
-    signature: Optional[Any] = None
-
-    def signing_content(self) -> Dict[str, Any]:
-        return {
-            "type": "BFT-PRE-PREPARE",
-            "view": self.view,
-            "sequence": self.sequence,
-            "digest": self.digest,
-        }
-
-    def signing_bytes(self) -> bytes:
-        return (
-            f"BFT-PRE-PREPARE{_SEP}{self.view}{_SEP}{self.sequence}{_SEP}{self.digest}"
-        ).encode("utf-8")
-
-    def wire_size(self) -> int:
-        return _HEADER_BYTES + _SIGNATURE_BYTES + _DIGEST_BYTES + self.request.cached_wire_size()
+    TAG = 0x23
+    FIELDS = _PROPOSAL
+    SIZE = _SIGNED_BYTES + _DIGEST_BYTES
 
 
-@dataclass
 class BftPrepare(ProtocolMessage):
     """Replica -> replicas: prepare vote for a pre-prepared proposal."""
 
-    view: int
-    sequence: int
-    digest: str
-    replica_id: str
-    signed: bool = True
-    signature: Optional[Any] = None
-
-    def signing_content(self) -> Dict[str, Any]:
-        return {
-            "type": "BFT-PREPARE",
-            "view": self.view,
-            "sequence": self.sequence,
-            "digest": self.digest,
-            "replica": self.replica_id,
-        }
-
-    def signing_bytes(self) -> bytes:
-        return (
-            f"BFT-PREPARE{_SEP}{self.view}{_SEP}{self.sequence}"
-            f"{_SEP}{self.digest}{_SEP}{self.replica_id}"
-        ).encode("utf-8")
-
-    def wire_size(self) -> int:
-        return _HEADER_BYTES + _SIGNATURE_BYTES + _DIGEST_BYTES
+    TAG = 0x24
+    FIELDS = _VOTE
+    SIZE = _SIGNED_BYTES + _DIGEST_BYTES
 
 
-@dataclass
 class BftCommit(ProtocolMessage):
     """Replica -> replicas: commit vote after gathering a prepare certificate."""
 
-    view: int
-    sequence: int
-    digest: str
-    replica_id: str
-    signed: bool = True
-    signature: Optional[Any] = None
-
-    def signing_content(self) -> Dict[str, Any]:
-        return {
-            "type": "BFT-COMMIT",
-            "view": self.view,
-            "sequence": self.sequence,
-            "digest": self.digest,
-            "replica": self.replica_id,
-        }
-
-    def signing_bytes(self) -> bytes:
-        return (
-            f"BFT-COMMIT{_SEP}{self.view}{_SEP}{self.sequence}"
-            f"{_SEP}{self.digest}{_SEP}{self.replica_id}"
-        ).encode("utf-8")
-
-    def wire_size(self) -> int:
-        return _HEADER_BYTES + _SIGNATURE_BYTES + _DIGEST_BYTES
+    TAG = 0x25
+    FIELDS = _VOTE
+    SIZE = _SIGNED_BYTES + _DIGEST_BYTES
 
 
 # -- shared: checkpoints and view changes ---------------------------------------------
 
 
-@dataclass
 class BaselineCheckpoint(ProtocolMessage):
     """Periodic checkpoint message (signed for the BFT-style protocols)."""
 
-    sequence: int
-    state_digest: str
-    replica_id: str
-    signed: bool = True
-    signature: Optional[Any] = None
-
-    def signing_content(self) -> Dict[str, Any]:
-        return {
-            "type": "BASELINE-CHECKPOINT",
-            "sequence": self.sequence,
-            "state_digest": self.state_digest,
-            "replica": self.replica_id,
-        }
-
-    def signing_bytes(self) -> bytes:
-        return (
-            f"BASELINE-CHECKPOINT{_SEP}{self.sequence}"
-            f"{_SEP}{self.state_digest}{_SEP}{self.replica_id}"
-        ).encode("utf-8")
-
-    def wire_size(self) -> int:
-        return _HEADER_BYTES + _SIGNATURE_BYTES + _DIGEST_BYTES
+    TAG = 0x26
+    FIELDS = (Field("sequence", I64), Field("state_digest", DIGEST), _REPLICA)
+    SIZE = _SIGNED_BYTES + _DIGEST_BYTES
 
 
-@dataclass
-class BaselineEntry:
-    """Per-sequence entry carried in view-change / new-view messages."""
-
-    sequence: int
-    view: int
-    digest: str
-    request: Optional[Request] = None
-
-    def to_wire(self) -> Dict[str, Any]:
-        return {"sequence": self.sequence, "view": self.view, "digest": self.digest}
-
-    def wire_size(self) -> int:
-        size = 24 + _DIGEST_BYTES
-        if self.request is not None:
-            size += self.request.cached_wire_size()
-        return size
+#: Per-sequence entry carried in view-change / new-view messages.
+BaselineEntry = Entry
 
 
-@dataclass
 class BaselineViewChange(ProtocolMessage):
     """Replica -> all: the primary of the current view is suspected."""
 
-    new_view: int
-    replica_id: str
-    checkpoint_sequence: int
-    prepared: List[BaselineEntry] = field(default_factory=list)
-    signed: bool = True
-    signature: Optional[Any] = None
-
-    def signing_content(self) -> Dict[str, Any]:
-        return {
-            "type": "BASELINE-VIEW-CHANGE",
-            "new_view": self.new_view,
-            "replica": self.replica_id,
-            "checkpoint_sequence": self.checkpoint_sequence,
-            "prepared": [entry.to_wire() for entry in self.prepared],
-        }
-
-    def wire_size(self) -> int:
-        return (
-            _HEADER_BYTES
-            + _SIGNATURE_BYTES
-            + sum(entry.wire_size() for entry in self.prepared)
-        )
+    TAG = 0x27
+    FIELDS = (
+        Field("new_view", I64),
+        _REPLICA,
+        Field("checkpoint_sequence", I64),
+        Field("prepared", ENTRIES, list),
+    )
+    SIZE = _SIGNED_BYTES
 
 
-@dataclass
 class BaselineNewView(ProtocolMessage):
     """New primary -> all: install the new view and re-propose pending slots."""
 
-    new_view: int
-    replica_id: str
-    checkpoint_sequence: int
-    prepares: List[BaselineEntry] = field(default_factory=list)
-    signed: bool = True
-    signature: Optional[Any] = None
-
-    def signing_content(self) -> Dict[str, Any]:
-        return {
-            "type": "BASELINE-NEW-VIEW",
-            "new_view": self.new_view,
-            "replica": self.replica_id,
-            "checkpoint_sequence": self.checkpoint_sequence,
-            "prepares": [entry.to_wire() for entry in self.prepares],
-        }
-
-    def wire_size(self) -> int:
-        return (
-            _HEADER_BYTES
-            + _SIGNATURE_BYTES
-            + sum(entry.wire_size() for entry in self.prepares)
-        )
+    TAG = 0x28
+    FIELDS = (
+        Field("new_view", I64),
+        _REPLICA,
+        Field("checkpoint_sequence", I64),
+        Field("prepares", ENTRIES, list),
+    )
+    SIZE = _SIGNED_BYTES
 
 
 __all__ = [

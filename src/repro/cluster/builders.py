@@ -512,7 +512,7 @@ def _proc_replica_worker(
     """
     from repro.runtime.conformance import RecordingReplica
     from repro.runtime.proc import WorkerPlan
-    from repro.smr.messages import _result_digest
+    from repro.smr.state_machine import result_digest
 
     config, keystore, workload = _proc_seemore_setup(
         crash_tolerance, byzantine_tolerance, request_timeout, max_batch, seed, client_id
@@ -540,7 +540,7 @@ def _proc_replica_worker(
             digests = {}
             for (cid, timestamp), result in replica.executor.snapshot()["replies"].items():
                 if cid == client_id:
-                    digests[timestamp] = _result_digest(result)
+                    digests[timestamp] = result_digest(result)
             out[replica_id] = {
                 "commit_trace": list(replica.commit_trace),
                 "ledger": replica.ledger,

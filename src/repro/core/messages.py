@@ -17,23 +17,24 @@ Ordering messages carry one slot *payload*: either a bare client
 :class:`~repro.smr.messages.Request` or a :class:`~repro.smr.messages.Batch`
 of them (PBFT-style batching; see :mod:`repro.core.batching`).  The digest
 in every ordering/vote message covers the whole payload, so agreement,
-view changes, and safety checks treat a batch exactly like one request.
+view changes, and safety checks treat a batch exactly like one request; the
+payload itself rides unsigned beside the frame.
+
+Each class is one declaration (see :mod:`repro.smr.messages`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
-
 from repro.smr.messages import (
     Batch,
     ProtocolMessage,
-    Request,
     requests_of,
     _DIGEST_BYTES,
     _HEADER_BYTES,
     _SIGNATURE_BYTES,
+    _SIGNED_BYTES,
 )
+from repro.wire.codec import ATTACHMENT, DIGEST, ENTRIES, I64, PAYLOAD, STR, Entry, Field
 from repro.wire.primitives import (
     TAG_ACCEPT,
     TAG_CHECKPOINT,
@@ -42,521 +43,152 @@ from repro.wire.primitives import (
     TAG_PREPARE,
     TAG_PREPREPARE,
     TAG_PROXY_PREPARE,
-    encode_attributed_vote,
-    encode_checkpoint,
-    encode_vote,
 )
 
+_SIGNED_VOTE_BYTES = _SIGNED_BYTES + _DIGEST_BYTES
 
-@dataclass(init=False)
+#: ``(view, sequence, digest, ·, mode)``: the signed content of every vote.
+_VIEW, _SEQUENCE, _DIGEST, _MODE = (
+    Field("view", I64), Field("sequence", I64), Field("digest", DIGEST), Field("mode", I64)
+)
+_REPLICA = Field("replica_id", STR)
+_ATTRIBUTED_VOTE = (_VIEW, _SEQUENCE, _DIGEST, _REPLICA, _MODE)
+
+
 class Prepare(ProtocolMessage):
     """``<<PREPARE, v, n, d>_p, µ>`` from the trusted primary (Lion/Dog)."""
 
-    view: int
-    sequence: int
-    digest: str
-    request: Any  # the slot payload: a Request or a Batch
-    mode: int
-    signed: bool = True
-    signature: Optional[Any] = None
-
-    def __init__(
-        self,
-        view: int,
-        sequence: int,
-        digest: str,
-        request: Any,
-        mode: int,
-        signed: bool = True,
-        signature: Optional[Any] = None,
-    ) -> None:
-        # Hot constructor: bulk-populating the instance dict skips the
-        # per-field ``__setattr__`` cache guard (no caches can exist yet).
-        self.__dict__.update({
-            "view": view,
-            "sequence": sequence,
-            "digest": digest,
-            "request": request,
-            "mode": mode,
-            "signed": signed,
-            "signature": signature,
-        })
-
-    def signing_content(self) -> Dict[str, Any]:
-        return {
-            "type": "PREPARE",
-            "view": self.view,
-            "sequence": self.sequence,
-            "digest": self.digest,
-            "mode": self.mode,
-        }
-
-    def signing_bytes(self) -> bytes:
-        return encode_vote(TAG_PREPARE, self.view, self.sequence, self.mode, self.digest)
-
-    def wire_size(self) -> int:
-        return _HEADER_BYTES + _SIGNATURE_BYTES + _DIGEST_BYTES + self.request.cached_wire_size()
+    TAG = TAG_PREPARE
+    FIELDS = (_VIEW, _SEQUENCE, _DIGEST, Field("request", PAYLOAD), _MODE)
+    ENCODER = "encode_vote"
+    SIZE = _SIGNED_VOTE_BYTES
 
 
-@dataclass(init=False)
 class Accept(ProtocolMessage):
     """``<ACCEPT, v, n, d, r>`` — unsigned to a trusted primary, signed among proxies."""
 
-    view: int
-    sequence: int
-    digest: str
-    replica_id: str
-    mode: int
-    signed: bool = False
-    signature: Optional[Any] = None
-
-    def __init__(
-        self,
-        view: int,
-        sequence: int,
-        digest: str,
-        replica_id: str,
-        mode: int,
-        signed: bool = False,
-        signature: Optional[Any] = None,
-    ) -> None:
-        self.__dict__.update({
-            "view": view,
-            "sequence": sequence,
-            "digest": digest,
-            "replica_id": replica_id,
-            "mode": mode,
-            "signed": signed,
-            "signature": signature,
-        })
-
-    def signing_content(self) -> Dict[str, Any]:
-        return {
-            "type": "ACCEPT",
-            "view": self.view,
-            "sequence": self.sequence,
-            "digest": self.digest,
-            "replica": self.replica_id,
-            "mode": self.mode,
-        }
-
-    def signing_bytes(self) -> bytes:
-        return encode_attributed_vote(
-            TAG_ACCEPT, self.view, self.sequence, self.mode, self.digest, self.replica_id
-        )
-
-    def wire_size(self) -> int:
-        size = _HEADER_BYTES + _DIGEST_BYTES
-        return size + (_SIGNATURE_BYTES if self.signed else 0)
+    TAG = TAG_ACCEPT
+    FIELDS = _ATTRIBUTED_VOTE
+    ENCODER = "encode_attributed_vote"
+    SIGNED = False
+    SIZE = _HEADER_BYTES + _DIGEST_BYTES
+    SIZE_IF_SIGNED = _SIGNATURE_BYTES
 
 
-@dataclass(init=False)
 class Commit(ProtocolMessage):
-    """``<<COMMIT, v, n, d>, µ>`` — primary's commit (Lion) or proxy commit (Dog)."""
+    """``<<COMMIT, v, n, d>, µ>`` — primary's commit (Lion) or proxy commit (Dog).
 
-    view: int
-    sequence: int
-    digest: str
-    replica_id: str
-    mode: int
-    request: Optional[Any] = None  # payload carried to lagging replicas (Lion)
-    signed: bool = True
-    signature: Optional[Any] = None
+    ``request`` carries the payload to lagging replicas (Lion).
+    """
 
-    def __init__(
-        self,
-        view: int,
-        sequence: int,
-        digest: str,
-        replica_id: str,
-        mode: int,
-        request: Optional[Any] = None,
-        signed: bool = True,
-        signature: Optional[Any] = None,
-    ) -> None:
-        self.__dict__.update({
-            "view": view,
-            "sequence": sequence,
-            "digest": digest,
-            "replica_id": replica_id,
-            "mode": mode,
-            "request": request,
-            "signed": signed,
-            "signature": signature,
-        })
-
-    def signing_content(self) -> Dict[str, Any]:
-        return {
-            "type": "COMMIT",
-            "view": self.view,
-            "sequence": self.sequence,
-            "digest": self.digest,
-            "replica": self.replica_id,
-            "mode": self.mode,
-        }
-
-    def signing_bytes(self) -> bytes:
-        return encode_attributed_vote(
-            TAG_COMMIT, self.view, self.sequence, self.mode, self.digest, self.replica_id
-        )
-
-    def wire_size(self) -> int:
-        size = _HEADER_BYTES + _SIGNATURE_BYTES + _DIGEST_BYTES
-        if self.request is not None:
-            size += self.request.cached_wire_size()
-        return size
+    TAG = TAG_COMMIT
+    FIELDS = _ATTRIBUTED_VOTE + (Field("request", PAYLOAD, None),)
+    ENCODER = "encode_attributed_vote"
+    SIZE = _SIGNED_VOTE_BYTES
 
 
-@dataclass(init=False)
 class PrePrepare(ProtocolMessage):
     """``<<PRE-PREPARE, v, n, d>_p, µ>`` from the untrusted Peacock primary."""
 
-    view: int
-    sequence: int
-    digest: str
-    request: Any  # the slot payload: a Request or a Batch
-    mode: int
-    signed: bool = True
-    signature: Optional[Any] = None
-
-    def __init__(
-        self,
-        view: int,
-        sequence: int,
-        digest: str,
-        request: Any,
-        mode: int,
-        signed: bool = True,
-        signature: Optional[Any] = None,
-    ) -> None:
-        self.__dict__.update({
-            "view": view,
-            "sequence": sequence,
-            "digest": digest,
-            "request": request,
-            "mode": mode,
-            "signed": signed,
-            "signature": signature,
-        })
-
-    def signing_content(self) -> Dict[str, Any]:
-        return {
-            "type": "PRE-PREPARE",
-            "view": self.view,
-            "sequence": self.sequence,
-            "digest": self.digest,
-            "mode": self.mode,
-        }
-
-    def signing_bytes(self) -> bytes:
-        return encode_vote(TAG_PREPREPARE, self.view, self.sequence, self.mode, self.digest)
-
-    def wire_size(self) -> int:
-        return _HEADER_BYTES + _SIGNATURE_BYTES + _DIGEST_BYTES + self.request.cached_wire_size()
+    TAG = TAG_PREPREPARE
+    FIELDS = Prepare.FIELDS
+    ENCODER = "encode_vote"
+    SIZE = _SIGNED_VOTE_BYTES
 
 
-@dataclass(init=False)
 class ProxyPrepare(ProtocolMessage):
     """PBFT-style ``PREPARE`` vote exchanged among Peacock proxies."""
 
-    view: int
-    sequence: int
-    digest: str
-    replica_id: str
-    mode: int
-    signed: bool = True
-    signature: Optional[Any] = None
-
-    def __init__(
-        self,
-        view: int,
-        sequence: int,
-        digest: str,
-        replica_id: str,
-        mode: int,
-        signed: bool = True,
-        signature: Optional[Any] = None,
-    ) -> None:
-        self.__dict__.update({
-            "view": view,
-            "sequence": sequence,
-            "digest": digest,
-            "replica_id": replica_id,
-            "mode": mode,
-            "signed": signed,
-            "signature": signature,
-        })
-
-    def signing_content(self) -> Dict[str, Any]:
-        return {
-            "type": "PROXY-PREPARE",
-            "view": self.view,
-            "sequence": self.sequence,
-            "digest": self.digest,
-            "replica": self.replica_id,
-            "mode": self.mode,
-        }
-
-    def signing_bytes(self) -> bytes:
-        return encode_attributed_vote(
-            TAG_PROXY_PREPARE, self.view, self.sequence, self.mode, self.digest, self.replica_id
-        )
-
-    def wire_size(self) -> int:
-        return _HEADER_BYTES + _SIGNATURE_BYTES + _DIGEST_BYTES
+    TAG = TAG_PROXY_PREPARE
+    FIELDS = _ATTRIBUTED_VOTE
+    ENCODER = "encode_attributed_vote"
+    SIZE = _SIGNED_VOTE_BYTES
 
 
-@dataclass(init=False)
 class Inform(ProtocolMessage):
     """``<INFORM, v, n, d, r>_r`` — proxies notify passive replicas of a commit."""
 
-    view: int
-    sequence: int
-    digest: str
-    replica_id: str
-    mode: int
-    signed: bool = True
-    signature: Optional[Any] = None
-
-    def __init__(
-        self,
-        view: int,
-        sequence: int,
-        digest: str,
-        replica_id: str,
-        mode: int,
-        signed: bool = True,
-        signature: Optional[Any] = None,
-    ) -> None:
-        self.__dict__.update({
-            "view": view,
-            "sequence": sequence,
-            "digest": digest,
-            "replica_id": replica_id,
-            "mode": mode,
-            "signed": signed,
-            "signature": signature,
-        })
-
-    def signing_content(self) -> Dict[str, Any]:
-        return {
-            "type": "INFORM",
-            "view": self.view,
-            "sequence": self.sequence,
-            "digest": self.digest,
-            "replica": self.replica_id,
-            "mode": self.mode,
-        }
-
-    def signing_bytes(self) -> bytes:
-        return encode_attributed_vote(
-            TAG_INFORM, self.view, self.sequence, self.mode, self.digest, self.replica_id
-        )
-
-    def wire_size(self) -> int:
-        return _HEADER_BYTES + _SIGNATURE_BYTES + _DIGEST_BYTES
+    TAG = TAG_INFORM
+    FIELDS = _ATTRIBUTED_VOTE
+    ENCODER = "encode_attributed_vote"
+    SIZE = _SIGNED_VOTE_BYTES
 
 
-@dataclass(init=False)
 class Checkpoint(ProtocolMessage):
     """``<CHECKPOINT, n, d>_r`` — periodic state digest for garbage collection."""
 
-    sequence: int
-    state_digest: str
-    replica_id: str
-    mode: int
-    signed: bool = True
-    signature: Optional[Any] = None
-
-    def __init__(
-        self,
-        sequence: int,
-        state_digest: str,
-        replica_id: str,
-        mode: int,
-        signed: bool = True,
-        signature: Optional[Any] = None,
-    ) -> None:
-        self.__dict__.update({
-            "sequence": sequence,
-            "state_digest": state_digest,
-            "replica_id": replica_id,
-            "mode": mode,
-            "signed": signed,
-            "signature": signature,
-        })
-
-    def signing_content(self) -> Dict[str, Any]:
-        return {
-            "type": "CHECKPOINT",
-            "sequence": self.sequence,
-            "state_digest": self.state_digest,
-            "replica": self.replica_id,
-            "mode": self.mode,
-        }
-
-    def signing_bytes(self) -> bytes:
-        return encode_checkpoint(self.sequence, self.mode, self.state_digest, self.replica_id)
-
-    def wire_size(self) -> int:
-        return _HEADER_BYTES + _SIGNATURE_BYTES + _DIGEST_BYTES
+    TAG = TAG_CHECKPOINT
+    FIELDS = (_SEQUENCE, Field("state_digest", DIGEST), _REPLICA, _MODE)
+    ENCODER = "encode_checkpoint"
+    SIZE = _SIGNED_VOTE_BYTES
 
 
-@dataclass
-class PreparedEntry:
-    """A per-sequence entry carried inside view-change and new-view messages.
-
-    The ``request`` field holds the slot's whole payload — a bare request or
-    a batch — so a new view re-proposes uncommitted batches intact.
-    """
-
-    sequence: int
-    view: int
-    digest: str
-    request: Optional[Any] = None
-
-    def to_wire(self) -> Dict[str, Any]:
-        return {"sequence": self.sequence, "view": self.view, "digest": self.digest}
-
-    def wire_size(self) -> int:
-        size = 24 + _DIGEST_BYTES
-        if self.request is not None:
-            size += self.request.cached_wire_size()
-        return size
+#: Per-sequence entry of view-change / new-view messages (payload attached).
+PreparedEntry = Entry
 
 
-@dataclass
 class ViewChange(ProtocolMessage):
     """``<VIEW-CHANGE, v+1, n, ξ, P, C>`` sent when the primary is suspected."""
 
-    new_view: int
-    mode: int
-    replica_id: str
-    checkpoint_sequence: int
-    checkpoint_digest: str
-    prepared: List[PreparedEntry] = field(default_factory=list)
-    committed: List[PreparedEntry] = field(default_factory=list)
-    signed: bool = True
-    signature: Optional[Any] = None
-
-    def signing_content(self) -> Dict[str, Any]:
-        return {
-            "type": "VIEW-CHANGE",
-            "new_view": self.new_view,
-            "mode": self.mode,
-            "replica": self.replica_id,
-            "checkpoint_sequence": self.checkpoint_sequence,
-            "checkpoint_digest": self.checkpoint_digest,
-            "prepared": [entry.to_wire() for entry in self.prepared],
-            "committed": [entry.to_wire() for entry in self.committed],
-        }
-
-    def wire_size(self) -> int:
-        entries = self.prepared + self.committed
-        return (
-            _HEADER_BYTES
-            + _SIGNATURE_BYTES
-            + _DIGEST_BYTES
-            + sum(entry.wire_size() for entry in entries)
-        )
+    TAG = 0x17
+    FIELDS = (
+        Field("new_view", I64),
+        _MODE,
+        _REPLICA,
+        Field("checkpoint_sequence", I64),
+        Field("checkpoint_digest", DIGEST),
+        Field("prepared", ENTRIES, list),
+        Field("committed", ENTRIES, list),
+    )
+    SIZE = _SIGNED_VOTE_BYTES
 
 
-@dataclass
 class NewView(ProtocolMessage):
     """``<NEW-VIEW, v+1, P', C'>`` from the new primary (or the transferer)."""
 
-    new_view: int
-    mode: int
-    replica_id: str
-    checkpoint_sequence: int
-    prepares: List[PreparedEntry] = field(default_factory=list)
-    commits: List[PreparedEntry] = field(default_factory=list)
-    signed: bool = True
-    signature: Optional[Any] = None
-
-    def signing_content(self) -> Dict[str, Any]:
-        return {
-            "type": "NEW-VIEW",
-            "new_view": self.new_view,
-            "mode": self.mode,
-            "replica": self.replica_id,
-            "checkpoint_sequence": self.checkpoint_sequence,
-            "prepares": [entry.to_wire() for entry in self.prepares],
-            "commits": [entry.to_wire() for entry in self.commits],
-        }
-
-    def wire_size(self) -> int:
-        entries = self.prepares + self.commits
-        return (
-            _HEADER_BYTES
-            + _SIGNATURE_BYTES
-            + sum(entry.wire_size() for entry in entries)
-        )
+    TAG = 0x18
+    FIELDS = (
+        Field("new_view", I64),
+        _MODE,
+        _REPLICA,
+        Field("checkpoint_sequence", I64),
+        Field("prepares", ENTRIES, list),
+        Field("commits", ENTRIES, list),
+    )
+    SIZE = _SIGNED_BYTES
 
 
-@dataclass
 class ModeChange(ProtocolMessage):
     """``<MODE-CHANGE, v+1, pi'>_s`` from a trusted replica (Section 5.4)."""
 
-    new_view: int
-    new_mode: int
-    replica_id: str
-    signed: bool = True
-    signature: Optional[Any] = None
-
-    def signing_content(self) -> Dict[str, Any]:
-        return {
-            "type": "MODE-CHANGE",
-            "new_view": self.new_view,
-            "new_mode": self.new_mode,
-            "replica": self.replica_id,
-        }
-
-    def wire_size(self) -> int:
-        return _HEADER_BYTES + _SIGNATURE_BYTES
+    TAG = 0x19
+    FIELDS = (Field("new_view", I64), Field("new_mode", I64), _REPLICA)
+    SIZE = _SIGNED_BYTES
 
 
-@dataclass
 class StateTransferRequest(ProtocolMessage):
     """A lagging replica asks a peer for the state at its stable checkpoint."""
 
-    replica_id: str
-    known_sequence: int
-    signed: bool = False
-    signature: Optional[Any] = None
-
-    def signing_content(self) -> Dict[str, Any]:
-        return {
-            "type": "STATE-TRANSFER-REQUEST",
-            "replica": self.replica_id,
-            "known_sequence": self.known_sequence,
-        }
-
-    def wire_size(self) -> int:
-        return _HEADER_BYTES
+    TAG = 0x1A
+    FIELDS = (_REPLICA, Field("known_sequence", I64))
+    SIGNED = False
+    SIZE = _HEADER_BYTES
 
 
-@dataclass
 class StateTransferResponse(ProtocolMessage):
-    """Checkpointed application state shipped to a lagging replica."""
+    """Checkpointed application state shipped to a lagging replica.
 
-    replica_id: str
-    checkpoint_sequence: int
-    state_digest: str
-    snapshot: Dict[str, Any] = field(default_factory=dict)
-    signed: bool = True
-    signature: Optional[Any] = None
+    Only ``state_digest`` is signed; the snapshot rides beside the frame.
+    """
 
-    def signing_content(self) -> Dict[str, Any]:
-        return {
-            "type": "STATE-TRANSFER-RESPONSE",
-            "replica": self.replica_id,
-            "checkpoint_sequence": self.checkpoint_sequence,
-            "state_digest": self.state_digest,
-        }
-
-    def wire_size(self) -> int:
-        return _HEADER_BYTES + _SIGNATURE_BYTES + _DIGEST_BYTES + 1024
+    TAG = 0x1B
+    FIELDS = (
+        _REPLICA,
+        Field("checkpoint_sequence", I64),
+        Field("state_digest", DIGEST),
+        Field("snapshot", ATTACHMENT, dict),
+    )
+    SIZE = _SIGNED_VOTE_BYTES + 1024
 
 
 __all__ = [

@@ -598,8 +598,10 @@ class SeeMoReReplica(ReplicaBase):
     def _on_state_transfer_response(self, src: str, message: msgs.StateTransferResponse) -> None:
         if not self.verify_message(src, message):
             return
-        snapshot = message.snapshot
-        if not snapshot or snapshot.get("next_sequence", 0) - 1 <= self.last_executed:
+        snapshot = message.snapshot  # unsigned: any plain value may come off the wire
+        if not isinstance(snapshot, dict) or not snapshot:
+            return
+        if snapshot.get("next_sequence", 0) - 1 <= self.last_executed:
             return
         trusted = self.config.is_trusted(src)
         matches_stable = (

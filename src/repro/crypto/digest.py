@@ -1,16 +1,16 @@
 """Collision-resistant message digests.
 
 The protocols never compare full request payloads; they compare digests
-(``D(µ)`` in the paper's notation).  We use SHA-256 over a canonical
-serialization of the message content.
+(``D(µ)`` in the paper's notation): SHA-256 over a protocol message's
+binary wire frame, or over a canonical JSON serialization of a plain value.
 
-Canonicalization (``json.dumps(sort_keys=True)``) dominates the simulator's
-CPU profile when recomputed per replica per hop, so protocol messages carry
-a *content-addressed digest cache*: :func:`digest_of` computes the canonical
-digest of an object's wire form exactly once per object lifetime and stores
-it on the object.  ``copy.copy`` of a protocol message deliberately drops
-the cache (see ``ProtocolMessage.__copy__``), so Byzantine twists that copy
-and mutate a message can never inherit a stale digest.
+Recomputing a frame per replica per hop dominated the simulator's CPU
+profile, so protocol messages carry a *content-addressed digest cache*:
+:func:`digest_of` hashes an object's frozen wire slice exactly once per
+object lifetime and stores the digest on the object.  ``copy.copy`` of a
+protocol message deliberately drops the cache (see
+``ProtocolMessage.__copy__``), so Byzantine twists that copy and mutate a
+message can never inherit a stale digest.
 """
 
 from __future__ import annotations
@@ -65,50 +65,30 @@ def digest(value: Any) -> str:
 
 
 def digest_of(message: Any) -> str:
-    """Content-addressed digest of a message, canonicalized at most once.
+    """Content-addressed digest of a message, encoded at most once.
 
-    For objects exposing ``signing_content()`` (every protocol message) the
-    digest covers that canonical wire form and is cached on the object, so
-    the 3f+1 replicas of a simulated deployment — which all receive the same
-    Python object — canonicalize and hash it exactly once in total.  Objects
-    exposing ``wire_form()`` (the frozen-signing-content accessor on
-    :class:`~repro.smr.messages.ProtocolMessage`) additionally reuse the
-    cached content dict.  Plain values fall back to :func:`digest`.
+    For protocol messages (anything exposing ``wire_slice()``) the digest
+    covers the binary wire frame and is cached on the object, so the 3f+1
+    replicas of a simulated deployment — which all receive the same Python
+    object — encode and hash it exactly once in total, and signing and
+    transmission share one serialization.  Plain values (dicts, strings,
+    ...) have no stable identity to hang a cache off and fall back to
+    :func:`digest`.
 
     The cache lives in the instance ``__dict__`` and is **not** inherited by
     ``copy.copy`` of a protocol message; mutate-after-copy attack helpers
     therefore always recompute, which the Byzantine regression tests pin.
     """
+    # Cache probe first: it hits for every message past its first hop.
     try:
         instance_dict = message.__dict__
     except AttributeError:
-        instance_dict = None
-    else:
-        cached = instance_dict.get(DIGEST_CACHE_ATTR)
-        if cached is not None:
-            return cached
-    # Hot message types define a binary wire frame that encodes the same
-    # fields as their signing content without a JSON pass; going through
-    # wire_slice() warms the frame cache together with the digest so
-    # signing and transmission share one serialization.  Probed first:
-    # every protocol message has it, and the hot path ends here.
-    wire_slice = getattr(message, "wire_slice", None)
-    if wire_slice is not None:
-        result = hashlib.sha256(wire_slice()).hexdigest()
-    else:
-        wire_form = getattr(message, "wire_form", None)
-        if callable(wire_form):
-            value = wire_form()
-        else:
-            signing_content = getattr(message, "signing_content", None)
-            if callable(signing_content):
-                value = signing_content()
-            else:
-                # Plain values (dicts, strings, ...) have no stable identity
-                # to hang a cache off; hash them directly.
-                return digest(message)
-        result = digest_bytes(_canonical_bytes(value))
-    if instance_dict is not None:
-        instance_dict[DIGEST_CACHE_ATTR] = result
+        return digest(message)
+    cached = instance_dict.get(DIGEST_CACHE_ATTR)
+    if cached is None:
+        wire_slice = getattr(message, "wire_slice", None)
+        if wire_slice is None:
+            return digest(message)
+        cached = instance_dict[DIGEST_CACHE_ATTR] = hashlib.sha256(wire_slice()).hexdigest()
         instance_dict[HAS_CACHE_FLAG] = True
-    return result
+    return cached

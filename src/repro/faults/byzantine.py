@@ -28,7 +28,7 @@ from repro.crypto.signatures import Signature
 from repro.smr.messages import Batch, Reply
 from repro.smr.replica import ReplicaBase, request_digest
 from repro.smr.state_machine import Operation
-from repro.wire.codec import decode, wire_slice_of
+from repro.wire.codec import decode
 from repro.wire.primitives import WireDecodeError
 
 
@@ -52,18 +52,16 @@ def _decoded_twin(message):
     ``signing_bytes()`` call, so every attack manipulates exactly what an
     adversary holding the frame could manipulate — the tampering stays
     wire-visible rather than being an artifact of shared in-memory
-    objects.  The piggybacked ``request`` and the ``signature`` ride
-    *beside* the signed frame, so they are re-attached from the original
-    (a twist then replaces whichever of them it targets).  Cold
-    JSON-encoded types and payloads without an invertible frame fall back
-    to a plain copy.
+    objects.  The detached parts (the piggybacked ``request``) and the
+    ``signature`` ride *beside* the signed frame, so they are re-attached
+    from the original (a twist then replaces whichever of them it targets).
+    Payloads without an invertible frame fall back to a plain copy.
     """
     try:
-        twin = decode(wire_slice_of(message))
-    except (TypeError, WireDecodeError):
+        twin = decode(message.wire_slice())
+    except WireDecodeError:
         return copy.copy(message)
-    if getattr(message, "request", None) is not None and hasattr(twin, "request"):
-        twin.request = message.request
+    twin.attach(iter(message.detached()))
     if twin.signed != message.signed:
         twin.signed = message.signed
     twin.signature = message.signature

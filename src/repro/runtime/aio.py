@@ -1,12 +1,12 @@
 """Real-network runtime backend: asyncio tasks over loopback TCP.
 
 Every registered node gets its own TCP server on ``127.0.0.1`` (ephemeral
-port) and a serial CPU worker task.  Messages travel as real bytes: hot
-protocol types ship their binary wire frame (:mod:`repro.wire`) inside a
-small envelope that also carries the detached signature and any
-piggybacked request/batch payload; cold types (view changes and friends,
-which have no binary frame yet) fall back to pickle — acceptable on a
-loopback cluster where every peer is part of the same trusted build.
+port) and a serial CPU worker task.  Messages travel as real bytes: every
+protocol type ships its binary wire frame (:mod:`repro.wire`) inside a
+small envelope that also carries what rides *beside* a signed frame — the
+detached signature, piggybacked request/batch payloads with their client
+signatures, and a state-transfer snapshot.  A frame that does not decode is
+dropped and counted (``frames_rejected``); the channel stays up.
 
 Sender identity is authenticated per connection, mirroring the paper's
 pairwise authenticated channels: each (src, dst) pair uses a dedicated
@@ -31,31 +31,34 @@ Differences from the sim backend, by design:
 from __future__ import annotations
 
 import asyncio
-import pickle
 import struct
 import time
 from collections import Counter, deque
 from functools import partial
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro.crypto.digest import DIGEST_CACHE_ATTR, HAS_CACHE_FLAG, digest_bytes
+from repro.crypto.digest import digest_bytes
 from repro.crypto.signatures import Signature
 from repro.runtime.api import Cpu, Runtime, TimerHandle, Transport
-from repro.smr.messages import Batch
+from repro.smr.messages import ProtocolMessage
 from repro.wire.codec import decode as wire_decode
+from repro.wire.primitives import Reader, pack_value
 
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 
-#: Envelope kinds (first byte of every message blob).
-_KIND_FRAME = 1  # binary codec frame + signature (+ optional piggyback)
-_KIND_PICKLE = 2  # cold types with no binary frame
+#: Largest envelope a peer may announce; a longer length prefix closes the
+#: connection.
+MAX_FRAME_BYTES = 16 * 1024 * 1024
 
-#: Piggyback block kinds (after the message's own frame + signature).
-_PAYLOAD_NONE = 0
-_PAYLOAD_REQUEST = 1  # one attached request frame + its client signature
-_PAYLOAD_BATCH = 2  # attached batch frame + positional client signatures
-_PAYLOAD_SELF_BATCH = 3  # the message IS a batch: client signatures only
+#: First byte of every message blob; a blob of any other kind is rejected.
+_KIND_FRAME = b"\x01"
+
+#: Kinds of the items that ride beside a frame (``message.detached()``).
+_ITEM_NONE = b"\x00"
+_ITEM_MESSAGE = b"\x01"  # a piggybacked request / batch: its own frame + items
+_ITEM_SIGNATURE = b"\x02"  # an inner client signature
+_ITEM_VALUE = b"\x03"  # a plain value (state-transfer snapshot)
 
 
 # -- envelope codec ----------------------------------------------------------
@@ -75,6 +78,30 @@ def _pack_signature(out: list, signature: Optional[Signature]) -> None:
     _pack_str(out, signature.signer_id)
     _pack_str(out, signature.payload_digest)
     _pack_str(out, signature.tag)
+
+
+def _pack_message(out: list, message: Any) -> None:
+    """``frame | signature | item count u16 | item*`` for one message."""
+    frame = message.wire_slice()
+    out.append(_U32.pack(len(frame)))
+    out.append(frame)
+    _pack_signature(out, message.signature)
+    items = message.detached()
+    out.append(_U16.pack(len(items)))
+    for item in items:
+        if item is None:
+            out.append(_ITEM_NONE)
+        elif type(item) is Signature:
+            out.append(_ITEM_SIGNATURE)
+            _pack_signature(out, item)
+        elif isinstance(item, ProtocolMessage):
+            out.append(_ITEM_MESSAGE)
+            _pack_message(out, item)
+        else:
+            value = pack_value(item)
+            out.append(_ITEM_VALUE)
+            out.append(_U32.pack(len(value)))
+            out.append(value)
 
 
 class _Cursor:
@@ -116,99 +143,60 @@ class _Cursor:
         )
 
 
-def _seed_wire_caches(message: Any, frame: bytes) -> None:
-    """Pre-seed a decoded message's frozen wire form from its source frame.
-
-    The receiver's digest (what signature verification compares against)
-    must be computed over exactly the bytes the sender signed; seeding the
-    caches makes that identity explicit and skips a re-encode.  Writes go
-    straight into ``__dict__`` to bypass the mutation guard (these ARE the
-    caches the guard protects).
-    """
-    instance_dict = message.__dict__
-    instance_dict["_wire_slice"] = frame
-    instance_dict[DIGEST_CACHE_ATTR] = digest_bytes(frame)
-    instance_dict[HAS_CACHE_FLAG] = True
+def _read_message(cursor: _Cursor, nested: bool = False) -> Any:
+    frame = cursor.take(cursor.u32())
+    message = wire_decode(frame)
+    signature = cursor.signature()
+    count = cursor.u16()
+    expected = len(message.detached())
+    if count != expected:
+        raise ValueError(
+            f"{type(message).__name__} carries {count} detached items, expected {expected}"
+        )
+    items = []
+    for _ in range(count):
+        kind = cursor.take(1)
+        if kind == _ITEM_SIGNATURE:
+            items.append(cursor.signature())
+        elif kind == _ITEM_NONE:
+            items.append(None)
+        elif kind == _ITEM_MESSAGE and not nested:
+            items.append(_read_message(cursor, nested=True))
+        elif kind == _ITEM_VALUE:
+            value = Reader(cursor.take(cursor.u32()))
+            items.append(value.value())
+            if not value.exhausted():
+                raise ValueError("trailing bytes after a detached value")
+        else:
+            raise ValueError(f"unknown or misplaced detached item kind: {kind!r}")
+    message.attach(iter(items))
+    # The receiver's digest (what signature verification compares against)
+    # must be computed over exactly the bytes the sender signed, so the
+    # source frame becomes the message's frozen form (and saves a re-encode).
+    message.seed_wire_caches(frame, digest_bytes(frame))
+    message.__dict__["signature"] = signature  # not content: no cache to invalidate
+    return message
 
 
 def encode_envelope(message: Any) -> bytes:
-    """Serialize one protocol message (with signature and piggyback) to bytes."""
-    if getattr(message, "signing_bytes", None) is None:
-        return bytes((_KIND_PICKLE,)) + pickle.dumps(message)
-    frame = message.wire_slice()
-    out: list = [bytes((_KIND_FRAME,)), _U32.pack(len(frame)), frame]
-    _pack_signature(out, message.signature)
-    if type(message) is Batch:
-        # The batch frame embeds each request's frame but signatures ride
-        # beside frames, never inside: carry the client signatures
-        # positionally so receivers can validate inner requests.
-        out.append(bytes((_PAYLOAD_SELF_BATCH,)))
-        out.append(_U16.pack(len(message.requests)))
-        for request in message.requests:
-            _pack_signature(out, request.signature)
-        return b"".join(out)
-    # Votes piggyback the proposed payload (Prepare/PrePrepare always,
-    # Commit when relaying to lagging replicas); the codec deliberately
-    # decodes votes with request=None, so the payload travels in its own
-    # block with its own signature material.
-    attachment = message.__dict__.get("request")
-    if attachment is None:
-        out.append(bytes((_PAYLOAD_NONE,)))
-    elif type(attachment) is Batch:
-        attachment_frame = attachment.wire_slice()
-        out.append(bytes((_PAYLOAD_BATCH,)))
-        out.append(_U32.pack(len(attachment_frame)))
-        out.append(attachment_frame)
-        out.append(_U16.pack(len(attachment.requests)))
-        for request in attachment.requests:
-            _pack_signature(out, request.signature)
-    else:
-        attachment_frame = attachment.wire_slice()
-        out.append(bytes((_PAYLOAD_REQUEST,)))
-        out.append(_U32.pack(len(attachment_frame)))
-        out.append(attachment_frame)
-        _pack_signature(out, attachment.signature)
+    """Serialize one protocol message (with signature and detached parts) to bytes."""
+    out: list = [_KIND_FRAME]
+    _pack_message(out, message)
     return b"".join(out)
 
 
-def _attach_batch_signatures(batch: Batch, cursor: _Cursor) -> None:
-    count = cursor.u16()
-    if count != len(batch.requests):
-        raise ValueError(
-            f"batch signature count mismatch: {count} != {len(batch.requests)}"
-        )
-    for request in batch.requests:
-        request.__dict__["signature"] = cursor.signature()
-
-
 def decode_envelope(blob: bytes) -> Any:
-    """Rebuild the protocol message a peer sent, signatures reattached."""
-    kind = blob[0]
-    if kind == _KIND_PICKLE:
-        return pickle.loads(blob[1:])
-    if kind != _KIND_FRAME:
-        raise ValueError(f"unknown envelope kind: {kind}")
+    """Rebuild the protocol message a peer sent, signatures reattached.
+
+    Raises ``ValueError`` (``WireDecodeError`` included) on anything that is
+    not a well-formed envelope around well-formed frames.
+    """
+    if blob[:1] != _KIND_FRAME:
+        raise ValueError(f"unknown envelope kind: {blob[:1]!r}")
     cursor = _Cursor(blob, 1)
-    frame = cursor.take(cursor.u32())
-    message = wire_decode(frame)
-    _seed_wire_caches(message, frame)
-    message.__dict__["signature"] = cursor.signature()
-    payload_kind = cursor.u8()
-    if payload_kind == _PAYLOAD_NONE:
-        return message
-    if payload_kind == _PAYLOAD_SELF_BATCH:
-        _attach_batch_signatures(message, cursor)
-        return message
-    attachment_frame = cursor.take(cursor.u32())
-    attachment = wire_decode(attachment_frame)
-    _seed_wire_caches(attachment, attachment_frame)
-    if payload_kind == _PAYLOAD_BATCH:
-        _attach_batch_signatures(attachment, cursor)
-    elif payload_kind == _PAYLOAD_REQUEST:
-        attachment.__dict__["signature"] = cursor.signature()
-    else:
-        raise ValueError(f"unknown piggyback kind: {payload_kind}")
-    message.__dict__["request"] = attachment
+    message = _read_message(cursor)
+    if cursor.off != len(blob):
+        raise ValueError("trailing bytes after envelope")
     return message
 
 
@@ -402,6 +390,7 @@ class AioRuntime(Runtime):
         self.transport = AioTransport(self)
         self.messages_delivered = 0
         self.bytes_delivered = 0
+        self.frames_rejected = 0
 
     # -- Runtime interface -------------------------------------------------
 
@@ -490,8 +479,17 @@ class AioRuntime(Runtime):
             sender = (await reader.readexactly(hello_len)).decode("utf-8")
             while True:
                 (blob_len,) = _U32.unpack(await reader.readexactly(4))
+                if blob_len > MAX_FRAME_BYTES:
+                    # Not buffered, so the stream cannot be resynchronised.
+                    self.frames_rejected += 1
+                    break
                 blob = await reader.readexactly(blob_len)
-                message = decode_envelope(blob)
+                try:
+                    message = decode_envelope(blob)
+                except ValueError:
+                    # Frames are length prefixed: drop this one, keep reading.
+                    self.frames_rejected += 1
+                    continue
                 self.messages_delivered += 1
                 self.bytes_delivered += len(blob)
                 node.deliver(sender, message, len(blob))

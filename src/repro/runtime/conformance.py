@@ -42,7 +42,8 @@ from repro.runtime.sim import SimRuntime
 from repro.sim.simulator import Simulator
 from repro.smr.client import Client
 from repro.smr.ledger import find_safety_violations
-from repro.smr.messages import _result_digest, requests_of
+from repro.smr.messages import requests_of
+from repro.smr.state_machine import result_digest
 from repro.workload.generator import Workload
 
 CLIENT_ID = "conformance-client"
@@ -193,7 +194,7 @@ def _reply_digests(
     for timestamp in range(1, num_requests + 1):
         result = executor.cached_reply(CLIENT_ID, timestamp)
         if result is not None:
-            digests[timestamp] = _result_digest(result)
+            digests[timestamp] = result_digest(result)
     return digests
 
 

@@ -28,11 +28,6 @@ from hashlib import sha256
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence
 
 from repro.adaptive.evidence import EvidenceKind, EvidenceLog
-from repro.crypto.digest import (
-    DIGEST_CACHE_ATTR,
-    HAS_CACHE_FLAG,
-    WIRE_SIZE_CACHE_ATTR,
-)
 from repro.crypto.signatures import Signer, Verifier, WindowVerifier
 from repro.net.costs import NodeCostModel
 from repro.net.node import Node
@@ -258,26 +253,25 @@ class Client(Node):
             return False
         self._next_timestamp += 1
         timestamp = self._next_timestamp
-        request = Request(
-            operation=operation, timestamp=timestamp, client_id=self.node_id
-        )
         # Fused signing path (mirrors ReplicaBase.send_reply): one request
         # goes out per completion in the closed loop, so the wire frame,
         # content digest, wire size, and signature are built in one pass and
-        # seeded into the message's cache slots — exactly what
-        # ``request.sign(self.signer)`` would compute through three lazy
-        # layers (sign -> digest_of -> wire_slice -> signing_bytes).
+        # seeded into the message — exactly what ``request.sign(self.signer)``
+        # would compute through three lazy layers (sign -> digest_of ->
+        # wire_slice -> signing_bytes).
         frame = encode_request(
             timestamp, self.node_id, operation.kind, operation.args, operation.payload
         )
         content_digest = sha256(frame).hexdigest()
-        request.__dict__.update({
-            "_wire_slice": frame,
-            DIGEST_CACHE_ATTR: content_digest,
-            WIRE_SIZE_CACHE_ATTR: _REQUEST_OVERHEAD + operation.wire_size(),
-            HAS_CACHE_FLAG: True,
-            "signature": self.signer.sign_digest(content_digest),
-        })
+        request = Request(
+            operation=operation,
+            timestamp=timestamp,
+            client_id=self.node_id,
+            signature=self.signer.sign_digest(content_digest),
+        )
+        request.seed_wire_caches(
+            frame, content_digest, _REQUEST_OVERHEAD + operation.wire_size()
+        )
         now = self.now
         self._pending[timestamp] = _PendingRequest(
             request=request, sent_at=self._sent_time(), last_sent_at=now
@@ -472,7 +466,7 @@ class Client(Node):
             # A replica relaying someone else's reply is not acceptable.
             return
 
-        result_key = reply.__dict__.get("_result_digest") or reply.result_digest()
+        result_key = reply.result_digest()
         voters = pending.votes.setdefault(result_key, set())
         voters.add(reply.replica_id)
 

@@ -5,73 +5,63 @@ SeeMoRe, Paxos, PBFT, and S-UpRight, so they live here in the SMR substrate.
 Protocol-internal messages (prepare/accept/commit/...) are defined by each
 protocol package.
 
-Every message class provides:
-
-* ``signed`` — whether the receiver must verify a public-key signature
-  (drives the CPU cost model in :mod:`repro.net.costs`);
-* ``wire_size()`` — approximate serialized size in bytes (drives bandwidth
-  and hashing costs);
-* ``signing_content()`` — the canonical content covered by the signature,
-  as a dict (the legacy JSON canonical form, kept as the reference the
-  differential codec tests compare against and as the only form for cold
-  types such as view changes);
-* ``signing_bytes()`` — for hot types only: the compact binary wire frame
-  (see :mod:`repro.wire`), which is what actually feeds the digest, frozen
-  per object as :meth:`ProtocolMessage.wire_slice`.
+Every message class is *declared once*: a wire ``TAG``, an ordered tuple of
+typed ``FIELDS``, whether it is ``SIGNED`` by default (drives the CPU cost
+model in :mod:`repro.net.costs`) and its modeled fixed ``SIZE`` in bytes
+(drives bandwidth and hashing costs).  :class:`ProtocolMessage` derives the
+rest at class creation through :func:`repro.wire.codec.derive`, which lists
+the generated methods.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.crypto.digest import (
     DIGEST_CACHE_ATTR,
     HAS_CACHE_FLAG,
     WIRE_SIZE_CACHE_ATTR,
-    _canonical_bytes,
     digest_of,
 )
 from repro.crypto.signatures import Signature, Signer, Verifier
-from repro.smr.state_machine import Operation
-from repro.wire.primitives import encode_batch, encode_reply, encode_request
+from repro.smr.state_machine import Operation, result_digest
+from repro.wire.codec import I64, REGISTRY, STR, Field, Kind, OpaqueResult, derive
+from repro.wire.primitives import TAG_BATCH, TAG_REPLY, TAG_REQUEST, Reader, WireDecodeError
 
 _HEADER_BYTES = 48
 _SIGNATURE_BYTES = 64
 _DIGEST_BYTES = 32
+_SIGNED_BYTES = _HEADER_BYTES + _SIGNATURE_BYTES
+
+_WIRE_SLICE_ATTR = "_wire_slice"
+_RESULT_DIGEST_ATTR = "_result_digest"
 
 #: Instance-``__dict__`` keys holding derived wire-form state.  They are
 #: dropped by ``copy.copy`` (see ``ProtocolMessage.__copy__``) so a copied
 #: message — the first step of every mutate-and-resend Byzantine twist —
-#: always recomputes its canonical form, digest, and size.
+#: always recomputes its frame, digest, and size.
 _WIRE_CACHE_ATTRS = (
     DIGEST_CACHE_ATTR,
-    "_wire_form",
-    "_wire_slice",
+    _WIRE_SLICE_ATTR,
     WIRE_SIZE_CACHE_ATTR,
-    "_result_digest",
+    _RESULT_DIGEST_ATTR,
     HAS_CACHE_FLAG,
 )
 
-#: Field separator in flat text ``signing_bytes`` canonical forms, still
-#: used by the baseline protocols (:mod:`repro.baselines.messages`).  The
-#: SeeMoRe hot types moved to the binary frames of :mod:`repro.wire`.
-_SEP = "\x1f"
-
 
 class ProtocolMessage:
-    """Mixin with the signing helpers every protocol message uses.
+    """Base of every protocol message: the declaration hooks and signing helpers.
 
-    Messages freeze their *wire form*: the canonical signing-content dict,
-    its SHA-256 digest, and the serialized size estimate are each computed
-    at most once per object lifetime and cached on the instance.  Because
-    the simulator passes message objects by reference, every replica that
-    touches a request, batch, or vote reuses the same cached forms instead
-    of re-canonicalizing per hop.  The cache invalidates two ways:
+    Messages freeze their *wire form*: the binary frame, its SHA-256 digest,
+    and the serialized size estimate are each computed at most once per
+    object lifetime and cached on the instance.  Because the simulator
+    passes message objects by reference, every replica that touches a
+    request, batch, or vote reuses the same cached forms instead of
+    re-encoding per hop.  The cache invalidates two ways:
 
     * assigning any field other than ``signature`` (which no message ever
       covers with its own signing content) drops the cached forms, so a
-      top-level in-place tamper is re-canonicalized and detected;
+      top-level in-place tamper is re-encoded and detected;
     * ``copy.copy`` drops every cached form, so the copy-then-mutate
       pattern of the Byzantine twists never inherits a digest the mutated
       content no longer matches — even when the mutation happens *inside* a
@@ -79,72 +69,73 @@ class ProtocolMessage:
       it.
 
     The contract deliberately does NOT cover mutating a *container* held by
-    an already-canonicalized message in place (``batch.requests[0] = ...``,
+    an already-encoded message in place (``batch.requests[0] = ...``,
     ``reply.result["ok"] = ...``): no field assignment fires and the stale
     digest would still verify.  Messages are frozen by convention once
-    built; code that must mutate nested state on a live message (none in
-    this repository does) has to call :meth:`invalidate_wire_caches`
-    explicitly — attack helpers instead copy the message *and* rebuild the
-    nested payload, which is also what a real attacker serializing fresh
-    bytes would do.
+    built; attack helpers copy the message *and* rebuild the nested payload,
+    which is also what a real attacker serializing fresh bytes would do.
     """
+
+    #: The declaration a subclass states (see the module docstring).
+    TAG: int
+    FIELDS: Tuple[Field, ...]
+    SIGNED: bool = True
+    SIZE: int
+    #: Extra modeled bytes only when the instance is signed.
+    SIZE_IF_SIGNED: int = 0
+    #: Name of the pinned :mod:`repro.wire.primitives` encoder, if any.
+    ENCODER: Optional[str] = None
+    #: Frame order of the signed fields where the default does not apply.
+    FRAME: Optional[Tuple[str, ...]] = None
 
     signed: bool = False
     signature: Optional[Signature] = None
 
-    def signing_content(self) -> Dict[str, Any]:
-        """Canonical dict covered by this message's signature."""
-        raise NotImplementedError
-
-    def wire_form(self) -> Dict[str, Any]:
-        """The frozen signing content: computed once, cached on the message.
-
-        Callers must treat the returned dict as immutable.
-        """
-        cached = self.__dict__.get("_wire_form")
-        if cached is None:
-            cached = self.signing_content()
-            self.__dict__["_wire_form"] = cached
-            self.__dict__[HAS_CACHE_FLAG] = True
-        return cached
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        derive(cls)
 
     def wire_slice(self) -> bytes:
         """The frozen signed byte form of this message, cached.
 
-        For hot types ``signing_bytes`` *is* the binary codec frame; cold
-        types (view changes and friends) fall back to the canonical JSON
-        bytes of their signing content, so every message exposes one frozen
-        byte slice for digesting.  Invalidated with the other wire caches
-        on content mutation or copy.  Callers must treat the returned bytes
-        as immutable.
+        Invalidated with the other wire caches on content mutation or copy.
+        Callers must treat the returned bytes as immutable.
         """
-        cached = self.__dict__.get("_wire_slice")
+        cached = self.__dict__.get(_WIRE_SLICE_ATTR)
         if cached is None:
-            signing_bytes = getattr(self, "signing_bytes", None)
-            if signing_bytes is not None:
-                cached = signing_bytes()
-            else:
-                cached = _canonical_bytes(self.wire_form())
-            self.__dict__["_wire_slice"] = cached
+            cached = self.signing_bytes()
+            self.__dict__[_WIRE_SLICE_ATTR] = cached
             self.__dict__[HAS_CACHE_FLAG] = True
         return cached
 
-    def content_digest(self) -> str:
-        """Content-addressed digest of :meth:`wire_form` (``D(µ)``), cached."""
-        return digest_of(self)
+    def seed_wire_caches(
+        self,
+        frame: bytes,
+        content_digest: str,
+        wire_size: Optional[int] = None,
+        result_digest: Optional[str] = None,
+    ) -> None:
+        """Install a frame built (or received) elsewhere as this message's frozen form.
 
-    def invalidate_wire_caches(self) -> None:
-        """Drop every cached wire form (for deliberate in-place mutation)."""
-        for attr in _WIRE_CACHE_ATTRS:
-            self.__dict__.pop(attr, None)
+        For the fused send paths of the client and the replicas and for the
+        transport's decoder (the receiver's digest must cover exactly the
+        bytes the sender signed).  ``frame`` must be what ``signing_bytes()``
+        would return and ``content_digest`` its SHA-256.
+        """
+        instance_dict = self.__dict__
+        instance_dict[_WIRE_SLICE_ATTR] = frame
+        instance_dict[DIGEST_CACHE_ATTR] = content_digest
+        if wire_size is not None:
+            instance_dict[WIRE_SIZE_CACHE_ATTR] = wire_size
+        if result_digest is not None:
+            instance_dict[_RESULT_DIGEST_ATTR] = result_digest
+        instance_dict[HAS_CACHE_FLAG] = True
 
     def __setattr__(self, name: str, value: Any) -> None:
         # Mutating any content field invalidates the frozen wire form.
         # ``signature`` is exempt: signatures cover content, never
         # themselves, and :meth:`sign` runs right after the digest is
         # cached — invalidating there would defeat the cache entirely.
-        # The guard-flag probe keeps the no-cache case (field assignment
-        # during dataclass ``__init__``) to a single dict lookup.
         instance_dict = self.__dict__
         if HAS_CACHE_FLAG in instance_dict and name != "signature" and not name.startswith("_"):
             for attr in _WIRE_CACHE_ATTRS:
@@ -160,7 +151,7 @@ class ProtocolMessage:
         return clone
 
     def sign(self, signer: Signer) -> "ProtocolMessage":
-        """Attach a signature by ``signer`` over :meth:`signing_content`."""
+        """Attach a signature by ``signer`` over :meth:`wire_slice`."""
         # Inline cache probe: sign/verify are the two hottest digest users.
         content_digest = self.__dict__.get(DIGEST_CACHE_ATTR) or digest_of(self)
         self.signature = signer.sign_digest(content_digest)
@@ -178,11 +169,8 @@ class ProtocolMessage:
         content_digest = self.__dict__.get(DIGEST_CACHE_ATTR) or digest_of(self)
         return verifier.verify_digest(content_digest, signature)
 
-    def wire_size(self) -> int:
-        raise NotImplementedError
-
     def cached_wire_size(self) -> int:
-        """:meth:`wire_size`, computed once and cached on the message."""
+        """``wire_size()``, computed once and cached on the message."""
         cached = self.__dict__.get(WIRE_SIZE_CACHE_ATTR)
         if cached is None:
             cached = int(self.wire_size())
@@ -191,115 +179,62 @@ class ProtocolMessage:
         return cached
 
 
-@dataclass(init=False)
+def _read_operation(reader: Reader) -> Operation:
+    kind = reader.string()
+    args = tuple(reader.value() for _ in range(reader.u16()))
+    return Operation(kind=kind, args=args, payload=reader.string())
+
+
+#: Request's operation, framed by the pinned ``encode_request``.
+_OPERATION = Kind(
+    "(kind str \\| argc u16 \\| arg* \\| payload str)",
+    arg="{v}.kind, {v}.args, {v}.payload",
+    read="read_operation(reader)",
+    json="{v}.to_wire()",
+    size="{v}.wire_size()",
+    names={"read_operation": _read_operation},
+)
+
+
 class Request(ProtocolMessage):
-    """Client request: ``<REQUEST, op, ts, client>`` signed by the client."""
+    """Client request: ``<REQUEST, op, ts, client>`` signed by the client.
 
-    operation: Operation
-    timestamp: int
-    client_id: str
-    signed: bool = True
-    signature: Optional[Signature] = None
+    The frame covers the full payload content, so any two requests with
+    different operations, timestamps or clients have different digests.
+    """
 
-    def __init__(
-        self,
-        operation: Operation,
-        timestamp: int,
-        client_id: str,
-        signed: bool = True,
-        signature: Optional[Signature] = None,
-    ) -> None:
-        # Hot constructor: bulk-populating the instance dict skips the
-        # per-field ``__setattr__`` cache guard (no caches can exist yet).
-        self.__dict__.update({
-            "operation": operation,
-            "timestamp": timestamp,
-            "client_id": client_id,
-            "signed": signed,
-            "signature": signature,
-        })
-
-    def signing_content(self) -> Dict[str, Any]:
-        return {
-            "type": "REQUEST",
-            "op": self.operation.to_wire(),
-            "timestamp": self.timestamp,
-            "client": self.client_id,
-        }
-
-    def signing_bytes(self) -> bytes:
-        """The binary wire frame (:mod:`repro.wire` Request layout).
-
-        Strictly finer than the legacy text form: the frame covers the full
-        payload content where the legacy form covered only its length, so
-        any two requests the legacy canonical form distinguished are still
-        distinguished on the wire.
-        """
-        operation = self.operation
-        return encode_request(
-            self.timestamp, self.client_id, operation.kind, operation.args, operation.payload
-        )
-
-    def wire_size(self) -> int:
-        return _HEADER_BYTES + _SIGNATURE_BYTES + self.operation.wire_size()
+    TAG = TAG_REQUEST
+    FIELDS = (Field("operation", _OPERATION), Field("timestamp", I64), Field("client_id", STR))
+    FRAME = ("timestamp", "client_id", "operation")
+    ENCODER = "encode_request"
+    SIZE = _SIGNED_BYTES
 
 
-@dataclass(init=False)
+#: Reply's result travels (and is signed) as its digest only.
+_RESULT = Kind(
+    "dig (of the result)",
+    arg="self.result_digest()",
+    read="OpaqueResult(reader.digest())",
+    json="self.result_digest()",
+    size="self.result_payload_size()",
+    names={"OpaqueResult": OpaqueResult},
+)
+
+
 class Reply(ProtocolMessage):
     """Reply to a client: ``<REPLY, mode, view, ts, result>`` signed by the replica."""
 
-    mode: int
-    view: int
-    timestamp: int
-    client_id: str
-    replica_id: str
-    result: Any
-    signed: bool = True
-    signature: Optional[Signature] = None
-
-    def __init__(
-        self,
-        mode: int,
-        view: int,
-        timestamp: int,
-        client_id: str,
-        replica_id: str,
-        result: Any,
-        signed: bool = True,
-        signature: Optional[Signature] = None,
-    ) -> None:
-        self.__dict__.update({
-            "mode": mode,
-            "view": view,
-            "timestamp": timestamp,
-            "client_id": client_id,
-            "replica_id": replica_id,
-            "result": result,
-            "signed": signed,
-            "signature": signature,
-        })
-
-    def signing_content(self) -> Dict[str, Any]:
-        return {
-            "type": "REPLY",
-            "mode": self.mode,
-            "view": self.view,
-            "timestamp": self.timestamp,
-            "client": self.client_id,
-            "replica": self.replica_id,
-            "result_digest": _result_digest(self.result),
-        }
-
-    def signing_bytes(self) -> bytes:
-        """Binary wire frame; carries the result as its digest only."""
-        return encode_reply(
-            self.mode,
-            self.view,
-            self.timestamp,
-            self.client_id,
-            self.replica_id,
-            self.result_digest(),
-        )
+    TAG = TAG_REPLY
+    FIELDS = (
+        Field("mode", I64),
+        Field("view", I64),
+        Field("timestamp", I64),
+        Field("client_id", STR),
+        Field("replica_id", STR),
+        Field("result", _RESULT),
+    )
+    ENCODER = "encode_reply"
+    SIZE = _SIGNED_BYTES + 16
 
     def result_digest(self) -> str:
         """Digest of the execution result (what clients match replies on).
@@ -308,10 +243,10 @@ class Reply(ProtocolMessage):
         invalidated with the other wire caches on mutation or copy.
         """
         instance_dict = self.__dict__
-        cached = instance_dict.get("_result_digest")
+        cached = instance_dict.get(_RESULT_DIGEST_ATTR)
         if cached is None:
-            cached = _result_digest(self.result)
-            instance_dict["_result_digest"] = cached
+            cached = result_digest(self.result)
+            instance_dict[_RESULT_DIGEST_ATTR] = cached
             instance_dict[HAS_CACHE_FLAG] = True
         return cached
 
@@ -322,11 +257,7 @@ class Reply(ProtocolMessage):
                 return len(payload)
         return 0
 
-    def wire_size(self) -> int:
-        return _HEADER_BYTES + _SIGNATURE_BYTES + 16 + self.result_payload_size()
 
-
-@dataclass(init=False)
 class Busy(ProtocolMessage):
     """Admission-control reject: the primary shed this request under load.
 
@@ -334,133 +265,53 @@ class Busy(ProtocolMessage):
     in-flight watermark is exceeded (see ``repro.core.admission``).  Signed
     by the rejecting replica so a Byzantine node cannot forge rejects to
     starve a client of an honest primary — clients verify before backing
-    off.  A cold type: it signs over its canonical JSON content via the
-    :meth:`ProtocolMessage.wire_slice` fallback, so it needs no binary
-    codec entry (the aio/proc envelope pickles cold types).
+    off.
     """
 
-    mode: int
-    view: int
-    timestamp: int
-    client_id: str
-    replica_id: str
-    queue_depth: int
-    signed: bool = True
-    signature: Optional[Signature] = None
-
-    def __init__(
-        self,
-        mode: int,
-        view: int,
-        timestamp: int,
-        client_id: str,
-        replica_id: str,
-        queue_depth: int,
-        signed: bool = True,
-        signature: Optional[Signature] = None,
-    ) -> None:
-        self.__dict__.update({
-            "mode": mode,
-            "view": view,
-            "timestamp": timestamp,
-            "client_id": client_id,
-            "replica_id": replica_id,
-            "queue_depth": queue_depth,
-            "signed": signed,
-            "signature": signature,
-        })
-
-    def signing_content(self) -> Dict[str, Any]:
-        return {
-            "type": "BUSY",
-            "mode": self.mode,
-            "view": self.view,
-            "timestamp": self.timestamp,
-            "client": self.client_id,
-            "replica": self.replica_id,
-            "queue_depth": self.queue_depth,
-        }
-
-    def wire_size(self) -> int:
-        return _HEADER_BYTES + _SIGNATURE_BYTES + 8
+    TAG = 0x04
+    FIELDS = (
+        Field("mode", I64),
+        Field("view", I64),
+        Field("timestamp", I64),
+        Field("client_id", STR),
+        Field("replica_id", STR),
+        Field("queue_depth", I64),
+    )
+    SIZE = _SIGNED_BYTES + 8
 
 
-# Execution results repeat heavily — every no-op of an x/y micro-benchmark
-# returns the *same object* (see ``NullStateMachine``), and key-value reads
-# repeat values — so result digests are memoized at two levels:
-#
-# * by object identity, but ONLY for results explicitly registered via
-#   :func:`register_stable_result` — the StateMachine interface does not
-#   promise immutable results, so pinning a digest to an arbitrary dict's
-#   id would go stale if a state machine returned (and later mutated) an
-#   internally held dict.  Registered entries hold a strong reference, so
-#   an id can never be reused while cached.
-# * by value, for everything else with hashable contents.  The type name
-#   rides along in the key because ``True`` and ``1`` hash identically but
-#   canonicalize differently.
-#
-# Both memos are bounded: once full, uncommon results just fall through to
-# a fresh digest.
-_RESULT_DIGEST_BY_ID: Dict[int, tuple] = {}
-_RESULT_DIGEST_MEMO: Dict[tuple, str] = {}
-_RESULT_DIGEST_MEMO_MAX = 4096
+def _read_request_frames(reader: Reader) -> List[Request]:
+    requests = []
+    for _ in range(reader.u32()):
+        sub = Reader(reader.take(reader.u32()))
+        if not sub.buf or sub.buf[0] != TAG_REQUEST:
+            raise WireDecodeError("batch frame embeds a non-request frame")
+        requests.append(REGISTRY[TAG_REQUEST].from_reader(sub))
+        if not sub.exhausted():
+            raise WireDecodeError(
+                f"{sub.end - sub.off} trailing bytes after embedded request frame"
+            )
+    if not requests:
+        raise WireDecodeError("batch frame contains no requests")
+    return requests
 
 
-def register_stable_result(result: Any) -> str:
-    """Pin a conventionally-immutable result object's digest by identity.
-
-    Callers promise never to mutate ``result`` after registration (state
-    machines that return one shared result object per apply, like
-    ``NullStateMachine``).  Returns the digest.
-    """
-    digest_value = _result_digest(result)
-    if len(_RESULT_DIGEST_BY_ID) < _RESULT_DIGEST_MEMO_MAX:
-        _RESULT_DIGEST_BY_ID[id(result)] = (result, digest_value)
-    return digest_value
-
-
-def _result_digest(result: Any) -> str:
-    from repro.crypto.digest import digest
-
-    carried = getattr(result, "result_digest", None)
-    if isinstance(carried, str):
-        # An OpaqueResult (a decoded reply's placeholder) carries the
-        # original result digest itself; hashing the placeholder would
-        # diverge from the digest the frame was built over.
-        return carried
-    if isinstance(result, dict):
-        by_id = _RESULT_DIGEST_BY_ID.get(id(result))
-        if by_id is not None:
-            return by_id[1]
-        try:
-            items = sorted(result.items())
-        except TypeError:
-            return digest(result)
-        key_items = []
-        for name, value in items:
-            # Only flat scalar values are memo-keyable: inside a container,
-            # equal-but-differently-canonicalized elements ((1,) vs (True,))
-            # would collide.  Floats key by repr so 0.0 and -0.0 (equal,
-            # same hash, different canonical JSON) stay distinct.  Anything
-            # else skips the memo.
-            value_type = type(value)
-            if value_type is float:
-                key_items.append((name, "float", repr(value)))
-            elif value is None or value_type in (str, int, bool):
-                key_items.append((name, value_type.__name__, value))
-            else:
-                return digest(result)
-        key = tuple(key_items)
-        cached = _RESULT_DIGEST_MEMO.get(key)
-        if cached is None:
-            cached = digest(result)
-            if len(_RESULT_DIGEST_MEMO) < _RESULT_DIGEST_MEMO_MAX:
-                _RESULT_DIGEST_MEMO[key] = cached
-        return cached
-    return digest(result)
+#: Batch's requests: each one's own frozen frame embedded (so a request that
+#: already crossed the wire alone contributes its cached slice, and vice
+#: versa), the client signatures detached.
+_REQUEST_FRAMES = Kind(
+    "(count u32 \\| (length u32 \\| request frame)*)",
+    arg="[request.wire_slice() for request in {v}]",
+    read="read_request_frames(reader)",
+    json="[digest_of(request) for request in {v}]",
+    size="sum(request.cached_wire_size() for request in {v})",
+    check="if not {v}: raise ValueError('a batch must contain at least one request')",
+    detach="[request.signature for request in {v}]",
+    attach="for request in {v}: request.signature = next(items)",
+    names={"read_request_frames": _read_request_frames, "digest_of": digest_of},
+)
 
 
-@dataclass(init=False)
 class Batch(ProtocolMessage):
     """An ordered group of client requests proposed in one consensus slot.
 
@@ -473,23 +324,11 @@ class Batch(ProtocolMessage):
     request after execution.
     """
 
-    requests: List[Request]
-    signed: bool = False
-    signature: Optional[Signature] = None
-
-    def __init__(
-        self,
-        requests: Optional[List[Request]] = None,
-        signed: bool = False,
-        signature: Optional[Signature] = None,
-    ) -> None:
-        if not requests:
-            raise ValueError("a batch must contain at least one request")
-        self.__dict__.update({
-            "requests": requests,
-            "signed": signed,
-            "signature": signature,
-        })
+    TAG = TAG_BATCH
+    FIELDS = (Field("requests", _REQUEST_FRAMES),)
+    ENCODER = "encode_batch"
+    SIGNED = False
+    SIZE = _HEADER_BYTES
 
     def __len__(self) -> int:
         return len(self.requests)
@@ -506,26 +345,6 @@ class Batch(ProtocolMessage):
     def timestamp(self) -> int:
         """Lead request's timestamp (keeps slot-level bookkeeping uniform)."""
         return self.requests[0].timestamp
-
-    def signing_content(self) -> Dict[str, Any]:
-        # Inner digests go through the content-addressed cache: a request
-        # that already crossed the wire on its own is not re-canonicalized
-        # when it is batched, and vice versa.
-        return {
-            "type": "BATCH",
-            "count": len(self.requests),
-            "digests": [digest_of(request) for request in self.requests],
-        }
-
-    def signing_bytes(self) -> bytes:
-        # The batch frame embeds each request's own frozen frame, so a
-        # request that already crossed the wire alone contributes its
-        # cached slice here (and vice versa), and the batch round-trips
-        # through the codec with full request content.
-        return encode_batch([request.wire_slice() for request in self.requests])
-
-    def wire_size(self) -> int:
-        return _HEADER_BYTES + sum(request.cached_wire_size() for request in self.requests)
 
 
 def requests_of(payload: Any) -> List[Request]:
@@ -545,4 +364,5 @@ __all__ = [
     "_HEADER_BYTES",
     "_SIGNATURE_BYTES",
     "_DIGEST_BYTES",
+    "_SIGNED_BYTES",
 ]

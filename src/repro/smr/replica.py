@@ -14,20 +14,15 @@ from typing import Any, Callable, Dict, List, Optional, Type
 from hashlib import sha256
 
 from repro.adaptive.evidence import EvidenceKind, EvidenceLog
-from repro.crypto.digest import (
-    DIGEST_CACHE_ATTR,
-    HAS_CACHE_FLAG,
-    WIRE_SIZE_CACHE_ATTR,
-    digest_of,
-)
+from repro.crypto.digest import digest_of
 from repro.crypto.signatures import Signer, Verifier, WindowVerifier
 from repro.net.costs import NodeCostModel
 from repro.net.node import Node
 from repro.smr.executor import ExecutionResult, OrderedExecutor
 from repro.smr.ledger import CommitLedger, LedgerEntry
-from repro.smr.messages import Reply, Request, _result_digest, requests_of
+from repro.smr.messages import Reply, Request, requests_of
 from repro.smr.slots import SlotLog
-from repro.smr.state_machine import StateMachine
+from repro.smr.state_machine import StateMachine, result_digest
 from repro.wire.primitives import encode_reply
 
 
@@ -194,13 +189,13 @@ class ReplicaBase(Node):
 
         Fused hot path: one reply goes out per executed request per replying
         replica, so the wire frame, content digest, wire size, and signature
-        are built in a single pass here and seeded into the message's cache
-        slots — exactly the values ``sign()``/``wire_slice()`` would compute
-        lazily, without the intermediate frames.
+        are built in a single pass here and seeded into the message —
+        exactly the values ``sign()``/``wire_slice()`` would compute lazily,
+        without the intermediate frames.
         """
-        result_digest = _result_digest(result)
+        digest_of_result = result_digest(result)
         frame = encode_reply(
-            mode_id, self.view, timestamp, client_id, self.node_id, result_digest
+            mode_id, self.view, timestamp, client_id, self.node_id, digest_of_result
         )
         content_digest = sha256(frame).hexdigest()
         payload = result.get("payload", "") if type(result) is dict else None
@@ -211,15 +206,14 @@ class ReplicaBase(Node):
             client_id=client_id,
             replica_id=self.node_id,
             result=result,
+            signature=self.signer.sign_digest(content_digest),
         )
-        reply.__dict__.update({
-            "_result_digest": result_digest,
-            "_wire_slice": frame,
-            DIGEST_CACHE_ATTR: content_digest,
-            WIRE_SIZE_CACHE_ATTR: 128 + (len(payload) if type(payload) is str else 0),
-            HAS_CACHE_FLAG: True,
-            "signature": self.signer.sign_digest(content_digest),
-        })
+        reply.seed_wire_caches(
+            frame,
+            content_digest,
+            128 + (len(payload) if type(payload) is str else 0),
+            digest_of_result,
+        )
         self.replies_sent += 1
         self.send(client_id, reply)
 

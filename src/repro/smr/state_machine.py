@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.crypto.digest import digest
+
 
 @dataclass(frozen=True)
 class Operation:
@@ -45,6 +47,80 @@ class Operation:
             # the overwhelmingly common string argument.
             size += len(arg) if type(arg) is str else len(str(arg))
         return size
+
+
+# Execution results repeat heavily — every no-op of an x/y micro-benchmark
+# returns the *same object* (see ``NullStateMachine``), and key-value reads
+# repeat values — so result digests are memoized at two levels:
+#
+# * by object identity, but ONLY for results explicitly registered via
+#   :func:`register_stable_result` — the StateMachine interface does not
+#   promise immutable results, so pinning a digest to an arbitrary dict's
+#   id would go stale if a state machine returned (and later mutated) an
+#   internally held dict.  Registered entries hold a strong reference, so
+#   an id can never be reused while cached.
+# * by value, for everything else with hashable contents.  The type name
+#   rides along in the key because ``True`` and ``1`` hash identically but
+#   canonicalize differently.
+#
+# Both memos are bounded: once full, uncommon results just fall through to
+# a fresh digest.
+_RESULT_DIGEST_BY_ID: Dict[int, tuple] = {}
+_RESULT_DIGEST_MEMO: Dict[tuple, str] = {}
+_RESULT_DIGEST_MEMO_MAX = 4096
+
+
+def register_stable_result(result: Any) -> str:
+    """Pin a conventionally-immutable result object's digest by identity.
+
+    Callers promise never to mutate ``result`` after registration (state
+    machines that return one shared result object per apply, like
+    :class:`NullStateMachine`).  Returns the digest.
+    """
+    digest_value = result_digest(result)
+    if len(_RESULT_DIGEST_BY_ID) < _RESULT_DIGEST_MEMO_MAX:
+        _RESULT_DIGEST_BY_ID[id(result)] = (result, digest_value)
+    return digest_value
+
+
+def result_digest(result: Any) -> str:
+    """Digest of one execution result (what clients match replies on), memoized."""
+    carried = getattr(result, "result_digest", None)
+    if isinstance(carried, str):
+        # An OpaqueResult (a decoded reply's placeholder) carries the
+        # original result digest itself; hashing the placeholder would
+        # diverge from the digest the frame was built over.
+        return carried
+    if isinstance(result, dict):
+        by_id = _RESULT_DIGEST_BY_ID.get(id(result))
+        if by_id is not None:
+            return by_id[1]
+        try:
+            items = sorted(result.items())
+        except TypeError:
+            return digest(result)
+        key_items = []
+        for name, value in items:
+            # Only flat scalar values are memo-keyable: inside a container,
+            # equal-but-differently-canonicalized elements ((1,) vs (True,))
+            # would collide.  Floats key by repr so 0.0 and -0.0 (equal,
+            # same hash, different canonical JSON) stay distinct.  Anything
+            # else skips the memo.
+            value_type = type(value)
+            if value_type is float:
+                key_items.append((name, "float", repr(value)))
+            elif value is None or value_type in (str, int, bool):
+                key_items.append((name, value_type.__name__, value))
+            else:
+                return digest(result)
+        key = tuple(key_items)
+        cached = _RESULT_DIGEST_MEMO.get(key)
+        if cached is None:
+            cached = digest(result)
+            if len(_RESULT_DIGEST_MEMO) < _RESULT_DIGEST_MEMO_MAX:
+                _RESULT_DIGEST_MEMO[key] = cached
+        return cached
+    return digest(result)
 
 
 class StateMachine:
@@ -268,8 +344,6 @@ class NullStateMachine(StateMachine):
         self._reply = {"ok": True, "payload": "x" * self.reply_payload_size}
         # Explicit opt-in to identity-keyed digest memoization: this object
         # is shared across every apply() and never mutated.
-        from repro.smr.messages import register_stable_result
-
         register_stable_result(self._reply)
 
     def apply(self, operation: Operation) -> Any:

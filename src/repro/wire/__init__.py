@@ -1,11 +1,12 @@
-"""Compact binary wire codec for the hot protocol message types.
+"""Compact binary wire codec for every protocol message type.
 
-``primitives`` is a leaf module (frame layouts, pack helpers) imported by
-the message classes themselves; ``codec`` holds the decoder and imports
-the message classes, so it is loaded lazily here to keep the import graph
-acyclic.
+``primitives`` is a leaf module (tags, pack helpers, the pinned hot
+encoders, the reader); ``codec`` holds the field kinds, the derivation every
+message class is generated from, and the tag registry behind ``decode``.
+Neither imports a message class: the classes register themselves.
 """
 
+from repro.wire.codec import OpaqueResult, decode, encode  # noqa: F401
 from repro.wire.primitives import (  # noqa: F401
     TAG_ACCEPT,
     TAG_BATCH,
@@ -20,23 +21,11 @@ from repro.wire.primitives import (  # noqa: F401
     WireDecodeError,
 )
 
-_CODEC_SYMBOLS = ("OpaqueResult", "decode", "encode", "wire_slice_of")
-
-
-def __getattr__(name):
-    if name in _CODEC_SYMBOLS:
-        from repro.wire import codec
-
-        return getattr(codec, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "WireDecodeError",
     "OpaqueResult",
     "decode",
     "encode",
-    "wire_slice_of",
     "TAG_REQUEST",
     "TAG_BATCH",
     "TAG_REPLY",

@@ -1,54 +1,143 @@
-"""Decoder half of the binary wire codec (encode lives on the messages).
+"""One declaration per message: field kinds, the derivation, and the registry.
 
-Each hot message type's ``signing_bytes()`` already *is* its wire frame
-(assembled from :mod:`repro.wire.primitives`), cached per object as the
-frozen ``wire_slice``.  This module provides the inverse — :func:`decode`
-rebuilds a message object from a frame — plus :func:`encode` /
-:func:`wire_slice_of` conveniences, so tests can state round-trip and
-differential properties, and byzantine twists can tamper with *decoded*
-forms and re-encode (keeping attacks wire-visible).
+A message class states its wire tag, an ordered tuple of typed
+:class:`Field` s, its modeled fixed size, and (for the ten hot types) which
+pinned :mod:`repro.wire.primitives` encoder builds its frame.
+:func:`derive` — called once per class by ``ProtocolMessage`` — generates
+from that, the way :mod:`dataclasses` builds ``__init__``:
 
-Cold types (view-change and friends) have no binary frame; they keep the
-JSON canonical form and are rejected here by :func:`wire_slice_of`.
+* the ``__dict__``-populating constructor, ``__repr__`` and ``__eq__``;
+* ``signing_bytes()``, the binary frame that is signed, digested and sent:
+  ``tag u8 | every i64 field in one struct | the other signed fields in
+  declaration order`` (``FRAME`` overrides the order);
+* ``from_reader()``, its inverse, registered by tag for :func:`decode`;
+* ``signing_content()``, the JSON-shaped form the differential tests keep
+  as their reference;
+* ``wire_size()``, the simulator's modeled size;
+* ``detached()`` / ``attach()``, the unsigned parts that travel beside the
+  frame (piggybacked payloads, inner client signatures, snapshots).
+
+Decoded messages carry no signature and no detached parts: those ride in
+the transport envelope (:mod:`repro.runtime.aio`), never inside the frame.
 """
 
 from __future__ import annotations
 
-from typing import Any
+import inspect
+import struct
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence
 
-from repro.core.messages import (
-    Accept,
-    Checkpoint,
-    Commit,
-    Inform,
-    PrePrepare,
-    Prepare,
-    ProxyPrepare,
+from repro.wire import primitives
+from repro.wire.primitives import _U32, Reader, WireDecodeError, pack_digest
+
+#: Wire tag -> message class, filled by :func:`derive`.
+REGISTRY: Dict[int, type] = {}
+
+_REQUIRED = object()
+
+
+@dataclass(frozen=True)
+class Kind:
+    """How one kind of field is packed, read, sized and shown.
+
+    Every attribute but ``label`` and ``names`` is a source template over
+    ``{v}`` (the field's value expression) that :func:`derive` splices into
+    the generated methods.  A kind with a ``head`` struct code is
+    fixed-width and rides in the frame's leading struct; one with neither
+    ``head`` nor ``read`` is unsigned and travels detached.
+    """
+
+    label: str  # the field's type in the README table
+    head: str = ""
+    pack: str = ""  # bytes expression, for frames assembled inline
+    read: str = ""  # expression over ``reader``
+    arg: str = "{v}"  # argument(s) handed to a pinned ``ENCODER``
+    json: str = "{v}"  # value in ``signing_content()``
+    size: str = ""  # variable term of ``wire_size()``
+    check: str = ""  # constructor validation statement
+    detach: str = ""  # list expression of the unsigned parts
+    attach: str = ""  # statement consuming ``next(items)``
+    names: Optional[Mapping[str, Any]] = None  # extra names the templates use
+
+    @property
+    def signed(self) -> bool:
+        return bool(self.head or self.read)
+
+
+I64 = Kind("i64", head="q")
+STR = Kind("str", pack="primitives.pack_str({v})", read="reader.string()")
+DIGEST = Kind("dig", pack="primitives.pack_digest({v})", read="reader.digest()")
+#: View-change entries: ``(sequence, view, digest)`` signed, each entry's
+#: payload detached.
+ENTRIES = Kind(
+    "entry*",
+    pack="pack_entries({v})",
+    read="read_entries(reader)",
+    json="[entry.to_wire() for entry in {v}]",
+    size="sum(entry.wire_size() for entry in {v})",
+    detach="[entry.request for entry in {v}]",
+    attach="for entry in {v}: entry.request = next(items)",
 )
-from repro.crypto.digest import HAS_CACHE_FLAG
-from repro.smr.messages import Batch, Reply, Request
-from repro.smr.state_machine import Operation
-from repro.wire.primitives import (
-    BATCH_HEAD,
-    CHECKPOINT_HEAD,
-    REPLY_HEAD,
-    REQUEST_HEAD,
-    TAG_ACCEPT,
-    TAG_BATCH,
-    TAG_CHECKPOINT,
-    TAG_COMMIT,
-    TAG_INFORM,
-    TAG_PREPARE,
-    TAG_PREPREPARE,
-    TAG_PROXY_PREPARE,
-    TAG_REPLY,
-    TAG_REQUEST,
-    Reader,
-    VOTE_HEAD,
-    WireDecodeError,
+#: The unsigned piggybacked slot payload (a Request, a Batch, or nothing).
+PAYLOAD = Kind(
+    "",
+    size="({v}.cached_wire_size() if {v} is not None else 0)",
+    detach="[{v}]",
+    attach="{v} = next(items)",
 )
+#: An unsigned plain value (the state-transfer snapshot).
+ATTACHMENT = Kind("", detach="[{v}]", attach="{v} = next(items)")
 
 
+class Field(NamedTuple):
+    """One constructor argument of a message and how it travels."""
+
+    name: str
+    kind: Kind
+    default: Any = _REQUIRED  # a value, or ``list`` / ``dict`` for a fresh container
+
+
+@dataclass
+class Entry:
+    """A per-sequence entry carried inside view-change and new-view messages.
+
+    ``request`` holds the slot's whole payload — a bare request or a batch —
+    so a new view re-proposes uncommitted batches intact.
+    """
+
+    sequence: int
+    view: int
+    digest: str
+    request: Optional[Any] = None
+
+    def to_wire(self) -> Dict[str, Any]:
+        return {"sequence": self.sequence, "view": self.view, "digest": self.digest}
+
+    def wire_size(self) -> int:
+        size = 56  # sequence, view and per-entry framing (24) plus the digest (32)
+        if self.request is not None:
+            size += self.request.cached_wire_size()
+        return size
+
+
+_ENTRY_HEAD = struct.Struct("<qq")
+
+
+def pack_entries(entries: Sequence[Entry]) -> bytes:
+    parts = [_U32.pack(len(entries))]
+    for entry in entries:
+        parts.append(_ENTRY_HEAD.pack(entry.sequence, entry.view))
+        parts.append(pack_digest(entry.digest))
+    return b"".join(parts)
+
+
+def read_entries(reader: Reader) -> List[Entry]:
+    count = reader.u32()
+    return [Entry(*reader.unpack(_ENTRY_HEAD), reader.digest()) for _ in range(count)]
+
+
+@dataclass(unsafe_hash=True)  # hashable like the digest it stands for; plain (fast) init
 class OpaqueResult:
     """Stand-in for a Reply result that only survives the wire as a digest.
 
@@ -58,168 +147,147 @@ class OpaqueResult:
     reproduces the source frame exactly.
     """
 
-    __slots__ = ("result_digest",)
-
-    def __init__(self, result_digest: str) -> None:
-        self.result_digest = result_digest
+    result_digest: str
 
     def to_wire(self) -> str:
         return self.result_digest
 
-    def __eq__(self, other: Any) -> bool:
-        if other.__class__ is not OpaqueResult:
-            return NotImplemented
-        return self.result_digest == other.result_digest
 
-    def __hash__(self) -> int:
-        return hash(self.result_digest)
+# -- derivation ----------------------------------------------------------------
 
-    def __repr__(self) -> str:
-        return f"OpaqueResult({self.result_digest!r})"
+
+def _compile(name: str, params: str, body: Iterable[str], names: Dict[str, Any]) -> Callable:
+    """Build one function whose free names resolve to ``names``, then this module."""
+    lines = [f"def factory({', '.join(names)}):", f"    def {name}({params}):"]
+    lines += [f"        {line}" for line in body]
+    lines.append(f"    return {name}")
+    scope: Dict[str, Any] = {}
+    exec("\n".join(lines), globals(), scope)  # noqa: S102 - same technique as dataclasses
+    return scope["factory"](**names)
+
+
+def frame_fields(cls: type) -> List[Field]:
+    """The signed fields in frame order: i64s first, then the rest as declared."""
+    signed = [field for field in cls.FIELDS if field.kind.signed]
+    if cls.FRAME is not None:
+        by_name = {field.name: field for field in signed}
+        return [by_name[name] for name in cls.FRAME]
+    return [f for f in signed if f.kind.head] + [f for f in signed if not f.kind.head]
+
+
+def derive(cls: type) -> None:
+    """Generate ``cls``'s constructor, frame, decoder, JSON form and size; register it."""
+    fields: Sequence[Field] = cls.FIELDS
+    framed = frame_fields(cls)
+    head = [field for field in framed if field.kind.head]
+    tail = [field for field in framed if not field.kind.head]
+    detached = [field for field in fields if field.kind.detach]
+    names: Dict[str, Any] = {"cls": cls, "tag": cls.TAG}
+    names["head"] = struct.Struct("<B" + "".join(field.kind.head for field in head))
+    for field in fields:
+        names.update(field.kind.names or {})
+
+    def spliced(template: str, field: Field) -> str:
+        return template.format(v=f"self.{field.name}")
+
+    # Constructor: bulk-populating the instance dict skips the per-field
+    # ``__setattr__`` cache guard (no caches can exist yet).
+    params, checks, entries = ["self"], [], []
+    for field in fields:
+        default, value = field.default, field.name
+        if default in (list, dict):
+            value, default = f"{default.__name__}() if {value} is None else {value}", None
+        params.append(field.name if default is _REQUIRED else f"{field.name}={default!r}")
+        entries.append(f"{field.name!r}: {value}")
+        if field.kind.check:
+            checks.append(field.kind.check.format(v=field.name))
+    params += [f"signed={cls.SIGNED!r}", "signature=None"]
+    entries += ["'signed': signed", "'signature': signature"]
+    body = checks + ["self.__dict__.update({" + ", ".join(entries) + "})"]
+    cls.__init__ = _compile("__init__", ", ".join(params), body, names)
+
+    every = [field.name for field in fields] + ["signed", "signature"]
+    shown = ", ".join(f"{name}={{self.{name}!r}}" for name in every)
+    cls.__repr__ = _compile("__repr__", "self", [f"return f'{cls.__name__}({shown})'"], names)
+    mine = "(" + ", ".join(f"self.{name}" for name in every) + ",)"
+    body = [
+        "if other.__class__ is not cls: return NotImplemented",
+        f"return {mine} == {mine.replace('self.', 'other.')}",
+    ]
+    cls.__eq__ = _compile("__eq__", "self, other", body, names)
+    cls.__hash__ = None
+
+    # Frame: a pinned hot encoder where the class names one, else inline.
+    if cls.ENCODER is not None:
+        encoder = getattr(primitives, cls.ENCODER)
+        args = ["tag"] if "tag" in inspect.signature(encoder).parameters else []
+        args += [spliced(field.kind.arg, field) for field in framed]
+        frame = f"primitives.{cls.ENCODER}({', '.join(args)})"
+    else:
+        packed = ["head.pack(" + ", ".join(["tag"] + [f"self.{f.name}" for f in head]) + ")"]
+        packed += [spliced(field.kind.pack, field) for field in tail]
+        frame = " + ".join(packed)
+    cls.signing_bytes = _compile("signing_bytes", "self", [f"return {frame}"], names)
+
+    reads = [", ".join(["_"] + [field.name for field in head]) + " = reader.unpack(head)"]
+    reads += [f"{field.name} = {field.kind.read}" for field in tail]
+    given = [f"{field.name}={field.name}" for field in framed]
+    given += [
+        f"{field.name}=None"
+        for field in fields
+        if not field.kind.signed and field.default is _REQUIRED
+    ]
+    body = reads + [f"return cls({', '.join(given)})"]
+    cls.from_reader = staticmethod(_compile("from_reader", "reader", body, names))
+
+    content = [f"'type': {cls.__name__!r}"]
+    content += [f"{field.name!r}: {spliced(field.kind.json, field)}" for field in framed]
+    cls.signing_content = _compile(
+        "signing_content", "self", ["return {" + ", ".join(content) + "}"], names
+    )
+
+    terms = [str(cls.SIZE)]
+    if cls.SIZE_IF_SIGNED:
+        terms.append(f"({cls.SIZE_IF_SIGNED} if self.signed else 0)")
+    terms += [spliced(field.kind.size, field) for field in fields if field.kind.size]
+    cls.wire_size = _compile("wire_size", "self", ["return " + " + ".join(terms)], names)
+
+    parts = " + ".join(spliced(field.kind.detach, field) for field in detached) or "()"
+    cls.detached = _compile("detached", "self", [f"return {parts}"], names)
+    body = [spliced(field.kind.attach, field) for field in detached] or ["pass"]
+    cls.attach = _compile("attach", "self, items", body, names)
+
+    if REGISTRY.setdefault(cls.TAG, cls) is not cls:
+        raise TypeError(
+            f"wire tag 0x{cls.TAG:02x} of {cls.__name__} already belongs to "
+            f"{REGISTRY[cls.TAG].__name__}"
+        )
+
+
+def format_table() -> str:
+    """The README's "Binary wire format" table: one row per registered class."""
+    rows = ["| tag | type | frame | parts beside the frame |", "|---|---|---|---|"]
+    for tag, cls in sorted(REGISTRY.items()):
+        layout = ["tag u8"] + [f"{f.name} {f.kind.label}" for f in frame_fields(cls)]
+        beside = [f.name for f in cls.FIELDS if f.kind.detach]
+        frame = " \\| ".join(layout)
+        rows.append(f"| 0x{tag:02x} | `{cls.__name__}` | {frame} | {', '.join(beside)} |")
+    return "\n".join(rows)
+
+
+# -- codec ---------------------------------------------------------------------
 
 
 def encode(message: Any) -> bytes:
-    """The message's frozen wire frame (alias for its cached wire slice)."""
-    return wire_slice_of(message)
-
-
-def wire_slice_of(message: Any) -> bytes:
-    """Return the frozen binary frame of a hot message.
-
-    Raises TypeError for cold (JSON-fallback) types, which have no frame.
-    """
-    if getattr(message, "signing_bytes", None) is None:
-        raise TypeError(
-            f"{type(message).__name__} is a JSON-fallback (cold) type with no binary wire frame"
-        )
+    """The message's frozen wire frame (its cached wire slice)."""
     return message.wire_slice()
 
 
-def _decode_request(reader: Reader) -> Request:
-    _, timestamp = reader.unpack(REQUEST_HEAD)
-    client_id = reader.string()
-    kind = reader.string()
-    args = tuple(reader.value() for _ in range(reader.u16()))
-    payload = reader.string()
-    return Request(
-        operation=Operation(kind=kind, args=args, payload=payload),
-        timestamp=timestamp,
-        client_id=client_id,
-    )
-
-
-def _decode_batch(reader: Reader) -> Batch:
-    _, count = reader.unpack(BATCH_HEAD)
-    requests = []
-    for _ in range(count):
-        sub = Reader(reader.take(reader.u32()))
-        if not sub.buf or sub.buf[0] != TAG_REQUEST:
-            raise WireDecodeError("batch frame embeds a non-request frame")
-        request = _decode_request(sub)
-        if not sub.exhausted():
-            raise WireDecodeError(
-                f"{sub.end - sub.off} trailing bytes after embedded request frame"
-            )
-        requests.append(request)
-    if not requests:
-        raise WireDecodeError("batch frame contains no requests")
-    return Batch(requests=requests)
-
-
-def _decode_reply(reader: Reader) -> Reply:
-    _, mode, view, timestamp = reader.unpack(REPLY_HEAD)
-    client_id = reader.string()
-    replica_id = reader.string()
-    result_digest = reader.digest()
-    reply = Reply(
-        mode=mode,
-        view=view,
-        timestamp=timestamp,
-        client_id=client_id,
-        replica_id=replica_id,
-        result=OpaqueResult(result_digest),
-    )
-    # Pre-seed the result-digest cache: the digest IS the carried value.
-    reply.__dict__["_result_digest"] = result_digest
-    reply.__dict__[HAS_CACHE_FLAG] = True
-    return reply
-
-
-def _decode_vote(reader: Reader) -> tuple:
-    _, view, sequence, mode = reader.unpack(VOTE_HEAD)
-    return view, sequence, mode, reader.digest()
-
-
-def _decode_prepare(reader: Reader) -> Prepare:
-    view, sequence, mode, digest = _decode_vote(reader)
-    return Prepare(view=view, sequence=sequence, digest=digest, request=None, mode=mode)
-
-
-def _decode_preprepare(reader: Reader) -> PrePrepare:
-    view, sequence, mode, digest = _decode_vote(reader)
-    return PrePrepare(view=view, sequence=sequence, digest=digest, request=None, mode=mode)
-
-
-def _decode_accept(reader: Reader) -> Accept:
-    view, sequence, mode, digest = _decode_vote(reader)
-    return Accept(
-        view=view, sequence=sequence, digest=digest, replica_id=reader.string(), mode=mode
-    )
-
-
-def _decode_commit(reader: Reader) -> Commit:
-    view, sequence, mode, digest = _decode_vote(reader)
-    return Commit(
-        view=view, sequence=sequence, digest=digest, replica_id=reader.string(), mode=mode
-    )
-
-
-def _decode_proxy_prepare(reader: Reader) -> ProxyPrepare:
-    view, sequence, mode, digest = _decode_vote(reader)
-    return ProxyPrepare(
-        view=view, sequence=sequence, digest=digest, replica_id=reader.string(), mode=mode
-    )
-
-
-def _decode_inform(reader: Reader) -> Inform:
-    view, sequence, mode, digest = _decode_vote(reader)
-    return Inform(
-        view=view, sequence=sequence, digest=digest, replica_id=reader.string(), mode=mode
-    )
-
-
-def _decode_checkpoint(reader: Reader) -> Checkpoint:
-    _, sequence, mode = reader.unpack(CHECKPOINT_HEAD)
-    return Checkpoint(
-        sequence=sequence,
-        state_digest=reader.digest(),
-        replica_id=reader.string(),
-        mode=mode,
-    )
-
-
-_DECODERS = {
-    TAG_REQUEST: _decode_request,
-    TAG_BATCH: _decode_batch,
-    TAG_REPLY: _decode_reply,
-    TAG_PREPARE: _decode_prepare,
-    TAG_ACCEPT: _decode_accept,
-    TAG_COMMIT: _decode_commit,
-    TAG_PREPREPARE: _decode_preprepare,
-    TAG_PROXY_PREPARE: _decode_proxy_prepare,
-    TAG_INFORM: _decode_inform,
-    TAG_CHECKPOINT: _decode_checkpoint,
-}
-
-
 def decode(frame: Any) -> Any:
-    """Rebuild a hot message from its binary frame.
+    """Rebuild a message from its binary frame.
 
     Raises WireDecodeError on truncation, unknown tags, garbled fields, or
-    trailing bytes.  Decoded messages carry no signature (signatures ride
-    beside the signed frame, not inside it) and votes carry ``request=None``
-    — the piggybacked payload is a transport optimization, not signed
-    content.
+    trailing bytes.
     """
     if isinstance(frame, memoryview):
         frame = frame.tobytes()
@@ -229,14 +297,12 @@ def decode(frame: Any) -> Any:
         raise WireDecodeError(f"frame must be bytes, not {type(frame).__name__}")
     if not frame:
         raise WireDecodeError("empty frame")
-    decoder = _DECODERS.get(frame[0])
-    if decoder is None:
+    cls = REGISTRY.get(frame[0])
+    if cls is None:
         raise WireDecodeError(f"unknown frame tag: 0x{frame[0]:02x}")
     reader = Reader(frame)
-    message = decoder(reader)
+    message = cls.from_reader(reader)
     if not reader.exhausted():
         raise WireDecodeError(f"{reader.end - reader.off} trailing bytes after frame")
     return message
 
-
-__all__ = ["OpaqueResult", "decode", "encode", "wire_slice_of"]

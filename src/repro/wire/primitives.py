@@ -1,44 +1,23 @@
-"""Binary frame primitives shared by the wire codec and the message classes.
+"""Binary frame primitives: tags, pack helpers, the pinned hot encoders, a reader.
 
-This module is a *leaf*: it imports nothing from the message layer, so the
-hot message classes in :mod:`repro.smr.messages` / :mod:`repro.core.messages`
-can assemble their frames directly (each hot type's ``signing_bytes`` *is*
-the codec's encoder for that type), while the decoder in
-:mod:`repro.wire.codec` imports the classes to rebuild objects.
+This module is a *leaf*: it imports nothing from the message layer.  Every
+message class declares its fields once and :mod:`repro.wire.codec` derives
+its frame from the helpers here; the per-type layouts are tabulated in the
+README ("Binary wire format", generated from the registry).
 
-Frame layout (all integers little endian):
+All integers are little endian.  ``str`` is ``u32 length + UTF-8 bytes``.
+``dig`` packs the canonical 64-char lowercase hex digest to 32 raw bytes
+behind a 0x01 flag byte, with a length-prefixed string fallback (flag 0x00)
+for the synthetic digest strings tests and attack helpers use — the two
+branches cover disjoint string sets, so the encoding stays injective.
 
-====================  =====================================================
-type                  frame
-====================  =====================================================
-Request      (0x01)   tag u8 | timestamp i64 | client str | kind str |
-                      argc u16 | arg* | payload str
-Batch        (0x02)   tag u8 | count u32 | (length u32 | request-frame)*
-Reply        (0x03)   tag u8 | mode i64 | view i64 | timestamp i64 |
-                      client str | replica str | result-digest dig
-Prepare      (0x10)   tag u8 | view i64 | seq i64 | mode i64 | digest dig
-Accept       (0x11)   Prepare layout + replica str
-Commit       (0x12)   Prepare layout + replica str
-PrePrepare   (0x13)   Prepare layout
-ProxyPrepare (0x14)   Prepare layout + replica str
-Inform       (0x15)   Prepare layout + replica str
-Checkpoint   (0x16)   tag u8 | seq i64 | mode i64 | state-digest dig |
-                      replica str
-====================  =====================================================
-
-``str`` is ``u32 length + UTF-8 bytes``.  ``dig`` packs the canonical
-64-char lowercase hex digest to 32 raw bytes behind a 0x01 flag byte, with
-a length-prefixed string fallback (flag 0x00) for the synthetic digest
-strings tests and attack helpers use — the two branches cover disjoint
-string sets, so the encoding stays injective.
-
-Operation arguments are encoded with one type-tag byte each (see
-:func:`pack_value`).  The typed encoding is injective on the supported
-domain (None/bool/int/float/str/tuple/list/bytes) and, like the legacy
-``repr``-escaped text form it replaces, never lets argument *content*
-collide with frame structure: every variable-length field is length
-prefixed, so no separator can be spoofed.  Unsupported argument types fall
-back to a ``repr`` capsule that digests faithfully but refuses to decode.
+Plain values (operation arguments, state-transfer snapshots) are encoded
+with one type-tag byte each (see :func:`pack_value`).  The typed encoding is
+injective on the supported domain (None/bool/int/float/str/tuple/list/
+dict/bytes) and never lets *content* collide with frame structure: every
+variable-length field is length prefixed, so no separator can be spoofed.
+Unsupported types fall back to a ``repr`` capsule that digests faithfully
+but refuses to decode.
 """
 
 from __future__ import annotations
@@ -64,6 +43,11 @@ REPLY_HEAD = struct.Struct("<Bqqq")
 VOTE_HEAD = struct.Struct("<Bqqq")
 CHECKPOINT_HEAD = struct.Struct("<Bqq")
 BATCH_HEAD = struct.Struct("<BI")
+
+
+#: Deepest container nesting :meth:`Reader.value` follows before it rejects
+#: the frame; honest values (operation arguments, snapshots) nest a few deep.
+MAX_VALUE_DEPTH = 32
 
 
 class WireDecodeError(ValueError):
@@ -93,7 +77,7 @@ def pack_digest(value: str) -> bytes:
 
 
 def pack_value(value: Any) -> bytes:
-    """Typed, injective encoding of one operation argument."""
+    """Typed, injective encoding of one plain value."""
     kind = type(value)
     if kind is str:
         raw = value.encode("utf-8")
@@ -117,6 +101,10 @@ def pack_value(value: Any) -> bytes:
         return b"L" + _U32.pack(len(value)) + b"".join(map(pack_value, value))
     if kind is bytes:
         return b"B" + _U32.pack(len(value)) + value
+    if kind is dict:
+        # Insertion order: the value is carried as built, not canonicalized.
+        pairs = (pack_value(key) + pack_value(item) for key, item in value.items())
+        return b"D" + _U32.pack(len(value)) + b"".join(pairs)
     # Opaque fallback: digests faithfully (mirrors the legacy repr
     # escaping, so the digest equality relation is preserved) but cannot
     # be decoded back; unpack_value raises WireDecodeError for it.
@@ -251,7 +239,7 @@ class Reader:
             return self.string()
         raise WireDecodeError(f"garbled digest flag byte: {flag!r}")
 
-    def value(self) -> Any:
+    def value(self, depth: int = 0) -> Any:
         tag = self.take(1)
         if tag == b"S":
             return self.string()
@@ -259,24 +247,26 @@ class Reader:
             return True
         if tag == b"F":
             return False
-        if tag == b"I":
+        if tag in (b"I", b"f"):
             raw = self.take(self.u32())
             try:
-                return int(raw.decode("ascii"))
+                return (int if tag == b"I" else float)(raw.decode("ascii"))
             except (UnicodeDecodeError, ValueError):
-                raise WireDecodeError(f"garbled integer argument: {raw!r}") from None
-        if tag == b"f":
-            raw = self.take(self.u32())
-            try:
-                return float(raw.decode("ascii"))
-            except (UnicodeDecodeError, ValueError):
-                raise WireDecodeError(f"garbled float argument: {raw!r}") from None
+                raise WireDecodeError(f"garbled numeric argument: {raw!r}") from None
         if tag == b"N":
             return None
-        if tag == b"U":
-            return tuple(self.value() for _ in range(self.u32()))
-        if tag == b"L":
-            return [self.value() for _ in range(self.u32())]
+        if tag in (b"U", b"L", b"D"):
+            if depth >= MAX_VALUE_DEPTH:
+                raise WireDecodeError(f"value nested deeper than {MAX_VALUE_DEPTH} containers")
+            depth += 1
+            count = self.u32()
+            if tag == b"D":
+                try:
+                    return {self.value(depth): self.value(depth) for _ in range(count)}
+                except TypeError:
+                    raise WireDecodeError("unhashable dict key") from None
+            items = [self.value(depth) for _ in range(count)]
+            return tuple(items) if tag == b"U" else items
         if tag == b"B":
             return self.take(self.u32())
         if tag == b"R":
@@ -285,27 +275,3 @@ class Reader:
             )
         raise WireDecodeError(f"unknown argument type tag: {tag!r}")
 
-
-__all__ = [
-    "TAG_REQUEST",
-    "TAG_BATCH",
-    "TAG_REPLY",
-    "TAG_PREPARE",
-    "TAG_ACCEPT",
-    "TAG_COMMIT",
-    "TAG_PREPREPARE",
-    "TAG_PROXY_PREPARE",
-    "TAG_INFORM",
-    "TAG_CHECKPOINT",
-    "WireDecodeError",
-    "Reader",
-    "pack_str",
-    "pack_digest",
-    "pack_value",
-    "encode_request",
-    "encode_batch",
-    "encode_reply",
-    "encode_vote",
-    "encode_attributed_vote",
-    "encode_checkpoint",
-]

@@ -18,9 +18,6 @@ from repro.workload.generator import (
     ShardedKeyValueWorkload,
     Workload,
     WorkloadSpec,
-    kv_workload,
-    microbenchmark,
-    sharded_kv_workload,
 )
 from repro.workload.metrics import (
     BatchSizeSummary,
@@ -47,9 +44,6 @@ __all__ = [
     "WorkloadSpec",
     "KeyValueWorkload",
     "ShardedKeyValueWorkload",
-    "microbenchmark",
-    "kv_workload",
-    "sharded_kv_workload",
     "MetricsCollector",
     "LatencySummary",
     "BatchSizeSummary",

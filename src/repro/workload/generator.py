@@ -9,7 +9,6 @@ replies the service returns.  The paper's micro-benchmarks are named
 from __future__ import annotations
 
 import random
-import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Optional, Union
@@ -34,11 +33,9 @@ class WorkloadSpec:
     """One declarative description of any workload this repo can generate.
 
     The single entry point :meth:`Workload.build` turns a spec into the
-    right :class:`Workload` subclass, collapsing what used to be three
-    separate factory functions (``microbenchmark`` / ``kv_workload`` /
-    ``sharded_kv_workload``) into one dataclass: payload sizes, key
-    distribution, cross-shard fraction, and — for open-loop populations —
-    the arrival model, all in one place.
+    right :class:`Workload` subclass: payload sizes, key distribution,
+    cross-shard fraction, and — for open-loop populations — the arrival
+    model, all in one dataclass.
 
     Attributes:
         kind: ``"micro"`` (payload-only no-op service), ``"kv"``
@@ -100,12 +97,6 @@ class WorkloadSpec:
             raise ValueError(
                 f"cross-shard fraction must be in [0, 1]: {self.cross_shard_fraction}"
             )
-
-
-def _deprecated_factory(old: str, new: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated; use {new}", DeprecationWarning, stacklevel=3
-    )
 
 
 @dataclass(frozen=True)
@@ -198,18 +189,6 @@ class Workload:
         return factory
 
 
-def microbenchmark(name: str) -> Workload:
-    """Deprecated shim: use ``Workload.build("x/y")``.
-
-    >>> microbenchmark("0/0").request_payload_bytes
-    0
-    >>> microbenchmark("4/0").request_payload_bytes
-    4096
-    """
-    _deprecated_factory("microbenchmark(name)", "Workload.build(name)")
-    return Workload.build(name)
-
-
 @dataclass(frozen=True)
 class KeyValueWorkload(Workload):
     """A key-value workload: a mix of puts and gets over a keyspace.
@@ -269,29 +248,6 @@ class KeyValueWorkload(Workload):
 
     def state_machine_factory(self) -> Callable[[], StateMachine]:
         return KeyValueStore
-
-
-def kv_workload(
-    key_space: int = 1000,
-    value_size: int = 64,
-    read_fraction: float = 0.5,
-    seed: int = 0,
-    key_distribution: str = "uniform",
-    zipf_theta: float = 0.99,
-) -> KeyValueWorkload:
-    """Deprecated shim: use ``Workload.build(WorkloadSpec(kind="kv", ...))``."""
-    _deprecated_factory("kv_workload(...)", "Workload.build(WorkloadSpec(kind='kv', ...))")
-    return Workload.build(
-        WorkloadSpec(
-            kind="kv",
-            key_space=key_space,
-            value_size=value_size,
-            read_fraction=read_fraction,
-            seed=seed,
-            key_distribution=key_distribution,
-            zipf_theta=zipf_theta,
-        )
-    )
 
 
 @dataclass(frozen=True)
@@ -359,34 +315,3 @@ class ShardedKeyValueWorkload(KeyValueWorkload):
 
     def state_machine_factory(self) -> Callable[[], StateMachine]:
         return TransactionalKeyValueStore
-
-
-def sharded_kv_workload(
-    key_space: int = 1000,
-    value_size: int = 64,
-    read_fraction: float = 0.5,
-    seed: int = 0,
-    cross_shard_fraction: float = 0.1,
-    txn_size: int = 2,
-    key_distribution: str = "uniform",
-    zipf_theta: float = 0.99,
-    partitioner: Optional[Partitioner] = None,
-) -> ShardedKeyValueWorkload:
-    """Deprecated shim: use ``Workload.build(WorkloadSpec(kind="sharded-kv", ...))``."""
-    _deprecated_factory(
-        "sharded_kv_workload(...)", "Workload.build(WorkloadSpec(kind='sharded-kv', ...))"
-    )
-    return Workload.build(
-        WorkloadSpec(
-            kind="sharded-kv",
-            key_space=key_space,
-            value_size=value_size,
-            read_fraction=read_fraction,
-            seed=seed,
-            key_distribution=key_distribution,
-            zipf_theta=zipf_theta,
-            cross_shard_fraction=cross_shard_fraction,
-            txn_size=txn_size,
-            partitioner=partitioner,
-        )
-    )

@@ -26,7 +26,7 @@ from repro.faults import make_byzantine
 from repro.smr.ledger import assert_ledgers_consistent
 from repro.smr.messages import Request
 from repro.smr.state_machine import Operation
-from repro.workload import microbenchmark
+from repro.workload import Workload
 
 BATCHING = BatchPolicy(max_batch=4, linger=0.001)
 
@@ -36,7 +36,7 @@ def build(mode, **kwargs):
         crash_tolerance=1,
         byzantine_tolerance=1,
         mode=mode,
-        workload=microbenchmark("0/0"),
+        workload=Workload.build("0/0"),
         num_clients=kwargs.pop("num_clients", 2),
         seed=kwargs.pop("seed", 33),
         client_timeout=kwargs.pop("client_timeout", 0.1),

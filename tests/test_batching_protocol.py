@@ -17,7 +17,7 @@ from repro.smr.ledger import assert_ledgers_consistent
 from repro.smr.messages import Batch
 from repro.smr.replica import request_digest
 from repro.smr.state_machine import Operation
-from repro.workload import microbenchmark
+from repro.workload import Workload
 
 pytestmark = pytest.mark.integration
 
@@ -39,7 +39,7 @@ def build(mode, policy=BATCHING, **kwargs):
         crash_tolerance=1,
         byzantine_tolerance=1,
         mode=mode,
-        workload=microbenchmark("0/0"),
+        workload=Workload.build("0/0"),
         num_clients=kwargs.pop("num_clients", 3),
         client_window=kwargs.pop("client_window", 4),
         batch_policy=policy,

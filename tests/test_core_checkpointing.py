@@ -5,7 +5,7 @@ import pytest
 from repro.cluster import build_seemore, run_deployment
 from repro.core import Mode
 from repro.core.checkpointing import CheckpointManager
-from repro.workload import microbenchmark
+from repro.workload import Workload
 
 
 class TestCheckpointManager:
@@ -76,7 +76,7 @@ class TestCheckpointingInDeployment:
             crash_tolerance=1,
             byzantine_tolerance=1,
             mode=mode,
-            workload=microbenchmark("0/0"),
+            workload=Workload.build("0/0"),
             num_clients=4,
             checkpoint_period=32,
             seed=2,
@@ -98,7 +98,7 @@ class TestCheckpointingInDeployment:
             crash_tolerance=1,
             byzantine_tolerance=1,
             mode=Mode.LION,
-            workload=microbenchmark("0/0"),
+            workload=Workload.build("0/0"),
             num_clients=4,
             checkpoint_period=32,
             seed=3,

@@ -60,16 +60,19 @@ class TestDigestCaching:
         # Second call must serve the cache and agree.
         assert digest_of(request) == cold
 
-    def test_cached_digest_equals_uncached_json_form(self):
-        # ViewChange has no signing_bytes: the JSON canonicalization of its
-        # signing content is the reference form.
+    def test_view_change_digest_is_its_frame_digest(self):
+        # View changes moved off the JSON form: like every other type they
+        # digest (and sign) their binary frame.
         view_change = core_msgs.ViewChange(
             new_view=1, mode=1, replica_id="p0", checkpoint_sequence=0,
             checkpoint_digest="c" * 64,
+            prepared=[core_msgs.PreparedEntry(1, 0, "d" * 64, make_request())],
         )
-        cold = digest(view_change.signing_content())
+        cold = digest_bytes(view_change.signing_bytes())
         assert digest_of(view_change) == cold
         assert digest_of(view_change) == cold  # cache hit agrees
+        view_change.prepared = []
+        assert digest_of(view_change) != cold
 
     def test_cache_is_object_local(self):
         first, second = make_request(1), make_request(2)
@@ -198,26 +201,26 @@ class TestResultDigestMemo:
     def test_equal_hashing_but_distinct_canonical_values_do_not_collide(self):
         """(1,) == (True,) hash-equal but canonicalize differently; the memo
         must not conflate results embedding them."""
-        from repro.smr.messages import _result_digest
+        from repro.smr.state_machine import result_digest
 
-        first = _result_digest({"ok": True, "value": (1,)})
-        second = _result_digest({"ok": True, "value": (True,)})
+        first = result_digest({"ok": True, "value": (1,)})
+        second = result_digest({"ok": True, "value": (True,)})
         assert first == digest({"ok": True, "value": (1,)})
         assert second == digest({"ok": True, "value": (True,)})
         assert first != second
 
     def test_scalar_bool_vs_int_values_do_not_collide(self):
-        from repro.smr.messages import _result_digest
+        from repro.smr.state_machine import result_digest
 
-        assert _result_digest({"ok": 1}) != _result_digest({"ok": True})
-        assert _result_digest({"ok": 1}) == digest({"ok": 1})
+        assert result_digest({"ok": 1}) != result_digest({"ok": True})
+        assert result_digest({"ok": 1}) == digest({"ok": 1})
 
     def test_signed_zero_floats_do_not_collide(self):
-        from repro.smr.messages import _result_digest
+        from repro.smr.state_machine import result_digest
 
-        assert _result_digest({"v": 0.0}) == digest({"v": 0.0})
-        assert _result_digest({"v": -0.0}) == digest({"v": -0.0})
-        assert _result_digest({"v": 0.0}) != _result_digest({"v": -0.0})
+        assert result_digest({"v": 0.0}) == digest({"v": 0.0})
+        assert result_digest({"v": -0.0}) == digest({"v": -0.0})
+        assert result_digest({"v": 0.0}) != result_digest({"v": -0.0})
 
 
 class TestForcedSlotBookkeeping:

@@ -18,7 +18,7 @@ from repro.cluster import build_paxos, build_pbft, build_seemore, build_upright,
 from repro.core import Mode
 from repro.faults import crash_primary, crash_replica, make_byzantine
 from repro.smr.ledger import assert_ledgers_consistent
-from repro.workload import microbenchmark
+from repro.workload import Workload
 
 
 def build(mode, **kwargs):
@@ -26,7 +26,7 @@ def build(mode, **kwargs):
         crash_tolerance=kwargs.pop("crash_tolerance", 1),
         byzantine_tolerance=kwargs.pop("byzantine_tolerance", 1),
         mode=mode,
-        workload=microbenchmark("0/0"),
+        workload=Workload.build("0/0"),
         num_clients=kwargs.pop("num_clients", 2),
         seed=kwargs.pop("seed", 7),
         client_timeout=kwargs.pop("client_timeout", 0.1),

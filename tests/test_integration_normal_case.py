@@ -21,7 +21,7 @@ from repro.cluster import (
 )
 from repro.core import Mode
 from repro.smr.ledger import assert_ledgers_consistent
-from repro.workload import kv_workload, microbenchmark
+from repro.workload import Workload, WorkloadSpec
 
 pytestmark = pytest.mark.integration
 
@@ -33,7 +33,7 @@ def run_small(builder, **kwargs):
         crash_tolerance=1,
         byzantine_tolerance=1,
         num_clients=kwargs.pop("num_clients", 3),
-        workload=kwargs.pop("workload", microbenchmark("0/0")),
+        workload=kwargs.pop("workload", Workload.build("0/0")),
         seed=kwargs.pop("seed", 1),
         **kwargs,
     )
@@ -101,7 +101,10 @@ class TestSeeMoReModes:
 
     def test_kv_workload_converges(self):
         deployment, result = run_small(
-            build_seemore, mode=Mode.LION, workload=kv_workload(seed=3), num_clients=2
+            build_seemore,
+            mode=Mode.LION,
+            workload=Workload.build(WorkloadSpec(kind="kv", seed=3)),
+            num_clients=2,
         )
         assert result.completed > 20
         snapshots = [

@@ -12,7 +12,7 @@ from repro.cluster import build_seemore
 from repro.core import BatchPolicy, Mode
 from repro.core.view_change import NOOP_CLIENT
 from repro.smr.ledger import assert_ledgers_consistent
-from repro.workload import microbenchmark
+from repro.workload import Workload
 
 
 def build(mode, **kwargs):
@@ -20,7 +20,7 @@ def build(mode, **kwargs):
         crash_tolerance=1,
         byzantine_tolerance=1,
         mode=mode,
-        workload=microbenchmark("0/0"),
+        workload=Workload.build("0/0"),
         num_clients=kwargs.pop("num_clients", 2),
         seed=kwargs.pop("seed", 5),
         client_timeout=0.1,

@@ -189,23 +189,17 @@ class TestDigestCacheProperties:
             max_size=4,
         )
     )
-    def test_json_fallback_is_key_order_insensitive(self, entries):
-        """Messages without signing_bytes canonicalize dicts order-free.
+    def test_plain_value_digests_are_key_order_insensitive(self, entries):
+        """Plain dicts (no wire frame) canonicalize order-free.
 
-        This pins the dict-key-order guarantee for the JSON path that
-        view-change messages (and any raw dict) still use.
+        This pins the dict-key-order guarantee of the JSON path that
+        ``digest`` / ``digest_of`` keep for values that are not messages
+        (execution results, state digests).
         """
         from repro.crypto.digest import digest_of
 
-        class RawMessage:
-            def __init__(self, content):
-                self._content = content
-
-            def signing_content(self):
-                return self._content
-
-        forward = RawMessage(dict(entries))
-        backward = RawMessage(dict(reversed(list(entries.items()))))
+        forward = dict(entries)
+        backward = dict(reversed(list(entries.items())))
         assert digest_of(forward) == digest_of(backward) == digest(entries)
 
 

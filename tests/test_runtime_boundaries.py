@@ -122,6 +122,34 @@ class TestProcBackendLayering:
         )
 
 
+class TestWireLayerBoundaries:
+    """``repro.wire`` holds the field kinds and the tag registry; message
+    classes register themselves, so the codec never imports one — and with
+    every type on a binary frame, nothing under ``src/repro`` unpickles."""
+
+    MESSAGE_PACKAGES = ("repro.core", "repro.smr", "repro.baselines")
+
+    def test_wire_imports_no_message_package(self):
+        offenders = [
+            f"{path.relative_to(SRC.parent)}:{lineno} imports {module}"
+            for path in sorted((SRC / "wire").rglob("*.py"))
+            for lineno, module in iter_imports(path)
+            if module.startswith(self.MESSAGE_PACKAGES)
+        ]
+        assert offenders == [], "\n".join(offenders)
+
+    def test_no_module_imports_pickle(self):
+        modules = sorted(SRC.rglob("*.py"))
+        assert len(modules) >= 90
+        offenders = [
+            f"{path.relative_to(SRC.parent)}:{lineno}"
+            for path in modules
+            for lineno, module in iter_imports(path)
+            if module.split(".")[0] in ("pickle", "cPickle", "marshal", "shelve")
+        ]
+        assert offenders == [], "unpickling wire bytes runs code:\n" + "\n".join(offenders)
+
+
 class TestDetectorDetects:
     def test_forbidden_import_is_caught(self, tmp_path):
         sample = tmp_path / "repro"

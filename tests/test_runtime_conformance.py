@@ -7,10 +7,15 @@ still exercises real loopback TCP — both single-loop (aio) and
 multiprocess (proc) — without dominating its wall time.
 """
 
+import asyncio
+
 import pytest
 
 from repro.core import Mode
+from repro.runtime.aio import MAX_FRAME_BYTES, AioRuntime, encode_envelope
 from repro.runtime.conformance import check_mode, run_aio, run_proc
+from repro.smr.messages import Request
+from repro.smr.state_machine import Operation
 
 REQUESTS = 40
 
@@ -54,3 +59,67 @@ def test_aio_runtime_can_run_twice_in_one_process():
     second = run_aio(Mode.LION, num_requests=10, window=4, max_batch=4, timeout=20.0)
     assert first.completed == second.completed == 10
     assert first.commit_trace[:10] == second.commit_trace[:10]
+
+
+class _Sink:
+    """The least a registered node needs: an id and the two transport hooks."""
+
+    node_id = "sink"
+
+    def __init__(self):
+        self.received = []
+
+    def attach(self, transport):
+        pass
+
+    def deliver(self, src, message, size):
+        self.received.append((src, message))
+
+
+def _run_hostile_peer(frames):
+    """Write raw length-prefixed ``frames`` at a live listener; report what happened."""
+    runtime, sink, closed = AioRuntime(), _Sink(), []
+    runtime.register(sink)
+
+    async def peer():
+        reader, writer = await asyncio.open_connection("127.0.0.1", runtime._ports["sink"])
+        try:
+            writer.write(b"\x04\x00evil" + b"".join(frames))
+            await writer.drain()
+            closed.append(await reader.read() == b"")  # returns once the listener hangs up
+        finally:
+            writer.close()
+
+    runtime.run(
+        kickoff=lambda: runtime._spawn(peer()),
+        until=lambda: closed or len(sink.received) >= 2,
+        timeout=10.0,
+    )
+    return runtime, sink, closed
+
+
+def _framed(blob):
+    return len(blob).to_bytes(4, "little") + blob
+
+
+def test_aio_channel_survives_a_frame_that_does_not_decode():
+    """One bad frame used to escape ``_serve`` and close the channel for good."""
+    valid = encode_envelope(Request(Operation("noop"), timestamp=1, client_id="c"))
+    garbage = b"\x02" + b"not a pickle, not anything"
+    runtime, sink, closed = _run_hostile_peer(
+        [_framed(valid), _framed(garbage), _framed(valid)]
+    )
+    assert not closed
+    assert runtime.frames_rejected == 1
+    assert runtime.messages_delivered == 2
+    assert [src for src, _ in sink.received] == ["evil", "evil"]
+    assert all(type(message) is Request for _, message in sink.received)
+
+
+def test_aio_listener_hangs_up_on_an_oversized_length_prefix():
+    valid = encode_envelope(Request(Operation("noop"), timestamp=1, client_id="c"))
+    oversized = (MAX_FRAME_BYTES + 1).to_bytes(4, "little")
+    runtime, sink, closed = _run_hostile_peer([_framed(valid), oversized, _framed(valid)])
+    assert closed == [True]
+    assert runtime.frames_rejected == 1
+    assert runtime.messages_delivered == 1

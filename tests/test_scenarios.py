@@ -33,7 +33,7 @@ from repro.scenarios import (
 from repro.scenarios.engine import ModeIs, ProgressAfter
 from repro.smr.ledger import LedgerEntry
 from repro.smr.executor import ExecutionResult
-from repro.workload import microbenchmark
+from repro.workload import Workload
 
 
 def small_deployment(mode=Mode.LION, **kwargs):
@@ -41,7 +41,7 @@ def small_deployment(mode=Mode.LION, **kwargs):
         crash_tolerance=1,
         byzantine_tolerance=1,
         mode=mode,
-        workload=microbenchmark("0/0"),
+        workload=Workload.build("0/0"),
         num_clients=kwargs.pop("num_clients", 1),
         seed=kwargs.pop("seed", 3),
         **kwargs,
@@ -197,7 +197,7 @@ class TestInvariantCheckersDetect:
         checker = NoForgedReplies()
         checker.attach(deployment)
         replica = deployment.correct_replicas()[0]
-        replica.executor.commit(1, "client-0", 1, microbenchmark("0/0").operation_factory()(1))
+        replica.executor.commit(1, "client-0", 1, Workload.build("0/0").operation_factory()(1))
         checker._accepted[("client-0", 1)] = {"ok": False, "value": "forged"}
         violations = checker.finalize(deployment)
         assert violations and "forged" in violations[0]

@@ -5,9 +5,13 @@ import pytest
 from repro.cluster import build_sharded_seemore, run_deployment, run_sharded_deployment
 from repro.core import Mode
 from repro.shard import ShardSpec
-from repro.workload import sharded_kv_workload
+from repro.workload import Workload, WorkloadSpec
 
 pytestmark = [pytest.mark.shard, pytest.mark.integration]
+
+
+def sharded_kv(**knobs):
+    return Workload.build(WorkloadSpec(kind="sharded-kv", **knobs))
 
 
 def _build(num_shards=2, **kwargs):
@@ -52,7 +56,7 @@ class TestShardedDeploymentBasics:
 
     def test_surged_clients_route_through_the_partitioner(self):
         deployment = _build(
-            num_shards=2, workload=sharded_kv_workload(seed=11, cross_shard_fraction=0.0)
+            num_shards=2, workload=sharded_kv(seed=11, cross_shard_fraction=0.0)
         )
         deployment.start_clients()
         deployment.run(0.1)
@@ -67,7 +71,7 @@ class TestShardedDeploymentBasics:
         deployment.assert_safe()
 
     def test_sharded_workload_inherits_the_deployment_partitioner(self):
-        workload = sharded_kv_workload(seed=1, cross_shard_fraction=0.5)
+        workload = sharded_kv(seed=1, cross_shard_fraction=0.5)
         assert workload.partitioner is None
         deployment = _build(workload=workload)
         assert deployment.client_pool.workload.partitioner is deployment.partitioner
@@ -76,7 +80,7 @@ class TestShardedDeploymentBasics:
 class TestShardedRun:
     def test_load_spreads_and_aggregate_matches(self):
         deployment = _build(
-            num_shards=2, workload=sharded_kv_workload(seed=11, cross_shard_fraction=0.0)
+            num_shards=2, workload=sharded_kv(seed=11, cross_shard_fraction=0.0)
         )
         result = run_sharded_deployment(deployment, duration=0.25, warmup=0.05)
         assert result.aggregate.completed > 100
@@ -91,7 +95,7 @@ class TestShardedRun:
     def test_cross_shard_transactions_commit_on_every_participant(self):
         deployment = _build(
             num_shards=2,
-            workload=sharded_kv_workload(seed=11, cross_shard_fraction=0.2),
+            workload=sharded_kv(seed=11, cross_shard_fraction=0.2),
         )
         result = run_sharded_deployment(deployment, duration=0.3, warmup=0.05)
         assert result.transactions["committed"] > 5
@@ -107,7 +111,7 @@ class TestShardedRun:
     def test_committed_transaction_writes_are_visible_on_both_shards(self):
         deployment = _build(
             num_shards=2,
-            workload=sharded_kv_workload(seed=11, cross_shard_fraction=0.3, read_fraction=0.0),
+            workload=sharded_kv(seed=11, cross_shard_fraction=0.3, read_fraction=0.0),
         )
         run_sharded_deployment(deployment, duration=0.25, warmup=0.05)
         partitioner = deployment.partitioner
@@ -133,7 +137,7 @@ class TestShardedRun:
             shard_specs=specs,
             num_shards=None,
             num_clients=2,
-            workload=sharded_kv_workload(seed=5, cross_shard_fraction=0.2),
+            workload=sharded_kv(seed=5, cross_shard_fraction=0.2),
         )
         result = run_sharded_deployment(deployment, duration=0.3, warmup=0.05)
         assert all(summary.completed > 0 for summary in result.per_shard)
@@ -148,7 +152,7 @@ class TestShardedFaults:
             seed=3,
             num_clients=4,
             txn_timeout=0.1,
-            workload=sharded_kv_workload(seed=3, cross_shard_fraction=0.3),
+            workload=sharded_kv(seed=3, cross_shard_fraction=0.3),
         )
         simulator = deployment.simulator
 
@@ -174,7 +178,7 @@ class TestShardedFaults:
         deployment = _build(
             num_shards=2,
             seed=7,
-            workload=sharded_kv_workload(seed=7, cross_shard_fraction=0.2),
+            workload=sharded_kv(seed=7, cross_shard_fraction=0.2),
         )
         simulator = deployment.simulator
         from repro.faults.crash import crash_primary

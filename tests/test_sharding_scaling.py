@@ -11,7 +11,7 @@ import pytest
 
 from repro.cluster import build_sharded_seemore, run_sharded_deployment
 from repro.core import BatchPolicy
-from repro.workload import sharded_kv_workload
+from repro.workload import Workload, WorkloadSpec
 
 pytestmark = [pytest.mark.shard, pytest.mark.integration]
 
@@ -27,7 +27,9 @@ def _committed_per_sim_second(num_shards: int) -> float:
         seed=3,
         client_window=16,
         batch_policy=BatchPolicy(max_batch=16, linger=0.002),
-        workload=sharded_kv_workload(seed=3, cross_shard_fraction=0.0),
+        workload=Workload.build(
+            WorkloadSpec(kind="sharded-kv", seed=3, cross_shard_fraction=0.0)
+        ),
     )
     result = run_sharded_deployment(deployment, duration=_DURATION, warmup=_WARMUP)
     assert result.atomicity_violations == 0

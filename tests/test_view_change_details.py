@@ -16,7 +16,7 @@ from repro.core.view_change import NOOP_CLIENT, noop_request
 from repro.faults import crash_primary
 from repro.smr.ledger import assert_ledgers_consistent
 from repro.smr.replica import request_digest
-from repro.workload import microbenchmark
+from repro.workload import Workload
 
 
 def build(mode, **kwargs):
@@ -24,7 +24,7 @@ def build(mode, **kwargs):
         crash_tolerance=1,
         byzantine_tolerance=1,
         mode=mode,
-        workload=microbenchmark("0/0"),
+        workload=Workload.build("0/0"),
         num_clients=kwargs.pop("num_clients", 2),
         seed=kwargs.pop("seed", 13),
         client_timeout=0.1,

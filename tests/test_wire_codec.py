@@ -33,8 +33,8 @@ from repro.core.messages import (
 from repro.crypto.digest import digest_bytes, digest_of
 from repro.smr.messages import Batch, Reply, Request
 from repro.smr.state_machine import Operation
-from repro.wire.codec import OpaqueResult, decode, encode, wire_slice_of
-from repro.wire.primitives import WireDecodeError
+from repro.wire.codec import OpaqueResult, decode, encode
+from repro.wire.primitives import MAX_VALUE_DEPTH, WireDecodeError, pack_value
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -64,6 +64,7 @@ VALUES = st.recursive(
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(TEXT, children, max_size=3),
     ),
     max_leaves=8,
 )
@@ -239,8 +240,8 @@ class TestDifferentialDigests:
     @given(message=HOT_MESSAGES)
     def test_digest_of_is_the_frame_digest(self, message):
         """The cached digest layer hashes exactly the wire slice."""
-        assert digest_of(message) == digest_bytes(wire_slice_of(message))
-        assert wire_slice_of(message) == message.signing_bytes()
+        assert digest_of(message) == digest_bytes(encode(message))
+        assert encode(message) == message.signing_bytes()
 
     @given(message=HOT_MESSAGES)
     def test_decoding_preserves_the_digest(self, message):
@@ -402,12 +403,29 @@ class TestRejection:
         with pytest.raises(WireDecodeError):
             decode(BATCH_HEAD.pack(TAG_BATCH, 0))
 
-    def test_cold_types_have_no_wire_frame(self):
-        from repro.core.messages import ModeChange
+    def test_deeply_nested_argument_is_rejected_not_a_recursion_error(self):
+        """A ~25 KB frame of 5,000 nested one-element tuples used to escape
+        ``decode`` as RecursionError; nesting is bounded instead."""
+        nested = b"U\x01\x00\x00\x00" * 5000 + b"N"
+        honest = encode(Request(Operation("op", (None,)), timestamp=1, client_id="c"))
+        assert honest.count(b"N") == 1
+        with pytest.raises(WireDecodeError):
+            decode(honest.replace(b"N", nested))
 
-        cold = ModeChange(new_view=1, new_mode=2, replica_id="r")
-        with pytest.raises(TypeError):
-            wire_slice_of(cold)
+    def test_nesting_up_to_the_bound_still_round_trips(self):
+        value = None
+        for _ in range(MAX_VALUE_DEPTH):
+            value = (value,)
+        request = Request(Operation("op", (value,)), timestamp=1, client_id="c")
+        assert decode(encode(request)).operation.args == (value,)
+        with pytest.raises(WireDecodeError):
+            decode(encode(Request(Operation("op", ((value,),)), timestamp=1, client_id="c")))
+
+    @given(value=st.dictionaries(st.one_of(TEXT, st.integers()), VALUES, max_size=4))
+    def test_dict_values_round_trip(self, value):
+        request = Request(Operation("op", (value,)), timestamp=1, client_id="c")
+        assert decode(encode(request)).operation.args == (value,)
+        assert encode(request).endswith(pack_value(value) + b"\x00" * 4)
 
 
 if __name__ == "__main__":

@@ -6,8 +6,16 @@ import pytest
 
 from repro.shard import HashPartitioner
 from repro.smr.state_machine import TransactionalKeyValueStore
-from repro.workload import kv_workload, sharded_kv_workload
+from repro.workload import Workload, WorkloadSpec
 from repro.workload.generator import KeyValueWorkload, ShardedKeyValueWorkload
+
+
+def kv(**knobs):
+    return Workload.build(WorkloadSpec(kind="kv", **knobs))
+
+
+def sharded_kv(**knobs):
+    return Workload.build(WorkloadSpec(kind="sharded-kv", **knobs))
 
 
 def _key_frequencies(workload, samples=4000, client_seed=0):
@@ -22,17 +30,17 @@ def _key_frequencies(workload, samples=4000, client_seed=0):
 
 class TestZipfianDistribution:
     def test_seed_determinism(self):
-        first = kv_workload(seed=9, key_distribution="zipfian").operation_factory(client_seed=3)
-        second = kv_workload(seed=9, key_distribution="zipfian").operation_factory(client_seed=3)
+        first = kv(seed=9, key_distribution="zipfian").operation_factory(client_seed=3)
+        second = kv(seed=9, key_distribution="zipfian").operation_factory(client_seed=3)
         assert [first(t).args[0] for t in range(200)] == [second(t).args[0] for t in range(200)]
 
     def test_different_seeds_differ(self):
-        first = kv_workload(seed=9, key_distribution="zipfian").operation_factory()
-        second = kv_workload(seed=10, key_distribution="zipfian").operation_factory()
+        first = kv(seed=9, key_distribution="zipfian").operation_factory()
+        second = kv(seed=10, key_distribution="zipfian").operation_factory()
         assert [first(t).args for t in range(50)] != [second(t).args for t in range(50)]
 
     def test_hot_keys_dominate(self):
-        workload = kv_workload(key_space=1000, seed=5, key_distribution="zipfian", zipf_theta=0.99)
+        workload = kv(key_space=1000, seed=5, key_distribution="zipfian", zipf_theta=0.99)
         counts = _key_frequencies(workload)
         total = sum(counts.values())
         # Under uniform choice the top key would see ~total/1000 samples; a
@@ -42,17 +50,17 @@ class TestZipfianDistribution:
         assert top_ten / total > 0.25
 
     def test_steeper_theta_concentrates_more(self):
-        mild = _key_frequencies(kv_workload(seed=5, key_distribution="zipfian", zipf_theta=0.5))
-        steep = _key_frequencies(kv_workload(seed=5, key_distribution="zipfian", zipf_theta=1.2))
+        mild = _key_frequencies(kv(seed=5, key_distribution="zipfian", zipf_theta=0.5))
+        steep = _key_frequencies(kv(seed=5, key_distribution="zipfian", zipf_theta=1.2))
         assert steep["key-0"] > mild["key-0"]
 
     def test_uniform_stays_flat(self):
-        counts = _key_frequencies(kv_workload(key_space=50, seed=5))
+        counts = _key_frequencies(kv(key_space=50, seed=5))
         assert max(counts.values()) < 4 * min(counts.values())
 
     def test_unknown_distribution_rejected(self):
         with pytest.raises(ValueError):
-            kv_workload(key_distribution="pareto").operation_factory()
+            kv(key_distribution="pareto").operation_factory()
         with pytest.raises(ValueError):
             KeyValueWorkload(
                 name="bad", key_distribution="zipfian", zipf_theta=0.0
@@ -61,7 +69,7 @@ class TestZipfianDistribution:
 
 class TestShardedWorkload:
     def test_cross_shard_fraction_controls_transaction_mix(self):
-        workload = sharded_kv_workload(seed=4, cross_shard_fraction=0.3)
+        workload = sharded_kv(seed=4, cross_shard_fraction=0.3)
         factory = workload.operation_factory()
         kinds = Counter(factory(t).kind for t in range(2000))
         fraction = kinds["txn"] / 2000
@@ -69,12 +77,12 @@ class TestShardedWorkload:
         assert kinds["txn"] + kinds["put"] + kinds["get"] == 2000
 
     def test_zero_fraction_emits_no_transactions(self):
-        factory = sharded_kv_workload(seed=4, cross_shard_fraction=0.0).operation_factory()
+        factory = sharded_kv(seed=4, cross_shard_fraction=0.0).operation_factory()
         assert all(factory(t).kind != "txn" for t in range(500))
 
     def test_transactions_span_shards_when_partitioned(self):
         partitioner = HashPartitioner(num_shards=4)
-        workload = sharded_kv_workload(
+        workload = sharded_kv(
             seed=4, cross_shard_fraction=1.0, partitioner=partitioner
         )
         factory = workload.operation_factory()
@@ -84,7 +92,7 @@ class TestShardedWorkload:
             assert len(owners) >= 2, f"transaction {operation.args} stayed on one shard"
 
     def test_with_partitioner_returns_a_configured_copy(self):
-        base = sharded_kv_workload(seed=4)
+        base = sharded_kv(seed=4)
         partitioner = HashPartitioner(num_shards=2)
         attached = base.with_partitioner(partitioner)
         assert base.partitioner is None
@@ -92,18 +100,18 @@ class TestShardedWorkload:
         assert attached.cross_shard_fraction == base.cross_shard_fraction
 
     def test_state_machine_is_transactional(self):
-        machine = sharded_kv_workload().state_machine_factory()()
+        machine = sharded_kv().state_machine_factory()()
         assert isinstance(machine, TransactionalKeyValueStore)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            sharded_kv_workload(cross_shard_fraction=1.5)
+            sharded_kv(cross_shard_fraction=1.5)
         with pytest.raises(ValueError):
             ShardedKeyValueWorkload(name="bad", txn_size=1).operation_factory()
 
     def test_deterministic_per_client_seed(self):
-        first = sharded_kv_workload(seed=8, cross_shard_fraction=0.5).operation_factory(2)
-        second = sharded_kv_workload(seed=8, cross_shard_fraction=0.5).operation_factory(2)
+        first = sharded_kv(seed=8, cross_shard_fraction=0.5).operation_factory(2)
+        second = sharded_kv(seed=8, cross_shard_fraction=0.5).operation_factory(2)
         assert [repr(first(t)) for t in range(100)] == [repr(second(t)) for t in range(100)]
 
 
@@ -143,45 +151,3 @@ class TestWorkloadSpec:
 
         with pytest.raises(ValueError):
             WorkloadSpec(kind="kv", read_fraction=1.5)
-
-
-class TestDeprecatedFactoryShims:
-    """The legacy factories still work, as one-line deprecating shims."""
-
-    def test_microbenchmark_warns_and_matches_build(self):
-        from repro.workload.generator import Workload, microbenchmark
-
-        with pytest.warns(DeprecationWarning):
-            legacy = microbenchmark("4/0")
-        built = Workload.build("4/0")
-        assert legacy.name == built.name
-        assert legacy.request_payload_bytes == built.request_payload_bytes
-        assert legacy.reply_payload_bytes == built.reply_payload_bytes
-
-    def test_kv_workload_warns_and_matches_build(self):
-        from repro.workload.generator import Workload, WorkloadSpec, kv_workload
-
-        with pytest.warns(DeprecationWarning):
-            legacy = kv_workload(key_space=40, value_size=32, read_fraction=0.5, seed=9)
-        built = Workload.build(
-            WorkloadSpec(kind="kv", key_space=40, value_size=32, read_fraction=0.5, seed=9)
-        )
-        assert type(legacy) is type(built)
-        legacy_ops = [legacy.operation_factory(client_seed=1)(t) for t in range(20)]
-        built_ops = [built.operation_factory(client_seed=1)(t) for t in range(20)]
-        assert legacy_ops == built_ops
-
-    def test_sharded_kv_workload_warns_and_matches_build(self):
-        from repro.workload.generator import (
-            Workload,
-            WorkloadSpec,
-            sharded_kv_workload,
-        )
-
-        with pytest.warns(DeprecationWarning):
-            legacy = sharded_kv_workload(cross_shard_fraction=0.3, seed=4)
-        built = Workload.build(
-            WorkloadSpec(kind="sharded-kv", cross_shard_fraction=0.3, seed=4)
-        )
-        assert type(legacy) is type(built)
-        assert legacy.name == built.name

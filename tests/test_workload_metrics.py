@@ -3,39 +3,43 @@
 import pytest
 
 from repro.smr.state_machine import KeyValueStore, NullStateMachine
-from repro.workload import MetricsCollector, kv_workload, microbenchmark
+from repro.workload import MetricsCollector, Workload, WorkloadSpec
 from repro.workload.generator import KILOBYTE
+
+
+def kv(**knobs):
+    return Workload.build(WorkloadSpec(kind="kv", **knobs))
 
 
 class TestMicrobenchmarks:
     def test_zero_zero(self):
-        workload = microbenchmark("0/0")
+        workload = Workload.build("0/0")
         assert workload.request_payload_bytes == 0
         assert workload.reply_payload_bytes == 0
 
     def test_zero_four(self):
-        workload = microbenchmark("0/4")
+        workload = Workload.build("0/4")
         assert workload.request_payload_bytes == 0
         assert workload.reply_payload_bytes == 4 * KILOBYTE
 
     def test_four_zero(self):
-        workload = microbenchmark("4/0")
+        workload = Workload.build("4/0")
         assert workload.request_payload_bytes == 4 * KILOBYTE
         assert workload.reply_payload_bytes == 0
 
     def test_invalid_names_rejected(self):
         with pytest.raises(ValueError):
-            microbenchmark("big")
+            Workload.build("big")
         with pytest.raises(ValueError):
-            microbenchmark("-1/0")
+            Workload.build("-1/0")
 
     def test_operation_factory_attaches_payload(self):
-        factory = microbenchmark("4/0").operation_factory()
+        factory = Workload.build("4/0").operation_factory()
         operation = factory(1)
         assert len(operation.payload) == 4 * KILOBYTE
 
     def test_state_machine_factory_sets_reply_size(self):
-        machine = microbenchmark("0/4").state_machine_factory()()
+        machine = Workload.build("0/4").state_machine_factory()()
         assert isinstance(machine, NullStateMachine)
         result = machine.apply(factory_operation())
         assert len(result["payload"]) == 4 * KILOBYTE
@@ -49,26 +53,26 @@ def factory_operation():
 
 class TestKeyValueWorkload:
     def test_state_machine_is_kv_store(self):
-        machine = kv_workload().state_machine_factory()()
+        machine = kv().state_machine_factory()()
         assert isinstance(machine, KeyValueStore)
 
     def test_mix_of_reads_and_writes(self):
-        factory = kv_workload(read_fraction=0.5, seed=1).operation_factory()
+        factory = kv(read_fraction=0.5, seed=1).operation_factory()
         kinds = {factory(i).kind for i in range(100)}
         assert kinds == {"get", "put"}
 
     def test_pure_write_workload(self):
-        factory = kv_workload(read_fraction=0.0, seed=1).operation_factory()
+        factory = kv(read_fraction=0.0, seed=1).operation_factory()
         assert all(factory(i).kind == "put" for i in range(50))
 
     def test_deterministic_given_seed(self):
-        first = [op.kind for op in map(kv_workload(seed=4).operation_factory(), range(20))]
-        second = [op.kind for op in map(kv_workload(seed=4).operation_factory(), range(20))]
+        first = [op.kind for op in map(kv(seed=4).operation_factory(), range(20))]
+        second = [op.kind for op in map(kv(seed=4).operation_factory(), range(20))]
         assert first == second
 
     def test_invalid_read_fraction(self):
         with pytest.raises(ValueError):
-            kv_workload(read_fraction=1.5)
+            kv(read_fraction=1.5)
 
 
 class TestMetricsCollector:
