@@ -333,10 +333,10 @@ def _run_once_aio(case: PerfCase) -> Dict[str, Any]:
     messages delivered over the wire.
     """
     from repro.runtime.aio import AioRuntime
-    from repro.runtime.conformance import _build_cluster
+    from repro.runtime.conformance import oracle_cluster
 
     runtime = AioRuntime()
-    replicas, client = _build_cluster(
+    _, client = oracle_cluster(
         runtime,
         _MODES[case.protocol],
         num_requests=case.num_requests,

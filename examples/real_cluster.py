@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""A real SeeMoRe cluster: four replicas speaking TCP on loopback.
+"""A real SeeMoRe cluster: six replicas speaking TCP on loopback.
 
 Everything else in ``examples/`` runs on the deterministic discrete-event
 simulator.  This example runs the *same protocol code* on the asyncio
@@ -11,11 +11,13 @@ closed-loop client drives load until at least 100 requests commit.
 Run with:  PYTHONPATH=src python examples/real_cluster.py
 """
 
-from repro.core import Mode, SeeMoReConfig, SeeMoReReplica, client_config_for_mode
-from repro.crypto.keys import KeyStore
+from repro.cluster.wiring import new_keystore, wire_group
+from repro.core import Mode
+from repro.net.topology import Placement
 from repro.runtime.aio import AioRuntime
-from repro.smr.client import Client
+from repro.shard import ShardSpec
 from repro.smr.ledger import find_safety_violations
+from repro.workload.client_pool import ClientPool
 from repro.workload.generator import Workload
 
 NUM_REQUESTS = 120
@@ -25,54 +27,25 @@ WINDOW = 4
 def main() -> None:
     print("=== SeeMoRe over real loopback TCP ===\n")
 
-    # The smallest Lion deployment: c = 1, m = 0 gives a 2-replica private
-    # cloud (the trusted primary lives there) and 2 public replicas — four
-    # TCP servers in total.
-    config = SeeMoReConfig.build(
-        crash_tolerance=1,
-        byzantine_tolerance=0,
-        private_size=2,
-        public_size=2,
-        request_timeout=5.0,  # real seconds; loopback jitter must not look like a fault
-    )
-    print(f"replica group: {config.network_size} replicas "
-          f"({config.private_size} private, {config.public_size} public)")
-    print(f"mode: {Mode.LION.name} — trusted primary, f = c = 1\n")
+    # The paper's smallest hybrid deployment, c = m = 1: a 2-replica private
+    # cloud (the trusted primary lives there) and 4 public replicas — six
+    # TCP servers in total.  Real seconds for the view-change timer:
+    # loopback jitter must not look like a fault.
+    settings = ShardSpec(mode=Mode.LION, request_timeout=5.0)
 
+    # The same wiring function the simulated builders, the proc workers and
+    # the conformance oracle use; only the runtime differs.
     runtime = AioRuntime()
     workload = Workload.build("0/0")
-    keystore = KeyStore(seed="real-cluster")
-    for replica_id in config.all_replicas:
-        keystore.register(replica_id)
-    keystore.register("client-0")
-    verifier = keystore.verifier()
+    keystore = new_keystore("real-cluster", 0)
+    group = wire_group(runtime, keystore, "seemore", settings, workload)
+    config, replicas = group.config, group.replicas
+    print(f"replica group: {config.network_size} replicas "
+          f"({config.private_size} private, {config.public_size} public)")
+    print(f"mode: {Mode.LION.name} — trusted primary, c = m = 1\n")
 
-    state_machine_factory = workload.state_machine_factory()
-    replicas = {}
-    for replica_id in config.all_replicas:
-        replica = SeeMoReReplica(
-            node_id=replica_id,
-            runtime=runtime,
-            config=config,
-            signer=keystore.signer_for(replica_id),
-            verifier=verifier,
-            state_machine=state_machine_factory(),
-            initial_mode=Mode.LION,
-        )
-        runtime.register(replica)
-        replicas[replica_id] = replica
-
-    client = Client(
-        node_id="client-0",
-        runtime=runtime,
-        signer=keystore.signer_for("client-0"),
-        verifier=verifier,
-        config=client_config_for_mode(config, Mode.LION, request_timeout=2.0),
-        operation_factory=workload.operation_factory(client_seed=0),
-        max_requests=NUM_REQUESTS,
-        window=WINDOW,
-    )
-    runtime.register(client)
+    pool = ClientPool(runtime, keystore, Placement(), group.client_config(2.0), workload)
+    (client,) = pool.spawn(1, max_requests_each=NUM_REQUESTS, window=WINDOW)
 
     started = runtime.now
     finished = runtime.run(
@@ -100,7 +73,7 @@ def main() -> None:
         [replica.ledger for replica in replicas.values()]
     )
     assert not violations, f"safety violated: {violations[0]}"
-    print("\nsafety check       : all four replicas agree on the committed order")
+    print("\nsafety check       : all six replicas agree on the committed order")
     print("shutdown           : clean (all sockets closed, all tasks reaped)")
 
 

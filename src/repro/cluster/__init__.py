@@ -5,7 +5,8 @@ group, clients -- for any protocol in the repository, and runs the
 measurement loops used by the benchmarks:
 
 * :func:`~repro.cluster.builders.build_seemore` and the baseline builders
-  create a :class:`~repro.cluster.deployment.Deployment`;
+  create a :class:`~repro.cluster.deployment.Deployment` (every group, on
+  every backend, is wired by :func:`repro.cluster.wiring.wire_group`);
 * :func:`~repro.cluster.runner.run_deployment` drives it for a stretch of
   simulated time and returns throughput/latency;
 * :func:`~repro.cluster.runner.sweep_clients` repeats that for increasing

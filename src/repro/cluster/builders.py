@@ -1,50 +1,46 @@
-"""Deployment builders: one per protocol the paper evaluates.
+"""Deployment builders: the public ``build_*`` entry points.
 
-Each builder stands up a complete simulated deployment -- replicas placed
-into private/public clouds, the network with the requested latency profile,
-key material, and a pool of closed-loop clients -- and returns a
-:class:`~repro.cluster.deployment.Deployment` ready to run.
+How a replica group gets wired is decided in one place,
+:mod:`repro.cluster.wiring`: the :data:`~repro.cluster.wiring.PROTOCOLS`
+table (one row each for ``seemore``, ``cft``, ``bft``, ``s-upright``) and
+:func:`~repro.cluster.wiring.wire_group`, which keys, instantiates and
+registers one group on any :class:`~repro.runtime.api.Runtime`.  This
+module only *assembles* — "table row → runtime → ``wire_group`` per group →
+client pool" — onto three things:
 
-All builders accept the same experiment knobs so the benchmark harness can
-sweep them uniformly:
-
-* ``num_clients`` — closed-loop clients generating load;
-* ``workload`` — one of the x/y micro-benchmarks or a key-value workload;
-* ``seed`` — drives every random choice (latency jitter, workload keys);
-* ``cross_cloud_latency`` — one-way latency between the two clouds
-  (defaults to the intra-cloud latency, the paper's co-located setting).
+* **Simulated** — :func:`build_seemore`, :func:`build_paxos`,
+  :func:`build_pbft`, :func:`build_upright` and
+  :func:`build_sharded_seemore` share :func:`_sim_deployments`: one
+  simulated fabric (placement-aware latency, cost model, seeded network),
+  one keystore, one :class:`~repro.cluster.deployment.Deployment` per
+  group.  A single cluster is the one-group case; the sharded builder adds
+  a router and a routed client pool over N groups.  All take ``workload``
+  / ``num_clients`` / ``seed`` / ``cross_cloud_latency`` / ``cost_model``;
+  batching, client windows, the adaptive controller and admission control
+  are SeeMoRe-only knobs.
+* **Multiprocess** — :func:`build_proc_seemore` returns an unstarted
+  :class:`~repro.runtime.proc.ProcCluster` of worker specs; each worker
+  process receives the picklable group settings and calls ``wire_group``
+  itself, on its own TCP runtime, for its slice of the replica ids.
+* **Conformance legs** — :mod:`repro.runtime.conformance` calls
+  ``wire_group`` on a bare sim runtime and on the asyncio-TCP runtime (and
+  reaches the proc leg through :func:`build_proc_seemore`), so the oracle
+  compares the very clusters the builders build.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.adaptive import AdaptiveModeController, AdaptivePolicy
-from repro.baselines import (
-    PaxosConfig,
-    PaxosReplica,
-    PBFTConfig,
-    QuorumBFTReplica,
-    UpRightConfig,
-    paxos_client_config,
-    pbft_client_config,
-    upright_client_config,
-)
 from repro.cluster.deployment import Deployment
-from repro.core import (
-    AdmissionPolicy,
-    BatchPolicy,
-    Mode,
-    SeeMoReConfig,
-    SeeMoReReplica,
-    client_config_for_mode,
-)
-from repro.crypto.keys import KeyStore
+from repro.cluster.wiring import PROTOCOLS, new_keystore, wire_group
+from repro.core import AdmissionPolicy, BatchPolicy, Mode
 from repro.net.costs import NodeCostModel
-from repro.net.latency import CloudAwareLatencyModel
+from repro.net.latency import lan_latency
 from repro.net.network import Network
-from repro.net.topology import Cloud, Placement
-from repro.runtime.proc import ProcCluster, WorkerSpec
+from repro.net.topology import Placement
+from repro.runtime.proc import ProcCluster, WorkerPlan, WorkerSpec
 from repro.runtime.sim import SimRuntime
 from repro.shard import (
     ShardedClientPool,
@@ -55,13 +51,9 @@ from repro.shard import (
     make_partitioner,
 )
 from repro.sim.simulator import Simulator
-from repro.smr.client import ClientConfig
 from repro.workload.client_pool import ClientPool
 from repro.workload.generator import ShardedKeyValueWorkload, Workload, WorkloadSpec
 from repro.workload.metrics import MetricsCollector
-
-DEFAULT_INTRA_CLOUD_LATENCY = 0.0002
-DEFAULT_CLIENT_LATENCY = 0.0003
 
 #: What builders accept for their ``adaptive`` knob: ``True`` for the
 #: default policy, an :class:`AdaptivePolicy` for tuned knobs, or
@@ -69,118 +61,131 @@ DEFAULT_CLIENT_LATENCY = 0.0003
 AdaptiveSpec = Union[bool, AdaptivePolicy, None]
 
 
-def _resolve_adaptive_policy(adaptive: AdaptiveSpec) -> Optional[AdaptivePolicy]:
-    if not adaptive:
-        return None
-    if isinstance(adaptive, AdaptivePolicy):
-        return adaptive
-    return AdaptivePolicy()
-
-
-def _build_fabric(
-    placement: Placement,
+def _sim_deployments(
+    protocol: str,
+    specs: Sequence[ShardSpec],
+    workload: Workload,
     seed: int,
     cross_cloud_latency: Optional[float],
     cost_model: Optional[NodeCostModel],
-) -> SimRuntime:
+    client_timeout: float,
+    admission: Optional[AdmissionPolicy] = None,
+    sharded: bool = False,
+) -> List[Deployment]:
+    """The shared sim assembly: one fabric, one keystore, one deployment per group.
+
+    Unsharded, the single group keeps bare replica ids and ``client-N``
+    clients.  Sharded, group ``i`` is namespaced ``s{i}-`` so N
+    independently configured clusters coexist on one runtime, placement and
+    keystore; each still gets an (empty) pool of its own because the
+    single-cluster :class:`Deployment` surface carries the group's client
+    config, metrics and timeout accessors there.
+    """
+    placement = Placement()
     simulator = Simulator()
-    latency = CloudAwareLatencyModel(
-        placement=placement,
-        intra_cloud=DEFAULT_INTRA_CLOUD_LATENCY,
-        cross_cloud=(
-            cross_cloud_latency if cross_cloud_latency is not None else DEFAULT_INTRA_CLOUD_LATENCY
-        ),
-        client_link=DEFAULT_CLIENT_LATENCY,
-    )
-    network = Network(
-        simulator,
-        latency_model=latency,
-        cost_model=cost_model or NodeCostModel(),
-        seed=seed,
-    )
-    return SimRuntime(simulator, network)
+    latency = lan_latency(placement, cross_cloud=cross_cloud_latency)
+    network = Network(simulator, latency, cost_model=cost_model, seed=seed)
+    runtime = SimRuntime(simulator, network)
+    row = PROTOCOLS[protocol]
+    keystore = new_keystore(row.namespace + ("-sharded" if sharded else ""), seed)
+    deployments = []
+    for index, spec in enumerate(specs):
+        tag, suffix = (f"s{index}-", f"-s{index}") if sharded else ("", "")
+        group = wire_group(
+            runtime,
+            keystore,
+            protocol,
+            spec,
+            workload,
+            prefix=tag,
+            placement=placement,
+            cost_model=cost_model,
+            admission=admission,
+        )
+        extras = {"config": group.config}
+        if row.mode_aware:
+            extras["mode"] = spec.mode
+        if sharded:
+            extras["shard_index"] = index
+        metrics = MetricsCollector()
+        client_config = group.client_config(client_timeout)
+        deployments.append(
+            Deployment(
+                protocol=group.label + suffix,
+                simulator=simulator,
+                network=network,
+                placement=placement,
+                keystore=keystore,
+                replicas=group.replicas,
+                client_pool=ClientPool(
+                    runtime, keystore, placement, client_config, workload, metrics, f"{tag}client"
+                ),
+                metrics=metrics,
+                extras=extras,
+                runtime=runtime,
+            )
+        )
+    return deployments
 
 
-def _finish_deployment(
+def _start_adaptive(
+    deployments: Sequence[Deployment],
+    adaptive: AdaptiveSpec,
+    clients: Optional[Callable[[], List]] = None,
+) -> Tuple[AdaptiveModeController, ...]:
+    """Attach and start one controller per deployment (none unless asked)."""
+    if not adaptive:
+        return ()
+    policy = adaptive if isinstance(adaptive, AdaptivePolicy) else AdaptivePolicy()
+    controllers = []
+    for deployment in deployments:
+        index = deployment.extras.get("shard_index")
+        name = "adaptive" if index is None else f"adaptive-s{index}"
+        controller = AdaptiveModeController(deployment, policy=policy, clients=clients, name=name)
+        deployment.extras["adaptive"] = controller
+        controller.start()
+        controllers.append(controller)
+    return tuple(controllers)
+
+
+def _build_single(
     protocol: str,
-    runtime: SimRuntime,
-    placement: Placement,
-    keystore: KeyStore,
-    replicas: Dict,
-    client_config: ClientConfig,
-    workload: Workload,
+    workload: Optional[Workload],
     num_clients: int,
-    extras: Optional[Dict] = None,
+    seed: int,
+    cross_cloud_latency: Optional[float],
+    client_timeout: float,
+    cost_model: Optional[NodeCostModel],
     client_window: Optional[int] = None,
+    adaptive: AdaptiveSpec = None,
+    admission: Optional[AdmissionPolicy] = None,
+    **settings,
 ) -> Deployment:
-    metrics = MetricsCollector()
-    pool = ClientPool(
-        runtime=runtime,
-        keystore=keystore,
-        placement=placement,
-        client_config=client_config,
-        workload=workload,
-        metrics=metrics,
+    """A single cluster: the one-group case of :func:`_sim_deployments`.
+
+    The public single-cluster builders forward their arguments here by name
+    (``**locals()``); whatever is not an assembly knob above is a
+    :class:`ShardSpec` field — the group's own settings.
+    """
+    (deployment,) = _sim_deployments(
+        protocol,
+        [ShardSpec(**settings)],
+        workload or Workload.build("0/0"),
+        seed,
+        cross_cloud_latency,
+        cost_model,
+        client_timeout,
+        admission,
     )
     # num_clients == 0 leaves the pool empty for open-loop deployments,
     # whose connections are spawned by ClientPool.spawn_open_loop instead.
     if num_clients > 0:
-        pool.spawn(num_clients, window=client_window)
-    return Deployment(
-        protocol=protocol,
-        simulator=runtime.simulator,
-        network=runtime.network,
-        placement=placement,
-        keystore=keystore,
-        replicas=replicas,
-        client_pool=pool,
-        metrics=metrics,
-        extras=extras or {},
-        runtime=runtime,
-    )
+        deployment.client_pool.spawn(num_clients, window=client_window)
+    _start_adaptive([deployment], adaptive)
+    return deployment
 
 
 # -- SeeMoRe ---------------------------------------------------------------------
-
-
-def _spawn_seemore_cluster(
-    config: SeeMoReConfig,
-    mode: Mode,
-    runtime: SimRuntime,
-    keystore: KeyStore,
-    placement: Placement,
-    workload: Workload,
-    cost_model: Optional[NodeCostModel],
-) -> Dict[str, SeeMoReReplica]:
-    """Place, key, and register one SeeMoRe replica group on a shared fabric.
-
-    Shared by the single-cluster builder and the sharded builder: the
-    latter calls it once per shard with shard-prefixed replica ids, so N
-    independently configured clusters coexist on one runtime, placement,
-    and keystore.
-    """
-    placement.assign_many(config.private_replicas, Cloud.PRIVATE)
-    placement.assign_many(config.public_replicas, Cloud.PUBLIC)
-    for replica_id in config.all_replicas:
-        keystore.register(replica_id)
-    verifier = keystore.verifier()
-
-    state_machine_factory = workload.state_machine_factory()
-    replicas: Dict[str, SeeMoReReplica] = {}
-    for replica_id in config.all_replicas:
-        replica = SeeMoReReplica(
-            node_id=replica_id,
-            runtime=runtime,
-            config=config,
-            signer=keystore.signer_for(replica_id),
-            verifier=verifier,
-            state_machine=state_machine_factory(),
-            initial_mode=mode,
-            cost_model=cost_model,
-        )
-        runtime.register(replica)
-        replicas[replica_id] = replica
-    return replicas
 
 
 def build_seemore(
@@ -222,41 +227,7 @@ def build_seemore(
     them.  ``num_clients=0`` builds the deployment with an empty client
     pool so an open-loop driver can spawn its own connections.
     """
-    workload = workload or Workload.build("0/0")
-    config = SeeMoReConfig.build(
-        crash_tolerance,
-        byzantine_tolerance,
-        checkpoint_period=checkpoint_period,
-        request_timeout=request_timeout,
-        batch_policy=batch_policy or BatchPolicy(),
-        admission=admission,
-    )
-    placement = Placement()
-    runtime = _build_fabric(placement, seed, cross_cloud_latency, cost_model)
-    keystore = KeyStore(seed=f"seemore-{seed}")
-    replicas = _spawn_seemore_cluster(
-        config, mode, runtime, keystore, placement, workload, cost_model
-    )
-
-    client_config = client_config_for_mode(config, mode, request_timeout=client_timeout)
-    deployment = _finish_deployment(
-        protocol=f"seemore-{mode.name.lower()}",
-        runtime=runtime,
-        placement=placement,
-        keystore=keystore,
-        replicas=replicas,
-        client_config=client_config,
-        workload=workload,
-        num_clients=num_clients,
-        extras={"config": config, "mode": mode},
-        client_window=client_window,
-    )
-    policy = _resolve_adaptive_policy(adaptive)
-    if policy is not None:
-        controller = AdaptiveModeController(deployment, policy=policy, name="adaptive")
-        deployment.extras["adaptive"] = controller
-        controller.start()
-    return deployment
+    return _build_single("seemore", **locals())
 
 
 # -- sharded SeeMoRe --------------------------------------------------------------------
@@ -322,17 +293,15 @@ def build_sharded_seemore(
     if shard_specs is not None:
         specs = tuple(shard_specs)
     else:
-        specs = tuple(
-            ShardSpec(
-                mode=mode,
-                crash_tolerance=crash_tolerance,
-                byzantine_tolerance=byzantine_tolerance,
-                checkpoint_period=checkpoint_period,
-                request_timeout=request_timeout,
-                batch_policy=batch_policy,
-            )
-            for _ in range(num_shards)
+        uniform = ShardSpec(
+            mode=mode,
+            crash_tolerance=crash_tolerance,
+            byzantine_tolerance=byzantine_tolerance,
+            checkpoint_period=checkpoint_period,
+            request_timeout=request_timeout,
+            batch_policy=batch_policy,
         )
+        specs = (uniform,) * num_shards
     if not specs:
         raise ValueError("a sharded deployment needs at least one shard")
 
@@ -346,110 +315,61 @@ def build_sharded_seemore(
     elif isinstance(workload, ShardedKeyValueWorkload) and workload.partitioner is None:
         workload = workload.with_partitioner(partitioner)
 
-    placement = Placement()
-    runtime = _build_fabric(placement, seed, cross_cloud_latency, cost_model)
-    keystore = KeyStore(seed=f"seemore-sharded-{seed}")
-
-    shards: List[Deployment] = []
-    shard_configs: Dict[int, SeeMoReConfig] = {}
-    shard_client_configs: Dict[int, ClientConfig] = {}
-    shard_metrics: Dict[int, MetricsCollector] = {}
-    for index, spec in enumerate(specs):
-        config = SeeMoReConfig.build(
-            spec.crash_tolerance,
-            spec.byzantine_tolerance,
-            name_prefix=f"s{index}-",
-            checkpoint_period=spec.checkpoint_period,
-            request_timeout=spec.request_timeout,
-            batch_policy=spec.batch_policy or BatchPolicy(),
-        )
-        replicas = _spawn_seemore_cluster(
-            config, spec.mode, runtime, keystore, placement, workload, cost_model
-        )
-        metrics = MetricsCollector()
-        client_config = client_config_for_mode(config, spec.mode, request_timeout=client_timeout)
-        # The per-shard pool exists only to satisfy the single-cluster
-        # Deployment surface (metrics / timeout accessors).  It must never
-        # spawn clients: an unrouted single-cluster client would send every
-        # key to this one shard, silently breaking the keyspace partition —
-        # surge load through ShardedDeployment.add_clients instead.
-        pool = ClientPool(
-            runtime=runtime,
-            keystore=keystore,
-            placement=placement,
-            client_config=client_config,
-            workload=workload,
-            metrics=metrics,
-            name_prefix=f"s{index}-client",
-        )
-        pool.spawn = _reject_per_shard_spawn  # type: ignore[method-assign]
-        shards.append(
-            Deployment(
-                protocol=f"seemore-{spec.mode.name.lower()}-s{index}",
-                simulator=runtime.simulator,
-                network=runtime.network,
-                placement=placement,
-                keystore=keystore,
-                replicas=replicas,
-                client_pool=pool,
-                metrics=metrics,
-                extras={"config": config, "mode": spec.mode, "shard_index": index},
-                runtime=runtime,
-            )
-        )
-        shard_configs[index] = config
-        shard_client_configs[index] = client_config
-        shard_metrics[index] = metrics
+    shards = _sim_deployments(
+        "seemore",
+        specs,
+        workload,
+        seed,
+        cross_cloud_latency,
+        cost_model,
+        client_timeout,
+        sharded=True,
+    )
+    for shard in shards:
+        # An unrouted single-cluster client would send every key to this one
+        # shard, silently breaking the keyspace partition — surge load
+        # through ShardedDeployment.add_clients instead.
+        shard.client_pool.spawn = _reject_per_shard_spawn  # type: ignore[method-assign]
+    first = shards[0]
 
     def session_factory() -> Dict[int, ShardSession]:
         return {
             index: ShardSession(
                 shard_id=index,
-                config=shard_client_configs[index],
-                members=frozenset(shard_configs[index].all_replicas),
+                config=shard.client_pool.client_config,
+                members=frozenset(shard.replicas),
             )
-            for index in shard_configs
+            for index, shard in enumerate(shards)
         }
 
     aggregate_metrics = MetricsCollector()
     pool = ShardedClientPool(
-        runtime=runtime,
-        keystore=keystore,
-        placement=placement,
+        runtime=first.runtime,
+        keystore=first.keystore,
+        placement=first.placement,
         session_factory=session_factory,
         router=router,
         workload=workload,
         metrics=aggregate_metrics,
-        shard_recorders=shard_metrics,
+        shard_recorders={index: shard.metrics for index, shard in enumerate(shards)},
         txn_timeout=txn_timeout,
     )
     pool.spawn(num_clients, window=client_window)
 
     extras: Dict[str, object] = {"partition_policy": partition_policy}
-    policy = _resolve_adaptive_policy(adaptive)
-    if policy is not None:
-        controllers = []
-        for index, shard in enumerate(shards):
-            controller = AdaptiveModeController(
-                shard,
-                policy=policy,
-                # Clients are shared across shards; the controller's
-                # estimator keeps only evidence implicating this shard's
-                # replicas.  The callable re-lists so surged clients count.
-                clients=lambda: pool.clients,
-                name=f"adaptive-s{index}",
-            )
-            shard.extras["adaptive"] = controller
-            controller.start()
-            controllers.append(controller)
-        extras["adaptive"] = tuple(controllers)
+    # Clients are shared across shards; each controller's estimator keeps
+    # only evidence implicating its own shard's replicas.  The callable
+    # re-lists so surged clients count.
+    controllers = _start_adaptive(shards, adaptive, clients=lambda: pool.clients)
+    if controllers:
+        extras["adaptive"] = controllers
 
     return ShardedDeployment(
         protocol=f"seemore-sharded-{len(specs)}x",
-        simulator=runtime.simulator,
-        network=runtime.network,
-        placement=placement,
-        keystore=keystore,
+        simulator=first.simulator,
+        network=first.network,
+        placement=first.placement,
+        keystore=first.keystore,
         shards=shards,
         specs=specs,
         partitioner=partitioner,
@@ -463,134 +383,65 @@ def build_sharded_seemore(
 # -- multiprocess SeeMoRe ---------------------------------------------------------------
 
 
-def _proc_seemore_setup(
-    crash_tolerance: int,
-    byzantine_tolerance: int,
-    request_timeout: float,
-    max_batch: int,
-    seed: int,
-    client_id: str,
-):
-    """Deterministically rebuild the shared cluster material inside a worker.
-
-    Every proc worker derives the *same* config, key material, and
-    workload from the same scalar kwargs — :class:`KeyStore` is seeded,
-    so independently constructed stores agree on every HMAC key and
-    cross-process signature verification just works.
-    """
-    config = SeeMoReConfig.build(
-        crash_tolerance,
-        byzantine_tolerance,
-        request_timeout=request_timeout,
-        batch_policy=BatchPolicy(max_batch=max_batch),
-    )
-    keystore = KeyStore(seed=f"seemore-proc-{seed}")
-    for replica_id in config.all_replicas:
-        keystore.register(replica_id)
-    keystore.register(client_id)
-    return config, keystore, Workload.build("0/0")
-
-
 def _proc_replica_worker(
-    runtime,
-    replica_ids: Sequence[str],
-    mode_name: str,
-    crash_tolerance: int,
-    byzantine_tolerance: int,
-    request_timeout: float,
-    max_batch: int,
-    seed: int,
-    client_id: str,
+    runtime, replica_ids: Sequence[str], settings: ShardSpec, seed: int, client_id: str
 ):
     """Build callable for one replica-group worker process.
 
     Module-level (picklable under the ``spawn`` start method); runs inside
-    the child, registering its slice of the replica set on the worker's
-    runtime.  Harvests each replica's flattened commit trace, ledger, and
-    cached-reply digests so the supervisor can run the conformance checks
-    without shipping live protocol objects across the process boundary.
+    the child, wiring its slice of the replica set on the worker's runtime
+    from the same ``(settings, seed)`` every other worker gets.  Harvests
+    each replica's :meth:`RecordingReplica.harvest` so the supervisor can
+    run the conformance checks without shipping live protocol objects
+    across the process boundary.
     """
     from repro.runtime.conformance import RecordingReplica
-    from repro.runtime.proc import WorkerPlan
-    from repro.smr.state_machine import result_digest
 
-    config, keystore, workload = _proc_seemore_setup(
-        crash_tolerance, byzantine_tolerance, request_timeout, max_batch, seed, client_id
-    )
-    verifier = keystore.verifier()
-    state_machine_factory = workload.state_machine_factory()
-    mode = Mode[mode_name]
-    replicas = {}
-    for replica_id in replica_ids:
-        replica = RecordingReplica(
-            node_id=replica_id,
-            runtime=runtime,
-            config=config,
-            signer=keystore.signer_for(replica_id),
-            verifier=verifier,
-            state_machine=state_machine_factory(),
-            initial_mode=mode,
-        )
-        runtime.register(replica)
-        replicas[replica_id] = replica
-
-    def harvest():
-        out = {}
-        for replica_id, replica in replicas.items():
-            digests = {}
-            for (cid, timestamp), result in replica.executor.snapshot()["replies"].items():
-                if cid == client_id:
-                    digests[timestamp] = result_digest(result)
-            out[replica_id] = {
-                "commit_trace": list(replica.commit_trace),
-                "ledger": replica.ledger,
-                "committed_count": replica.committed_count,
-                "last_executed": replica.last_executed,
-                "reply_digests": digests,
-            }
-        return out
-
+    keystore = new_keystore("seemore-proc", seed)
+    replicas = wire_group(
+        runtime,
+        keystore,
+        "seemore",
+        settings,
+        Workload.build("0/0"),
+        only=replica_ids,
+        replica_class=RecordingReplica,
+    ).replicas
+    # The client lives in another process; its key is all this one needs.
+    client_node = f"{client_id}-0"
+    keystore.register(client_node)
     return WorkerPlan(
-        harvest=harvest,
+        harvest=lambda: {
+            replica_id: replica.harvest(client_node) for replica_id, replica in replicas.items()
+        },
         progress=lambda: {
-            replica_id: replica.committed_count
-            for replica_id, replica in replicas.items()
+            replica_id: replica.committed_count for replica_id, replica in replicas.items()
         },
     )
 
 
 def _proc_client_worker(
     runtime,
-    mode_name: str,
-    crash_tolerance: int,
-    byzantine_tolerance: int,
-    request_timeout: float,
-    client_timeout: float,
-    max_batch: int,
+    settings: ShardSpec,
     seed: int,
     client_id: str,
+    client_timeout: float,
     num_requests: int,
     window: int,
 ):
-    """Build callable for the client worker process (closed-loop driver)."""
-    from repro.runtime.proc import WorkerPlan
-    from repro.smr.client import Client
+    """Build callable for the client worker process (closed-loop driver).
 
-    config, keystore, workload = _proc_seemore_setup(
-        crash_tolerance, byzantine_tolerance, request_timeout, max_batch, seed, client_id
+    Wires the group with no local replicas — keys and config only — and
+    spawns its one client, ``{client_id}-0``, from the shared pool.
+    """
+    keystore = new_keystore("seemore-proc", seed)
+    workload = Workload.build("0/0")
+    group = wire_group(runtime, keystore, "seemore", settings, workload, only=())
+    client_config = group.client_config(client_timeout)
+    pool = ClientPool(
+        runtime, keystore, Placement(), client_config, workload, name_prefix=client_id
     )
-    mode = Mode[mode_name]
-    client = Client(
-        node_id=client_id,
-        runtime=runtime,
-        signer=keystore.signer_for(client_id),
-        verifier=keystore.verifier(),
-        config=client_config_for_mode(config, mode, request_timeout=client_timeout),
-        operation_factory=workload.operation_factory(client_seed=0),
-        max_requests=num_requests,
-        window=window,
-    )
-    runtime.register(client)
+    (client,) = pool.spawn(1, max_requests_each=num_requests, window=window)
     return WorkerPlan(
         kickoff=client.start,
         until=lambda: client.completed_count >= num_requests,
@@ -624,61 +475,41 @@ def build_proc_seemore(
     running its own :class:`~repro.runtime.proc.ProcWorkerRuntime`.  The
     default timeouts mirror the conformance oracle's aio leg: real-clock
     view-change and client-retransmit timers far above loopback
-    scheduling noise, so jitter never masquerades as a fault.
+    scheduling noise, so jitter never masquerades as a fault.  The client
+    node is ``{client_id}-0`` — the first (only) client of the worker's pool.
 
     Returns an *unstarted* :class:`~repro.runtime.proc.ProcCluster`;
     call ``run()`` (or drive ``start``/``wait``/``shutdown`` manually).
     ``extras`` carries the parent-side ``config``, the worker→replica-ids
     grouping, and the client worker's name for tests and tools.
     """
-    config = SeeMoReConfig.build(
-        crash_tolerance,
-        byzantine_tolerance,
+    settings = ShardSpec(
+        mode=mode,
+        crash_tolerance=crash_tolerance,
+        byzantine_tolerance=byzantine_tolerance,
         request_timeout=request_timeout,
         batch_policy=BatchPolicy(max_batch=max_batch),
     )
+    config = PROTOCOLS["seemore"].make_config(settings, "", None)
     replica_ids = list(config.all_replicas)
     num_procs = max(1, min(num_procs, len(replica_ids)))
-    groups = [tuple(replica_ids[index::num_procs]) for index in range(num_procs)]
-    shared = {
-        "mode_name": mode.name,
-        "crash_tolerance": crash_tolerance,
-        "byzantine_tolerance": byzantine_tolerance,
-        "request_timeout": request_timeout,
-        "max_batch": max_batch,
-        "seed": seed,
-        "client_id": client_id,
+    groups = {
+        f"replicas-{index}": tuple(replica_ids[index::num_procs])
+        for index in range(num_procs)
     }
+    shared = {"settings": settings, "seed": seed, "client_id": client_id}
     workers = [
-        WorkerSpec(
-            name=f"replicas-{index}",
-            build=_proc_replica_worker,
-            kwargs={"replica_ids": group, **shared},
-        )
-        for index, group in enumerate(groups)
+        WorkerSpec(name, _proc_replica_worker, {"replica_ids": group, **shared})
+        for name, group in groups.items()
     ]
-    workers.append(
-        WorkerSpec(
-            name="client",
-            build=_proc_client_worker,
-            kwargs={
-                **shared,
-                "client_timeout": client_timeout,
-                "num_requests": num_requests,
-                "window": window,
-            },
-        )
-    )
-    cluster = ProcCluster(
-        workers, start_method=start_method, stats_interval=stats_interval
-    )
+    client = {"client_timeout": client_timeout, "num_requests": num_requests, "window": window}
+    workers.append(WorkerSpec("client", _proc_client_worker, {**shared, **client}))
+    cluster = ProcCluster(workers, start_method=start_method, stats_interval=stats_interval)
     cluster.extras.update(
         {
             "config": config,
             "mode": mode,
-            "replica_groups": {
-                f"replicas-{index}": group for index, group in enumerate(groups)
-            },
+            "replica_groups": groups,
             "client_worker": "client",
             "num_requests": num_requests,
         }
@@ -706,49 +537,7 @@ def build_paxos(
     The paper configures CFT to tolerate the same *total* number of failures
     as SeeMoRe, so the builder accepts both tolerances and adds them.
     """
-    workload = workload or Workload.build("0/0")
-    fault_tolerance = crash_tolerance + byzantine_tolerance
-    config = PaxosConfig.build(
-        fault_tolerance,
-        checkpoint_period=checkpoint_period,
-        request_timeout=request_timeout,
-    )
-    placement = Placement()
-    placement.assign_many(config.replicas, Cloud.PRIVATE)
-
-    runtime = _build_fabric(placement, seed, cross_cloud_latency, cost_model)
-    keystore = KeyStore(seed=f"paxos-{seed}")
-    for replica_id in config.replicas:
-        keystore.register(replica_id)
-    verifier = keystore.verifier()
-
-    state_machine_factory = workload.state_machine_factory()
-    replicas = {}
-    for replica_id in config.replicas:
-        replica = PaxosReplica(
-            node_id=replica_id,
-            runtime=runtime,
-            config=config,
-            signer=keystore.signer_for(replica_id),
-            verifier=verifier,
-            state_machine=state_machine_factory(),
-            cost_model=cost_model,
-        )
-        runtime.register(replica)
-        replicas[replica_id] = replica
-
-    client_config = paxos_client_config(config, request_timeout=client_timeout)
-    return _finish_deployment(
-        protocol="cft",
-        runtime=runtime,
-        placement=placement,
-        keystore=keystore,
-        replicas=replicas,
-        client_config=client_config,
-        workload=workload,
-        num_clients=num_clients,
-        extras={"config": config},
-    )
+    return _build_single("cft", **locals())
 
 
 def build_pbft(
@@ -764,49 +553,7 @@ def build_pbft(
     cost_model: Optional[NodeCostModel] = None,
 ) -> Deployment:
     """Build the BFT baseline sized to tolerate ``f = c + m`` Byzantine failures."""
-    workload = workload or Workload.build("0/0")
-    fault_tolerance = crash_tolerance + byzantine_tolerance
-    config = PBFTConfig.build(
-        fault_tolerance,
-        checkpoint_period=checkpoint_period,
-        request_timeout=request_timeout,
-    )
-    placement = Placement()
-    placement.assign_many(config.replicas, Cloud.PUBLIC)
-
-    runtime = _build_fabric(placement, seed, cross_cloud_latency, cost_model)
-    keystore = KeyStore(seed=f"pbft-{seed}")
-    for replica_id in config.replicas:
-        keystore.register(replica_id)
-    verifier = keystore.verifier()
-
-    state_machine_factory = workload.state_machine_factory()
-    replicas = {}
-    for replica_id in config.replicas:
-        replica = QuorumBFTReplica(
-            node_id=replica_id,
-            runtime=runtime,
-            config=config,
-            signer=keystore.signer_for(replica_id),
-            verifier=verifier,
-            state_machine=state_machine_factory(),
-            cost_model=cost_model,
-        )
-        runtime.register(replica)
-        replicas[replica_id] = replica
-
-    client_config = pbft_client_config(config, request_timeout=client_timeout)
-    return _finish_deployment(
-        protocol="bft",
-        runtime=runtime,
-        placement=placement,
-        keystore=keystore,
-        replicas=replicas,
-        client_config=client_config,
-        workload=workload,
-        num_clients=num_clients,
-        extras={"config": config},
-    )
+    return _build_single("bft", **locals())
 
 
 def build_upright(
@@ -822,54 +569,7 @@ def build_upright(
     cost_model: Optional[NodeCostModel] = None,
 ) -> Deployment:
     """Build the S-UpRight baseline (hybrid sizing, PBFT-like agreement)."""
-    workload = workload or Workload.build("0/0")
-    config = UpRightConfig.build(
-        crash_tolerance,
-        byzantine_tolerance,
-        checkpoint_period=checkpoint_period,
-        request_timeout=request_timeout,
-    )
-    placement = Placement()
-    # UpRight does not localise fault types; mimic the paper's layout by
-    # putting 2c nodes alongside the private cloud and the rest in public,
-    # which only matters when the cross-cloud latency is raised.
-    private_count = 2 * crash_tolerance
-    placement.assign_many(config.replicas[:private_count], Cloud.PRIVATE)
-    placement.assign_many(config.replicas[private_count:], Cloud.PUBLIC)
-
-    runtime = _build_fabric(placement, seed, cross_cloud_latency, cost_model)
-    keystore = KeyStore(seed=f"upright-{seed}")
-    for replica_id in config.replicas:
-        keystore.register(replica_id)
-    verifier = keystore.verifier()
-
-    state_machine_factory = workload.state_machine_factory()
-    replicas = {}
-    for replica_id in config.replicas:
-        replica = QuorumBFTReplica(
-            node_id=replica_id,
-            runtime=runtime,
-            config=config,
-            signer=keystore.signer_for(replica_id),
-            verifier=verifier,
-            state_machine=state_machine_factory(),
-            cost_model=cost_model,
-        )
-        runtime.register(replica)
-        replicas[replica_id] = replica
-
-    client_config = upright_client_config(config, request_timeout=client_timeout)
-    return _finish_deployment(
-        protocol="s-upright",
-        runtime=runtime,
-        placement=placement,
-        keystore=keystore,
-        replicas=replicas,
-        client_config=client_config,
-        workload=workload,
-        num_clients=num_clients,
-        extras={"config": config},
-    )
+    return _build_single("s-upright", **locals())
 
 
 # -- registry ---------------------------------------------------------------------------------

@@ -16,8 +16,47 @@ from repro.workload.client_pool import ClientPool
 from repro.workload.metrics import MetricsCollector
 
 
+class ClientDriven:
+    """The lifecycle single-cluster and sharded deployments share.
+
+    Both kinds carry a ``simulator``, a ``metrics`` collector and a
+    ``client_pool`` (closed-loop clients, routed through the partitioner in
+    the sharded case), so runners and scenario engines drive them alike.
+    """
+
+    @property
+    def clients(self) -> List:
+        return self.client_pool.clients
+
+    def total_completed(self) -> int:
+        return self.metrics.completed
+
+    def add_clients(self, count: int, window: Optional[int] = None, start: bool = True) -> List:
+        """Spawn ``count`` extra closed-loop clients, optionally mid-run.
+
+        New clients register with the network and keystore like the
+        originals (the shared verifier sees late registrations, mirroring a
+        PKI), so load can be ramped while the deployment is running.
+        """
+        created = self.client_pool.spawn(count, window=window)
+        if start:
+            for client in created:
+                client.start()
+        return created
+
+    def start_clients(self) -> None:
+        self.client_pool.start_all()
+
+    def stop_clients(self) -> None:
+        self.client_pool.stop_all()
+
+    def run(self, duration: float) -> float:
+        """Advance simulated time by ``duration`` seconds."""
+        return self.simulator.run(until=self.simulator.now + duration)
+
+
 @dataclass
-class Deployment:
+class Deployment(ClientDriven):
     """Everything needed to run one experiment.
 
     Attributes:
@@ -55,10 +94,6 @@ class Deployment:
 
     # -- convenience accessors -------------------------------------------------
 
-    @property
-    def clients(self) -> List:
-        return self.client_pool.clients
-
     def replica(self, replica_id: str) -> ReplicaBase:
         return self.replicas[replica_id]
 
@@ -92,9 +127,6 @@ class Deployment:
                 f"first conflict: {violations[0]}"
             )
 
-    def total_completed(self) -> int:
-        return self.metrics.completed
-
     def collect_batch_sizes(self) -> None:
         """Pull proposed-batch-size telemetry from replicas into the metrics.
 
@@ -112,26 +144,3 @@ class Deployment:
             sizes = batcher.proposed_batch_sizes
             self.metrics.record_batches(sizes[offset:])
             self._batch_sizes_collected[replica_id] = len(sizes)
-
-    def add_clients(self, count: int, window: Optional[int] = None, start: bool = True) -> List:
-        """Spawn ``count`` extra closed-loop clients, optionally mid-run.
-
-        New clients register with the network and keystore like the
-        originals (the shared verifier sees late registrations, mirroring a
-        PKI), so load can be ramped while the deployment is running.
-        """
-        created = self.client_pool.spawn(count, window=window)
-        if start:
-            for client in created:
-                client.start()
-        return created
-
-    def start_clients(self) -> None:
-        self.client_pool.start_all()
-
-    def stop_clients(self) -> None:
-        self.client_pool.stop_all()
-
-    def run(self, duration: float) -> float:
-        """Advance simulated time by ``duration`` seconds."""
-        return self.simulator.run(until=self.simulator.now + duration)

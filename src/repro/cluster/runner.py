@@ -172,23 +172,10 @@ def _assemble_run_result(
 
 def _node_summaries(deployment) -> Dict[str, Any]:
     """Per-replica ``state_summary()`` snapshots for :meth:`RunReport.node_stats`."""
-    summaries: Dict[str, Any] = {}
-    replicas = getattr(deployment, "replicas", None)
-    if replicas is None:
-        # Sharded deployments hold their replicas per shard.
-        shards = getattr(deployment, "shards", None) or []
-        replicas = {
-            replica_id: replica
-            for shard in shards
-            for replica_id, replica in shard.replicas.items()
-        }
-    for replica_id in sorted(replicas):
-        replica = replicas[replica_id]
-        try:
-            summaries[replica_id] = replica.state_summary()
-        except Exception:  # pragma: no cover - introspection must not fail a run
-            continue
-    return summaries
+    return {
+        replica_id: replica.state_summary()
+        for replica_id, replica in sorted(deployment.replicas.items())
+    }
 
 
 def run_deployment(

@@ -1,0 +1,219 @@
+"""The one place a replica group gets wired: protocol table + ``wire_group``.
+
+Section 6 of the paper compares Lion, Dog, Peacock, CFT, BFT and S-UpRight
+stood up *identically*; here that is literal.  :data:`PROTOCOLS` has one
+:class:`ProtocolRow` per protocol — how to size its config, which replica
+class runs it, which replicas sit in the private cloud, how its clients are
+configured and which keystore namespace it signs under — and
+:func:`wire_group` turns (row, per-group settings) into keyed, registered
+replicas on *any* :class:`~repro.runtime.api.Runtime`.  It knows nothing of
+simulators, sockets or processes, so the sim builders, the proc workers and
+the conformance legs all call this same function and differ only in the
+runtime they hand it.
+
+This module is the only code under ``src/repro`` that constructs a
+``KeyStore`` or a replica; ``tests/test_runtime_boundaries.py`` enforces it.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable, Dict, NamedTuple, Optional, Sequence, Tuple
+
+from repro.baselines import (
+    PaxosConfig,
+    PaxosReplica,
+    PBFTConfig,
+    QuorumBFTReplica,
+    UpRightConfig,
+    paxos_client_config,
+    pbft_client_config,
+    upright_client_config,
+)
+from repro.core import (
+    AdmissionPolicy,
+    BatchPolicy,
+    SeeMoReConfig,
+    SeeMoReReplica,
+    client_config_for_mode,
+)
+from repro.crypto.keys import KeyStore
+from repro.net.costs import NodeCostModel
+from repro.net.topology import Cloud, Placement
+from repro.runtime.api import Runtime
+from repro.smr.client import ClientConfig
+from repro.smr.replica import ReplicaBase
+from repro.workload.generator import Workload
+
+if TYPE_CHECKING:  # pragma: no cover - ShardSpec is only read, never built, here
+    from repro.shard.deployment import ShardSpec
+
+
+@dataclass(frozen=True)
+class ProtocolRow:
+    """Everything that distinguishes one protocol's cluster from another's.
+
+    ``make_config(settings, prefix, admission)`` sizes the group (its
+    ``replica_ids(config)`` are in identifier order);
+    ``private_count(config, settings)`` says how many of them live in the
+    private cloud, the rest being public; ``client_config(config,
+    request_timeout=)`` configures its clients.  ``mode_aware`` marks the
+    protocol that runs in one of the three SeeMoRe modes: its replicas and
+    its client config additionally take the group's mode.
+    """
+
+    name: str
+    namespace: str
+    replica_class: type
+    make_config: Callable[["ShardSpec", str, Optional[AdmissionPolicy]], Any]
+    layout: Callable[[Any, "ShardSpec"], Tuple[Sequence[str], Sequence[str]]]
+    client_config: Callable[..., ClientConfig]
+    mode_aware: bool = False
+
+
+def _timers(settings: "ShardSpec") -> Dict[str, Any]:
+    return {
+        "checkpoint_period": settings.checkpoint_period,
+        "request_timeout": settings.request_timeout,
+    }
+
+
+#: The paper sizes CFT and BFT for the same *total* failures as SeeMoRe, so
+#: both add the two tolerances; UpRight does not localise fault types and
+#: only mimics the 2c-private layout, which matters once the cross-cloud
+#: latency is raised.
+_ROWS = (
+    ProtocolRow(
+        name="seemore",
+        namespace="seemore",
+        replica_class=SeeMoReReplica,
+        make_config=lambda s, prefix, admission: SeeMoReConfig.build(
+            s.crash_tolerance,
+            s.byzantine_tolerance,
+            name_prefix=prefix,
+            batch_policy=s.batch_policy or BatchPolicy(),
+            admission=admission,
+            **_timers(s),
+        ),
+        layout=lambda config, s: (config.private_replicas, config.public_replicas),
+        client_config=client_config_for_mode,
+        mode_aware=True,
+    ),
+    ProtocolRow(
+        name="cft",
+        namespace="paxos",
+        replica_class=PaxosReplica,
+        make_config=lambda s, prefix, admission: PaxosConfig.build(
+            s.crash_tolerance + s.byzantine_tolerance, prefix=f"{prefix}cft", **_timers(s)
+        ),
+        layout=lambda config, s: (config.replicas, ()),
+        client_config=paxos_client_config,
+    ),
+    ProtocolRow(
+        name="bft",
+        namespace="pbft",
+        replica_class=QuorumBFTReplica,
+        make_config=lambda s, prefix, admission: PBFTConfig.build(
+            s.crash_tolerance + s.byzantine_tolerance, prefix=f"{prefix}bft", **_timers(s)
+        ),
+        layout=lambda config, s: ((), config.replicas),
+        client_config=pbft_client_config,
+    ),
+    ProtocolRow(
+        name="s-upright",
+        namespace="upright",
+        replica_class=QuorumBFTReplica,
+        make_config=lambda s, prefix, admission: UpRightConfig.build(
+            s.crash_tolerance, s.byzantine_tolerance, prefix=f"{prefix}upright", **_timers(s)
+        ),
+        layout=lambda config, s: (
+            config.replicas[: 2 * s.crash_tolerance],
+            config.replicas[2 * s.crash_tolerance :],
+        ),
+        client_config=upright_client_config,
+    ),
+)
+PROTOCOLS: Dict[str, ProtocolRow] = {row.name: row for row in _ROWS}
+
+
+class Group(NamedTuple):
+    """One wired replica group."""
+
+    label: str  # the protocol name reports use: ``cft`` … or ``seemore-<mode>``
+    config: Any
+    replicas: Dict[str, ReplicaBase]  # the members instantiated on this runtime
+    client_config: Callable[[float], ClientConfig]  # request timeout -> its clients' config
+
+
+def new_keystore(namespace: str, seed: Any) -> KeyStore:
+    """The key material of one deployment.
+
+    Seeded, so stores built independently from the same ``(namespace, seed)``
+    — one per proc worker — agree on every key and cross-process signature
+    verification just works.
+    """
+    return KeyStore(seed=f"{namespace}-{seed}")
+
+
+def wire_group(
+    runtime: Runtime,
+    keystore: KeyStore,
+    protocol: str,
+    settings: "ShardSpec",
+    workload: Workload,
+    prefix: str = "",
+    placement: Optional[Placement] = None,
+    cost_model: Optional[NodeCostModel] = None,
+    only: Optional[Sequence[str]] = None,
+    replica_class: Optional[type] = None,
+    admission: Optional[AdmissionPolicy] = None,
+) -> Group:
+    """Place, key, instantiate and register one replica group on ``runtime``.
+
+    ``prefix`` namespaces the replica ids so several groups (shards) share
+    one runtime, placement and keystore.  Keys are registered for *every*
+    member; ``only`` restricts which members are instantiated here (a proc
+    worker hosts a slice of the group, the client worker none of it).
+    ``replica_class`` substitutes a subclass of the row's replica class (the
+    conformance oracle's ``RecordingReplica``); ``admission`` is honoured by
+    the SeeMoRe row alone.
+    """
+    row = PROTOCOLS[protocol]
+    config = row.make_config(settings, prefix, admission)
+    private, public = row.layout(config, settings)
+    replica_ids = (*private, *public)
+    if placement is not None:
+        placement.assign_many(private, Cloud.PRIVATE)
+        placement.assign_many(public, Cloud.PUBLIC)
+    for replica_id in replica_ids:
+        keystore.register(replica_id)
+    verifier = keystore.verifier()
+
+    # Only the mode-aware protocol's label, replicas and client config take a mode.
+    label, mode, initial_mode = row.name, (), {}
+    if row.mode_aware:
+        label = f"{row.name}-{settings.mode.name.lower()}"
+        mode, initial_mode = (settings.mode,), {"initial_mode": settings.mode}
+
+    state_machine_factory = workload.state_machine_factory()
+    construct = replica_class or row.replica_class
+    replicas: Dict[str, ReplicaBase] = {}
+    for replica_id in replica_ids if only is None else only:
+        replica = construct(
+            node_id=replica_id,
+            runtime=runtime,
+            config=config,
+            signer=keystore.signer_for(replica_id),
+            verifier=verifier,
+            state_machine=state_machine_factory(),
+            cost_model=cost_model,
+            **initial_mode,
+        )
+        runtime.register(replica)
+        replicas[replica_id] = replica
+    return Group(
+        label,
+        config,
+        replicas,
+        lambda timeout: row.client_config(config, *mode, request_timeout=timeout),
+    )

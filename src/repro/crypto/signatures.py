@@ -16,8 +16,7 @@ Two verification fronts are provided:
 * :class:`Verifier` — the per-message reference path (recompute-or-memo one
   HMAC per signature);
 * :class:`WindowVerifier` — the batch-amortized path replicas and clients
-  use on the hot path: per-sender windows of accepted digests are folded
-  into one rolling transcript MAC per window, groups of same-sender
+  use on the hot path: structural checks run inline, groups of same-sender
   messages are checked with a single group MAC when every signature's memo
   is warm, and *any* anomaly falls back to per-message verification so a
   single tampered message is isolated with exactly the verdicts (and
@@ -181,23 +180,15 @@ class Verifier:
             )
 
 
-#: Number of accepted same-sender messages folded into one transcript MAC.
-DEFAULT_VERIFY_WINDOW = 64
-
-
 class WindowVerifier:
-    """Batch-amortized verification over per-sender windows.
+    """Memo-amortized verification, per message and per same-sender group.
 
     Each HMAC tag is an independent claim, so no grouping can *replace*
     per-signature checking soundly; what this class amortizes is everything
     around it.  :meth:`verify` is the flattened per-message fast path: all
     structural checks (signer identity, digest-vs-content match) run
-    inline, the real HMAC is paid at most once per signature via the
-    signature's memo, and every *accepted* digest is appended to the
-    sender's window.  Once a window fills, one rolling HMAC over the
-    concatenated digests extends that sender's authenticated transcript —
-    a per-channel MAC chain covering every message accepted so far, at a
-    cost of one HMAC per ``window`` messages.
+    inline and the real HMAC is paid at most once per signature via the
+    signature's memo.
 
     :meth:`verify_batch` checks a same-sender group with a single group
     MAC over claimed-vs-observed digests when every signature's memo is
@@ -208,16 +199,10 @@ class WindowVerifier:
     per-message evidence the reference path would.
     """
 
-    def __init__(self, verifier: Verifier, window: int = DEFAULT_VERIFY_WINDOW) -> None:
-        if window < 1:
-            raise ValueError(f"verification window must be positive: {window}")
+    def __init__(self, verifier: Verifier) -> None:
         self._verifier = verifier
         self._secrets = verifier._secrets
-        self.window = window
-        self._window_digests: Dict[str, List[str]] = {}
-        self._transcripts: Dict[str, bytes] = {}
         self.messages_verified = 0
-        self.windows_sealed = 0
         self.fallback_verifications = 0
 
     def verify(self, signer_id: str, message: Any) -> bool:
@@ -247,12 +232,6 @@ class WindowVerifier:
         if not ok:
             return False
         self.messages_verified += 1
-        window = self._window_digests.get(signer_id)
-        if window is None:
-            window = self._window_digests[signer_id] = []
-        window.append(content_digest)
-        if len(window) >= self.window:
-            self._seal(signer_id, secret, window)
         return True
 
     def verify_batch(self, signer_id: str, messages: Iterable[Any]) -> List[int]:
@@ -290,13 +269,6 @@ class WindowVerifier:
             )
         if group_ok:
             self.messages_verified += len(observed)
-            window = self._window_digests.get(signer_id)
-            if window is None:
-                window = self._window_digests[signer_id] = []
-            for content_digest in observed:
-                window.append(content_digest)
-                if len(window) >= self.window:
-                    self._seal(signer_id, secret, window)
             return []
         # Fallback: per-message isolation through the reference path.
         invalid = []
@@ -305,16 +277,3 @@ class WindowVerifier:
             if not message.verify(self._verifier, expected_signer=signer_id):
                 invalid.append(index)
         return invalid
-
-    def _seal(self, signer_id: str, secret: bytes, window: List[str]) -> None:
-        """Fold one full window into the sender's rolling transcript MAC."""
-        previous = self._transcripts.get(signer_id, b"")
-        self._transcripts[signer_id] = hmac.digest(
-            secret, previous + "".join(window).encode("utf-8"), hashlib.sha256
-        )
-        self.windows_sealed += 1
-        del window[:]
-
-    def transcript_tag(self, signer_id: str) -> bytes:
-        """Rolling MAC over every sealed window of digests from ``signer_id``."""
-        return self._transcripts.get(signer_id, b"")

@@ -32,21 +32,28 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.core import BatchPolicy, Mode, SeeMoReConfig, SeeMoReReplica, client_config_for_mode
+from repro.cluster.builders import build_proc_seemore
+from repro.cluster.wiring import new_keystore, wire_group
+from repro.core import BatchPolicy, Mode, SeeMoReReplica
 from repro.core.view_change import NOOP_CLIENT
-from repro.crypto.keys import KeyStore
 from repro.net.latency import UniformLatencyModel
 from repro.net.network import Network
+from repro.net.topology import Placement
 from repro.runtime.aio import AioRuntime
+from repro.runtime.api import Runtime
 from repro.runtime.sim import SimRuntime
+from repro.shard.deployment import ShardSpec
 from repro.sim.simulator import Simulator
 from repro.smr.client import Client
 from repro.smr.ledger import find_safety_violations
 from repro.smr.messages import requests_of
 from repro.smr.state_machine import result_digest
+from repro.workload.client_pool import ClientPool
 from repro.workload.generator import Workload
 
-CLIENT_ID = "conformance-client"
+#: The client pool's name prefix, and the id of its one client.
+CLIENT_PREFIX = "conformance-client"
+CLIENT_ID = f"{CLIENT_PREFIX}-0"
 
 #: Conservative real-time knobs for the aio leg: loopback scheduling noise
 #: must never masquerade as a fault, so view-change and client-retransmit
@@ -74,6 +81,24 @@ class RecordingReplica(SeeMoReReplica):
                 self.commit_trace.append((each.client_id, each.timestamp))
         return super().commit_slot(sequence, request, view, send_reply, mode_id)
 
+    def reply_digests(self, client_id: str) -> Dict[int, str]:
+        """Digest of every reply cached for ``client_id`` (what its votes compare)."""
+        return {
+            timestamp: result_digest(result)
+            for (cid, timestamp), result in self.executor.snapshot()["replies"].items()
+            if cid == client_id
+        }
+
+    def harvest(self, client_id: str) -> Dict[str, object]:
+        """All the oracle needs from a replica in another process, as plain data."""
+        return {
+            "commit_trace": list(self.commit_trace),
+            "ledger": self.ledger,
+            "committed_count": self.committed_count,
+            "last_executed": self.last_executed,
+            "reply_digests": self.reply_digests(client_id),
+        }
+
 
 @dataclass
 class BackendTrace:
@@ -86,63 +111,41 @@ class BackendTrace:
     reply_digests: Dict[int, str]
 
 
-def _build_cluster(
-    runtime,
+def oracle_cluster(
+    runtime: Runtime,
     mode: Mode,
     num_requests: int,
     window: int,
     request_timeout: float,
     client_timeout: float,
     max_batch: int,
-    seed: int,
+    seed: int = 0,
 ) -> Tuple[Dict[str, RecordingReplica], Client]:
-    """Stand one SeeMoRe cluster plus a closed-loop client on ``runtime``.
+    """The oracle's c=m=1 cluster plus one closed-loop client on ``runtime``.
 
-    Built by hand (not via the cluster builders) because the builders are
-    deliberately sim-only: they own latency models and fault tooling that
-    have no aio counterpart.  Everything here goes through the runtime
-    interface alone, which is the point of the exercise.
+    Wired by the same :func:`~repro.cluster.wiring.wire_group` and client
+    pool the cluster builders and the proc workers use, with
+    :class:`RecordingReplica` substituted — so what the oracle compares
+    across backends is what the builders build.
     """
-    config = SeeMoReConfig.build(
-        1,
-        1,
-        request_timeout=request_timeout,
-        batch_policy=BatchPolicy(max_batch=max_batch),
+    settings = ShardSpec(
+        mode=mode, request_timeout=request_timeout, batch_policy=BatchPolicy(max_batch=max_batch)
     )
     workload = Workload.build("0/0")
-    keystore = KeyStore(seed=f"conformance-{seed}")
-    for replica_id in config.all_replicas:
-        keystore.register(replica_id)
-    keystore.register(CLIENT_ID)
-    verifier = keystore.verifier()
-
-    state_machine_factory = workload.state_machine_factory()
-    replicas: Dict[str, RecordingReplica] = {}
-    for replica_id in config.all_replicas:
-        replica = RecordingReplica(
-            node_id=replica_id,
-            runtime=runtime,
-            config=config,
-            signer=keystore.signer_for(replica_id),
-            verifier=verifier,
-            state_machine=state_machine_factory(),
-            initial_mode=mode,
-        )
-        runtime.register(replica)
-        replicas[replica_id] = replica
-
-    client = Client(
-        node_id=CLIENT_ID,
-        runtime=runtime,
-        signer=keystore.signer_for(CLIENT_ID),
-        verifier=verifier,
-        config=client_config_for_mode(config, mode, request_timeout=client_timeout),
-        operation_factory=workload.operation_factory(client_seed=0),
-        max_requests=num_requests,
-        window=window,
+    keystore = new_keystore("conformance", seed)
+    group = wire_group(
+        runtime, keystore, "seemore", settings, workload, replica_class=RecordingReplica
     )
-    runtime.register(client)
-    return replicas, client
+    pool = ClientPool(
+        runtime,
+        keystore,
+        Placement(),
+        group.client_config(client_timeout),
+        workload,
+        name_prefix=CLIENT_PREFIX,
+    )
+    (client,) = pool.spawn(1, max_requests_each=num_requests, window=window)
+    return group.replicas, client
 
 
 def _canonical_sequence(
@@ -173,29 +176,23 @@ def _canonical_sequence(
     return canonical
 
 
-def _canonical_trace(
-    backend: str, replicas: Dict[str, RecordingReplica], num_requests: int
-) -> Tuple[Tuple[str, int], ...]:
+def _in_process_trace(
+    backend: str, mode: Mode, replicas: Dict[str, RecordingReplica], client: Client
+) -> BackendTrace:
+    """Canonicalize what an in-process leg's replicas committed."""
     violations = find_safety_violations([replica.ledger for replica in replicas.values()])
     if violations:
         raise AssertionError(f"[{backend}] ledger safety violated: {violations[0]}")
-    return _canonical_sequence(
-        backend,
-        [replica.commit_trace for replica in replicas.values()],
-        num_requests,
+    traces = [replica.commit_trace for replica in replicas.values()]
+    return BackendTrace(
+        backend=backend,
+        mode=mode,
+        completed=client.completed_count,
+        commit_trace=_canonical_sequence(backend, traces, client.max_requests),
+        reply_digests=max(
+            replicas.values(), key=lambda replica: replica.last_executed
+        ).reply_digests(client.node_id),
     )
-
-
-def _reply_digests(
-    replicas: Dict[str, RecordingReplica], num_requests: int
-) -> Dict[int, str]:
-    executor = max(replicas.values(), key=lambda replica: replica.last_executed).executor
-    digests: Dict[int, str] = {}
-    for timestamp in range(1, num_requests + 1):
-        result = executor.cached_reply(CLIENT_ID, timestamp)
-        if result is not None:
-            digests[timestamp] = result_digest(result)
-    return digests
 
 
 def run_sim(
@@ -206,12 +203,11 @@ def run_sim(
     network = Network(
         simulator, latency_model=UniformLatencyModel(base=0.0002, jitter=0.0), seed=seed
     )
-    runtime = SimRuntime(simulator, network)
-    replicas, client = _build_cluster(
-        runtime,
+    replicas, client = oracle_cluster(
+        SimRuntime(simulator, network),
         mode,
-        num_requests=num_requests,
-        window=window,
+        num_requests,
+        window,
         request_timeout=0.02,
         client_timeout=0.2,
         max_batch=max_batch,
@@ -223,13 +219,7 @@ def run_sim(
         raise AssertionError(
             f"[sim] client completed {client.completed_count}/{num_requests}"
         )
-    return BackendTrace(
-        backend="sim",
-        mode=mode,
-        completed=client.completed_count,
-        commit_trace=_canonical_trace("sim", replicas, num_requests),
-        reply_digests=_reply_digests(replicas, num_requests),
-    )
+    return _in_process_trace("sim", mode, replicas, client)
 
 
 def run_aio(
@@ -242,11 +232,11 @@ def run_aio(
 ) -> BackendTrace:
     """One real-network leg: asyncio tasks over loopback TCP."""
     runtime = AioRuntime()
-    replicas, client = _build_cluster(
+    replicas, client = oracle_cluster(
         runtime,
         mode,
-        num_requests=num_requests,
-        window=window,
+        num_requests,
+        window,
         request_timeout=AIO_REQUEST_TIMEOUT,
         client_timeout=AIO_CLIENT_TIMEOUT,
         max_batch=max_batch,
@@ -261,13 +251,7 @@ def run_aio(
         raise AssertionError(
             f"[aio] timed out with {client.completed_count}/{num_requests} completed"
         )
-    return BackendTrace(
-        backend="aio",
-        mode=mode,
-        completed=client.completed_count,
-        commit_trace=_canonical_trace("aio", replicas, num_requests),
-        reply_digests=_reply_digests(replicas, num_requests),
-    )
+    return _in_process_trace("aio", mode, replicas, client)
 
 
 def run_proc(
@@ -285,8 +269,6 @@ def run_proc(
     harvested from the worker processes at shutdown and fed through the
     same canonicalization as the in-process backends.
     """
-    from repro.cluster.builders import build_proc_seemore
-
     cluster = build_proc_seemore(
         mode=mode,
         num_procs=num_procs,
@@ -296,7 +278,7 @@ def run_proc(
         request_timeout=AIO_REQUEST_TIMEOUT,
         client_timeout=AIO_CLIENT_TIMEOUT,
         seed=seed,
-        client_id=CLIENT_ID,
+        client_id=CLIENT_PREFIX,
     )
     result = cluster.run(timeout=timeout)
     if not result.met:

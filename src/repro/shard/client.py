@@ -22,18 +22,19 @@ completion — only when every participant acknowledged the decision.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, FrozenSet, List, Optional
+from typing import Any, Callable, Dict, FrozenSet, Optional
 
 from repro.crypto.keys import KeyStore
 from repro.crypto.signatures import Signer, Verifier
 from repro.net.costs import NodeCostModel
-from repro.net.topology import Cloud, Placement
-from repro.runtime.api import Runtime, as_runtime
+from repro.net.topology import Placement
+from repro.runtime.api import Runtime
 from repro.shard.coordinator import CrossShardCoordinator, TransactionRecord
 from repro.shard.router import ShardRouter
 from repro.smr.client import Client, ClientConfig, CompletedRequest, _PendingRequest
 from repro.smr.messages import Reply, Request
 from repro.smr.state_machine import Operation
+from repro.workload.client_pool import ClientPool
 from repro.workload.generator import Workload
 from repro.workload.metrics import MetricsCollector
 
@@ -253,12 +254,13 @@ class ShardedClient(Client):
         self._fill_window()
 
 
-class ShardedClientPool:
-    """Creates and manages N sharded closed-loop clients.
+class ShardedClientPool(ClientPool):
+    """A :class:`~repro.workload.client_pool.ClientPool` of sharded clients.
 
-    Mirrors :class:`~repro.workload.client_pool.ClientPool` (same duck-typed
-    surface: ``spawn`` / ``start_all`` / ``stop_all`` / totals) so runners
-    and scenario engines drive sharded and single-cluster deployments alike.
+    Same surface (``spawn`` / ``start_all`` / ``stop_all`` / totals), so
+    runners and scenario engines drive sharded and single-cluster
+    deployments alike; only the client it constructs differs — one routed
+    :class:`ShardedClient` holding a fresh session per shard.
     """
 
     def __init__(
@@ -274,65 +276,18 @@ class ShardedClientPool:
         txn_timeout: Optional[float] = None,
         name_prefix: str = "client",
     ) -> None:
-        self.runtime = as_runtime(runtime)
-        self.keystore = keystore
-        self.placement = placement
+        # No pool-wide client config: each client's sessions carry one per shard.
+        super().__init__(runtime, keystore, placement, None, workload, metrics, name_prefix)
         self.session_factory = session_factory
         self.router = router
-        self.workload = workload
-        self.metrics = metrics or MetricsCollector()
         self.shard_recorders = shard_recorders or {}
         self.txn_timeout = txn_timeout
-        self.name_prefix = name_prefix
-        self.clients: List[ShardedClient] = []
 
-    def spawn(
-        self,
-        count: int,
-        max_requests_each: Optional[int] = None,
-        window: Optional[int] = None,
-    ) -> List[ShardedClient]:
-        if count < 1:
-            raise ValueError(f"client count must be positive: {count}")
-        if window is None:
-            window = getattr(self.workload, "client_window", 1)
-        verifier = self.keystore.verifier()
-        created: List[ShardedClient] = []
-        for index in range(count):
-            client_id = f"{self.name_prefix}-{len(self.clients) + index}"
-            self.keystore.register(client_id)
-            self.placement.assign(client_id, Cloud.CLIENT)
-            client = ShardedClient(
-                node_id=client_id,
-                runtime=self.runtime,
-                signer=self.keystore.signer_for(client_id),
-                verifier=verifier,
-                sessions=self.session_factory(),
-                router=self.router,
-                operation_factory=self.workload.operation_factory(client_seed=index),
-                recorder=self.metrics,
-                shard_recorders=self.shard_recorders,
-                max_requests=max_requests_each,
-                window=window,
-                txn_timeout=self.txn_timeout,
-            )
-            self.runtime.register(client)
-            created.append(client)
-        self.clients.extend(created)
-        return created
-
-    def start_all(self) -> None:
-        for client in self.clients:
-            client.start()
-
-    def stop_all(self) -> None:
-        for client in self.clients:
-            client.stop()
-
-    @property
-    def total_completed(self) -> int:
-        return sum(client.completed_count for client in self.clients)
-
-    @property
-    def total_timeouts(self) -> int:
-        return sum(client.timeouts for client in self.clients)
+    def _new_client(self, **kwargs) -> ShardedClient:
+        return ShardedClient(
+            sessions=self.session_factory(),
+            router=self.router,
+            shard_recorders=self.shard_recorders,
+            txn_timeout=self.txn_timeout,
+            **kwargs,
+        )

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.cluster.deployment import Deployment
+from repro.cluster.deployment import ClientDriven, Deployment
 from repro.core.batching import BatchPolicy
 from repro.core.modes import Mode
 from repro.crypto.keys import KeyStore
@@ -46,6 +46,10 @@ class ShardSpec:
     sit behind a hardened private cloud can run Lion while a shard placed
     on rented public machines runs Dog or Peacock, exactly as the paper's
     planner would size each cluster for its own trust mix.
+
+    Also the per-group settings :func:`repro.cluster.wiring.wire_group`
+    takes on every backend: a single cluster is one such group, and a plain
+    picklable value is what a proc worker needs to wire its slice.
     """
 
     mode: Mode = Mode.LION
@@ -57,14 +61,17 @@ class ShardSpec:
 
 
 @dataclass
-class ShardedDeployment:
+class ShardedDeployment(ClientDriven):
     """Everything needed to run one sharded experiment.
 
-    Duck-types the :class:`~repro.cluster.deployment.Deployment` surface
-    the runners rely on (``protocol`` / ``simulator`` / ``metrics`` /
-    ``client_pool`` / ``start_clients`` / ``safety_violations`` / ``run``),
-    so :func:`~repro.cluster.runner.run_deployment` drives sharded and
-    single-cluster deployments identically.
+    Shares the client lifecycle (``clients`` / ``add_clients`` /
+    ``start_clients`` / ``stop_clients`` / ``run``) with the single-cluster
+    :class:`~repro.cluster.deployment.Deployment` and mirrors the rest of
+    the surface the runners rely on (``protocol`` / ``replicas`` /
+    ``metrics`` / ``safety_violations``), so
+    :func:`~repro.cluster.runner.run_deployment` drives both identically.
+    Surged clients route through the deployment's partitioner like the
+    originals; the per-shard pools refuse to spawn for exactly that reason.
     """
 
     protocol: str
@@ -90,19 +97,17 @@ class ShardedDeployment:
         return self.shards[index]
 
     @property
-    def clients(self) -> List:
-        return self.client_pool.clients
-
-    def replicas_of_shard(self, index: int) -> Dict[str, ReplicaBase]:
-        return self.shards[index].replicas
+    def replicas(self) -> Dict[str, ReplicaBase]:
+        """Every shard's replicas in one dict (ids are shard-prefixed, so disjoint)."""
+        return {
+            replica_id: replica
+            for shard in self.shards
+            for replica_id, replica in shard.replicas.items()
+        }
 
     def all_node_ids(self) -> List[str]:
         """Every registered node id: replicas of every shard plus clients."""
-        node_ids = []
-        for shard in self.shards:
-            node_ids.extend(sorted(shard.replicas))
-        node_ids.extend(client.node_id for client in self.clients)
-        return node_ids
+        return list(self.replicas) + [client.node_id for client in self.clients]
 
     def correct_replicas(self) -> List[ReplicaBase]:
         return [replica for shard in self.shards for replica in shard.correct_replicas()]
@@ -161,9 +166,6 @@ class ShardedDeployment:
 
     # -- telemetry ----------------------------------------------------------
 
-    def total_completed(self) -> int:
-        return self.metrics.completed
-
     def per_shard_completed(self) -> List[int]:
         return [shard.metrics.completed for shard in self.shards]
 
@@ -187,29 +189,3 @@ class ShardedDeployment:
 
     def mark_faulty(self, shard_index: int, replica_id: str) -> None:
         self.shards[shard_index].mark_faulty(replica_id)
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def add_clients(self, count: int, window: Optional[int] = None, start: bool = True) -> List:
-        """Spawn ``count`` extra sharded closed-loop clients, optionally mid-run.
-
-        The sharded counterpart of ``Deployment.add_clients``: new clients
-        route through the deployment's partitioner like the originals, so
-        surged load respects the keyspace partition.  (The per-shard pools
-        refuse to spawn for exactly this reason.)
-        """
-        created = self.client_pool.spawn(count, window=window)
-        if start:
-            for client in created:
-                client.start()
-        return created
-
-    def start_clients(self) -> None:
-        self.client_pool.start_all()
-
-    def stop_clients(self) -> None:
-        self.client_pool.stop_all()
-
-    def run(self, duration: float) -> float:
-        """Advance simulated time by ``duration`` seconds."""
-        return self.simulator.run(until=self.simulator.now + duration)

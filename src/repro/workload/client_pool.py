@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import replace as dataclass_replace
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 from repro.crypto.keys import KeyStore
 from repro.net.topology import Cloud, Placement
@@ -38,6 +38,37 @@ class ClientPool:
         self.name_prefix = name_prefix
         self.clients: List[Client] = []
 
+    def _attach(self, count: int, make: Callable[..., Client]) -> List[Client]:
+        """Key, place, construct (``make(index, **identity)``) and register clients.
+
+        One running index names each client and — in :meth:`spawn` — seeds
+        its operation stream, so clients surged later never replay the first
+        clients' keys.
+        """
+        if count < 1:
+            raise ValueError(f"client count must be positive: {count}")
+        verifier = self.keystore.verifier()
+        created: List[Client] = []
+        for index in range(len(self.clients), len(self.clients) + count):
+            client_id = f"{self.name_prefix}-{index}"
+            self.keystore.register(client_id)
+            self.placement.assign(client_id, Cloud.CLIENT)
+            client = make(
+                index,
+                node_id=client_id,
+                runtime=self.runtime,
+                signer=self.keystore.signer_for(client_id),
+                verifier=verifier,
+                recorder=self.metrics,
+            )
+            self.runtime.register(client)
+            created.append(client)
+        self.clients.extend(created)
+        return created
+
+    def _new_client(self, **kwargs) -> Client:
+        return Client(config=self.client_config, **kwargs)
+
     def spawn(
         self,
         count: int,
@@ -49,31 +80,17 @@ class ClientPool:
         ``window`` pipelines that many requests per client (defaults to the
         workload's ``client_window``, normally 1 — the paper's closed loop).
         """
-        if count < 1:
-            raise ValueError(f"client count must be positive: {count}")
         if window is None:
             window = getattr(self.workload, "client_window", 1)
-        verifier = self.keystore.verifier()
-        created: List[Client] = []
-        for index in range(count):
-            client_id = f"{self.name_prefix}-{len(self.clients) + index}"
-            self.keystore.register(client_id)
-            self.placement.assign(client_id, Cloud.CLIENT)
-            client = Client(
-                node_id=client_id,
-                runtime=self.runtime,
-                signer=self.keystore.signer_for(client_id),
-                verifier=verifier,
-                config=self.client_config,
+        return self._attach(
+            count,
+            lambda index, **identity: self._new_client(
                 operation_factory=self.workload.operation_factory(client_seed=index),
-                recorder=self.metrics,
                 max_requests=max_requests_each,
                 window=window,
-            )
-            self.runtime.register(client)
-            created.append(client)
-        self.clients.extend(created)
-        return created
+                **identity,
+            ),
+        )
 
     def spawn_open_loop(
         self,
@@ -99,30 +116,15 @@ class ClientPool:
             workload_operation_source,
         )
 
-        if connections < 1:
-            raise ValueError(f"connection count must be positive: {connections}")
         config = self.client_config
         if max_busy_retries is not None:
             config = dataclass_replace(config, max_busy_retries=max_busy_retries)
-        verifier = self.keystore.verifier()
-        created: List[Client] = []
-        for index in range(connections):
-            client_id = f"{self.name_prefix}-{len(self.clients) + index}"
-            self.keystore.register(client_id)
-            self.placement.assign(client_id, Cloud.CLIENT)
-            connection = OpenLoopConnection(
-                node_id=client_id,
-                runtime=self.runtime,
-                signer=self.keystore.signer_for(client_id),
-                verifier=verifier,
-                config=config,
-                operation_factory=lambda timestamp: None,
-                recorder=self.metrics,
-                window=window,
-            )
-            self.runtime.register(connection)
-            created.append(connection)
-        self.clients.extend(created)
+        created = self._attach(
+            connections,
+            lambda index, **identity: OpenLoopConnection(
+                config=config, operation_factory=lambda timestamp: None, window=window, **identity
+            ),
+        )
         return OpenLoopDriver(
             self.runtime,
             population,

@@ -1,0 +1,218 @@
+"""Cluster construction is pinned: same nodes, same keys, same runs.
+
+``tests/data/build_golden.json`` was generated from the commit *before*
+the six hand-written builder bodies were folded into
+:func:`repro.cluster.wiring.wire_group`.  For every protocol, two cluster
+shapes and two seeds it records the node ids in ``runtime.register``
+order, the keystore's ids and — after a short measured run — the
+simulator's event count, the completed-request count and the first
+replica's ledger digest at its highest committed slot.  The builders must
+keep reproducing it exactly: construction order *is* simulated behaviour.
+
+Regenerate (only when a behaviour change is intended and explained)::
+
+    PYTHONPATH=src python tests/test_cluster_construction.py
+"""
+
+import inspect
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.cluster import (
+    build_paxos,
+    build_pbft,
+    build_seemore,
+    build_sharded_seemore,
+    build_upright,
+    builder_for,
+    run_deployment,
+    run_sharded_deployment,
+)
+from repro.cluster.builders import build_proc_seemore
+from repro.core import BatchPolicy, Mode
+from repro.runtime import conformance
+from repro.net.network import Network
+from repro.runtime.sim import SimRuntime
+from repro.sim.simulator import Simulator
+from repro.workload import Workload, WorkloadSpec
+
+GOLDEN_PATH = Path(__file__).parent / "data" / "build_golden.json"
+
+PROTOCOLS = ("seemore-lion", "seemore-dog", "seemore-peacock", "cft", "bft", "s-upright")
+SHAPES = ((1, 1), (1, 2))
+SEEDS = (0, 7)
+SHARD_COUNTS = (2, 4)
+
+PUBLIC_BUILDERS = {
+    "build_seemore": build_seemore,
+    "build_sharded_seemore": build_sharded_seemore,
+    "build_proc_seemore": build_proc_seemore,
+    "build_paxos": build_paxos,
+    "build_pbft": build_pbft,
+    "build_upright": build_upright,
+}
+
+
+def single_cases():
+    return [
+        (f"{protocol}/c{c}m{m}/seed{seed}", protocol, c, m, seed)
+        for protocol in PROTOCOLS
+        for c, m in SHAPES
+        for seed in SEEDS
+    ]
+
+
+def sharded_cases():
+    return [
+        (f"sharded-{shards}x/seed{seed}", shards, seed)
+        for shards in SHARD_COUNTS
+        for seed in SEEDS
+    ]
+
+
+def _snapshot(deployment, first_replica, run):
+    built = {
+        # Network._nodes is insertion-ordered: exactly runtime.register order.
+        "register_order": list(deployment.network._nodes),
+        "keystore_ids": list(deployment.keystore.node_ids),
+    }
+    run(deployment, duration=0.2, warmup=0.05)
+    ledger = first_replica(deployment).ledger
+    built.update(
+        events_processed=deployment.simulator.events_processed,
+        completed=deployment.metrics.completed,
+        ledger_digest=ledger.digest_at(ledger.highest_committed),
+    )
+    return built
+
+
+def capture_single(protocol, c, m, seed):
+    deployment = builder_for(protocol)(crash_tolerance=c, byzantine_tolerance=m, seed=seed)
+    return _snapshot(
+        deployment, lambda d: next(iter(d.replicas.values())), run_deployment
+    )
+
+
+def capture_sharded(shards, seed):
+    deployment = build_sharded_seemore(num_shards=shards, seed=seed)
+    return _snapshot(
+        deployment,
+        lambda d: next(iter(d.shards[0].replicas.values())),
+        run_sharded_deployment,
+    )
+
+
+def capture_signatures():
+    return {
+        name: [
+            [parameter.name, repr(parameter.default)]
+            for parameter in inspect.signature(builder).parameters.values()
+        ]
+        for name, builder in PUBLIC_BUILDERS.items()
+    }
+
+
+def capture_all():
+    golden = {"signatures": capture_signatures(), "clusters": {}}
+    for case_id, *args in single_cases():
+        golden["clusters"][case_id] = capture_single(*args)
+    for case_id, *args in sharded_cases():
+        golden["clusters"][case_id] = capture_sharded(*args)
+    return golden
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN_PATH.read_text())
+
+
+@pytest.mark.integration
+@pytest.mark.parametrize(
+    "case_id,protocol,c,m,seed", single_cases(), ids=[case[0] for case in single_cases()]
+)
+def test_single_cluster_construction_matches_the_parent(golden, case_id, protocol, c, m, seed):
+    assert capture_single(protocol, c, m, seed) == golden["clusters"][case_id]
+
+
+@pytest.mark.integration
+@pytest.mark.shard
+@pytest.mark.parametrize(
+    "case_id,shards,seed", sharded_cases(), ids=[case[0] for case in sharded_cases()]
+)
+def test_sharded_construction_matches_the_parent(golden, case_id, shards, seed):
+    assert capture_sharded(shards, seed) == golden["clusters"][case_id]
+
+
+@pytest.mark.parametrize("name", sorted(PUBLIC_BUILDERS))
+def test_public_builder_signatures_are_pinned(golden, name):
+    assert capture_signatures()[name] == golden["signatures"][name]
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda mode: mode.name.lower())
+def test_conformance_sim_leg_builds_what_build_seemore_builds(mode):
+    """The oracle's cluster is the builders' cluster: one wiring function."""
+    simulator = Simulator()
+    runtime = SimRuntime(simulator, Network(simulator))
+    replicas, client = conformance.oracle_cluster(
+        runtime,
+        mode,
+        num_requests=1,
+        window=1,
+        request_timeout=0.02,
+        client_timeout=0.2,
+        max_batch=8,
+    )
+    deployment = build_seemore(mode=mode, batch_policy=BatchPolicy(max_batch=8))
+    assert client.config.request_timeout == deployment.clients[0].config.request_timeout
+    assert list(replicas) == list(deployment.replicas)
+    for replica_id, replica in replicas.items():
+        assert isinstance(replica, conformance.RecordingReplica)
+        assert replica.config == deployment.extras["config"]
+        assert replica.mode is deployment.replicas[replica_id].mode is mode
+
+
+def _first_operations(client, count=20):
+    return [client.operation_factory(timestamp) for timestamp in range(1, count + 1)]
+
+
+def _assert_streams_distinct(clients):
+    streams = {client.node_id: _first_operations(client) for client in clients}
+    ids = sorted(streams)
+    for index, left in enumerate(ids):
+        for right in ids[index + 1 :]:
+            assert streams[left] != streams[right], (
+                f"{left} and {right} replay the same operation stream"
+            )
+
+
+def test_surged_clients_issue_their_own_operation_stream():
+    deployment = build_seemore(
+        workload=Workload.build(WorkloadSpec(kind="kv", seed=3)), num_clients=2
+    )
+    deployment.add_clients(2, start=False)
+    assert [client.node_id for client in deployment.clients] == [
+        "client-0",
+        "client-1",
+        "client-2",
+        "client-3",
+    ]
+    _assert_streams_distinct(deployment.clients)
+
+
+@pytest.mark.shard
+def test_surged_sharded_clients_issue_their_own_operation_stream():
+    deployment = build_sharded_seemore(
+        num_shards=2,
+        num_clients=2,
+        workload=Workload.build(WorkloadSpec(kind="sharded-kv", seed=3)),
+    )
+    deployment.add_clients(2, start=False)
+    assert len(deployment.clients) == 4
+    _assert_streams_distinct(deployment.clients)
+
+
+if __name__ == "__main__":
+    GOLDEN_PATH.write_text(json.dumps(capture_all(), indent=1, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN_PATH}")

@@ -8,9 +8,14 @@ comments don't count) of every module under ``repro/core`` and
 simulated network directly.  ``repro/runtime/api.py`` must additionally
 stay a dependency leaf: it is imported by everything, so it may import
 nothing from ``repro`` at module scope.
+
+Cluster construction is held to one path the same way: only
+``repro/cluster/wiring.py`` may construct a replica or a ``KeyStore``, and
+clients are constructed only by their pools.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
@@ -148,6 +153,111 @@ class TestWireLayerBoundaries:
             if module.split(".")[0] in ("pickle", "cPickle", "marshal", "shelve")
         ]
         assert offenders == [], "unpickling wire bytes runs code:\n" + "\n".join(offenders)
+
+
+def constructor_calls(path):
+    """Yield (lineno, callee_name) for every ``Name(...)``/``x.Name(...)`` call."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Call):
+            callee = node.func
+            name = getattr(callee, "id", None) or getattr(callee, "attr", None)
+            if name:
+                yield node.lineno, name
+
+
+class TestOneConstructionPath:
+    """Replicas, key stores and clients each have exactly one constructor site.
+
+    ``wire_group`` in ``repro/cluster/wiring.py`` is the only code that may
+    call a ``*Replica(...)`` constructor or ``KeyStore(...)``; each client
+    class is constructed only by its pool.  An eighth hand-rolled cluster
+    cannot appear without failing here.
+    """
+
+    WIRING = Path("cluster") / "wiring.py"
+    #: constructor name -> the one module allowed to call it.
+    CLIENT_SITES = {
+        "Client": Path("workload") / "client_pool.py",
+        "OpenLoopConnection": Path("workload") / "client_pool.py",
+        "ShardedClient": Path("shard") / "client.py",
+    }
+
+    @staticmethod
+    def owner_of(name):
+        if name == "KeyStore" or name.endswith("Replica"):
+            return TestOneConstructionPath.WIRING
+        return TestOneConstructionPath.CLIENT_SITES.get(name)
+
+    def offenders(self, root):
+        return [
+            f"{path.relative_to(root)}:{lineno} calls {name}(...)"
+            for path in sorted(root.rglob("*.py"))
+            for lineno, name in constructor_calls(path)
+            if self.owner_of(name) not in (None, path.relative_to(root))
+        ]
+
+    def test_no_module_builds_a_cluster_by_hand(self):
+        assert self.offenders(SRC) == [], (
+            "replicas and key stores are constructed only by "
+            "repro.cluster.wiring.wire_group, clients only by their pools"
+        )
+
+    def test_the_rule_catches_a_hand_rolled_cluster(self, tmp_path):
+        (tmp_path / "scenarios").mkdir()
+        (tmp_path / "scenarios" / "eighth.py").write_text(
+            "keys = KeyStore(seed='x')\n"
+            "replica = core.SeeMoReReplica(node_id='r')\n"
+            "client = Client(node_id='c')\n"
+        )
+        assert [line.split(" calls ")[1] for line in self.offenders(tmp_path)] == [
+            "KeyStore(...)",
+            "SeeMoReReplica(...)",
+            "Client(...)",
+        ]
+
+    def test_wire_group_sees_only_the_runtime_interface(self):
+        from repro.cluster import wiring
+        from repro.runtime import api
+
+        parameters = inspect.signature(wiring.wire_group).parameters
+        assert wiring.Runtime is api.Runtime
+        assert parameters["runtime"].annotation == "Runtime"
+        for backend_type in ("Simulator", "Network", "SimRuntime", "AioRuntime"):
+            assert backend_type not in str(inspect.signature(wiring.wire_group))
+        backends = FORBIDDEN_PREFIXES + ("repro.runtime.sim", "repro.runtime.aio")
+        offenders = [
+            module
+            for _, module in iter_imports(SRC / self.WIRING)
+            if module.startswith(backends)
+        ]
+        assert offenders == []
+
+    def test_every_backend_calls_the_same_wire_group(self):
+        """Sim builders, proc workers and both in-process conformance legs."""
+        from repro.cluster import builders, wiring
+        from repro.runtime import conformance
+
+        assert builders.wire_group is conformance.wire_group is wiring.wire_group
+
+        def called_by(function):
+            tree = ast.parse(inspect.getsource(function))
+            return {
+                node.func.id
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            }
+
+        for assembly in (
+            builders._sim_deployments,
+            builders._proc_replica_worker,
+            builders._proc_client_worker,
+            conformance.oracle_cluster,
+        ):
+            assert "wire_group" in called_by(assembly), assembly.__name__
+        for builder in (builders._build_single, builders.build_sharded_seemore):
+            assert "_sim_deployments" in called_by(builder), builder.__name__
+        for leg in (conformance.run_sim, conformance.run_aio):
+            assert "oracle_cluster" in called_by(leg), leg.__name__
 
 
 class TestDetectorDetects:
