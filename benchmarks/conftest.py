@@ -160,5 +160,5 @@ def curve_rows(curves: Dict[str, List[RunResult]]) -> List[Dict]:
     rows = []
     for protocol, results in curves.items():
         for result in results:
-            rows.append(result.report_row())
+            rows.append(result.as_row())
     return rows

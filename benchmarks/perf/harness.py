@@ -80,12 +80,7 @@ import tracemalloc
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.cluster import (
-    build_sharded_seemore,
-    builder_for,
-    run_deployment,
-    run_sharded_deployment,
-)
+from repro.cluster import build_sharded_seemore, builder_for, run_deployment
 from repro.core import BatchPolicy, Mode
 from repro.workload import Workload, WorkloadSpec
 
@@ -448,28 +443,16 @@ def _run_once(case: PerfCase) -> Dict[str, Any]:
             batch_policy=case.batch_policy(),
             client_window=case.client_window,
         )
-        start = time.perf_counter()
-        sharded_result = run_sharded_deployment(
-            deployment, duration=case.duration, warmup=case.warmup
+    else:
+        deployment = builder_for(case.protocol)(
+            crash_tolerance=case.crash_tolerance,
+            byzantine_tolerance=case.byzantine_tolerance,
+            num_clients=case.num_clients,
+            workload=Workload.build("0/0"),
+            seed=case.seed,
+            batch_policy=case.batch_policy(),
+            client_window=case.client_window,
         )
-        wall = time.perf_counter() - start
-        return {
-            "wall": wall,
-            "events": deployment.simulator.events_processed,
-            "completed": sharded_result.aggregate.completed,
-            "sim_seconds": deployment.simulator.now,
-        }
-
-    builder = builder_for(case.protocol)
-    deployment = builder(
-        crash_tolerance=case.crash_tolerance,
-        byzantine_tolerance=case.byzantine_tolerance,
-        num_clients=case.num_clients,
-        workload=Workload.build("0/0"),
-        seed=case.seed,
-        batch_policy=case.batch_policy(),
-        client_window=case.client_window,
-    )
     start = time.perf_counter()
     result = run_deployment(deployment, duration=case.duration, warmup=case.warmup)
     wall = time.perf_counter() - start
@@ -491,18 +474,18 @@ def _run_once_open_loop(case: PerfCase) -> Dict[str, Any]:
     import dataclasses
 
     from repro.cluster.runner import run_open_loop
-    from repro.scenarios.openloop import OPEN_LOOP_SCENARIOS, build_open_loop_deployment
+    from repro.scenarios.openloop import OPEN_LOOP_SCENARIOS
 
     scenario = OPEN_LOOP_SCENARIOS[case.open_loop_scenario]
     overrides: Dict[str, Any] = {"duration": case.duration, "warmup": case.warmup}
     if case.surge_rate is not None:
         overrides["surge_rate"] = case.surge_rate
     scenario = dataclasses.replace(scenario, **overrides)
-    deployment, driver = build_open_loop_deployment(scenario, _MODES[case.protocol])
+    deployment = scenario.build(_MODES[case.protocol])
     start = time.perf_counter()
     result = run_open_loop(
         deployment,
-        driver,
+        deployment.extras["open_loop_driver"],
         duration=scenario.duration,
         warmup=scenario.warmup,
         slo=scenario.slo,
@@ -511,7 +494,7 @@ def _run_once_open_loop(case: PerfCase) -> Dict[str, Any]:
     return {
         "wall": wall,
         "events": deployment.simulator.events_processed,
-        "completed": result.completed,
+        "completed": result.served,
         "sim_seconds": deployment.simulator.now,
         "extra": {
             "offered_rate_reqs_per_s": round(result.offered_rate, 1),

@@ -8,77 +8,72 @@ free to run its own mode — and multi-key writes spanning shards commit
 through the deterministic two-phase protocol, with every prepare/decide
 record ordered by the participating shard's own consensus.
 
-The example:
+The example is one declarative ``ShardedScenario`` run by the same
+``run_scenario`` engine as every fault scenario in the library:
 
-1. deploys 4 shards with mixed modes (Lion, Lion, Dog, Peacock) and a
+1. it deploys 4 shards with mixed modes (Lion, Lion, Dog, Peacock) and a
    Zipfian key-value workload with 10% cross-shard transactions;
-2. isolates one shard mid-run and heals it, showing transactions abort
+2. it isolates one shard mid-run and heals it, showing transactions abort
    atomically while the rest of the keyspace keeps serving;
-3. prints per-shard and aggregate throughput plus the 2PC counters and
-   verifies per-shard safety and cross-shard atomicity.
+3. the standing checkers verify per-shard safety and cross-shard atomicity
+   throughout, and the report shows per-shard and aggregate load plus the
+   2PC counters.
 
 Run with:  python examples/sharded_kv_store.py
 """
 
-from repro.analysis import format_sharded_results
-from repro.cluster import build_sharded_seemore
+from repro.analysis import format_results_table, format_scenario_results
 from repro.core import Mode
-from repro.scenarios.sharded import HealShards, IsolateShard
-from repro.shard import ShardSpec
-from repro.workload import Workload, WorkloadSpec, per_shard_load
+from repro.scenarios import (
+    HealPartition,
+    IsolateShard,
+    ShardedScenario,
+    TransactionsAtLeast,
+    run_scenario,
+)
+from repro.workload import per_shard_load
+
+SCENARIO = ShardedScenario(
+    name="sharded-kv-store",
+    description="Four mixed-mode shards serve one Zipfian keyspace; shard 3 is "
+    "isolated at t=0.4s and healed at t=0.7s.",
+    modes=(Mode.LION, Mode.LION, Mode.DOG, Mode.PEACOCK),
+    events=(IsolateShard(at=0.4, shard=3), HealPartition(at=0.7)),
+    expectations=(TransactionsAtLeast("committed", 1), TransactionsAtLeast("aborted", 1)),
+    duration=1.2,
+    settle=0.3,
+    num_clients=8,
+    client_window=2,
+    key_space=1000,
+    cross_shard_fraction=0.1,
+    key_distribution="zipfian",
+    seed=13,
+    txn_timeout=0.15,
+)
 
 
 def main() -> None:
     print("=== Sharded SeeMoRe: four clusters, one keyspace ===\n")
 
-    specs = (
-        ShardSpec(mode=Mode.LION),
-        ShardSpec(mode=Mode.LION),
-        ShardSpec(mode=Mode.DOG),
-        ShardSpec(mode=Mode.PEACOCK),
-    )
-    deployment = build_sharded_seemore(
-        shard_specs=specs,
-        workload=Workload.build(
-            WorkloadSpec(
-                kind="sharded-kv",
-                key_space=1000,
-                cross_shard_fraction=0.1,
-                key_distribution="zipfian",
-                seed=13,
-            )
-        ),
-        num_clients=8,
-        client_window=2,
-        seed=13,
-        txn_timeout=0.15,
-        client_timeout=0.1,
-    )
+    deployment = SCENARIO.build()
     print(f"deployed {deployment.num_shards} shards "
-          f"({', '.join(spec.mode.name.lower() for spec in specs)}), "
-          f"{sum(len(s.replicas) for s in deployment.shards)} replicas total\n")
+          f"({', '.join(mode.name.lower() for mode in SCENARIO.modes)}), "
+          f"{len(deployment.replicas)} replicas total")
+    schedule = ", ".join(f"{event.label} at t={event.at}s" for event in SCENARIO.events)
+    print(f"schedule: {schedule}\n")
 
-    simulator = deployment.simulator
-    simulator.call_at(0.4, lambda: IsolateShard(at=0.4, shard=3).apply(deployment))
-    simulator.call_at(0.7, lambda: HealShards(at=0.7).apply(deployment))
-    print("schedule: isolate shard 3 at t=0.4s, heal at t=0.7s\n")
+    result = run_scenario(SCENARIO, deployment=deployment)
 
-    deployment.start_clients()
-    simulator.run(until=1.2)
-    deployment.stop_clients()
-    simulator.run(until=1.5)
+    print(format_results_table(
+        summary.as_row()
+        for summary in per_shard_load([shard.metrics for shard in deployment.shards])
+    ))
+    print()
+    print(format_scenario_results([result], title="Sharded deployment"))
 
-    rows = [summary.as_row() for summary in
-            per_shard_load([shard.metrics for shard in deployment.shards])]
-    aggregate = {
-        "completed": deployment.metrics.completed,
-        "throughput_kreqs_per_s": round(deployment.metrics.throughput() / 1000.0, 3),
-    }
-    print(format_sharded_results(rows, aggregate, deployment.transaction_stats()))
-
-    deployment.assert_safe()
+    result.assert_ok()
     print("\nper-shard safety and cross-shard atomicity verified: "
-          f"{deployment.transaction_stats()['aborted']} transaction(s) aborted "
+          f"{result.transactions['aborted']} transaction(s) aborted "
           "atomically during the isolation, none half-committed")
 
 

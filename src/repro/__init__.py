@@ -27,7 +27,6 @@ from repro.planner import (
 from repro.cluster import (
     Deployment,
     RunResult,
-    ShardedRunResult,
     build_paxos,
     build_pbft,
     build_seemore,
@@ -51,7 +50,6 @@ from repro.scenarios import (
     ShardedScenario,
     run_scenario,
     run_scenario_matrix,
-    run_sharded_scenario,
 )
 
 __version__ = "1.1.0"
@@ -75,13 +73,11 @@ __all__ = [
     "builder_for",
     "run_deployment",
     "run_sharded_deployment",
-    "ShardedRunResult",
     "ShardedDeployment",
     "ShardRouter",
     "ShardSpec",
     "SHARDED_SCENARIOS",
     "ShardedScenario",
-    "run_sharded_scenario",
     "sweep_clients",
     "run_timeline",
     "Workload",

@@ -21,7 +21,6 @@ from repro.analysis.report import (
     format_run_report,
     format_scenario_results,
     format_series,
-    format_sharded_results,
     format_timeline,
 )
 
@@ -35,6 +34,5 @@ __all__ = [
     "format_run_report",
     "format_scenario_results",
     "format_series",
-    "format_sharded_results",
     "format_timeline",
 ]

@@ -42,27 +42,25 @@ def format_series(
 
 
 def format_run_report(reports: Iterable, title: str = "Run results") -> str:
-    """Summarise runs through the :class:`~repro.cluster.runner.RunReport` protocol.
+    """Summarise measured runs, one table row each.
 
-    ``reports`` is an iterable of anything implementing RunReport —
-    :class:`~repro.cluster.runner.RunResult`,
-    :class:`~repro.shard.runner.ShardedRunResult`,
-    :class:`~repro.cluster.runner.OpenLoopRunResult`, or
-    :class:`~repro.runtime.proc.ProcResult` — so one formatter covers every
-    backend instead of duck-typing each result shape.  Rows come from
-    ``report_row()``; runs with violations are flagged under the table.
+    ``reports`` is an iterable of :class:`~repro.cluster.runner.RunResult`
+    (plain, sharded or open-loop — the sections a run has become extra
+    columns) and :class:`~repro.runtime.proc.ProcResult`.  Rows come from
+    ``as_row()``; every row whose ``violations`` count is not zero is
+    flagged under the table.
     """
-    reports = list(reports)
-    if not reports:
+    rows = [report.as_row() for report in reports]
+    if not rows:
         return f"{title}\n(no results)"
-    rows = [report.report_row() for report in reports]
-    lines = [title, format_results_table(rows)]
-    violating = [report for report in reports if report.violation_count]
-    for report in violating:
-        lines.append(
-            f"VIOLATIONS: {report.report_row().get('protocol', '?')} reported "
-            f"{report.violation_count} violation(s) over {report.committed} committed"
-        )
+    columns = list(dict.fromkeys(column for row in rows for column in row))
+    lines = [title, format_results_table(rows, columns=columns)]
+    for row in rows:
+        if row.get("violations"):
+            lines.append(
+                f"VIOLATIONS: {row.get('protocol', '?')} reported {row['violations']} "
+                f"violation(s) over {row.get('completed', '?')} completed"
+            )
     return "\n".join(lines)
 
 
@@ -70,14 +68,20 @@ def format_scenario_results(results: Iterable, title: str = "Fault scenarios") -
     """Summarise fault-scenario runs (one row per scenario × mode).
 
     ``results`` is an iterable of
-    :class:`~repro.scenarios.engine.ScenarioResult`; failing runs get their
-    individual invariant/expectation failures listed under the table.
+    :class:`~repro.scenarios.engine.ScenarioResult` of any scenario kind
+    (sharded runs add their 2PC columns); failing runs get their individual
+    invariant/expectation failures listed under the table.
     """
     results = list(results)
     rows = [result.as_row() for result in results]
     columns = [
         "scenario", "mode", "completed", "timeouts", "max_view",
         "state_transfers", "failures", "verdict",
+    ]
+    columns[3:3] = [
+        column
+        for column in ("txns_committed", "txns_aborted")
+        if any(column in row for row in rows)
     ]
     lines = [title, format_results_table(rows, columns=columns)]
     failing = [result for result in results if not result.ok]
@@ -86,33 +90,6 @@ def format_scenario_results(results: Iterable, title: str = "Fault scenarios") -
         lines.extend(f"  {failure}" for failure in result.failures())
     passed = len(results) - len(failing)
     lines.append(f"\n{passed}/{len(results)} scenario runs passed")
-    return "\n".join(lines)
-
-
-def format_sharded_results(
-    shard_rows: Sequence[Dict],
-    aggregate_row: Optional[Dict] = None,
-    transactions: Optional[Dict] = None,
-    title: str = "Sharded deployment",
-) -> str:
-    """Summarise a sharded run: one row per shard, aggregate, and 2PC counters.
-
-    ``shard_rows`` are the flat dicts of
-    :meth:`repro.workload.metrics.ShardLoadSummary.as_row` (or any rows
-    sharing their columns); ``aggregate_row`` is the whole-deployment row;
-    ``transactions`` is the coordinator counter dict
-    (``started`` / ``committed`` / ``aborted``).
-    """
-    lines = [title, format_results_table(shard_rows)]
-    if aggregate_row is not None:
-        lines.append("aggregate: " + "  ".join(f"{k}={v}" for k, v in aggregate_row.items()))
-    if transactions is not None:
-        lines.append(
-            "cross-shard transactions: "
-            f"{transactions.get('committed', 0)} committed, "
-            f"{transactions.get('aborted', 0)} aborted, "
-            f"{transactions.get('started', 0)} started"
-        )
     return "\n".join(lines)
 
 
@@ -145,7 +122,8 @@ def format_adaptive_decisions(
 def format_timeline(title: str, bins: Sequence[Tuple[float, float]], time_unit: str = "s") -> str:
     """Render a throughput timeline (Figure 4 style) as text."""
     lines = [f"{title}  (time [{time_unit}] vs throughput [req/s])"]
+    peak = max([1.0] + [value for _, value in bins])
     for bin_start, value in bins:
-        bar = "#" * max(0, int(value / max(1.0, max(v for _, v in bins)) * 40)) if bins else ""
+        bar = "#" * max(0, int(value / peak * 40))
         lines.append(f"  t={bin_start:<10.4f} {value:>12.1f}  {bar}")
     return "\n".join(lines)

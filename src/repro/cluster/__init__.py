@@ -7,8 +7,11 @@ measurement loops used by the benchmarks:
 * :func:`~repro.cluster.builders.build_seemore` and the baseline builders
   create a :class:`~repro.cluster.deployment.Deployment` (every group, on
   every backend, is wired by :func:`repro.cluster.wiring.wire_group`);
-* :func:`~repro.cluster.runner.run_deployment` drives it for a stretch of
-  simulated time and returns throughput/latency;
+* :func:`~repro.cluster.runner.run_deployment` drives it (single cluster
+  or sharded) for a stretch of simulated time and
+  :func:`~repro.cluster.runner.run_open_loop` does the same under an
+  open-loop driver; both return the one
+  :class:`~repro.cluster.runner.RunResult`;
 * :func:`~repro.cluster.runner.sweep_clients` repeats that for increasing
   client counts, producing the latency-throughput curves of Figures 2-3;
 * :func:`~repro.cluster.runner.run_timeline` produces the per-bin
@@ -26,8 +29,8 @@ from repro.cluster.builders import (
 )
 from repro.cluster.runner import (
     RunResult,
-    ShardedRunResult,
     run_deployment,
+    run_open_loop,
     run_sharded_deployment,
     run_timeline,
     sweep_clients,
@@ -42,8 +45,8 @@ __all__ = [
     "build_upright",
     "builder_for",
     "RunResult",
-    "ShardedRunResult",
     "run_deployment",
+    "run_open_loop",
     "run_sharded_deployment",
     "sweep_clients",
     "run_timeline",

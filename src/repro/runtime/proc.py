@@ -286,34 +286,24 @@ class ProcResult:
             merged.update(snapshot.get("nodes", {}))
         return merged
 
-    # -- RunReport (see repro.cluster.runner.RunReport) ----------------------
+    def as_row(self) -> Dict[str, Any]:
+        """Flat row for :func:`repro.analysis.report.format_run_report`.
 
-    @property
-    def committed(self) -> int:
-        """Requests the client worker(s) completed end to end."""
-        total = 0
-        for harvest in self.harvests.values():
-            if isinstance(harvest, dict):
-                total += int(harvest.get("completed", 0) or 0)
-        return total
-
-    @property
-    def metrics_collector(self) -> Optional[Any]:
-        """Always ``None``: per-request records die with the worker processes."""
-        return None
-
-    @property
-    def violation_count(self) -> int:
-        return len(self.errors) + len(self.deaths)
-
-    def report_row(self) -> Dict[str, Any]:
+        Per-request records die with the worker processes, so the row has
+        the client workers' completion counts but no latency columns.
+        """
         return {
             "protocol": "proc",
-            "completed": self.committed,
+            "completed": sum(
+                int(harvest.get("completed", 0) or 0)
+                for harvest in self.harvests.values()
+                if isinstance(harvest, dict)
+            ),
             "wall_seconds": round(self.wall_seconds, 3),
             "met": self.met,
             "deaths": len(self.deaths),
             "errors": len(self.errors),
+            "violations": len(self.deaths) + len(self.errors),
         }
 
     def message_type_counts(self) -> Counter:

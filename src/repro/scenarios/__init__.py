@@ -13,12 +13,17 @@ conditions into first-class, declarative scenarios:
   a scenario runs: committed prefixes never fork, no correct client accepts
   a forged reply, exactly-once execution per request id, checkpoint digests
   agree;
-* :mod:`~repro.scenarios.engine` — the runner tying both to a
-  :class:`~repro.cluster.deployment.Deployment`, plus declarative
-  post-run expectations (progress resumed, view advanced, mode installed,
-  replica caught up);
-* :mod:`~repro.scenarios.library` — the named scenarios every protocol
-  change must keep passing, across all three modes.
+* :mod:`~repro.scenarios.engine` — :func:`run_scenario`, the one engine
+  that runs every scenario kind and returns the one
+  :class:`ScenarioResult`, plus declarative post-run expectations
+  (progress resumed, view advanced, mode installed, replica caught up);
+* :mod:`~repro.scenarios.library` — the named single-cluster scenarios
+  every protocol change must keep passing, across all three modes;
+* :mod:`~repro.scenarios.sharded`, :mod:`~repro.scenarios.adaptive`,
+  :mod:`~repro.scenarios.openloop` — the sharded, adaptive-controller and
+  open-loop surge libraries.  Each scenario kind is pure data that knows
+  how to ``build()`` its deployment and name its ``default_checkers()``;
+  all of them run through the same :func:`run_scenario`.
 
 Quick start::
 
@@ -27,6 +32,7 @@ Quick start::
 
     result = run_scenario(SCENARIOS["primary-crash-mid-batch"], Mode.DOG)
     result.assert_ok()
+    run_scenario(SHARDED_SCENARIOS["shard-isolated-then-heals"]).assert_ok()
 """
 
 from repro.scenarios.engine import (
@@ -38,7 +44,6 @@ from repro.scenarios.engine import (
     ScenarioResult,
     StateTransferred,
     ViewAdvanced,
-    build_scenario_deployment,
     run_scenario,
     run_scenario_matrix,
 )
@@ -67,44 +72,29 @@ from repro.scenarios.library import SCENARIOS, scenario_by_name, scenario_names
 from repro.scenarios.sharded import (
     SHARDED_SCENARIOS,
     CrossShardAtomicity,
-    HealShards,
     IsolateShard,
     OnShard,
     PerShardInvariants,
-    SurgeShardedClients,
-    ShardedInvariantChecker,
-    ShardedNoForgedReplies,
     ShardedScenario,
-    ShardedScenarioResult,
-    build_sharded_scenario_deployment,
-    default_sharded_checkers,
-    run_sharded_scenario,
-    run_sharded_scenario_matrix,
+    ShardExpects,
+    TransactionsAtLeast,
 )
 
 __all__ = [
     # sharded
     "SHARDED_SCENARIOS",
     "ShardedScenario",
-    "ShardedScenarioResult",
-    "run_sharded_scenario",
-    "run_sharded_scenario_matrix",
-    "build_sharded_scenario_deployment",
-    "ShardedInvariantChecker",
     "PerShardInvariants",
     "CrossShardAtomicity",
-    "ShardedNoForgedReplies",
-    "default_sharded_checkers",
     "OnShard",
     "IsolateShard",
-    "HealShards",
-    "SurgeShardedClients",
+    "TransactionsAtLeast",
+    "ShardExpects",
     # engine
     "Scenario",
     "ScenarioResult",
     "run_scenario",
     "run_scenario_matrix",
-    "build_scenario_deployment",
     "Expectation",
     "ProgressAfter",
     "ViewAdvanced",

@@ -3,7 +3,7 @@
 Every scenario here runs a deployment with a live
 :class:`~repro.adaptive.AdaptiveModeController` attached (via the
 builders' ``adaptive=`` wiring) and holds the *controller* to account with
-declarative expectations layered on the PR 2 scenario engine:
+declarative expectations layered on the scenario engine:
 
 * :data:`ESCALATE_ON_EQUIVOCATION` -- an injected equivocator must drive
   Lion → Peacock, with zero safety violations along the way;
@@ -18,7 +18,7 @@ declarative expectations layered on the PR 2 scenario engine:
   read the storm as Byzantine evidence and jump to Peacock;
 * :data:`PER_SHARD_DIVERGENT_ENVIRONMENTS` -- in a sharded deployment only
   the attacked shard escalates; the clean shard's controller must not
-  move.
+  move (run it with ``run_adaptive_scenario`` like the others).
 
 All scenarios start in the Lion mode (the cheap steady state the paper de-
 escalates to); the standard invariant checkers run throughout, so every
@@ -41,13 +41,7 @@ from repro.scenarios.engine import (
     run_scenario,
 )
 from repro.scenarios.events import Byzantine, Crash, Recover, RestoreHonest
-from repro.scenarios.sharded import (
-    OnShard,
-    ShardedScenario,
-    ShardedScenarioResult,
-    build_sharded_scenario_deployment,
-    run_sharded_scenario,
-)
+from repro.scenarios.sharded import OnShard, ShardedScenario, ShardExpects, TransactionsAtLeast
 
 #: Policy used by the library scenarios.  Mirrors the defaults but is named
 #: so tests, the perf harness, and the README can reference one object.
@@ -261,21 +255,6 @@ ADAPTIVE_SCENARIOS: Dict[str, Scenario] = {
 }
 
 
-def run_adaptive_scenario(
-    scenario: Scenario,
-    mode: Mode = Mode.LION,
-    policy: Optional[AdaptivePolicy] = None,
-    **overrides,
-) -> ScenarioResult:
-    """Run one adaptive scenario with a controller attached.
-
-    ``mode`` defaults to Lion -- the steady state the paper's deployment
-    de-escalates to, and where every library scenario starts its cycle.
-    """
-    overrides.setdefault("adaptive", policy if policy is not None else LIBRARY_POLICY)
-    return run_scenario(scenario, mode, **overrides)
-
-
 # -- the sharded scenario ----------------------------------------------------------
 
 PER_SHARD_DIVERGENT_ENVIRONMENTS = ShardedScenario(
@@ -291,6 +270,13 @@ PER_SHARD_DIVERGENT_ENVIRONMENTS = ShardedScenario(
             event=Byzantine(at=0.0, target="public-backup", strategy="equivocate"),
         ),
     ),
+    expectations=(
+        TransactionsAtLeast("committed", 1),
+        ShardExpects(0, FinalModeIs(mode=Mode.PEACOCK)),
+        ShardExpects(1, FinalModeIs(mode=Mode.LION)),
+        # The clean shard must not switch at all without local evidence.
+        ShardExpects(1, TransitionsAtMost(limit=0)),
+    ),
     duration=0.8,
     # Below the quiet period: evidence stops with the clients, and a longer
     # settle would let the attacked shard de-escalate before the check.
@@ -298,39 +284,20 @@ PER_SHARD_DIVERGENT_ENVIRONMENTS = ShardedScenario(
 )
 
 
-def run_per_shard_divergence(
-    policy: Optional[AdaptivePolicy] = None, **overrides
-) -> ShardedScenarioResult:
-    """Run the divergent-environments scenario and judge both controllers.
+def run_adaptive_scenario(
+    scenario,
+    mode: Optional[Mode] = None,
+    policy: Optional[AdaptivePolicy] = None,
+    **overrides,
+) -> ScenarioResult:
+    """Run one adaptive scenario (either kind) with a controller per group.
 
-    The sharded engine's declarative expectations cover liveness and
-    atomicity; the adaptive verdicts (attacked shard escalated, clean
-    shard untouched) are appended to the result's expectation failures
-    here, where the deployment is still in hand.
+    A single-cluster scenario starts in Lion unless ``mode`` says otherwise
+    -- the steady state the paper's deployment de-escalates to, and where
+    every library scenario starts its cycle.
     """
-    deployment = build_sharded_scenario_deployment(
-        PER_SHARD_DIVERGENT_ENVIRONMENTS,
-        adaptive=policy if policy is not None else LIBRARY_POLICY,
-        **overrides,
-    )
-    result = run_sharded_scenario(PER_SHARD_DIVERGENT_ENVIRONMENTS, deployment=deployment)
-    attacked, clean = deployment.adaptive_controllers()
-    if attacked.current_mode() is not Mode.PEACOCK:
-        result.expectation_failures.append(
-            f"attacked shard never escalated to PEACOCK (mode: "
-            f"{attacked.current_mode().name}, decisions: {attacked.decision_rows()})"
-        )
-    if clean.current_mode() is not Mode.LION:
-        result.expectation_failures.append(
-            f"clean shard left LION (mode: {clean.current_mode().name}, "
-            f"decisions: {clean.decision_rows()})"
-        )
-    if clean.mode_transitions:
-        result.expectation_failures.append(
-            f"clean shard switched modes without local evidence: "
-            f"{clean.mode_transitions}"
-        )
-    return result
+    overrides.setdefault("adaptive", policy if policy is not None else LIBRARY_POLICY)
+    return run_scenario(scenario, mode, **overrides)
 
 
 __all__ = [
@@ -347,5 +314,4 @@ __all__ = [
     "PER_SHARD_DIVERGENT_ENVIRONMENTS",
     "ADAPTIVE_SCENARIOS",
     "run_adaptive_scenario",
-    "run_per_shard_divergence",
 ]

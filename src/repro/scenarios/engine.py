@@ -1,13 +1,19 @@
 """The scenario engine: declarative scenarios, run deterministically.
 
-A :class:`Scenario` is pure data: deployment knobs, a tuple of timed
-:mod:`events <repro.scenarios.events>`, and a tuple of declarative
-:class:`expectations <Expectation>`.  :func:`run_scenario` stands up a
-SeeMoRe deployment in a given mode, schedules the events on the simulator
-clock, samples every invariant checker periodically while the run
-progresses, lets the network settle after the clients stop, and returns a
-:class:`ScenarioResult` that knows whether the run upheld every invariant
-and expectation.
+A scenario is pure data: deployment knobs, a tuple of timed
+:mod:`events <repro.scenarios.events>` and a tuple of declarative
+:class:`expectations <Expectation>`.  Three kinds exist —
+:class:`Scenario` (one cluster, closed-loop clients),
+:class:`~repro.scenarios.sharded.ShardedScenario` (several clusters, one
+keyspace) and :class:`~repro.scenarios.openloop.OpenLoopScenario` (one
+cluster under a modeled user population) — and each only knows how to
+``build()`` its deployment and name its ``default_checkers()``.
+
+:func:`run_scenario` is the one engine behind all of them: it schedules the
+events on the simulator clock, samples every invariant checker periodically
+while the load runs, lets the network settle after the load stops, and
+returns a :class:`ScenarioResult` that knows whether the run upheld every
+invariant and expectation.
 
 Because the simulator is deterministic, a scenario is reproducible from
 ``(scenario, mode)`` alone — a failing scenario in CI replays identically
@@ -20,7 +26,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.builders import build_seemore
-from repro.cluster.deployment import Deployment
+from repro.cluster.deployment import ClientDriven, Deployment
+from repro.cluster.runner import RunResult, run_open_loop
 from repro.core.batching import BatchPolicy
 from repro.core.modes import Mode
 from repro.scenarios.events import _MODE_CYCLE, ScenarioEvent, resolve_target
@@ -186,10 +193,36 @@ class Scenario:
     min_completed: int = 10
     check_interval: float = 0.05
 
+    def build(self, mode: Optional[Mode] = None, **overrides) -> Deployment:
+        """Stand up the deployment this scenario runs against (Lion by default)."""
+        build_kwargs = dict(
+            crash_tolerance=self.crash_tolerance,
+            byzantine_tolerance=self.byzantine_tolerance,
+            mode=mode if mode is not None else Mode.LION,
+            workload=Workload.build(self.workload),
+            num_clients=self.num_clients,
+            seed=self.seed,
+            client_timeout=self.client_timeout,
+            checkpoint_period=self.checkpoint_period,
+            batch_policy=self.batch_policy,
+            client_window=self.client_window,
+        )
+        build_kwargs.update(overrides)
+        return build_seemore(**build_kwargs)
+
+    def default_checkers(self) -> List[InvariantChecker]:
+        return default_checkers()
+
 
 @dataclass
 class ScenarioResult:
-    """Everything one scenario run produced, with a pass/fail verdict."""
+    """Everything one scenario run produced, with a pass/fail verdict.
+
+    ``mode`` is the initial mode, ``/``-joined per shard for a sharded run.
+    ``transactions`` and ``per_shard_completed`` are filled for sharded
+    runs and ``measured`` (the measured window's
+    :class:`~repro.cluster.runner.RunResult`) for open-loop ones.
+    """
 
     scenario: str
     mode: str
@@ -208,6 +241,9 @@ class ScenarioResult:
     # graph and event heap in memory.
     events_processed: int = 0
     simulated_seconds: float = 0.0
+    transactions: Optional[Dict[str, int]] = None
+    per_shard_completed: Optional[Tuple[int, ...]] = None
+    measured: Optional[RunResult] = None
 
     @property
     def ok(self) -> bool:
@@ -230,7 +266,7 @@ class ScenarioResult:
 
     def as_row(self) -> Dict[str, object]:
         """Flat dict for :func:`repro.analysis.report.format_scenario_results`."""
-        return {
+        row: Dict[str, object] = {
             "scenario": self.scenario,
             "mode": self.mode,
             "completed": self.completed,
@@ -240,55 +276,60 @@ class ScenarioResult:
             "failures": len(self.failures()),
             "verdict": "ok" if self.ok else "FAIL",
         }
+        if self.transactions is not None:
+            row["txns_committed"] = self.transactions.get("committed", 0)
+            row["txns_aborted"] = self.transactions.get("aborted", 0)
+        if self.measured is not None:
+            row.update(self.measured.as_row())
+        return row
 
 
 # -- running ----------------------------------------------------------------------
 
 
-def build_scenario_deployment(scenario: Scenario, mode: Mode, **overrides) -> Deployment:
-    """Stand up the deployment one scenario runs against."""
-    build_kwargs = dict(
-        crash_tolerance=scenario.crash_tolerance,
-        byzantine_tolerance=scenario.byzantine_tolerance,
-        mode=mode,
-        workload=Workload.build(scenario.workload),
-        num_clients=scenario.num_clients,
-        seed=scenario.seed,
-        client_timeout=scenario.client_timeout,
-        checkpoint_period=scenario.checkpoint_period,
-        batch_policy=scenario.batch_policy,
-        client_window=scenario.client_window,
-    )
-    build_kwargs.update(overrides)
-    return build_seemore(**build_kwargs)
-
-
 def run_scenario(
-    scenario: Scenario,
-    mode: Mode,
+    scenario,
+    mode: Optional[Mode] = None,
     checkers: Optional[Sequence[InvariantChecker]] = None,
+    deployment: Optional[ClientDriven] = None,
     **overrides,
 ) -> ScenarioResult:
-    """Run one scenario in one mode and return its result (no assertion).
+    """Run one scenario of any kind and return its result (no assertion).
 
-    Extra keyword arguments override the deployment builder's knobs, which
-    lets tests shrink or grow a library scenario without redefining it.
+    ``mode`` picks the initial mode of a single-cluster scenario (Lion when
+    omitted); a sharded scenario names its modes per shard.  Extra keyword
+    arguments override the deployment builder's knobs, which lets tests
+    shrink or grow a library scenario without redefining it.  A pre-built
+    ``deployment`` may be supplied when the caller needs to inspect it
+    after the run; builder ``overrides`` are rejected in that case since
+    they could not apply.
     """
-    deployment = build_scenario_deployment(scenario, mode, **overrides)
-    active_checkers = list(checkers) if checkers is not None else default_checkers()
+    if deployment is None:
+        deployment = scenario.build(mode, **overrides)
+    elif overrides:
+        raise TypeError(
+            "run_scenario() got both a pre-built deployment and builder "
+            f"overrides {sorted(overrides)}; apply the overrides when building"
+        )
+    active_checkers = list(checkers) if checkers is not None else scenario.default_checkers()
     for checker in active_checkers:
         checker.attach(deployment)
 
     simulator = deployment.simulator
+    # An open-loop scenario's build leaves its driver here; its load runs as
+    # one measured window (warm-up, then ``duration``) instead of a plain
+    # closed loop.
+    driver = deployment.extras.get("open_loop_driver")
+    load_seconds = scenario.duration + (scenario.warmup if driver is not None else 0.0)
     start = simulator.now
-    end = start + scenario.duration
+    end = start + load_seconds
 
     events_applied: List[Tuple[float, str]] = []
     for event in scenario.events:
-        if event.at > scenario.duration:
+        if event.at > load_seconds:
             raise ValueError(
                 f"scenario {scenario.name!r}: event {event.label} at t={event.at} "
-                f"never fires (duration is {scenario.duration})"
+                f"never fires (the load runs for {load_seconds})"
             )
 
         def fire(event: ScenarioEvent = event) -> None:
@@ -301,10 +342,10 @@ def run_scenario(
     probes: Dict[float, int] = {}
     for expectation in scenario.expectations:
         for at in expectation.probe_times():
-            if at >= scenario.duration + scenario.settle:
+            if at >= load_seconds + scenario.settle:
                 raise ValueError(
                     f"scenario {scenario.name!r}: expectation probe at t={at} is "
-                    f"never captured (run ends at {scenario.duration + scenario.settle})"
+                    f"never captured (run ends at {load_seconds + scenario.settle})"
                 )
             if at not in probes:
                 def capture(at: float = at) -> None:
@@ -331,16 +372,23 @@ def run_scenario(
 
     simulator.call_later(scenario.check_interval, sample, label="scenario:check")
 
-    deployment.start_clients()
-    simulator.run(until=end)
-    deployment.stop_clients()
+    measured = None
+    if driver is None:
+        deployment.start_clients()
+        simulator.run(until=end)
+        deployment.stop_clients()
+    else:
+        measured = run_open_loop(
+            deployment, driver, duration=scenario.duration, warmup=scenario.warmup, slo=scenario.slo
+        )
     simulator.run(until=end + scenario.settle)
 
     for checker in active_checkers:
         record(checker.name, checker.finalize(deployment))
     deployment.collect_batch_sizes()
 
-    initial_mode = mode
+    shards = getattr(deployment, "shards", None)
+    initial_modes = [group.extras["mode"] for group in (shards or [deployment])]
     expectation_failures: List[str] = []
     if deployment.metrics.completed < scenario.min_completed:
         expectation_failures.append(
@@ -348,12 +396,12 @@ def run_scenario(
             f"run (liveness floor {scenario.min_completed})"
         )
     for expectation in scenario.expectations:
-        expectation_failures.extend(expectation.evaluate(deployment, initial_mode, probes))
+        expectation_failures.extend(expectation.evaluate(deployment, initial_modes[0], probes))
 
     correct = deployment.correct_replicas()
     return ScenarioResult(
         scenario=scenario.name,
-        mode=mode.name.lower(),
+        mode="/".join(initial.name.lower() for initial in initial_modes),
         protocol=deployment.protocol,
         duration=scenario.duration,
         completed=deployment.metrics.completed,
@@ -371,21 +419,26 @@ def run_scenario(
         expectation_failures=expectation_failures,
         events_processed=simulator.events_processed,
         simulated_seconds=simulator.now,
+        transactions=deployment.transaction_stats() if shards else None,
+        per_shard_completed=tuple(deployment.per_shard_completed()) if shards else None,
+        measured=measured,
     )
 
 
 def run_scenario_matrix(
-    scenarios: Sequence[Scenario],
-    modes: Sequence[Mode] = (Mode.LION, Mode.DOG, Mode.PEACOCK),
+    scenarios: Sequence,
+    modes: Sequence[Optional[Mode]] = (Mode.LION, Mode.DOG, Mode.PEACOCK),
     checker_factory: Optional[Callable[[], Sequence[InvariantChecker]]] = None,
     **overrides,
 ) -> List[ScenarioResult]:
     """Run every scenario in every mode; returns all results (no assertion).
 
-    Checkers are stateful and single-run, so custom ones are supplied as a
-    ``checker_factory`` called once per leg; passing ``checkers=`` here
-    would silently share one instance set across legs (cross-contaminating
-    their incremental state) and is rejected.
+    Pass ``modes=(None,)`` for scenarios that fix their own modes (a sharded
+    library).  Checkers are stateful and single-run, so custom ones are
+    supplied as a ``checker_factory`` called once per leg; passing
+    ``checkers=`` here would silently share one instance set across legs
+    (cross-contaminating their incremental state) and is rejected, whatever
+    the scenario kind.
     """
     if "checkers" in overrides:
         raise TypeError(
@@ -415,5 +468,4 @@ __all__ = [
     "ScenarioResult",
     "run_scenario",
     "run_scenario_matrix",
-    "build_scenario_deployment",
 ]

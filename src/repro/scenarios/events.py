@@ -78,7 +78,14 @@ def _current_mode(deployment: Deployment) -> Mode:
 
 @dataclass(frozen=True)
 class ScenarioEvent:
-    """Base class: one timed action against a running deployment."""
+    """Base class: one timed action against a running deployment.
+
+    Most events target one cluster; ``HealPartition`` and ``ClientSurge``
+    only touch what every deployment kind has (the network, the client
+    pool) and apply to a sharded deployment as they are, and
+    :class:`~repro.scenarios.sharded.OnShard` aims any other event at one
+    shard.
+    """
 
     at: float
 
@@ -284,7 +291,11 @@ class ModeSwitch(ScenarioEvent):
 
 @dataclass(frozen=True)
 class ClientSurge(ScenarioEvent):
-    """Ramp client load by spawning (and starting) additional clients."""
+    """Ramp client load by spawning (and starting) additional clients.
+
+    The deployment's own pool builds them, so on a sharded deployment the
+    new clients are router-aware like the originals.
+    """
 
     count: int = 2
     window: Optional[int] = None

@@ -14,8 +14,8 @@ claims:
 
 * committed prefixes never fork across correct replicas
   (:class:`CommittedPrefixAgreement`);
-* no correct client accepts a reply that no correct replica produced
-  (:class:`NoForgedReplies`);
+* no correct client accepts a reply that no correct replica of the group
+  owning the request produced (:class:`NoForgedReplies`);
 * each request id executes to exactly one result, agreed on by every
   correct replica that executed it (:class:`ExactlyOnceExecution`);
 * stable checkpoint digests agree across correct replicas
@@ -26,23 +26,28 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Tuple
 
-from repro.cluster.deployment import Deployment
+from repro.cluster.deployment import ClientDriven, Deployment
 from repro.smr.ledger import find_safety_violations
 
 
 class InvariantChecker:
-    """Base class; subclasses override any of the three hooks."""
+    """Base class; subclasses override any of the three hooks.
+
+    The deployment is whatever the scenario built: one cluster or a
+    sharded deployment (see :mod:`repro.scenarios.sharded` for the checkers
+    that only make sense on the latter).
+    """
 
     name = "invariant"
 
-    def attach(self, deployment: Deployment) -> None:
+    def attach(self, deployment: ClientDriven) -> None:
         """Instrument the deployment before clients start."""
 
-    def check(self, deployment: Deployment) -> List[str]:
+    def check(self, deployment: ClientDriven) -> List[str]:
         """Periodic mid-run check; return violation descriptions."""
         return []
 
-    def finalize(self, deployment: Deployment) -> List[str]:
+    def finalize(self, deployment: ClientDriven) -> List[str]:
         """End-of-run check; return violation descriptions."""
         return self.check(deployment)
 
@@ -107,20 +112,21 @@ class NoForgedReplies(InvariantChecker):
     """No correct client ever accepts a result forged by a Byzantine replica.
 
     The checker wraps every client's completion path to record the result
-    each accepted reply carried, then verifies each accepted result against
-    the reply caches of correct replicas: some correct replica must have
-    executed the request, and every correct replica that executed it must
-    have produced exactly the accepted result.
+    each accepted reply carried and which replica group owns the request
+    (the shard it was routed to; for one cluster, the cluster).  Each
+    accepted result is then verified against the reply caches of that
+    group's correct replicas: one of them must have executed the request
+    and produced exactly the accepted result.
     """
 
     name = "no-forged-replies"
 
     def __init__(self) -> None:
-        # (client_id, timestamp) -> the result the client accepted.
-        self._accepted: Dict[Tuple[str, int], Any] = {}
+        # (client_id, timestamp) -> (owning group index, accepted result).
+        self._accepted: Dict[Tuple[str, int], Tuple[int, Any]] = {}
         self._violations: List[str] = []
 
-    def attach(self, deployment: Deployment) -> None:
+    def attach(self, deployment: ClientDriven) -> None:
         for client in deployment.clients:
             self._instrument(client)
         # Clients spawned mid-run (a ClientSurge event) must be instrumented
@@ -138,37 +144,44 @@ class NoForgedReplies(InvariantChecker):
 
     def _instrument(self, client) -> None:
         original_complete = client._complete
+        # A sharded client keeps per-request routing metadata; a plain
+        # client's requests all belong to its one cluster (group 0).
+        routing = getattr(client, "_meta", None)
 
         def completing(reply, pending):
-            key = (client.node_id, pending.request.timestamp)
-            if key in self._accepted and self._accepted[key] != reply.result:
+            timestamp = pending.request.timestamp
+            key = (client.node_id, timestamp)
+            if key in self._accepted and self._accepted[key][1] != reply.result:
                 self._violations.append(
                     f"client {client.node_id} accepted two different results "
-                    f"for timestamp {key[1]}"
+                    f"for timestamp {timestamp}"
                 )
-            self._accepted[key] = reply.result
+            group = routing[timestamp].shard_id if routing is not None else 0
+            self._accepted[key] = (group, reply.result)
             original_complete(reply, pending)
 
         client._complete = completing  # type: ignore[method-assign]
 
-    def finalize(self, deployment: Deployment) -> List[str]:
+    def finalize(self, deployment: ClientDriven) -> List[str]:
         violations = list(self._violations)
-        correct = deployment.correct_replicas()
-        for (client_id, timestamp), accepted in sorted(self._accepted.items()):
+        groups = getattr(deployment, "shards", None) or [deployment]
+        correct = [group.correct_replicas() for group in groups]
+        for (client_id, timestamp), (group, accepted) in sorted(self._accepted.items()):
             executed = [
                 replica.executor.cached_reply(client_id, timestamp)
-                for replica in correct
+                for replica in correct[group]
                 if replica.executor.already_executed(client_id, timestamp)
             ]
+            owner = f" of shard {group}" if len(groups) > 1 else ""
             if not executed:
                 violations.append(
                     f"client {client_id} accepted a reply for timestamp {timestamp} "
-                    f"that no correct replica ever executed"
+                    f"that no correct replica{owner} ever executed"
                 )
             elif not any(result == accepted for result in executed):
                 violations.append(
                     f"client {client_id} accepted a forged result for timestamp "
-                    f"{timestamp}: no correct replica produced it"
+                    f"{timestamp}: no correct replica{owner} produced it"
                 )
         return violations
 

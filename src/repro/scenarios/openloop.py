@@ -1,8 +1,8 @@
 """Open-loop surge scenarios: millions of modeled users against one cluster.
 
-A closed-loop scenario (:mod:`repro.scenarios.engine`) can only offer as
-much load as its clients' windows allow, so overload never shows up as
-latency — it shows up as a slower client loop.  The scenarios here use the
+A closed-loop scenario (:class:`~repro.scenarios.engine.Scenario`) can only
+offer as much load as its clients' windows allow, so overload never shows up
+as latency — it shows up as a slower client loop.  The scenarios here use the
 open-loop machinery instead: a :class:`~repro.workload.openloop.ClientPopulation`
 models millions of virtual users as an arrival process, multiplexed over a
 small pool of real connections, and latency is stamped from *arrival*
@@ -25,16 +25,15 @@ the excess also poisons the latency of the requests that *are* served.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.cluster.builders import build_seemore
 from repro.cluster.deployment import Deployment
-from repro.cluster.runner import OpenLoopRunResult, run_open_loop
 from repro.core.admission import AdmissionPolicy
 from repro.core.batching import BatchPolicy
 from repro.core.modes import Mode
 from repro.workload.generator import Workload
-from repro.workload.openloop import BurstyArrivals, ClientPopulation, OpenLoopDriver
+from repro.workload.openloop import BurstyArrivals, ClientPopulation
 from repro.workload.slo import SlaViolation, SloSpec
 
 
@@ -78,126 +77,64 @@ class OpenLoopScenario:
     workload: str = "0/0"
     seed: int = 7
 
-
-@dataclass
-class OpenLoopScenarioResult:
-    """One open-loop scenario run: the run result plus the checker verdict."""
-
-    scenario: str
-    mode: str
-    result: OpenLoopRunResult
-    checker_violations: List[str] = field(default_factory=list)
+    # What the engine reads off every scenario kind.  Not fields: a surge
+    # has no fault schedule and no settle, its verdict is the SLO checker's,
+    # and that checker samples once per SLO bin.
+    events = ()
+    expectations = ()
+    settle = 0.0
+    min_completed = 0
 
     @property
-    def slo_held(self) -> bool:
-        return self.result.slo is not None and self.result.slo.holds
+    def check_interval(self) -> float:
+        return self.slo.bin_width
 
-    @property
-    def checker_fired(self) -> bool:
-        return bool(self.checker_violations)
+    def build(self, mode: Optional[Mode] = None) -> Deployment:
+        """Stand up the deployment this scenario runs against (Lion by default).
 
-    def as_row(self) -> Dict[str, object]:
-        row = dict(self.result.report_row())
-        row["scenario"] = self.scenario
-        row["mode"] = self.mode
-        row["checker_fired"] = self.checker_fired
-        return row
+        The deployment is built with ``num_clients=0``; the connection pool
+        comes from :meth:`~repro.workload.client_pool.ClientPool.spawn_open_loop`
+        so the modeled population, not a closed loop, decides when requests
+        arrive, and the driver is left in ``extras["open_loop_driver"]`` for
+        whoever runs the load.  ``client_timeout`` is set far above the SLO
+        bound so the plain retransmit timer stays out of the overload story —
+        backpressure flows only through signed ``Busy`` rejects.
+        """
+        deployment = build_seemore(
+            crash_tolerance=self.crash_tolerance,
+            byzantine_tolerance=self.byzantine_tolerance,
+            mode=mode if mode is not None else Mode.LION,
+            num_clients=0,
+            seed=self.seed,
+            client_timeout=self.client_timeout,
+            batch_policy=BatchPolicy(
+                max_batch=self.batch_size,
+                linger=self.batch_timeout,
+                pipeline_depth=self.pipeline_depth,
+            ),
+            admission=self.admission,
+            workload=Workload.build(self.workload),
+        )
+        arrivals = BurstyArrivals(
+            base_rate=self.base_rate,
+            burst_rate=self.surge_rate,
+            on_duration=self.on_duration,
+            off_duration=self.off_duration,
+            seed=self.seed,
+        )
+        population = ClientPopulation(num_users=self.num_users, arrivals=arrivals, seed=self.seed)
+        deployment.extras["open_loop_driver"] = deployment.client_pool.spawn_open_loop(
+            population,
+            connections=self.connections,
+            max_backlog=self.max_backlog,
+            max_busy_retries=self.max_busy_retries,
+            window=self.window,
+        )
+        return deployment
 
-
-def build_open_loop_deployment(
-    scenario: OpenLoopScenario, mode: Mode = Mode.LION
-) -> Tuple[Deployment, OpenLoopDriver]:
-    """Stand up the deployment and driver one open-loop scenario runs against.
-
-    The deployment is built with ``num_clients=0``; the connection pool
-    comes from :meth:`~repro.workload.client_pool.ClientPool.spawn_open_loop`
-    so the modeled population, not a closed loop, decides when requests
-    arrive.  ``client_timeout`` is set far above the SLO bound so the
-    plain retransmit timer stays out of the overload story — backpressure
-    flows only through signed ``Busy`` rejects.
-    """
-    deployment = build_seemore(
-        crash_tolerance=scenario.crash_tolerance,
-        byzantine_tolerance=scenario.byzantine_tolerance,
-        mode=mode,
-        num_clients=0,
-        seed=scenario.seed,
-        client_timeout=scenario.client_timeout,
-        batch_policy=BatchPolicy(
-            max_batch=scenario.batch_size,
-            linger=scenario.batch_timeout,
-            pipeline_depth=scenario.pipeline_depth,
-        ),
-        admission=scenario.admission,
-        workload=Workload.build(scenario.workload),
-    )
-    arrivals = BurstyArrivals(
-        base_rate=scenario.base_rate,
-        burst_rate=scenario.surge_rate,
-        on_duration=scenario.on_duration,
-        off_duration=scenario.off_duration,
-        seed=scenario.seed,
-    )
-    population = ClientPopulation(
-        num_users=scenario.num_users, arrivals=arrivals, seed=scenario.seed
-    )
-    driver = deployment.client_pool.spawn_open_loop(
-        population,
-        connections=scenario.connections,
-        max_backlog=scenario.max_backlog,
-        max_busy_retries=scenario.max_busy_retries,
-        window=scenario.window,
-    )
-    return deployment, driver
-
-
-def run_open_loop_scenario(
-    scenario: OpenLoopScenario, mode: Mode = Mode.LION
-) -> OpenLoopScenarioResult:
-    """Run one open-loop scenario with a live :class:`SlaViolation` checker.
-
-    The checker samples the latency timeline continuously on the simulator
-    clock (every SLO bin), exactly as the scenario engine samples its
-    invariant checkers, so a mid-run violation is caught as it happens —
-    not just in the post-run evaluation.
-    """
-    deployment, driver = build_open_loop_deployment(scenario, mode)
-    checker = SlaViolation(scenario.slo)
-    checker.attach(deployment)
-    simulator = deployment.simulator
-
-    violations: List[str] = []
-    seen: set = set()
-
-    def record(messages: List[str]) -> None:
-        for message in messages:
-            if message not in seen:
-                seen.add(message)
-                violations.append(message)
-
-    end = simulator.now + scenario.warmup + scenario.duration
-
-    def sample() -> None:
-        record(checker.check(deployment))
-        if simulator.now < end:
-            simulator.call_later(scenario.slo.bin_width, sample, label="slo:check")
-
-    simulator.call_later(scenario.slo.bin_width, sample, label="slo:check")
-
-    result = run_open_loop(
-        deployment,
-        driver,
-        duration=scenario.duration,
-        warmup=scenario.warmup,
-        slo=scenario.slo,
-    )
-    record(checker.finalize(deployment))
-    return OpenLoopScenarioResult(
-        scenario=scenario.name,
-        mode=mode.name.lower(),
-        result=result,
-        checker_violations=violations,
-    )
+    def default_checkers(self) -> List[SlaViolation]:
+        """A live SLO checker judging the same window the measured result does."""
+        return [SlaViolation(self.slo, start=self.warmup, end=self.warmup + self.duration)]
 
 
 # -- the library ------------------------------------------------------------------
@@ -235,9 +172,6 @@ OPEN_LOOP_SCENARIOS: Dict[str, OpenLoopScenario] = {
 
 __all__ = [
     "OpenLoopScenario",
-    "OpenLoopScenarioResult",
-    "build_open_loop_deployment",
-    "run_open_loop_scenario",
     "OPEN_LOOP_SCENARIOS",
     "SURGE_ADMISSION_ON",
     "SURGE_ADMISSION_OFF",

@@ -1,35 +1,43 @@
 """Fault scenarios for sharded deployments.
 
-The single-cluster scenario engine exercises one SeeMoRe group; this
-module lifts the same declarative style to
-:class:`~repro.shard.deployment.ShardedDeployment`:
+The same declarative style as the single-cluster library, lifted to
+:class:`~repro.shard.deployment.ShardedDeployment` and run by the same
+:func:`~repro.scenarios.engine.run_scenario`:
 
 * **events** — :class:`OnShard` replays any single-cluster event (crash,
   Byzantine strategy, mode switch, ...) against one shard;
   :class:`IsolateShard` partitions a whole shard's replica group away from
   every other node (clients included), the coarse failure a sharded system
-  must absorb;
-* **checkers** — every shard runs the standard single-cluster invariant
-  checkers, and two sharded checkers run globally:
-  :class:`CrossShardAtomicity` (no shard commits a transaction another
-  shard aborted — the two-phase protocol's contract) and
-  :class:`ShardedNoForgedReplies` (a client accepts only results some
-  correct replica of the *owning* shard produced);
-* **engine** — :func:`run_sharded_scenario` builds the deployment, drives
-  the events on the simulator clock, samples the checkers continuously,
-  and returns a result with a pass/fail verdict.
+  must absorb.  Deployment-wide events (``HealPartition``, ``ClientSurge``)
+  apply to a sharded deployment unchanged;
+* **checkers** — :class:`PerShardInvariants` runs the standard
+  single-cluster checkers on every shard, :class:`CrossShardAtomicity`
+  holds the two-phase protocol to its contract (no shard commits a
+  transaction another shard aborted), and the standard
+  :class:`~repro.scenarios.invariants.NoForgedReplies` judges every accepted
+  reply against the correct replicas of the *owning* shard;
+* **expectations** — :class:`TransactionsAtLeast` counts 2PC outcomes and
+  :class:`ShardExpects` holds one shard to any single-cluster expectation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cluster.builders import build_sharded_seemore
 from repro.core.batching import BatchPolicy
 from repro.core.modes import Mode
-from repro.scenarios.events import Byzantine, Crash, ModeSwitch, Recover, ScenarioEvent
-from repro.scenarios.invariants import InvariantChecker, default_checkers
+from repro.scenarios.engine import Expectation
+from repro.scenarios.events import (
+    Byzantine,
+    Crash,
+    HealPartition,
+    ModeSwitch,
+    Recover,
+    ScenarioEvent,
+)
+from repro.scenarios.invariants import InvariantChecker, NoForgedReplies, default_checkers
 from repro.shard.deployment import ShardedDeployment, ShardSpec
 from repro.workload.generator import Workload, WorkloadSpec
 
@@ -37,27 +45,15 @@ from repro.workload.generator import Workload, WorkloadSpec
 
 
 @dataclass(frozen=True)
-class ShardedScenarioEvent:
-    """Base class: one timed action against a running sharded deployment."""
-
-    at: float
-
-    def apply(self, deployment: ShardedDeployment) -> None:
-        raise NotImplementedError
-
-    @property
-    def label(self) -> str:
-        return type(self).__name__
-
-
-@dataclass(frozen=True)
-class OnShard(ShardedScenarioEvent):
+class OnShard(ScenarioEvent):
     """Apply a single-cluster scenario event to one shard.
 
     The wrapped event's own ``at`` is ignored — the wrapper's ``at`` is the
     schedule — so any event from :mod:`repro.scenarios.events` composes
     unchanged (targets resolve against the shard's config, e.g.
-    ``"primary"`` is *that shard's* current primary).
+    ``"primary"`` is *that shard's* current primary).  ``ClientSurge`` must
+    not be wrapped: an unrouted client would aim every key at one shard, so
+    the per-shard pools refuse to spawn; surge the sharded deployment itself.
     """
 
     shard: int = 0
@@ -75,7 +71,7 @@ class OnShard(ShardedScenarioEvent):
 
 
 @dataclass(frozen=True)
-class IsolateShard(ShardedScenarioEvent):
+class IsolateShard(ScenarioEvent):
     """Cut one shard's replicas off from every other node, clients included.
 
     Cross-shard transactions touching the shard stall in prepare (and, with
@@ -95,57 +91,10 @@ class IsolateShard(ShardedScenarioEvent):
         return f"isolate-shard({self.shard})"
 
 
-@dataclass(frozen=True)
-class HealShards(ShardedScenarioEvent):
-    """Remove every partition."""
-
-    def apply(self, deployment: ShardedDeployment) -> None:
-        deployment.network.conditions.heal_partition()
-
-    @property
-    def label(self) -> str:
-        return "heal-shards"
-
-
-@dataclass(frozen=True)
-class SurgeShardedClients(ShardedScenarioEvent):
-    """Ramp load by spawning extra *sharded* (router-aware) clients.
-
-    The single-cluster ``ClientSurge`` must not be used through
-    ``OnShard`` — an unrouted client would aim every key at one shard —
-    so sharded scenarios surge through the deployment's own pool.
-    """
-
-    count: int = 2
-    window: Optional[int] = None
-
-    def apply(self, deployment: ShardedDeployment) -> None:
-        deployment.add_clients(self.count, window=self.window)
-
-    @property
-    def label(self) -> str:
-        return f"sharded-client-surge(+{self.count})"
-
-
 # -- checkers ---------------------------------------------------------------------
 
 
-class ShardedInvariantChecker:
-    """Base class: the sharded counterpart of ``InvariantChecker``."""
-
-    name = "sharded-invariant"
-
-    def attach(self, deployment: ShardedDeployment) -> None:
-        """Instrument the deployment before clients start."""
-
-    def check(self, deployment: ShardedDeployment) -> List[str]:
-        return []
-
-    def finalize(self, deployment: ShardedDeployment) -> List[str]:
-        return self.check(deployment)
-
-
-class PerShardInvariants(ShardedInvariantChecker):
+class PerShardInvariants(InvariantChecker):
     """Run the full single-cluster checker set independently on every shard.
 
     Committed-prefix agreement, exactly-once execution, and checkpoint
@@ -166,22 +115,22 @@ class PerShardInvariants(ShardedInvariantChecker):
             for checker in self._checkers[index]:
                 checker.attach(shard)
 
-    def _collect(self, deployment: ShardedDeployment, final: bool) -> List[str]:
-        violations = []
-        for index, shard in enumerate(deployment.shards):
-            for checker in self._checkers.get(index, ()):
-                found = checker.finalize(shard) if final else checker.check(shard)
-                violations.extend(f"shard {index} [{checker.name}] {v}" for v in found)
-        return violations
+    def _collect(self, deployment: ShardedDeployment, hook: Callable) -> List[str]:
+        return [
+            f"shard {index} [{checker.name}] {violation}"
+            for index, shard in enumerate(deployment.shards)
+            for checker in self._checkers.get(index, ())
+            for violation in hook(checker, shard)
+        ]
 
     def check(self, deployment: ShardedDeployment) -> List[str]:
-        return self._collect(deployment, final=False)
+        return self._collect(deployment, lambda checker, shard: checker.check(shard))
 
     def finalize(self, deployment: ShardedDeployment) -> List[str]:
-        return self._collect(deployment, final=True)
+        return self._collect(deployment, lambda checker, shard: checker.finalize(shard))
 
 
-class CrossShardAtomicity(ShardedInvariantChecker):
+class CrossShardAtomicity(InvariantChecker):
     """No shard commits a cross-shard transaction another shard aborted.
 
     Checked continuously — a transient split-decision that some later
@@ -195,74 +144,43 @@ class CrossShardAtomicity(ShardedInvariantChecker):
         return deployment.atomicity_violations()
 
 
-class ShardedNoForgedReplies(ShardedInvariantChecker):
-    """Accepted results must come from the owning shard's correct replicas.
+# -- expectations -----------------------------------------------------------------
 
-    Wraps every sharded client's completion path to record, per accepted
-    reply, which shard served it and what result was accepted; at the end
-    of the run each accepted result is validated against the reply caches
-    of that shard's correct replicas.
+
+@dataclass(frozen=True)
+class TransactionsAtLeast(Expectation):
+    """At least ``count`` cross-shard transactions ended in ``outcome``."""
+
+    outcome: str = "committed"
+    count: int = 1
+
+    def evaluate(self, deployment, initial_mode, probes) -> List[str]:
+        reached = deployment.transaction_stats()[self.outcome]
+        if reached < self.count:
+            return [
+                f"only {reached} cross-shard transactions {self.outcome} "
+                f"(expected >= {self.count})"
+            ]
+        return []
+
+
+@dataclass(frozen=True)
+class ShardExpects(Expectation):
+    """Hold one shard to a single-cluster expectation (``OnShard`` for verdicts).
+
+    Probes count whole-deployment completions, so wrap only expectations
+    that judge end-of-run state (modes, views, controller decisions).
     """
 
-    name = "sharded-no-forged-replies"
+    shard: int
+    expectation: Expectation
 
-    def __init__(self) -> None:
-        # (client_id, timestamp) -> (shard_id, accepted result)
-        self._accepted: Dict[Tuple[str, int], Tuple[int, Any]] = {}
-
-    def attach(self, deployment: ShardedDeployment) -> None:
-        for client in deployment.clients:
-            self._instrument(client)
-        pool = deployment.client_pool
-        original_spawn = pool.spawn
-
-        def spawning(*args, **kwargs):
-            created = original_spawn(*args, **kwargs)
-            for client in created:
-                self._instrument(client)
-            return created
-
-        pool.spawn = spawning  # type: ignore[method-assign]
-
-    def _instrument(self, client) -> None:
-        original_complete = client._complete
-
-        def completing(reply, pending):
-            timestamp = pending.request.timestamp
-            meta = client._meta.get(timestamp)
-            if meta is not None:
-                self._accepted[(client.node_id, timestamp)] = (meta.shard_id, reply.result)
-            original_complete(reply, pending)
-
-        client._complete = completing  # type: ignore[method-assign]
-
-    def finalize(self, deployment: ShardedDeployment) -> List[str]:
-        violations = []
-        correct_by_shard = {
-            index: shard.correct_replicas() for index, shard in enumerate(deployment.shards)
-        }
-        for (client_id, timestamp), (shard_id, accepted) in sorted(self._accepted.items()):
-            executed = [
-                replica.executor.cached_reply(client_id, timestamp)
-                for replica in correct_by_shard[shard_id]
-                if replica.executor.already_executed(client_id, timestamp)
-            ]
-            if not executed:
-                violations.append(
-                    f"client {client_id} accepted a reply for timestamp {timestamp} "
-                    f"that no correct replica of shard {shard_id} ever executed"
-                )
-            elif not any(result == accepted for result in executed):
-                violations.append(
-                    f"client {client_id} accepted a forged result for timestamp "
-                    f"{timestamp}: no correct replica of shard {shard_id} produced it"
-                )
-        return violations
-
-
-def default_sharded_checkers() -> List[ShardedInvariantChecker]:
-    """A fresh instance of every standard sharded checker."""
-    return [PerShardInvariants(), CrossShardAtomicity(), ShardedNoForgedReplies()]
+    def evaluate(self, deployment, initial_mode, probes) -> List[str]:
+        group = deployment.shards[self.shard]
+        return [
+            f"shard {self.shard}: {failure}"
+            for failure in self.expectation.evaluate(group, group.extras["mode"], probes)
+        ]
 
 
 # -- the scenario -----------------------------------------------------------------
@@ -281,7 +199,8 @@ class ShardedScenario:
     name: str
     description: str
     modes: Tuple[Mode, ...] = (Mode.LION, Mode.LION)
-    events: Tuple[ShardedScenarioEvent, ...] = ()
+    events: Tuple[ScenarioEvent, ...] = ()
+    expectations: Tuple[Expectation, ...] = (TransactionsAtLeast("committed", 1),)
     duration: float = 1.0
     settle: float = 0.3
     num_clients: int = 3
@@ -299,209 +218,55 @@ class ShardedScenario:
     seed: int = 7
     client_timeout: float = 0.1
     min_completed: int = 10
-    min_committed_txns: int = 1
-    expect_aborts: bool = False
     check_interval: float = 0.05
 
     @property
     def num_shards(self) -> int:
         return len(self.modes)
 
-
-@dataclass
-class ShardedScenarioResult:
-    """Everything one sharded scenario run produced, with a verdict."""
-
-    scenario: str
-    protocol: str
-    shard_modes: Tuple[str, ...]
-    duration: float
-    completed: int
-    per_shard_completed: Tuple[int, ...]
-    transactions: Dict[str, int]
-    client_timeouts: int
-    events_applied: List[Tuple[float, str]] = field(default_factory=list)
-    invariant_violations: Dict[str, List[str]] = field(default_factory=dict)
-    expectation_failures: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.invariant_violations and not self.expectation_failures
-
-    def failures(self) -> List[str]:
-        lines = []
-        for checker, violations in sorted(self.invariant_violations.items()):
-            lines.extend(f"[{checker}] {violation}" for violation in violations)
-        lines.extend(f"[expectation] {failure}" for failure in self.expectation_failures)
-        return lines
-
-    def assert_ok(self) -> None:
-        if not self.ok:
-            details = "\n  ".join(self.failures())
-            raise AssertionError(
-                f"sharded scenario {self.scenario!r}: "
-                f"{len(self.failures())} failure(s):\n  {details}"
+    def build(self, mode: Optional[Mode] = None, **overrides) -> ShardedDeployment:
+        """Stand up the deployment this scenario runs against."""
+        if mode is not None:
+            raise TypeError(
+                f"sharded scenario {self.name!r} assigns a mode per shard "
+                f"(modes={[m.name for m in self.modes]}); it takes no run-wide mode"
             )
-
-    def as_row(self) -> Dict[str, object]:
-        return {
-            "scenario": self.scenario,
-            "shards": "/".join(mode.lower() for mode in self.shard_modes),
-            "completed": self.completed,
-            "txns_committed": self.transactions.get("committed", 0),
-            "txns_aborted": self.transactions.get("aborted", 0),
-            "timeouts": self.client_timeouts,
-            "failures": len(self.failures()),
-            "verdict": "ok" if self.ok else "FAIL",
-        }
-
-
-# -- running ----------------------------------------------------------------------
-
-
-def build_sharded_scenario_deployment(scenario: ShardedScenario, **overrides) -> ShardedDeployment:
-    """Stand up the deployment one sharded scenario runs against."""
-    specs = tuple(
-        ShardSpec(
-            mode=mode,
-            crash_tolerance=scenario.crash_tolerance,
-            byzantine_tolerance=scenario.byzantine_tolerance,
-            checkpoint_period=scenario.checkpoint_period,
-            batch_policy=scenario.batch_policy,
-        )
-        for mode in scenario.modes
-    )
-    workload = Workload.build(
-        WorkloadSpec(
-            kind="sharded-kv",
-            key_space=scenario.key_space,
-            read_fraction=scenario.read_fraction,
-            seed=scenario.seed,
-            cross_shard_fraction=scenario.cross_shard_fraction,
-            key_distribution=scenario.key_distribution,
-        )
-    )
-    build_kwargs = dict(
-        shard_specs=specs,
-        workload=workload,
-        num_clients=scenario.num_clients,
-        seed=scenario.seed,
-        partition_policy=scenario.partition_policy,
-        client_timeout=scenario.client_timeout,
-        client_window=scenario.client_window,
-        txn_timeout=scenario.txn_timeout,
-    )
-    build_kwargs.update(overrides)
-    return build_sharded_seemore(**build_kwargs)
-
-
-def run_sharded_scenario(
-    scenario: ShardedScenario,
-    checkers: Optional[List[ShardedInvariantChecker]] = None,
-    deployment: Optional[ShardedDeployment] = None,
-    **overrides,
-) -> ShardedScenarioResult:
-    """Run one sharded scenario and return its result (no assertion).
-
-    A pre-built ``deployment`` may be supplied when the caller needs to
-    inspect it after the run (e.g. adaptive-controller expectations);
-    builder ``overrides`` are rejected in that case since they could not
-    apply.
-    """
-    if deployment is None:
-        deployment = build_sharded_scenario_deployment(scenario, **overrides)
-    elif overrides:
-        raise TypeError(
-            "run_sharded_scenario() got both a pre-built deployment and builder "
-            f"overrides {sorted(overrides)}; apply the overrides when building"
-        )
-    active_checkers = list(checkers) if checkers is not None else default_sharded_checkers()
-    for checker in active_checkers:
-        checker.attach(deployment)
-
-    simulator = deployment.simulator
-    start = simulator.now
-    end = start + scenario.duration
-
-    events_applied: List[Tuple[float, str]] = []
-    for event in scenario.events:
-        if event.at > scenario.duration:
-            raise ValueError(
-                f"sharded scenario {scenario.name!r}: event {event.label} at "
-                f"t={event.at} never fires (duration is {scenario.duration})"
+        specs = tuple(
+            ShardSpec(
+                mode=shard_mode,
+                crash_tolerance=self.crash_tolerance,
+                byzantine_tolerance=self.byzantine_tolerance,
+                checkpoint_period=self.checkpoint_period,
+                batch_policy=self.batch_policy,
             )
-
-        def fire(event: ShardedScenarioEvent = event) -> None:
-            events_applied.append((round(simulator.now - start, 6), event.label))
-            event.apply(deployment)
-
-        simulator.call_at(start + event.at, fire, label=f"sharded-scenario:{event.label}")
-
-    violations: Dict[str, List[str]] = {}
-    seen: set = set()
-
-    def record(checker_name: str, messages: List[str]) -> None:
-        for message in messages:
-            if (checker_name, message) not in seen:
-                seen.add((checker_name, message))
-                violations.setdefault(checker_name, []).append(message)
-
-    def sample() -> None:
-        for checker in active_checkers:
-            record(checker.name, checker.check(deployment))
-        if simulator.now < end:
-            simulator.call_later(scenario.check_interval, sample, label="sharded-scenario:check")
-
-    simulator.call_later(scenario.check_interval, sample, label="sharded-scenario:check")
-
-    deployment.start_clients()
-    simulator.run(until=end)
-    deployment.stop_clients()
-    simulator.run(until=end + scenario.settle)
-
-    for checker in active_checkers:
-        record(checker.name, checker.finalize(deployment))
-    deployment.collect_batch_sizes()
-
-    transactions = deployment.transaction_stats()
-    expectation_failures: List[str] = []
-    if deployment.metrics.completed < scenario.min_completed:
-        expectation_failures.append(
-            f"only {deployment.metrics.completed} requests completed over the whole "
-            f"run (liveness floor {scenario.min_completed})"
+            for shard_mode in self.modes
         )
-    if transactions["committed"] < scenario.min_committed_txns:
-        expectation_failures.append(
-            f"only {transactions['committed']} cross-shard transactions committed "
-            f"(expected >= {scenario.min_committed_txns})"
+        workload = Workload.build(
+            WorkloadSpec(
+                kind="sharded-kv",
+                key_space=self.key_space,
+                read_fraction=self.read_fraction,
+                seed=self.seed,
+                cross_shard_fraction=self.cross_shard_fraction,
+                key_distribution=self.key_distribution,
+            )
         )
-    if scenario.expect_aborts and transactions["aborted"] < 1:
-        expectation_failures.append(
-            "the scenario expected at least one aborted cross-shard transaction"
+        build_kwargs = dict(
+            shard_specs=specs,
+            workload=workload,
+            num_clients=self.num_clients,
+            seed=self.seed,
+            partition_policy=self.partition_policy,
+            client_timeout=self.client_timeout,
+            client_window=self.client_window,
+            txn_timeout=self.txn_timeout,
         )
+        build_kwargs.update(overrides)
+        return build_sharded_seemore(**build_kwargs)
 
-    return ShardedScenarioResult(
-        scenario=scenario.name,
-        protocol=deployment.protocol,
-        shard_modes=tuple(mode.name for mode in scenario.modes),
-        duration=scenario.duration,
-        completed=deployment.metrics.completed,
-        per_shard_completed=tuple(deployment.per_shard_completed()),
-        transactions=transactions,
-        client_timeouts=deployment.client_pool.total_timeouts,
-        events_applied=events_applied,
-        invariant_violations=violations,
-        expectation_failures=expectation_failures,
-    )
-
-
-def run_sharded_scenario_matrix(
-    scenarios: Optional[List[ShardedScenario]] = None, **overrides
-) -> List[ShardedScenarioResult]:
-    """Run every (or the given) library scenario; returns all results."""
-    if scenarios is None:
-        scenarios = list(SHARDED_SCENARIOS.values())
-    return [run_sharded_scenario(scenario, **overrides) for scenario in scenarios]
+    def default_checkers(self) -> List[InvariantChecker]:
+        """A fresh instance of every standard sharded checker."""
+        return [PerShardInvariants(), CrossShardAtomicity(), NoForgedReplies()]
 
 
 # -- the library ------------------------------------------------------------------
@@ -514,8 +279,8 @@ SHARD_PRIMARY_CRASH = ShardedScenario(
     "cross-shard transaction must stay atomic.",
     modes=(Mode.LION, Mode.LION, Mode.LION),
     events=(OnShard(at=0.15, shard=1, event=Crash(at=0.0, target="primary")),),
+    expectations=(TransactionsAtLeast("committed", 3),),
     duration=0.9,
-    min_committed_txns=3,
 )
 
 SHARD_ISOLATED_THEN_HEALS = ShardedScenario(
@@ -524,12 +289,12 @@ SHARD_ISOLATED_THEN_HEALS = ShardedScenario(
     "touching it abort on the coordinator timeout (atomically), the rest of "
     "the keyspace keeps serving, and the shard rejoins after the heal.",
     modes=(Mode.LION, Mode.LION),
-    events=(IsolateShard(at=0.15, shard=1), HealShards(at=0.45)),
+    events=(IsolateShard(at=0.15, shard=1), HealPartition(at=0.45)),
+    expectations=(TransactionsAtLeast("committed", 1), TransactionsAtLeast("aborted", 1)),
     duration=1.0,
     settle=0.4,
     cross_shard_fraction=0.3,
     txn_timeout=0.12,
-    expect_aborts=True,
 )
 
 MIXED_MODE_SHARDS = ShardedScenario(
@@ -537,9 +302,9 @@ MIXED_MODE_SHARDS = ShardedScenario(
     description="Three shards running Lion, Dog, and Peacock serve one keyspace; "
     "cross-shard transactions span trust domains and must commit atomically.",
     modes=(Mode.LION, Mode.DOG, Mode.PEACOCK),
+    expectations=(TransactionsAtLeast("committed", 5),),
     cross_shard_fraction=0.25,
     duration=0.8,
-    min_committed_txns=5,
 )
 
 SHARD_BYZANTINE_BACKUP = ShardedScenario(
@@ -582,20 +347,12 @@ SHARDED_SCENARIOS: Dict[str, ShardedScenario] = {
 
 
 __all__ = [
-    "ShardedScenarioEvent",
     "OnShard",
     "IsolateShard",
-    "HealShards",
-    "SurgeShardedClients",
-    "ShardedInvariantChecker",
     "PerShardInvariants",
     "CrossShardAtomicity",
-    "ShardedNoForgedReplies",
-    "default_sharded_checkers",
+    "TransactionsAtLeast",
+    "ShardExpects",
     "ShardedScenario",
-    "ShardedScenarioResult",
-    "build_sharded_scenario_deployment",
-    "run_sharded_scenario",
-    "run_sharded_scenario_matrix",
     "SHARDED_SCENARIOS",
 ]

@@ -146,10 +146,13 @@ class SlaViolation:
 
     Follows the :class:`repro.scenarios.invariants.InvariantChecker`
     protocol (attach / check / finalize, each returning violation strings)
-    so scenario engines can sample it on their normal check interval.  The
-    periodic check only judges *closed* bins (bins whose end is behind the
-    clock) to avoid flagging a half-filled bin whose percentile is still
-    moving; finalize judges everything.
+    so the scenario engine can sample it on its normal check interval.  It
+    judges the window ``[start, end)`` — the same arguments
+    :func:`evaluate_slo` takes, so a live checker and a post-run evaluation
+    given one window reach one verdict (``end=None`` means up to the end of
+    the run).  The periodic check only judges *closed* bins (bins whose end
+    is behind the clock) to avoid flagging a half-filled bin whose
+    percentile is still moving; finalize judges the whole window.
 
     Reported violations are cumulative and deduplicated per bin, matching
     the engine's "list of violation strings" convention.
@@ -157,69 +160,58 @@ class SlaViolation:
 
     name = "sla-violation"
 
-    def __init__(self, spec: SloSpec, start: float = 0.0) -> None:
+    def __init__(self, spec: SloSpec, start: float = 0.0, end: Optional[float] = None) -> None:
         self.spec = spec
         self.start = start
+        self.end = end
         self._reported_bins: set = set()
         self._violations: List[str] = []
-        self._total_bins = 0
         self._metrics: Optional[MetricsCollector] = None
 
     def attach(self, deployment) -> None:
         self._metrics = deployment.metrics
 
-    def _scan(self, deployment, end: Optional[float]) -> List[str]:
-        metrics = self._metrics if self._metrics is not None else deployment.metrics
-        timeline = metrics.latency_timeline(self.spec.bin_width, start=self.start, end=end)
-        for bin_start, summary in timeline:
-            if summary.count == 0 or bin_start in self._reported_bins:
-                continue
-            value = self.spec.value_of(summary)
-            if value > self.spec.bound:
-                self._reported_bins.add(bin_start)
-                self._violations.append(
-                    f"{self.spec.field_name} {value * 1000:.1f}ms > "
-                    f"{self.spec.bound * 1000:g}ms in bin starting at {bin_start:.3f}s"
-                )
-        return self._current_verdict()
-
-    def _current_verdict(self) -> List[str]:
-        """Violation strings iff the budget is exhausted.
+    def _judge(self, deployment, end: Optional[float]) -> List[str]:
+        """Scan the bins of ``[start, end)`` once; report iff the budget is spent.
 
         Individual over-bound bins are tracked internally; the checker only
         *reports* once the violating fraction exceeds the spec's budget, so
         a tolerated blip does not fail a scenario.
         """
-        bins = len(self._reported_bins)
-        if bins == 0:
-            return []
-        if self._total_bins == 0:
-            return []
-        fraction = bins / self._total_bins
-        if fraction > self.spec.max_violation_fraction:
+        metrics = self._metrics if self._metrics is not None else deployment.metrics
+        populated = 0
+        for bin_start, summary in metrics.latency_timeline(
+            self.spec.bin_width, start=self.start, end=end
+        ):
+            if summary.count == 0:
+                continue
+            populated += 1
+            value = self.spec.value_of(summary)
+            if value > self.spec.bound and bin_start not in self._reported_bins:
+                self._reported_bins.add(bin_start)
+                self._violations.append(
+                    f"{self.spec.field_name} {value * 1000:.1f}ms > "
+                    f"{self.spec.bound * 1000:g}ms in bin starting at {bin_start:.3f}s"
+                )
+        if populated and len(self._reported_bins) / populated > self.spec.max_violation_fraction:
             return list(self._violations)
         return []
 
     def check(self, deployment) -> List[str]:
         # Judge only bins that have fully closed by now.
         now = deployment.simulator.now
+        if self.end is not None:
+            now = min(now, self.end)
         closed_end = (
             self.start
             + ((now - self.start) // self.spec.bin_width) * self.spec.bin_width
         )
         if closed_end <= self.start:
             return []
-        self._count_bins(deployment, closed_end)
-        return self._scan(deployment, closed_end)
+        return self._judge(deployment, closed_end)
 
     def finalize(self, deployment) -> List[str]:
-        self._count_bins(deployment, None)
-        return self._scan(deployment, None)
-
-    def _count_bins(self, deployment, end: Optional[float]) -> None:
-        metrics = self._metrics if self._metrics is not None else deployment.metrics
-        timeline = metrics.latency_timeline(self.spec.bin_width, start=self.start, end=end)
-        self._total_bins = sum(1 for _, summary in timeline if summary.count > 0)
+        return self._judge(deployment, self.end)
 
 
 __all__ = ["SloSpec", "SloEvaluation", "SlaViolation", "evaluate_slo"]

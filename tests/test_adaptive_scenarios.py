@@ -7,6 +7,8 @@ attacker, churn/malice discrimination under a view-change storm, and
 per-shard divergence -- all with zero invariant-checker violations.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.scenarios.adaptive import (
@@ -15,8 +17,8 @@ from repro.scenarios.adaptive import (
     DEESCALATE_AFTER_QUIET_PERIOD,
     ESCALATE_ON_EQUIVOCATION,
     OSCILLATING_ATTACKER_MUST_NOT_FLAP,
+    PER_SHARD_DIVERGENT_ENVIRONMENTS,
     run_adaptive_scenario,
-    run_per_shard_divergence,
 )
 
 pytestmark = [pytest.mark.adaptive, pytest.mark.integration]
@@ -71,7 +73,20 @@ class TestAdaptiveScenarioLibrary:
 
 class TestPerShardDivergence:
     def test_only_the_attacked_shard_escalates(self):
-        result = run_per_shard_divergence()
+        result = run_adaptive_scenario(PER_SHARD_DIVERGENT_ENVIRONMENTS)
         result.assert_ok()
+        assert result.mode == "lion/lion"
+        assert result.final_modes == ("LION", "PEACOCK")
         # Cross-shard transactions kept committing across the divergence.
         assert result.transactions["committed"] >= 1
+
+    def test_the_divergence_verdicts_are_expectations(self):
+        # With no attacker nothing escalates: the attacked shard's
+        # expectation fails (and says which shard), the clean shard's hold.
+        quiet = dataclasses.replace(PER_SHARD_DIVERGENT_ENVIRONMENTS, events=(), duration=0.3)
+        result = run_adaptive_scenario(quiet)
+        assert result.invariant_violations == {}
+        assert len(result.expectation_failures) == 1
+        assert result.expectation_failures[0].startswith(
+            "shard 0: replicas not in mode PEACOCK"
+        )

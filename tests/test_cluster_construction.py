@@ -28,7 +28,6 @@ from repro.cluster import (
     build_upright,
     builder_for,
     run_deployment,
-    run_sharded_deployment,
 )
 from repro.cluster.builders import build_proc_seemore
 from repro.core import BatchPolicy, Mode
@@ -72,13 +71,13 @@ def sharded_cases():
     ]
 
 
-def _snapshot(deployment, first_replica, run):
+def _snapshot(deployment, first_replica):
     built = {
         # Network._nodes is insertion-ordered: exactly runtime.register order.
         "register_order": list(deployment.network._nodes),
         "keystore_ids": list(deployment.keystore.node_ids),
     }
-    run(deployment, duration=0.2, warmup=0.05)
+    run_deployment(deployment, duration=0.2, warmup=0.05)
     ledger = first_replica(deployment).ledger
     built.update(
         events_processed=deployment.simulator.events_processed,
@@ -90,18 +89,12 @@ def _snapshot(deployment, first_replica, run):
 
 def capture_single(protocol, c, m, seed):
     deployment = builder_for(protocol)(crash_tolerance=c, byzantine_tolerance=m, seed=seed)
-    return _snapshot(
-        deployment, lambda d: next(iter(d.replicas.values())), run_deployment
-    )
+    return _snapshot(deployment, lambda d: next(iter(d.replicas.values())))
 
 
 def capture_sharded(shards, seed):
     deployment = build_sharded_seemore(num_shards=shards, seed=seed)
-    return _snapshot(
-        deployment,
-        lambda d: next(iter(d.shards[0].replicas.values())),
-        run_sharded_deployment,
-    )
+    return _snapshot(deployment, lambda d: next(iter(d.shards[0].replicas.values())))
 
 
 def capture_signatures():

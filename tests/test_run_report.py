@@ -1,18 +1,15 @@
-"""Every result type speaks the RunReport protocol."""
+"""One RunResult behind every runner, one flat row per run."""
+
+import dataclasses
 
 import pytest
 
 from repro.analysis import format_run_report
 from repro.cluster.builders import build_seemore
-from repro.cluster.runner import (
-    OpenLoopRunResult,
-    RunReport,
-    RunResult,
-    ShardedRunResult,
-    run_deployment,
-)
+from repro.cluster.runner import RunResult, run_deployment, run_sharded_deployment
 from repro.runtime.proc import ProcResult
-from repro.workload.metrics import LatencySummary
+from repro.workload.metrics import LatencySummary, ShardLoadSummary
+from repro.workload.slo import SloEvaluation, SloSpec
 
 
 def _latency():
@@ -34,32 +31,29 @@ def _run_result(**overrides):
     return RunResult(**kwargs)
 
 
-def _sharded_result():
-    return ShardedRunResult(
-        aggregate=_run_result(protocol="seemore-sharded"),
-        per_shard=(),
+def _sharded_result(**overrides):
+    return _run_result(
+        protocol="seemore-sharded-2x",
+        per_shard=(ShardLoadSummary(shard=0, completed=60, throughput=60.0, latency=_latency()),),
         transactions={"started": 5, "committed": 4, "aborted": 1},
-        atomicity_violations=0,
+        **overrides,
     )
 
 
-def _open_loop_result():
-    return OpenLoopRunResult(
-        protocol="seemore-lion",
-        duration=1.0,
+def _open_loop_result(**overrides):
+    return _run_result(
+        completed=380,
         offered=500,
-        completed=300,
+        served=300,
         dropped=100,
         shed=100,
         busy_rejects=250,
-        throughput=300.0,
-        latency=_latency(),
-        safety_violations=0,
+        **overrides,
     )
 
 
-def _proc_result():
-    return ProcResult(
+def _proc_result(**overrides):
+    kwargs = dict(
         met=True,
         wall_seconds=1.5,
         harvests={"client": {"completed": 42}},
@@ -68,6 +62,8 @@ def _proc_result():
         exitcodes={"w0": 0},
         errors=[],
     )
+    kwargs.update(overrides)
+    return ProcResult(**kwargs)
 
 
 ALL_REPORTS = {
@@ -78,14 +74,10 @@ ALL_REPORTS = {
 }
 
 
-class TestProtocolConformance:
+class TestOneRow:
     @pytest.mark.parametrize("kind", sorted(ALL_REPORTS))
-    def test_isinstance_of_run_report(self, kind):
-        assert isinstance(ALL_REPORTS[kind](), RunReport)
-
-    @pytest.mark.parametrize("kind", sorted(ALL_REPORTS))
-    def test_report_row_is_flat(self, kind):
-        row = ALL_REPORTS[kind]().report_row()
+    def test_as_row_is_flat(self, kind):
+        row = ALL_REPORTS[kind]().as_row()
         assert isinstance(row, dict) and row
         assert all(
             value is None or isinstance(value, (str, int, float, bool))
@@ -93,59 +85,82 @@ class TestProtocolConformance:
         )
 
     @pytest.mark.parametrize("kind", sorted(ALL_REPORTS))
-    def test_node_stats_is_dict(self, kind):
-        assert isinstance(ALL_REPORTS[kind]().node_stats(), dict)
+    def test_every_row_counts_completions_and_violations(self, kind):
+        row = ALL_REPORTS[kind]().as_row()
+        assert row["violations"] == 0
+        assert row["completed"] == {"run": 100, "sharded": 100, "openloop": 380, "proc": 42}[kind]
 
-    def test_committed_aliases(self):
-        assert _run_result().committed == 100
-        assert _sharded_result().committed == 100
-        assert _open_loop_result().committed == 300
-        assert _proc_result().committed == 42
+    def test_plain_row_has_no_section_columns(self):
+        row = _run_result().as_row()
+        assert not {"transactions_committed", "offered", "slo_holds"} & set(row)
 
-    def test_violation_counts(self):
-        assert _run_result(safety_violations=2).violation_count == 2
-        assert _proc_result().violation_count == 0
-        sharded = ShardedRunResult(
-            aggregate=_run_result(safety_violations=1),
-            per_shard=(),
-            transactions={},
-            atomicity_violations=2,
-        )
-        assert sharded.violation_count == 3
+    def test_sharded_section_adds_the_2pc_counters(self):
+        row = _sharded_result().as_row()
+        assert row["transactions_started"] == 5
+        assert row["transactions_committed"] == 4
+        assert row["transactions_aborted"] == 1
+        assert row["atomicity_violations"] == 0
 
-    def test_open_loop_slo_violation_counts(self):
-        from repro.workload.slo import SloEvaluation, SloSpec
+    def test_open_loop_section_separates_offered_from_served(self):
+        result = _open_loop_result()
+        row = result.as_row()
+        assert (row["offered"], row["served"], row["dropped"], row["shed"]) == (500, 300, 100, 100)
+        assert row["busy_rejects"] == 250
+        assert row["offered_rate_reqs_per_s"] == 500.0
+        # Whole-run completions and measured-window completions are two
+        # numbers with two names.
+        assert row["completed"] == 380 and result.served == 300
 
+    def test_violations_total_every_kind(self):
+        assert _run_result(safety_violations=2).as_row()["violations"] == 2
+        sharded = _sharded_result(safety_violations=1, atomicity_violations=2)
+        assert sharded.as_row()["violations"] == 3
+        assert _proc_result(deaths=["w1"], errors=["boom"]).as_row()["violations"] == 2
+
+    def test_a_violated_slo_counts_as_a_violation(self):
         spec = SloSpec(bound=0.05)
         bad = SloEvaluation(spec=spec, bins=4, violating_bins=2, worst=0.2)
         result = _open_loop_result()
-        assert result.violation_count == 0
-        import dataclasses
+        assert result.slo_holds is None and result.as_row()["violations"] == 0
+        judged = dataclasses.replace(result, slo=bad)
+        assert judged.slo_holds is False
+        row = judged.as_row()
+        assert row["violations"] == 1
+        assert row["slo_holds"] is False and row["slo_violating_bins"] == 2
 
-        assert dataclasses.replace(result, slo=bad).violation_count == 1
 
-
-class TestFormatRunReport:
-    def test_formats_mixed_reports(self):
-        text = format_run_report([_run_result(), _proc_result()])
-        assert "protocol" in text
+class TestFormattingRuns:
+    def test_formats_mixed_reports_with_the_union_of_columns(self):
+        text = format_run_report(
+            [_run_result(), _sharded_result(), _open_loop_result(), _proc_result()]
+        )
+        header = text.splitlines()[1]
+        for column in ("protocol", "transactions_committed", "shed", "wall_seconds"):
+            assert column in header
         assert "proc" in text
+        assert "VIOLATIONS" not in text
 
     def test_flags_violations(self):
-        text = format_run_report([_run_result(safety_violations=3)])
-        assert "VIOLATIONS" in text
+        text = format_run_report([_run_result(safety_violations=3), _proc_result(deaths=["w0"])])
+        assert "VIOLATIONS: seemore-lion reported 3 violation(s)" in text
+        assert "VIOLATIONS: proc reported 1 violation(s)" in text
 
     def test_empty(self):
         assert "(no results)" in format_run_report([])
 
 
-class TestLiveRunPopulatesReport:
+class TestLiveRunPopulatesResult:
     @pytest.mark.integration
-    def test_run_deployment_fills_run_report_fields(self):
+    def test_run_deployment_fills_the_result(self):
         deployment = build_seemore(num_clients=2, seed=3)
         result = run_deployment(deployment, duration=0.3, warmup=0.1)
-        assert isinstance(result, RunReport)
+        assert isinstance(result, RunResult)
         assert result.metrics_collector is deployment.metrics
-        stats = result.node_stats()
-        assert stats, "node summaries should be captured"
-        assert any("busy_rejects_sent" in summary for summary in stats.values())
+        assert result.node_summaries, "node summaries should be captured"
+        assert any("busy_rejects_sent" in summary for summary in result.node_summaries.values())
+        assert result.per_shard is None and result.transactions is None
+        assert result.offered is None and result.slo is None
+
+    def test_the_sharded_spelling_is_the_same_function(self):
+        # benchmarks/e2e/adapters.py imports run_sharded_deployment.
+        assert run_sharded_deployment is run_deployment

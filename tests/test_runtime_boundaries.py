@@ -11,7 +11,9 @@ nothing from ``repro`` at module scope.
 
 Cluster construction is held to one path the same way: only
 ``repro/cluster/wiring.py`` may construct a replica or a ``KeyStore``, and
-clients are constructed only by their pools.
+clients are constructed only by their pools.  Reporting is held to one
+shape too: one ``*Result`` dataclass in ``cluster/runner.py``, one under
+``scenarios/``, and one function that samples and finalizes checkers.
 """
 
 import ast
@@ -258,6 +260,102 @@ class TestOneConstructionPath:
             assert "_sim_deployments" in called_by(builder), builder.__name__
         for leg in (conformance.run_sim, conformance.run_aio):
             assert "oracle_cluster" in called_by(leg), leg.__name__
+
+
+def result_dataclasses(path):
+    """Names of the ``@dataclass`` classes in ``path`` whose name ends in ``Result``."""
+    names = []
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if not (isinstance(node, ast.ClassDef) and node.name.endswith("Result")):
+            continue
+        for decorator in node.decorator_list:
+            target = decorator.func if isinstance(decorator, ast.Call) else decorator
+            if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+                names.append(node.name)
+    return names
+
+
+def engine_functions(root):
+    """``{"finalize": {...}, "schedule": {...}}``: who drives checkers under ``root``.
+
+    Every call is attributed to its outermost enclosing function or method
+    (so closures count for the function that defines them), named
+    ``file.py:function``.  ``finalize`` collects callers of ``<x>.finalize(...)``
+    -- except a method itself named ``finalize``, where a checker may
+    delegate to the checkers it wraps or to its base class; ``schedule``
+    collects callers of ``call_at``/``call_later``, the only ways to put
+    periodic sampling on the simulator clock.
+    """
+    found = {"finalize": set(), "schedule": set()}
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        scopes = [
+            member
+            for node in tree.body
+            for member in (node.body if isinstance(node, ast.ClassDef) else [node])
+            if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
+        for scope in scopes:
+            for node in ast.walk(scope):
+                if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                    continue
+                where = f"{path.name}:{scope.name}"
+                if node.func.attr == "finalize" and scope.name != "finalize":
+                    found["finalize"].add(where)
+                elif node.func.attr in ("call_at", "call_later"):
+                    found["schedule"].add(where)
+    return found
+
+
+class TestOneRunLoopOneResult:
+    """One result type per layer and one engine that drives the checkers.
+
+    ``cluster/runner.py`` defines exactly one ``*Result`` dataclass
+    (``RunResult``) and ``scenarios/`` exactly one (``ScenarioResult``); and
+    exactly one function under ``scenarios/`` finalizes checkers or schedules
+    anything on the simulator clock -- ``engine.run_scenario``.  A fourth
+    result class or a second copy of the sampling loop fails here.
+    """
+
+    SCENARIOS = SRC / "scenarios"
+
+    def test_the_runner_has_one_result_dataclass(self):
+        assert result_dataclasses(SRC / "cluster" / "runner.py") == ["RunResult"]
+
+    def test_the_scenarios_package_has_one_result_dataclass(self):
+        found = {
+            path.name: names
+            for path in sorted(self.SCENARIOS.glob("*.py"))
+            if (names := result_dataclasses(path))
+        }
+        assert found == {"engine.py": ["ScenarioResult"]}
+
+    def test_one_function_samples_and_finalizes_checkers(self):
+        assert engine_functions(self.SCENARIOS) == {
+            "finalize": {"engine.py:run_scenario"},
+            "schedule": {"engine.py:run_scenario"},
+        }
+
+    def test_the_rules_catch_a_second_result_and_a_second_engine(self, tmp_path):
+        (tmp_path / "second.py").write_text(
+            "@dataclass(frozen=True)\n"
+            "class ShardedThingResult:\n"
+            "    ok: bool\n"
+            "class Composite:\n"
+            "    def finalize(self, deployment):\n"
+            "        return [v for inner in self.inner for v in inner.finalize(deployment)]\n"
+            "def run_second_engine(scenario, deployment):\n"
+            "    def sample():\n"
+            "        deployment.simulator.call_later(0.05, sample)\n"
+            "    sample()\n"
+            "    for checker in scenario.default_checkers():\n"
+            "        checker.finalize(deployment)\n"
+        )
+        assert result_dataclasses(tmp_path / "second.py") == ["ShardedThingResult"]
+        assert engine_functions(tmp_path) == {
+            "finalize": {"second.py:run_second_engine"},
+            "schedule": {"second.py:run_second_engine"},
+        }
 
 
 class TestDetectorDetects:

@@ -188,7 +188,7 @@ class TestInvariantCheckersDetect:
         deployment = small_deployment()
         checker = NoForgedReplies()
         checker.attach(deployment)
-        checker._accepted[("client-0", 1)] = {"ok": False, "value": "forged"}
+        checker._accepted[("client-0", 1)] = (0, {"ok": False, "value": "forged"})
         violations = checker.finalize(deployment)
         assert violations and "ever executed" in violations[0]
 
@@ -198,7 +198,7 @@ class TestInvariantCheckersDetect:
         checker.attach(deployment)
         replica = deployment.correct_replicas()[0]
         replica.executor.commit(1, "client-0", 1, Workload.build("0/0").operation_factory()(1))
-        checker._accepted[("client-0", 1)] = {"ok": False, "value": "forged"}
+        checker._accepted[("client-0", 1)] = (0, {"ok": False, "value": "forged"})
         violations = checker.finalize(deployment)
         assert violations and "forged" in violations[0]
 

@@ -1,23 +1,165 @@
-"""The scenario-matrix regression net: every named scenario, every mode.
+"""The scenario-matrix regression net: every library, every leg, one engine.
 
-This is the standing gate for protocol changes: each library scenario runs
-under Lion, Dog, and Peacock with all invariant checkers sampling
-continuously, and must uphold every invariant and expectation.
+This is the standing gate for protocol changes.  Every named scenario of
+every library — the 12 single-cluster scenarios under Lion, Dog and
+Peacock, the sharded library, the adaptive-controller library (sharded
+divergence included) and the open-loop surge pair — runs through the one
+:func:`repro.scenarios.run_scenario` with its default invariant checkers
+sampling continuously, must reach its expected verdict, and must reproduce
+``tests/data/scenario_golden.json`` exactly: the simulator events processed,
+the requests completed, client timeouts, views, fired events, 2PC counters
+and open-loop counters recorded at commit ``dce05c4``, before the three
+scenario engines and the three runner result classes were folded into one.
+(That file was written from the parent commit's own entry points; the one
+edit is the ``heal-shards`` event label, which is ``heal-partition`` now
+that sharded scenarios heal with the ordinary ``HealPartition`` event.
+``python tests/test_scenarios_matrix.py`` rewrites it from the current
+tree.)
 
 The matrix is deliberately *not* marked ``slow`` — it is the acceptance
 surface for fault behaviour (``pytest tests/test_scenarios*.py -m "not
 slow"``).  CI runs a smoke subset of it on every push (see
-``.github/workflows/ci.yml``) and the full matrix nightly.
+``.github/workflows/ci.yml``) and the full matrix nightly; the sharded,
+adaptive and open-loop legs also carry their library's marker.
 """
+
+import json
+import pathlib
 
 import pytest
 
+from repro.cluster import build_seemore, build_sharded_seemore, run_deployment
+from repro.cluster.runner import run_open_loop
 from repro.core import Mode
-from repro.scenarios import SCENARIOS, run_scenario
+from repro.scenarios import SCENARIOS, SHARDED_SCENARIOS, run_scenario, run_scenario_matrix
+from repro.scenarios.adaptive import (
+    ADAPTIVE_SCENARIOS,
+    LIBRARY_POLICY,
+    PER_SHARD_DIVERGENT_ENVIRONMENTS,
+)
+from repro.scenarios.openloop import OPEN_LOOP_SCENARIOS
+from repro.workload import Workload, WorkloadSpec
+from repro.workload.openloop import ClientPopulation, PoissonArrivals
 
 pytestmark = pytest.mark.integration
 
+GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "scenario_golden.json"
 MODES = [Mode.LION, Mode.DOG, Mode.PEACOCK]
+
+#: The one library scenario whose checker is *meant* to fire.
+EXPECTED_TO_FAIL = {"surge-admission-off": "sla-violation"}
+
+
+def _legs():
+    """``golden key -> (scenario, mode, builder overrides, pytest marks)``."""
+    legs = {
+        f"{name}[{mode.name.lower()}]": (scenario, mode, {}, ())
+        for name, scenario in SCENARIOS.items()
+        for mode in MODES
+    }
+    for name, scenario in SHARDED_SCENARIOS.items():
+        legs[name] = (scenario, None, {}, (pytest.mark.shard,))
+    adaptive = dict(ADAPTIVE_SCENARIOS)
+    adaptive[PER_SHARD_DIVERGENT_ENVIRONMENTS.name] = PER_SHARD_DIVERGENT_ENVIRONMENTS
+    for name, scenario in adaptive.items():
+        legs[name] = (scenario, None, {"adaptive": LIBRARY_POLICY}, (pytest.mark.adaptive,))
+    for name, scenario in OPEN_LOOP_SCENARIOS.items():
+        legs[name] = (scenario, None, {}, (pytest.mark.openloop,))
+    return legs
+
+
+LEGS = _legs()
+
+
+def scenario_record(result):
+    """What the golden file pins about one scenario run."""
+    record = dict(
+        events_processed=result.events_processed,
+        completed=result.completed,
+        client_timeouts=result.client_timeouts,
+        max_view=result.max_view,
+        events_applied=[[at, label] for at, label in result.events_applied],
+    )
+    if result.transactions is not None:
+        record["transactions"] = result.transactions
+    if result.measured is not None:
+        measured = result.measured
+        record.update(
+            offered=measured.offered,
+            served=measured.served,
+            dropped=measured.dropped,
+            shed=measured.shed,
+            busy_rejects=measured.busy_rejects,
+            slo_holds=measured.slo_holds,
+            checker_fired=bool(result.invariant_violations),
+        )
+    return record
+
+
+def run_leg(key):
+    scenario, mode, overrides, _ = LEGS[key]
+    return run_scenario(scenario, mode, **overrides)
+
+
+def _plain_run():
+    deployment = build_seemore(num_clients=2, seed=3)
+    return deployment, run_deployment(deployment, duration=0.3, warmup=0.1)
+
+
+def _sharded_run():
+    deployment = build_sharded_seemore(
+        num_shards=2,
+        num_clients=4,
+        txn_timeout=0.2,
+        seed=5,
+        workload=Workload.build(
+            WorkloadSpec(kind="sharded-kv", cross_shard_fraction=0.15, seed=5)
+        ),
+    )
+    return deployment, run_deployment(deployment, duration=0.3, warmup=0.05)
+
+
+def _open_loop_run():
+    deployment = build_seemore(num_clients=0, seed=5)
+    population = ClientPopulation(
+        num_users=10_000, arrivals=PoissonArrivals(rate=300.0, seed=5), seed=5
+    )
+    driver = deployment.client_pool.spawn_open_loop(
+        population, connections=8, max_backlog=100, window=2
+    )
+    return deployment, run_open_loop(deployment, driver, duration=1.0, warmup=0.2)
+
+
+MEASURED_RUNS = {
+    "run_deployment": _plain_run,
+    "run_deployment:sharded": _sharded_run,
+    "run_open_loop": _open_loop_run,
+}
+
+
+def run_record(deployment, result):
+    """What the golden file pins about one measured run."""
+    record = dict(
+        events_processed=deployment.simulator.events_processed,
+        completed=result.completed,
+        client_timeouts=result.client_timeouts,
+        throughput=result.throughput,
+        latency_p50=result.latency.p50,
+        latency_p99=result.latency.p99,
+        duration=result.duration,
+    )
+    if result.transactions is not None:
+        record["transactions"] = result.transactions
+        record["per_shard_completed"] = [shard.completed for shard in result.per_shard]
+    if result.offered is not None:
+        for counter in ("offered", "served", "dropped", "shed", "busy_rejects"):
+            record[counter] = getattr(result, counter)
+    return record
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN_PATH.read_text())
 
 
 def test_library_is_large_enough():
@@ -25,9 +167,64 @@ def test_library_is_large_enough():
     assert len(SCENARIOS) >= 10
 
 
-@pytest.mark.parametrize("mode", MODES, ids=lambda mode: mode.name.lower())
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_scenario_matrix(name, mode):
-    result = run_scenario(SCENARIOS[name], mode)
-    result.assert_ok()
-    assert result.completed >= SCENARIOS[name].min_completed
+def test_golden_covers_exactly_the_libraries(golden):
+    assert set(golden) == set(LEGS) | set(MEASURED_RUNS)
+
+
+@pytest.mark.parametrize(
+    "key", [pytest.param(key, marks=leg[3], id=key) for key, leg in LEGS.items()]
+)
+def test_scenario_matrix(key, golden):
+    scenario = LEGS[key][0]
+    result = run_leg(key)
+    if scenario.name in EXPECTED_TO_FAIL:
+        assert set(result.invariant_violations) == {EXPECTED_TO_FAIL[scenario.name]}
+        assert not result.expectation_failures
+    else:
+        result.assert_ok()
+    assert result.completed >= scenario.min_completed
+    assert scenario_record(result) == golden[key]
+
+
+@pytest.mark.parametrize("key", sorted(MEASURED_RUNS))
+def test_measured_runs_match_golden(key, golden):
+    assert run_record(*MEASURED_RUNS[key]()) == golden[key]
+
+
+class TestMatrixRejectsSharedCheckers:
+    """Checker instances are stateful and single-run, for every scenario kind."""
+
+    @pytest.mark.parametrize(
+        "scenarios, modes",
+        [
+            (list(SCENARIOS.values())[:1], (Mode.LION,)),
+            (list(SHARDED_SCENARIOS.values())[:1], (None,)),
+            (list(OPEN_LOOP_SCENARIOS.values())[:1], (None,)),
+        ],
+        ids=["single", "sharded", "open-loop"],
+    )
+    def test_checkers_keyword_is_rejected(self, scenarios, modes):
+        with pytest.raises(TypeError, match="checker_factory"):
+            run_scenario_matrix(scenarios, modes=modes, checkers=[])
+
+    @pytest.mark.shard
+    def test_checker_factory_is_called_once_per_sharded_leg(self):
+        made = []
+
+        def factory():
+            made.append(SHARDED_SCENARIOS["shard-byzantine-backup-lies"].default_checkers())
+            return made[-1]
+
+        scenario = SHARDED_SCENARIOS["shard-byzantine-backup-lies"]
+        results = run_scenario_matrix(
+            [scenario, scenario], modes=(None,), checker_factory=factory, num_clients=1
+        )
+        assert len(results) == len(made) == 2
+        assert made[0][0] is not made[1][0]
+
+
+if __name__ == "__main__":
+    records = {key: scenario_record(run_leg(key)) for key in LEGS}
+    records.update((key, run_record(*run())) for key, run in MEASURED_RUNS.items())
+    GOLDEN_PATH.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN_PATH}")

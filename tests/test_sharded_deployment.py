@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import build_sharded_seemore, run_deployment, run_sharded_deployment
+from repro.cluster import build_sharded_seemore, run_deployment
 from repro.core import Mode
 from repro.shard import ShardSpec
 from repro.workload import Workload, WorkloadSpec
@@ -82,8 +82,8 @@ class TestShardedRun:
         deployment = _build(
             num_shards=2, workload=sharded_kv(seed=11, cross_shard_fraction=0.0)
         )
-        result = run_sharded_deployment(deployment, duration=0.25, warmup=0.05)
-        assert result.aggregate.completed > 100
+        result = run_deployment(deployment, duration=0.25, warmup=0.05)
+        assert result.completed > 100
         per_shard = [summary.completed for summary in result.per_shard]
         assert all(count > 0 for count in per_shard)
         # With no cross-shard traffic every completion belongs to exactly
@@ -97,7 +97,7 @@ class TestShardedRun:
             num_shards=2,
             workload=sharded_kv(seed=11, cross_shard_fraction=0.2),
         )
-        result = run_sharded_deployment(deployment, duration=0.3, warmup=0.05)
+        result = run_deployment(deployment, duration=0.3, warmup=0.05)
         assert result.transactions["committed"] > 5
         assert result.transactions["aborted"] == 0
         assert result.atomicity_violations == 0
@@ -113,7 +113,7 @@ class TestShardedRun:
             num_shards=2,
             workload=sharded_kv(seed=11, cross_shard_fraction=0.3, read_fraction=0.0),
         )
-        run_sharded_deployment(deployment, duration=0.25, warmup=0.05)
+        run_deployment(deployment, duration=0.25, warmup=0.05)
         partitioner = deployment.partitioner
         # Collect one committed transaction from any client coordinator's
         # history via the state machines: pick a key of each shard that was
@@ -124,12 +124,24 @@ class TestShardedRun:
             assert written, f"shard {index} never applied a write"
             assert all(partitioner.shard_of_key(key) == index for key in written)
 
-    def test_run_deployment_duck_types_sharded_deployments(self):
+    def test_run_deployment_fills_the_sharded_section(self):
         deployment = _build(num_shards=2)
         result = run_deployment(deployment, duration=0.2, warmup=0.05)
         assert result.protocol == "seemore-sharded-2x"
         assert result.completed > 30
         assert result.safety_violations == 0
+        assert [summary.shard for summary in result.per_shard] == [0, 1]
+        assert result.transactions == deployment.transaction_stats()
+
+    def test_run_deployment_raises_on_a_split_decision(self):
+        deployment = _build(num_shards=2)
+        stores = [
+            shard.correct_replicas()[0].executor.state_machine for shard in deployment.shards
+        ]
+        stores[0].txn_decisions["evil:1"] = "commit"
+        stores[1].txn_decisions["evil:1"] = "abort"
+        with pytest.raises(AssertionError, match="evil:1"):
+            run_deployment(deployment, duration=0.05, warmup=0.0)
 
     def test_mixed_modes_serve_one_keyspace(self):
         specs = (ShardSpec(mode=Mode.LION), ShardSpec(mode=Mode.DOG), ShardSpec(mode=Mode.PEACOCK))
@@ -139,7 +151,7 @@ class TestShardedRun:
             num_clients=2,
             workload=sharded_kv(seed=5, cross_shard_fraction=0.2),
         )
-        result = run_sharded_deployment(deployment, duration=0.3, warmup=0.05)
+        result = run_deployment(deployment, duration=0.3, warmup=0.05)
         assert all(summary.completed > 0 for summary in result.per_shard)
         assert result.transactions["committed"] > 5
         assert result.atomicity_violations == 0

@@ -1,51 +1,97 @@
-"""The sharded fault-scenario library, plus checker-detection tests."""
+"""The sharded fault-scenario library, plus checker-detection tests.
+
+Every library scenario's verdict (and its golden counters) is asserted once
+in ``tests/test_scenarios_matrix.py``; this file holds what is specific to
+the sharded kind: that the scenarios exercise what they claim to, and that
+each sharded checker and expectation detects what it exists to detect.
+"""
+
+import random
+from types import SimpleNamespace
 
 import pytest
 
-from repro.scenarios.sharded import (
+from repro.core import Mode
+from repro.scenarios import (
     SHARDED_SCENARIOS,
     CrossShardAtomicity,
     IsolateShard,
+    NoForgedReplies,
     OnShard,
-    run_sharded_scenario,
+    ShardedScenario,
+    TransactionsAtLeast,
+    run_scenario,
 )
-from repro.scenarios.events import Crash
+from repro.scenarios.events import ClientSurge, Crash
 
 pytestmark = [pytest.mark.shard, pytest.mark.integration]
 
-
-@pytest.fixture(scope="module")
-def matrix_results():
-    """Run the whole library once; every matrix test asserts on the cache."""
-    return {name: run_sharded_scenario(scenario) for name, scenario in SHARDED_SCENARIOS.items()}
+PROBE = ShardedScenario(name="probe", description="", duration=0.2)
 
 
-class TestShardedScenarioMatrix:
-    @pytest.mark.parametrize("name", sorted(SHARDED_SCENARIOS))
-    def test_library_scenario_upholds_every_invariant(self, matrix_results, name):
-        result = matrix_results[name]
+class TestShardedScenarioLibrary:
+    def test_single_shard_crash_scenario_exercises_a_view_change(self):
+        result = run_scenario(SHARDED_SCENARIOS["shard-primary-crash-mid-traffic"])
         result.assert_ok()
-        # The atomicity contract is the point of the library: every one of
-        # these runs must leave a consistent cross-shard decision history.
+        # The atomicity contract is the point of the library.
         assert "cross-shard-atomicity" not in result.invariant_violations
-
-    def test_single_shard_crash_scenario_exercises_a_view_change(self, matrix_results):
-        result = matrix_results["shard-primary-crash-mid-traffic"]
         assert any("crash" in label for _, label in result.events_applied)
         assert result.transactions["committed"] >= 3
+        assert result.max_view >= 1
+        assert result.mode == "lion/lion/lion"
+        assert len(result.per_shard_completed) == 3 and all(result.per_shard_completed)
 
-    def test_isolation_scenario_really_aborts_transactions(self, matrix_results):
-        result = matrix_results["shard-isolated-then-heals"]
+    def test_isolation_scenario_really_aborts_transactions(self):
+        result = run_scenario(SHARDED_SCENARIOS["shard-isolated-then-heals"])
+        result.assert_ok()
         assert result.transactions["aborted"] >= 1
-        assert any("isolate" in label for _, label in result.events_applied)
+        assert [label for _, label in result.events_applied] == [
+            "isolate-shard(1)",
+            "heal-partition",
+        ]
+
+    def test_a_sharded_scenario_takes_no_run_wide_mode(self):
+        with pytest.raises(TypeError, match="mode per shard"):
+            run_scenario(PROBE, Mode.DOG)
+
+    def test_a_prebuilt_deployment_excludes_builder_overrides(self):
+        deployment = PROBE.build()
+        with pytest.raises(TypeError, match="overrides"):
+            run_scenario(PROBE, deployment=deployment, num_clients=1)
+        result = run_scenario(PROBE, deployment=deployment)
+        assert result.completed == deployment.metrics.completed > 0
+
+    def test_client_surge_spawns_routed_clients(self):
+        deployment = PROBE.build()
+        ClientSurge(at=0.0, count=2).apply(deployment)
+        assert len(deployment.clients) == PROBE.num_clients + 2
+        assert all(client.router is deployment.router for client in deployment.clients)
+
+
+class TestShardedExpectations:
+    def test_transaction_floors_are_ordinary_expectations(self):
+        # No cross-shard traffic: neither a commit nor an abort can happen.
+        scenario = ShardedScenario(
+            name="no-transactions",
+            description="",
+            duration=0.2,
+            cross_shard_fraction=0.0,
+            expectations=(TransactionsAtLeast("committed", 2), TransactionsAtLeast("aborted", 1)),
+        )
+        result = run_scenario(scenario)
+        assert result.invariant_violations == {}
+        assert result.expectation_failures == [
+            "only 0 cross-shard transactions committed (expected >= 2)",
+            "only 0 cross-shard transactions aborted (expected >= 1)",
+        ]
+
+    def test_default_expectation_is_one_committed_transaction(self):
+        assert PROBE.expectations == (TransactionsAtLeast("committed", 1),)
 
 
 class TestShardedCheckersDetect:
     def test_atomicity_checker_flags_a_split_decision(self):
-        from repro.scenarios.sharded import build_sharded_scenario_deployment, ShardedScenario
-
-        scenario = ShardedScenario(name="probe", description="", duration=0.2)
-        deployment = build_sharded_scenario_deployment(scenario)
+        deployment = PROBE.build()
         # Forge a split decision directly in the state machines: shard 0
         # committed a transaction shard 1 aborted.
         shard0_store = deployment.shards[0].correct_replicas()[0].executor.state_machine
@@ -60,8 +106,6 @@ class TestShardedCheckersDetect:
         assert "committed" in violations[0] and "aborted" in violations[0]
 
     def test_scenario_events_must_fire_within_the_duration(self):
-        from repro.scenarios.sharded import ShardedScenario
-
         scenario = ShardedScenario(
             name="late-event",
             description="",
@@ -69,21 +113,80 @@ class TestShardedCheckersDetect:
             events=(OnShard(at=0.5, shard=0, event=Crash(at=0.0, target="primary")),),
         )
         with pytest.raises(ValueError):
-            run_sharded_scenario(scenario)
+            run_scenario(scenario)
 
     def test_isolate_shard_partitions_replicas_from_clients(self):
-        from repro.scenarios.sharded import ShardedScenario, build_sharded_scenario_deployment
-
-        scenario = ShardedScenario(name="probe", description="", duration=0.2)
-        deployment = build_sharded_scenario_deployment(scenario)
+        deployment = PROBE.build()
         IsolateShard(at=0.0, shard=1).apply(deployment)
         conditions = deployment.network.conditions
         isolated = sorted(deployment.shards[1].replicas)
         client = deployment.clients[0].node_id
         other = sorted(deployment.shards[0].replicas)[0]
-        import random
 
         rng = random.Random(0)
         assert conditions.should_drop(client, isolated[0], rng)
         assert conditions.should_drop(isolated[0], client, rng)
         assert not conditions.should_drop(client, other, rng)
+
+
+class TestNoForgedRepliesOnShards:
+    """The one NoForgedReplies judges by the group that owns the request."""
+
+    @staticmethod
+    def _first_completion(checker):
+        """Run a probe deployment until one single-shard request completed.
+
+        Returns the deployment, the client, the request's timestamp, the
+        owning shard, and the result the client accepted.
+        """
+        deployment = PROBE.build(num_clients=1)
+        checker.attach(deployment)
+        deployment.start_clients()
+        deployment.run(0.05)
+        deployment.stop_clients()
+        deployment.run(0.2)
+        assert checker.finalize(deployment) == []
+        client = deployment.clients[0]
+        (client_id, timestamp), (shard, accepted) = sorted(checker._accepted.items())[0]
+        assert client_id == client.node_id
+        return deployment, client, timestamp, shard, accepted
+
+    @staticmethod
+    def _complete_again(client, timestamp, shard, result):
+        """Push one more accepted reply for ``timestamp`` through the client's hook."""
+        client._meta[timestamp] = SimpleNamespace(shard_id=shard, on_result=lambda _: None)
+        client._pending[timestamp] = None
+        reply = SimpleNamespace(result=result, view=0, mode=client.sessions[shard].known_mode)
+        pending = SimpleNamespace(request=SimpleNamespace(timestamp=timestamp))
+        client._flag_minority_replies = lambda reply, pending: None
+        client._complete(reply, pending)
+
+    def test_two_different_results_for_one_timestamp_are_flagged(self):
+        checker = NoForgedReplies()
+        deployment, client, timestamp, shard, _ = self._first_completion(checker)
+        self._complete_again(client, timestamp, shard, {"forged": True})
+        violations = checker.finalize(deployment)
+        assert any(
+            f"accepted two different results for timestamp {timestamp}" in violation
+            for violation in violations
+        )
+
+    def test_a_reply_only_a_non_owning_shard_vouches_for_is_flagged(self):
+        checker = NoForgedReplies()
+        deployment, client, timestamp, shard, accepted = self._first_completion(checker)
+        other = 1 - shard
+        forged = {"forged": True}
+        # Every correct replica of the *other* shard "executed" the request
+        # with the forged result; the owning shard produced the honest one.
+        for replica in deployment.shards[other].correct_replicas():
+            replica.executor._reply_cache[(client.node_id, timestamp)] = forged
+        checker._accepted[(client.node_id, timestamp)] = (shard, forged)
+        violations = checker.finalize(deployment)
+        assert violations == [
+            f"client {client.node_id} accepted a forged result for timestamp "
+            f"{timestamp}: no correct replica of shard {shard} produced it"
+        ]
+        # Had the request belonged to the other shard, the same reply would
+        # be genuine: ownership, not mere existence, decides.
+        checker._accepted[(client.node_id, timestamp)] = (other, forged)
+        assert checker.finalize(deployment) == []

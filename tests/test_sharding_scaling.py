@@ -9,7 +9,7 @@ wall-clock noise cannot flake this test.
 
 import pytest
 
-from repro.cluster import build_sharded_seemore, run_sharded_deployment
+from repro.cluster import build_sharded_seemore, run_deployment
 from repro.core import BatchPolicy
 from repro.workload import Workload, WorkloadSpec
 
@@ -31,9 +31,9 @@ def _committed_per_sim_second(num_shards: int) -> float:
             WorkloadSpec(kind="sharded-kv", seed=3, cross_shard_fraction=0.0)
         ),
     )
-    result = run_sharded_deployment(deployment, duration=_DURATION, warmup=_WARMUP)
+    result = run_deployment(deployment, duration=_DURATION, warmup=_WARMUP)
     assert result.atomicity_violations == 0
-    return result.aggregate.completed / _DURATION
+    return result.completed / _DURATION
 
 
 def test_four_shards_scale_past_three_x_single_cluster():

@@ -3,11 +3,11 @@
 import pytest
 
 from repro.core.admission import AdmissionPolicy
+from repro.scenarios import run_scenario
 from repro.scenarios.openloop import (
     OPEN_LOOP_SCENARIOS,
     SURGE_ADMISSION_OFF,
     SURGE_ADMISSION_ON,
-    run_open_loop_scenario,
 )
 from repro.workload.metrics import MetricsCollector
 from repro.workload.slo import SlaViolation, SloSpec, evaluate_slo
@@ -121,6 +121,49 @@ class TestSlaViolationChecker:
         assert checker.check(deployment) == []
         assert checker.finalize(deployment) == []
 
+    def test_an_over_bound_bin_in_the_warm_up_does_not_fire(self):
+        """The live checker and the post-run evaluation judge one window.
+
+        The only bad bin lies before ``start`` (the warm-up) and another
+        after ``end``; a checker that scanned from t=0 -- as the open-loop
+        engine's used to -- would fire where ``evaluate_slo`` holds.
+        """
+        collector = _collector_with(
+            [(0.0, [0.2] * 10), (0.5, [0.01] * 10), (0.75, [0.01] * 10), (1.0, [0.2] * 10)]
+        )
+        spec = SloSpec(bound=0.05)
+        assert evaluate_slo(spec, collector, start=0.5, end=1.0).holds
+        checker = SlaViolation(spec, start=0.5, end=1.0)
+        deployment = _FakeDeployment(collector, now=0.8)
+        checker.attach(deployment)
+        assert checker.check(deployment) == []
+        deployment.simulator.now = 1.5
+        assert checker.check(deployment) == []
+        assert checker.finalize(deployment) == []
+        # The same data judged from t=0 does violate: the window is what differs.
+        assert SlaViolation(spec).finalize(deployment)
+
+    def test_each_sample_builds_the_timeline_once(self):
+        collector = _collector_with([(0.0, [0.2] * 10), (0.25, [0.01] * 10)])
+        calls = []
+        build = collector.latency_timeline
+        collector.latency_timeline = lambda *args, **kwargs: (
+            calls.append(kwargs) or build(*args, **kwargs)
+        )
+        checker = SlaViolation(SloSpec(bound=0.05, max_violation_fraction=0.6))
+        deployment = _FakeDeployment(collector, now=0.6)
+        checker.attach(deployment)
+        assert checker.check(deployment) == []  # 1 of 2 bins over: within budget
+        assert len(calls) == 1
+        assert checker.finalize(deployment) == []
+        assert len(calls) == 2
+
+    def test_an_open_loop_scenario_hands_its_checker_the_measured_window(self):
+        (checker,) = SURGE_ADMISSION_ON.default_checkers()
+        assert checker.spec is SURGE_ADMISSION_ON.slo
+        assert checker.start == SURGE_ADMISSION_ON.warmup
+        assert checker.end == SURGE_ADMISSION_ON.warmup + SURGE_ADMISSION_ON.duration
+
 
 class TestSurgeScenarios:
     """The headline gate: 1M modeled users surging past capacity.
@@ -133,24 +176,27 @@ class TestSurgeScenarios:
 
     def test_admission_on_holds_slo(self):
         assert SURGE_ADMISSION_ON.num_users >= 1_000_000
-        outcome = run_open_loop_scenario(SURGE_ADMISSION_ON)
-        result = outcome.result
+        outcome = run_scenario(SURGE_ADMISSION_ON)
+        result = outcome.measured
         assert result.slo_holds, result.slo.describe()
-        assert not outcome.checker_fired
+        assert outcome.ok, outcome.failures()
         # The excess was genuinely shed, not silently absorbed.
         assert result.shed > 0
         assert result.busy_rejects > 0
-        assert result.completed > 0
+        assert result.served > 0
         assert result.safety_violations == 0
+        assert outcome.mode == "lion" and outcome.completed == result.completed
 
     def test_admission_off_fires_checker(self):
         assert SURGE_ADMISSION_OFF.num_users >= 1_000_000
-        outcome = run_open_loop_scenario(SURGE_ADMISSION_OFF)
-        result = outcome.result
+        outcome = run_scenario(SURGE_ADMISSION_OFF)
+        result = outcome.measured
         assert result.slo_holds is False
-        assert outcome.checker_fired
+        # The live checker and the post-run evaluation agree, bin for bin.
+        assert len(outcome.invariant_violations["sla-violation"]) == result.slo.violating_bins
+        assert outcome.as_row()["verdict"] == "FAIL"
         assert result.busy_rejects == 0  # no admission control, no rejects
-        assert result.completed > 0
+        assert result.served > 0
         assert result.safety_violations == 0
 
     def test_library_is_consistent(self):
@@ -176,11 +222,13 @@ class TestOpenLoopEndToEnd:
             population, connections=8, max_backlog=100, window=2
         )
         result = run_open_loop(deployment, driver, duration=1.0, warmup=0.2)
-        assert result.completed > 100
+        assert result.served > 100
+        # ``completed`` is the whole run, ``served`` the measured window.
+        assert result.completed == deployment.metrics.completed >= result.served
         assert result.safety_violations == 0
-        # Every offered arrival is accounted for: completed, dropped at the
+        # Every offered arrival is accounted for: served, dropped at the
         # backlog, shed after Busy rejects, or still in flight / queued.
-        accounted = result.completed + result.dropped + result.shed
+        accounted = result.served + result.dropped + result.shed
         assert accounted <= result.offered
         in_pipeline = driver.backlog_depth + driver.active_requests
         assert result.offered - accounted <= in_pipeline + 8 * 2
@@ -215,5 +263,5 @@ class TestOpenLoopEndToEnd:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert result.completed > 0
+        assert result.served > 0
         assert peak < 24 * 1024 * 1024, f"peak {peak} bytes is not O(active)"
