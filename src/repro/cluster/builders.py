@@ -46,7 +46,6 @@ from repro.shard import (
     ShardedClientPool,
     ShardedDeployment,
     ShardRouter,
-    ShardSession,
     ShardSpec,
     make_partitioner,
 )
@@ -332,22 +331,12 @@ def build_sharded_seemore(
         shard.client_pool.spawn = _reject_per_shard_spawn  # type: ignore[method-assign]
     first = shards[0]
 
-    def session_factory() -> Dict[int, ShardSession]:
-        return {
-            index: ShardSession(
-                shard_id=index,
-                config=shard.client_pool.client_config,
-                members=frozenset(shard.replicas),
-            )
-            for index, shard in enumerate(shards)
-        }
-
     aggregate_metrics = MetricsCollector()
     pool = ShardedClientPool(
         runtime=first.runtime,
         keystore=first.keystore,
         placement=first.placement,
-        session_factory=session_factory,
+        configs=[shard.client_pool.client_config for shard in shards],
         router=router,
         workload=workload,
         metrics=aggregate_metrics,

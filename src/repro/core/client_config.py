@@ -15,11 +15,11 @@ The paper's client behaviour differs per mode:
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List
+from typing import List
 
 from repro.core.config import SeeMoReConfig
 from repro.core.modes import Mode
-from repro.smr.client import ClientConfig
+from repro.smr.client import ClientConfig, ReplyRule
 
 
 def _mode_from_id(mode_id: int, fallback: Mode) -> Mode:
@@ -52,26 +52,20 @@ def client_config_for_mode(
             return list(config.all_replicas)
         return config.proxies_of_view(view, current)
 
-    replies_by_mode: Dict[int, int] = {
-        int(Mode.LION): config.client_reply_quorum(Mode.LION),
-        int(Mode.DOG): config.client_reply_quorum(Mode.DOG),
-        int(Mode.PEACOCK): config.client_reply_quorum(Mode.PEACOCK),
-    }
-    trusted_by_mode: Dict[int, FrozenSet[str]] = {
-        int(Mode.LION): frozenset(config.private_replicas),
-        int(Mode.DOG): frozenset(),
-        int(Mode.PEACOCK): frozenset(),
+    # The paper's rule, stated once.  "One reply" in Lion only ever applied
+    # to the private cloud, so its public-cloud quorum is m+1 outright.
+    no_one = frozenset()
+    rules = {
+        int(Mode.LION): ReplyRule(frozenset(config.private_replicas), m + 1, m + 1),
+        int(Mode.DOG): ReplyRule(no_one, 2 * m + 1, m + 1),
+        int(Mode.PEACOCK): ReplyRule(no_one, m + 1, m + 1),
     }
 
     return ClientConfig(
         request_targets=request_targets,
-        replies_needed=config.client_reply_quorum(mode),
-        trusted_replicas=trusted_by_mode[int(mode)],
+        rules=rules,
+        members=frozenset(config.all_replicas),
         retransmit_targets=retransmit_targets,
-        retransmit_replies_needed=m + 1,
-        untrusted_replies_needed=m + 1,
         request_timeout=request_timeout,
         initial_mode=int(mode),
-        replies_by_mode=replies_by_mode,
-        trusted_by_mode=trusted_by_mode,
     )

@@ -199,18 +199,6 @@ class SeeMoReConfig:
             return hybrid_quorum_size(self.byzantine_tolerance, self.crash_tolerance)
         return 2 * self.byzantine_tolerance + 1
 
-    def client_reply_quorum(self, mode: Mode) -> int:
-        """Matching replies a client needs in the normal case."""
-        if mode is Mode.LION:
-            return 1
-        if mode is Mode.DOG:
-            return 2 * self.byzantine_tolerance + 1
-        return self.byzantine_tolerance + 1
-
-    def client_retransmit_reply_quorum(self, mode: Mode) -> int:
-        """Matching replies needed after a client retransmission."""
-        return self.byzantine_tolerance + 1
-
     # -- roles --------------------------------------------------------------------
 
     def primary_of_view(self, view: int, mode: Mode) -> str:

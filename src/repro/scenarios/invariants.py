@@ -144,9 +144,6 @@ class NoForgedReplies(InvariantChecker):
 
     def _instrument(self, client) -> None:
         original_complete = client._complete
-        # A sharded client keeps per-request routing metadata; a plain
-        # client's requests all belong to its one cluster (group 0).
-        routing = getattr(client, "_meta", None)
 
         def completing(reply, pending):
             timestamp = pending.request.timestamp
@@ -156,8 +153,7 @@ class NoForgedReplies(InvariantChecker):
                     f"client {client.node_id} accepted two different results "
                     f"for timestamp {timestamp}"
                 )
-            group = routing[timestamp].shard_id if routing is not None else 0
-            self._accepted[key] = (group, reply.result)
+            self._accepted[key] = (pending.session.index, reply.result)
             original_complete(reply, pending)
 
         client._complete = completing  # type: ignore[method-assign]

@@ -12,7 +12,8 @@ state is partitioned across N SeeMoRe clusters, each free to run the mode
 * :mod:`~repro.shard.coordinator` — the deterministic two-phase protocol
   committing multi-key operations that span shards, with every prepare and
   decide record ordered through the participating shard's own consensus;
-* :mod:`~repro.shard.client` — shard-aware closed-loop clients and pools;
+* :mod:`~repro.shard.client` — the routed client (the single-cluster
+  client with one :class:`~repro.smr.client.Session` per shard) and its pool;
 * :mod:`~repro.shard.deployment` — :class:`ShardedDeployment`, composing N
   per-shard :class:`~repro.cluster.deployment.Deployment` objects on one
   simulator with aggregate safety and atomicity checks.
@@ -21,7 +22,7 @@ Deployments are built by
 :func:`repro.cluster.builders.build_sharded_seemore`.
 """
 
-from repro.shard.client import ShardedClient, ShardedClientPool, ShardSession
+from repro.shard.client import ShardedClient, ShardedClientPool
 from repro.shard.coordinator import (
     CoordinatorStats,
     CrossShardCoordinator,
@@ -48,7 +49,6 @@ __all__ = [
     "TransactionRecord",
     "ShardedClient",
     "ShardedClientPool",
-    "ShardSession",
     "ShardedDeployment",
     "ShardSpec",
 ]

@@ -26,7 +26,7 @@ from repro.smr.ledger import CommitLedger, LedgerEntry
 from repro.smr.messages import ProtocolMessage, Reply, Request
 from repro.smr.slots import Slot, SlotLog
 from repro.smr.replica import ReplicaBase, request_digest
-from repro.smr.client import Client, ClientConfig, CompletedRequest
+from repro.smr.client import Client, ClientConfig, CompletedRequest, ReplyRule, Session
 
 __all__ = [
     "StateMachine",
@@ -48,4 +48,6 @@ __all__ = [
     "Client",
     "ClientConfig",
     "CompletedRequest",
+    "ReplyRule",
+    "Session",
 ]

@@ -19,13 +19,23 @@ paper's experiments (each client "waits for the reply before sending a
 subsequent request"); a larger window pipelines several requests, which is
 how the batching benchmarks offer enough concurrent load for primaries to
 fill their batches without simulating thousands of client objects.
+
+Everything a client knows about one replica group — its
+:class:`ClientConfig`, the view and mode it last saw, the per-mode
+:class:`ReplyRule` table — is a :class:`Session`, and every in-flight
+request carries the session it was sent on.  Issue, retransmission,
+``Busy`` backoff, the membership filter, vote counting, acceptance and
+completion are written once here against ``pending.session``:
+``Client(config=...)`` is the one-session case, and
+:class:`~repro.shard.client.ShardedClient` only adds a session per shard
+and the routing that picks one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from hashlib import sha256
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence
+from typing import Any, Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence
 
 from repro.adaptive.evidence import EvidenceKind, EvidenceLog
 from repro.crypto.signatures import Signer, Verifier, WindowVerifier
@@ -43,31 +53,34 @@ TargetSelector = Callable[[int, int], List[str]]
 OperationFactory = Callable[[int], Operation]
 
 
+class ReplyRule(NamedTuple):
+    """When a client accepts a result in one mode (the paper's Section 5 rule).
+
+    One signed reply from a member of ``trusted`` suffices; from anyone
+    else it takes ``quorum`` matching replies from distinct members, or
+    ``retransmit_quorum`` once the request has been retransmitted.
+    """
+
+    trusted: FrozenSet[str]
+    quorum: int
+    retransmit_quorum: int
+
+
 @dataclass
 class ClientConfig:
-    """How a client talks to a particular protocol deployment.
+    """How a client talks to one replica group.
 
     Attributes:
         request_targets: ``(view, mode) -> node ids`` to send new requests to.
-        replies_needed: matching replies required to accept a result.
-        trusted_replicas: replicas whose single signed reply is sufficient
-            (the private cloud in SeeMoRe's Lion mode, the leader in Paxos).
         retransmit_targets: ``(view, mode) -> node ids`` for retransmissions
-            after a timeout; defaults to the request targets.
-        retransmit_replies_needed: matching replies required after a
-            retransmission (e.g. m+1 in the Lion and Dog modes); defaults to
-            ``replies_needed``.
-        untrusted_replies_needed: minimum matching replies to accept a
-            result from *untrusted* replicas in a mode that has trusted
-            repliers (m+1 in SeeMoRe's Lion mode, per the paper's client
-            rule); defaults to ``retransmit_replies_needed``.  Irrelevant
-            when ``trusted_replicas`` (and the per-mode overrides) are
-            empty.
+            after a timeout.
+        rules: ``mode id -> ReplyRule``, the whole acceptance rule.  A reply
+            reporting a mode id the table does not list is judged by
+            ``initial_mode``'s rule.
+        members: the group's replicas; only they have a say over a request
+            sent to the group (anyone else's ``Reply`` or ``Busy`` is ignored).
         request_timeout: seconds to wait before retransmitting.
         initial_mode: protocol mode id assumed before the first reply.
-        replies_by_mode: optional per-mode override of ``replies_needed``;
-            used when the deployment can switch modes dynamically.
-        trusted_by_mode: optional per-mode override of ``trusted_replicas``.
         busy_backoff_base: first re-send delay after a signed ``Busy``
             reject from an admission-controlled primary; doubles per
             consecutive reject of the same request.
@@ -81,44 +94,30 @@ class ClientConfig:
     """
 
     request_targets: TargetSelector
-    replies_needed: int
-    trusted_replicas: FrozenSet[str] = frozenset()
-    retransmit_targets: Optional[TargetSelector] = None
-    retransmit_replies_needed: Optional[int] = None
-    untrusted_replies_needed: Optional[int] = None
+    retransmit_targets: TargetSelector
+    rules: Dict[int, ReplyRule]
+    members: FrozenSet[str]
     request_timeout: float = 0.05
     initial_mode: int = 0
-    replies_by_mode: Optional[Dict[int, int]] = None
-    trusted_by_mode: Optional[Dict[int, FrozenSet[str]]] = None
     busy_backoff_base: float = 0.005
     busy_backoff_cap: float = 0.08
     max_busy_retries: Optional[int] = None
 
-    def targets_for_retransmit(self, view: int, mode: int) -> List[str]:
-        selector = self.retransmit_targets or self.request_targets
-        return selector(view, mode)
 
-    def replies_for_mode(self, mode: int) -> int:
-        if self.replies_by_mode and mode in self.replies_by_mode:
-            return self.replies_by_mode[mode]
-        return self.replies_needed
+@dataclass
+class Session:
+    """One client's view of one replica group: config plus tracked view/mode."""
 
-    def trusted_for_mode(self, mode: int) -> FrozenSet[str]:
-        if self.trusted_by_mode and mode in self.trusted_by_mode:
-            return self.trusted_by_mode[mode]
-        return self.trusted_replicas
+    index: int
+    config: ClientConfig
+    known_view: int = 0
+    known_mode: int = field(init=False)
+    rules: Dict[int, ReplyRule] = field(init=False)
 
-    @property
-    def replies_needed_after_retransmit(self) -> int:
-        if self.retransmit_replies_needed is None:
-            return self.replies_needed
-        return self.retransmit_replies_needed
-
-    @property
-    def untrusted_reply_floor(self) -> int:
-        if self.untrusted_replies_needed is None:
-            return self.replies_needed_after_retransmit
-        return self.untrusted_replies_needed
+    def __post_init__(self) -> None:
+        self.known_mode = self.config.initial_mode
+        # The session's own copy: unlisted mode ids are memoized into it.
+        self.rules = dict(self.config.rules)
 
 
 @dataclass
@@ -137,11 +136,18 @@ class CompletedRequest:
 
 @dataclass
 class _PendingRequest:
-    """One in-flight request and the reply votes gathered for it."""
+    """One in-flight request and the reply votes gathered for it.
+
+    ``on_result`` is set for a cross-shard coordinator's sub-requests
+    (prepare/decide), which hand their result over instead of completing a
+    logical request.
+    """
 
     request: Request
+    session: Session
     sent_at: float
     last_sent_at: float
+    on_result: Optional[Callable[[Any], None]] = None
     retransmitted: bool = False
     votes: Dict[str, set] = field(default_factory=dict)
     busy_attempts: int = 0
@@ -171,14 +177,16 @@ class Client(Node):
         # Replies arrive per-replica; the window verifier amortizes their
         # signature checks into per-sender transcript windows.
         self._window_verifier = WindowVerifier(verifier)
-        self.config = config
+        # One session per replica group, indexed by group; a single-cluster
+        # client has exactly one.  One retransmit timer serves them all, so
+        # the timeout is the client's (builders give every group the same).
+        self.sessions: List[Session] = [Session(0, config)]
+        self.request_timeout = config.request_timeout
         self.operation_factory = operation_factory
         self.recorder = recorder
         self.max_requests = max_requests
         self.window = window
 
-        self.known_view = 0
-        self.known_mode = config.initial_mode
         self.completed: List[CompletedRequest] = []
         self.timeouts = 0
         # Admission-control interactions: rejects received, and requests
@@ -191,10 +199,6 @@ class Client(Node):
         self.evidence = EvidenceLog(node_id, self.runtime)
 
         self._next_timestamp = 0
-        # Acceptance rules memoized per mode id: (trusted set, quorum,
-        # quorum after retransmission).  The config's per-mode lookups run
-        # once per reply otherwise, and the config never changes mid-run.
-        self._mode_rules_cache: Dict[int, tuple] = {}
         # Insertion-ordered map of timestamp -> pending request (oldest first).
         self._pending: Dict[int, _PendingRequest] = {}
         # timestamp -> simulated time at which to re-send after a Busy
@@ -230,11 +234,6 @@ class Client(Node):
     def outstanding_count(self) -> int:
         return len(self._pending)
 
-    @property
-    def outstanding_timestamp(self) -> Optional[int]:
-        """Oldest in-flight timestamp (None when nothing is outstanding)."""
-        return next(iter(self._pending), None)
-
     # -- issuing ------------------------------------------------------------
 
     def _fill_window(self) -> None:
@@ -251,6 +250,21 @@ class Client(Node):
         operation = self._next_operation(self._next_timestamp + 1)
         if operation is None:
             return False
+        self._submit(self.sessions[0], operation, self._sent_time())
+        return True
+
+    def _submit(
+        self,
+        session: Session,
+        operation: Operation,
+        sent_at: float,
+        on_result: Optional[Callable[[Any], None]] = None,
+    ) -> None:
+        """Sign one request and send it to ``session``'s group.
+
+        Every request of every client goes out through here; ``sent_at`` is
+        when it counts as sent for its latency record.
+        """
         self._next_timestamp += 1
         timestamp = self._next_timestamp
         # Fused signing path (mirrors ReplicaBase.send_reply): one request
@@ -272,11 +286,10 @@ class Client(Node):
         request.seed_wire_caches(
             frame, content_digest, _REQUEST_OVERHEAD + operation.wire_size()
         )
-        now = self.now
         self._pending[timestamp] = _PendingRequest(
-            request=request, sent_at=self._sent_time(), last_sent_at=now
+            request, session, sent_at, self.now, on_result
         )
-        targets = self.config.request_targets(self.known_view, self.known_mode)
+        targets = session.config.request_targets(session.known_view, session.known_mode)
         if len(targets) == 1:
             # The steady-state Lion/Dog/Peacock client sends to exactly one
             # primary; skip the dedup pass of _send_request.
@@ -288,7 +301,6 @@ class Client(Node):
         # an active timer needs no re-arming — only arm from cold.
         if not self._timer.active:
             self._schedule_timer()
-        return True
 
     def _next_operation(self, timestamp: int) -> Optional[Operation]:
         """The operation the next request should carry (``None`` = nothing).
@@ -342,7 +354,7 @@ class Client(Node):
             # insertion-ordered pending map: the oldest outstanding
             # transmission is the first entry.
             oldest = next(iter(self._pending.values())).last_sent_at
-        next_deadline = oldest + self.config.request_timeout
+        next_deadline = oldest + self.request_timeout
         if next_deadline == self._armed_deadline and self._timer.active:
             # Completing a mid-window request leaves the oldest deadline
             # unchanged; the armed timer is still exactly right.
@@ -354,17 +366,21 @@ class Client(Node):
         self._armed_deadline = None  # the armed event just fired
         if not self._pending or self._stopped:
             return
-        targets = self.config.targets_for_retransmit(self.known_view, self.known_mode)
+        now = self.now
         overdue = [
             pending
             for pending in self._pending.values()
-            if self.now - pending.last_sent_at >= self.config.request_timeout - 1e-12
+            if now - pending.last_sent_at >= self.request_timeout - 1e-12
         ]
         if overdue:
             self.timeouts += 1
             for pending in overdue:
+                session = pending.session
                 pending.retransmitted = True
-                pending.last_sent_at = self.now
+                pending.last_sent_at = now
+                targets = session.config.retransmit_targets(
+                    session.known_view, session.known_mode
+                )
                 self._send_request(targets, pending.request)
         self._schedule_timer()
 
@@ -391,19 +407,20 @@ class Client(Node):
             return
         if busy.client_id != self.node_id:
             return
-        if busy.replica_id != src:
+        config = pending.session.config
+        if busy.replica_id != src or src not in config.members:
             return
         if not self._window_verifier.verify(busy.replica_id, busy):
             return
         self.busy_rejects += 1
         pending.busy_attempts += 1
-        limit = self.config.max_busy_retries
+        limit = config.max_busy_retries
         if limit is not None and pending.busy_attempts > limit:
             self._shed(pending)
             return
         delay = min(
-            self.config.busy_backoff_cap,
-            self.config.busy_backoff_base * (2 ** (pending.busy_attempts - 1)),
+            config.busy_backoff_cap,
+            config.busy_backoff_base * (2 ** (pending.busy_attempts - 1)),
         )
         resend_at = self.now + delay
         self._busy_resends[busy.timestamp] = resend_at
@@ -430,7 +447,8 @@ class Client(Node):
             if pending is None:
                 continue
             pending.last_sent_at = now
-            targets = self.config.request_targets(self.known_view, self.known_mode)
+            session = pending.session
+            targets = session.config.request_targets(session.known_view, session.known_mode)
             self._send_request(targets, pending.request)
         self._arm_busy_timer()
         self._schedule_timer()
@@ -460,6 +478,10 @@ class Client(Node):
             return
         if reply.client_id != self.node_id:
             return
+        if src not in pending.session.config.members:
+            # Only the group the request went to has a say over it: not
+            # another shard's replicas, not another client's identity.
+            return
         if not self._window_verifier.verify(reply.replica_id, reply):
             return
         if reply.replica_id != src:
@@ -474,54 +496,14 @@ class Client(Node):
             self._complete(reply, pending)
 
     def _is_acceptable(self, reply: Reply, voters: set, pending: _PendingRequest) -> bool:
-        rules = self._mode_rules_cache.get(reply.mode)
-        if rules is None:
-            rules = self._mode_rules(reply.mode)
-        trusted, quorum, retransmit_quorum = rules
+        session = pending.session
+        rule = session.rules.get(reply.mode)
+        if rule is None:
+            rule = session.rules[reply.mode] = session.rules[session.config.initial_mode]
+        trusted, quorum, retransmit_quorum = rule
         if reply.replica_id in trusted:
             return True
         return len(voters) >= (retransmit_quorum if pending.retransmitted else quorum)
-
-    def _mode_rules(self, mode: int) -> tuple:
-        """Memoized acceptance rules for ``mode``.
-
-        Precomputes exactly what :meth:`_untrusted_reply_quorum` derives per
-        reply: the trusted-replica set and the untrusted quorum before and
-        after retransmission (both floored at ``untrusted_reply_floor`` when
-        the mode has trusted repliers).
-        """
-        config = self.config
-        trusted = config.trusted_for_mode(mode)
-        quorum = config.replies_for_mode(mode)
-        retransmit_quorum = config.replies_needed_after_retransmit
-        if trusted:
-            floor = config.untrusted_reply_floor
-            quorum = max(quorum, floor)
-            retransmit_quorum = max(retransmit_quorum, floor)
-        rules = (trusted, quorum, retransmit_quorum)
-        self._mode_rules_cache[mode] = rules
-        return rules
-
-    @staticmethod
-    def _untrusted_reply_quorum(config: ClientConfig, reply: Reply, pending) -> int:
-        """Matching *untrusted* replies needed to accept under ``config``.
-
-        A mode whose normal-case quorum is one *trusted* reply (Lion: the
-        private primary) must never extend that shortcut to an untrusted
-        replica: per the paper's Lion rule, public-cloud results are only
-        acceptable as ``untrusted_reply_floor`` (m+1) matching replies, or
-        a single forged reply racing the primary's would be accepted.
-        Shared with the sharded client, which judges each reply against
-        its shard's own config.
-        """
-        needed = (
-            config.replies_needed_after_retransmit
-            if pending.retransmitted
-            else config.replies_for_mode(reply.mode)
-        )
-        if config.trusted_for_mode(reply.mode):
-            needed = max(needed, config.untrusted_reply_floor)
-        return needed
 
     def _flag_minority_replies(self, reply: Reply, pending) -> None:
         """Evidence: replicas whose signed result the accepted quorum contradicts.
@@ -549,26 +531,42 @@ class Client(Node):
 
     def _complete(self, reply: Reply, pending: _PendingRequest) -> None:
         self._flag_minority_replies(reply, pending)
+        # Track the view/mode the group reports so future requests go to
+        # the right primary after view changes and mode switches.
+        session = pending.session
+        session.known_view = max(session.known_view, reply.view)
+        session.known_mode = reply.mode
+        timestamp = pending.request.timestamp
+        del self._pending[timestamp]
+        if self._busy_resends:
+            self._busy_resends.pop(timestamp, None)
+        self._schedule_timer()
+        if pending.on_result is not None:
+            pending.on_result(reply.result)
+            return
         record = CompletedRequest(
-            timestamp=pending.request.timestamp,
+            timestamp=timestamp,
             sent_at=pending.sent_at,
             completed_at=self.now,
             retransmitted=pending.retransmitted,
         )
+        self._finish(record, session)
+
+    def _finish(self, record: CompletedRequest, session: Optional[Session]) -> None:
+        """Record one logical completion and refill the window.
+
+        ``session`` is the group that served it (``None`` for a cross-shard
+        transaction, which no single group did).
+        """
         self.completed.append(record)
-        if self.recorder is not None:
-            self.recorder.record_completion(
+        self._record(self.recorder, record)
+        self._fill_window()
+
+    def _record(self, recorder: Optional[Any], record: CompletedRequest) -> None:
+        if recorder is not None:
+            recorder.record_completion(
                 client_id=self.node_id,
                 timestamp=record.timestamp,
                 sent_at=record.sent_at,
                 completed_at=record.completed_at,
             )
-        # Track the view/mode the service reports so future requests go to
-        # the right primary after view changes and mode switches.
-        self.known_view = max(self.known_view, reply.view)
-        self.known_mode = reply.mode
-        del self._pending[pending.request.timestamp]
-        if self._busy_resends:
-            self._busy_resends.pop(pending.request.timestamp, None)
-        self._schedule_timer()
-        self._fill_window()

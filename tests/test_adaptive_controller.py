@@ -367,39 +367,6 @@ class TestRecommendationDampers:
         assert controller.recommend(fresh, Mode.LION, 1.0) is Mode.DOG
 
 
-class TestUntrustedReplyFloor:
-    def test_floor_is_decoupled_from_the_retransmit_quorum(self):
-        """A deployment tuning retransmit_replies_needed down (e.g. to 1)
-        must not silently lose the m+1 hardening for untrusted results in
-        trusted-replier modes."""
-        from repro.smr.client import Client, ClientConfig
-
-        config = ClientConfig(
-            request_targets=lambda view, mode: ["p0"],
-            replies_needed=1,
-            trusted_replicas=frozenset({"p0"}),
-            retransmit_replies_needed=1,
-            untrusted_replies_needed=2,
-        )
-
-        class Pending:
-            retransmitted = False
-
-        class Reply:
-            mode = 0
-            replica_id = "public-0"
-
-        assert Client._untrusted_reply_quorum(config, Reply(), Pending()) == 2
-        # Default: the floor falls back to the retransmit quorum.
-        config_default = ClientConfig(
-            request_targets=lambda view, mode: ["p0"],
-            replies_needed=1,
-            trusted_replicas=frozenset({"p0"}),
-            retransmit_replies_needed=2,
-        )
-        assert Client._untrusted_reply_quorum(config_default, Reply(), Pending()) == 2
-
-
 class TestAcceptanceCycle:
     """The PR's acceptance gate: a scenario run demonstrates the full
     escalate→de-escalate cycle (Lion → Peacock on injected equivocation,

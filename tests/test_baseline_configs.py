@@ -76,21 +76,20 @@ class TestBaselineClientConfigs:
     def test_paxos_client_accepts_single_leader_reply(self):
         config = PaxosConfig.build(1)
         client_config = paxos_client_config(config)
-        assert client_config.replies_needed == 1
         assert client_config.request_targets(0, 0) == [config.primary_of_view(0)]
-        assert set(client_config.trusted_replicas) == set(config.replicas)
-        assert set(client_config.targets_for_retransmit(0, 0)) == set(config.replicas)
+        assert client_config.rules[0].trusted == client_config.members == frozenset(config.replicas)
+        assert set(client_config.retransmit_targets(0, 0)) == set(config.replicas)
 
     def test_pbft_client_needs_f_plus_1_matching(self):
         config = PBFTConfig.build(2)
         client_config = pbft_client_config(config)
-        assert client_config.replies_needed == 3
-        assert client_config.trusted_replicas == frozenset()
+        assert client_config.rules == {0: (frozenset(), 3, 3)}
+        assert client_config.members == frozenset(config.replicas)
 
     def test_upright_client_needs_m_plus_1_matching(self):
         config = UpRightConfig.build(crash_tolerance=2, byzantine_tolerance=1)
         client_config = upright_client_config(config)
-        assert client_config.replies_needed == 2
+        assert client_config.rules == {0: (frozenset(), 2, 2)}
 
     def test_client_targets_follow_the_view(self):
         config = PBFTConfig.build(1)

@@ -8,6 +8,10 @@ order, the keystore's ids and — after a short measured run — the
 simulator's event count, the completed-request count and the first
 replica's ledger digest at its highest committed slot.  The builders must
 keep reproducing it exactly: construction order *is* simulated behaviour.
+The sharded legs also carry ``completions`` (every client's completed
+timestamps in order and the send/completion times of its first 20), added
+from the commit before ``ShardedClient`` became a ``Client`` with one session
+per shard; no other entry was regenerated then.
 
 Regenerate (only when a behaviour change is intended and explained)::
 
@@ -71,6 +75,19 @@ def sharded_cases():
     ]
 
 
+def completion_trace(clients, first=20):
+    """Per client: every completed timestamp in completion order, plus the
+    ``[sent_at, completed_at]`` of the first few — equal counts cannot hide a
+    changed retransmission or completion order behind this."""
+    return {
+        client.node_id: {
+            "timestamps": [record.timestamp for record in client.completed],
+            "first": [[record.sent_at, record.completed_at] for record in client.completed[:first]],
+        }
+        for client in clients
+    }
+
+
 def _snapshot(deployment, first_replica):
     built = {
         # Network._nodes is insertion-ordered: exactly runtime.register order.
@@ -94,7 +111,9 @@ def capture_single(protocol, c, m, seed):
 
 def capture_sharded(shards, seed):
     deployment = build_sharded_seemore(num_shards=shards, seed=seed)
-    return _snapshot(deployment, lambda d: next(iter(d.shards[0].replicas.values())))
+    built = _snapshot(deployment, lambda d: next(iter(d.shards[0].replicas.values())))
+    built["completions"] = completion_trace(deployment.clients)
+    return built
 
 
 def capture_signatures():
@@ -158,7 +177,7 @@ def test_conformance_sim_leg_builds_what_build_seemore_builds(mode):
         max_batch=8,
     )
     deployment = build_seemore(mode=mode, batch_policy=BatchPolicy(max_batch=8))
-    assert client.config.request_timeout == deployment.clients[0].config.request_timeout
+    assert client.request_timeout == deployment.clients[0].request_timeout
     assert list(replicas) == list(deployment.replicas)
     for replica_id, replica in replicas.items():
         assert isinstance(replica, conformance.RecordingReplica)

@@ -17,28 +17,29 @@ class TestLionClientConfig:
         assert targets == [config.primary_of_view(0, Mode.LION)]
         assert config.is_trusted(targets[0])
 
-    def test_single_trusted_reply_suffices(self, config):
-        client_config = client_config_for_mode(config, Mode.LION)
-        assert client_config.replies_needed == 1
-        assert client_config.trusted_replicas == frozenset(config.private_replicas)
+    def test_one_private_reply_or_m_plus_1_public_replies(self, config):
+        rule = client_config_for_mode(config, Mode.LION).rules[int(Mode.LION)]
+        assert rule.trusted == frozenset(config.private_replicas)
+        # "One reply" never applies to the public cloud, retransmitted or not.
+        assert rule.quorum == rule.retransmit_quorum == config.byzantine_tolerance + 1
 
-    def test_retransmission_goes_to_everyone_and_needs_m_plus_1(self, config):
+    def test_retransmission_goes_to_everyone(self, config):
         client_config = client_config_for_mode(config, Mode.LION)
-        assert set(client_config.targets_for_retransmit(0, int(Mode.LION))) == set(
+        assert set(client_config.retransmit_targets(0, int(Mode.LION))) == set(
             config.all_replicas
         )
-        assert client_config.replies_needed_after_retransmit == config.byzantine_tolerance + 1
 
 
 class TestDogClientConfig:
     def test_needs_2m_plus_1_matching_proxy_replies(self, config):
-        client_config = client_config_for_mode(config, Mode.DOG)
-        assert client_config.replies_needed == 2 * config.byzantine_tolerance + 1
-        assert client_config.trusted_replicas == frozenset()
+        rule = client_config_for_mode(config, Mode.DOG).rules[int(Mode.DOG)]
+        assert rule.quorum == 2 * config.byzantine_tolerance + 1
+        assert rule.retransmit_quorum == config.byzantine_tolerance + 1
+        assert rule.trusted == frozenset()
 
     def test_retransmission_targets_are_the_proxies(self, config):
         client_config = client_config_for_mode(config, Mode.DOG)
-        targets = client_config.targets_for_retransmit(0, int(Mode.DOG))
+        targets = client_config.retransmit_targets(0, int(Mode.DOG))
         assert set(targets) == set(config.proxies_of_view(0, Mode.DOG))
 
 
@@ -50,23 +51,22 @@ class TestPeacockClientConfig:
         assert not config.is_trusted(targets[0])
 
     def test_needs_m_plus_1_matching_replies(self, config):
-        client_config = client_config_for_mode(config, Mode.PEACOCK)
-        assert client_config.replies_needed == config.byzantine_tolerance + 1
+        rule = client_config_for_mode(config, Mode.PEACOCK).rules[int(Mode.PEACOCK)]
+        assert rule.quorum == rule.retransmit_quorum == config.byzantine_tolerance + 1
+        assert rule.trusted == frozenset()
 
 
 class TestModeAwareness:
-    def test_reply_quorum_follows_reported_mode(self, config):
-        # A client built for the Lion mode must apply the Dog quorum once the
-        # service reports it has switched to the Dog mode.
-        client_config = client_config_for_mode(config, Mode.LION)
-        assert client_config.replies_for_mode(int(Mode.LION)) == 1
-        assert client_config.replies_for_mode(int(Mode.DOG)) == 2 * config.byzantine_tolerance + 1
-        assert client_config.replies_for_mode(int(Mode.PEACOCK)) == config.byzantine_tolerance + 1
+    def test_the_rule_table_is_the_same_whatever_the_initial_mode(self, config):
+        # A client built for the Lion mode must apply the Dog rule once the
+        # service reports it has switched to the Dog mode, and vice versa.
+        tables = [client_config_for_mode(config, mode).rules for mode in Mode]
+        assert tables[0] == tables[1] == tables[2]
+        assert set(tables[0]) == {int(mode) for mode in Mode}
 
-    def test_trusted_set_follows_reported_mode(self, config):
-        client_config = client_config_for_mode(config, Mode.LION)
-        assert client_config.trusted_for_mode(int(Mode.LION)) == frozenset(config.private_replicas)
-        assert client_config.trusted_for_mode(int(Mode.DOG)) == frozenset()
+    def test_every_replica_is_a_member_and_nobody_else(self, config):
+        for mode in Mode:
+            assert client_config_for_mode(config, mode).members == frozenset(config.all_replicas)
 
     def test_targets_follow_reported_mode(self, config):
         client_config = client_config_for_mode(config, Mode.LION)

@@ -104,12 +104,6 @@ class TestQuorums:
         assert config.receiving_network_size(Mode.DOG) == 4        # 3m+1
         assert config.receiving_network_size(Mode.PEACOCK) == 4    # 3m+1
 
-    def test_client_reply_quorums(self):
-        config = SeeMoReConfig.build(1, 2)
-        assert config.client_reply_quorum(Mode.LION) == 1
-        assert config.client_reply_quorum(Mode.DOG) == 5    # 2m+1
-        assert config.client_reply_quorum(Mode.PEACOCK) == 3  # m+1
-
     def test_inform_quorums(self):
         config = SeeMoReConfig.build(1, 2)
         assert config.inform_quorum(Mode.DOG) == 5

@@ -112,7 +112,9 @@ class TestModeSwitching:
         switch_modes(deployment, Mode.DOG, total=1.2)
         # After the switch the clients should have learned the new mode from
         # replies and be applying the Dog reply quorum.
-        assert any(client.known_mode == int(Mode.DOG) for client in deployment.clients)
+        assert any(
+            client.sessions[0].known_mode == int(Mode.DOG) for client in deployment.clients
+        )
 
     @pytest.mark.parametrize(
         "start_mode,target_mode",

@@ -13,7 +13,9 @@ Cluster construction is held to one path the same way: only
 ``repro/cluster/wiring.py`` may construct a replica or a ``KeyStore``, and
 clients are constructed only by their pools.  Reporting is held to one
 shape too: one ``*Result`` dataclass in ``cluster/runner.py``, one under
-``scenarios/``, and one function that samples and finalizes checkers.
+``scenarios/``, and one function that samples and finalizes checkers.  And
+the client's decisions (reply filtering, acceptance, completion, ``Busy``
+backoff, retransmission) are defined in ``repro/smr/client.py`` only.
 """
 
 import ast
@@ -260,6 +262,80 @@ class TestOneConstructionPath:
             assert "_sim_deployments" in called_by(builder), builder.__name__
         for leg in (conformance.run_sim, conformance.run_aio):
             assert "oracle_cluster" in called_by(leg), leg.__name__
+
+
+#: The methods in which a client decides what a reply, a ``Busy`` or a
+#: timeout means for a request.
+CLIENT_DECISIONS = {
+    "_on_reply",
+    "_is_acceptable",
+    "_complete",
+    "_on_busy",
+    "_on_busy_resend",
+    "_shed",
+    "_on_timeout",
+}
+
+
+def client_decision_sites(path):
+    """Yield ``(lineno, what)`` per client-decision definition or ``.retransmitted`` write.
+
+    ``_on_timeout = Client._on_timeout`` is not a definition: it re-exports
+    the one retransmit scan under the class the benchmark's tracer patches.
+    """
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.name in CLIENT_DECISIONS:
+                yield node.lineno, f"defines {node.name}"
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(target, ast.Attribute) and target.attr == "retransmitted":
+                    yield node.lineno, "assigns .retransmitted"
+                elif isinstance(target, ast.Name) and target.id in CLIENT_DECISIONS:
+                    if ast.unparse(node) != "_on_timeout = Client._on_timeout":
+                        yield node.lineno, f"defines {target.id}"
+
+
+class TestOneClientImplementation:
+    """Only ``repro/smr/client.py`` decides what happens to a request.
+
+    ``ShardedClient`` and ``OpenLoopConnection`` pick a session or an
+    operation; filtering, counting and accepting replies, completing,
+    backing off after ``Busy``, shedding and retransmitting are written once.
+    """
+
+    CLIENT = Path("smr") / "client.py"
+
+    def offenders(self, root):
+        return [
+            f"{path.relative_to(root)}:{lineno} {what}"
+            for path in sorted(root.rglob("*.py"))
+            if path.relative_to(root) != self.CLIENT
+            for lineno, what in client_decision_sites(path)
+        ]
+
+    def test_no_other_module_defines_a_client_decision(self):
+        assert self.offenders(SRC) == []
+        defined = {what for _, what in client_decision_sites(SRC / self.CLIENT)}
+        assert defined == {f"defines {name}" for name in CLIENT_DECISIONS} | {
+            "assigns .retransmitted"
+        }
+
+    def test_the_rule_catches_a_second_acceptance_rule(self, tmp_path):
+        (tmp_path / "shard").mkdir()
+        (tmp_path / "shard" / "client.py").write_text(
+            "class ShardedClient(Client):\n"
+            "    _on_timeout = Client._on_timeout\n"
+            "    _complete = Client._complete\n"
+            "    def _is_acceptable(self, reply, voters, pending):\n"
+            "        pending.retransmitted = True\n"
+            "        return len(voters) >= 1\n"
+        )
+        assert [line.split(" ", 1)[1] for line in self.offenders(tmp_path)] == [
+            "defines _complete",
+            "defines _is_acceptable",
+            "assigns .retransmitted",
+        ]
 
 
 def result_dataclasses(path):

@@ -14,7 +14,10 @@ scenario engines and the three runner result classes were folded into one.
 edit is the ``heal-shards`` event label, which is ``heal-partition`` now
 that sharded scenarios heal with the ordinary ``HealPartition`` event.
 ``python tests/test_scenarios_matrix.py`` rewrites it from the current
-tree.)
+tree.)  The ``COMPLETION_TRACED`` leg also carries ``completions`` (every
+client's completed timestamps in order and the send/completion times of
+its first 20), added from commit ``7c3ab73``, before ``ShardedClient``
+became a ``Client`` with one session per shard.
 
 The matrix is deliberately *not* marked ``slow`` — it is the acceptance
 surface for fault behaviour (``pytest tests/test_scenarios*.py -m "not
@@ -40,6 +43,7 @@ from repro.scenarios.adaptive import (
 from repro.scenarios.openloop import OPEN_LOOP_SCENARIOS
 from repro.workload import Workload, WorkloadSpec
 from repro.workload.openloop import ClientPopulation, PoissonArrivals
+from test_cluster_construction import completion_trace
 
 pytestmark = pytest.mark.integration
 
@@ -48,6 +52,10 @@ MODES = [Mode.LION, Mode.DOG, Mode.PEACOCK]
 
 #: The one library scenario whose checker is *meant* to fire.
 EXPECTED_TO_FAIL = {"surge-admission-off": "sla-violation"}
+
+#: Legs whose golden record also pins each client's completion order and
+#: first send/completion times (retransmission and failover included).
+COMPLETION_TRACED = {"primary-crash-mid-batch[lion]"}
 
 
 def _legs():
@@ -71,7 +79,7 @@ def _legs():
 LEGS = _legs()
 
 
-def scenario_record(result):
+def scenario_record(result, clients=None):
     """What the golden file pins about one scenario run."""
     record = dict(
         events_processed=result.events_processed,
@@ -93,12 +101,18 @@ def scenario_record(result):
             slo_holds=measured.slo_holds,
             checker_fired=bool(result.invariant_violations),
         )
+    if clients is not None:
+        record["completions"] = completion_trace(clients)
     return record
 
 
 def run_leg(key):
+    """Run one leg; returns its result and its golden record."""
     scenario, mode, overrides, _ = LEGS[key]
-    return run_scenario(scenario, mode, **overrides)
+    deployment = scenario.build(mode, **overrides)
+    result = run_scenario(scenario, mode, deployment=deployment)
+    clients = deployment.clients if key in COMPLETION_TRACED else None
+    return result, scenario_record(result, clients)
 
 
 def _plain_run():
@@ -176,14 +190,14 @@ def test_golden_covers_exactly_the_libraries(golden):
 )
 def test_scenario_matrix(key, golden):
     scenario = LEGS[key][0]
-    result = run_leg(key)
+    result, record = run_leg(key)
     if scenario.name in EXPECTED_TO_FAIL:
         assert set(result.invariant_violations) == {EXPECTED_TO_FAIL[scenario.name]}
         assert not result.expectation_failures
     else:
         result.assert_ok()
     assert result.completed >= scenario.min_completed
-    assert scenario_record(result) == golden[key]
+    assert record == golden[key]
 
 
 @pytest.mark.parametrize("key", sorted(MEASURED_RUNS))
@@ -224,7 +238,7 @@ class TestMatrixRejectsSharedCheckers:
 
 
 if __name__ == "__main__":
-    records = {key: scenario_record(run_leg(key)) for key in LEGS}
+    records = {key: run_leg(key)[1] for key in LEGS}
     records.update((key, run_record(*run())) for key, run in MEASURED_RUNS.items())
     GOLDEN_PATH.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN_PATH}")

@@ -7,7 +7,6 @@ each sharded checker and expectation detects what it exists to detect.
 """
 
 import random
-from types import SimpleNamespace
 
 import pytest
 
@@ -23,6 +22,8 @@ from repro.scenarios import (
     run_scenario,
 )
 from repro.scenarios.events import ClientSurge, Crash
+from repro.smr.messages import Reply
+from repro.smr.state_machine import Operation
 
 pytestmark = [pytest.mark.shard, pytest.mark.integration]
 
@@ -153,12 +154,13 @@ class TestNoForgedRepliesOnShards:
 
     @staticmethod
     def _complete_again(client, timestamp, shard, result):
-        """Push one more accepted reply for ``timestamp`` through the client's hook."""
-        client._meta[timestamp] = SimpleNamespace(shard_id=shard, on_result=lambda _: None)
-        client._pending[timestamp] = None
-        reply = SimpleNamespace(result=result, view=0, mode=client.sessions[shard].known_mode)
-        pending = SimpleNamespace(request=SimpleNamespace(timestamp=timestamp))
-        client._flag_minority_replies = lambda reply, pending: None
+        """Have the client accept one more result for ``timestamp`` on ``shard``."""
+        session = client.sessions[shard]
+        client._next_timestamp = timestamp - 1  # the next request reuses the timestamp
+        client._submit(session, Operation("get", ("k",)), client.now)
+        pending = client._pending[timestamp]
+        sender = sorted(session.rules[session.known_mode].trusted or session.config.members)[0]
+        reply = Reply(session.known_mode, 0, timestamp, client.node_id, sender, result)
         client._complete(reply, pending)
 
     def test_two_different_results_for_one_timestamp_are_flagged(self):

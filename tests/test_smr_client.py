@@ -3,7 +3,7 @@
 from repro.crypto import KeyStore
 from repro.net import Network, Node, UniformLatencyModel
 from repro.sim import Simulator
-from repro.smr.client import Client, ClientConfig
+from repro.smr.client import Client, ClientConfig, ReplyRule
 from repro.smr.messages import Reply, Request
 from repro.smr.state_machine import Operation
 from repro.workload import MetricsCollector
@@ -62,12 +62,13 @@ def build_harness(replica_specs, replies_needed=1, trusted=frozenset(), timeout=
         network.register(replica)
         replicas[spec["id"]] = replica
 
+    if retransmit_replies_needed is None:
+        retransmit_replies_needed = replies_needed
     config = ClientConfig(
         request_targets=lambda view, mode: [replica_ids[0]],
-        replies_needed=replies_needed,
-        trusted_replicas=trusted,
+        rules={0: ReplyRule(trusted, replies_needed, retransmit_replies_needed)},
+        members=frozenset(replica_ids),
         retransmit_targets=lambda view, mode: replica_ids,
-        retransmit_replies_needed=retransmit_replies_needed,
         request_timeout=timeout,
     )
     metrics = MetricsCollector()
@@ -224,5 +225,6 @@ class TestClientValidation:
         replicas["r0"].handle_message = reply_in_view_3
         client.start()
         sim.run(until=0.5)
-        assert client.known_view == 3
-        assert client.known_mode == 2
+        (session,) = client.sessions
+        assert session.known_view == 3
+        assert session.known_mode == 2
