@@ -3,10 +3,10 @@
 
 Everything else in ``examples/`` runs on the deterministic discrete-event
 simulator.  This example runs the *same protocol code* on the asyncio
-runtime backend instead: each replica is an asyncio task with its own TCP
-server on 127.0.0.1, messages are real bytes (the binary wire codec plus
-a signature envelope), timers are real monotonic-clock timers, and a
-closed-loop client drives load until at least 100 requests commit.
+runtime backend instead: each replica has its own TCP listener on
+127.0.0.1 in one event loop, messages are real bytes (the binary wire
+codec plus a signature envelope), timers are real monotonic-clock timers,
+and a closed-loop client drives load until at least 100 requests commit.
 
 Run with:  PYTHONPATH=src python examples/real_cluster.py
 """

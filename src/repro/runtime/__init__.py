@@ -8,9 +8,9 @@ backends implement those interfaces:
 
 * :mod:`repro.runtime.sim` — the deterministic discrete-event backend
   (the default for experiments, scenarios, and the perf harness);
-* :mod:`repro.runtime.aio` — real asyncio tasks speaking the binary
-  wire codec over length-prefixed loopback TCP, with monotonic-clock
-  timers and measured (not modeled) CPU time.
+* :mod:`repro.runtime.aio` — asyncio Protocol callbacks speaking the
+  binary wire codec over length-prefixed loopback TCP, with
+  monotonic-clock timers and measured (not modeled) CPU time.
 
 :mod:`repro.runtime.conformance` runs the same workload through both
 and asserts the committed ledgers agree — the simulator's results are

@@ -1,18 +1,38 @@
-"""Real-network runtime backend: asyncio tasks over loopback TCP.
+"""Real-network runtime backend: asyncio Protocol callbacks over loopback TCP.
 
-Every registered node gets its own TCP server on ``127.0.0.1`` (ephemeral
-port) and a serial CPU worker task.  Messages travel as real bytes: every
-protocol type ships its binary wire frame (:mod:`repro.wire`) inside a
-small envelope that also carries what rides *beside* a signed frame — the
-detached signature, piggybacked request/batch payloads with their client
-signatures, and a state-transfer snapshot.  A frame that does not decode is
-dropped and counted (``frames_rejected``); the channel stays up.
+Every registered node gets its own TCP listener on ``127.0.0.1`` (ephemeral
+port) and a serial CPU.  Messages travel as real bytes: every protocol type
+ships its binary wire frame (:mod:`repro.wire`) inside a small envelope that
+also carries what rides *beside* a signed frame — the detached signature,
+piggybacked request/batch payloads with their client signatures, and a
+state-transfer snapshot.
+
+There is no task and no queue per message or per connection; the data path is
+plain callbacks, and one turn of the event loop (a *tick*) does, in order:
+
+1. **read** — each readable socket hands :class:`_Inbound` whatever arrived
+   in one ``data_received`` call;
+2. **decode → deliver** — every complete length-prefixed envelope in that
+   buffer is decoded and handed to ``node.deliver``, which queues it on the
+   node's :class:`AioCpu`.  An envelope that does not decode is dropped and
+   counted (``frames_rejected``) and the channel stays up; a length prefix
+   above ``MAX_FRAME_BYTES`` cannot be skipped, so the listener hangs up;
+3. **drain slice** — each CPU with queued work runs its FIFO for at most
+   ``CPU_SLICE_S`` and reschedules itself if work remains, so one busy node
+   cannot keep the other nodes, the sockets or the timers waiting;
+4. **flush** — sends made during the slices were appended to their
+   (src, dst) :class:`_Outbound` channel; one flush callback per tick joins
+   each dirty channel's frames into **one** ``transport.write``.  A multicast
+   encodes its envelope once, not once per destination.
 
 Sender identity is authenticated per connection, mirroring the paper's
 pairwise authenticated channels: each (src, dst) pair uses a dedicated
 connection whose first bytes declare the sender id, and every message
 arriving on it is attributed to that id.  Spoofing replica *j* would
-require writing on *j*'s connection.
+require writing on *j*'s connection.  A channel dials lazily on its first
+flush and buffers until the connection is up; when a connection is lost the
+next send dials again (what the kernel had not delivered is lost, as on any
+TCP reset — the protocols retransmit).
 
 Differences from the sim backend, by design:
 
@@ -35,7 +55,7 @@ import struct
 import time
 from collections import Counter, deque
 from functools import partial
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.crypto.digest import digest_bytes
 from repro.crypto.signatures import Signature
@@ -46,10 +66,22 @@ from repro.wire.primitives import Reader, pack_value
 
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
+#: Byte lengths of a signature's signer id, payload digest and tag.
+_SIGNATURE_LENGTHS = struct.Struct("<HHH")
 
 #: Largest envelope a peer may announce; a longer length prefix closes the
 #: connection.
 MAX_FRAME_BYTES = 16 * 1024 * 1024
+
+#: Longest a CPU runs its queue before it yields the event loop.  Bounded by
+#: time, not by "what was queued when the slice began": the two measured the
+#: same throughput, but only a time bound keeps another node's timer on time
+#: when one node has a deep backlog.  0.1 ms cost ``aio-lion-closed`` a fifth
+#: of its throughput (a tick per handful of items); 0.3, 0.5 and 1 ms tied
+#: there, and ``aio-peacock-4k``, whose handlers are longer, gained 5 % from
+#: 0.3 to 0.5 ms and 2 % more at 1 ms.  With seven nodes a full round of
+#: 0.5 ms slices is 3.5 ms, the order of the 2 ms linger and ``until`` poll.
+CPU_SLICE_S = 0.0005
 
 #: First byte of every message blob; a blob of any other kind is rejected.
 _KIND_FRAME = b"\x01"
@@ -64,20 +96,20 @@ _ITEM_VALUE = b"\x03"  # a plain value (state-transfer snapshot)
 # -- envelope codec ----------------------------------------------------------
 
 
-def _pack_str(out: list, value: str) -> None:
-    raw = value.encode("utf-8")
-    out.append(_U16.pack(len(raw)))
-    out.append(raw)
-
-
 def _pack_signature(out: list, signature: Optional[Signature]) -> None:
     if signature is None:
         out.append(b"\x00")
         return
-    out.append(b"\x01")
-    _pack_str(out, signature.signer_id)
-    _pack_str(out, signature.payload_digest)
-    _pack_str(out, signature.tag)
+    signer = signature.signer_id.encode("utf-8")
+    payload_digest = signature.payload_digest.encode("utf-8")
+    tag = signature.tag.encode("utf-8")
+    out += (
+        b"\x01",
+        _SIGNATURE_LENGTHS.pack(len(signer), len(payload_digest), len(tag)),
+        signer,
+        payload_digest,
+        tag,
+    )
 
 
 def _pack_message(out: list, message: Any) -> None:
@@ -104,76 +136,55 @@ def _pack_message(out: list, message: Any) -> None:
             out.append(value)
 
 
-class _Cursor:
-    """Tiny sequential reader over an envelope blob."""
-
-    __slots__ = ("buf", "off")
-
-    def __init__(self, buf: bytes, off: int = 0) -> None:
-        self.buf = buf
-        self.off = off
-
-    def take(self, count: int) -> bytes:
-        off = self.off
-        end = off + count
-        if end > len(self.buf):
-            raise ValueError("truncated envelope")
-        self.off = end
-        return self.buf[off:end]
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u16(self) -> int:
-        return _U16.unpack(self.take(2))[0]
-
-    def u32(self) -> int:
-        return _U32.unpack(self.take(4))[0]
-
-    def string(self) -> str:
-        return self.take(self.u16()).decode("utf-8")
-
-    def signature(self) -> Optional[Signature]:
-        if self.u8() == 0:
-            return None
-        return Signature(
-            signer_id=self.string(),
-            payload_digest=self.string(),
-            tag=self.string(),
-        )
+def _read_signature(reader: Reader) -> Optional[Signature]:
+    if reader.take(1) == b"\x00":
+        return None
+    signer_end, digest_len, tag_len = reader.unpack(_SIGNATURE_LENGTHS)
+    digest_end = signer_end + digest_len
+    raw = reader.take(digest_end + tag_len)
+    return Signature(
+        signer_id=raw[:signer_end].decode("utf-8"),
+        payload_digest=raw[signer_end:digest_end].decode("utf-8"),
+        tag=raw[digest_end:].decode("utf-8"),
+    )
 
 
-def _read_message(cursor: _Cursor, nested: bool = False) -> Any:
-    frame = cursor.take(cursor.u32())
+def _read_message(reader: Reader, nested: bool = False) -> Any:
+    frame = reader.take(reader.u32())
     message = wire_decode(frame)
-    signature = cursor.signature()
-    count = cursor.u16()
+    signature = _read_signature(reader)
+    count = reader.u16()
     expected = len(message.detached())
     if count != expected:
         raise ValueError(
             f"{type(message).__name__} carries {count} detached items, expected {expected}"
         )
-    items = []
-    for _ in range(count):
-        kind = cursor.take(1)
-        if kind == _ITEM_SIGNATURE:
-            items.append(cursor.signature())
-        elif kind == _ITEM_NONE:
-            items.append(None)
-        elif kind == _ITEM_MESSAGE and not nested:
-            items.append(_read_message(cursor, nested=True))
-        elif kind == _ITEM_VALUE:
-            value = Reader(cursor.take(cursor.u32()))
-            items.append(value.value())
-            if not value.exhausted():
-                raise ValueError("trailing bytes after a detached value")
-        else:
-            raise ValueError(f"unknown or misplaced detached item kind: {kind!r}")
-    message.attach(iter(items))
+    if count:
+        items = []
+        for _ in range(count):
+            kind = reader.take(1)
+            if kind == _ITEM_SIGNATURE:
+                items.append(_read_signature(reader))
+            elif kind == _ITEM_NONE:
+                items.append(None)
+            elif kind == _ITEM_MESSAGE and not nested:
+                items.append(_read_message(reader, nested=True))
+            elif kind == _ITEM_VALUE:
+                value = Reader(reader.take(reader.u32()))
+                items.append(value.value())
+                if not value.exhausted():
+                    raise ValueError("trailing bytes after a detached value")
+            else:
+                raise ValueError(f"unknown or misplaced detached item kind: {kind!r}")
+        message.attach(iter(items))
     # The receiver's digest (what signature verification compares against)
-    # must be computed over exactly the bytes the sender signed, so the
-    # source frame becomes the message's frozen form (and saves a re-encode).
-    message.seed_wire_caches(frame, digest_bytes(frame))
+    # must be computed over exactly the bytes the sender signed.  A top-level
+    # message also keeps that frame as its frozen form (saves a re-encode on
+    # relay).  A piggybacked request or batch keeps the digest only: its
+    # frame duplicates the payloads just decoded from it, every replica logs
+    # every batch, and it is re-sent only on a view change, where
+    # ``wire_slice()`` rebuilds the same bytes from the fields.
+    message.seed_wire_caches(None if nested else frame, digest_bytes(frame))
     message.__dict__["signature"] = signature  # not content: no cache to invalidate
     return message
 
@@ -191,11 +202,11 @@ def decode_envelope(blob: bytes) -> Any:
     Raises ``ValueError`` (``WireDecodeError`` included) on anything that is
     not a well-formed envelope around well-formed frames.
     """
-    if blob[:1] != _KIND_FRAME:
+    reader = Reader(blob)
+    if reader.take(1) != _KIND_FRAME:
         raise ValueError(f"unknown envelope kind: {blob[:1]!r}")
-    cursor = _Cursor(blob, 1)
-    message = _read_message(cursor)
-    if cursor.off != len(blob):
+    message = _read_message(reader)
+    if not reader.exhausted():
         raise ValueError("trailing bytes after envelope")
     return message
 
@@ -253,16 +264,16 @@ class AioTimer(TimerHandle):
 
 
 class AioCpu(Cpu):
-    """A node's serial executor: one drain task, measured (not modeled) time.
+    """A node's serial executor: a FIFO drained in bounded slices, measured time.
 
     The modeled size/signed/fanout classifications are accepted and
     ignored — on this backend serialization and HMAC work is *real*, so
-    the CPU simply measures elapsed wall time per handled item into the
-    same stats fields the sim CPU fills with modeled costs.
+    the CPU simply measures elapsed wall time per slice into the same stats
+    fields the sim CPU fills with modeled costs.
     """
 
     __slots__ = (
-        "runtime", "name", "crashed", "_queue", "_worker", "_busy_time", "_items_processed"
+        "runtime", "name", "crashed", "_queue", "_scheduled", "_busy_time", "_items_processed"
     )
 
     def __init__(self, runtime: "AioRuntime", name: str) -> None:
@@ -270,7 +281,7 @@ class AioCpu(Cpu):
         self.name = name
         self.crashed = False
         self._queue: deque = deque()
-        self._worker: Optional[asyncio.Task] = None
+        self._scheduled = False
         self._busy_time = 0.0
         self._items_processed = 0
 
@@ -278,9 +289,9 @@ class AioCpu(Cpu):
         if self.crashed:
             return
         self._queue.append((handler, args))
-        worker = self._worker
-        if worker is None or worker.done():
-            self._worker = self.runtime._spawn(self._drain())
+        if not self._scheduled:
+            self._scheduled = True
+            self.runtime._running_loop().call_soon(self._run_slice)
 
     def submit_send(
         self, size: int, signed: bool, handler: Callable[..., None], args: tuple = ()
@@ -302,20 +313,25 @@ class AioCpu(Cpu):
     ) -> None:
         self.submit(0.0, handler, args)
 
-    async def _drain(self) -> None:
+    def _run_slice(self) -> None:
+        """Run queued items in order for at most ``CPU_SLICE_S``, then yield the loop."""
         queue = self._queue
         perf_counter = time.perf_counter
-        while queue:
-            handler, args = queue.popleft()
-            started = perf_counter()
-            try:
-                handler(*args)
-            finally:
-                self._busy_time += perf_counter() - started
+        started = now = perf_counter()
+        deadline = started + CPU_SLICE_S
+        try:
+            # ``crash()`` empties the queue, so a handler that crashes its
+            # own node ends the slice.
+            while queue and now < deadline:
+                handler, args = queue.popleft()
                 self._items_processed += 1
-            # Yield per item: the CPU is serial but must not starve the
-            # other nodes' tasks (or the socket readers feeding it).
-            await asyncio.sleep(0)
+                handler(*args)
+                now = perf_counter()
+        finally:
+            self._busy_time += perf_counter() - started
+            self._scheduled = bool(queue)
+            if queue:
+                self.runtime._running_loop().call_soon(self._run_slice)
 
     def crash(self) -> None:
         self.crashed = True
@@ -365,6 +381,135 @@ class AioTransport(Transport):
         return Counter({cls.__name__: count for cls, count in self._type_counts.items()})
 
 
+class _Outbound(asyncio.Protocol):
+    """One ordered (src, dst) channel: frames wait here and leave in one write per flush."""
+
+    __slots__ = ("_runtime", "_hello", "_dst", "_dialing", "pending", "transport")
+
+    def __init__(self, runtime: "AioRuntime", src: str, dst: str) -> None:
+        sender = src.encode("utf-8")
+        self._runtime = runtime
+        self._hello = _U16.pack(len(sender)) + sender
+        self._dst = dst
+        self._dialing = False
+        self.pending: List[bytes] = []  # length-prefixed envelopes, oldest first
+        self.transport: Optional[asyncio.Transport] = None
+
+    def flush(self) -> None:
+        """Write everything pending at once, or dial if there is no connection."""
+        transport = self.transport
+        if transport is None:
+            runtime = self._runtime
+            # Until the destination table is complete (a proc worker waiting
+            # for the supervisor's broadcast) frames stay buffered.
+            if runtime._endpoints_ready and not self._dialing:
+                self._dialing = True
+                runtime._spawn(self._dial())
+        elif self.pending:
+            transport.write(b"".join(self.pending))
+            self.pending.clear()
+            self._runtime.writes_issued += 1
+
+    async def _dial(self) -> None:
+        runtime = self._runtime
+        try:
+            port = runtime._ports.get(self._dst)
+            if port is not None:
+                await runtime._running_loop().create_connection(
+                    lambda: self, runtime._host, port
+                )
+        except OSError:
+            pass
+        finally:
+            self._dialing = False
+            if self.transport is None:
+                # Unknown or unreachable destination: dropped, mirroring the
+                # sim network.  The next send dials again.
+                self.pending.clear()
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+        self.pending.insert(0, self._hello)
+        self.flush()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.transport = None
+
+
+class _Inbound(asyncio.Protocol):
+    """One accepted connection: hello, then length-prefixed envelopes for one node."""
+
+    __slots__ = ("_runtime", "_node", "_sender", "_partial", "_need", "transport")
+
+    def __init__(self, runtime: "AioRuntime", node: Any) -> None:
+        self._runtime = runtime
+        self._node = node
+        self._sender: Optional[str] = None
+        self._partial = bytearray()  # an incomplete hello or frame, kept between reads
+        self._need = 0  # bytes ``_partial`` must reach before parsing resumes
+        self.transport: Optional[asyncio.Transport] = None
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+        self._runtime._inbound.add(self)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.transport = None
+        self._runtime._inbound.discard(self)
+
+    def _hang_up(self) -> None:
+        self._runtime.frames_rejected += 1
+        self.transport.close()
+
+    def data_received(self, data: bytes) -> None:
+        """Deliver every complete envelope in the buffer; keep the incomplete tail."""
+        partial = self._partial
+        if partial:
+            partial += data
+            if len(partial) < self._need:
+                return
+            data = bytes(partial)
+            partial.clear()
+        runtime = self._runtime
+        off, end = 0, len(data)
+        sender = self._sender
+        if sender is None:
+            need = 2 + _U16.unpack_from(data)[0] if end >= 2 else 2
+            if end >= need:
+                try:
+                    sender = self._sender = data[2:need].decode("utf-8")
+                except UnicodeDecodeError:
+                    return self._hang_up()
+                off = need
+        if sender is not None:
+            deliver = self._node.deliver
+            while True:
+                need = 4
+                if end - off < 4:
+                    break
+                (length,) = _U32.unpack_from(data, off)
+                if length > MAX_FRAME_BYTES:
+                    # Not buffered, so the stream cannot be resynchronised.
+                    return self._hang_up()
+                need += length
+                if end - off < need:
+                    break
+                blob = data[off + 4 : off + need]
+                off += need
+                try:
+                    message = decode_envelope(blob)
+                except ValueError:
+                    # Frames are length prefixed: drop this one, keep reading.
+                    runtime.frames_rejected += 1
+                    continue
+                runtime.messages_delivered += 1
+                runtime.bytes_delivered += length
+                deliver(sender, message, length)
+        if off < end:
+            partial += data[off:]
+            self._need = need
+
+
 # -- runtime -----------------------------------------------------------------
 
 
@@ -372,10 +517,10 @@ class AioRuntime(Runtime):
     """Runtime facade over an asyncio loopback-TCP cluster.
 
     Usage: construct, build nodes against it, ``register`` each one, then
-    call :meth:`run` exactly once — it starts one TCP server per node,
+    call :meth:`run` exactly once — it starts one TCP listener per node,
     invokes ``kickoff`` inside the loop (this is where clients start and
     timers first arm), and polls ``until`` up to ``timeout`` real seconds
-    before shutting every task and socket down.
+    before shutting every connection, listener and task down.
     """
 
     def __init__(self, host: str = "127.0.0.1") -> None:
@@ -384,13 +529,19 @@ class AioRuntime(Runtime):
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._nodes: Dict[str, Any] = {}
         self._ports: Dict[str, int] = {}
+        self._endpoints_ready = False
         self._servers: list = []
-        self._channels: Dict[Tuple[str, str], asyncio.Queue] = {}
+        self._channels: Dict[Tuple[str, str], _Outbound] = {}
+        self._dirty: Dict[_Outbound, None] = {}  # sent on since the last flush, in order
+        self._inbound: set = set()
+        self._encoded: Tuple[Any, bytes] = (None, b"")  # last payload sent this tick, framed
         self._tasks: set = set()
         self.transport = AioTransport(self)
         self.messages_delivered = 0
         self.bytes_delivered = 0
         self.frames_rejected = 0
+        self.frames_sent = 0
+        self.writes_issued = 0
 
     # -- Runtime interface -------------------------------------------------
 
@@ -441,62 +592,36 @@ class AioRuntime(Runtime):
         return task
 
     def _enqueue_send(self, src: str, dst: str, payload: Any) -> None:
-        key = (src, dst)
-        channel = self._channels.get(key)
+        channel = self._channels.get((src, dst))
         if channel is None:
-            channel = self._channels[key] = asyncio.Queue()
-            self._spawn(self._pump(src, dst, channel))
-        channel.put_nowait(encode_envelope(payload))
+            channel = self._channels[src, dst] = _Outbound(self, src, dst)
+        last, frame = self._encoded
+        if payload is not last:
+            # A multicast hands the same object to every destination in one
+            # CPU item; it is encoded for the first and reused for the rest.
+            blob = encode_envelope(payload)
+            frame = _U32.pack(len(blob)) + blob
+            self._encoded = (payload, frame)
+        channel.pending.append(frame)
+        self.frames_sent += 1
+        if not self._dirty:
+            self._running_loop().call_soon(self._flush)
+        self._dirty[channel] = None
 
-    async def _pump(self, src: str, dst: str, channel: asyncio.Queue) -> None:
-        """One (src, dst) ordered channel: lazy connect, then write frames."""
-        port = self._ports.get(dst)
-        if port is None:
-            return  # unknown destination: dropped, mirroring the sim network
-        try:
-            _, writer = await asyncio.open_connection(self._host, port)
-        except OSError:
-            return
-        try:
-            hello = src.encode("utf-8")
-            writer.write(_U16.pack(len(hello)) + hello)
-            while True:
-                blob = await channel.get()
-                writer.write(_U32.pack(len(blob)))
-                writer.write(blob)
-                await writer.drain()
-        except (ConnectionError, OSError):
-            pass
-        finally:
-            writer.close()
+    def _flush(self) -> None:
+        """Once per tick: one write per channel that was sent on since the last flush."""
+        self._encoded = (None, b"")
+        dirty = self._dirty
+        for channel in dirty:
+            channel.flush()
+        dirty.clear()
 
-    async def _serve(
-        self, node: Any, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """Per-connection read loop feeding one node's ``deliver`` entry point."""
-        try:
-            (hello_len,) = _U16.unpack(await reader.readexactly(2))
-            sender = (await reader.readexactly(hello_len)).decode("utf-8")
-            while True:
-                (blob_len,) = _U32.unpack(await reader.readexactly(4))
-                if blob_len > MAX_FRAME_BYTES:
-                    # Not buffered, so the stream cannot be resynchronised.
-                    self.frames_rejected += 1
-                    break
-                blob = await reader.readexactly(blob_len)
-                try:
-                    message = decode_envelope(blob)
-                except ValueError:
-                    # Frames are length prefixed: drop this one, keep reading.
-                    self.frames_rejected += 1
-                    continue
-                self.messages_delivered += 1
-                self.bytes_delivered += len(blob)
-                node.deliver(sender, message, len(blob))
-        except (asyncio.IncompleteReadError, ConnectionError, OSError):
-            pass
-        finally:
-            writer.close()
+    def _install_endpoints(self, ports: Mapping[str, int]) -> None:
+        """Complete the destination table; channels that were waiting for it dial."""
+        self._ports.update(ports)
+        self._endpoints_ready = True
+        for channel in self._channels.values():
+            channel.flush()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -511,8 +636,8 @@ class AioRuntime(Runtime):
 
         Returns ``True`` when the ``until`` predicate was met (always
         ``True`` with no predicate: the run simply lasted ``timeout``
-        seconds).  Always shuts down cleanly: every worker, pump, and
-        server task is cancelled and awaited, every socket closed.
+        seconds).  Always shuts down cleanly: every task is cancelled and
+        awaited, every connection and listener closed.
         """
         return asyncio.run(self._main(kickoff, until, timeout, poll))
 
@@ -523,14 +648,9 @@ class AioRuntime(Runtime):
         timeout: float,
         poll: float,
     ) -> bool:
-        self._loop = asyncio.get_running_loop()
         try:
-            for node_id, node in sorted(self._nodes.items()):
-                server = await asyncio.start_server(
-                    partial(self._serve, node), self._host, 0
-                )
-                self._servers.append(server)
-                self._ports[node_id] = server.sockets[0].getsockname()[1]
+            await self._listen()
+            self._install_endpoints({})
             if kickoff is not None:
                 kickoff()
             deadline = self.now + timeout
@@ -542,21 +662,40 @@ class AioRuntime(Runtime):
                 await asyncio.sleep(poll)
             return met
         finally:
-            for task in list(self._tasks):
-                task.cancel()
-            if self._tasks:
-                await asyncio.gather(*self._tasks, return_exceptions=True)
-            for server in self._servers:
-                server.close()
-            if self._servers:
-                await asyncio.gather(
-                    *(server.wait_closed() for server in self._servers),
-                    return_exceptions=True,
-                )
-            self._servers.clear()
-            self._channels.clear()
-            self._ports.clear()
-            self._loop = None
+            await self._shutdown()
+
+    async def _listen(self) -> None:
+        """Adopt the running loop and open one listener per registered node."""
+        loop = self._loop = asyncio.get_running_loop()
+        for node_id, node in sorted(self._nodes.items()):
+            server = await loop.create_server(partial(_Inbound, self, node), self._host, 0)
+            self._servers.append(server)
+            self._ports[node_id] = server.sockets[0].getsockname()[1]
+
+    async def _shutdown(self) -> None:
+        for task in list(self._tasks):
+            task.cancel()
+        if self._tasks:
+            await asyncio.gather(*self._tasks, return_exceptions=True)
+        for connection in [*self._channels.values(), *self._inbound]:
+            if connection.transport is not None:
+                connection.transport.abort()
+        for server in self._servers:
+            server.close()
+        if self._servers:
+            # Also gives the aborted transports the loop turn in which their
+            # sockets are actually closed.
+            await asyncio.gather(
+                *(server.wait_closed() for server in self._servers),
+                return_exceptions=True,
+            )
+        self._servers.clear()
+        self._channels.clear()
+        self._dirty.clear()
+        self._inbound.clear()
+        self._ports.clear()
+        self._endpoints_ready = False
+        self._loop = None
 
 
 __all__ = [

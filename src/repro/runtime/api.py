@@ -9,8 +9,8 @@ arm this timer, charge this much CPU — and a :class:`Runtime` decides
   discrete-event simulator (``repro.sim``) and its modeled network —
   byte-identical behaviour to the pre-runtime code paths, which keeps the
   sim usable as a conformance oracle;
-* :class:`repro.runtime.aio.AioRuntime` runs every node as an asyncio
-  task speaking the binary wire codec over length-prefixed TCP on
+* :class:`repro.runtime.aio.AioRuntime` runs every node in one asyncio
+  event loop, speaking the binary wire codec over length-prefixed TCP on
   loopback, with real monotonic-clock timers.
 
 This module is a dependency leaf by design: it must not import

@@ -230,7 +230,7 @@ def run_aio(
     seed: int = 0,
     timeout: float = 60.0,
 ) -> BackendTrace:
-    """One real-network leg: asyncio tasks over loopback TCP."""
+    """One real-network leg: one asyncio event loop over loopback TCP."""
     runtime = AioRuntime()
     replicas, client = oracle_cluster(
         runtime,

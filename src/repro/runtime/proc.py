@@ -19,7 +19,7 @@ lifecycle over per-worker control pipes:
 2. **readiness / endpoint exchange** — every worker starts one TCP
    server per local node on an ephemeral port and reports
    ``node_id -> port``; the supervisor merges the maps and broadcasts
-   the full table, which unblocks every worker's outbound pumps;
+   the full table, which lets every worker's outbound channels dial;
 3. **run** — workers invoke their plan's ``kickoff`` (clients start,
    timers arm) and periodically stream per-node stats (``busy_time``,
    ``items_processed``, ``queue_depth``, message counters — the same
@@ -45,6 +45,7 @@ the built cluster cheaply); ``spawn`` works too provided every
 
 from __future__ import annotations
 
+import asyncio
 import multiprocessing
 import time
 import traceback
@@ -116,33 +117,12 @@ class ProcWorkerRuntime(AioRuntime):
     """The runtime inside one worker process.
 
     Identical to :class:`~repro.runtime.aio.AioRuntime` (same envelope
-    codec, timers, CPUs, per-connection sender authentication) except the
-    destination table spans the whole cluster: outbound pumps block on an
-    endpoint gate until the supervisor's broadcast installs every peer's
-    port, so a message sent the instant a node wakes up is never dropped
-    for targeting a peer in another process.
+    codec, timers, CPUs, channels, per-connection sender authentication)
+    except the destination table spans the whole cluster: no channel dials
+    until the supervisor's broadcast installs every peer's port, so a
+    message sent the instant a node wakes up is buffered, not dropped for
+    targeting a peer in another process.
     """
-
-    def __init__(self, host: str = "127.0.0.1") -> None:
-        super().__init__(host)
-        self._endpoint_gate: Optional[Any] = None  # asyncio.Event, created in-loop
-
-    async def _pump(self, src: str, dst: str, channel) -> None:
-        if self._endpoint_gate is not None:
-            await self._endpoint_gate.wait()
-        await super()._pump(src, dst, channel)
-
-    async def _serve(self, node, reader, writer) -> None:
-        # Unlike the in-process backend, a peer's writer lives in another
-        # process, so serve tasks can still be blocked on a read when this
-        # worker's loop tears down; swallow the teardown cancellation so
-        # the streams protocol's done-callback has nothing to log.
-        import asyncio
-
-        try:
-            await super()._serve(node, reader, writer)
-        except asyncio.CancelledError:
-            pass
 
     # -- worker lifecycle --------------------------------------------------
 
@@ -155,25 +135,13 @@ class ProcWorkerRuntime(AioRuntime):
         poll: float = 0.002,
     ) -> None:
         """Build the worker's nodes, then run the supervised lifecycle."""
-        import asyncio
-
         plan = build(self, **dict(kwargs)) or WorkerPlan()
         asyncio.run(self._worker_main(conn, plan, stats_interval, poll))
 
     async def _worker_main(self, conn, plan: WorkerPlan, stats_interval: float,
                            poll: float) -> None:
-        import asyncio
-        from functools import partial
-
-        self._loop = asyncio.get_running_loop()
-        self._endpoint_gate = asyncio.Event()
         try:
-            for node_id, node in sorted(self._nodes.items()):
-                server = await asyncio.start_server(
-                    partial(self._serve, node), self._host, 0
-                )
-                self._servers.append(server)
-                self._ports[node_id] = server.sockets[0].getsockname()[1]
+            await self._listen()
             conn.send(("ready", dict(self._ports), plan.until is not None))
 
             running = True
@@ -185,8 +153,7 @@ class ProcWorkerRuntime(AioRuntime):
                         command = conn.recv()
                         kind = command[0]
                         if kind == "endpoints":
-                            self._ports.update(command[1])
-                            self._endpoint_gate.set()
+                            self._install_endpoints(command[1])
                             if plan.kickoff is not None:
                                 plan.kickoff()
                         elif kind == "stop":
@@ -208,21 +175,7 @@ class ProcWorkerRuntime(AioRuntime):
             harvest = plan.harvest() if plan.harvest is not None else None
             self._send(conn, ("result", self._snapshot(plan), harvest))
         finally:
-            for task in list(self._tasks):
-                task.cancel()
-            if self._tasks:
-                await asyncio.gather(*self._tasks, return_exceptions=True)
-            for server in self._servers:
-                server.close()
-            if self._servers:
-                await asyncio.gather(
-                    *(server.wait_closed() for server in self._servers),
-                    return_exceptions=True,
-                )
-            self._servers.clear()
-            self._channels.clear()
-            self._ports.clear()
-            self._loop = None
+            await self._shutdown()
 
     @staticmethod
     def _send(conn, message) -> None:
@@ -247,6 +200,8 @@ class ProcWorkerRuntime(AioRuntime):
             "now": self.now,
             "messages_delivered": self.messages_delivered,
             "bytes_delivered": self.bytes_delivered,
+            "frames_sent": self.frames_sent,
+            "writes_issued": self.writes_issued,
             "message_type_counts": dict(self.transport.message_type_counts),
             "nodes": nodes,
             "progress": plan.progress() if plan.progress is not None else None,

@@ -110,7 +110,7 @@ class ProtocolMessage:
 
     def seed_wire_caches(
         self,
-        frame: bytes,
+        frame: Optional[bytes],
         content_digest: str,
         wire_size: Optional[int] = None,
         result_digest: Optional[str] = None,
@@ -120,10 +120,12 @@ class ProtocolMessage:
         For the fused send paths of the client and the replicas and for the
         transport's decoder (the receiver's digest must cover exactly the
         bytes the sender signed).  ``frame`` must be what ``signing_bytes()``
-        would return and ``content_digest`` its SHA-256.
+        would return and ``content_digest`` its SHA-256; with ``frame=None``
+        only the digest is kept and ``wire_slice()`` re-encodes on demand.
         """
         instance_dict = self.__dict__
-        instance_dict[_WIRE_SLICE_ATTR] = frame
+        if frame is not None:
+            instance_dict[_WIRE_SLICE_ATTR] = frame
         instance_dict[DIGEST_CACHE_ATTR] = content_digest
         if wire_size is not None:
             instance_dict[WIRE_SIZE_CACHE_ATTR] = wire_size

@@ -16,6 +16,8 @@ shape too: one ``*Result`` dataclass in ``cluster/runner.py``, one under
 ``scenarios/``, and one function that samples and finalizes checkers.  And
 the client's decisions (reply filtering, acceptance, completion, ``Busy``
 backoff, retransmission) are defined in ``repro/smr/client.py`` only.
+The two TCP backends move messages by callbacks: no per-message task, queue
+or stream machinery may reappear in ``runtime/aio.py`` or ``runtime/proc.py``.
 """
 
 import ast
@@ -129,6 +131,60 @@ class TestProcBackendLayering:
             "repro.runtime.aio from repro at module scope:\n"
             + "\n".join(offenders)
         )
+
+
+#: Names whose appearance in ``runtime/aio.py`` or ``runtime/proc.py`` means a
+#: per-message task, queue or stream wake-up is back on the data path.
+PER_MESSAGE_MACHINERY = {"Queue", "start_server", "open_connection", "drain"}
+
+
+def per_message_machinery(path):
+    """Yield ``(lineno, what)`` for every banned name or ``sleep(0)`` in ``path``."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        name = getattr(node, "attr", None) or getattr(node, "id", None)
+        if isinstance(node, (ast.Attribute, ast.Name)) and name in PER_MESSAGE_MACHINERY:
+            yield node.lineno, name
+        elif isinstance(node, ast.Call) and node.args:
+            callee = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+            first = node.args[0]
+            if callee == "sleep" and isinstance(first, ast.Constant) and first.value == 0:
+                yield node.lineno, "sleep(0)"
+
+
+class TestAioDataPathIsCallbacks:
+    """Messages move through Protocol callbacks, a CPU slice and one flush per tick.
+
+    ``asyncio.Queue``, the ``start_server`` / ``open_connection`` stream
+    pair, ``drain()`` and a ``sleep(0)`` yield are how the data path once
+    paid a task wake-up (or several) per message; none may come back to
+    either TCP backend.  ``asyncio.sleep(poll)`` in the ``until`` loops is
+    not on the data path and stays.
+    """
+
+    BACKENDS = (SRC / "runtime" / "aio.py", SRC / "runtime" / "proc.py")
+
+    def test_neither_tcp_backend_uses_per_message_tasks_queues_or_streams(self):
+        offenders = [
+            f"{path.name}:{lineno} uses {what}"
+            for path in self.BACKENDS
+            for lineno, what in per_message_machinery(path)
+        ]
+        assert offenders == []
+
+    def test_the_rule_catches_the_old_pump(self, tmp_path):
+        (tmp_path / "old.py").write_text(
+            "async def _pump(self, channel: asyncio.Queue):\n"
+            "    _, writer = await asyncio.open_connection(host, port)\n"
+            "    while True:\n"
+            "        writer.write(await channel.get())\n"
+            "        await writer.drain()\n"
+            "        await asyncio.sleep(0)\n"
+            "        await asyncio.sleep(poll)\n"
+            "server = await asyncio.start_server(serve, host, 0)\n"
+        )
+        assert [what for _, what in sorted(per_message_machinery(tmp_path / "old.py"))] == [
+            "Queue", "open_connection", "drain", "sleep(0)", "start_server",
+        ]
 
 
 class TestWireLayerBoundaries:
