@@ -37,9 +37,11 @@ TCP reset — the protocols retransmit).
 Differences from the sim backend, by design:
 
 * time is the real monotonic clock (seconds since runtime construction);
-* timers are ``loop.call_later`` handles with the exact semantics of
-  :class:`repro.runtime.api.TimerHandle` (pinned by the shared timer
-  tests);
+* a timer is a deadline plus at most one ``loop.call_at`` wake-up, with the
+  exact semantics of :class:`repro.runtime.api.TimerHandle` (pinned by the
+  shared timer tests).  Pushing a timer back — what every commit does to its
+  replica's request timer — only moves the deadline, and stopping one only
+  clears it; neither touches the loop's heap (see :class:`AioTimer`);
 * the CPU ignores *modeled* costs and measures real elapsed time into
   the same ``busy_time`` / ``items_processed`` stats fields;
 * delivery order between different sender pairs is whatever TCP and the
@@ -62,12 +64,13 @@ from repro.crypto.signatures import Signature
 from repro.runtime.api import Cpu, Runtime, TimerHandle, Transport
 from repro.smr.messages import ProtocolMessage
 from repro.wire.codec import decode as wire_decode
-from repro.wire.primitives import Reader, pack_value
+from repro.wire.primitives import pack_value, read_u16, read_value, read_window, truncated
 
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
-#: Byte lengths of a signature's signer id, payload digest and tag.
-_SIGNATURE_LENGTHS = struct.Struct("<HHH")
+#: A signature's presence flag and the byte lengths of its signer id, payload
+#: digest and tag.
+_SIGNATURE_HEAD = struct.Struct("<BHHH")
 
 #: Largest envelope a peer may announce; a longer length prefix closes the
 #: connection.
@@ -104,8 +107,7 @@ def _pack_signature(out: list, signature: Optional[Signature]) -> None:
     payload_digest = signature.payload_digest.encode("utf-8")
     tag = signature.tag.encode("utf-8")
     out += (
-        b"\x01",
-        _SIGNATURE_LENGTHS.pack(len(signer), len(payload_digest), len(tag)),
+        _SIGNATURE_HEAD.pack(1, len(signer), len(payload_digest), len(tag)),
         signer,
         payload_digest,
         tag,
@@ -136,24 +138,36 @@ def _pack_message(out: list, message: Any) -> None:
             out.append(value)
 
 
-def _read_signature(reader: Reader) -> Optional[Signature]:
-    if reader.take(1) == b"\x00":
-        return None
-    signer_end, digest_len, tag_len = reader.unpack(_SIGNATURE_LENGTHS)
+def _read_signature(buf: bytes, off: int, end: int) -> Tuple[Optional[Signature], int]:
+    if off >= end:
+        raise truncated(1, off, end)
+    if not buf[off]:
+        return None, off + 1
+    start = off + _SIGNATURE_HEAD.size
+    if start > end:
+        raise truncated(_SIGNATURE_HEAD.size, off, end)
+    _, signer_len, digest_len, tag_len = _SIGNATURE_HEAD.unpack_from(buf, off)
+    signer_end = start + signer_len
     digest_end = signer_end + digest_len
-    raw = reader.take(digest_end + tag_len)
-    return Signature(
-        signer_id=raw[:signer_end].decode("utf-8"),
-        payload_digest=raw[signer_end:digest_end].decode("utf-8"),
-        tag=raw[digest_end:].decode("utf-8"),
+    stop = digest_end + tag_len
+    if stop > end:
+        raise truncated(stop - start, start, end)
+    signature = Signature(
+        signer_id=buf[start:signer_end].decode("utf-8"),
+        payload_digest=buf[signer_end:digest_end].decode("utf-8"),
+        tag=buf[digest_end:stop].decode("utf-8"),
     )
+    return signature, stop
 
 
-def _read_message(reader: Reader, nested: bool = False) -> Any:
-    frame = reader.take(reader.u32())
+def _read_message(buf: bytes, off: int, end: int, nested: bool = False) -> Tuple[Any, int]:
+    # The one copy of the frame: decoding a slice confines every length
+    # inside it to the frame, and the slice is what gets digested and kept.
+    off, stop = read_window(buf, off, end)
+    frame = buf[off:stop]
     message = wire_decode(frame)
-    signature = _read_signature(reader)
-    count = reader.u16()
+    signature, off = _read_signature(buf, stop, end)
+    count, off = read_u16(buf, off, end)
     expected = len(message.detached())
     if count != expected:
         raise ValueError(
@@ -162,20 +176,24 @@ def _read_message(reader: Reader, nested: bool = False) -> Any:
     if count:
         items = []
         for _ in range(count):
-            kind = reader.take(1)
+            if off >= end:
+                raise truncated(1, off, end)
+            kind = buf[off : off + 1]
+            off += 1
             if kind == _ITEM_SIGNATURE:
-                items.append(_read_signature(reader))
+                item, off = _read_signature(buf, off, end)
             elif kind == _ITEM_NONE:
-                items.append(None)
+                item = None
             elif kind == _ITEM_MESSAGE and not nested:
-                items.append(_read_message(reader, nested=True))
+                item, off = _read_message(buf, off, end, nested=True)
             elif kind == _ITEM_VALUE:
-                value = Reader(reader.take(reader.u32()))
-                items.append(value.value())
-                if not value.exhausted():
+                off, stop = read_window(buf, off, end)
+                item, off = read_value(buf, off, stop)
+                if off != stop:
                     raise ValueError("trailing bytes after a detached value")
             else:
                 raise ValueError(f"unknown or misplaced detached item kind: {kind!r}")
+            items.append(item)
         message.attach(iter(items))
     # The receiver's digest (what signature verification compares against)
     # must be computed over exactly the bytes the sender signed.  A top-level
@@ -186,7 +204,7 @@ def _read_message(reader: Reader, nested: bool = False) -> Any:
     # ``wire_slice()`` rebuilds the same bytes from the fields.
     message.seed_wire_caches(None if nested else frame, digest_bytes(frame))
     message.__dict__["signature"] = signature  # not content: no cache to invalidate
-    return message
+    return message, off
 
 
 def encode_envelope(message: Any) -> bytes:
@@ -202,11 +220,11 @@ def decode_envelope(blob: bytes) -> Any:
     Raises ``ValueError`` (``WireDecodeError`` included) on anything that is
     not a well-formed envelope around well-formed frames.
     """
-    reader = Reader(blob)
-    if reader.take(1) != _KIND_FRAME:
+    if blob[:1] != _KIND_FRAME:
         raise ValueError(f"unknown envelope kind: {blob[:1]!r}")
-    message = _read_message(reader)
-    if not reader.exhausted():
+    end = len(blob)
+    message, off = _read_message(blob, 1, end)
+    if off != end:
         raise ValueError("trailing bytes after envelope")
     return message
 
@@ -215,7 +233,16 @@ def decode_envelope(blob: bytes) -> Any:
 
 
 class AioTimer(TimerHandle):
-    """A restartable timer backed by ``loop.call_later``.
+    """A restartable timer: the loop time it is due, and one pending wake-up.
+
+    ``start`` moves the deadline.  It schedules a wake-up (``loop.call_at``)
+    only when none is pending, and cancels one only when the new deadline is
+    *earlier* than the wake-up; a timer that is pushed back, which is what
+    protocol timers mostly are, costs two attribute writes.  The wake-up
+    re-arms itself for the remainder when it finds the deadline moved, and
+    otherwise fires.  ``stop`` clears the deadline and leaves the wake-up
+    pending: it finds no deadline and does nothing, or a later ``start``
+    reuses it.
 
     Arming requires the runtime's event loop to be running (timers are
     created unarmed in node constructors and armed from within ``run()``),
@@ -223,7 +250,7 @@ class AioTimer(TimerHandle):
     disarm-before-callback on fire, restart == start.
     """
 
-    __slots__ = ("_runtime", "_callback", "_label", "_handle")
+    __slots__ = ("_runtime", "_callback", "_label", "_due", "_wakeup")
 
     def __init__(
         self, runtime: "AioRuntime", callback: Callable[[], None], label: str = ""
@@ -231,7 +258,8 @@ class AioTimer(TimerHandle):
         self._runtime = runtime
         self._callback = callback
         self._label = label
-        self._handle: Optional[asyncio.TimerHandle] = None
+        self._due: Optional[float] = None  # loop time to fire at; None while unarmed
+        self._wakeup: Optional[asyncio.TimerHandle] = None
 
     @property
     def label(self) -> str:
@@ -239,25 +267,32 @@ class AioTimer(TimerHandle):
 
     @property
     def active(self) -> bool:
-        return self._handle is not None
+        return self._due is not None
 
     def start(self, delay: float) -> None:
-        handle = self._handle
-        if handle is not None:
-            self._handle = None
-            handle.cancel()
         loop = self._runtime._running_loop()
-        self._handle = loop.call_later(delay, self._fire)
+        due = self._due = loop.time() + delay
+        wakeup = self._wakeup
+        if wakeup is not None:
+            if wakeup.when() <= due:
+                return
+            wakeup.cancel()
+        self._wakeup = loop.call_at(due, self._wake)
 
-    def _fire(self) -> None:
-        self._handle = None  # disarm before the callback so it may re-arm
-        self._callback()
+    def _wake(self) -> None:
+        self._wakeup = None
+        due = self._due
+        if due is None:
+            return
+        loop = self._runtime._running_loop()
+        if due > loop.time():
+            self._wakeup = loop.call_at(due, self._wake)
+        else:
+            self._due = None  # disarm before the callback so it may re-arm
+            self._callback()
 
     def stop(self) -> None:
-        handle = self._handle
-        if handle is not None:
-            self._handle = None
-            handle.cancel()
+        self._due = None
 
 
 # -- CPU ---------------------------------------------------------------------

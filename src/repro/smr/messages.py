@@ -25,8 +25,19 @@ from repro.crypto.digest import (
 )
 from repro.crypto.signatures import Signature, Signer, Verifier
 from repro.smr.state_machine import Operation, result_digest
-from repro.wire.codec import I64, REGISTRY, STR, Field, Kind, OpaqueResult, derive
-from repro.wire.primitives import TAG_BATCH, TAG_REPLY, TAG_REQUEST, Reader, WireDecodeError
+from repro.wire.codec import I64, STR, Field, Kind, OpaqueResult, derive
+from repro.wire.primitives import (
+    TAG_BATCH,
+    TAG_REPLY,
+    TAG_REQUEST,
+    WireDecodeError,
+    read_digest,
+    read_str,
+    read_u16,
+    read_u32,
+    read_value,
+    read_window,
+)
 
 _HEADER_BYTES = 48
 _SIGNATURE_BYTES = 64
@@ -181,17 +192,22 @@ class ProtocolMessage:
         return cached
 
 
-def _read_operation(reader: Reader) -> Operation:
-    kind = reader.string()
-    args = tuple(reader.value() for _ in range(reader.u16()))
-    return Operation(kind=kind, args=args, payload=reader.string())
+def _read_operation(buf: bytes, off: int, end: int) -> Tuple[Operation, int]:
+    kind, off = read_str(buf, off, end)
+    count, off = read_u16(buf, off, end)
+    args = []
+    for _ in range(count):
+        arg, off = read_value(buf, off, end)
+        args.append(arg)
+    payload, off = read_str(buf, off, end)
+    return Operation(kind=kind, args=tuple(args), payload=payload), off
 
 
 #: Request's operation, framed by the pinned ``encode_request``.
 _OPERATION = Kind(
     "(kind str \\| argc u16 \\| arg* \\| payload str)",
     arg="{v}.kind, {v}.args, {v}.payload",
-    read="read_operation(reader)",
+    read="read_operation",
     json="{v}.to_wire()",
     size="{v}.wire_size()",
     names={"read_operation": _read_operation},
@@ -212,14 +228,19 @@ class Request(ProtocolMessage):
     SIZE = _SIGNED_BYTES
 
 
+def _read_result(buf: bytes, off: int, end: int) -> Tuple[OpaqueResult, int]:
+    result_digest, off = read_digest(buf, off, end)
+    return OpaqueResult(result_digest), off
+
+
 #: Reply's result travels (and is signed) as its digest only.
 _RESULT = Kind(
     "dig (of the result)",
     arg="self.result_digest()",
-    read="OpaqueResult(reader.digest())",
+    read="read_result",
     json="self.result_digest()",
     size="self.result_payload_size()",
-    names={"OpaqueResult": OpaqueResult},
+    names={"read_result": _read_result},
 )
 
 
@@ -282,20 +303,26 @@ class Busy(ProtocolMessage):
     SIZE = _SIGNED_BYTES + 8
 
 
-def _read_request_frames(reader: Reader) -> List[Request]:
+def _read_request_frames(buf: bytes, off: int, end: int) -> Tuple[List[Request], int]:
+    count, off = read_u32(buf, off, end)
     requests = []
-    for _ in range(reader.u32()):
-        sub = Reader(reader.take(reader.u32()))
-        if not sub.buf or sub.buf[0] != TAG_REQUEST:
+    for _ in range(count):
+        # Each embedded frame is decoded inside its own window of the batch
+        # frame: nothing in it can reach past ``stop`` into the next request.
+        off, stop = read_window(buf, off, end)
+        if off == stop or buf[off] != TAG_REQUEST:
             raise WireDecodeError("batch frame embeds a non-request frame")
-        requests.append(REGISTRY[TAG_REQUEST].from_reader(sub))
-        if not sub.exhausted():
-            raise WireDecodeError(
-                f"{sub.end - sub.off} trailing bytes after embedded request frame"
-            )
+        requests.append(Request.from_buffer(buf, off, stop))
+        off = stop
     if not requests:
         raise WireDecodeError("batch frame contains no requests")
-    return requests
+    return requests, off
+
+
+def _signature_slot(item: Any) -> Optional[Signature]:
+    if item is not None and type(item) is not Signature:
+        raise ValueError(f"a signature slot holds a signature, not {type(item).__name__}")
+    return item
 
 
 #: Batch's requests: each one's own frozen frame embedded (so a request that
@@ -304,13 +331,17 @@ def _read_request_frames(reader: Reader) -> List[Request]:
 _REQUEST_FRAMES = Kind(
     "(count u32 \\| (length u32 \\| request frame)*)",
     arg="[request.wire_slice() for request in {v}]",
-    read="read_request_frames(reader)",
+    read="read_request_frames",
     json="[digest_of(request) for request in {v}]",
     size="sum(request.cached_wire_size() for request in {v})",
     check="if not {v}: raise ValueError('a batch must contain at least one request')",
     detach="[request.signature for request in {v}]",
-    attach="for request in {v}: request.signature = next(items)",
-    names={"read_request_frames": _read_request_frames, "digest_of": digest_of},
+    attach="for request in {v}: request.signature = signature_slot(next(items))",
+    names={
+        "read_request_frames": _read_request_frames,
+        "digest_of": digest_of,
+        "signature_slot": _signature_slot,
+    },
 )
 
 

@@ -1,8 +1,9 @@
 """Compact binary wire codec for every protocol message type.
 
 ``primitives`` is a leaf module (tags, pack helpers, the pinned hot
-encoders, the reader); ``codec`` holds the field kinds, the derivation every
-message class is generated from, and the tag registry behind ``decode``.
+encoders, the ``read_x(buf, off, end)`` readers); ``codec`` holds the field
+kinds, the derivation every message class is generated from, and the tag
+registry behind ``decode``.
 Neither imports a message class: the classes register themselves.
 """
 

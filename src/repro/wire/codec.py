@@ -10,12 +10,16 @@ from that, the way :mod:`dataclasses` builds ``__init__``:
 * ``signing_bytes()``, the binary frame that is signed, digested and sent:
   ``tag u8 | every i64 field in one struct | the other signed fields in
   declaration order`` (``FRAME`` overrides the order);
-* ``from_reader()``, its inverse, registered by tag for :func:`decode`;
+* ``from_buffer(buf, off, end)``, its inverse over the window ``[off, end)`` of
+  a buffer, registered by tag for :func:`decode`: one bounds check and one
+  ``unpack_from`` for the head, one ``read_x(buf, off, end)`` call per other
+  field, and the window must be consumed exactly;
 * ``signing_content()``, the JSON-shaped form the differential tests keep
   as their reference;
 * ``wire_size()``, the simulator's modeled size;
 * ``detached()`` / ``attach()``, the unsigned parts that travel beside the
-  frame (piggybacked payloads, inner client signatures, snapshots).
+  frame (piggybacked payloads, inner client signatures, snapshots);
+  ``attach()`` refuses a part its slot's field does not declare.
 
 Decoded messages carry no signature and no detached parts: those ride in
 the transport envelope (:mod:`repro.runtime.aio`), never inside the frame.
@@ -26,10 +30,31 @@ from __future__ import annotations
 import inspect
 import struct
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.wire import primitives
-from repro.wire.primitives import _U32, Reader, WireDecodeError, pack_digest
+from repro.wire.primitives import (
+    _U32,
+    TAG_BATCH,
+    TAG_REQUEST,
+    WireDecodeError,
+    pack_digest,
+    read_digest,
+    read_str,
+    read_u32,
+    truncated,
+)
 
 #: Wire tag -> message class, filled by :func:`derive`.
 REGISTRY: Dict[int, type] = {}
@@ -41,9 +66,9 @@ _REQUIRED = object()
 class Kind:
     """How one kind of field is packed, read, sized and shown.
 
-    Every attribute but ``label`` and ``names`` is a source template over
-    ``{v}`` (the field's value expression) that :func:`derive` splices into
-    the generated methods.  A kind with a ``head`` struct code is
+    Every attribute but ``label``, ``read`` and ``names`` is a source template
+    over ``{v}`` (the field's value expression) that :func:`derive` splices
+    into the generated methods.  A kind with a ``head`` struct code is
     fixed-width and rides in the frame's leading struct; one with neither
     ``head`` nor ``read`` is unsigned and travels detached.
     """
@@ -51,7 +76,7 @@ class Kind:
     label: str  # the field's type in the README table
     head: str = ""
     pack: str = ""  # bytes expression, for frames assembled inline
-    read: str = ""  # expression over ``reader``
+    read: str = ""  # name of a ``(buf, off, end) -> (value, next_off)`` function
     arg: str = "{v}"  # argument(s) handed to a pinned ``ENCODER``
     json: str = "{v}"  # value in ``signing_content()``
     size: str = ""  # variable term of ``wire_size()``
@@ -65,29 +90,56 @@ class Kind:
         return bool(self.head or self.read)
 
 
+def payload_slot(item: Any) -> Any:
+    """What a payload slot accepts: a request or a batch (by wire tag), or nothing.
+
+    The parts beside a frame are unsigned and arrive from the network, so a
+    slot takes only what its field declares; anything else is a ``ValueError``
+    (the transport drops the envelope).
+    """
+    if item is not None and getattr(item, "TAG", None) not in (TAG_REQUEST, TAG_BATCH):
+        raise ValueError(f"a payload slot holds a request or a batch, not {type(item).__name__}")
+    return item
+
+
+_PLAIN_TYPES = (type(None), bool, int, float, str, tuple, list, dict, bytes)
+
+
+def value_slot(item: Any) -> Any:
+    """What an attachment slot accepts: a plain value (:func:`primitives.pack_value`)."""
+    if not isinstance(item, _PLAIN_TYPES):
+        raise ValueError(f"an attachment slot holds a plain value, not {type(item).__name__}")
+    return item
+
+
 I64 = Kind("i64", head="q")
-STR = Kind("str", pack="primitives.pack_str({v})", read="reader.string()")
-DIGEST = Kind("dig", pack="primitives.pack_digest({v})", read="reader.digest()")
+STR = Kind("str", pack="primitives.pack_str({v})", read="read_str", names={"read_str": read_str})
+DIGEST = Kind(
+    "dig",
+    pack="primitives.pack_digest({v})",
+    read="read_digest",
+    names={"read_digest": read_digest},
+)
 #: View-change entries: ``(sequence, view, digest)`` signed, each entry's
 #: payload detached.
 ENTRIES = Kind(
     "entry*",
     pack="pack_entries({v})",
-    read="read_entries(reader)",
+    read="read_entries",
     json="[entry.to_wire() for entry in {v}]",
     size="sum(entry.wire_size() for entry in {v})",
     detach="[entry.request for entry in {v}]",
-    attach="for entry in {v}: entry.request = next(items)",
+    attach="for entry in {v}: entry.request = payload_slot(next(items))",
 )
 #: The unsigned piggybacked slot payload (a Request, a Batch, or nothing).
 PAYLOAD = Kind(
     "",
     size="({v}.cached_wire_size() if {v} is not None else 0)",
     detach="[{v}]",
-    attach="{v} = next(items)",
+    attach="{v} = payload_slot(next(items))",
 )
 #: An unsigned plain value (the state-transfer snapshot).
-ATTACHMENT = Kind("", detach="[{v}]", attach="{v} = next(items)")
+ATTACHMENT = Kind("", detach="[{v}]", attach="{v} = value_slot(next(items))")
 
 
 class Field(NamedTuple):
@@ -132,9 +184,17 @@ def pack_entries(entries: Sequence[Entry]) -> bytes:
     return b"".join(parts)
 
 
-def read_entries(reader: Reader) -> List[Entry]:
-    count = reader.u32()
-    return [Entry(*reader.unpack(_ENTRY_HEAD), reader.digest()) for _ in range(count)]
+def read_entries(buf: bytes, off: int, end: int) -> Tuple[List[Entry], int]:
+    count, off = read_u32(buf, off, end)
+    entries = []
+    for _ in range(count):
+        stop = off + _ENTRY_HEAD.size
+        if stop > end:
+            raise truncated(_ENTRY_HEAD.size, off, end)
+        sequence, view = _ENTRY_HEAD.unpack_from(buf, off)
+        digest, off = read_digest(buf, stop, end)
+        entries.append(Entry(sequence, view, digest))
+    return entries, off
 
 
 @dataclass(unsafe_hash=True)  # hashable like the digest it stands for; plain (fast) init
@@ -229,8 +289,14 @@ def derive(cls: type) -> None:
         frame = " + ".join(packed)
     cls.signing_bytes = _compile("signing_bytes", "self", [f"return {frame}"], names)
 
-    reads = [", ".join(["_"] + [field.name for field in head]) + " = reader.unpack(head)"]
-    reads += [f"{field.name} = {field.kind.read}" for field in tail]
+    size = names["head"].size
+    reads = [
+        f"if off + {size} > end: raise truncated({size}, off, end)",
+        ", ".join(["_"] + [field.name for field in head]) + " = head.unpack_from(buf, off)",
+        f"off += {size}",
+    ]
+    reads += [f"{field.name}, off = {field.kind.read}(buf, off, end)" for field in tail]
+    reads.append("if off != end: raise WireDecodeError(f'{end - off} trailing bytes after frame')")
     given = [f"{field.name}={field.name}" for field in framed]
     given += [
         f"{field.name}=None"
@@ -238,7 +304,7 @@ def derive(cls: type) -> None:
         if not field.kind.signed and field.default is _REQUIRED
     ]
     body = reads + [f"return cls({', '.join(given)})"]
-    cls.from_reader = staticmethod(_compile("from_reader", "reader", body, names))
+    cls.from_buffer = staticmethod(_compile("from_buffer", "buf, off, end", body, names))
 
     content = [f"'type': {cls.__name__!r}"]
     content += [f"{field.name!r}: {spliced(field.kind.json, field)}" for field in framed]
@@ -289,20 +355,14 @@ def decode(frame: Any) -> Any:
     Raises WireDecodeError on truncation, unknown tags, garbled fields, or
     trailing bytes.
     """
-    if isinstance(frame, memoryview):
-        frame = frame.tobytes()
-    elif isinstance(frame, bytearray):
+    if not isinstance(frame, bytes):
+        if not isinstance(frame, (bytearray, memoryview)):
+            raise WireDecodeError(f"frame must be bytes, not {type(frame).__name__}")
         frame = bytes(frame)
-    elif not isinstance(frame, bytes):
-        raise WireDecodeError(f"frame must be bytes, not {type(frame).__name__}")
     if not frame:
         raise WireDecodeError("empty frame")
     cls = REGISTRY.get(frame[0])
     if cls is None:
         raise WireDecodeError(f"unknown frame tag: 0x{frame[0]:02x}")
-    reader = Reader(frame)
-    message = cls.from_reader(reader)
-    if not reader.exhausted():
-        raise WireDecodeError(f"{reader.end - reader.off} trailing bytes after frame")
-    return message
+    return cls.from_buffer(frame, 0, len(frame))
 

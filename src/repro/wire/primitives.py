@@ -1,4 +1,4 @@
-"""Binary frame primitives: tags, pack helpers, the pinned hot encoders, a reader.
+"""Binary frame primitives: tags, pack helpers, the pinned hot encoders, the readers.
 
 This module is a *leaf*: it imports nothing from the message layer.  Every
 message class declares its fields once and :mod:`repro.wire.codec` derives
@@ -18,12 +18,24 @@ dict/bytes) and never lets *content* collide with frame structure: every
 variable-length field is length prefixed, so no separator can be spoofed.
 Unsupported types fall back to a ``repr`` capsule that digests faithfully
 but refuses to decode.
+
+Decoding is in place and has one convention: ``read_x(buf, off, end)`` reads
+one field at ``off`` from the window ``[off, end)`` of ``buf`` and returns
+``(value, next_off)``; there is no cursor object and nothing is copied but
+the field itself.  Every read checks its bounds against ``end`` and raises
+:class:`WireDecodeError` (built by :func:`truncated`) rather than reading
+past it.  ``end`` is therefore always the end of the *innermost* frame being
+decoded — a request embedded in a batch is read with its own end, not the
+batch's — or a length inside one frame could reach into whatever follows it
+in the buffer; whoever opens a nested window also checks that it was
+consumed exactly.  Decode is on the hot path of the TCP backends (every
+message a node receives); the simulator never decodes.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Any, Sequence
+from typing import Any, Sequence, Tuple
 
 TAG_REQUEST = 0x01
 TAG_BATCH = 0x02
@@ -45,7 +57,7 @@ CHECKPOINT_HEAD = struct.Struct("<Bqq")
 BATCH_HEAD = struct.Struct("<BI")
 
 
-#: Deepest container nesting :meth:`Reader.value` follows before it rejects
+#: Deepest container nesting :func:`read_value` follows before it rejects
 #: the frame; honest values (operation arguments, snapshots) nest a few deep.
 MAX_VALUE_DEPTH = 32
 
@@ -192,86 +204,117 @@ def encode_checkpoint(sequence: int, mode: int, state_digest: str, replica_id: s
     )
 
 
-class Reader:
-    """Bounds-checked cursor over one frame (decode is the cold path)."""
+def truncated(count: int, off: int, end: int) -> WireDecodeError:
+    return WireDecodeError(
+        f"truncated frame: wanted {count} bytes at offset {off}, have {end - off}"
+    )
 
-    __slots__ = ("buf", "off", "end")
 
-    def __init__(self, buf: bytes) -> None:
-        self.buf = buf
-        self.off = 0
-        self.end = len(buf)
+def read_u16(buf: bytes, off: int, end: int) -> Tuple[int, int]:
+    stop = off + 2
+    if stop > end:
+        raise truncated(2, off, end)
+    return _U16.unpack_from(buf, off)[0], stop
 
-    def take(self, count: int) -> bytes:
-        off = self.off
-        end = off + count
-        if end > self.end:
-            raise WireDecodeError(
-                f"truncated frame: wanted {count} bytes at offset {off}, have {self.end - off}"
-            )
-        self.off = end
-        return self.buf[off:end]
 
-    def exhausted(self) -> bool:
-        return self.off == self.end
+def read_u32(buf: bytes, off: int, end: int) -> Tuple[int, int]:
+    stop = off + 4
+    if stop > end:
+        raise truncated(4, off, end)
+    return _U32.unpack_from(buf, off)[0], stop
 
-    def u16(self) -> int:
-        return _U16.unpack(self.take(2))[0]
 
-    def u32(self) -> int:
-        return _U32.unpack(self.take(4))[0]
+def read_window(buf: bytes, off: int, end: int) -> Tuple[int, int]:
+    """The bounds ``(start, stop)`` of a ``u32 length``-prefixed run of bytes.
 
-    def unpack(self, head: struct.Struct) -> tuple:
-        return head.unpack(self.take(head.size))
+    What is inside (an embedded frame, a detached value) is then read with
+    ``stop`` as its ``end``.
+    """
+    start = off + 4
+    if start > end:
+        raise truncated(4, off, end)
+    stop = start + _U32.unpack_from(buf, off)[0]
+    if stop > end:
+        raise truncated(stop - start, start, end)
+    return start, stop
 
-    def string(self) -> str:
-        raw = self.take(self.u32())
+
+def read_bytes(buf: bytes, off: int, end: int) -> Tuple[bytes, int]:
+    start, stop = read_window(buf, off, end)
+    return buf[start:stop], stop
+
+
+def read_str(buf: bytes, off: int, end: int) -> Tuple[str, int]:
+    # ``read_window`` inlined: a string is read several times per message.
+    start = off + 4
+    if start > end:
+        raise truncated(4, off, end)
+    stop = start + _U32.unpack_from(buf, off)[0]
+    if stop > end:
+        raise truncated(stop - start, start, end)
+    try:
+        return buf[start:stop].decode("utf-8"), stop
+    except UnicodeDecodeError as exc:
+        raise WireDecodeError(f"garbled UTF-8 string field: {exc}") from None
+
+
+def read_digest(buf: bytes, off: int, end: int) -> Tuple[str, int]:
+    if off >= end:
+        raise truncated(1, off, end)
+    flag = buf[off]
+    off += 1
+    if flag == 1:
+        stop = off + 32
+        if stop > end:
+            raise truncated(32, off, end)
+        return buf[off:stop].hex(), stop
+    if flag == 0:
+        return read_str(buf, off, end)
+    raise WireDecodeError(f"garbled digest flag byte: {bytes((flag,))!r}")
+
+
+def read_value(buf: bytes, off: int, end: int, depth: int = 0) -> Tuple[Any, int]:
+    """Inverse of :func:`pack_value`."""
+    if off >= end:
+        raise truncated(1, off, end)
+    tag = buf[off : off + 1]
+    off += 1
+    if tag == b"S":
+        return read_str(buf, off, end)
+    if tag == b"T":
+        return True, off
+    if tag == b"F":
+        return False, off
+    if tag in (b"I", b"f"):
+        raw, off = read_bytes(buf, off, end)
         try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise WireDecodeError(f"garbled UTF-8 string field: {exc}") from None
-
-    def digest(self) -> str:
-        flag = self.take(1)
-        if flag == b"\x01":
-            return self.take(32).hex()
-        if flag == b"\x00":
-            return self.string()
-        raise WireDecodeError(f"garbled digest flag byte: {flag!r}")
-
-    def value(self, depth: int = 0) -> Any:
-        tag = self.take(1)
-        if tag == b"S":
-            return self.string()
-        if tag == b"T":
-            return True
-        if tag == b"F":
-            return False
-        if tag in (b"I", b"f"):
-            raw = self.take(self.u32())
-            try:
-                return (int if tag == b"I" else float)(raw.decode("ascii"))
-            except (UnicodeDecodeError, ValueError):
-                raise WireDecodeError(f"garbled numeric argument: {raw!r}") from None
-        if tag == b"N":
-            return None
-        if tag in (b"U", b"L", b"D"):
-            if depth >= MAX_VALUE_DEPTH:
-                raise WireDecodeError(f"value nested deeper than {MAX_VALUE_DEPTH} containers")
-            depth += 1
-            count = self.u32()
-            if tag == b"D":
-                try:
-                    return {self.value(depth): self.value(depth) for _ in range(count)}
-                except TypeError:
-                    raise WireDecodeError("unhashable dict key") from None
-            items = [self.value(depth) for _ in range(count)]
-            return tuple(items) if tag == b"U" else items
-        if tag == b"B":
-            return self.take(self.u32())
-        if tag == b"R":
-            raise WireDecodeError(
-                "opaque repr-encoded argument: digestible but not invertible"
-            )
-        raise WireDecodeError(f"unknown argument type tag: {tag!r}")
-
+            return (int if tag == b"I" else float)(raw.decode("ascii")), off
+        except (UnicodeDecodeError, ValueError):
+            raise WireDecodeError(f"garbled numeric argument: {raw!r}") from None
+    if tag == b"N":
+        return None, off
+    if tag in (b"U", b"L", b"D"):
+        if depth >= MAX_VALUE_DEPTH:
+            raise WireDecodeError(f"value nested deeper than {MAX_VALUE_DEPTH} containers")
+        depth += 1
+        count, off = read_u32(buf, off, end)
+        # Two items per dict entry: key, value, key, value, ...
+        items = []
+        for _ in range(2 * count if tag == b"D" else count):
+            item, off = read_value(buf, off, end, depth)
+            items.append(item)
+        if tag == b"L":
+            return items, off
+        if tag == b"U":
+            return tuple(items), off
+        try:
+            return dict(zip(items[::2], items[1::2])), off
+        except TypeError:
+            raise WireDecodeError("unhashable dict key") from None
+    if tag == b"B":
+        return read_bytes(buf, off, end)
+    if tag == b"R":
+        raise WireDecodeError(
+            "opaque repr-encoded argument: digestible but not invertible"
+        )
+    raise WireDecodeError(f"unknown argument type tag: {tag!r}")

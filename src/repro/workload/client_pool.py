@@ -148,7 +148,3 @@ class ClientPool:
     @property
     def total_timeouts(self) -> int:
         return sum(client.timeouts for client in self.clients)
-
-    @property
-    def total_shed(self) -> int:
-        return sum(client.shed_requests for client in self.clients)

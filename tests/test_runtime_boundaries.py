@@ -18,6 +18,9 @@ the client's decisions (reply filtering, acceptance, completion, ``Busy``
 backoff, retransmission) are defined in ``repro/smr/client.py`` only.
 The two TCP backends move messages by callbacks: no per-message task, queue
 or stream machinery may reappear in ``runtime/aio.py`` or ``runtime/proc.py``.
+And frames are decoded in place by ``read_x(buf, off, end)`` functions: no
+cursor object (a ``Reader`` class, a ``.take(n)`` call) may reappear under
+``src/repro``.
 """
 
 import ast
@@ -184,6 +187,45 @@ class TestAioDataPathIsCallbacks:
         )
         assert [what for _, what in sorted(per_message_machinery(tmp_path / "old.py"))] == [
             "Queue", "open_connection", "drain", "sleep(0)", "start_server",
+        ]
+
+
+def cursor_decoding(path):
+    """Yield ``(lineno, what)`` for every cursor class or ``.take(...)`` call in ``path``."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ClassDef) and node.name in ("Reader", "_Cursor"):
+            yield node.lineno, f"class {node.name}"
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "take":
+            yield node.lineno, ".take()"
+
+
+class TestDecodeIsInPlace:
+    """One read convention, ``read_x(buf, off, end) -> (value, next_off)``.
+
+    A cursor object per frame (and a sub-cursor and a copy per embedded
+    request) was a third of the TCP path's time; it may not come back.
+    """
+
+    def test_no_module_defines_a_cursor_or_takes_from_one(self):
+        offenders = [
+            f"{path.relative_to(SRC.parent)}:{lineno} {what}"
+            for path in sorted(SRC.rglob("*.py"))
+            for lineno, what in cursor_decoding(path)
+        ]
+        assert offenders == []
+
+    def test_the_rule_catches_the_old_reader(self, tmp_path):
+        (tmp_path / "old.py").write_text(
+            "class Reader:\n"
+            "    def take(self, count):\n"
+            "        return self.buf[self.off : self.off + count]\n"
+            "    def u32(self):\n"
+            "        return _U32.unpack(self.take(4))[0]\n"
+            "def _read_request_frames(reader):\n"
+            "    sub = Reader(reader.take(reader.u32()))\n"
+        )
+        assert [what for _, what in sorted(cursor_decoding(tmp_path / "old.py"))] == [
+            "class Reader", ".take()", ".take()",
         ]
 
 

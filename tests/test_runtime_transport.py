@@ -9,6 +9,7 @@ scheduled during one tick run in the next, exactly the rule
 connection cut under an established channel) and run over loopback TCP.
 """
 
+import time
 from collections import deque
 
 import pytest
@@ -27,7 +28,7 @@ from repro.runtime.aio import (
     encode_envelope,
 )
 from repro.runtime.conformance import AIO_CLIENT_TIMEOUT, AIO_REQUEST_TIMEOUT, oracle_cluster
-from repro.smr.messages import Batch, Request
+from repro.smr.messages import Batch, Reply, Request
 from repro.smr.state_machine import Operation
 
 
@@ -138,6 +139,19 @@ class TestInboundParser:
         assert runtime.frames_rejected == 1
         assert runtime.messages_delivered == 2
         assert [src for src, _ in sink.received] == ["evil", "evil"]
+        assert not transport.closed
+
+    def test_an_envelope_with_a_reply_in_its_payload_slot_is_dropped_and_counted(self):
+        """One such envelope from Peacock's untrusted primary used to leave a
+        sequence number no correct replica could commit past."""
+        runtime, sink, transport, inbound = _accepted()
+        reply = Reply(Mode.PEACOCK.value, 0, 7, "c", "p0", {"ok": True}).sign(KEYS.signer_for("p0"))
+        forged = core.PrePrepare(0, 1, digest_of(reply), reply, Mode.PEACOCK.value)
+        forged.sign(KEYS.signer_for("p0"))
+        valid = _framed(encode_envelope(_request(1)))
+        inbound.data_received(HELLO + valid + _framed(encode_envelope(forged)) + valid)
+        assert runtime.frames_rejected == 1
+        assert sink.timestamps == [1, 1]
         assert not transport.closed
 
     def test_an_oversized_length_prefix_hangs_up(self):
@@ -318,6 +332,87 @@ class TestCpuSlice:
         # Due at 5 ms; one slice may be running when it falls due.  The bound
         # leaves room for a loaded CI host and is still a fifth of the backlog.
         assert elapsed < 0.005 + 20 * CPU_SLICE_S
+
+
+# -- timers: a deadline that moves, at most one wake-up on the loop's heap ----------------
+
+
+def _run_timer(scenario, until=None, timeout=1.0):
+    """Run ``scenario(runtime, timer, fired)`` from kickoff on a real loop, no sockets.
+
+    Returns the loop times at which the timer fired and the ``call_at`` /
+    ``call_later`` calls the timer made on the loop.
+    """
+    runtime = AioRuntime()
+    fired, scheduled = [], []
+
+    def on_fire():
+        assert not timer.active  # disarmed before the callback
+        fired.append(runtime._running_loop().time())
+
+    timer = runtime.timer(on_fire, label="t")
+
+    def kickoff():
+        loop = runtime._running_loop()
+        for name in ("call_at", "call_later"):
+            def counting(when, callback, *args, _schedule=getattr(loop, name), _name=name, **kw):
+                if getattr(callback, "__self__", None) is timer:
+                    scheduled.append(_name)
+                return _schedule(when, callback, *args, **kw)
+
+            setattr(loop, name, counting)
+        scenario(runtime, timer, fired)
+
+    runtime.run(kickoff=kickoff, until=until and (lambda: until(fired)), timeout=timeout)
+    return fired, scheduled
+
+
+class TestTimerDeadline:
+    def test_ten_thousand_restarts_schedule_at_most_two_wakeups(self):
+        last_deadline = []
+
+        def scenario(runtime, timer, fired):
+            loop = runtime._running_loop()
+            for _ in range(10_000):
+                last_deadline[:] = [loop.time() + 0.05]
+                timer.restart(0.05)
+
+        fired, scheduled = _run_timer(scenario, until=len, timeout=5.0)
+        assert len(fired) == 1 and fired[0] >= last_deadline[0]
+        assert len(scheduled) <= 2, f"{len(scheduled)} loop-timer calls for one pushed-back timer"
+
+    def test_a_shorter_start_supersedes_a_pending_later_wakeup(self):
+        started = []
+
+        def scenario(runtime, timer, fired):
+            started.append(runtime._running_loop().time())
+            timer.start(0.2)
+            timer.start(0.01)
+
+        fired, _ = _run_timer(scenario, until=len)
+        assert len(fired) == 1 and 0.01 <= fired[0] - started[0] < 0.15
+
+    def test_stop_then_start_reuses_the_pending_wakeup(self):
+        def scenario(runtime, timer, fired):
+            timer.start(0.02)
+            timer.stop()
+            assert not timer.active
+            timer.start(0.03)
+            assert timer.active
+
+        fired, scheduled = _run_timer(scenario, timeout=0.15)
+        assert len(fired) == 1
+        assert scheduled == ["call_at", "call_at"]  # armed once, re-armed once for the remainder
+
+    def test_stop_between_the_deadline_and_the_wakeup_does_not_fire(self):
+        def scenario(runtime, timer, fired):
+            timer.start(0.005)
+            time.sleep(0.02)  # the loop is held: the deadline passes, the wake-up cannot run
+            timer.stop()
+            assert not timer.active
+
+        fired, scheduled = _run_timer(scenario, timeout=0.1)
+        assert fired == [] and len(scheduled) == 1
 
 
 # -- (d) coalescing on a real run, (bugfix) reconnect -----------------------------------

@@ -397,6 +397,36 @@ class TestRejection:
         with pytest.raises(WireDecodeError):
             decode(frame)
 
+    def test_an_embedded_request_cannot_read_past_its_own_frame(self):
+        """Confinement: each embedded request is decoded inside its own window.
+
+        The first request's payload length is raised so that the payload
+        swallows the second request's length prefix and everything of the
+        second request up to a third request frame hidden in *its* payload,
+        which ends where the batch frame ends.  Every outer length is left as
+        it was, so a decoder that let an inner length run to the end of the
+        batch frame would find two well-formed requests; one that confines
+        each request to its declared window finds a truncated first request.
+        """
+        hidden = encode(Request(Operation("op", (), "z"), timestamp=3, client_id="c"))
+        carrier = hidden.decode("ascii")
+        first = Request(Operation("op", (), "aa"), timestamp=1, client_id="c")
+        second = Request(
+            Operation("op", (), chr(len(hidden)) + "\x00\x00\x00" + carrier),
+            timestamp=2,
+            client_id="c",
+        )
+        frame = encode(Batch(requests=[first, second]))
+        assert frame.endswith(len(hidden).to_bytes(4, "little") + hidden)
+        assert len(decode(frame).requests) == 2
+        length_at = frame.index(b"\x02\x00\x00\x00aa")
+        swallowed = len(frame) - (length_at + 4) - 4 - len(hidden)
+        assert swallowed > len(encode(first))  # reaches well into the second request
+        forged = frame[:length_at] + swallowed.to_bytes(4, "little") + frame[length_at + 4 :]
+        assert len(forged) == len(frame)
+        with pytest.raises(WireDecodeError):
+            decode(forged)
+
     def test_empty_batch_frame_is_rejected(self):
         from repro.wire.primitives import BATCH_HEAD, TAG_BATCH
 

@@ -11,7 +11,8 @@
 * **README table** — the "Binary wire format" table is the registry's own
   rendering, so it cannot drift;
 * **hostile envelopes** — the retired pickle kind is rejected without
-  executing anything.
+  executing anything, a slot beside a frame takes only what its field
+  declares, and a length inside a piggybacked frame cannot reach past it.
 """
 
 import json
@@ -195,6 +196,12 @@ def test_hot_frames_and_digests_match_the_golden_fixture():
     for name, message in instances.items():
         assert encode(message).hex() == golden[name]["frame"], name
         assert digest_of(message) == golden[name]["digest"], name
+        # ... and the derived decoders must read every recorded frame back to a
+        # message that re-encodes and digests to the same bytes.
+        twin = decode(bytes.fromhex(golden[name]["frame"]))
+        assert type(twin) is type(message), name
+        assert encode(twin).hex() == golden[name]["frame"], name
+        assert digest_of(twin) == golden[name]["digest"], name
 
 
 def test_readme_wire_table_is_the_registrys_own_rendering():
@@ -248,3 +255,62 @@ def test_a_piggybacked_message_may_not_carry_messages_of_its_own():
     outer = core.Prepare(1, 2, HEX, inner, 1)
     with pytest.raises(ValueError):
         decode_envelope(encode_envelope(outer))
+
+
+def test_a_length_inside_a_piggybacked_frame_cannot_reach_past_the_frame():
+    """Confinement: the inner request's payload length is raised to run into
+    the client signature that follows the frame; every outer length is as sent."""
+    request = signed_request(operation=Operation("put", ("k",), "pay"))
+    blob = encode_envelope(core.Prepare(1, 2, HEX, request, 1).sign(KEYS.signer_for("p0")))
+    length_at = blob.index(b"\x03\x00\x00\x00pay")
+    assert blob[length_at + 7] == 1  # the signature's presence flag follows the frame
+    forged = blob[:length_at] + b"\x0b" + blob[length_at + 1 :]
+    with pytest.raises(codec.WireDecodeError):
+        decode_envelope(forged)
+
+
+class TestSlotsTakeOnlyWhatTheirFieldDeclares:
+    """The parts beside a frame are unsigned, so each slot checks what it is handed.
+
+    A ``Reply`` in a payload slot used to pass ``digest == request_digest(request)``,
+    be filed by ``prepare_slot`` under its ``(client_id, timestamp)``, and raise
+    ``AttributeError`` in ``commit_slot`` on every correct replica.
+    """
+
+    def rejected(self, message):
+        with pytest.raises(ValueError):
+            decode_envelope(encode_envelope(message))
+
+    def test_a_reply_is_not_an_ordering_messages_payload(self):
+        reply = Reply(1, 0, 7, "client-0", "p0", {"ok": True}).sign(KEYS.signer_for("p0"))
+        forged = core.PrePrepare(0, 1, digest_of(reply), reply, 3).sign(KEYS.signer_for("p0"))
+        self.rejected(forged)
+        self.rejected(core.Commit(0, 1, digest_of(reply), "p0", 1, request=reply))
+
+    def test_a_plain_value_is_not_a_payload(self):
+        self.rejected(core.Prepare(1, 2, HEX, {"operation": "put"}, 1))
+        self.rejected(core.ViewChange(**self.view_change(prepared=[Entry(1, 0, HEX, "text")])))
+
+    def test_a_view_change_entry_carries_a_request_or_a_batch_only(self):
+        reply = Reply(1, 0, 7, "client-0", "p0", {"ok": True})
+        self.rejected(core.ViewChange(**self.view_change(committed=[Entry(1, 0, HEX, reply)])))
+
+    def test_a_message_is_not_a_client_signature(self):
+        batch = signed_batch()
+        batch.requests[1].signature = signed_request(9)
+        self.rejected(batch)
+
+    def test_a_message_or_a_signature_is_not_a_snapshot(self):
+        (field,) = [f for f in core.StateTransferResponse.FIELDS if f.kind is codec.ATTACHMENT]
+        for intruder in (signed_request(), signed_request().signature):
+            message = instance_of(core.StateTransferResponse)
+            setattr(message, field.name, intruder)
+            self.rejected(message)
+
+    @staticmethod
+    def view_change(**entries):
+        fields = {f.name: sample(f, i) for i, f in enumerate(core.ViewChange.FIELDS)}
+        for field in core.ViewChange.FIELDS:
+            if field.kind is codec.ENTRIES:
+                fields[field.name] = entries.get(field.name, [])
+        return fields
