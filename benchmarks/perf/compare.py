@@ -41,21 +41,12 @@ from typing import Optional, Tuple
 
 def load(path: pathlib.Path) -> Tuple[dict, Optional[float]]:
     document = json.loads(pathlib.Path(path).read_text())
-    # Wall-clock rows (backend "aio") are trajectory datapoints, never part
-    # of the regression gate: their events/sec tracks machine load.  Rows
-    # predating the backend field are sim rows.  Rows explicitly marked
-    # ``gated: false`` (the open-loop sweep) are likewise reported-only.
-    cases = {
-        case["name"]: case
-        for case in document["cases"]
-        if case.get("backend", "sim") == "sim" and case.get("gated", True)
-    }
+    # Rows marked ``gated: false`` (the open-loop sweep) are reported-only;
+    # rows predating the field are gated.
+    cases = {case["name"]: case for case in document["cases"] if case.get("gated", True)}
     skipped = len(document["cases"]) - len(cases)
     if skipped:
-        print(
-            f"note: {skipped} non-sim (wall-clock) or ungated case(s) in {path} "
-            "excluded from the gate"
-        )
+        print(f"note: {skipped} ungated case(s) in {path} excluded from the gate")
     calibration = document.get("host", {}).get("calibration_ops_per_second")
     return cases, calibration
 

@@ -31,32 +31,26 @@ Schema (``schema_version`` 1)::
         {
           "name": "lion-f1-batched",
           "protocol": "seemore-lion",
-          "backend": "sim",            # or "aio"/"proc": wall-clock over
-                                       # loopback TCP, reported but never
-                                       # regression-gated
           "crash_tolerance": 1, "byzantine_tolerance": 1,
           "batched": true, "fault_scenario": null,
-          "num_procs": 1,              # proc rows: replica worker processes
-          "cpu_count": N,              # cores on the measuring host
           "sim_duration": 0.5,
           "completed_requests": N, "events_processed": N,
           "wall_seconds": <min over repeats>,
           "events_per_second": ..., "sim_seconds_per_wall_second": ...,
           "throughput_requests_per_second": ...,
-          "peak_heap_bytes": N, "deterministic": true
+          "peak_heap_bytes": N, "deterministic": true,
+          "gated": true                # false: reported, never gated
         }, ...
       ],
       "summary": {
-        "events_per_second_geomean": ...,        # sim rows only
+        "events_per_second_geomean": ...,        # gated rows only
         "batched_events_per_second_geomean": ...,
-        "peak_heap_bytes_max": N,
-        # present per wall-clock backend that ran:
-        "wallclock_aio_events_per_second_geomean": ...,
-        "wallclock_aio_requests_per_second_geomean": ...,
-        "wallclock_proc_events_per_second_geomean": ...,
-        "wallclock_proc_requests_per_second_geomean": ...
+        "peak_heap_bytes_max": N
       }
     }
+
+Every row is a deterministic simulator run.  Wall-clock numbers on the
+real-network backends come from ``benchmarks/e2e`` and nowhere else.
 
 Determinism guarantee: the caches introduced by the hot-path overhaul
 change only wall-clock speed, never simulated behaviour — every case
@@ -121,18 +115,6 @@ class PerfCase:
     # ratio between sharded-Nx and sharded-1x is the scale-out headline.
     num_shards: int = 1
     cross_shard_fraction: float = 0.0
-    # Runtime backend.  "sim" measures the discrete-event engine (modeled
-    # time, deterministic, regression-gated); "aio" runs the same protocol
-    # over real loopback TCP on one event loop and "proc" splits the
-    # cluster across OS processes — both report wall-clock throughput,
-    # recorded for the trajectory but never gated, since loopback numbers
-    # track machine load, not code quality.
-    backend: str = "sim"
-    # Wall-clock backends only: the closed-loop request budget (aio/proc
-    # cases run to a request count rather than to a simulated duration).
-    num_requests: int = 400
-    # proc-only: replica worker processes (the core-scaling knob).
-    num_procs: int = 1
     # Whether this row participates in the regression gate (compare.py and
     # the sim geomeans).  Open-loop rows are reported-only: their headline
     # numbers are latency percentiles under deliberate overload, not
@@ -236,48 +218,6 @@ def standard_cases(smoke: bool = False) -> List[PerfCase]:
     return cases
 
 
-def aio_cases() -> List[PerfCase]:
-    """Wall-clock cases on the asyncio-TCP backend (reported, never gated).
-
-    The case names deliberately mirror their sim counterparts; the
-    ``backend`` field is what tells the rows apart in the JSON.
-    """
-    return [
-        PerfCase(
-            name="lion-f1-batched",
-            protocol="seemore-lion",
-            backend="aio",
-            num_requests=400,
-            client_window=16,
-        )
-    ]
-
-
-def proc_cases(max_procs: int = 4) -> List[PerfCase]:
-    """The multiprocess core-scaling sweep (reported, never gated).
-
-    One ``lion-f1-batched`` wall-clock case per power-of-two replica
-    process count up to ``max_procs``; identical request budget and
-    client window to the aio case, so the p1 row isolates the IPC tax of
-    the process split and the p2/p4 rows show what extra cores buy.
-    """
-    sweep = []
-    procs = 1
-    while procs <= max_procs:
-        sweep.append(
-            PerfCase(
-                name=f"lion-f1-batched-p{procs}",
-                protocol="seemore-lion",
-                backend="proc",
-                num_requests=400,
-                client_window=16,
-                num_procs=procs,
-            )
-        )
-        procs *= 2
-    return sweep
-
-
 def openloop_cases() -> List[PerfCase]:
     """The open-loop offered-load sweep (reported, never gated).
 
@@ -320,88 +260,8 @@ OPENLOOP_SMOKE_CASE_NAME = "openloop-surge-2x"
 # -- running one case -------------------------------------------------------------
 
 
-def _run_once_aio(case: PerfCase) -> Dict[str, Any]:
-    """One wall-clock execution over real loopback TCP.
-
-    Reuses the conformance harness's cluster construction so the perf and
-    conformance paths cannot drift apart; "events" on this backend means
-    messages delivered over the wire.
-    """
-    from repro.runtime.aio import AioRuntime
-    from repro.runtime.conformance import oracle_cluster
-
-    runtime = AioRuntime()
-    _, client = oracle_cluster(
-        runtime,
-        _MODES[case.protocol],
-        num_requests=case.num_requests,
-        window=case.client_window,
-        request_timeout=5.0,
-        client_timeout=2.0,
-        max_batch=STANDARD_BATCH["max_batch"],
-        seed=case.seed,
-    )
-    start = time.perf_counter()
-    finished = runtime.run(
-        kickoff=client.start,
-        until=lambda: client.completed_count >= case.num_requests,
-        timeout=120.0,
-    )
-    wall = time.perf_counter() - start
-    if not finished:
-        raise AssertionError(
-            f"aio case {case.name!r} timed out: "
-            f"{client.completed_count}/{case.num_requests} completed"
-        )
-    return {
-        "wall": wall,
-        "events": runtime.messages_delivered,
-        "completed": client.completed_count,
-        # Real time: one wall second buys exactly one second of protocol time.
-        "sim_seconds": wall,
-    }
-
-
-def _run_once_proc(case: PerfCase) -> Dict[str, Any]:
-    """One wall-clock execution across worker processes.
-
-    The wall time is the supervisor's go-to-done span (endpoint broadcast
-    until the client's completion report), so process spawn and handshake
-    cost is excluded — the number measures steady-state throughput, same
-    as the aio case's loop-resident measurement.  "events" aggregates
-    messages delivered across every worker runtime.
-    """
-    from repro.cluster.builders import build_proc_seemore
-
-    cluster = build_proc_seemore(
-        mode=_MODES[case.protocol],
-        num_procs=case.num_procs,
-        num_requests=case.num_requests,
-        window=case.client_window,
-        max_batch=STANDARD_BATCH["max_batch"],
-        seed=case.seed,
-    )
-    result = cluster.run(timeout=180.0)
-    if not result.met:
-        completed = result.harvests.get("client", {}).get("completed", "?")
-        raise AssertionError(
-            f"proc case {case.name!r} failed: {completed}/{case.num_requests} "
-            f"completed (deaths={result.deaths}, errors={result.errors})"
-        )
-    return {
-        "wall": result.wall_seconds,
-        "events": result.messages_delivered(),
-        "completed": result.harvests["client"]["completed"],
-        "sim_seconds": result.wall_seconds,
-    }
-
-
 def _run_once(case: PerfCase) -> Dict[str, Any]:
     """One measured execution; returns wall time, events, completions."""
-    if case.backend == "aio":
-        return _run_once_aio(case)
-    if case.backend == "proc":
-        return _run_once_proc(case)
     if case.open_loop_scenario is not None:
         return _run_once_open_loop(case)
     if case.fault_scenario is not None:
@@ -522,60 +382,44 @@ def run_case(case: PerfCase, repeats: int = 3, measure_heap: bool = True) -> Dic
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1: {repeats}")
 
-    if case.backend != "sim":
-        # Wall-clock backends carry no determinism contract (real scheduling
-        # jitter moves batch boundaries) and no tracemalloc pass: a single
-        # run is the datapoint.
-        runs = [_run_once(case)]
-        deterministic = False
-        peak_heap = None
-    else:
-        runs = [_run_once(case) for _ in range(repeats)]
+    runs = [_run_once(case) for _ in range(repeats)]
 
-        completions = {run["completed"] for run in runs}
-        events = {run["events"] for run in runs}
-        deterministic = len(completions) == 1 and len(events) == 1
-        if not deterministic:  # pragma: no cover - would indicate an engine bug
-            raise AssertionError(
-                f"case {case.name!r} is non-deterministic across repeats: "
-                f"completions={sorted(completions)}, events={sorted(events)}"
-            )
+    completions = {run["completed"] for run in runs}
+    events = {run["events"] for run in runs}
+    if len(completions) != 1 or len(events) != 1:  # pragma: no cover - an engine bug
+        raise AssertionError(
+            f"case {case.name!r} is non-deterministic across repeats: "
+            f"completions={sorted(completions)}, events={sorted(events)}"
+        )
 
-        peak_heap = None
-        if measure_heap:
-            tracemalloc.start()
-            try:
-                _run_once(case)
-                _, peak_heap = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
+    peak_heap = None
+    if measure_heap:
+        tracemalloc.start()
+        try:
+            _run_once(case)
+            _, peak_heap = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
 
     wall = min(run["wall"] for run in runs)
     reference = runs[0]
-    # On the wall-clock backend "duration" is the measured run itself.
-    duration = case.duration if case.backend == "sim" else reference["sim_seconds"]
     row = {
         "name": case.name,
         "protocol": case.protocol,
-        "backend": case.backend,
         "crash_tolerance": case.crash_tolerance,
         "byzantine_tolerance": case.byzantine_tolerance,
         "batched": case.batched,
         "fault_scenario": case.fault_scenario,
         "num_shards": case.num_shards,
-        "num_procs": case.num_procs,
-        # Wall-clock rows are only comparable on similar hardware; record
-        # the core count beside every row so baselines are self-describing.
-        "cpu_count": os.cpu_count(),
-        "sim_duration": round(duration, 4),
+        "sim_duration": round(case.duration, 4),
         "completed_requests": reference["completed"],
         "events_processed": reference["events"],
         "wall_seconds": round(wall, 4),
         "events_per_second": round(reference["events"] / wall, 1),
         "sim_seconds_per_wall_second": round(reference["sim_seconds"] / wall, 4),
-        "throughput_requests_per_second": round(reference["completed"] / duration, 1),
+        "throughput_requests_per_second": round(reference["completed"] / case.duration, 1),
         "peak_heap_bytes": peak_heap,
-        "deterministic": deterministic,
+        "deterministic": True,
         "gated": case.gated,
     }
     row.update(reference.get("extra", {}))
@@ -631,14 +475,9 @@ def run_suite(
             progress(f"running {case.name} ...")
         rows.append(run_case(case, repeats=repeats, measure_heap=measure_heap))
 
-    # The headline geomeans cover the sim backend only: wall-clock rows
-    # are machine-load-dependent datapoints, not part of the gated
-    # trajectory.  Each wall-clock backend present gets its own
-    # ``wallclock_<backend>_*`` geomeans so WALLCLOCK documents are
-    # self-describing instead of carrying an all-null summary.
-    sim_rows = [
-        row for row in rows if row["backend"] == "sim" and row.get("gated", True)
-    ]
+    # The headline geomeans cover the gated rows only (the open-loop sweep
+    # is reported beside them).
+    sim_rows = [row for row in rows if row["gated"]]
     batched_rows = [
         row for row in sim_rows if row["batched"] and not row["fault_scenario"]
     ]
@@ -652,17 +491,6 @@ def run_suite(
         ),
         "peak_heap_bytes_max": max(heap_values) if heap_values else None,
     }
-    wallclock_rows = [row for row in rows if row["backend"] != "sim"]
-    for backend in sorted({row["backend"] for row in wallclock_rows}):
-        backend_rows = [row for row in wallclock_rows if row["backend"] == backend]
-        summary[f"wallclock_{backend}_events_per_second_geomean"] = _round(
-            _geomean([row["events_per_second"] for row in backend_rows])
-        )
-        summary[f"wallclock_{backend}_requests_per_second_geomean"] = _round(
-            _geomean(
-                [row["throughput_requests_per_second"] for row in backend_rows]
-            )
-        )
     # Open-loop rows (reported, never gated): worst served p99 across the
     # sweep and whether every admission-controlled point held its SLO.
     openloop_rows = [row for row in rows if "p99_latency_ms" in row]

@@ -21,10 +21,8 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
 from harness import (  # noqa: E402
     OPENLOOP_SMOKE_CASE_NAME,
-    aio_cases,
     default_output_path,
     openloop_cases,
-    proc_cases,
     run_suite,
     standard_cases,
     write_bench,
@@ -44,49 +42,19 @@ def main(argv=None) -> int:
         "--no-heap", action="store_true", help="skip the tracemalloc peak-heap pass"
     )
     parser.add_argument(
-        "--aio",
-        action="store_true",
-        help="append the wall-clock asyncio-TCP cases (reported, never gated)",
-    )
-    parser.add_argument(
-        "--aio-only",
-        action="store_true",
-        help="run only the wall-clock cases (asyncio-TCP, plus the "
-        "multiprocess sweep when --procs is given)",
-    )
-    parser.add_argument(
         "--openloop",
         action="store_true",
         help="append the open-loop offered-load sweep (reported, never gated)",
     )
-    parser.add_argument(
-        "--procs",
-        type=int,
-        default=0,
-        metavar="N",
-        help="append the multiprocess core-scaling sweep: one proc case per "
-        "power-of-two replica process count up to N (reported, never gated)",
-    )
     args = parser.parse_args(argv)
 
-    if args.aio_only:
-        cases = aio_cases()
-    else:
-        cases = standard_cases(smoke=args.smoke)
-        if args.aio:
-            cases = cases + aio_cases()
-        if args.openloop:
-            cases = cases + openloop_cases()
-        elif args.smoke:
-            # The smoke run reports one open-loop point (never gated) so
-            # the CI trajectory records served percentiles under surge.
-            cases = cases + [
-                case
-                for case in openloop_cases()
-                if case.name == OPENLOOP_SMOKE_CASE_NAME
-            ]
-    if args.procs > 0:
-        cases = cases + proc_cases(max_procs=args.procs)
+    cases = standard_cases(smoke=args.smoke)
+    if args.openloop:
+        cases = cases + openloop_cases()
+    elif args.smoke:
+        # The smoke run reports one open-loop point (never gated) so
+        # the CI trajectory records served percentiles under surge.
+        cases = cases + [case for case in openloop_cases() if case.name == OPENLOOP_SMOKE_CASE_NAME]
 
     document = run_suite(
         cases=cases,
@@ -106,13 +74,7 @@ def main(argv=None) -> int:
             f"{row['name'].ljust(width)}  {row['events_per_second']:>10,.0f}  "
             f"{row['sim_seconds_per_wall_second']:>12.3f}  {row['completed_requests']:>9}"
         )
-    summary = document["summary"]
-    geomean = summary["events_per_second_geomean"]
-    if geomean is not None:  # an --aio-only run has no sim rows to average
-        print(f"\nevents/s geomean: {geomean:,.0f}")
-    for key in sorted(summary):
-        if key.startswith("wallclock_") and summary[key] is not None:
-            print(f"{key}: {summary[key]:,.0f}")
+    print(f"\nevents/s geomean: {document['summary']['events_per_second_geomean']:,.0f}")
     return 0
 
 

@@ -13,141 +13,53 @@ Normal case: the primary multicasts a signed ``PRE-PREPARE``; every replica
 multicasts a signed ``PREPARE``; once a replica holds a prepare certificate
 it multicasts a signed ``COMMIT``; once it holds a commit certificate it
 executes and replies to the client, which waits for f+1 (resp. m+1)
-matching replies.  View changes are timer-driven with the new primary
-collecting a quorum of view-change messages and re-proposing pending slots.
+matching replies.  Every ``checkpoint_period`` executions a replica signs a
+checkpoint; a commit quorum of matching ones makes it stable and garbage
+collects below it.
+
+Request intake, the request timer and the view change are
+:class:`~repro.baselines.replica.BaselineReplica`'s.  This module states the
+three phases, the checkpoint votes, and its answers to the skeleton: nothing
+at or below the stable checkpoint is reported in a view change, a slot is
+reported once it holds a prepare certificate, joining takes one suspicion
+more than there can be faulty replicas, and every replica re-enters a
+re-proposed slot with a fresh prepare vote.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.baselines import messages as msgs
-from repro.baselines.config import BaselineConfig
-from repro.crypto.signatures import Signer, Verifier
-from repro.net.costs import NodeCostModel
+from repro.baselines.replica import BaselineReplica
+from repro.crypto.digest import digest as digest_fn
+from repro.smr.executor import ExecutionResult
 from repro.smr.messages import Request
-from repro.smr.replica import ReplicaBase, request_digest
+from repro.smr.replica import request_digest
 from repro.smr.slots import Slot
-from repro.smr.state_machine import Operation, StateMachine
-
-_NOOP_CLIENT = "__noop__"
 
 
-def _noop_request(sequence: int) -> Request:
-    return Request(
-        operation=Operation("noop"), timestamp=sequence, client_id=_NOOP_CLIENT, signed=False
-    )
-
-
-class QuorumBFTReplica(ReplicaBase):
+class QuorumBFTReplica(BaselineReplica):
     """A PBFT-like replica whose quorum sizes come from its configuration."""
 
-    def __init__(
-        self,
-        node_id: str,
-        runtime: Any,
-        config: BaselineConfig,
-        signer: Signer,
-        verifier: Verifier,
-        state_machine: StateMachine,
-        cost_model: Optional[NodeCostModel] = None,
-    ) -> None:
-        if node_id not in config.replicas:
-            raise ValueError(f"replica {node_id!r} is not part of the configuration")
-        super().__init__(node_id, runtime, signer, verifier, state_machine, cost_model)
-        self.config = config
-        self.in_view_change = False
-        self.next_sequence = 1
-        self._assigned: Dict[tuple, int] = {}
-        self._view_change_votes: Dict[int, Dict[str, msgs.BaselineViewChange]] = {}
-        self._new_views_sent: set = set()
+    def _register_phases(self) -> None:
         self._checkpoint_votes: Dict[int, Dict[str, set]] = {}
         self._stable_checkpoint = 0
-        self._request_timer = self.create_timer(self._on_request_timeout, "bft-timeout")
-        self._new_view_timer = self.create_timer(self._on_new_view_timeout, "bft-new-view")
-        self._active_target: Optional[int] = None
-        self.view_changes_completed = 0
-
-        self.register_handler(Request, self._on_request)
         self.register_handler(msgs.BftPrePrepare, self._on_preprepare)
         self.register_handler(msgs.BftPrepare, self._on_prepare)
         self.register_handler(msgs.BftCommit, self._on_commit)
         self.register_handler(msgs.BaselineCheckpoint, self._on_checkpoint)
-        self.register_handler(msgs.BaselineViewChange, self._on_view_change)
-        self.register_handler(msgs.BaselineNewView, self._on_new_view)
 
-    # -- roles -----------------------------------------------------------------
+    # -- pre-prepare / prepare / commit ---------------------------------------------------
 
-    def current_primary(self) -> str:
-        return self.config.primary_of_view(self.view)
-
-    def is_primary(self) -> bool:
-        return not self.in_view_change and self.current_primary() == self.node_id
-
-    def other_replicas(self) -> List[str]:
-        return self.config.other_replicas(self.node_id)
-
-    # -- client requests ----------------------------------------------------------
-
-    def _on_request(self, src: str, request: Request) -> None:
-        if not self.is_primary():
-            if self.resend_cached_reply(request):
-                return
-            self.remember_request(request)
-            primary = self.current_primary()
-            if primary != self.node_id:
-                self.send(primary, request)
-            if not self._request_timer.active:
-                self._request_timer.start(self.config.request_timeout)
-            return
-        if self.resend_cached_reply(request):
-            return
-        if not request.verify(self.verifier, expected_signer=request.client_id):
-            return
-        key = (request.client_id, request.timestamp)
-        if key in self._assigned:
-            return
-
-        sequence = self.next_sequence
-        self.next_sequence += 1
-        self._assigned[key] = sequence
-        digest_value = request_digest(request)
+    def _propose(self, sequence: int, digest: str, request: Request) -> None:
         preprepare = msgs.BftPrePrepare(
-            view=self.view, sequence=sequence, digest=digest_value, request=request
+            view=self.view, sequence=sequence, digest=digest, request=request
         )
         preprepare.sign(self.signer)
-        slot = self._fill_slot(sequence, digest_value, request, preprepare)
-        slot.record_vote("prepare", self.node_id, None, digest_value)
+        slot = self.fill_slot(sequence, digest, request, preprepare)
+        slot.record_vote("prepare", self.node_id, None, digest)
         self.multicast(self.other_replicas(), preprepare)
-
-    # -- agreement -------------------------------------------------------------------
-
-    def _fill_slot(
-        self,
-        sequence: int,
-        digest_value: str,
-        request: Request,
-        ordering: Any,
-        force: bool = False,
-    ) -> Slot:
-        slot = self.slots.slot(sequence)
-        stale = slot.digest is not None and slot.digest != digest_value
-        if force and not slot.committed and stale:
-            # New-view entries supersede whatever a (possibly equivocating)
-            # old primary got this replica to tentatively accept.
-            slot.digest = None
-            slot.request = None
-            slot.ordering_message = None
-            slot.votes.clear()
-        if slot.digest is None:
-            slot.digest = digest_value
-        if slot.request is None:
-            slot.request = request
-        if slot.ordering_message is None and ordering is not None:
-            slot.ordering_message = ordering
-        slot.view = self.view
-        self.remember_request(request)
-        return slot
 
     def _on_preprepare(self, src: str, message: msgs.BftPrePrepare) -> None:
         if self.in_view_change or message.view != self.view:
@@ -166,19 +78,18 @@ class QuorumBFTReplica(ReplicaBase):
         ):
             return
 
-        slot = self._fill_slot(message.sequence, message.digest, message.request, message)
+        slot = self.fill_slot(message.sequence, message.digest, message.request, message)
         # The primary's pre-prepare counts as its prepare vote (as in PBFT).
         slot.record_vote("prepare", src, message, message.digest)
-        if not self._request_timer.active:
-            self._request_timer.start(self.config.request_timeout)
+        self.start_request_timer()
+        self._send_prepare(slot, message.digest)
+
+    def _send_prepare(self, slot: Slot, digest: str) -> None:
         prepare = msgs.BftPrepare(
-            view=message.view,
-            sequence=message.sequence,
-            digest=message.digest,
-            replica_id=self.node_id,
+            view=self.view, sequence=slot.sequence, digest=digest, replica_id=self.node_id
         )
         prepare.sign(self.signer)
-        slot.record_vote("prepare", self.node_id, prepare, message.digest)
+        slot.record_vote("prepare", self.node_id, prepare, digest)
         self.multicast(self.other_replicas(), prepare)
         self._maybe_send_commit(slot)
 
@@ -196,7 +107,7 @@ class QuorumBFTReplica(ReplicaBase):
             return
         if slot.has_vote_from("commit", self.node_id):
             return
-        if slot.vote_count("prepare") < self.config.agreement_quorum:
+        if not self._is_prepared(slot):
             return
         commit = msgs.BftCommit(
             view=self.view, sequence=slot.sequence, digest=slot.digest, replica_id=self.node_id
@@ -222,21 +133,14 @@ class QuorumBFTReplica(ReplicaBase):
             return
         self._finalize(slot, send_reply=True)
 
-    def _finalize(self, slot: Slot, send_reply: bool) -> None:
-        if slot.request is None or slot.committed:
-            return
-        reply = send_reply and slot.request.client_id != _NOOP_CLIENT
-        executions = self.commit_slot(slot.sequence, slot.request, self.view, send_reply=reply)
+    # -- checkpoints ---------------------------------------------------------------------
+
+    def _after_commit(self, executions: List[ExecutionResult]) -> None:
         for execution in executions:
             if execution.sequence % self.config.checkpoint_period == 0:
                 self._take_checkpoint(execution.sequence)
-        self._update_timer()
-
-    # -- checkpoints ---------------------------------------------------------------------
 
     def _take_checkpoint(self, sequence: int) -> None:
-        from repro.crypto.digest import digest as digest_fn
-
         state_digest = digest_fn(
             {"next": self.executor.next_sequence, "state": self.executor.state_machine.snapshot()}
         )
@@ -263,179 +167,21 @@ class QuorumBFTReplica(ReplicaBase):
             for seq in stale:
                 del self._checkpoint_votes[seq]
 
-    def _update_timer(self) -> None:
-        if self.slots.has_pending_proposal():
-            self._request_timer.restart(self.config.request_timeout)
-        else:
-            self._request_timer.stop()
+    # -- what the skeleton asks -------------------------------------------------------------
 
-    # -- view change -----------------------------------------------------------------------
+    def _reenter(self, slot: Slot, entry: msgs.BaselineEntry) -> None:
+        self._send_prepare(slot, entry.digest)
 
-    def _on_request_timeout(self) -> None:
-        if self.crashed or self.in_view_change:
-            return
-        self._start_view_change(self.view + 1)
+    def _floor(self) -> int:
+        return self._stable_checkpoint
 
-    def _start_view_change(self, target_view: int) -> None:
-        if self.in_view_change and self._active_target == target_view:
-            return
-        self.in_view_change = True
-        self._active_target = target_view
-        self._request_timer.stop()
-        prepared = [
-            msgs.BaselineEntry(
-                sequence=slot.sequence, view=slot.view, digest=slot.digest, request=slot.request
-            )
-            for slot in self.slots.slots_above(self._stable_checkpoint)
-            if slot.request is not None
-            and slot.digest is not None
-            and slot.vote_count("prepare") >= self.config.agreement_quorum
-        ]
-        view_change = msgs.BaselineViewChange(
-            new_view=target_view,
-            replica_id=self.node_id,
-            checkpoint_sequence=self._stable_checkpoint,
-            prepared=prepared,
-        )
-        view_change.sign(self.signer)
-        self._record_view_change(self.node_id, view_change)
-        self.multicast(self.other_replicas(), view_change)
-        self._new_view_timer.start(self.config.view_change_timeout)
-        self._maybe_install_view(target_view)
+    def _is_prepared(self, slot: Slot) -> bool:
+        return slot.vote_count("prepare") >= self.config.agreement_quorum
 
-    def _on_new_view_timeout(self) -> None:
-        if not self.in_view_change or self._active_target is None:
-            return
-        self._start_view_change(self._active_target + 1)
-
-    def _record_view_change(self, sender: str, message: msgs.BaselineViewChange) -> None:
-        self._view_change_votes.setdefault(message.new_view, {})[sender] = message
-
-    def _on_view_change(self, src: str, message: msgs.BaselineViewChange) -> None:
-        if message.new_view <= self.view:
-            return
-        if not message.verify(self.verifier, expected_signer=src):
-            return
-        self._record_view_change(src, message)
-        votes = self._view_change_votes.get(message.new_view, {})
-        fault_bound = max(1, self.config.network_size - self.config.commit_quorum)
-        if (not self.in_view_change or (self._active_target or 0) < message.new_view) and len(
-            votes
-        ) >= fault_bound + 1:
-            self._start_view_change(message.new_view)
-        self._maybe_install_view(message.new_view)
-
-    def _maybe_install_view(self, target_view: int) -> None:
-        if self.config.primary_of_view(target_view) != self.node_id:
-            return
-        if target_view in self._new_views_sent or target_view <= self.view:
-            return
-        votes = dict(self._view_change_votes.get(target_view, {}))
-        if self.node_id not in votes:
-            # The collector contributes its own knowledge even if its timer
-            # never fired.
-            own = msgs.BaselineViewChange(
-                new_view=target_view,
-                replica_id=self.node_id,
-                checkpoint_sequence=self._stable_checkpoint,
-                prepared=[
-                    msgs.BaselineEntry(
-                        sequence=slot.sequence,
-                        view=slot.view,
-                        digest=slot.digest,
-                        request=slot.request,
-                    )
-                    for slot in self.slots.slots_above(self._stable_checkpoint)
-                    if slot.request is not None and slot.digest is not None
-                ],
-            )
-            own.sign(self.signer)
-            votes[self.node_id] = own
-        if len(votes) < self.config.agreement_quorum:
-            return
-
-        checkpoint_seq = max(vote.checkpoint_sequence for vote in votes.values())
-        entries: Dict[int, msgs.BaselineEntry] = {}
-        highest = checkpoint_seq
-        for vote in votes.values():
-            for entry in vote.prepared:
-                if entry.sequence > checkpoint_seq:
-                    entries.setdefault(entry.sequence, entry)
-                    highest = max(highest, entry.sequence)
-        prepares: List[msgs.BaselineEntry] = []
-        for sequence in range(checkpoint_seq + 1, highest + 1):
-            entry = entries.get(sequence)
-            if entry is None:
-                filler = _noop_request(sequence)
-                entry = msgs.BaselineEntry(
-                    sequence=sequence,
-                    view=target_view,
-                    digest=request_digest(filler),
-                    request=filler,
-                )
-            prepares.append(entry)
-        new_view = msgs.BaselineNewView(
-            new_view=target_view,
-            replica_id=self.node_id,
-            checkpoint_sequence=checkpoint_seq,
-            prepares=prepares,
-        )
-        new_view.sign(self.signer)
-        self._new_views_sent.add(target_view)
-        self.multicast(self.other_replicas(), new_view)
-        self._install_view(self.node_id, new_view)
-
-    def _on_new_view(self, src: str, message: msgs.BaselineNewView) -> None:
-        if message.new_view <= self.view:
-            return
-        if src != self.config.primary_of_view(message.new_view):
-            return
-        if not message.verify(self.verifier, expected_signer=src):
-            return
-        self._install_view(src, message)
-
-    def _install_view(self, src: str, message: msgs.BaselineNewView) -> None:
-        self.view = message.new_view
-        self.in_view_change = False
-        self._active_target = None
-        self._assigned.clear()
-        self._request_timer.stop()
-        self._new_view_timer.stop()
-        self.view_changes_completed += 1
-
-        highest = message.checkpoint_sequence
-        for entry in message.prepares:
-            highest = max(highest, entry.sequence)
-            if entry.request is None:
-                continue
-            slot = self._fill_slot(entry.sequence, entry.digest, entry.request, entry, force=True)
-            if slot.committed:
-                continue
-            prepare = msgs.BftPrepare(
-                view=self.view,
-                sequence=entry.sequence,
-                digest=entry.digest,
-                replica_id=self.node_id,
-            )
-            prepare.sign(self.signer)
-            slot.record_vote("prepare", self.node_id, prepare, entry.digest)
-            self.multicast(self.other_replicas(), prepare)
-            self._maybe_send_commit(slot)
-        self.next_sequence = max(self.next_sequence, highest + 1, self.last_executed + 1)
-        if not self._request_timer.active and any(
-            not slot.committed for slot in self.slots.slots_above(self._stable_checkpoint)
-        ):
-            self._request_timer.start(self.config.request_timeout)
-
-    # -- introspection -------------------------------------------------------------------------
+    def _join_threshold(self) -> int:
+        return max(1, self.config.network_size - self.config.commit_quorum) + 1
 
     def state_summary(self) -> Dict[str, Any]:
         summary = super().state_summary()
-        summary.update(
-            {
-                "is_primary": self.is_primary() if not self.crashed else False,
-                "stable_checkpoint": self._stable_checkpoint,
-                "view_changes": self.view_changes_completed,
-            }
-        )
+        summary["stable_checkpoint"] = self._stable_checkpoint
         return summary

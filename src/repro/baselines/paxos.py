@@ -3,7 +3,7 @@
 The steady-state flow mirrors the optimized Paxos implementation inside
 BFT-SMaRt that the paper uses as its CFT baseline:
 
-1. the client sends its request to the leader;
+1. the client sends its request to the leader (the primary of the view);
 2. the leader assigns a sequence number and multicasts ``ACCEPT-REQUEST``
    (phase 2a) to all replicas;
 3. replicas acknowledge with ``ACCEPTED`` (phase 2b) back to the leader;
@@ -15,111 +15,42 @@ Messages are unsigned: under the crash model, pairwise-authenticated
 channels are sufficient, which is exactly why CFT outperforms the Byzantine
 protocols in Figures 2 and 3.
 
-Leader changes are timer-driven: a replica that saw an ``ACCEPT-REQUEST``
-but no ``LEARN`` suspects the leader and broadcasts a view change; the next
-leader re-proposes all prepared slots it learns about.
+Request intake, the request timer and the leader change are
+:class:`~repro.baselines.replica.BaselineReplica`'s.  This module states the
+three phases and Paxos's answers to the skeleton: nothing at or below its
+own ``last_executed`` is reported in a view change, every accepted value is
+reported (any of them may have been chosen), one suspicion is enough to
+join (nobody lies in the crash model), and the new leader re-proposes what
+the new view lists.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import List
 
 from repro.baselines import messages as msgs
-from repro.baselines.config import PaxosConfig
-from repro.crypto.digest import digest
-from repro.crypto.signatures import Signer, Verifier
-from repro.net.costs import NodeCostModel
+from repro.baselines.replica import BaselineReplica
+from repro.smr.executor import ExecutionResult
 from repro.smr.messages import Request
-from repro.smr.replica import ReplicaBase, request_digest
-from repro.smr.state_machine import Operation, StateMachine
-
-_NOOP_CLIENT = "__noop__"
+from repro.smr.slots import Slot
 
 
-def _noop_request(sequence: int) -> Request:
-    return Request(
-        operation=Operation("noop"), timestamp=sequence, client_id=_NOOP_CLIENT, signed=False
-    )
-
-
-class PaxosReplica(ReplicaBase):
+class PaxosReplica(BaselineReplica):
     """One replica of the CFT baseline."""
 
-    def __init__(
-        self,
-        node_id: str,
-        runtime: Any,
-        config: PaxosConfig,
-        signer: Signer,
-        verifier: Verifier,
-        state_machine: StateMachine,
-        cost_model: Optional[NodeCostModel] = None,
-    ) -> None:
-        if node_id not in config.replicas:
-            raise ValueError(f"replica {node_id!r} is not part of the configuration")
-        super().__init__(node_id, runtime, signer, verifier, state_machine, cost_model)
-        self.config = config
-        self.in_view_change = False
-        self.next_sequence = 1
-        self._assigned: Dict[tuple, int] = {}
-        self._view_change_votes: Dict[int, Dict[str, msgs.BaselineViewChange]] = {}
-        self._new_views_sent: set = set()
-        self._request_timer = self.create_timer(self._on_request_timeout, "paxos-timeout")
-        self.view_changes_completed = 0
-
-        self.register_handler(Request, self._on_request)
+    def _register_phases(self) -> None:
         self.register_handler(msgs.AcceptRequest, self._on_accept_request)
         self.register_handler(msgs.Accepted, self._on_accepted)
         self.register_handler(msgs.Learn, self._on_learn)
-        self.register_handler(msgs.BaselineViewChange, self._on_view_change)
-        self.register_handler(msgs.BaselineNewView, self._on_new_view)
 
-    # -- roles ------------------------------------------------------------------
+    # -- phase 2a / 2b / learn ------------------------------------------------------
 
-    def current_leader(self) -> str:
-        return self.config.primary_of_view(self.view)
-
-    def is_leader(self) -> bool:
-        return not self.in_view_change and self.current_leader() == self.node_id
-
-    def other_replicas(self) -> List[str]:
-        return self.config.other_replicas(self.node_id)
-
-    # -- normal case ----------------------------------------------------------------
-
-    def _on_request(self, src: str, request: Request) -> None:
-        if not self.is_leader():
-            if self.resend_cached_reply(request):
-                return
-            self.remember_request(request)
-            leader = self.current_leader()
-            if leader != self.node_id:
-                self.send(leader, request)
-            if not self._request_timer.active:
-                self._request_timer.start(self.config.request_timeout)
-            return
-        if self.resend_cached_reply(request):
-            return
-        if not request.verify(self.verifier, expected_signer=request.client_id):
-            return
-        key = (request.client_id, request.timestamp)
-        if key in self._assigned:
-            return
-
-        sequence = self.next_sequence
-        self.next_sequence += 1
-        self._assigned[key] = sequence
-        digest_value = request_digest(request)
-        slot = self.slots.slot(sequence)
-        slot.digest = digest_value
-        slot.request = request
-        slot.view = self.view
-        slot.record_vote("accepted", self.node_id, None, digest_value)
-        self.remember_request(request)
+    def _propose(self, sequence: int, digest: str, request: Request) -> None:
         accept_request = msgs.AcceptRequest(
-            view=self.view, sequence=sequence, digest=digest_value, request=request
+            view=self.view, sequence=sequence, digest=digest, request=request
         )
-        slot.ordering_message = accept_request
+        slot = self.fill_slot(sequence, digest, request, accept_request)
+        slot.record_vote("accepted", self.node_id, None, digest)
         self.multicast(self.other_replicas(), accept_request)
 
     def _on_accept_request(self, src: str, message: msgs.AcceptRequest) -> None:
@@ -127,12 +58,9 @@ class PaxosReplica(ReplicaBase):
             return
         if src != self.config.primary_of_view(message.view):
             return
-        slot = self.slots.slot(message.sequence)
-        slot.digest = message.digest
-        slot.request = message.request
-        slot.view = message.view
-        slot.ordering_message = message
-        self.remember_request(message.request)
+        # Nobody lies in the crash model: the leader's assignment replaces
+        # whatever a deposed leader left in the slot.
+        self.fill_slot(message.sequence, message.digest, message.request, message, force=True)
         accepted = msgs.Accepted(
             view=message.view,
             sequence=message.sequence,
@@ -140,11 +68,10 @@ class PaxosReplica(ReplicaBase):
             replica_id=self.node_id,
         )
         self.send(src, accepted)
-        if not self._request_timer.active:
-            self._request_timer.start(self.config.request_timeout)
+        self.start_request_timer()
 
     def _on_accepted(self, src: str, message: msgs.Accepted) -> None:
-        if not self.is_leader() or message.view != self.view:
+        if not self.is_primary() or message.view != self.view:
             return
         slot = self.slots.existing_slot(message.sequence)
         if slot is None or slot.committed or slot.digest != message.digest:
@@ -163,155 +90,30 @@ class PaxosReplica(ReplicaBase):
             return
         if src != self.config.primary_of_view(message.view):
             return
-        slot = self.slots.slot(message.sequence)
-        if slot.committed:
-            return
-        slot.digest = message.digest
-        slot.request = message.request
-        slot.view = message.view
-        self.remember_request(message.request)
+        slot = self.fill_slot(message.sequence, message.digest, message.request, None, force=True)
         self._finalize(slot, send_reply=False)
 
-    def _finalize(self, slot, send_reply: bool) -> None:
-        if slot.request is None or slot.committed:
-            return
-        reply = send_reply and slot.request.client_id != _NOOP_CLIENT
-        self.commit_slot(slot.sequence, slot.request, self.view, send_reply=reply)
-        self._garbage_collect()
-        self._update_timer()
+    # -- what the skeleton asks -------------------------------------------------------
 
-    def _garbage_collect(self) -> None:
+    def _reenter(self, slot: Slot, entry: msgs.BaselineEntry) -> None:
+        if not self.is_primary():
+            return
+        slot.record_vote("accepted", self.node_id, None, entry.digest)
+        accept_request = msgs.AcceptRequest(
+            view=self.view, sequence=entry.sequence, digest=entry.digest, request=entry.request
+        )
+        self.multicast(self.other_replicas(), accept_request)
+
+    def _after_commit(self, executions: List[ExecutionResult]) -> None:
         executed = self.last_executed
         if executed and executed % self.config.checkpoint_period == 0:
             self.slots.collect_below(executed - self.config.checkpoint_period)
 
-    def _update_timer(self) -> None:
-        if self.slots.has_pending_proposal():
-            self._request_timer.restart(self.config.request_timeout)
-        else:
-            self._request_timer.stop()
+    def _floor(self) -> int:
+        return self.last_executed
 
-    # -- leader change ------------------------------------------------------------------
+    def _is_prepared(self, slot: Slot) -> bool:
+        return True
 
-    def _on_request_timeout(self) -> None:
-        if self.crashed or self.in_view_change:
-            return
-        self._start_view_change(self.view + 1)
-
-    def _start_view_change(self, target_view: int) -> None:
-        self.in_view_change = True
-        self._request_timer.stop()
-        prepared = [
-            msgs.BaselineEntry(
-                sequence=slot.sequence, view=slot.view, digest=slot.digest, request=slot.request
-            )
-            for slot in self.slots.slots_above(0)
-            if slot.request is not None and slot.digest is not None
-        ]
-        view_change = msgs.BaselineViewChange(
-            new_view=target_view,
-            replica_id=self.node_id,
-            checkpoint_sequence=self.last_executed,
-            prepared=prepared,
-            signed=False,
-        )
-        self._record_view_change(self.node_id, view_change)
-        self.multicast(self.other_replicas(), view_change)
-        self._maybe_install_view(target_view)
-
-    def _record_view_change(self, sender: str, message: msgs.BaselineViewChange) -> None:
-        self._view_change_votes.setdefault(message.new_view, {})[sender] = message
-
-    def _on_view_change(self, src: str, message: msgs.BaselineViewChange) -> None:
-        if message.new_view <= self.view:
-            return
-        self._record_view_change(src, message)
-        votes = self._view_change_votes.get(message.new_view, {})
-        if not self.in_view_change and len(votes) >= 1:
-            # In the crash model a single suspicion is enough to join.
-            self._start_view_change(message.new_view)
-        self._maybe_install_view(message.new_view)
-
-    def _maybe_install_view(self, target_view: int) -> None:
-        if self.config.primary_of_view(target_view) != self.node_id:
-            return
-        if target_view in self._new_views_sent or target_view <= self.view:
-            return
-        votes = self._view_change_votes.get(target_view, {})
-        if len(votes) < self.config.agreement_quorum:
-            return
-
-        checkpoint_seq = max(vote.checkpoint_sequence for vote in votes.values())
-        entries: Dict[int, msgs.BaselineEntry] = {}
-        highest = checkpoint_seq
-        for vote in votes.values():
-            for entry in vote.prepared:
-                if entry.sequence > checkpoint_seq:
-                    entries.setdefault(entry.sequence, entry)
-                    highest = max(highest, entry.sequence)
-        prepares = []
-        for sequence in range(checkpoint_seq + 1, highest + 1):
-            entry = entries.get(sequence)
-            if entry is None:
-                filler = _noop_request(sequence)
-                entry = msgs.BaselineEntry(
-                    sequence=sequence,
-                    view=target_view,
-                    digest=request_digest(filler),
-                    request=filler,
-                )
-            prepares.append(entry)
-        new_view = msgs.BaselineNewView(
-            new_view=target_view,
-            replica_id=self.node_id,
-            checkpoint_sequence=checkpoint_seq,
-            prepares=prepares,
-            signed=False,
-        )
-        self._new_views_sent.add(target_view)
-        self.multicast(self.other_replicas(), new_view)
-        self._install_view(self.node_id, new_view)
-
-    def _on_new_view(self, src: str, message: msgs.BaselineNewView) -> None:
-        if message.new_view <= self.view:
-            return
-        if src != self.config.primary_of_view(message.new_view):
-            return
-        self._install_view(src, message)
-
-    def _install_view(self, src: str, message: msgs.BaselineNewView) -> None:
-        self.view = message.new_view
-        self.in_view_change = False
-        self._assigned.clear()
-        self._request_timer.stop()
-        self.view_changes_completed += 1
-
-        highest = message.checkpoint_sequence
-        leader = self.is_leader()
-        for entry in message.prepares:
-            highest = max(highest, entry.sequence)
-            if entry.request is None:
-                continue
-            slot = self.slots.slot(entry.sequence)
-            slot.digest = entry.digest
-            slot.request = entry.request
-            slot.view = self.view
-            slot.ordering_message = entry
-            self.remember_request(entry.request)
-            if leader:
-                slot.record_vote("accepted", self.node_id, None, entry.digest)
-                accept_request = msgs.AcceptRequest(
-                    view=self.view,
-                    sequence=entry.sequence,
-                    digest=entry.digest,
-                    request=entry.request,
-                )
-                self.multicast(self.other_replicas(), accept_request)
-        self.next_sequence = max(self.next_sequence, highest + 1, self.last_executed + 1)
-
-    # -- introspection --------------------------------------------------------------------
-
-    def state_summary(self) -> Dict[str, Any]:
-        summary = super().state_summary()
-        summary.update({"is_leader": self.is_leader() if not self.crashed else False})
-        return summary
+    def _join_threshold(self) -> int:
+        return 1

@@ -45,9 +45,6 @@ class DogStrategy(ModeStrategy):
     def replies_to_client(self, replica: "SeeMoReReplica") -> bool:
         return replica.is_proxy()
 
-    def is_agreement_participant(self, replica: "SeeMoReReplica") -> bool:
-        return replica.is_primary() or replica.is_proxy()
-
     # -- request handling --------------------------------------------------------
     # Client requests funnel through the shared ModeStrategy.on_request path:
     # the primary batches them and proposes via the hook below.  The trusted
@@ -62,7 +59,7 @@ class DogStrategy(ModeStrategy):
             mode=int(self.mode),
         )
 
-    # -- prepare / accept / commit / inform ----------------------------------------
+    # -- prepare / accept / commit (the inform leg is ModeStrategy's) -----------------
 
     def on_prepare(self, replica: "SeeMoReReplica", src: str, message: msgs.Prepare) -> None:
         if not replica.accepts_ordering_from(src, message.view, message.mode):
@@ -83,18 +80,26 @@ class DogStrategy(ModeStrategy):
             # Passive replicas only log the request and wait for informs.
             return
 
+        self._send_accept(replica, slot, message.digest)
+        self._maybe_commit_from_accepts(replica, slot)
+
+    def _send_accept(self, replica: "SeeMoReReplica", slot, digest: str) -> None:
+        """A proxy's signed accept vote, counted locally and sent to the other proxies."""
         accept = msgs.Accept(
-            view=message.view,
-            sequence=message.sequence,
-            digest=message.digest,
+            view=replica.view,
+            sequence=slot.sequence,
+            digest=digest,
             replica_id=replica.node_id,
             mode=int(self.mode),
             signed=True,
         )
         accept.sign(replica.signer)
-        slot.record_vote("accept", replica.node_id, accept, message.digest)
+        slot.record_vote("accept", replica.node_id, accept, digest)
         replica.multicast(replica.other_proxies(), accept)
-        self._maybe_commit_from_accepts(replica, slot)
+
+    def reenter(self, replica: "SeeMoReReplica", slot, entry: msgs.PreparedEntry) -> None:
+        if replica.is_proxy():
+            self._send_accept(replica, slot, entry.digest)
 
     def on_accept(self, replica: "SeeMoReReplica", src: str, message: msgs.Accept) -> None:
         if not replica.is_proxy():
@@ -158,40 +163,3 @@ class DogStrategy(ModeStrategy):
         if count >= replica.config.byzantine_tolerance + 1:
             self._send_informs(replica, slot)
             replica.finalize_commit(slot, send_reply=True)
-
-    def on_inform(self, replica: "SeeMoReReplica", src: str, message: msgs.Inform) -> None:
-        if replica.is_proxy():
-            return
-        if not replica.valid_view(message.view):
-            return
-        if not replica.is_current_proxy(src):
-            return
-        if not replica.verify_message(src, message):
-            return
-
-        slot = replica.slots.slot(message.sequence)
-        count = slot.record_vote("inform", src, message, message.digest)
-        if slot.committed or slot.request is None:
-            return
-        if slot.digest is not None and slot.digest != message.digest:
-            replica.evidence.record(
-                EvidenceKind.CONFLICTING_VOTE,
-                suspect=src,
-                detail=f"inform seq={message.sequence} view={message.view}",
-            )
-            return
-        if count >= replica.config.inform_quorum(self.mode):
-            replica.finalize_commit(slot, send_reply=False)
-
-    def _send_informs(self, replica: "SeeMoReReplica", slot) -> None:
-        inform = msgs.Inform(
-            view=replica.view,
-            sequence=slot.sequence,
-            digest=slot.digest,
-            replica_id=replica.node_id,
-            mode=int(self.mode),
-        )
-        inform.sign(replica.signer)
-        targets = replica.inform_targets()
-        if targets:
-            replica.multicast(targets, inform)

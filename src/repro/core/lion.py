@@ -39,9 +39,6 @@ class LionStrategy(ModeStrategy):
     def replies_to_client(self, replica: "SeeMoReReplica") -> bool:
         return replica.is_primary()
 
-    def is_agreement_participant(self, replica: "SeeMoReReplica") -> bool:
-        return True
-
     # -- request handling --------------------------------------------------------
     # Client requests funnel through the shared ModeStrategy.on_request path:
     # the primary batches them and proposes via the hooks below.
@@ -84,6 +81,22 @@ class LionStrategy(ModeStrategy):
         )
         replica.send(src, accept)
         replica.start_request_timer()
+
+    def reenter(self, replica: "SeeMoReReplica", slot, entry: msgs.PreparedEntry) -> None:
+        if replica.is_primary():
+            self.record_proposal_vote(replica, slot, entry.digest)
+            return
+        # The accept on_prepare sends, built again: a shared helper would put
+        # a call frame on Lion's per-message path.
+        accept = msgs.Accept(
+            view=replica.view,
+            sequence=entry.sequence,
+            digest=entry.digest,
+            replica_id=replica.node_id,
+            mode=int(self.mode),
+            signed=False,
+        )
+        replica.send(replica.current_primary(), accept)
 
     def on_accept(self, replica: "SeeMoReReplica", src: str, message: msgs.Accept) -> None:
         if not replica.is_primary():

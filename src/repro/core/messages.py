@@ -178,7 +178,8 @@ class StateTransferRequest(ProtocolMessage):
 class StateTransferResponse(ProtocolMessage):
     """Checkpointed application state shipped to a lagging replica.
 
-    Only ``state_digest`` is signed; the snapshot rides beside the frame.
+    The snapshot rides beside the signed frame; the receiver adopts it only
+    if it is the state ``checkpoint_sequence`` and ``state_digest`` name.
     """
 
     TAG = 0x1B

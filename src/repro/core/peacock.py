@@ -39,9 +39,6 @@ class PeacockStrategy(ModeStrategy):
     def replies_to_client(self, replica: "SeeMoReReplica") -> bool:
         return replica.is_proxy()
 
-    def is_agreement_participant(self, replica: "SeeMoReReplica") -> bool:
-        return replica.is_proxy()
-
     # -- request handling --------------------------------------------------------
     # Client requests funnel through the shared ModeStrategy.on_request path:
     # the primary batches them and proposes via the hooks below.
@@ -59,7 +56,7 @@ class PeacockStrategy(ModeStrategy):
         # As in PBFT, the primary's pre-prepare doubles as its prepare vote.
         slot.record_vote("prepare", replica.node_id, None, digest)
 
-    # -- pre-prepare / prepare / commit / inform --------------------------------------
+    # -- pre-prepare / prepare / commit (the inform leg is ModeStrategy's) -----------
 
     def on_preprepare(self, replica: "SeeMoReReplica", src: str, message: msgs.PrePrepare) -> None:
         if not replica.accepts_ordering_from(src, message.view, message.mode):
@@ -97,17 +94,25 @@ class PeacockStrategy(ModeStrategy):
         if not replica.is_proxy():
             return
 
+        self._send_prepare(replica, slot, message.digest)
+        self._maybe_send_commit(replica, slot)
+
+    def _send_prepare(self, replica: "SeeMoReReplica", slot, digest: str) -> None:
+        """A proxy's signed prepare vote, counted locally and sent to the other proxies."""
         prepare = msgs.ProxyPrepare(
-            view=message.view,
-            sequence=message.sequence,
-            digest=message.digest,
+            view=replica.view,
+            sequence=slot.sequence,
+            digest=digest,
             replica_id=replica.node_id,
             mode=int(self.mode),
         )
         prepare.sign(replica.signer)
-        slot.record_vote("prepare", replica.node_id, prepare, message.digest)
+        slot.record_vote("prepare", replica.node_id, prepare, digest)
         replica.multicast(replica.other_proxies(), prepare)
-        self._maybe_send_commit(replica, slot)
+
+    def reenter(self, replica: "SeeMoReReplica", slot, entry: msgs.PreparedEntry) -> None:
+        if replica.is_proxy():
+            self._send_prepare(replica, slot, entry.digest)
 
     def on_proxy_prepare(
         self, replica: "SeeMoReReplica", src: str, message: msgs.ProxyPrepare
@@ -181,42 +186,3 @@ class PeacockStrategy(ModeStrategy):
             return
         self._send_informs(replica, slot)
         replica.finalize_commit(slot, send_reply=True)
-
-    def on_inform(self, replica: "SeeMoReReplica", src: str, message: msgs.Inform) -> None:
-        if replica.is_proxy():
-            return
-        if not replica.valid_view(message.view):
-            return
-        if not replica.is_current_proxy(src):
-            return
-        if not replica.verify_message(src, message):
-            return
-
-        slot = replica.slots.slot(message.sequence)
-        count = slot.record_vote("inform", src, message, message.digest)
-        if slot.committed or slot.request is None:
-            return
-        if slot.digest is not None and slot.digest != message.digest:
-            # Unattributed for the same reason as on_proxy_prepare: the
-            # contradicted assignment came from an untrusted primary.
-            replica.evidence.record(
-                EvidenceKind.CONFLICTING_VOTE,
-                detail=f"inform seq={message.sequence} view={message.view}: "
-                f"{src} contradicts the accepted untrusted assignment",
-            )
-            return
-        if count >= replica.config.inform_quorum(self.mode):
-            replica.finalize_commit(slot, send_reply=False)
-
-    def _send_informs(self, replica: "SeeMoReReplica", slot) -> None:
-        inform = msgs.Inform(
-            view=replica.view,
-            sequence=slot.sequence,
-            digest=slot.digest,
-            replica_id=replica.node_id,
-            mode=int(self.mode),
-        )
-        inform.sign(replica.signer)
-        targets = replica.inform_targets()
-        if targets:
-            replica.multicast(targets, inform)

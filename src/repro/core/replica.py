@@ -29,15 +29,21 @@ from repro.core.lion import LionStrategy
 from repro.core.modes import Mode
 from repro.core.peacock import PeacockStrategy
 from repro.core.strategy_base import ModeStrategy
-from repro.core.view_change import NOOP_CLIENT, ViewChangeManager
+from repro.core.view_change import ViewChangeManager
 from repro.crypto.digest import digest
 from repro.crypto.signatures import Signer, Verifier
 from repro.net.costs import NodeCostModel
 from repro.smr.executor import ExecutionResult
 from repro.smr.messages import Busy, Request, requests_of
-from repro.smr.replica import ReplicaBase
+from repro.smr.replica import NOOP_CLIENT, ReplicaBase
 from repro.smr.slots import Slot
 from repro.smr.state_machine import StateMachine
+
+
+def signed_state_digest(next_sequence: int, state: Any) -> str:
+    """What a checkpoint and a state-transfer response sign: the executor's position and state."""
+    return digest({"next_sequence": next_sequence, "state": state})
+
 
 _STRATEGIES: Dict[Mode, ModeStrategy] = {
     Mode.LION: LionStrategy(),
@@ -84,7 +90,6 @@ class SeeMoReReplica(ReplicaBase):
             propose=self._propose_payload,
         )
         self._assigned_sequences: Dict[tuple, int] = {}
-        self._assignment_generation = 0
         self.busy_rejects_sent = 0
         self._request_timer = self.create_timer(self._on_request_timeout, "request-timeout")
 
@@ -255,16 +260,8 @@ class SeeMoReReplica(ReplicaBase):
         self.busy_rejects_sent += 1
         return True
 
-    def mark_assigned(self, payload: Any, sequence: int) -> None:
-        """Record the sequence assignment of every request in ``payload``."""
-        for request in requests_of(payload):
-            self._assigned_sequences[(request.client_id, request.timestamp)] = sequence
-
     def clear_assignments(self) -> None:
         self._assigned_sequences.clear()
-        # Invalidate every slot's "already bookkept" stamp: re-proposed
-        # payloads must re-record their assignments in the new view.
-        self._assignment_generation += 1
 
     def prune_assignments(self, watermark: int) -> None:
         """Drop assignment records for garbage-collected slots.
@@ -293,50 +290,18 @@ class SeeMoReReplica(ReplicaBase):
         ordering_message: Any,
         force: bool = False,
     ) -> Slot:
-        """Fill in a slot's request/digest and remember the request.
+        """Fill a slot (see ``fill_slot``) and record its sequence assignments.
 
-        With ``force=True`` an *uncommitted* slot is overwritten even if it
-        already holds a different request -- used when installing a new view,
-        whose certified entries supersede whatever this replica tentatively
-        accepted from a (possibly equivocating) primary in the old view.
+        Assignments are recorded on every path that fills a slot — including
+        new-view re-proposals, which run *after* clear_assignments().  Without
+        this, a client retransmission arriving at the new primary while its
+        re-proposed slot is still uncommitted would be assigned a second
+        sequence number.
         """
-        slot = self.slots.slot(sequence)
-        stale = slot.digest is not None and slot.digest != digest_value
-        if force and not slot.committed and stale:
-            slot.digest = None
-            slot.request = None
-            slot.ordering_message = None
-            slot.votes.clear()
-            # The superseding payload must be re-walked below even within
-            # the same assignment generation — the old payload's entries
-            # are stale now.
-            slot.bookkept_generation = -1
-        if slot.digest is None:
-            slot.digest = digest_value
-        if slot.request is None:
-            slot.request = request
-        if ordering_message is not None and slot.ordering_message is None:
-            slot.ordering_message = ordering_message
-        slot.view = self.view
-        # One pass over the payload records both the known-request entry and
-        # the sequence assignment (same key).  Assignments must be recorded
-        # on every path that fills a slot — including new-view re-proposals,
-        # which run *after* clear_assignments().  Without this, a client
-        # retransmission arriving at the new primary while its re-proposed
-        # slot is still uncommitted would be assigned a second sequence
-        # number.  A slot whose payload object was already walked in the
-        # current assignment generation (e.g. the commit that follows the
-        # prepare carries the same batch) skips the walk — the writes would
-        # be byte-identical.
-        generation = self._assignment_generation
-        if slot.request is not request or slot.bookkept_generation != generation:
-            known = self._known_requests
-            assigned = self._assigned_sequences
-            for inner in requests_of(request):
-                key = (inner.client_id, inner.timestamp)
-                known[key] = inner
-                assigned[key] = sequence
-            slot.bookkept_generation = generation
+        slot = self.fill_slot(sequence, digest_value, request, ordering_message, force)
+        assigned = self._assigned_sequences
+        for inner in requests_of(request):
+            assigned[(inner.client_id, inner.timestamp)] = sequence
         return slot
 
     def finalize_commit(self, slot: Slot, send_reply: bool) -> List[ExecutionResult]:
@@ -354,17 +319,11 @@ class SeeMoReReplica(ReplicaBase):
 
     # -- checkpointing -------------------------------------------------------------------
 
-    def _state_digest(self) -> str:
-        return digest(
-            {
-                "next_sequence": self.executor.next_sequence,
-                "state": self.executor.state_machine.snapshot(),
-            }
-        )
-
     def _take_checkpoint(self, sequence: int) -> None:
         """Executor hook: execution just crossed checkpoint boundary ``sequence``."""
-        state_digest = self._state_digest()
+        state_digest = signed_state_digest(
+            self.executor.next_sequence, self.executor.state_machine.snapshot()
+        )
         self.checkpoints.record_local_checkpoint(
             sequence, state_digest, self.executor.snapshot()
         )
@@ -477,44 +436,7 @@ class SeeMoReReplica(ReplicaBase):
         slot = self.prepare_slot(entry.sequence, entry.digest, entry.request, entry, force=True)
         if slot.committed:
             return
-        if self.mode is Mode.LION:
-            if self.is_primary():
-                slot.record_vote("accept", self.node_id, None, entry.digest)
-            else:
-                accept = msgs.Accept(
-                    view=self.view,
-                    sequence=entry.sequence,
-                    digest=entry.digest,
-                    replica_id=self.node_id,
-                    mode=int(self.mode),
-                    signed=False,
-                )
-                self.send(self.current_primary(), accept)
-        elif self.mode is Mode.DOG:
-            if self.is_proxy():
-                accept = msgs.Accept(
-                    view=self.view,
-                    sequence=entry.sequence,
-                    digest=entry.digest,
-                    replica_id=self.node_id,
-                    mode=int(self.mode),
-                    signed=True,
-                )
-                accept.sign(self.signer)
-                slot.record_vote("accept", self.node_id, accept, entry.digest)
-                self.multicast(self.other_proxies(), accept)
-        else:  # Peacock
-            if self.is_proxy():
-                prepare = msgs.ProxyPrepare(
-                    view=self.view,
-                    sequence=entry.sequence,
-                    digest=entry.digest,
-                    replica_id=self.node_id,
-                    mode=int(self.mode),
-                )
-                prepare.sign(self.signer)
-                slot.record_vote("prepare", self.node_id, prepare, entry.digest)
-                self.multicast(self.other_proxies(), prepare)
+        self.strategy.reenter(self, slot, entry)
         self.start_request_timer()
 
     # -- mode switching (public API) --------------------------------------------
@@ -583,9 +505,7 @@ class SeeMoReReplica(ReplicaBase):
         checkpoint_sequence, snapshot = self.checkpoints.latest_snapshot()
         if snapshot is None or checkpoint_sequence <= message.known_sequence:
             checkpoint_sequence, snapshot = self.last_executed, self.executor.snapshot()
-        state_digest = digest(
-            {"next_sequence": snapshot["next_sequence"], "state": snapshot["state"]}
-        )
+        state_digest = signed_state_digest(snapshot["next_sequence"], snapshot["state"])
         response = msgs.StateTransferResponse(
             replica_id=self.node_id,
             checkpoint_sequence=checkpoint_sequence,
@@ -598,15 +518,19 @@ class SeeMoReReplica(ReplicaBase):
     def _on_state_transfer_response(self, src: str, message: msgs.StateTransferResponse) -> None:
         if not self.verify_message(src, message):
             return
-        snapshot = message.snapshot  # unsigned: any plain value may come off the wire
-        if not isinstance(snapshot, dict) or not snapshot:
+        snapshot = message.snapshot
+        if not self._snapshot_is_what_was_signed(message):
+            # The snapshot rides beside the signed frame; one that is not the
+            # state the frame names was swapped in by the channel peer.
+            self.evidence.record(
+                EvidenceKind.INVALID_SIGNATURE, suspect=src, detail="StateTransferResponse snapshot"
+            )
             return
-        if snapshot.get("next_sequence", 0) - 1 <= self.last_executed:
+        if message.checkpoint_sequence <= self.last_executed:
             return
         trusted = self.config.is_trusted(src)
         matches_stable = (
-            message.state_digest
-            and message.checkpoint_sequence == self.checkpoints.stable_sequence
+            message.checkpoint_sequence == self.checkpoints.stable_sequence
             and message.state_digest == self.checkpoints.stable_digest
         )
         if not (trusted or matches_stable):
@@ -618,6 +542,26 @@ class SeeMoReReplica(ReplicaBase):
             if len(voters) < self.config.byzantine_tolerance + 1:
                 return
         self._adopt_snapshot(snapshot)
+
+    @staticmethod
+    def _snapshot_is_what_was_signed(message: msgs.StateTransferResponse) -> bool:
+        """Whether the unsigned snapshot is the state ``message``'s signed fields name.
+
+        Only ``checkpoint_sequence`` and ``state_digest`` are signed, and
+        every trust decision is made on them, so the snapshot must digest to
+        exactly what ``_on_state_transfer_request`` signed.  Anything may
+        come off the wire in its place: a wrong shape is a mismatch.
+        """
+        snapshot = message.snapshot
+        try:
+            next_sequence, state = snapshot["next_sequence"], snapshot["state"]
+            return (
+                next_sequence - 1 == message.checkpoint_sequence
+                and signed_state_digest(next_sequence, state) == message.state_digest
+                and isinstance(snapshot["replies"], dict)
+            )
+        except (KeyError, TypeError, ValueError):
+            return False
 
     def _adopt_snapshot(self, snapshot: Dict[str, Any]) -> None:
         self.executor.restore(snapshot)

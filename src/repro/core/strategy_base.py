@@ -5,12 +5,21 @@ who votes, what the quorums are, and who replies to the client.  The
 replica (:class:`repro.core.replica.SeeMoReReplica`) owns all state and
 delegates message handling to its current strategy; switching modes swaps
 the strategy during a view change.
+
+What the modes do alike is written here once: the primary's request intake
+and proposal (``on_request`` / ``propose_payload``), a non-primary's
+forward-and-suspect path, and the inform leg between proxies and passive
+replicas (``_send_informs`` / ``on_inform``, Dog and Peacock; Lion has no
+proxies, so no inform passes the sender check).  A mode states its phases:
+its ordering message, its vote handlers, and ``reenter`` — the vote it
+casts for a slot that a new view re-proposes.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Optional
 
+from repro.adaptive.evidence import EvidenceKind
 from repro.core.modes import Mode
 from repro.core import messages as msgs
 from repro.smr.messages import Request
@@ -96,17 +105,65 @@ class ModeStrategy:
     ) -> None:
         """Handle a PBFT-style prepare vote among proxies (Peacock mode only)."""
 
+    def reenter(self, replica: "SeeMoReReplica", slot: "Slot", entry: msgs.PreparedEntry) -> None:
+        """Cast this replica's vote for a slot the new view re-proposes.
+
+        Called once per uncommitted ``prepares`` entry while a new view is
+        installed, after the slot was force-filled.  Sends the vote and
+        stops: quorums are evaluated when the other replicas' votes arrive.
+        """
+        raise NotImplementedError
+
+    # -- the inform leg (Dog and Peacock) ------------------------------------------
+
+    def _send_informs(self, replica: "SeeMoReReplica", slot: "Slot") -> None:
+        """A committing proxy tells every passive replica the outcome."""
+        inform = msgs.Inform(
+            view=replica.view,
+            sequence=slot.sequence,
+            digest=slot.digest,
+            replica_id=replica.node_id,
+            mode=int(self.mode),
+        )
+        inform.sign(replica.signer)
+        targets = replica.inform_targets()
+        if targets:
+            replica.multicast(targets, inform)
+
     def on_inform(self, replica: "SeeMoReReplica", src: str, message: msgs.Inform) -> None:
-        """Handle an inform message addressed to passive replicas."""
+        """A passive replica commits on a mode-specific quorum of matching informs."""
+        if replica.is_proxy():
+            return
+        if not replica.valid_view(message.view):
+            return
+        if not replica.is_current_proxy(src):
+            return
+        if not replica.verify_message(src, message):
+            return
+
+        slot = replica.slots.slot(message.sequence)
+        count = slot.record_vote("inform", src, message, message.digest)
+        if slot.committed or slot.request is None:
+            return
+        if slot.digest is not None and slot.digest != message.digest:
+            # Against a trusted primary's assignment the contradicting proxy
+            # is provably faulty.  Against an untrusted one either the proxy
+            # lied or the primary equivocated and this receiver cannot tell
+            # which: the event still counts toward escalation, but never
+            # names an honest proxy.
+            replica.evidence.record(
+                EvidenceKind.CONFLICTING_VOTE,
+                suspect=src if self.mode.has_trusted_primary else None,
+                detail=f"inform seq={message.sequence} view={message.view} from {src}",
+            )
+            return
+        if count >= replica.config.inform_quorum(self.mode):
+            replica.finalize_commit(slot, send_reply=False)
 
     # -- roles ----------------------------------------------------------------
 
     def replies_to_client(self, replica: "SeeMoReReplica") -> bool:
         """Whether this replica sends replies to clients when it executes."""
-        raise NotImplementedError
-
-    def is_agreement_participant(self, replica: "SeeMoReReplica") -> bool:
-        """Whether this replica votes in the agreement phase of the current view."""
         raise NotImplementedError
 
     # -- shared helpers ---------------------------------------------------------
@@ -127,7 +184,6 @@ class ModeStrategy:
             return True
         if not replica.request_is_valid(request):
             return True
-        replica.remember_request(request)
         primary = replica.current_primary()
         if primary != replica.node_id:
             replica.send(primary, request)

@@ -21,21 +21,10 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 from repro.adaptive.evidence import EvidenceKind
 from repro.core import messages as msgs
 from repro.core.modes import Mode
-from repro.smr.messages import Request
-from repro.smr.replica import request_digest
-from repro.smr.state_machine import Operation
+from repro.smr.replica import NOOP_CLIENT, noop_request, request_digest
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.replica import SeeMoReReplica
-
-NOOP_CLIENT = "__noop__"
-
-
-def noop_request(sequence: int) -> Request:
-    """The special no-op command filled into sequence holes (Section 5.1)."""
-    return Request(
-        operation=Operation("noop"), timestamp=sequence, client_id=NOOP_CLIENT, signed=False
-    )
 
 
 class ViewChangeManager:

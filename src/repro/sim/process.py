@@ -122,17 +122,6 @@ class Process:
         """Bring a crashed process back (used by crash-recover experiments)."""
         self.crashed = False
 
-    def _start_next(self) -> None:
-        if self.crashed or not self._queue:
-            self._busy = False
-            return
-        self._busy = True
-        cost, handler, args = self._queue.popleft()
-        self._busy_time += cost
-        self._current = handler
-        self._current_args = args
-        self._simulator.defer(cost, self._finish_current)
-
     def _finish(self) -> None:
         handler = self._current
         args = self._current_args
@@ -143,8 +132,8 @@ class Process:
                 handler(*args)
             else:
                 handler()
-        # Inlined _start_next: one completion fires per work item, so the
-        # extra frame (and the re-checks it would repeat) add up.
+        # The next item starts here, not in a helper: one completion fires per
+        # work item, so the extra frame (and the re-checks it would repeat) add up.
         work_queue = self._queue
         if self.crashed or not work_queue:
             self._busy = False

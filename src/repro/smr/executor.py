@@ -42,9 +42,8 @@ class ExecutionResult(NamedTuple):
 class OrderedExecutor:
     """Applies committed operations in strict sequence-number order."""
 
-    def __init__(self, state_machine: StateMachine, execute_cost: float = 0.0) -> None:
+    def __init__(self, state_machine: StateMachine) -> None:
         self._state_machine = state_machine
-        self._execute_cost = execute_cost
         self._pending: Dict[int, List[BatchEntry]] = {}
         self._next_sequence = 1
         self._reply_cache: Dict[Tuple[str, int], Any] = {}
@@ -76,10 +75,6 @@ class OrderedExecutor:
             raise ValueError(f"checkpoint interval must be >= 1, got {interval}")
         self._checkpoint_interval = interval
         self._checkpoint_callback = callback
-
-    @property
-    def state_machine(self) -> StateMachine:
-        return self._state_machine
 
     @property
     def next_sequence(self) -> int:

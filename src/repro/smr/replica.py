@@ -2,9 +2,15 @@
 
 :class:`ReplicaBase` couples a network node with the SMR substrate: an
 ordered executor over a state machine, a commit ledger for safety checking,
-a slot log, crypto material, and the client bookkeeping needed for
-exactly-once replies.  Concrete protocols (SeeMoRe's three modes, Paxos,
-PBFT, S-UpRight) subclass it and register handlers for their message types.
+a slot log, crypto material, and exactly-once replies from the executor's
+reply cache.  What every agreement engine does the same way is written here
+once: filling a slot (:meth:`ReplicaBase.fill_slot`), committing it
+(:meth:`ReplicaBase.commit_slot`), replying, and the no-op request a new
+view puts into a sequence hole (:func:`noop_request`).  Concrete protocols
+(SeeMoRe's three modes, Paxos, PBFT, S-UpRight) subclass it and register
+handlers for their message types.  A replica keeps no table of the requests
+it has seen: a slot holds its payload until checkpoint GC, and a
+retransmission is answered from the reply cache.
 """
 
 from __future__ import annotations
@@ -21,9 +27,12 @@ from repro.net.node import Node
 from repro.smr.executor import ExecutionResult, OrderedExecutor
 from repro.smr.ledger import CommitLedger, LedgerEntry
 from repro.smr.messages import Reply, Request, requests_of
-from repro.smr.slots import SlotLog
-from repro.smr.state_machine import StateMachine, result_digest
+from repro.smr.slots import Slot, SlotLog
+from repro.smr.state_machine import Operation, StateMachine, result_digest
 from repro.wire.primitives import encode_reply
+
+#: Client id of the no-op requests that fill sequence holes; never replied to.
+NOOP_CLIENT = "__noop__"
 
 
 def request_digest(request) -> str:
@@ -33,6 +42,13 @@ def request_digest(request) -> str:
     canonicalized and hashed once — not once per replica per hop.
     """
     return digest_of(request)
+
+
+def noop_request(sequence: int) -> Request:
+    """The special no-op command filled into sequence holes (Section 5.1)."""
+    return Request(
+        operation=Operation("noop"), timestamp=sequence, client_id=NOOP_CLIENT, signed=False
+    )
 
 
 class ReplicaBase(Node):
@@ -62,9 +78,6 @@ class ReplicaBase(Node):
         self.slots = SlotLog()
         self.view = 0
         self._handlers: Dict[Type, Callable[[str, Any], None]] = {}
-        # Requests we have seen, keyed by (client, timestamp); needed to
-        # answer client retransmissions and to build replies after execution.
-        self._known_requests: Dict[tuple, Request] = {}
         self.replies_sent = 0
         # Runtime fault evidence this replica observed (timeouts, conflicting
         # votes, invalid signatures...); consumed by the adaptive controller.
@@ -104,13 +117,7 @@ class ReplicaBase(Node):
         )
         return False
 
-    # -- request bookkeeping -------------------------------------------------
-
-    def remember_request(self, request: Request) -> None:
-        self._known_requests[(request.client_id, request.timestamp)] = request
-
-    def known_request(self, client_id: str, timestamp: int) -> Optional[Request]:
-        return self._known_requests.get((client_id, timestamp))
+    # -- requests and slots ----------------------------------------------------
 
     def request_is_valid(self, request: Request) -> bool:
         """Validate the client's signature on a request.
@@ -121,6 +128,31 @@ class ReplicaBase(Node):
         incriminate the relaying channel peer.
         """
         return self.window_verifier.verify(request.client_id, request)
+
+    def fill_slot(
+        self, sequence: int, digest: str, request: Request, ordering: Any, force: bool = False
+    ) -> Slot:
+        """Fill in a slot's payload, digest and ordering message; first writer wins.
+
+        With ``force=True`` an *uncommitted* slot holding a different digest
+        is emptied first (votes included): a new view's certified entries,
+        or a trusted primary's assignment, supersede whatever this replica
+        tentatively accepted from a deposed or equivocating primary.
+        """
+        slot = self.slots.slot(sequence)
+        if force and not slot.committed and slot.digest is not None and slot.digest != digest:
+            slot.digest = None
+            slot.request = None
+            slot.ordering_message = None
+            slot.votes.clear()
+        if slot.digest is None:
+            slot.digest = digest
+        if slot.request is None:
+            slot.request = request
+        if ordering is not None and slot.ordering_message is None:
+            slot.ordering_message = ordering
+        slot.view = self.view
+        return slot
 
     # -- execution and replies ------------------------------------------------
 
@@ -147,13 +179,9 @@ class ReplicaBase(Node):
         Returns:
             The executions performed as a result of this commit.
         """
-        inner = requests_of(request)
-        known = self._known_requests
-        entries = []
-        for each in inner:
-            client_id, timestamp = each.client_id, each.timestamp
-            known[(client_id, timestamp)] = each
-            entries.append((client_id, timestamp, each.operation))
+        entries = [
+            (each.client_id, each.timestamp, each.operation) for each in requests_of(request)
+        ]
         self.ledger.record(
             LedgerEntry(
                 sequence=sequence,
@@ -167,9 +195,7 @@ class ReplicaBase(Node):
         slot.committed = True
         executions = self.executor.commit_batch(sequence, entries, owned=True)
         # All executions of one drained sequence share their slot, so the
-        # slot probe is hoisted out of the per-request loop; replies go
-        # straight to send_reply (the execution's client_id/timestamp key
-        # is exactly what the known-request indirection would return).
+        # slot probe is hoisted out of the per-request loop.
         marked_sequence = None
         for execution in executions:
             executed_sequence = execution.sequence

@@ -32,10 +32,6 @@ class Slot:
     votes: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     committed: bool = False
     executed: bool = False
-    # Generation of the replica's client-bookkeeping maps when this slot's
-    # payload was last walked (see SeeMoReReplica.prepare_slot); lets the
-    # commit path skip re-recording a batch it already recorded.
-    bookkept_generation: int = -1
 
     @property
     def request_count(self) -> int:

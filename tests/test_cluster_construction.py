@@ -11,7 +11,12 @@ keep reproducing it exactly: construction order *is* simulated behaviour.
 The sharded legs also carry ``completions`` (every client's completed
 timestamps in order and the send/completion times of its first 20), added
 from the commit before ``ShardedClient`` became a ``Client`` with one session
-per shard; no other entry was regenerated then.
+per shard; no other entry was regenerated then.  The ``crashes`` block
+(baselines only: three clients, 0.1 s, crash the view-0 primary, 0.6 s) was
+added from the commit before the baselines moved onto one
+``BaselineReplica`` skeleton; the ``bft`` / ``s-upright`` legs have not been
+regenerated since, the ``cft`` legs once (Paxos took the skeleton's
+view-change rules where it had differed by omission; CHANGES.md lists them).
 
 Regenerate (only when a behaviour change is intended and explained)::
 
@@ -35,6 +40,7 @@ from repro.cluster import (
 )
 from repro.cluster.builders import build_proc_seemore
 from repro.core import BatchPolicy, Mode
+from repro.faults import crash_primary
 from repro.runtime import conformance
 from repro.net.network import Network
 from repro.runtime.sim import SimRuntime
@@ -47,6 +53,7 @@ PROTOCOLS = ("seemore-lion", "seemore-dog", "seemore-peacock", "cft", "bft", "s-
 SHAPES = ((1, 1), (1, 2))
 SEEDS = (0, 7)
 SHARD_COUNTS = (2, 4)
+CRASH_PROTOCOLS = ("cft", "bft", "s-upright")
 
 PUBLIC_BUILDERS = {
     "build_seemore": build_seemore,
@@ -73,6 +80,10 @@ def sharded_cases():
         for shards in SHARD_COUNTS
         for seed in SEEDS
     ]
+
+
+def crash_cases():
+    return [case for case in single_cases() if case[1] in CRASH_PROTOCOLS]
 
 
 def completion_trace(clients, first=20):
@@ -109,6 +120,25 @@ def capture_single(protocol, c, m, seed):
     return _snapshot(deployment, lambda d: next(iter(d.replicas.values())))
 
 
+def capture_crash(protocol, c, m, seed):
+    """Fingerprint of a baseline's view change after its view-0 primary crashes."""
+    deployment = builder_for(protocol)(
+        crash_tolerance=c, byzantine_tolerance=m, num_clients=3, seed=seed
+    )
+    deployment.start_clients()
+    deployment.run(0.1)
+    crash_primary(deployment)
+    deployment.run(0.6)
+    deployment.assert_safe()
+    survivor = deployment.correct_replicas()[0]
+    return {
+        "events_processed": deployment.simulator.events_processed,
+        "completed": deployment.metrics.completed,
+        "view": survivor.view,
+        "ledger_digest": survivor.ledger.digest_at(survivor.ledger.highest_committed),
+    }
+
+
 def capture_sharded(shards, seed):
     deployment = build_sharded_seemore(num_shards=shards, seed=seed)
     built = _snapshot(deployment, lambda d: next(iter(d.shards[0].replicas.values())))
@@ -127,9 +157,11 @@ def capture_signatures():
 
 
 def capture_all():
-    golden = {"signatures": capture_signatures(), "clusters": {}}
+    golden = {"signatures": capture_signatures(), "clusters": {}, "crashes": {}}
     for case_id, *args in single_cases():
         golden["clusters"][case_id] = capture_single(*args)
+    for case_id, *args in crash_cases():
+        golden["crashes"][case_id] = capture_crash(*args)
     for case_id, *args in sharded_cases():
         golden["clusters"][case_id] = capture_sharded(*args)
     return golden
@@ -146,6 +178,14 @@ def golden():
 )
 def test_single_cluster_construction_matches_the_parent(golden, case_id, protocol, c, m, seed):
     assert capture_single(protocol, c, m, seed) == golden["clusters"][case_id]
+
+
+@pytest.mark.integration
+@pytest.mark.parametrize(
+    "case_id,protocol,c,m,seed", crash_cases(), ids=[case[0] for case in crash_cases()]
+)
+def test_baseline_primary_crash_matches_the_golden_run(golden, case_id, protocol, c, m, seed):
+    assert capture_crash(protocol, c, m, seed) == golden["crashes"][case_id]
 
 
 @pytest.mark.integration

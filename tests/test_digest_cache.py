@@ -226,9 +226,7 @@ class TestResultDigestMemo:
 class TestForcedSlotBookkeeping:
     def test_force_superseding_payload_rerecords_assignments(self):
         """A certified payload that force-replaces a stale tentative one must
-        re-record known-request and sequence-assignment entries, even within
-        the same assignment generation (regression for the bookkept-
-        generation fast path)."""
+        record its own sequence assignments (a skipped walk once lost them)."""
         from repro.cluster import build_seemore
         from repro.smr.replica import request_digest as rd
 
@@ -242,7 +240,7 @@ class TestForcedSlotBookkeeping:
 
         replica.prepare_slot(1, rd(certified), certified, None, force=True)
         assert replica.already_assigned(certified)
-        assert replica.known_request("client-B", 2) is certified
+        assert replica.slots.slot(1).request is certified
 
 
 @pytest.mark.integration

@@ -118,6 +118,50 @@ class TestCrashFaults:
         assert after > before + 10
         assert_ledgers_consistent(deployment.correct_ledgers())
 
+    @pytest.mark.parametrize(
+        "builder,crash_tolerance,byzantine_tolerance",
+        [(build_paxos, 2, 0), (build_pbft, 0, 2), (build_upright, 1, 1)],
+        ids=["cft", "bft", "s-upright"],
+    )
+    def test_baselines_recover_from_two_successive_primary_crashes(
+        self, builder, crash_tolerance, byzantine_tolerance
+    ):
+        """The primaries of views 0 and 1 are both down: the collector of view 1
+        never answers, so only the new-view timer can carry the survivors (a
+        quorum) on to view 2.  Paxos had no such timer and stayed in its view
+        change for ever."""
+        deployment = builder(
+            crash_tolerance=crash_tolerance,
+            byzantine_tolerance=byzantine_tolerance,
+            num_clients=2,
+            seed=1,
+        )
+        config = deployment.extras["config"]
+
+        def crash_two_primaries(d):
+            crash_replica(d, config.primary_of_view(0))
+            crash_replica(d, config.primary_of_view(1))
+
+        before, after = run_with_fault(deployment, crash_two_primaries, fault_at=0.1, total=2.1)
+        assert before > 0
+        assert after > before + 100
+        survivors = deployment.correct_replicas()
+        assert len(survivors) == len(config.replicas) - 2
+        assert {(replica.view, replica.in_view_change) for replica in survivors} == {(2, False)}
+        assert_ledgers_consistent(deployment.correct_ledgers())
+
+    @pytest.mark.parametrize("builder", [build_paxos, build_pbft], ids=["cft", "bft"])
+    def test_an_installed_view_leaves_no_view_change_state_behind(self, builder):
+        """Votes and sent-markers at or below the installed view are pruned, as
+        ``ViewChangeManager._prune_below`` does for SeeMoRe."""
+        deployment = builder(num_clients=1, seed=3)
+        run_with_fault(deployment, crash_primary, fault_at=0.05, total=0.3)
+        survivors = deployment.correct_replicas()
+        assert {replica.view for replica in survivors} == {1}
+        for replica in survivors:
+            assert all(view > 1 for view in replica._view_change_votes)
+            assert all(view > 1 for view in replica._new_views_sent)
+
 
 class TestByzantineFaults:
     @pytest.mark.parametrize(

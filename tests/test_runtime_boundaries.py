@@ -20,7 +20,10 @@ The two TCP backends move messages by callbacks: no per-message task, queue
 or stream machinery may reappear in ``runtime/aio.py`` or ``runtime/proc.py``.
 And frames are decoded in place by ``read_x(buf, off, end)`` functions: no
 cursor object (a ``Reader`` class, a ``.take(n)`` call) may reappear under
-``src/repro``.
+``src/repro``.  The agreement engines share one skeleton: the no-op filler,
+the baselines' request intake and view change, and the Dog / Peacock inform
+leg are each defined in one module, and no replica keeps a table of the
+requests it has seen.
 """
 
 import ast
@@ -530,6 +533,113 @@ class TestOneRunLoopOneResult:
             "finalize": {"second.py:run_second_engine"},
             "schedule": {"second.py:run_second_engine"},
         }
+
+
+#: Defined once under ``baselines/``, in the skeleton.
+SKELETON_METHODS = {
+    "_on_request",
+    "_start_view_change",
+    "_on_view_change",
+    "_maybe_install_view",
+    "_on_new_view",
+    "_install_view",
+}
+INFORM_LEG = {"_send_informs", "on_inform"}
+REQUEST_TABLE = {"remember_request", "known_request", "_known_requests"}
+
+
+def has_a_body(function):
+    """Whether ``function`` does anything beyond a docstring, ``pass`` or ``...``."""
+    return any(
+        not (isinstance(node, ast.Pass) or isinstance(getattr(node, "value", None), ast.Constant))
+        for node in function.body
+    )
+
+
+def skeleton_sites(path):
+    """Yield ``(lineno, what)`` for every definition or use the skeleton rules watch."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = node.name
+            if name.endswith("noop_request"):
+                yield node.lineno, "defines noop_request"
+            elif name in SKELETON_METHODS or name in REQUEST_TABLE:
+                yield node.lineno, f"defines {name}"
+            elif name in INFORM_LEG and has_a_body(node):
+                yield node.lineno, f"defines {name}"
+        elif isinstance(node, ast.Attribute) and node.attr in REQUEST_TABLE:
+            yield node.lineno, f"touches {node.attr}"
+
+
+class TestOneAgreementSkeleton:
+    """What every agreement engine shares is written once.
+
+    ``smr/replica.py`` owns ``noop_request``; ``baselines/replica.py`` owns
+    the request intake and the whole view change of Paxos, PBFT and
+    S-UpRight; ``core/strategy_base.py`` owns the inform leg of Dog and
+    Peacock; and the never-pruned ``_known_requests`` table with its two
+    accessors is gone.
+    """
+
+    OWNERS = {
+        "defines noop_request": Path("smr") / "replica.py",
+        **{f"defines {name}": Path("baselines") / "replica.py" for name in SKELETON_METHODS},
+        **{f"defines {name}": Path("core") / "strategy_base.py" for name in INFORM_LEG},
+    }
+
+    def offenders(self, root):
+        found = []
+        for path in sorted(root.rglob("*.py")):
+            relative = path.relative_to(root)
+            for lineno, what in sorted(skeleton_sites(path)):
+                if what.split(" ", 1)[1] in SKELETON_METHODS and relative.parts[0] != "baselines":
+                    continue  # e.g. ViewChangeManager.on_new_view is not a baseline
+                if self.OWNERS.get(what) != relative:
+                    found.append(f"{relative}:{lineno} {what}")
+        return found
+
+    def test_each_shared_piece_has_one_owner(self):
+        assert self.offenders(SRC) == []
+        for what, owner in self.OWNERS.items():
+            assert what in {site for _, site in skeleton_sites(SRC / owner)}, (what, owner)
+
+    def test_the_rule_catches_the_old_paxos_and_dog(self, tmp_path):
+        (tmp_path / "baselines").mkdir()
+        (tmp_path / "baselines" / "paxos.py").write_text(
+            "def _noop_request(sequence):\n"
+            "    return Request(operation=Operation('noop'), timestamp=sequence)\n"
+            "class PaxosReplica(ReplicaBase):\n"
+            "    def _on_request(self, src, request):\n"
+            "        self.remember_request(request)\n"
+            "    def _on_accept_request(self, src, message):\n"
+            "        pass\n"
+            "    def _install_view(self, src, message):\n"
+            "        self._assigned.clear()\n"
+        )
+        (tmp_path / "core").mkdir()
+        (tmp_path / "core" / "dog.py").write_text(
+            "class DogStrategy(ModeStrategy):\n"
+            "    def on_inform(self, replica, src, message):\n"
+            "        replica.finalize_commit(slot, send_reply=False)\n"
+            "class LionStrategy(ModeStrategy):\n"
+            "    def on_inform(self, replica, src, message):\n"
+            "        \"\"\"Lion has no inform leg.\"\"\"\n"
+        )
+        (tmp_path / "smr").mkdir()
+        (tmp_path / "smr" / "replica.py").write_text(
+            "class ReplicaBase(Node):\n"
+            "    def known_request(self, client_id, timestamp):\n"
+            "        return self._known_requests.get((client_id, timestamp))\n"
+        )
+        assert self.offenders(tmp_path) == [
+            "baselines/paxos.py:1 defines noop_request",
+            "baselines/paxos.py:4 defines _on_request",
+            "baselines/paxos.py:5 touches remember_request",
+            "baselines/paxos.py:8 defines _install_view",
+            "core/dog.py:2 defines on_inform",
+            "smr/replica.py:2 defines known_request",
+            "smr/replica.py:3 touches _known_requests",
+        ]
 
 
 class TestDetectorDetects:

@@ -7,17 +7,15 @@ stats collection, worker-death detection, crash survival at f=1, and the
 clean-shutdown guarantee (no orphaned process ever outlives a run).
 """
 
-import importlib.util
 import os
-import pathlib
 import signal
-import sys
 import time
 
 import pytest
 
 from repro.cluster.builders import build_proc_seemore
 from repro.core import Mode
+from repro.runtime.conformance import run_aio
 
 
 def _wait_for_progress(cluster, worker, minimum, timeout):
@@ -139,22 +137,25 @@ def test_dead_predicate_worker_aborts_the_wait_instead_of_hanging():
 def test_four_proc_cluster_doubles_single_process_aio_throughput():
     """The acceptance bar: on >=4 cores, 4 replica processes sustain at
     least twice the single-loop aio backend's committed requests/s on the
-    lion-f1-batched wall-clock case."""
-    perf_dir = pathlib.Path(__file__).parent.parent / "benchmarks" / "perf"
-    spec = importlib.util.spec_from_file_location("harness", perf_dir / "harness.py")
-    harness = importlib.util.module_from_spec(spec)
-    sys.modules["harness"] = harness
-    spec.loader.exec_module(harness)
+    same batched Lion workload (400 requests, window 16, batches of 16)."""
+    requests, window, max_batch = 400, 16, 16
 
-    (aio_case,) = harness.aio_cases()
-    aio_row = harness.run_case(aio_case, repeats=1, measure_heap=False)
-    proc_case = next(
-        case for case in harness.proc_cases(max_procs=4) if case.num_procs == 4
+    started = time.perf_counter()
+    run_aio(Mode.LION, requests, window, max_batch, seed=3, timeout=120.0)  # raises if short
+    aio_rps = requests / (time.perf_counter() - started)
+
+    cluster = build_proc_seemore(
+        mode=Mode.LION,
+        num_procs=4,
+        num_requests=requests,
+        window=window,
+        max_batch=max_batch,
+        seed=3,
     )
-    proc_row = harness.run_case(proc_case, repeats=1, measure_heap=False)
+    result = cluster.run(timeout=180.0)
+    assert result.met, (result.deaths, result.errors)
+    proc_rps = result.harvests["client"]["completed"] / result.wall_seconds
 
-    aio_rps = aio_row["throughput_requests_per_second"]
-    proc_rps = proc_row["throughput_requests_per_second"]
     assert proc_rps >= 2.0 * aio_rps, (
         f"4-process proc backend managed {proc_rps:.1f} req/s vs "
         f"aio's {aio_rps:.1f} req/s (< 2x)"

@@ -9,13 +9,18 @@ replicas.
 
 import pytest
 
+from repro.adaptive.evidence import EvidenceKind
 from repro.cluster import build_seemore
 from repro.core import Mode, SeeMoReConfig
 from repro.core import messages as msgs
+from repro.core.replica import SeeMoReReplica
 from repro.core.view_change import NOOP_CLIENT, noop_request
+from repro.crypto.digest import digest
 from repro.faults import crash_primary
+from repro.runtime.aio import decode_envelope, encode_envelope
 from repro.smr.ledger import assert_ledgers_consistent
 from repro.smr.replica import request_digest
+from repro.smr.state_machine import Operation, TransactionalKeyValueStore
 from repro.workload import Workload
 
 
@@ -282,3 +287,133 @@ class TestStateTransfer:
         )
         assert lagger.state_transfers_completed >= 1
         assert_ledgers_consistent(deployment.correct_ledgers())
+
+
+def signed_response(deployment, sender, checkpoint_sequence, state_digest, snapshot):
+    response = msgs.StateTransferResponse(
+        replica_id=sender,
+        checkpoint_sequence=checkpoint_sequence,
+        state_digest=state_digest,
+        snapshot=snapshot,
+    )
+    return response.sign(deployment.keystore.signer_for(sender))
+
+
+class TestStateTransferSnapshotIsChecked:
+    """Only the checkpoint sequence and state digest of a response are signed;
+    the snapshot beside them must be the state they name before anyone's
+    trust (a trusted sender, the victim's own stable checkpoint, m+1 matching
+    votes) is spent on it."""
+
+    def peacock_with_stable_checkpoint(self):
+        deployment = build(Mode.PEACOCK, seed=3, checkpoint_period=8)
+        deployment.start_clients()
+        deployment.run(0.25)
+        deployment.stop_clients()
+        victim = deployment.replicas["private-1"]
+        assert victim.checkpoints.stable_sequence >= 8
+        return deployment, victim
+
+    def test_a_forged_snapshot_beside_an_honestly_signed_frame_is_ignored(self):
+        deployment, victim = self.peacock_with_stable_checkpoint()
+        executed, state = victim.last_executed, victim.executor.state_machine.snapshot()
+        forged = {
+            "next_sequence": executed + 1000,
+            "state": {"forged": True},
+            "replies": {},
+        }
+        # Sequence and digest of a stable checkpoint are public knowledge, so
+        # one untrusted replica can name the victim's own and pass the
+        # ``matches_stable`` branch with no quorum at all.
+        response = signed_response(
+            deployment,
+            "public-2",
+            victim.checkpoints.stable_sequence,
+            victim.checkpoints.stable_digest,
+            forged,
+        )
+        victim.handle_message("public-2", response)
+
+        assert victim.last_executed == executed
+        assert victim.executor.state_machine.snapshot() == state
+        assert victim.state_transfers_completed == 0
+        assert [
+            (record.kind, record.suspect) for record in victim.evidence.records[-1:]
+        ] == [(EvidenceKind.INVALID_SIGNATURE, "public-2")]
+
+    def test_matching_votes_cannot_carry_a_different_snapshot(self):
+        """m+1 untrusted votes are counted on ``(sequence, digest)``: the last
+        responder's snapshot must be the state that digest names too."""
+        deployment, victim = self.peacock_with_stable_checkpoint()
+        executed = victim.last_executed
+        target = executed + 8
+        honest = {"next_sequence": target + 1, "state": {"k": "v"}, "replies": {}}
+        state_digest = digest({"next_sequence": target + 1, "state": {"k": "v"}})
+        forged = dict(honest, state={"forged": True})
+        victim.handle_message(
+            "public-1", signed_response(deployment, "public-1", target, state_digest, honest)
+        )
+        victim.handle_message(
+            "public-2", signed_response(deployment, "public-2", target, state_digest, forged)
+        )
+        assert victim.last_executed == executed
+        assert victim.state_transfers_completed == 0
+
+    @pytest.mark.parametrize("shape", [None, [], {"next_sequence": "9"}, {"next_sequence": 9}])
+    def test_a_malformed_snapshot_is_a_mismatch_not_a_crash(self, shape):
+        deployment, victim = self.peacock_with_stable_checkpoint()
+        executed = victim.last_executed
+        response = signed_response(
+            deployment,
+            "public-2",
+            victim.checkpoints.stable_sequence,
+            victim.checkpoints.stable_digest,
+            {},
+        )
+        response.__dict__["snapshot"] = shape  # what a hostile peer may put beside the frame
+        victim.handle_message("public-2", response)
+        assert victim.last_executed == executed
+
+    def test_an_honest_response_still_restores(self):
+        deployment = build(Mode.PEACOCK, seed=3, checkpoint_period=8)
+        lagger = deployment.replicas["public-3"]
+        lagger.crash()
+        deployment.start_clients()
+        deployment.run(0.25)
+        deployment.stop_clients()
+        lagger.recover()
+        assert lagger.last_executed == 0
+
+        donor = deployment.replicas["private-0"]  # trusted: one response is enough
+        checkpoint_sequence, snapshot = donor.checkpoints.latest_snapshot()
+        assert checkpoint_sequence >= 8
+        state_digest = digest(
+            {"next_sequence": snapshot["next_sequence"], "state": snapshot["state"]}
+        )
+        lagger.handle_message(
+            donor.node_id,
+            signed_response(deployment, donor.node_id, checkpoint_sequence, state_digest, snapshot),
+        )
+        assert lagger.last_executed == checkpoint_sequence
+        assert lagger.state_transfers_completed == 1
+        assert lagger.executor.state_machine.snapshot() == snapshot["state"]
+
+    def test_a_snapshot_that_crossed_the_wire_digests_to_what_its_sender_signed(self):
+        """Tuples, nested dicts and tuple-keyed replies survive ``pack_value`` /
+        ``read_value`` with the digest the sender computed before encoding."""
+        store = TransactionalKeyValueStore()
+        store.apply(Operation("put", ("k", {"nested": (1, [2, {"deep": None}])})))
+        store.apply(Operation("txn_prepare", ("t1", (("put", "a", 1), ("put", "b", (2, 3))))))
+        snapshot = {
+            "next_sequence": 9,
+            "state": store.snapshot(),
+            "replies": {("client-0", 7): {"ok": True, "value": (1, 2)}},
+        }
+        deployment = build(Mode.LION)
+        state_digest = digest({"next_sequence": 9, "state": snapshot["state"]})
+        sent = signed_response(deployment, "private-0", 8, state_digest, snapshot)
+        received = decode_envelope(encode_envelope(sent))
+        assert received is not sent and received.snapshot == snapshot
+        assert SeeMoReReplica._snapshot_is_what_was_signed(received)
+        received.snapshot["state"]["data"]["k"] = "tampered"
+        assert not SeeMoReReplica._snapshot_is_what_was_signed(received)
