@@ -71,7 +71,8 @@ import platform
 import sys
 import time
 import tracemalloc
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.cluster import build_sharded_seemore, builder_for, run_deployment
@@ -218,6 +219,10 @@ def standard_cases(smoke: bool = False) -> List[PerfCase]:
     return cases
 
 
+#: The seed the open-loop rows have always run on (the surge library's own).
+_OPEN_LOOP_SEED = 7
+
+
 def openloop_cases() -> List[PerfCase]:
     """The open-loop offered-load sweep (reported, never gated).
 
@@ -234,6 +239,7 @@ def openloop_cases() -> List[PerfCase]:
             surge_rate=rate,
             duration=1.0,
             warmup=0.25,
+            seed=_OPEN_LOOP_SEED,
             gated=False,
         )
         for label, rate in (("2x", 3_200.0), ("5x", 8_000.0), ("10x", 16_000.0))
@@ -246,6 +252,7 @@ def openloop_cases() -> List[PerfCase]:
             surge_rate=8_000.0,
             duration=1.0,
             warmup=0.25,
+            seed=_OPEN_LOOP_SEED,
             gated=False,
         )
     )
@@ -260,31 +267,48 @@ OPENLOOP_SMOKE_CASE_NAME = "openloop-surge-2x"
 # -- running one case -------------------------------------------------------------
 
 
+def _scenario_for(case: PerfCase):
+    """The library scenario behind a scenario-backed case, on the case's seed."""
+    from repro.scenarios.adaptive import ADAPTIVE_SCENARIOS
+    from repro.scenarios.library import SCENARIOS
+    from repro.scenarios.openloop import OPEN_LOOP_SCENARIOS
+
+    if case.open_loop_scenario is None:
+        library = {**SCENARIOS, **ADAPTIVE_SCENARIOS}
+        return replace(library[case.fault_scenario], seed=case.seed)
+    scenario = OPEN_LOOP_SCENARIOS[case.open_loop_scenario]
+    section = replace(scenario.open_loop, warmup=case.warmup)
+    if case.surge_rate is not None:
+        section = replace(section, arrivals=partial(section.arrivals, burst_rate=case.surge_rate))
+    return replace(scenario, seed=case.seed, duration=case.duration, open_loop=section)
+
+
 def _run_once(case: PerfCase) -> Dict[str, Any]:
     """One measured execution; returns wall time, events, completions."""
-    if case.open_loop_scenario is not None:
-        return _run_once_open_loop(case)
-    if case.fault_scenario is not None:
-        from repro.scenarios.adaptive import ADAPTIVE_SCENARIOS, run_adaptive_scenario
+    if case.fault_scenario is not None or case.open_loop_scenario is not None:
         from repro.scenarios.engine import run_scenario
-        from repro.scenarios.library import SCENARIOS
 
-        if case.fault_scenario in ADAPTIVE_SCENARIOS:
-            scenario = ADAPTIVE_SCENARIOS[case.fault_scenario]
-            start = time.perf_counter()
-            result = run_adaptive_scenario(scenario, _MODES[case.protocol], seed=case.seed)
-        else:
-            scenario = SCENARIOS[case.fault_scenario]
-            start = time.perf_counter()
-            result = run_scenario(scenario, _MODES[case.protocol], seed=case.seed)
+        scenario = _scenario_for(case)
+        # An open-loop row reports the SLO verdict of its measured window
+        # instead of gating on it (the no-admission row is *meant* to
+        # violate), so no live checker samples beside it, and it counts the
+        # measured window's completions.
+        open_loop = scenario.open_loop is not None
+        start = time.perf_counter()
+        result = run_scenario(scenario, _MODES[case.protocol], checkers=() if open_loop else None)
         wall = time.perf_counter() - start
-        result.assert_ok()
-        return {
+        run = {
             "wall": wall,
             "events": result.events_processed,
             "completed": result.completed,
             "sim_seconds": result.simulated_seconds,
         }
+        if open_loop:
+            run["completed"] = result.measured.served
+            run["extra"] = _open_loop_columns(result.measured, scenario)
+        else:
+            result.assert_ok()
+        return run
 
     if case.protocol == "seemore-sharded":
         deployment = build_sharded_seemore(
@@ -324,50 +348,23 @@ def _run_once(case: PerfCase) -> Dict[str, Any]:
     }
 
 
-def _run_once_open_loop(case: PerfCase) -> Dict[str, Any]:
-    """One open-loop scenario execution on the sim backend.
+def _open_loop_columns(result, scenario) -> Dict[str, Any]:
+    """The open-loop headline numbers of a case row.
 
-    The ``extra`` dict carries the open-loop headline numbers (offered
-    load, served percentiles, shed/dropped counters, SLO verdict) into the
-    case row; the base keys keep the usual events/sec accounting working.
+    Offered load, served percentiles, shed/dropped counters and the SLO
+    verdict ride beside the usual events/sec accounting.
     """
-    import dataclasses
-
-    from repro.cluster.runner import run_open_loop
-    from repro.scenarios.openloop import OPEN_LOOP_SCENARIOS
-
-    scenario = OPEN_LOOP_SCENARIOS[case.open_loop_scenario]
-    overrides: Dict[str, Any] = {"duration": case.duration, "warmup": case.warmup}
-    if case.surge_rate is not None:
-        overrides["surge_rate"] = case.surge_rate
-    scenario = dataclasses.replace(scenario, **overrides)
-    deployment = scenario.build(_MODES[case.protocol])
-    start = time.perf_counter()
-    result = run_open_loop(
-        deployment,
-        deployment.extras["open_loop_driver"],
-        duration=scenario.duration,
-        warmup=scenario.warmup,
-        slo=scenario.slo,
-    )
-    wall = time.perf_counter() - start
     return {
-        "wall": wall,
-        "events": deployment.simulator.events_processed,
-        "completed": result.served,
-        "sim_seconds": deployment.simulator.now,
-        "extra": {
-            "offered_rate_reqs_per_s": round(result.offered_rate, 1),
-            "p50_latency_ms": round(result.latency.p50 * 1000.0, 3),
-            "p99_latency_ms": round(result.latency.p99 * 1000.0, 3),
-            "p999_latency_ms": round(result.latency.p999 * 1000.0, 3),
-            "offered": result.offered,
-            "dropped": result.dropped,
-            "shed": result.shed,
-            "busy_rejects": result.busy_rejects,
-            "slo_holds": result.slo_holds,
-            "admission": scenario.admission is not None,
-        },
+        "offered_rate_reqs_per_s": round(result.offered_rate, 1),
+        "p50_latency_ms": round(result.latency.p50 * 1000.0, 3),
+        "p99_latency_ms": round(result.latency.p99 * 1000.0, 3),
+        "p999_latency_ms": round(result.latency.p999 * 1000.0, 3),
+        "offered": result.offered,
+        "dropped": result.dropped,
+        "shed": result.shed,
+        "busy_rejects": result.busy_rejects,
+        "slo_holds": result.slo_holds,
+        "admission": scenario.admission is not None,
     }
 
 

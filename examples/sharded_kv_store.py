@@ -8,8 +8,9 @@ free to run its own mode — and multi-key writes spanning shards commit
 through the deterministic two-phase protocol, with every prepare/decide
 record ordered by the participating shard's own consensus.
 
-The example is one declarative ``ShardedScenario`` run by the same
-``run_scenario`` engine as every fault scenario in the library:
+The example is one declarative ``Scenario`` -- the same type, and the same
+``run_scenario`` engine, as every fault scenario in the library; naming a
+mode per shard is what makes it sharded:
 
 1. it deploys 4 shards with mixed modes (Lion, Lion, Dog, Peacock) and a
    Zipfian key-value workload with 10% cross-shard transactions;
@@ -27,13 +28,13 @@ from repro.core import Mode
 from repro.scenarios import (
     HealPartition,
     IsolateShard,
-    ShardedScenario,
+    Scenario,
     TransactionsAtLeast,
     run_scenario,
 )
-from repro.workload import per_shard_load
+from repro.workload import WorkloadSpec, per_shard_load
 
-SCENARIO = ShardedScenario(
+SCENARIO = Scenario(
     name="sharded-kv-store",
     description="Four mixed-mode shards serve one Zipfian keyspace; shard 3 is "
     "isolated at t=0.4s and healed at t=0.7s.",
@@ -44,10 +45,10 @@ SCENARIO = ShardedScenario(
     settle=0.3,
     num_clients=8,
     client_window=2,
-    key_space=1000,
-    cross_shard_fraction=0.1,
-    key_distribution="zipfian",
-    seed=13,
+    workload=WorkloadSpec(
+        kind="sharded-kv", key_space=1000, cross_shard_fraction=0.1, key_distribution="zipfian"
+    ),
+    seed=13,  # the network's jitter and the key stream alike
     txn_timeout=0.15,
 )
 

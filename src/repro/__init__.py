@@ -35,7 +35,6 @@ from repro.cluster import (
     builder_for,
     run_deployment,
     run_sharded_deployment,
-    run_timeline,
     sweep_clients,
 )
 from repro.shard import ShardedDeployment, ShardRouter, ShardSpec
@@ -47,7 +46,6 @@ from repro.scenarios import (
     SCENARIOS,
     SHARDED_SCENARIOS,
     Scenario,
-    ShardedScenario,
     run_scenario,
     run_scenario_matrix,
 )
@@ -77,9 +75,7 @@ __all__ = [
     "ShardRouter",
     "ShardSpec",
     "SHARDED_SCENARIOS",
-    "ShardedScenario",
     "sweep_clients",
-    "run_timeline",
     "Workload",
     "MetricsCollector",
     "Scenario",

@@ -33,6 +33,7 @@ from typing import Any, Dict, List
 from repro.baselines import messages as msgs
 from repro.baselines.replica import BaselineReplica
 from repro.crypto.digest import digest as digest_fn
+from repro.smr.checkpointing import CheckpointManager
 from repro.smr.executor import ExecutionResult
 from repro.smr.messages import Request
 from repro.smr.replica import request_digest
@@ -43,8 +44,7 @@ class QuorumBFTReplica(BaselineReplica):
     """A PBFT-like replica whose quorum sizes come from its configuration."""
 
     def _register_phases(self) -> None:
-        self._checkpoint_votes: Dict[int, Dict[str, set]] = {}
-        self._stable_checkpoint = 0
+        self.checkpoints = CheckpointManager(self.config.checkpoint_period)
         self.register_handler(msgs.BftPrePrepare, self._on_preprepare)
         self.register_handler(msgs.BftPrepare, self._on_prepare)
         self.register_handler(msgs.BftCommit, self._on_commit)
@@ -137,7 +137,7 @@ class QuorumBFTReplica(BaselineReplica):
 
     def _after_commit(self, executions: List[ExecutionResult]) -> None:
         for execution in executions:
-            if execution.sequence % self.config.checkpoint_period == 0:
+            if self.checkpoints.is_checkpoint_sequence(execution.sequence):
                 self._take_checkpoint(execution.sequence)
 
     def _take_checkpoint(self, sequence: int) -> None:
@@ -157,15 +157,12 @@ class QuorumBFTReplica(BaselineReplica):
         self._record_checkpoint_vote(message.sequence, message.state_digest, src)
 
     def _record_checkpoint_vote(self, sequence: int, state_digest: str, replica_id: str) -> None:
-        votes = self._checkpoint_votes.setdefault(sequence, {}).setdefault(state_digest, set())
-        votes.add(replica_id)
-        if len(votes) >= self.config.commit_quorum and sequence > self._stable_checkpoint:
-            self._stable_checkpoint = sequence
+        votes = self.checkpoints.record_vote(sequence, state_digest, replica_id)
+        if votes >= self.config.commit_quorum and self.checkpoints.mark_stable(
+            sequence, state_digest
+        ):
             self.slots.collect_below(sequence)
             self.executor.discard_below(sequence)
-            stale = [seq for seq in self._checkpoint_votes if seq <= sequence]
-            for seq in stale:
-                del self._checkpoint_votes[seq]
 
     # -- what the skeleton asks -------------------------------------------------------------
 
@@ -173,7 +170,7 @@ class QuorumBFTReplica(BaselineReplica):
         self._send_prepare(slot, entry.digest)
 
     def _floor(self) -> int:
-        return self._stable_checkpoint
+        return self.checkpoints.stable_sequence
 
     def _is_prepared(self, slot: Slot) -> bool:
         return slot.vote_count("prepare") >= self.config.agreement_quorum
@@ -183,5 +180,5 @@ class QuorumBFTReplica(BaselineReplica):
 
     def state_summary(self) -> Dict[str, Any]:
         summary = super().state_summary()
-        summary["stable_checkpoint"] = self._stable_checkpoint
+        summary["stable_checkpoint"] = self.checkpoints.stable_sequence
         return summary

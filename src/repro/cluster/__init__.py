@@ -13,9 +13,13 @@ measurement loops used by the benchmarks:
   open-loop driver; both return the one
   :class:`~repro.cluster.runner.RunResult`;
 * :func:`~repro.cluster.runner.sweep_clients` repeats that for increasing
-  client counts, producing the latency-throughput curves of Figures 2-3;
-* :func:`~repro.cluster.runner.run_timeline` produces the per-bin
-  throughput timeline of Figure 4.
+  client counts, producing the latency-throughput curves of Figures 2-3.
+
+A run with faults on a clock -- Figure 4's crashed primary included -- is a
+:class:`repro.scenarios.Scenario` handed to
+:func:`repro.scenarios.run_scenario` (which takes any of these deployments
+pre-built); the per-bin throughput timeline is
+``deployment.metrics.timeline(...)`` afterwards.
 """
 
 from repro.cluster.deployment import Deployment
@@ -32,7 +36,6 @@ from repro.cluster.runner import (
     run_deployment,
     run_open_loop,
     run_sharded_deployment,
-    run_timeline,
     sweep_clients,
 )
 
@@ -49,5 +52,4 @@ __all__ = [
     "run_open_loop",
     "run_sharded_deployment",
     "sweep_clients",
-    "run_timeline",
 ]

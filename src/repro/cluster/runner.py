@@ -7,11 +7,12 @@ These functions implement the measurement methodology of Section 6:
   latency over the measurement window (single cluster or sharded);
 * :func:`run_open_loop` — the same window under an open-loop driver;
 * :func:`sweep_clients` — repeat that for increasing client counts to trace
-  one latency-vs-throughput curve (one line of Figures 2 and 3);
-* :func:`run_timeline` — run with an optional fault schedule and report
-  throughput per time bin (Figure 4).
+  one latency-vs-throughput curve (one line of Figures 2 and 3).
 
-Every measured run returns the one :class:`RunResult`.
+Every measured run returns the one :class:`RunResult`, and returns it only
+if the run upheld safety.  A run with a fault schedule (Figure 4) is a
+:class:`~repro.scenarios.engine.Scenario`; its per-bin throughput is
+``deployment.metrics.timeline(...)`` afterwards.
 """
 
 from __future__ import annotations
@@ -38,13 +39,14 @@ class RunResult:
 
     The base fields describe every run: ``completed`` counts the whole
     run's completions (warm-up included), while ``throughput`` and
-    ``latency`` cover the measured window only.  Two optional sections
-    ride along, each ``None`` when it does not apply:
+    ``latency`` cover the measured window only.  A result exists only for
+    a run whose correct replicas' ledgers agreed (and, sharded, whose
+    cross-shard decisions were atomic): the window raises otherwise.  Two
+    optional sections ride along, each ``None`` when it does not apply:
 
     * **sharded** — ``per_shard`` (the single-shard operations each shard
       served over the window, so shard balance is visible next to the
-      total), the 2PC ``transactions`` counters and
-      ``atomicity_violations``;
+      total) and the 2PC ``transactions`` counters;
     * **open loop** — offered and served load can differ: of the
       ``offered`` arrivals generated during the window, ``dropped`` never
       left the driver (backlog full), ``shed`` were abandoned after
@@ -61,13 +63,11 @@ class RunResult:
     throughput: float
     latency: LatencySummary
     client_timeouts: int
-    safety_violations: int
     metrics_collector: Optional[MetricsCollector] = None
     node_summaries: Dict[str, Any] = field(default_factory=dict)
     # -- sharded section ----------------------------------------------------
     per_shard: Optional[Tuple[ShardLoadSummary, ...]] = None
     transactions: Optional[Dict[str, int]] = None
-    atomicity_violations: int = 0
     # -- open-loop section (measured-window deltas) --------------------------
     offered: Optional[int] = None
     served: Optional[int] = None
@@ -101,8 +101,8 @@ class RunResult:
     def as_row(self) -> Dict[str, Any]:
         """Flat, scalar-valued dict for tables and JSON artifacts.
 
-        ``violations`` totals ledger conflicts, atomicity violations and a
-        violated SLO; :func:`repro.analysis.report.format_run_report` flags
+        ``violations`` counts a violated SLO (a run that broke safety has
+        no result); :func:`repro.analysis.report.format_run_report` flags
         every row where it is not zero.
         """
         row: Dict[str, Any] = {
@@ -113,14 +113,11 @@ class RunResult:
             "p99_latency_ms": round(self.latency.p99 * 1000.0, 3),
             "completed": self.completed,
             "timeouts": self.client_timeouts,
-            "violations": self.safety_violations
-            + self.atomicity_violations
-            + int(self.slo_holds is False),
+            "violations": int(self.slo_holds is False),
         }
         if self.transactions is not None:
             for counter in ("started", "committed", "aborted"):
                 row[f"transactions_{counter}"] = self.transactions.get(counter, 0)
-            row["atomicity_violations"] = self.atomicity_violations
         if self.offered is not None:
             row["offered_rate_reqs_per_s"] = round(self.offered_rate, 1)
             row["p50_latency_ms"] = round(self.latency.p50 * 1000.0, 3)
@@ -147,7 +144,6 @@ def _measure(
     deployment: ClientDriven,
     duration: float,
     warmup: float,
-    check_safety: bool,
     driver: Optional["OpenLoopDriver"] = None,
     slo: Optional[SloSpec] = None,
 ) -> RunResult:
@@ -176,10 +172,8 @@ def _measure(
     load_stop()
 
     shards = getattr(deployment, "shards", None)
-    violations = deployment.safety_violations() if check_safety else []
-    atomicity = (
-        deployment.atomicity_violations() if check_safety and shards is not None else []
-    )
+    violations = deployment.safety_violations()
+    atomicity = deployment.atomicity_violations() if shards is not None else []
     if violations or atomicity:
         raise AssertionError(
             f"{deployment.protocol}: safety violated during the run: "
@@ -212,8 +206,6 @@ def _measure(
         throughput=metrics.throughput(start=measure_start, end=measure_end),
         latency=metrics.latency(start=measure_start, end=measure_end),
         client_timeouts=deployment.client_pool.total_timeouts,
-        # Checked runs raise above on any violation; unchecked runs count none.
-        safety_violations=0,
         metrics_collector=metrics,
         node_summaries={
             replica_id: replica.state_summary()
@@ -227,22 +219,21 @@ def run_deployment(
     deployment: ClientDriven,
     duration: float = 2.0,
     warmup: float = 0.2,
-    check_safety: bool = True,
 ) -> RunResult:
     """Run a deployment under its closed-loop clients and measure the steady state.
 
     Works on any :class:`~repro.cluster.deployment.ClientDriven` deployment;
     a sharded one also reports per-shard load and the 2PC counters, and has
     cross-shard atomicity verified next to every shard's ledger agreement.
+    Raises ``AssertionError`` if correct replicas' ledgers (or, sharded,
+    cross-shard decisions) disagree afterwards.
 
     Args:
         deployment: a freshly built deployment (clients not yet started).
         duration: measured window of simulated seconds (after warm-up).
         warmup: simulated seconds of load discarded before measuring.
-        check_safety: raise ``AssertionError`` if correct replicas' ledgers
-            (or, sharded, cross-shard decisions) disagree afterwards.
     """
-    return _measure(deployment, duration, warmup, check_safety)
+    return _measure(deployment, duration, warmup)
 
 
 # benchmarks/e2e/adapters.py imports this name and BENCHMARK.json freezes that
@@ -256,7 +247,6 @@ def run_open_loop(
     duration: float = 2.0,
     warmup: float = 0.2,
     slo: Optional[SloSpec] = None,
-    check_safety: bool = True,
 ) -> RunResult:
     """Run a deployment under an open-loop driver and measure the window.
 
@@ -266,7 +256,7 @@ def run_open_loop(
     open-loop section separates offered from served load.  When ``slo`` is
     given the measured window is judged against it bin by bin.
     """
-    return _measure(deployment, duration, warmup, check_safety, driver=driver, slo=slo)
+    return _measure(deployment, duration, warmup, driver=driver, slo=slo)
 
 
 def sweep_clients(
@@ -287,29 +277,3 @@ def sweep_clients(
 def peak_throughput(results: Sequence[RunResult]) -> float:
     """The highest throughput (requests/second) observed along a curve."""
     return max((result.throughput for result in results), default=0.0)
-
-
-def run_timeline(
-    deployment: Deployment,
-    duration: float,
-    bin_width: float,
-    fault_schedule: Optional[Sequence[Tuple[float, Callable[[Deployment], None]]]] = None,
-) -> List[Tuple[float, float]]:
-    """Run a deployment and report throughput per time bin (Figure 4).
-
-    Args:
-        deployment: a freshly built deployment.
-        duration: total simulated time to run.
-        bin_width: width of each throughput bin in simulated seconds.
-        fault_schedule: optional list of ``(at_time, action)`` pairs; each
-            action is called with the deployment when simulated time reaches
-            ``at_time`` (e.g. crash the primary).
-    """
-    simulator = deployment.simulator
-    start = simulator.now
-    for at_time, action in fault_schedule or []:
-        simulator.call_at(start + at_time, lambda action=action: action(deployment))
-    deployment.start_clients()
-    simulator.run(until=start + duration)
-    deployment.stop_clients()
-    return deployment.metrics.timeline(bin_width=bin_width, start=start, end=start + duration)

@@ -22,7 +22,6 @@ from typing import Any, Dict, List, Optional
 from repro.adaptive.evidence import EvidenceKind
 from repro.core import messages as msgs
 from repro.core.batching import Batcher
-from repro.core.checkpointing import CheckpointManager
 from repro.core.config import SeeMoReConfig
 from repro.core.dog import DogStrategy
 from repro.core.lion import LionStrategy
@@ -33,6 +32,7 @@ from repro.core.view_change import ViewChangeManager
 from repro.crypto.digest import digest
 from repro.crypto.signatures import Signer, Verifier
 from repro.net.costs import NodeCostModel
+from repro.smr.checkpointing import CheckpointManager
 from repro.smr.executor import ExecutionResult
 from repro.smr.messages import Busy, Request, requests_of
 from repro.smr.replica import NOOP_CLIENT, ReplicaBase

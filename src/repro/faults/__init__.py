@@ -1,4 +1,4 @@
-"""Fault injection: crash failures, Byzantine behaviours, and fault plans.
+"""Fault injection: crash failures and Byzantine behaviours.
 
 The paper's failure model (Section 3.1) admits two fault classes:
 
@@ -8,10 +8,11 @@ The paper's failure model (Section 3.1) admits two fault classes:
   arbitrarily (equivocate, stay silent, send corrupt signatures, lie to
   clients), but cannot forge other replicas' signatures.
 
-This package injects both into a running deployment, either immediately or
-on a schedule (a :class:`~repro.faults.adversary.FaultPlan`), so the tests
-and benchmarks can observe how each protocol behaves under attack -- most
-prominently the view-change experiment of Figure 4.
+This package injects both into a running deployment, immediately.  Putting
+a fault on a clock is the scenario engine's job: a
+:class:`~repro.scenarios.events.ScenarioEvent` (``Crash``, ``Byzantine``,
+``Partition`` ...) applies these helpers at its simulated time -- the
+view-change experiment of Figure 4 is ``Crash(at=0.3)`` on each protocol.
 """
 
 from repro.faults.crash import crash_primary, crash_replica, recover_replica
@@ -24,7 +25,6 @@ from repro.faults.byzantine import (
     make_silent,
     restore_honest,
 )
-from repro.faults.adversary import FaultPlan
 
 __all__ = [
     "crash_replica",
@@ -37,5 +37,4 @@ __all__ = [
     "make_corrupt_signatures",
     "restore_honest",
     "BYZANTINE_STRATEGIES",
-    "FaultPlan",
 ]

@@ -86,6 +86,12 @@ MAX_FRAME_BYTES = 16 * 1024 * 1024
 #: 0.5 ms slices is 3.5 ms, the order of the 2 ms linger and ``until`` poll.
 CPU_SLICE_S = 0.0005
 
+#: How often a run loop (``AioRuntime.run``, a proc worker's main loop) looks
+#: at its ``until`` predicate.  Not event-driven on purpose: ``benchmarks/e2e``
+#: ticks its host-speed yardstick from inside ``until``, and the poll costs
+#: under 1 %.
+UNTIL_POLL_S = 0.002
+
 #: First byte of every message blob; a blob of any other kind is rejected.
 _KIND_FRAME = b"\x01"
 
@@ -665,7 +671,6 @@ class AioRuntime(Runtime):
         kickoff: Optional[Callable[[], None]] = None,
         until: Optional[Callable[[], bool]] = None,
         timeout: float = 10.0,
-        poll: float = 0.002,
     ) -> bool:
         """Serve the cluster until ``until()`` holds or ``timeout`` elapses.
 
@@ -674,14 +679,13 @@ class AioRuntime(Runtime):
         seconds).  Always shuts down cleanly: every task is cancelled and
         awaited, every connection and listener closed.
         """
-        return asyncio.run(self._main(kickoff, until, timeout, poll))
+        return asyncio.run(self._main(kickoff, until, timeout))
 
     async def _main(
         self,
         kickoff: Optional[Callable[[], None]],
         until: Optional[Callable[[], bool]],
         timeout: float,
-        poll: float,
     ) -> bool:
         try:
             await self._listen()
@@ -694,7 +698,7 @@ class AioRuntime(Runtime):
                 if until is not None and until():
                     met = True
                     break
-                await asyncio.sleep(poll)
+                await asyncio.sleep(UNTIL_POLL_S)
             return met
         finally:
             await self._shutdown()

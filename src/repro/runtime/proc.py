@@ -53,12 +53,15 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.runtime.aio import AioRuntime
+from repro.runtime.aio import UNTIL_POLL_S, AioRuntime
 
 #: Control-channel message kinds (worker -> supervisor).
 #: ("ready", ports, waits) / ("stats", snapshot) / ("done", snapshot)
 #: ("result", snapshot, harvest) / ("error", text)
 #: Supervisor -> worker: ("endpoints", ports) / ("stop",)
+
+#: How long ``ProcCluster.start`` waits for every worker to report ready.
+READY_TIMEOUT_S = 30.0
 
 
 def default_start_method() -> str:
@@ -132,14 +135,12 @@ class ProcWorkerRuntime(AioRuntime):
         build: Callable[..., Optional[WorkerPlan]],
         kwargs: Mapping[str, Any],
         stats_interval: float = 0.25,
-        poll: float = 0.002,
     ) -> None:
         """Build the worker's nodes, then run the supervised lifecycle."""
         plan = build(self, **dict(kwargs)) or WorkerPlan()
-        asyncio.run(self._worker_main(conn, plan, stats_interval, poll))
+        asyncio.run(self._worker_main(conn, plan, stats_interval))
 
-    async def _worker_main(self, conn, plan: WorkerPlan, stats_interval: float,
-                           poll: float) -> None:
+    async def _worker_main(self, conn, plan: WorkerPlan, stats_interval: float) -> None:
         try:
             await self._listen()
             conn.send(("ready", dict(self._ports), plan.until is not None))
@@ -170,7 +171,7 @@ class ProcWorkerRuntime(AioRuntime):
                 if time.monotonic() >= next_stats:
                     next_stats = time.monotonic() + stats_interval
                     self._send(conn, ("stats", self._snapshot(plan)))
-                await asyncio.sleep(poll)
+                await asyncio.sleep(UNTIL_POLL_S)
 
             harvest = plan.harvest() if plan.harvest is not None else None
             self._send(conn, ("result", self._snapshot(plan), harvest))
@@ -208,12 +209,11 @@ class ProcWorkerRuntime(AioRuntime):
         }
 
 
-def _worker_entry(name: str, build, kwargs, conn, host: str,
-                  stats_interval: float, poll: float) -> None:
+def _worker_entry(name: str, build, kwargs, conn, host: str, stats_interval: float) -> None:
     """Process target: run one worker, reporting any failure up the pipe."""
     try:
         runtime = ProcWorkerRuntime(host=host)
-        runtime.serve(conn, build, kwargs, stats_interval=stats_interval, poll=poll)
+        runtime.serve(conn, build, kwargs, stats_interval=stats_interval)
     except BaseException:
         try:
             conn.send(("error", f"worker {name!r} failed:\n{traceback.format_exc()}"))
@@ -277,7 +277,7 @@ class ProcResult:
 class _Supervised:
     """Supervisor-side state for one worker."""
 
-    __slots__ = ("spec", "process", "conn", "ready", "waits", "done",
+    __slots__ = ("spec", "process", "conn", "ready", "waits", "done", "ports",
                  "stats", "harvest", "has_result", "dead", "progress")
 
     def __init__(self, spec: WorkerSpec) -> None:
@@ -287,11 +287,17 @@ class _Supervised:
         self.ready = False
         self.waits = False
         self.done = False
+        self.ports: Dict[str, int] = {}
         self.stats: Dict[str, Any] = {}
         self.harvest: Any = None
         self.has_result = False
         self.dead = False
         self.progress: Any = None
+
+    def adopt(self, snapshot: Dict[str, Any]) -> None:
+        """Take a ``stats`` / ``done`` / ``result`` snapshot as the latest."""
+        self.stats = dict(snapshot)
+        self.progress = snapshot.get("progress")
 
 
 class ProcCluster:
@@ -309,7 +315,6 @@ class ProcCluster:
         host: str = "127.0.0.1",
         start_method: Optional[str] = None,
         stats_interval: float = 0.25,
-        worker_poll: float = 0.002,
     ) -> None:
         names = [spec.name for spec in workers]
         if len(set(names)) != len(names):
@@ -322,7 +327,6 @@ class ProcCluster:
         self._host = host
         self._start_method = start_method or default_start_method()
         self._stats_interval = stats_interval
-        self._worker_poll = worker_poll
         self._started = False
         self._go_at: Optional[float] = None
         self._met_at: Optional[float] = None
@@ -361,7 +365,7 @@ class ProcCluster:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def start(self, ready_timeout: float = 30.0) -> None:
+    def start(self) -> None:
         """Spawn every worker and complete the readiness/endpoint handshake."""
         if self._started:
             raise RuntimeError("ProcCluster.start() may only be called once")
@@ -374,7 +378,7 @@ class ProcCluster:
                     target=_worker_entry,
                     args=(worker.spec.name, worker.spec.build,
                           dict(worker.spec.kwargs), child_conn, self._host,
-                          self._stats_interval, self._worker_poll),
+                          self._stats_interval),
                     name=f"proc-{worker.spec.name}",
                     daemon=True,
                 )
@@ -383,7 +387,7 @@ class ProcCluster:
                 worker.process = process
                 worker.conn = parent_conn
 
-            deadline = time.monotonic() + ready_timeout
+            deadline = time.monotonic() + READY_TIMEOUT_S
             while not all(w.ready for w in self._workers.values()):
                 progressed = self._drain_all()
                 for name, worker in self._workers.items():
@@ -400,7 +404,7 @@ class ProcCluster:
 
             merged: Dict[str, int] = {}
             for name, worker in self._workers.items():
-                for node_id, port in worker.stats.get("_ports", {}).items():
+                for node_id, port in worker.ports.items():
                     if node_id in merged:
                         raise ProcClusterError(
                             f"node id {node_id!r} registered by two workers"
@@ -482,11 +486,7 @@ class ProcCluster:
 
         end = self._met_at if self._met_at is not None else time.monotonic()
         wall = (end - self._go_at) if self._go_at is not None else 0.0
-        stats = {
-            name: {k: v for k, v in worker.stats.items() if k != "_ports"}
-            for name, worker in self._workers.items()
-            if worker.stats
-        }
+        stats = {name: worker.stats for name, worker in self._workers.items() if worker.ready}
         harvests = {
             name: worker.harvest
             for name, worker in self._workers.items()
@@ -504,10 +504,9 @@ class ProcCluster:
             errors=list(self.errors),
         )
 
-    def run(self, timeout: float = 60.0, ready_timeout: float = 30.0,
-            grace: float = 10.0) -> ProcResult:
+    def run(self, timeout: float = 60.0, grace: float = 10.0) -> ProcResult:
         """The whole lifecycle: start, wait, shutdown."""
-        self.start(ready_timeout=ready_timeout)
+        self.start()
         met = self.wait(timeout)
         result = self.shutdown(grace=grace)
         result.met = met and not result.errors
@@ -567,24 +566,14 @@ class ProcCluster:
         if kind == "ready":
             worker.ready = True
             worker.waits = message[2]
-            worker.stats["_ports"] = message[1]
+            worker.ports = message[1]
         elif kind in ("stats", "done"):
-            snapshot = message[1]
-            ports = worker.stats.get("_ports")
-            worker.stats = dict(snapshot)
-            if ports is not None:
-                worker.stats["_ports"] = ports
-            worker.progress = snapshot.get("progress")
+            worker.adopt(message[1])
             if kind == "done":
                 worker.done = True
         elif kind == "result":
-            snapshot, harvest = message[1], message[2]
-            ports = worker.stats.get("_ports")
-            worker.stats = dict(snapshot)
-            if ports is not None:
-                worker.stats["_ports"] = ports
-            worker.progress = snapshot.get("progress")
-            worker.harvest = harvest
+            worker.adopt(message[1])
+            worker.harvest = message[2]
             worker.has_result = True
         elif kind == "error":
             self.errors.append(message[1])

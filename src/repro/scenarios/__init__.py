@@ -6,43 +6,50 @@ mode switches as the environment changes.  This package turns those
 conditions into first-class, declarative scenarios:
 
 * :mod:`~repro.scenarios.events` — timed events scheduled on the simulator
-  clock: crash/recover a replica, activate a named Byzantine strategy,
-  partition/heal the network, degrade per-link latency, trigger a mode
-  switch, ramp client load;
+  clock, the one way to put a fault on a clock: crash/recover a replica,
+  activate a named Byzantine strategy, partition/heal the network, degrade
+  per-link latency, trigger a mode switch, ramp client load, aim any of
+  those at one shard or isolate it;
 * :mod:`~repro.scenarios.invariants` — checkers sampled continuously while
   a scenario runs: committed prefixes never fork, no correct client accepts
   a forged reply, exactly-once execution per request id, checkpoint digests
-  agree;
-* :mod:`~repro.scenarios.engine` — :func:`run_scenario`, the one engine
-  that runs every scenario kind and returns the one
-  :class:`ScenarioResult`, plus declarative post-run expectations
-  (progress resumed, view advanced, mode installed, replica caught up);
+  agree; per shard, plus cross-shard atomicity, on a sharded deployment;
+* :mod:`~repro.scenarios.engine` — :class:`Scenario`, the one scenario type
+  (single group or a mode per shard, closed loop or an :class:`OpenLoop`
+  section, with or without an adaptive controller; varied with
+  ``dataclasses.replace``), :func:`run_scenario`, the one engine that runs
+  it — or its schedule against any pre-built deployment, the baselines
+  included — and returns the one :class:`ScenarioResult`, plus declarative
+  post-run expectations (progress resumed, view advanced, mode installed,
+  replica caught up, transactions committed);
 * :mod:`~repro.scenarios.library` — the named single-cluster scenarios
   every protocol change must keep passing, across all three modes;
 * :mod:`~repro.scenarios.sharded`, :mod:`~repro.scenarios.adaptive`,
   :mod:`~repro.scenarios.openloop` — the sharded, adaptive-controller and
-  open-loop surge libraries.  Each scenario kind is pure data that knows
-  how to ``build()`` its deployment and name its ``default_checkers()``;
-  all of them run through the same :func:`run_scenario`.
+  open-loop surge libraries: more values of the same type.
 
 Quick start::
 
+    from dataclasses import replace
     from repro.core import Mode
-    from repro.scenarios import SCENARIOS, run_scenario
+    from repro.scenarios import SCENARIOS, SHARDED_SCENARIOS, run_scenario
 
     result = run_scenario(SCENARIOS["primary-crash-mid-batch"], Mode.DOG)
     result.assert_ok()
-    run_scenario(SHARDED_SCENARIOS["shard-isolated-then-heals"]).assert_ok()
+    run_scenario(replace(SHARDED_SCENARIOS["shard-isolated-then-heals"], seed=11)).assert_ok()
 """
 
 from repro.scenarios.engine import (
     CaughtUp,
     Expectation,
     ModeIs,
+    OpenLoop,
     ProgressAfter,
     Scenario,
     ScenarioResult,
+    ShardExpects,
     StateTransferred,
+    TransactionsAtLeast,
     ViewAdvanced,
     run_scenario,
     run_scenario_matrix,
@@ -53,8 +60,10 @@ from repro.scenarios.events import (
     ClientSurge,
     Crash,
     HealPartition,
+    IsolateShard,
     LinkDegradation,
     ModeSwitch,
+    OnShard,
     Partition,
     Recover,
     ScenarioEvent,
@@ -63,27 +72,20 @@ from repro.scenarios.events import (
 from repro.scenarios.invariants import (
     CheckpointAgreement,
     CommittedPrefixAgreement,
+    CrossShardAtomicity,
     ExactlyOnceExecution,
     InvariantChecker,
     NoForgedReplies,
+    PerShardInvariants,
     default_checkers,
 )
 from repro.scenarios.library import SCENARIOS, scenario_by_name, scenario_names
-from repro.scenarios.sharded import (
-    SHARDED_SCENARIOS,
-    CrossShardAtomicity,
-    IsolateShard,
-    OnShard,
-    PerShardInvariants,
-    ShardedScenario,
-    ShardExpects,
-    TransactionsAtLeast,
-)
+from repro.scenarios.sharded import SHARDED_BASE, SHARDED_SCENARIOS
 
 __all__ = [
     # sharded
+    "SHARDED_BASE",
     "SHARDED_SCENARIOS",
-    "ShardedScenario",
     "PerShardInvariants",
     "CrossShardAtomicity",
     "OnShard",
@@ -92,6 +94,7 @@ __all__ = [
     "ShardExpects",
     # engine
     "Scenario",
+    "OpenLoop",
     "ScenarioResult",
     "run_scenario",
     "run_scenario_matrix",

@@ -1,9 +1,9 @@
 """Fault scenarios that gate the adaptive mode controller.
 
-Every scenario here runs a deployment with a live
-:class:`~repro.adaptive.AdaptiveModeController` attached (via the
-builders' ``adaptive=`` wiring) and holds the *controller* to account with
-declarative expectations layered on the scenario engine:
+Every scenario here names ``adaptive=LIBRARY_POLICY``, so its deployment is
+built with a live :class:`~repro.adaptive.AdaptiveModeController` per group,
+and holds the *controller* to account with declarative expectations layered
+on the scenario engine:
 
 * :data:`ESCALATE_ON_EQUIVOCATION` -- an injected equivocator must drive
   Lion → Peacock, with zero safety violations along the way;
@@ -18,7 +18,7 @@ declarative expectations layered on the scenario engine:
   read the storm as Byzantine evidence and jump to Peacock;
 * :data:`PER_SHARD_DIVERGENT_ENVIRONMENTS` -- in a sharded deployment only
   the attacked shard escalates; the clean shard's controller must not
-  move (run it with ``run_adaptive_scenario`` like the others).
+  move.
 
 All scenarios start in the Lion mode (the cheap steady state the paper de-
 escalates to); the standard invariant checkers run throughout, so every
@@ -28,8 +28,8 @@ fault scenario.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from dataclasses import dataclass, replace
+from typing import Dict, List
 
 from repro.adaptive import AdaptivePolicy
 from repro.core.modes import Mode
@@ -37,11 +37,11 @@ from repro.scenarios.engine import (
     Expectation,
     ProgressAfter,
     Scenario,
-    ScenarioResult,
-    run_scenario,
+    ShardExpects,
+    TransactionsAtLeast,
 )
-from repro.scenarios.events import Byzantine, Crash, Recover, RestoreHonest
-from repro.scenarios.sharded import OnShard, ShardedScenario, ShardExpects, TransactionsAtLeast
+from repro.scenarios.events import Byzantine, Crash, OnShard, Recover, RestoreHonest
+from repro.scenarios.sharded import SHARDED_BASE
 
 #: Policy used by the library scenarios.  Mirrors the defaults but is named
 #: so tests, the perf harness, and the README can reference one object.
@@ -52,8 +52,8 @@ def _controller_of(deployment):
     controller = deployment.extras.get("adaptive")
     if controller is None:
         raise AssertionError(
-            "adaptive scenario ran against a deployment without a controller; "
-            "run it through run_adaptive_scenario (or pass adaptive=...)"
+            "a controller expectation ran against a deployment without a "
+            "controller; the scenario (or the builder) must name adaptive=..."
         )
     return controller
 
@@ -171,6 +171,7 @@ ESCALATE_ON_EQUIVOCATION = Scenario(
     # let the controller (correctly) de-escalate before the final check.
     settle=0.2,
     num_clients=3,
+    adaptive=LIBRARY_POLICY,
 )
 
 DEESCALATE_AFTER_QUIET_PERIOD = Scenario(
@@ -190,6 +191,7 @@ DEESCALATE_AFTER_QUIET_PERIOD = Scenario(
     duration=1.1,
     settle=0.3,
     num_clients=3,
+    adaptive=LIBRARY_POLICY,
 )
 
 OSCILLATING_ATTACKER_MUST_NOT_FLAP = Scenario(
@@ -218,6 +220,7 @@ OSCILLATING_ATTACKER_MUST_NOT_FLAP = Scenario(
     duration=1.0,
     settle=0.2,
     num_clients=3,
+    adaptive=LIBRARY_POLICY,
 )
 
 CONTROLLER_UNDER_VIEW_CHANGE_STORM = Scenario(
@@ -240,6 +243,7 @@ CONTROLLER_UNDER_VIEW_CHANGE_STORM = Scenario(
     duration=1.0,
     settle=0.3,
     num_clients=3,
+    adaptive=LIBRARY_POLICY,
 )
 
 
@@ -257,7 +261,8 @@ ADAPTIVE_SCENARIOS: Dict[str, Scenario] = {
 
 # -- the sharded scenario ----------------------------------------------------------
 
-PER_SHARD_DIVERGENT_ENVIRONMENTS = ShardedScenario(
+PER_SHARD_DIVERGENT_ENVIRONMENTS = replace(
+    SHARDED_BASE,
     name="adaptive-per-shard-divergent-environments",
     description="Two Lion shards, one attacked by an equivocator: the attacked "
     "shard's controller must escalate it to Peacock while the clean shard's "
@@ -281,23 +286,8 @@ PER_SHARD_DIVERGENT_ENVIRONMENTS = ShardedScenario(
     # Below the quiet period: evidence stops with the clients, and a longer
     # settle would let the attacked shard de-escalate before the check.
     settle=0.2,
+    adaptive=LIBRARY_POLICY,
 )
-
-
-def run_adaptive_scenario(
-    scenario,
-    mode: Optional[Mode] = None,
-    policy: Optional[AdaptivePolicy] = None,
-    **overrides,
-) -> ScenarioResult:
-    """Run one adaptive scenario (either kind) with a controller per group.
-
-    A single-cluster scenario starts in Lion unless ``mode`` says otherwise
-    -- the steady state the paper's deployment de-escalates to, and where
-    every library scenario starts its cycle.
-    """
-    overrides.setdefault("adaptive", policy if policy is not None else LIBRARY_POLICY)
-    return run_scenario(scenario, mode, **overrides)
 
 
 __all__ = [
@@ -313,5 +303,4 @@ __all__ = [
     "CONTROLLER_UNDER_VIEW_CHANGE_STORM",
     "PER_SHARD_DIVERGENT_ENVIRONMENTS",
     "ADAPTIVE_SCENARIOS",
-    "run_adaptive_scenario",
 ]

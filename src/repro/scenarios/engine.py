@@ -1,19 +1,23 @@
 """The scenario engine: declarative scenarios, run deterministically.
 
-A scenario is pure data: deployment knobs, a tuple of timed
+A :class:`Scenario` is pure data: deployment knobs, a tuple of timed
 :mod:`events <repro.scenarios.events>` and a tuple of declarative
-:class:`expectations <Expectation>`.  Three kinds exist —
-:class:`Scenario` (one cluster, closed-loop clients),
-:class:`~repro.scenarios.sharded.ShardedScenario` (several clusters, one
-keyspace) and :class:`~repro.scenarios.openloop.OpenLoopScenario` (one
-cluster under a modeled user population) — and each only knows how to
-``build()`` its deployment and name its ``default_checkers()``.
+:class:`expectations <Expectation>`.  It is the only scenario type: one
+group of closed-loop clients by default, several groups over one keyspace
+when it names ``modes``, under a live mode controller when it names an
+``adaptive`` policy, under a modeled user population when it carries an
+:class:`OpenLoop` section — and it knows how to ``build()`` its deployment
+and name its ``default_checkers()``.  A variant of a scenario (another
+seed, a shorter run, a steeper surge) is ``dataclasses.replace(scenario,
+...)``.
 
-:func:`run_scenario` is the one engine behind all of them: it schedules the
-events on the simulator clock, samples every invariant checker periodically
-while the load runs, lets the network settle after the load stops, and
-returns a :class:`ScenarioResult` that knows whether the run upheld every
-invariant and expectation.
+:func:`run_scenario` is the one engine: it schedules the events on the
+simulator clock, samples every invariant checker periodically while the
+load runs, lets the network settle after the load stops, and returns a
+:class:`ScenarioResult` that knows whether the run upheld every invariant
+and expectation.  Handed a pre-built ``deployment`` it runs the schedule
+against that instead, which is how the baselines (``cft`` / ``bft`` /
+``s-upright``) take a fault on a clock.
 
 Because the simulator is deterministic, a scenario is reproducible from
 ``(scenario, mode)`` alone — a failing scenario in CI replays identically
@@ -22,17 +26,27 @@ on a laptop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.cluster.builders import build_seemore
+from repro.cluster.builders import AdaptiveSpec, build_seemore, build_sharded_seemore
 from repro.cluster.deployment import ClientDriven, Deployment
 from repro.cluster.runner import RunResult, run_open_loop
+from repro.core.admission import AdmissionPolicy
 from repro.core.batching import BatchPolicy
 from repro.core.modes import Mode
 from repro.scenarios.events import _MODE_CYCLE, ScenarioEvent, resolve_target
-from repro.scenarios.invariants import InvariantChecker, default_checkers
-from repro.workload.generator import Workload
+from repro.scenarios.invariants import (
+    CrossShardAtomicity,
+    InvariantChecker,
+    NoForgedReplies,
+    PerShardInvariants,
+    default_checkers,
+)
+from repro.shard.deployment import ShardSpec
+from repro.workload.generator import Workload, WorkloadSpec
+from repro.workload.openloop import ArrivalProcess, ClientPopulation, OpenLoopDriver
+from repro.workload.slo import SlaViolation, SloSpec
 
 # -- expectations -----------------------------------------------------------------
 
@@ -148,7 +162,87 @@ class CaughtUp(Expectation):
         return []
 
 
+@dataclass(frozen=True)
+class TransactionsAtLeast(Expectation):
+    """At least ``count`` cross-shard transactions ended in ``outcome``."""
+
+    outcome: str = "committed"
+    count: int = 1
+
+    def evaluate(self, deployment, initial_mode, probes) -> List[str]:
+        reached = deployment.transaction_stats()[self.outcome]
+        if reached < self.count:
+            return [
+                f"only {reached} cross-shard transactions {self.outcome} "
+                f"(expected >= {self.count})"
+            ]
+        return []
+
+
+@dataclass(frozen=True)
+class ShardExpects(Expectation):
+    """Hold one shard to a single-cluster expectation (``OnShard`` for verdicts).
+
+    Probes count whole-deployment completions, so wrap only expectations
+    that judge end-of-run state (modes, views, controller decisions).
+    """
+
+    shard: int
+    expectation: Expectation
+
+    def evaluate(self, deployment, initial_mode, probes) -> List[str]:
+        group = deployment.shards[self.shard]
+        return [
+            f"shard {self.shard}: {failure}"
+            for failure in self.expectation.evaluate(group, group.extras["mode"], probes)
+        ]
+
+
 # -- the scenario itself ----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class OpenLoop:
+    """The open-loop section of a scenario: a modeled population as the load.
+
+    A closed loop can only offer as much load as its clients' windows allow,
+    so overload never shows up as latency.  With this section the load is an
+    arrival process over ``num_users`` modeled users, multiplexed over
+    ``connections`` real connections with ``window`` pipelined requests each
+    (outstanding work and memory are O(connections x window + backlog),
+    never O(users)), latency is stamped from *arrival*, and the run is one
+    measured window: ``warmup`` seconds discarded, then the scenario's
+    ``duration`` judged against ``slo``.
+
+    Attributes:
+        arrivals: the arrival curve, called as ``arrivals(seed=...)`` with
+            the scenario's seed — an :class:`ArrivalProcess` class with its
+            rates bound, e.g. ``partial(BurstyArrivals, base_rate=400.0,
+            ...)``; ``partial(section.arrivals, burst_rate=...)`` varies it.
+        max_backlog: arrivals the driver queues before dropping.
+        max_busy_retries: re-sends after a signed ``Busy`` before a request
+            is shed (``None`` retries forever).
+    """
+
+    arrivals: Callable[..., ArrivalProcess]
+    num_users: int = 1_000_000
+    connections: int = 32
+    window: int = 16
+    max_backlog: int = 32
+    max_busy_retries: Optional[int] = 2
+    slo: SloSpec = SloSpec(percentile=0.99, bound=0.1)
+    warmup: float = 0.5
+
+    def spawn(self, deployment: ClientDriven, seed: int) -> OpenLoopDriver:
+        """The driver and connection pool of one run, on ``deployment``'s client pool."""
+        population = ClientPopulation(self.num_users, self.arrivals(seed=seed), seed=seed)
+        return deployment.client_pool.spawn_open_loop(
+            population,
+            connections=self.connections,
+            max_backlog=self.max_backlog,
+            max_busy_retries=self.max_busy_retries,
+            window=self.window,
+        )
 
 
 @dataclass(frozen=True)
@@ -167,12 +261,25 @@ class Scenario:
         num_clients: closed-loop clients at start (events may add more).
         client_window: requests each client pipelines (None = workload default).
         batch_policy: primary-side batching (None = unbatched).
-        crash_tolerance / byzantine_tolerance: the deployment's ``c`` / ``m``.
+        crash_tolerance / byzantine_tolerance: each group's ``c`` / ``m``.
         checkpoint_period: slots per checkpoint.
-        workload: micro-benchmark name (``"0/0"``...).
-        seed: drives all randomness (latency jitter).
+        workload: what :meth:`Workload.build <repro.workload.generator.Workload.build>`
+            takes — a micro-benchmark name (``"0/0"``...) or a
+            :class:`~repro.workload.generator.WorkloadSpec`, whose own
+            ``seed`` gives way to the scenario's.
+        seed: drives all randomness: latency jitter, the workload's key
+            choice and, open loop, the arrivals and the user population.
         min_completed: whole-run liveness floor.
         check_interval: how often the invariant checkers sample.
+        modes: one mode per shard, for several groups over one keyspace
+            (give ``workload`` a ``sharded-kv`` spec); ``None`` is a single
+            group, whose mode :func:`run_scenario`'s argument picks.
+        partition_policy / txn_timeout: sharded only — how the keyspace is
+            split, and how long a coordinator waits for prepare votes.
+        admission: primary-side admission control (single group only).
+        adaptive: a live mode controller per group, on this policy.
+        open_loop: the load is a modeled population, see :class:`OpenLoop`
+            (``num_clients`` and ``client_window`` are then unused).
     """
 
     name: str
@@ -187,30 +294,72 @@ class Scenario:
     crash_tolerance: int = 1
     byzantine_tolerance: int = 1
     checkpoint_period: int = 128
-    workload: str = "0/0"
+    workload: Union[str, WorkloadSpec] = "0/0"
     seed: int = 7
     client_timeout: float = 0.1
     min_completed: int = 10
     check_interval: float = 0.05
+    modes: Optional[Tuple[Mode, ...]] = None
+    partition_policy: str = "hash"
+    txn_timeout: Optional[float] = None
+    admission: Optional[AdmissionPolicy] = None
+    adaptive: AdaptiveSpec = None
+    open_loop: Optional[OpenLoop] = None
 
-    def build(self, mode: Optional[Mode] = None, **overrides) -> Deployment:
+    def build(self, mode: Optional[Mode] = None) -> ClientDriven:
         """Stand up the deployment this scenario runs against (Lion by default)."""
-        build_kwargs = dict(
+        spec = self.workload
+        if isinstance(spec, WorkloadSpec):
+            spec = replace(spec, seed=self.seed)
+        group = dict(
             crash_tolerance=self.crash_tolerance,
             byzantine_tolerance=self.byzantine_tolerance,
-            mode=mode if mode is not None else Mode.LION,
-            workload=Workload.build(self.workload),
-            num_clients=self.num_clients,
-            seed=self.seed,
-            client_timeout=self.client_timeout,
             checkpoint_period=self.checkpoint_period,
             batch_policy=self.batch_policy,
-            client_window=self.client_window,
         )
-        build_kwargs.update(overrides)
-        return build_seemore(**build_kwargs)
+        shared = dict(
+            workload=Workload.build(spec),
+            seed=self.seed,
+            client_timeout=self.client_timeout,
+            client_window=self.client_window,
+            adaptive=self.adaptive,
+        )
+        if self.modes is None:
+            return build_seemore(
+                mode=mode if mode is not None else Mode.LION,
+                # An open-loop run's connections are spawned by the engine.
+                num_clients=self.num_clients if self.open_loop is None else 0,
+                admission=self.admission,
+                **group,
+                **shared,
+            )
+        if mode is not None:
+            raise TypeError(
+                f"scenario {self.name!r} assigns a mode per shard "
+                f"(modes={[m.name for m in self.modes]}); it takes no run-wide mode"
+            )
+        if self.admission is not None:
+            raise ValueError(f"scenario {self.name!r}: admission control is single-group only")
+        return build_sharded_seemore(
+            shard_specs=tuple(ShardSpec(mode=shard_mode, **group) for shard_mode in self.modes),
+            num_clients=self.num_clients,
+            partition_policy=self.partition_policy,
+            txn_timeout=self.txn_timeout,
+            **shared,
+        )
 
     def default_checkers(self) -> List[InvariantChecker]:
+        """A fresh instance of every checker this scenario is judged by.
+
+        A surge's verdict is the SLO's alone, over the window the measured
+        result covers; several groups are each held to the standard four,
+        and together to cross-shard atomicity.
+        """
+        if self.open_loop is not None:
+            warmup = self.open_loop.warmup
+            return [SlaViolation(self.open_loop.slo, start=warmup, end=warmup + self.duration)]
+        if self.modes is not None:
+            return [PerShardInvariants(), CrossShardAtomicity(), NoForgedReplies()]
         return default_checkers()
 
 
@@ -218,7 +367,8 @@ class Scenario:
 class ScenarioResult:
     """Everything one scenario run produced, with a pass/fail verdict.
 
-    ``mode`` is the initial mode, ``/``-joined per shard for a sharded run.
+    ``mode`` is the initial mode, ``/``-joined per shard for a sharded run
+    and empty (like ``final_modes``) for a protocol that has no modes.
     ``transactions`` and ``per_shard_completed`` are filled for sharded
     runs and ``measured`` (the measured window's
     :class:`~repro.cluster.runner.RunResult`) for open-loop ones.
@@ -288,39 +438,32 @@ class ScenarioResult:
 
 
 def run_scenario(
-    scenario,
+    scenario: Scenario,
     mode: Optional[Mode] = None,
     checkers: Optional[Sequence[InvariantChecker]] = None,
     deployment: Optional[ClientDriven] = None,
-    **overrides,
 ) -> ScenarioResult:
-    """Run one scenario of any kind and return its result (no assertion).
+    """Run one scenario and return its result (no assertion).
 
-    ``mode`` picks the initial mode of a single-cluster scenario (Lion when
-    omitted); a sharded scenario names its modes per shard.  Extra keyword
-    arguments override the deployment builder's knobs, which lets tests
-    shrink or grow a library scenario without redefining it.  A pre-built
+    ``mode`` picks the initial mode of a single-group scenario (Lion when
+    omitted); a scenario with ``modes`` names them per shard.  A pre-built
     ``deployment`` may be supplied when the caller needs to inspect it
-    after the run; builder ``overrides`` are rejected in that case since
-    they could not apply.
+    after the run, or when the schedule is to run against another protocol
+    (any ``build_*`` deployment; the scenario's deployment knobs are then
+    unused).
     """
     if deployment is None:
-        deployment = scenario.build(mode, **overrides)
-    elif overrides:
-        raise TypeError(
-            "run_scenario() got both a pre-built deployment and builder "
-            f"overrides {sorted(overrides)}; apply the overrides when building"
-        )
+        deployment = scenario.build(mode)
+    section = scenario.open_loop
+    # Open loop, the load runs as one measured window (warm-up, then
+    # ``duration``) under a driver instead of as a plain closed loop.
+    driver = section.spawn(deployment, scenario.seed) if section is not None else None
     active_checkers = list(checkers) if checkers is not None else scenario.default_checkers()
     for checker in active_checkers:
         checker.attach(deployment)
 
     simulator = deployment.simulator
-    # An open-loop scenario's build leaves its driver here; its load runs as
-    # one measured window (warm-up, then ``duration``) instead of a plain
-    # closed loop.
-    driver = deployment.extras.get("open_loop_driver")
-    load_seconds = scenario.duration + (scenario.warmup if driver is not None else 0.0)
+    load_seconds = scenario.duration + (section.warmup if section is not None else 0.0)
     start = simulator.now
     end = start + load_seconds
 
@@ -370,7 +513,8 @@ def run_scenario(
         if simulator.now < end:
             simulator.call_later(scenario.check_interval, sample, label="scenario:check")
 
-    simulator.call_later(scenario.check_interval, sample, label="scenario:check")
+    if active_checkers:  # nothing to sample otherwise
+        simulator.call_later(scenario.check_interval, sample, label="scenario:check")
 
     measured = None
     if driver is None:
@@ -379,7 +523,7 @@ def run_scenario(
         deployment.stop_clients()
     else:
         measured = run_open_loop(
-            deployment, driver, duration=scenario.duration, warmup=scenario.warmup, slo=scenario.slo
+            deployment, driver, duration=scenario.duration, warmup=section.warmup, slo=section.slo
         )
     simulator.run(until=end + scenario.settle)
 
@@ -388,7 +532,10 @@ def run_scenario(
     deployment.collect_batch_sizes()
 
     shards = getattr(deployment, "shards", None)
-    initial_modes = [group.extras["mode"] for group in (shards or [deployment])]
+    # Only SeeMoRe groups run in a mode; a baseline's extras name none.
+    initial_modes = [
+        group.extras["mode"] for group in (shards or [deployment]) if "mode" in group.extras
+    ]
     expectation_failures: List[str] = []
     if deployment.metrics.completed < scenario.min_completed:
         expectation_failures.append(
@@ -396,7 +543,9 @@ def run_scenario(
             f"run (liveness floor {scenario.min_completed})"
         )
     for expectation in scenario.expectations:
-        expectation_failures.extend(expectation.evaluate(deployment, initial_modes[0], probes))
+        expectation_failures.extend(
+            expectation.evaluate(deployment, initial_modes[0] if initial_modes else None, probes)
+        )
 
     correct = deployment.correct_replicas()
     return ScenarioResult(
@@ -407,12 +556,15 @@ def run_scenario(
         completed=deployment.metrics.completed,
         client_timeouts=deployment.client_pool.total_timeouts,
         max_view=max((replica.view for replica in correct), default=0),
-        final_modes=tuple(sorted({replica.mode.name for replica in correct})),
+        final_modes=tuple(sorted({replica.mode.name for replica in correct}))
+        if initial_modes
+        else (),
         # Telemetry over *all* replicas: a crashed-then-recovered replica
         # stays in the conservative faulty set, but its state transfer is
-        # exactly what the report should show.
+        # exactly what the report should show.  (The baselines have none.)
         state_transfers=sum(
-            replica.state_transfers_completed for replica in deployment.replicas.values()
+            getattr(replica, "state_transfers_completed", 0)
+            for replica in deployment.replicas.values()
         ),
         events_applied=events_applied,
         invariant_violations=violations,
@@ -426,31 +578,23 @@ def run_scenario(
 
 
 def run_scenario_matrix(
-    scenarios: Sequence,
+    scenarios: Sequence[Scenario],
     modes: Sequence[Optional[Mode]] = (Mode.LION, Mode.DOG, Mode.PEACOCK),
     checker_factory: Optional[Callable[[], Sequence[InvariantChecker]]] = None,
-    **overrides,
 ) -> List[ScenarioResult]:
     """Run every scenario in every mode; returns all results (no assertion).
 
     Pass ``modes=(None,)`` for scenarios that fix their own modes (a sharded
     library).  Checkers are stateful and single-run, so custom ones are
-    supplied as a ``checker_factory`` called once per leg; passing
-    ``checkers=`` here would silently share one instance set across legs
-    (cross-contaminating their incremental state) and is rejected, whatever
-    the scenario kind.
+    supplied as a ``checker_factory`` called once per leg; there is no
+    ``checkers=`` here, which would share one instance set across legs and
+    cross-contaminate their incremental state.
     """
-    if "checkers" in overrides:
-        raise TypeError(
-            "run_scenario_matrix() does not accept 'checkers': checker instances "
-            "are stateful and single-run; pass checker_factory=... instead"
-        )
     return [
         run_scenario(
             scenario,
             mode,
             checkers=checker_factory() if checker_factory is not None else None,
-            **overrides,
         )
         for scenario in scenarios
         for mode in modes
@@ -464,6 +608,9 @@ __all__ = [
     "ModeIs",
     "StateTransferred",
     "CaughtUp",
+    "TransactionsAtLeast",
+    "ShardExpects",
+    "OpenLoop",
     "Scenario",
     "ScenarioResult",
     "run_scenario",

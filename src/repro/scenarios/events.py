@@ -19,6 +19,15 @@ time), because the replica filling a role changes as views change:
   current primary;
 * ``"private:i"`` / ``"public:i"`` — the i-th replica of that cloud;
 * anything else — a literal replica id.
+
+The cloud roles need a configuration that places replicas in clouds
+(SeeMoRe's); ``"primary"`` and literal ids resolve on every protocol.
+
+On a sharded deployment :class:`OnShard` aims any of these events at one
+shard and :class:`IsolateShard` partitions a whole shard's replica group
+away from every other node (clients included), the coarse failure a sharded
+system must absorb; deployment-wide events (``HealPartition``,
+``ClientSurge``) apply to it unchanged.
 """
 
 from __future__ import annotations
@@ -30,34 +39,43 @@ from repro.cluster.deployment import Deployment
 from repro.core.modes import Mode
 from repro.faults.byzantine import make_byzantine, restore_honest
 from repro.faults.crash import crash_replica, current_primary_id, recover_replica
+from repro.shard.deployment import ShardedDeployment
 
 #: Cycle used by ``ModeSwitch("next")``: each switch moves one step.
 _MODE_CYCLE = (Mode.LION, Mode.DOG, Mode.PEACOCK)
 
 
+def _cloud_members(deployment: Deployment, cloud: str, target: str) -> Tuple[str, ...]:
+    """The replicas of one cloud, for resolving the cloud role ``target``."""
+    members = getattr(deployment.extras["config"], f"{cloud}_replicas", None)
+    if members is None:
+        raise KeyError(
+            f"cannot resolve {target!r}: a {deployment.protocol} configuration "
+            f"places no replicas in a {cloud} cloud"
+        )
+    return members
+
+
 def resolve_target(deployment: Deployment, target: str) -> str:
     """Resolve a role name (see module docstring) to a replica id."""
-    config = deployment.extras["config"]
     if target == "primary":
         return current_primary_id(deployment)
     if target in ("public-primary", "public-backup"):
+        public = _cloud_members(deployment, "public", target)
         primary = current_primary_id(deployment)
-        if target == "public-primary" and primary in config.public_replicas:
+        if target == "public-primary" and primary in public:
             return primary
-        resolved = next((r for r in config.public_replicas if r != primary), None)
+        resolved = next((r for r in public if r != primary), None)
         if resolved is None:
             raise KeyError(
                 f"cannot resolve {target!r}: no public replica other than the "
                 f"current primary in this deployment"
             )
         return resolved
-    for cloud, members in (
-        ("private", config.private_replicas),
-        ("public", config.public_replicas),
-    ):
+    for cloud in ("private", "public"):
         prefix = f"{cloud}:"
         if target.startswith(prefix):
-            return members[int(target[len(prefix):])]
+            return _cloud_members(deployment, cloud, target)[int(target[len(prefix):])]
     if target not in deployment.replicas:
         raise KeyError(f"unknown scenario target {target!r}")
     return target
@@ -83,8 +101,7 @@ class ScenarioEvent:
     Most events target one cluster; ``HealPartition`` and ``ClientSurge``
     only touch what every deployment kind has (the network, the client
     pool) and apply to a sharded deployment as they are, and
-    :class:`~repro.scenarios.sharded.OnShard` aims any other event at one
-    shard.
+    :class:`OnShard` aims any other event at one shard.
     """
 
     at: float
@@ -180,13 +197,10 @@ class Partition(ScenarioEvent):
     groups: Tuple[Tuple[str, ...], ...] = (("private",), ("public",))
 
     def _resolve_group(self, deployment: Deployment, group: Tuple[str, ...]) -> set:
-        config = deployment.extras["config"]
         members: set = set()
         for name in group:
-            if name == "private":
-                members.update(config.private_replicas)
-            elif name == "public":
-                members.update(config.public_replicas)
+            if name in ("private", "public"):
+                members.update(_cloud_members(deployment, name, name))
             else:
                 members.add(resolve_target(deployment, name))
         return members
@@ -308,6 +322,53 @@ class ClientSurge(ScenarioEvent):
         return f"client-surge(+{self.count})"
 
 
+@dataclass(frozen=True)
+class OnShard(ScenarioEvent):
+    """Apply a single-cluster scenario event to one shard.
+
+    The wrapped event's own ``at`` is ignored — the wrapper's ``at`` is the
+    schedule — so any event above composes unchanged (targets resolve
+    against the shard's config, e.g. ``"primary"`` is *that shard's* current
+    primary).  ``ClientSurge`` must not be wrapped: an unrouted client would
+    aim every key at one shard, so the per-shard pools refuse to spawn;
+    surge the sharded deployment itself.
+    """
+
+    shard: int = 0
+    event: Optional[ScenarioEvent] = None
+
+    def apply(self, deployment: ShardedDeployment) -> None:
+        if self.event is None:
+            raise ValueError("OnShard needs a wrapped event")
+        self.event.apply(deployment.shards[self.shard])
+
+    @property
+    def label(self) -> str:
+        inner = self.event.label if self.event is not None else "?"
+        return f"s{self.shard}:{inner}"
+
+
+@dataclass(frozen=True)
+class IsolateShard(ScenarioEvent):
+    """Cut one shard's replicas off from every other node, clients included.
+
+    Cross-shard transactions touching the shard stall in prepare (and, with
+    a coordinator timeout, abort); single-shard traffic for the other
+    shards must keep flowing.  Replaces any existing partition.
+    """
+
+    shard: int = 0
+
+    def apply(self, deployment: ShardedDeployment) -> None:
+        isolated = set(deployment.shards[self.shard].replicas)
+        everyone_else = set(deployment.all_node_ids()) - isolated
+        deployment.network.conditions.partition(isolated, everyone_else)
+
+    @property
+    def label(self) -> str:
+        return f"isolate-shard({self.shard})"
+
+
 __all__ = [
     "ScenarioEvent",
     "Crash",
@@ -320,5 +381,7 @@ __all__ = [
     "ClearLinkDegradation",
     "ModeSwitch",
     "ClientSurge",
+    "OnShard",
+    "IsolateShard",
     "resolve_target",
 ]

@@ -20,13 +20,19 @@ claims:
   correct replica that executed it (:class:`ExactlyOnceExecution`);
 * stable checkpoint digests agree across correct replicas
   (:class:`CheckpointAgreement`).
+
+A sharded deployment is held to the same four on every shard
+(:class:`PerShardInvariants`) and to the two-phase protocol's contract
+across them: no shard commits a transaction another shard aborted
+(:class:`CrossShardAtomicity`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from repro.cluster.deployment import ClientDriven, Deployment
+from repro.shard.deployment import ShardedDeployment
 from repro.smr.ledger import find_safety_violations
 
 
@@ -34,8 +40,8 @@ class InvariantChecker:
     """Base class; subclasses override any of the three hooks.
 
     The deployment is whatever the scenario built: one cluster or a
-    sharded deployment (see :mod:`repro.scenarios.sharded` for the checkers
-    that only make sense on the latter).
+    sharded deployment (:class:`PerShardInvariants` and
+    :class:`CrossShardAtomicity` only make sense on the latter).
     """
 
     name = "invariant"
@@ -270,6 +276,56 @@ def default_checkers() -> List[InvariantChecker]:
     ]
 
 
+class PerShardInvariants(InvariantChecker):
+    """Run the full single-cluster checker set independently on every shard.
+
+    Committed-prefix agreement, exactly-once execution, and checkpoint
+    agreement are all *per-shard* properties — each shard is its own
+    replicated state machine — so each shard gets a fresh checker set and
+    violations are reported with the shard index.
+    """
+
+    name = "per-shard-invariants"
+
+    def __init__(self, checker_factory=default_checkers) -> None:
+        self._checker_factory = checker_factory
+        self._checkers: Dict[int, List[InvariantChecker]] = {}
+
+    def attach(self, deployment: ShardedDeployment) -> None:
+        for index, shard in enumerate(deployment.shards):
+            self._checkers[index] = list(self._checker_factory())
+            for checker in self._checkers[index]:
+                checker.attach(shard)
+
+    def _collect(self, deployment: ShardedDeployment, hook: Callable) -> List[str]:
+        return [
+            f"shard {index} [{checker.name}] {violation}"
+            for index, shard in enumerate(deployment.shards)
+            for checker in self._checkers.get(index, ())
+            for violation in hook(checker, shard)
+        ]
+
+    def check(self, deployment: ShardedDeployment) -> List[str]:
+        return self._collect(deployment, lambda checker, shard: checker.check(shard))
+
+    def finalize(self, deployment: ShardedDeployment) -> List[str]:
+        return self._collect(deployment, lambda checker, shard: checker.finalize(shard))
+
+
+class CrossShardAtomicity(InvariantChecker):
+    """No shard commits a cross-shard transaction another shard aborted.
+
+    Checked continuously — a transient split-decision that some later
+    repair would paper over is still caught at the sample closest to the
+    moment it happened.
+    """
+
+    name = "cross-shard-atomicity"
+
+    def check(self, deployment: ShardedDeployment) -> List[str]:
+        return deployment.atomicity_violations()
+
+
 __all__ = [
     "InvariantChecker",
     "CommittedPrefixAgreement",
@@ -277,4 +333,6 @@ __all__ = [
     "ExactlyOnceExecution",
     "CheckpointAgreement",
     "default_checkers",
+    "PerShardInvariants",
+    "CrossShardAtomicity",
 ]

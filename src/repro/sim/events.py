@@ -88,7 +88,7 @@ class EventQueue:
     def __init__(self) -> None:
         # Entries are ``(time, seq, Event)`` for cancellable events and
         # ``(time, seq, callable, args)`` for fire-and-forget callbacks; see
-        # push_action.  ``seq`` is unique, so tuple comparison never reaches
+        # Simulator.defer.  ``seq`` is unique, so tuple comparison never reaches
         # the third element and the two shapes can share one heap.
         self._heap: List[Tuple[float, int, Any]] = []
         self._counter = 0
@@ -120,24 +120,10 @@ class EventQueue:
         heapq.heappush(self._heap, (time, event.seq, event))
         return event
 
-    def push_action(self, time: float, action: Callable[..., None], args: tuple = ()) -> None:
-        """Insert a fire-and-forget callback without the :class:`Event` shell.
-
-        The overwhelming majority of events — CPU work completions, network
-        arrivals — are never cancelled and never inspected, so the heap
-        stores their bare callable plus its argument tuple.  Carrying the
-        arguments in the heap entry (instead of a ``functools.partial``)
-        saves one object allocation and one indirect call per scheduled
-        event.  Use :meth:`push` whenever the caller may need to cancel.
-        """
-        self._counter += 1
-        self._live += 1
-        heapq.heappush(self._heap, (time, self._counter - 1, action, args))
-
     def pop(self) -> Optional[Event]:
         """Remove and return the earliest non-cancelled event, or ``None``.
 
-        Bare callbacks pushed via :meth:`push_action` are wrapped in a
+        Bare callbacks pushed by ``Simulator.defer`` are wrapped in a
         fired :class:`Event` so every caller sees one interface.
         """
         heap = self._heap
@@ -160,39 +146,6 @@ class EventQueue:
             )
             event.fired = True
             return event
-        return None
-
-    def pop_due(self, until: Optional[float]) -> Optional[Tuple[float, Callable[[], None]]]:
-        """Pop the earliest live ``(time, action)`` firing at or before ``until``.
-
-        Returns ``None`` when the queue is empty *or* the next live event
-        fires after ``until`` (callers distinguish via :meth:`peek_time`,
-        which is O(1) right after this returns ``None``).  This is the event
-        loop's single heap operation per iteration — a separate
-        peek-then-pop would sift the heap twice per event.
-        """
-        heap = self._heap
-        while heap:
-            entry = heap[0]
-            time = entry[0]
-            payload = entry[2]
-            if payload.__class__ is Event:
-                if payload.cancelled:
-                    heapq.heappop(heap)
-                    self._cancelled_in_heap -= 1
-                    continue
-                if until is not None and time > until:
-                    return None
-                heapq.heappop(heap)
-                payload.fired = True
-                self._live -= 1
-                return (time, payload.action)
-            if until is not None and time > until:
-                return None
-            heapq.heappop(heap)
-            self._live -= 1
-            args = entry[3]
-            return (time, partial(payload, *args) if args else payload)
         return None
 
     def peek_time(self) -> Optional[float]:
@@ -236,15 +189,6 @@ class EventQueue:
         ]
         heapq.heapify(self._heap)
         self._cancelled_in_heap = 0
-
-    def note_cancelled(self) -> None:
-        """Backward-compatibility no-op.
-
-        Accounting now happens inside :meth:`cancel` (which
-        :meth:`Event.cancel` routes through), so the legacy two-step
-        protocol — ``event.cancel(); queue.note_cancelled()`` — must not
-        decrement a second time.
-        """
 
     def _maybe_compact(self) -> None:
         heap_size = len(self._heap)

@@ -75,8 +75,8 @@ class Simulator:
     randomness, so a run is a pure function of its inputs.
     """
 
-    def __init__(self, start_time: float = 0.0) -> None:
-        self._clock = Clock(start_time)
+    def __init__(self) -> None:
+        self._clock = Clock()
         self._queue = EventQueue()
         self._events_processed = 0
         self._running = False
@@ -116,8 +116,8 @@ class Simulator:
         """
         if delay < 0:
             raise ValueError(f"cannot schedule an event in the past: delay={delay}")
-        # Inlined EventQueue.push_action: this is called once per CPU work
-        # item and once per network delivery, so the extra frame matters.
+        # The heap push is inlined: this is called once per CPU work item
+        # and once per network delivery, so an extra frame matters.
         queue = self._queue
         seq = queue._counter
         queue._counter = seq + 1
@@ -161,10 +161,11 @@ class Simulator:
         self._running = True
         processed_this_call = 0
         # Local bindings shave attribute lookups off the per-event path —
-        # this loop is the single hottest code in the repository.  The body
-        # of EventQueue.pop_due and Clock.advance_to is inlined here (heap
-        # pop order guarantees monotone times, so the advance needs no
-        # check); compaction mutates the heap list in place, so the local
+        # this loop is the single hottest code in the repository.  The
+        # peek-and-pop and Clock.advance_to are inlined here (heap pop order
+        # guarantees monotone times, so the advance needs no check; one heap
+        # operation per event, where a separate peek then pop would sift
+        # twice); compaction mutates the heap list in place, so the local
         # binding stays valid across auto-compactions.
         queue = self._queue
         clock = self._clock

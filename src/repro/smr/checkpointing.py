@@ -7,6 +7,9 @@ is a checkpoint certificate; in the Peacock mode (as in PBFT) a checkpoint
 becomes stable once matching checkpoint messages from a quorum of proxies
 are received.  A stable checkpoint lets the replica discard all protocol
 messages at or below its sequence number.
+
+The PBFT-style baselines certify checkpoints the Peacock way, so the vote
+table lives here, below both ``core`` and ``baselines``.
 """
 
 from __future__ import annotations

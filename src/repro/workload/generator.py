@@ -15,7 +15,6 @@ from typing import TYPE_CHECKING, Callable, Optional, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (shard -> workload)
     from repro.shard.partition import Partitioner
-    from repro.workload.openloop import ArrivalProcess
 
 from repro.smr.state_machine import (
     KeyValueStore,
@@ -33,9 +32,8 @@ class WorkloadSpec:
     """One declarative description of any workload this repo can generate.
 
     The single entry point :meth:`Workload.build` turns a spec into the
-    right :class:`Workload` subclass: payload sizes, key distribution,
-    cross-shard fraction, and — for open-loop populations — the arrival
-    model, all in one dataclass.
+    right :class:`Workload` subclass: payload sizes, key distribution and
+    cross-shard fraction, all in one dataclass.
 
     Attributes:
         kind: ``"micro"`` (payload-only no-op service), ``"kv"``
@@ -48,10 +46,6 @@ class WorkloadSpec:
         key_space / value_size / read_fraction / seed / key_distribution /
             zipf_theta: key-value knobs (``kv`` and ``sharded-kv``).
         cross_shard_fraction / txn_size / partitioner: sharded knobs.
-        arrival: optional :class:`~repro.workload.openloop.ArrivalProcess`
-            describing open-loop offered load.  The workload itself is
-            arrival-agnostic; open-loop runners read this field off the
-            spec to build the :class:`~repro.workload.openloop.ClientPopulation`.
     """
 
     kind: str = "micro"
@@ -68,7 +62,6 @@ class WorkloadSpec:
     cross_shard_fraction: float = 0.1
     txn_size: int = 2
     partitioner: Optional["Partitioner"] = None
-    arrival: Optional["ArrivalProcess"] = None
 
     @classmethod
     def micro(cls, name: str, **overrides) -> "WorkloadSpec":

@@ -374,23 +374,19 @@ class TestAcceptanceCycle:
     violations, and the oscillating-attacker scenario shows no flapping."""
 
     def test_full_escalate_deescalate_cycle_with_zero_violations(self):
-        from repro.scenarios.adaptive import (
-            DEESCALATE_AFTER_QUIET_PERIOD,
-            run_adaptive_scenario,
-        )
+        from repro.scenarios import run_scenario
+        from repro.scenarios.adaptive import DEESCALATE_AFTER_QUIET_PERIOD
 
-        result = run_adaptive_scenario(DEESCALATE_AFTER_QUIET_PERIOD, mode=Mode.LION)
+        result = run_scenario(DEESCALATE_AFTER_QUIET_PERIOD, Mode.LION)
         result.assert_ok()
         assert result.invariant_violations == {}
         assert result.final_modes == ("LION",)
 
     def test_oscillating_attacker_must_not_flap(self):
-        from repro.scenarios.adaptive import (
-            OSCILLATING_ATTACKER_MUST_NOT_FLAP,
-            run_adaptive_scenario,
-        )
+        from repro.scenarios import run_scenario
+        from repro.scenarios.adaptive import OSCILLATING_ATTACKER_MUST_NOT_FLAP
 
-        result = run_adaptive_scenario(OSCILLATING_ATTACKER_MUST_NOT_FLAP, mode=Mode.LION)
+        result = run_scenario(OSCILLATING_ATTACKER_MUST_NOT_FLAP, Mode.LION)
         result.assert_ok()
         assert result.invariant_violations == {}
 

@@ -11,6 +11,7 @@ import dataclasses
 
 import pytest
 
+from repro.scenarios import run_scenario
 from repro.scenarios.adaptive import (
     ADAPTIVE_SCENARIOS,
     CONTROLLER_UNDER_VIEW_CHANGE_STORM,
@@ -18,7 +19,6 @@ from repro.scenarios.adaptive import (
     ESCALATE_ON_EQUIVOCATION,
     OSCILLATING_ATTACKER_MUST_NOT_FLAP,
     PER_SHARD_DIVERGENT_ENVIRONMENTS,
-    run_adaptive_scenario,
 )
 
 pytestmark = [pytest.mark.adaptive, pytest.mark.integration]
@@ -27,10 +27,7 @@ pytestmark = [pytest.mark.adaptive, pytest.mark.integration]
 @pytest.fixture(scope="module")
 def library_results():
     """Run the single-cluster adaptive library once; tests assert on the cache."""
-    return {
-        name: run_adaptive_scenario(scenario)
-        for name, scenario in ADAPTIVE_SCENARIOS.items()
-    }
+    return {name: run_scenario(scenario) for name, scenario in ADAPTIVE_SCENARIOS.items()}
 
 
 class TestAdaptiveScenarioLibrary:
@@ -73,7 +70,7 @@ class TestAdaptiveScenarioLibrary:
 
 class TestPerShardDivergence:
     def test_only_the_attacked_shard_escalates(self):
-        result = run_adaptive_scenario(PER_SHARD_DIVERGENT_ENVIRONMENTS)
+        result = run_scenario(PER_SHARD_DIVERGENT_ENVIRONMENTS)
         result.assert_ok()
         assert result.mode == "lion/lion"
         assert result.final_modes == ("LION", "PEACOCK")
@@ -84,7 +81,7 @@ class TestPerShardDivergence:
         # With no attacker nothing escalates: the attacked shard's
         # expectation fails (and says which shard), the clean shard's hold.
         quiet = dataclasses.replace(PER_SHARD_DIVERGENT_ENVIRONMENTS, events=(), duration=0.3)
-        result = run_adaptive_scenario(quiet)
+        result = run_scenario(quiet)
         assert result.invariant_violations == {}
         assert len(result.expectation_failures) == 1
         assert result.expectation_failures[0].startswith(

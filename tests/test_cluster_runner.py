@@ -8,13 +8,12 @@ from repro.cluster import (
     build_seemore,
     build_upright,
     run_deployment,
-    run_timeline,
     sweep_clients,
 )
 from repro.cluster.runner import peak_throughput
 from repro.core import Mode
-from repro.faults import FaultPlan
 from repro.net.topology import Cloud
+from repro.scenarios import Crash, Scenario, run_scenario
 
 
 class TestBuilders:
@@ -62,7 +61,6 @@ class TestRunDeployment:
         assert result.throughput > 0
         assert result.latency.mean > 0
         assert result.duration == pytest.approx(0.4, rel=0.01)
-        assert result.safety_violations == 0
 
     def test_run_result_row_has_paper_units(self):
         deployment = build_seemore(num_clients=2, seed=3)
@@ -98,18 +96,25 @@ class TestRunDeployment:
         assert [r.clients for r in results] == [1, 2, 4]
 
 
-class TestRunTimeline:
+class TestTimelineOfAScenario:
+    """Figure 4's shape: a schedule on the engine, then the metrics' timeline."""
+
     def test_timeline_has_expected_bins(self):
         deployment = build_seemore(num_clients=2, seed=4)
-        bins = run_timeline(deployment, duration=0.3, bin_width=0.05)
+        steady = Scenario("steady", "no faults", duration=0.3, settle=0.0)
+        run_scenario(steady, deployment=deployment)
+        bins = deployment.metrics.timeline(bin_width=0.05, start=0.0, end=0.3)
         assert len(bins) == 6
         assert any(rate > 0 for _, rate in bins)
 
-    def test_fault_plan_is_applied(self):
+    def test_the_crash_is_applied(self):
         deployment = build_seemore(num_clients=2, seed=4, client_timeout=0.1)
         config = deployment.extras["config"]
-        plan = FaultPlan().crash_primary_at(0.1)
-        bins = run_timeline(deployment, duration=0.8, bin_width=0.05, fault_schedule=list(plan))
+        scenario = Scenario(
+            "crash", "primary crashes", events=(Crash(at=0.1),), duration=0.8, settle=0.0
+        )
+        run_scenario(scenario, deployment=deployment).assert_ok()
+        bins = deployment.metrics.timeline(bin_width=0.05, start=0.0, end=0.8)
         primary = deployment.replicas[config.primary_of_view(0, Mode.LION)]
         assert primary.crashed
         # Throughput dips around the crash and recovers afterwards.

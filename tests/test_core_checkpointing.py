@@ -4,7 +4,7 @@ import pytest
 
 from repro.cluster import build_seemore, run_deployment
 from repro.core import Mode
-from repro.core.checkpointing import CheckpointManager
+from repro.smr.checkpointing import CheckpointManager
 from repro.workload import Workload
 
 

@@ -62,8 +62,8 @@ class TestCancelAccounting:
         assert len(fired) == 2
 
     def test_bare_event_cancel_routes_through_queue_accounting(self):
-        """Event.cancel() alone (no note_cancelled) must keep counts exact
-        and still feed auto-compaction."""
+        """Event.cancel() alone must keep counts exact and still feed
+        auto-compaction."""
         simulator = Simulator()
         events = [simulator.call_later(1.0, lambda: None) for _ in range(10_000)]
         for event in events[:-1]:
@@ -73,14 +73,6 @@ class TestCancelAccounting:
         queue = simulator._queue
         assert queue.cancelled_in_heap >= 0
         assert queue.heap_size <= 2 * _COMPACT_MIN_HEAP  # compaction fired
-
-    def test_legacy_cancel_plus_note_cancelled_does_not_double_count(self):
-        queue = EventQueue()
-        event = queue.push(1.0, lambda: None)
-        queue.push(2.0, lambda: None)
-        event.cancel()
-        queue.note_cancelled()  # legacy two-step protocol
-        assert len(queue) == 1
 
     def test_fast_path_events_count_and_fire(self):
         simulator = Simulator()

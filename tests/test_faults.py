@@ -6,7 +6,6 @@ from repro.cluster import build_seemore
 from repro.core import Mode
 from repro.faults import (
     BYZANTINE_STRATEGIES,
-    FaultPlan,
     crash_primary,
     crash_replica,
     make_byzantine,
@@ -81,36 +80,3 @@ class TestByzantineHelpers:
         victim.send(config.private_replicas[0], "anything")
         deployment.simulator.run(until=0.01)
         assert deployment.network.messages_offered == before
-
-
-class TestFaultPlan:
-    def test_plan_orders_by_time(self):
-        plan = FaultPlan()
-        plan.crash_primary_at(0.5)
-        plan.crash_at(0.1, "replica-x")
-        times = [time for time, _ in plan]
-        assert times == sorted(times)
-        assert len(plan) == 2
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            FaultPlan().crash_primary_at(-1.0)
-
-    def test_byzantine_and_partition_actions(self, deployment):
-        plan = (
-            FaultPlan()
-            .byzantine_at(0.0, deployment.extras["config"].public_replicas[0], "silent")
-            .partition_at(0.0, {"a"}, {"b"})
-            .heal_partition_at(0.0)
-        )
-        for _, action in plan:
-            action(deployment)
-        assert deployment.extras["config"].public_replicas[0] in deployment.faulty_replicas
-
-    def test_recover_action(self, deployment):
-        config = deployment.extras["config"]
-        victim = config.private_replicas[1]
-        plan = FaultPlan().crash_at(0.0, victim).recover_at(0.0, victim)
-        for _, action in plan:
-            action(deployment)
-        assert not deployment.replicas[victim].crashed

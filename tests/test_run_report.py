@@ -25,7 +25,6 @@ def _run_result(**overrides):
         throughput=100.0,
         latency=_latency(),
         client_timeouts=0,
-        safety_violations=0,
     )
     kwargs.update(overrides)
     return RunResult(**kwargs)
@@ -99,7 +98,6 @@ class TestOneRow:
         assert row["transactions_started"] == 5
         assert row["transactions_committed"] == 4
         assert row["transactions_aborted"] == 1
-        assert row["atomicity_violations"] == 0
 
     def test_open_loop_section_separates_offered_from_served(self):
         result = _open_loop_result()
@@ -111,10 +109,9 @@ class TestOneRow:
         # numbers with two names.
         assert row["completed"] == 380 and result.served == 300
 
-    def test_violations_total_every_kind(self):
-        assert _run_result(safety_violations=2).as_row()["violations"] == 2
-        sharded = _sharded_result(safety_violations=1, atomicity_violations=2)
-        assert sharded.as_row()["violations"] == 3
+    def test_a_proc_row_totals_deaths_and_errors(self):
+        # A RunResult exists only for a run that upheld safety (the runner
+        # raises otherwise), so its row can count a violated SLO and no more.
         assert _proc_result(deaths=["w1"], errors=["boom"]).as_row()["violations"] == 2
 
     def test_a_violated_slo_counts_as_a_violation(self):
@@ -141,8 +138,9 @@ class TestFormattingRuns:
         assert "VIOLATIONS" not in text
 
     def test_flags_violations(self):
-        text = format_run_report([_run_result(safety_violations=3), _proc_result(deaths=["w0"])])
-        assert "VIOLATIONS: seemore-lion reported 3 violation(s)" in text
+        violated = SloEvaluation(spec=SloSpec(bound=0.05), bins=4, violating_bins=2, worst=0.2)
+        text = format_run_report([_open_loop_result(slo=violated), _proc_result(deaths=["w0"])])
+        assert "VIOLATIONS: seemore-lion reported 1 violation(s)" in text
         assert "VIOLATIONS: proc reported 1 violation(s)" in text
 
     def test_empty(self):

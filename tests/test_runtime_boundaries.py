@@ -23,7 +23,9 @@ cursor object (a ``Reader`` class, a ``.take(n)`` call) may reappear under
 ``src/repro``.  The agreement engines share one skeleton: the no-op filler,
 the baselines' request intake and view change, and the Dog / Peacock inform
 leg are each defined in one module, and no replica keeps a table of the
-requests it has seen.
+requests it has seen.  And there is one scenario declaration: one class
+under ``scenarios/`` builds a deployment, its entry points take no
+``**overrides``, and the retired second vocabularies stay retired.
 """
 
 import ast
@@ -163,8 +165,8 @@ class TestAioDataPathIsCallbacks:
     ``asyncio.Queue``, the ``start_server`` / ``open_connection`` stream
     pair, ``drain()`` and a ``sleep(0)`` yield are how the data path once
     paid a task wake-up (or several) per message; none may come back to
-    either TCP backend.  ``asyncio.sleep(poll)`` in the ``until`` loops is
-    not on the data path and stays.
+    either TCP backend.  ``asyncio.sleep(UNTIL_POLL_S)`` in the ``until``
+    loops is not on the data path and stays.
     """
 
     BACKENDS = (SRC / "runtime" / "aio.py", SRC / "runtime" / "proc.py")
@@ -533,6 +535,111 @@ class TestOneRunLoopOneResult:
             "finalize": {"second.py:run_second_engine"},
             "schedule": {"second.py:run_second_engine"},
         }
+
+
+#: The declarations and runners folded into ``Scenario`` / ``run_scenario``.
+RETIRED_SCENARIO_NAMES = {
+    "ShardedScenario",
+    "OpenLoopScenario",
+    "FaultPlan",
+    "run_timeline",
+    "run_adaptive_scenario",
+}
+SCENARIO_RUNNERS = {"run_scenario", "run_scenario_matrix"}
+
+
+def scenario_sites(path):
+    """Yield ``(lineno, what)`` for everything the one-scenario rule watches in ``path``.
+
+    A class that defines ``build`` (and whether that takes ``**kwargs``), a
+    scenario runner that takes ``**kwargs``, and every definition or import
+    of a retired name.
+    """
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and member.name == "build":
+                    yield member.lineno, f"{node.name} defines build"
+                    if member.args.kwarg is not None:
+                        yield member.lineno, f"{node.name}.build takes **{member.args.kwarg.arg}"
+        elif isinstance(node, ast.FunctionDef):
+            if node.name in SCENARIO_RUNNERS and node.args.kwarg is not None:
+                yield node.lineno, f"{node.name} takes **{node.args.kwarg.arg}"
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            if node.name in RETIRED_SCENARIO_NAMES:
+                yield node.lineno, f"defines {node.name}"
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if alias.name in RETIRED_SCENARIO_NAMES:
+                    yield node.lineno, f"imports {alias.name}"
+
+
+class TestOneScenario:
+    """One scenario type, one way to vary it, one way to put a fault on a clock.
+
+    Exactly one class under ``scenarios/`` defines ``build`` (``Scenario``,
+    in ``engine.py``); ``Scenario.build``, ``run_scenario`` and
+    ``run_scenario_matrix`` take no ``**kwargs`` (a frozen dataclass is varied
+    with ``dataclasses.replace``); and nothing under ``src/repro`` defines or
+    imports ``ShardedScenario``, ``OpenLoopScenario``, ``FaultPlan``,
+    ``run_timeline`` or ``run_adaptive_scenario``.  Against the tree before
+    the fold (commit ``c0eb3de``) ``offenders`` lists 17 sites: 2 second
+    ``build`` classes, 4 ``**overrides``, and 5 definitions and 6 imports of
+    the retired names, at least one per name.
+    """
+
+    OWNER = (Path("scenarios") / "engine.py", "Scenario defines build")
+
+    def offenders(self, root):
+        found = []
+        for path in sorted(root.rglob("*.py")):
+            relative = path.relative_to(root)
+            for lineno, what in sorted(scenario_sites(path)):
+                if what.endswith(" defines build") and (
+                    relative.parts[0] != "scenarios" or (relative, what) == self.OWNER
+                ):
+                    continue  # SeeMoReConfig.build, Workload.build ... are not scenarios
+                if ".build takes" in what and relative.parts[0] != "scenarios":
+                    continue
+                found.append(f"{relative}:{lineno} {what}")
+        return found
+
+    def test_one_class_builds_and_nothing_takes_overrides(self):
+        assert self.offenders(SRC) == []
+        owner, what = self.OWNER
+        assert what in {site for _, site in scenario_sites(SRC / owner)}
+
+    def test_the_rule_catches_a_second_scenario_class(self, tmp_path):
+        (tmp_path / "scenarios").mkdir()
+        (tmp_path / "scenarios" / "sharded.py").write_text(
+            "from repro.faults.adversary import FaultPlan\n"
+            "class ShardedScenario:\n"
+            "    def build(self, mode=None, **overrides):\n"
+            "        return build_sharded_seemore(**overrides)\n"
+            "def run_adaptive_scenario(scenario, mode=None, **overrides):\n"
+            "    return run_scenario(scenario, mode, **overrides)\n"
+        )
+        (tmp_path / "scenarios" / "engine.py").write_text(
+            "class Scenario:\n"
+            "    def build(self, mode=None):\n"
+            "        return build_seemore(mode=mode)\n"
+            "def run_scenario(scenario, mode=None, **overrides):\n"
+            "    return scenario.build(mode, **overrides)\n"
+        )
+        (tmp_path / "core").mkdir()
+        (tmp_path / "core" / "config.py").write_text(
+            "class SeeMoReConfig:\n"
+            "    def build(cls, c, m, **overrides):\n"
+            "        return cls(**overrides)\n"
+        )
+        assert self.offenders(tmp_path) == [
+            "scenarios/engine.py:4 run_scenario takes **overrides",
+            "scenarios/sharded.py:1 imports FaultPlan",
+            "scenarios/sharded.py:2 defines ShardedScenario",
+            "scenarios/sharded.py:3 ShardedScenario defines build",
+            "scenarios/sharded.py:3 ShardedScenario.build takes **overrides",
+            "scenarios/sharded.py:5 defines run_adaptive_scenario",
+        ]
 
 
 #: Defined once under ``baselines/``, in the skeleton.

@@ -311,12 +311,12 @@ class TestEngine:
         result.assert_ok()
         assert result.final_modes == ("PEACOCK",)
 
-    def test_matrix_rejects_shared_checker_instances(self):
-        from repro.scenarios import default_checkers, run_scenario_matrix
-
-        with pytest.raises(TypeError, match="checker_factory"):
-            run_scenario_matrix([SCENARIOS["silent-byzantine-proxy"]],
-                                checkers=default_checkers())
+    def test_without_checkers_nothing_is_sampled(self):
+        scenario = Scenario(name="steady", description="no faults", duration=0.2)
+        sampled = run_scenario(scenario, Mode.LION)
+        bare = run_scenario(scenario, Mode.LION, checkers=())
+        assert bare.completed == sampled.completed > 0
+        assert bare.events_processed < sampled.events_processed
 
     def test_report_formatting(self):
         result = run_scenario(SCENARIOS["silent-byzantine-proxy"], Mode.LION)

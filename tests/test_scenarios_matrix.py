@@ -17,7 +17,12 @@ that sharded scenarios heal with the ordinary ``HealPartition`` event.
 tree.)  The ``COMPLETION_TRACED`` leg also carries ``completions`` (every
 client's completed timestamps in order and the send/completion times of
 its first 20), added from commit ``7c3ab73``, before ``ShardedClient``
-became a ``Client`` with one session per shard.
+became a ``Client`` with one session per shard.  The file did not change
+when the three scenario classes became the one ``Scenario``.
+
+Beside the golden legs, the schedule of a scenario runs against the three
+baseline protocols (a pre-built ``deployment=``), and one ``seed`` re-seeds
+every stream of a run.
 
 The matrix is deliberately *not* marked ``slow`` — it is the acceptance
 surface for fault behaviour (``pytest tests/test_scenarios*.py -m "not
@@ -28,19 +33,24 @@ adaptive and open-loop legs also carry their library's marker.
 
 import json
 import pathlib
+from dataclasses import replace
 
 import pytest
 
-from repro.cluster import build_seemore, build_sharded_seemore, run_deployment
+from repro.cluster import build_seemore, build_sharded_seemore, builder_for, run_deployment
 from repro.cluster.runner import run_open_loop
 from repro.core import Mode
-from repro.scenarios import SCENARIOS, SHARDED_SCENARIOS, run_scenario, run_scenario_matrix
-from repro.scenarios.adaptive import (
-    ADAPTIVE_SCENARIOS,
-    LIBRARY_POLICY,
-    PER_SHARD_DIVERGENT_ENVIRONMENTS,
+from repro.scenarios import (
+    SCENARIOS,
+    SHARDED_SCENARIOS,
+    Crash,
+    Scenario,
+    ViewAdvanced,
+    run_scenario,
+    run_scenario_matrix,
 )
-from repro.scenarios.openloop import OPEN_LOOP_SCENARIOS
+from repro.scenarios.adaptive import ADAPTIVE_SCENARIOS, PER_SHARD_DIVERGENT_ENVIRONMENTS
+from repro.scenarios.openloop import OPEN_LOOP_SCENARIOS, SURGE_ADMISSION_ON
 from repro.workload import Workload, WorkloadSpec
 from repro.workload.openloop import ClientPopulation, PoissonArrivals
 from test_cluster_construction import completion_trace
@@ -59,20 +69,20 @@ COMPLETION_TRACED = {"primary-crash-mid-batch[lion]"}
 
 
 def _legs():
-    """``golden key -> (scenario, mode, builder overrides, pytest marks)``."""
+    """``golden key -> (scenario, mode, pytest marks)``."""
     legs = {
-        f"{name}[{mode.name.lower()}]": (scenario, mode, {}, ())
+        f"{name}[{mode.name.lower()}]": (scenario, mode, ())
         for name, scenario in SCENARIOS.items()
         for mode in MODES
     }
     for name, scenario in SHARDED_SCENARIOS.items():
-        legs[name] = (scenario, None, {}, (pytest.mark.shard,))
+        legs[name] = (scenario, None, (pytest.mark.shard,))
     adaptive = dict(ADAPTIVE_SCENARIOS)
     adaptive[PER_SHARD_DIVERGENT_ENVIRONMENTS.name] = PER_SHARD_DIVERGENT_ENVIRONMENTS
     for name, scenario in adaptive.items():
-        legs[name] = (scenario, None, {"adaptive": LIBRARY_POLICY}, (pytest.mark.adaptive,))
+        legs[name] = (scenario, None, (pytest.mark.adaptive,))
     for name, scenario in OPEN_LOOP_SCENARIOS.items():
-        legs[name] = (scenario, None, {}, (pytest.mark.openloop,))
+        legs[name] = (scenario, None, (pytest.mark.openloop,))
     return legs
 
 
@@ -108,8 +118,8 @@ def scenario_record(result, clients=None):
 
 def run_leg(key):
     """Run one leg; returns its result and its golden record."""
-    scenario, mode, overrides, _ = LEGS[key]
-    deployment = scenario.build(mode, **overrides)
+    scenario, mode, _ = LEGS[key]
+    deployment = scenario.build(mode)
     result = run_scenario(scenario, mode, deployment=deployment)
     clients = deployment.clients if key in COMPLETION_TRACED else None
     return result, scenario_record(result, clients)
@@ -186,7 +196,7 @@ def test_golden_covers_exactly_the_libraries(golden):
 
 
 @pytest.mark.parametrize(
-    "key", [pytest.param(key, marks=leg[3], id=key) for key, leg in LEGS.items()]
+    "key", [pytest.param(key, marks=leg[2], id=key) for key, leg in LEGS.items()]
 )
 def test_scenario_matrix(key, golden):
     scenario = LEGS[key][0]
@@ -205,36 +215,76 @@ def test_measured_runs_match_golden(key, golden):
     assert run_record(*MEASURED_RUNS[key]()) == golden[key]
 
 
-class TestMatrixRejectsSharedCheckers:
+class TestMatrixChecksEachLegAfresh:
     """Checker instances are stateful and single-run, for every scenario kind."""
 
-    @pytest.mark.parametrize(
-        "scenarios, modes",
-        [
-            (list(SCENARIOS.values())[:1], (Mode.LION,)),
-            (list(SHARDED_SCENARIOS.values())[:1], (None,)),
-            (list(OPEN_LOOP_SCENARIOS.values())[:1], (None,)),
-        ],
-        ids=["single", "sharded", "open-loop"],
-    )
-    def test_checkers_keyword_is_rejected(self, scenarios, modes):
-        with pytest.raises(TypeError, match="checker_factory"):
-            run_scenario_matrix(scenarios, modes=modes, checkers=[])
+    def test_the_matrix_takes_a_factory_not_instances(self):
+        with pytest.raises(TypeError, match="checkers"):
+            run_scenario_matrix(list(SCENARIOS.values())[:1], modes=(Mode.LION,), checkers=[])
 
     @pytest.mark.shard
     def test_checker_factory_is_called_once_per_sharded_leg(self):
         made = []
+        scenario = replace(SHARDED_SCENARIOS["shard-byzantine-backup-lies"], num_clients=1)
 
         def factory():
-            made.append(SHARDED_SCENARIOS["shard-byzantine-backup-lies"].default_checkers())
+            made.append(scenario.default_checkers())
             return made[-1]
 
-        scenario = SHARDED_SCENARIOS["shard-byzantine-backup-lies"]
-        results = run_scenario_matrix(
-            [scenario, scenario], modes=(None,), checker_factory=factory, num_clients=1
-        )
+        results = run_scenario_matrix([scenario, scenario], modes=(None,), checker_factory=factory)
         assert len(results) == len(made) == 2
         assert made[0][0] is not made[1][0]
+
+
+@pytest.mark.parametrize(
+    "protocol", ["cft", "bft", "s-upright"], ids=lambda name: f"{name}-primary-crash"
+)
+def test_the_engine_runs_a_schedule_against_a_baseline(protocol):
+    """Crash the primary of a protocol that has no modes and no clouds."""
+    scenario = Scenario(
+        name="baseline-primary-crash",
+        description="the primary crashes; the next view must serve",
+        events=(Crash(at=0.1),),
+        expectations=(ViewAdvanced(1),),
+        duration=0.5,
+    )
+    deployment = builder_for(protocol)(num_clients=2, seed=7, client_timeout=0.1)
+    result = run_scenario(scenario, deployment=deployment)
+    result.assert_ok()
+    assert result.protocol == protocol
+    assert (result.mode, result.final_modes) == ("", ())
+    assert result.max_view >= 1 and result.completed > 10
+    assert result.events_applied == [(0.1, "crash(primary)")]
+    # A role that needs clouds names itself instead of an AttributeError.
+    for target in ("public-backup", "private:1"):
+        with pytest.raises(KeyError, match=target):
+            Crash(at=0.0, target=target).apply(deployment)
+
+
+def _first_operations(deployment, count=5):
+    factory = deployment.clients[0].operation_factory
+    return [factory(timestamp) for timestamp in range(1, count + 1)]
+
+
+class TestOneSeed:
+    """``replace(scenario, seed=s)`` re-seeds every stream of the run."""
+
+    @pytest.mark.shard
+    def test_a_sharded_run_draws_other_keys_and_other_jitter(self):
+        scenario = SHARDED_SCENARIOS["mixed-mode-shards-under-load"]
+        builds = [scenario.build(), scenario.build(), replace(scenario, seed=11).build()]
+        same, again, other = (_first_operations(deployment) for deployment in builds)
+        assert same == again != other
+        same, again, other = (deployment.network._rng.random() for deployment in builds)
+        assert same == again != other
+
+    @pytest.mark.openloop
+    def test_the_surge_pair_takes_a_seed(self):
+        section = replace(SURGE_ADMISSION_ON.open_loop, warmup=0.1)
+        short = replace(SURGE_ADMISSION_ON, duration=0.5, open_loop=section)
+        first, second = (run_scenario(replace(short, seed=seed)).measured for seed in (7, 3))
+        assert first.offered > 0 and second.offered > 0
+        assert first.offered != second.offered
 
 
 if __name__ == "__main__":

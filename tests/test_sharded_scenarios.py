@@ -7,17 +7,18 @@ each sharded checker and expectation detects what it exists to detect.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from repro.core import Mode
 from repro.scenarios import (
+    SHARDED_BASE,
     SHARDED_SCENARIOS,
     CrossShardAtomicity,
     IsolateShard,
     NoForgedReplies,
     OnShard,
-    ShardedScenario,
     TransactionsAtLeast,
     run_scenario,
 )
@@ -27,7 +28,7 @@ from repro.smr.state_machine import Operation
 
 pytestmark = [pytest.mark.shard, pytest.mark.integration]
 
-PROBE = ShardedScenario(name="probe", description="", duration=0.2)
+PROBE = replace(SHARDED_BASE, name="probe", duration=0.2)
 
 
 class TestShardedScenarioLibrary:
@@ -55,12 +56,16 @@ class TestShardedScenarioLibrary:
         with pytest.raises(TypeError, match="mode per shard"):
             run_scenario(PROBE, Mode.DOG)
 
-    def test_a_prebuilt_deployment_excludes_builder_overrides(self):
+    def test_a_prebuilt_deployment_is_the_one_that_runs(self):
         deployment = PROBE.build()
-        with pytest.raises(TypeError, match="overrides"):
-            run_scenario(PROBE, deployment=deployment, num_clients=1)
         result = run_scenario(PROBE, deployment=deployment)
         assert result.completed == deployment.metrics.completed > 0
+
+    def test_admission_control_is_refused_on_shards(self):
+        from repro.core import AdmissionPolicy
+
+        with pytest.raises(ValueError, match="single-group"):
+            replace(PROBE, admission=AdmissionPolicy(max_outstanding=4)).build()
 
     def test_client_surge_spawns_routed_clients(self):
         deployment = PROBE.build()
@@ -72,11 +77,10 @@ class TestShardedScenarioLibrary:
 class TestShardedExpectations:
     def test_transaction_floors_are_ordinary_expectations(self):
         # No cross-shard traffic: neither a commit nor an abort can happen.
-        scenario = ShardedScenario(
+        scenario = replace(
+            PROBE,
             name="no-transactions",
-            description="",
-            duration=0.2,
-            cross_shard_fraction=0.0,
+            workload=replace(PROBE.workload, cross_shard_fraction=0.0),
             expectations=(TransactionsAtLeast("committed", 2), TransactionsAtLeast("aborted", 1)),
         )
         result = run_scenario(scenario)
@@ -86,7 +90,7 @@ class TestShardedExpectations:
             "only 0 cross-shard transactions aborted (expected >= 1)",
         ]
 
-    def test_default_expectation_is_one_committed_transaction(self):
+    def test_the_base_expects_one_committed_transaction(self):
         assert PROBE.expectations == (TransactionsAtLeast("committed", 1),)
 
 
@@ -107,10 +111,9 @@ class TestShardedCheckersDetect:
         assert "committed" in violations[0] and "aborted" in violations[0]
 
     def test_scenario_events_must_fire_within_the_duration(self):
-        scenario = ShardedScenario(
+        scenario = replace(
+            PROBE,
             name="late-event",
-            description="",
-            duration=0.2,
             events=(OnShard(at=0.5, shard=0, event=Crash(at=0.0, target="primary")),),
         )
         with pytest.raises(ValueError):
@@ -140,7 +143,7 @@ class TestNoForgedRepliesOnShards:
         Returns the deployment, the client, the request's timestamp, the
         owning shard, and the result the client accepted.
         """
-        deployment = PROBE.build(num_clients=1)
+        deployment = replace(PROBE, num_clients=1).build()
         checker.attach(deployment)
         deployment.start_clients()
         deployment.run(0.05)

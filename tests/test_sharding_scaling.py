@@ -32,7 +32,6 @@ def _committed_per_sim_second(num_shards: int) -> float:
         ),
     )
     result = run_deployment(deployment, duration=_DURATION, warmup=_WARMUP)
-    assert result.atomicity_violations == 0
     return result.completed / _DURATION
 
 

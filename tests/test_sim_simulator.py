@@ -57,7 +57,6 @@ class TestEventQueue:
         event = queue.push(1.0, lambda: None)
         queue.push(2.0, lambda: None)
         event.cancel()
-        queue.note_cancelled()
         popped = queue.pop()
         assert popped.time == 2.0
 
@@ -66,7 +65,6 @@ class TestEventQueue:
         event = queue.push(1.0, lambda: None)
         queue.push(5.0, lambda: None)
         event.cancel()
-        queue.note_cancelled()
         assert queue.peek_time() == 5.0
 
     def test_len_tracks_live_events(self):
@@ -75,7 +73,6 @@ class TestEventQueue:
         event = queue.push(2.0, lambda: None)
         assert len(queue) == 2
         event.cancel()
-        queue.note_cancelled()
         assert len(queue) == 1
 
     def test_empty_queue_pops_none(self):
