@@ -10,8 +10,9 @@ state-transfer snapshot.
 There is no task and no queue per message or per connection; the data path is
 plain callbacks, and one turn of the event loop (a *tick*) does, in order:
 
-1. **read** — each readable socket hands :class:`_Inbound` whatever arrived
-   in one ``data_received`` call;
+1. **read** — each readable socket is read into the runtime's one receive
+   buffer (``RECV_BUFFER_BYTES``; nothing of that size is allocated per read)
+   and :class:`_Inbound` gets a right-sized copy in one ``data_received`` call;
 2. **decode → deliver** — every complete length-prefixed envelope in that
    buffer is decoded and handed to ``node.deliver``, which queues it on the
    node's :class:`AioCpu`.  An envelope that does not decode is dropped and
@@ -23,7 +24,8 @@ plain callbacks, and one turn of the event loop (a *tick*) does, in order:
 4. **flush** — sends made during the slices were appended to their
    (src, dst) :class:`_Outbound` channel; one flush callback per tick joins
    each dirty channel's frames into **one** ``transport.write``.  A multicast
-   encodes its envelope once, not once per destination.
+   encodes its envelope once per variant (piggybacked payloads in full, or
+   referenced), not once per destination.
 
 Sender identity is authenticated per connection, mirroring the paper's
 pairwise authenticated channels: each (src, dst) pair uses a dedicated
@@ -32,7 +34,20 @@ arriving on it is attributed to that id.  Spoofing replica *j* would
 require writing on *j*'s connection.  A channel dials lazily on its first
 flush and buffers until the connection is up; when a connection is lost the
 next send dials again (what the kernel had not delivered is lost, as on any
-TCP reset — the protocols retransmit).
+TCP reset — the protocols retransmit), and a dial that fails makes the next
+one wait, ``REDIAL_DELAY_S`` doubling up to ``REDIAL_MAX_DELAY_S``.
+
+Two things are state of a *connection* and die with it.  The sender id, and
+a **payload table** (:class:`_PayloadTable`): a request or batch piggybacked
+on an envelope that went over this connection in full can afterwards ride as
+its 32-byte frame digest (Lion's ``COMMIT`` after its ``PREPARE``, a
+retransmission, a new view's re-proposals), and the receiver hands the
+handler the object it decoded the first time.  Both ends derive the table
+from the stream alone, by one rule.  A reference that resolves to nothing
+therefore means a peer that lies or has lost step; the listener hangs up as
+on an oversized length prefix, and the sender's next connection starts with
+an empty table at both ends.  No node ever sees an object another node's
+connection decoded.
 
 Differences from the sim backend, by design:
 
@@ -55,11 +70,11 @@ from __future__ import annotations
 import asyncio
 import struct
 import time
-from collections import Counter, deque
+from collections import Counter, OrderedDict, deque
 from functools import partial
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
-from repro.crypto.digest import digest_bytes
+from repro.crypto.digest import digest_bytes, digest_of
 from repro.crypto.signatures import Signature
 from repro.runtime.api import Cpu, Runtime, TimerHandle, Transport
 from repro.smr.messages import ProtocolMessage
@@ -92,6 +107,21 @@ CPU_SLICE_S = 0.0005
 #: under 1 %.
 UNTIL_POLL_S = 0.002
 
+#: The one buffer every connection of a runtime receives into.  The size is
+#: what asyncio's own transport asks ``recv`` for; left to allocate it per
+#: read, the runtime's CPU cost followed glibc's trimming of the heap top.
+RECV_BUFFER_BYTES = 256 * 1024
+
+#: Bounds of a connection's payload table (:class:`_PayloadTable`): how many
+#: piggybacked payloads, and how many bytes of their frames, stay referable.
+PAYLOAD_TABLE_ENTRIES = 256
+PAYLOAD_TABLE_BYTES = 1024 * 1024
+
+#: A channel whose dial failed waits this long before the next one, doubling
+#: up to the cap; what is sent meanwhile is dropped.
+REDIAL_DELAY_S = 0.01
+REDIAL_MAX_DELAY_S = 1.0
+
 #: First byte of every message blob; a blob of any other kind is rejected.
 _KIND_FRAME = b"\x01"
 
@@ -100,32 +130,103 @@ _ITEM_NONE = b"\x00"
 _ITEM_MESSAGE = b"\x01"  # a piggybacked request / batch: its own frame + items
 _ITEM_SIGNATURE = b"\x02"  # an inner client signature
 _ITEM_VALUE = b"\x03"  # a plain value (state-transfer snapshot)
+_ITEM_REF = b"\x04"  # a piggybacked payload this connection already carried: its digest
+
+#: Forms of a signature: absent, spelled out, or the 32 tag bytes alone when
+#: signer and digest are what the receiver derives anyway (``_pack_signature``).
+_SIG_NONE = b"\x00"
+_SIG_EXPLICIT = b"\x01"
+_SIG_COMPACT = b"\x02"
+
+
+class UnresolvedReference(ValueError):
+    """An ``_ITEM_REF`` names no payload of this connection: the peer lies or is out of step."""
+
+
+class _PayloadTable:
+    """What one connection has carried in full: frame digest -> message.
+
+    Both ends apply the same rule to the same ordered stream — insert every
+    piggybacked payload of an envelope that went in full, oldest out first
+    past either bound — so they hold the same keys without ever exchanging
+    them.  The sender looks a payload *object* up before it ships a
+    reference; the receiver resolves the reference to the object it decoded.
+    """
+
+    __slots__ = ("entries", "frame_bytes")
+
+    def __init__(self) -> None:
+        self.entries: "OrderedDict[str, Tuple[Any, int]]" = OrderedDict()
+        self.frame_bytes = 0
+
+    def get(self, payload_digest: str) -> Any:
+        entry = self.entries.get(payload_digest)
+        return None if entry is None else entry[0]
+
+    def put(self, payload_digest: str, message: Any, size: int) -> None:
+        entries = self.entries
+        replaced = entries.pop(payload_digest, None)
+        if replaced is not None:
+            self.frame_bytes -= replaced[1]
+        entries[payload_digest] = (message, size)
+        self.frame_bytes += size
+        while len(entries) > PAYLOAD_TABLE_ENTRIES or self.frame_bytes > PAYLOAD_TABLE_BYTES:
+            self.frame_bytes -= entries.popitem(last=False)[1][1]
+
+    def clear(self) -> None:
+        self.entries.clear()
+        self.frame_bytes = 0
 
 
 # -- envelope codec ----------------------------------------------------------
 
 
-def _pack_signature(out: list, signature: Optional[Signature]) -> None:
+def _pack_signature(
+    out: list, signature: Optional[Signature], signer: Optional[str] = None, beside: Any = None
+) -> None:
+    """``0`` | ``2, 32 tag bytes`` | ``1, lengths, signer, digest, tag``.
+
+    The compact form is for the signature the receiver can rebuild from what
+    it holds anyway: made by ``signer`` (whom the connection, or the
+    piggybacked request itself, names) over the digest of the frame it rides
+    ``beside``, with a canonical hex tag.  Any other signature — relayed,
+    forged, over another digest — is spelled out and meets the same checks
+    as ever, so the form never decides what verifies.
+    """
     if signature is None:
-        out.append(b"\x00")
+        out.append(_SIG_NONE)
         return
-    signer = signature.signer_id.encode("utf-8")
+    tag = signature.tag
+    if (
+        signature.signer_id == signer
+        and len(tag) == 64
+        and signature.payload_digest == digest_of(beside)
+    ):
+        try:
+            raw = bytes.fromhex(tag)
+        except ValueError:
+            raw = b""
+        if raw.hex() == tag:  # lower case, no white space: ``pack_digest``'s rule, not its cost
+            out.append(_SIG_COMPACT)
+            out.append(raw)
+            return
+    signer_id = signature.signer_id.encode("utf-8")
     payload_digest = signature.payload_digest.encode("utf-8")
-    tag = signature.tag.encode("utf-8")
+    tag = tag.encode("utf-8")
     out += (
-        _SIGNATURE_HEAD.pack(1, len(signer), len(payload_digest), len(tag)),
-        signer,
+        _SIGNATURE_HEAD.pack(_SIG_EXPLICIT[0], len(signer_id), len(payload_digest), len(tag)),
+        signer_id,
         payload_digest,
         tag,
     )
 
 
-def _pack_message(out: list, message: Any) -> None:
+def _pack_message(out: list, message: Any, signer: Optional[str], referenced: bool) -> None:
     """``frame | signature | item count u16 | item*`` for one message."""
     frame = message.wire_slice()
     out.append(_U32.pack(len(frame)))
     out.append(frame)
-    _pack_signature(out, message.signature)
+    _pack_signature(out, message.signature, signer, message)
     items = message.detached()
     out.append(_U16.pack(len(items)))
     for item in items:
@@ -135,8 +236,12 @@ def _pack_message(out: list, message: Any) -> None:
             out.append(_ITEM_SIGNATURE)
             _pack_signature(out, item)
         elif isinstance(item, ProtocolMessage):
-            out.append(_ITEM_MESSAGE)
-            _pack_message(out, item)
+            if referenced:
+                out.append(_ITEM_REF)
+                out.append(bytes.fromhex(digest_of(item)))
+            else:
+                out.append(_ITEM_MESSAGE)
+                _pack_message(out, item, getattr(item, "client_id", None), False)
         else:
             value = pack_value(item)
             out.append(_ITEM_VALUE)
@@ -144,11 +249,21 @@ def _pack_message(out: list, message: Any) -> None:
             out.append(value)
 
 
-def _read_signature(buf: bytes, off: int, end: int) -> Tuple[Optional[Signature], int]:
+def _read_signature(
+    buf: bytes, off: int, end: int, signer: Optional[str] = None, frame_digest: str = ""
+) -> Tuple[Optional[Signature], int]:
     if off >= end:
         raise truncated(1, off, end)
-    if not buf[off]:
+    form = buf[off : off + 1]
+    if form == _SIG_NONE:
         return None, off + 1
+    if form == _SIG_COMPACT and signer is not None:
+        stop = off + 33
+        if stop > end:
+            raise truncated(32, off + 1, end)
+        return Signature(signer, frame_digest, buf[off + 1 : stop].hex()), stop
+    if form != _SIG_EXPLICIT:
+        raise ValueError(f"unknown or misplaced signature form: {form!r}")
     start = off + _SIGNATURE_HEAD.size
     if start > end:
         raise truncated(_SIGNATURE_HEAD.size, off, end)
@@ -166,13 +281,26 @@ def _read_signature(buf: bytes, off: int, end: int) -> Tuple[Optional[Signature]
     return signature, stop
 
 
-def _read_message(buf: bytes, off: int, end: int, nested: bool = False) -> Tuple[Any, int]:
+def _read_message(
+    buf: bytes,
+    off: int,
+    end: int,
+    sender: Optional[str],
+    table: Optional[_PayloadTable],
+    carried: list,
+    nested: bool = False,
+) -> Tuple[Any, int]:
     # The one copy of the frame: decoding a slice confines every length
     # inside it to the frame, and the slice is what gets digested and kept.
     off, stop = read_window(buf, off, end)
     frame = buf[off:stop]
     message = wire_decode(frame)
-    signature, off = _read_signature(buf, stop, end)
+    # The receiver's digest (what signature verification compares against)
+    # must be computed over exactly the bytes the sender signed.
+    frame_digest = digest_bytes(frame)
+    if nested:
+        sender = getattr(message, "client_id", None)
+    signature, off = _read_signature(buf, stop, end, sender, frame_digest)
     count, off = read_u16(buf, off, end)
     expected = len(message.detached())
     if count != expected:
@@ -191,7 +319,15 @@ def _read_message(buf: bytes, off: int, end: int, nested: bool = False) -> Tuple
             elif kind == _ITEM_NONE:
                 item = None
             elif kind == _ITEM_MESSAGE and not nested:
-                item, off = _read_message(buf, off, end, nested=True)
+                item, off = _read_message(buf, off, end, None, table, carried, nested=True)
+            elif kind == _ITEM_REF and not nested:
+                stop = off + 32
+                if stop > end:
+                    raise truncated(32, off, end)
+                item = None if table is None else table.get(buf[off:stop].hex())
+                if item is None:
+                    raise UnresolvedReference(f"no payload {buf[off:stop].hex()} went this way")
+                off = stop
             elif kind == _ITEM_VALUE:
                 off, stop = read_window(buf, off, end)
                 item, off = read_value(buf, off, stop)
@@ -201,37 +337,49 @@ def _read_message(buf: bytes, off: int, end: int, nested: bool = False) -> Tuple
                 raise ValueError(f"unknown or misplaced detached item kind: {kind!r}")
             items.append(item)
         message.attach(iter(items))
-    # The receiver's digest (what signature verification compares against)
-    # must be computed over exactly the bytes the sender signed.  A top-level
-    # message also keeps that frame as its frozen form (saves a re-encode on
-    # relay).  A piggybacked request or batch keeps the digest only: its
-    # frame duplicates the payloads just decoded from it, every replica logs
-    # every batch, and it is re-sent only on a view change, where
-    # ``wire_slice()`` rebuilds the same bytes from the fields.
-    message.seed_wire_caches(None if nested else frame, digest_bytes(frame))
+    # A top-level message keeps its frame as its frozen form (saves a
+    # re-encode on relay).  A piggybacked request or batch keeps the digest
+    # only: its frame duplicates the payloads just decoded from it, every
+    # replica logs every batch, and it is re-sent only on a view change,
+    # where ``wire_slice()`` rebuilds the same bytes from the fields.
+    message.seed_wire_caches(None if nested else frame, frame_digest)
     message.__dict__["signature"] = signature  # not content: no cache to invalidate
+    if nested:
+        carried.append((frame_digest, message, len(frame)))
     return message, off
 
 
-def encode_envelope(message: Any) -> bytes:
-    """Serialize one protocol message (with signature and detached parts) to bytes."""
+def encode_envelope(message: Any, sender: Optional[str] = None, referenced: bool = False) -> bytes:
+    """Serialize one protocol message (with signature and detached parts) to bytes.
+
+    ``sender`` is who the connection says is speaking (a signature of theirs
+    may go compact); ``referenced`` ships every piggybacked payload as its
+    digest, for a connection whose table holds them all.
+    """
     out: list = [_KIND_FRAME]
-    _pack_message(out, message)
+    _pack_message(out, message, sender, referenced)
     return b"".join(out)
 
 
-def decode_envelope(blob: bytes) -> Any:
+def decode_envelope(
+    blob: bytes, sender: Optional[str] = None, table: Optional[_PayloadTable] = None
+) -> Any:
     """Rebuild the protocol message a peer sent, signatures reattached.
 
-    Raises ``ValueError`` (``WireDecodeError`` included) on anything that is
-    not a well-formed envelope around well-formed frames.
+    Raises ``ValueError`` (``WireDecodeError`` and :class:`UnresolvedReference`
+    included) on anything that is not a well-formed envelope around
+    well-formed frames; only an envelope that decodes adds to ``table``.
     """
     if blob[:1] != _KIND_FRAME:
         raise ValueError(f"unknown envelope kind: {blob[:1]!r}")
     end = len(blob)
-    message, off = _read_message(blob, 1, end)
+    carried: list = []
+    message, off = _read_message(blob, 1, end, sender, table, carried)
     if off != end:
         raise ValueError("trailing bytes after envelope")
+    if table is not None:
+        for entry in carried:
+            table.put(*entry)
     return message
 
 
@@ -425,7 +573,10 @@ class AioTransport(Transport):
 class _Outbound(asyncio.Protocol):
     """One ordered (src, dst) channel: frames wait here and leave in one write per flush."""
 
-    __slots__ = ("_runtime", "_hello", "_dst", "_dialing", "pending", "transport")
+    __slots__ = (
+        "_runtime", "_hello", "_dst", "_dialing", "_retry_delay", "_retry_at",
+        "pending", "shipped", "transport",
+    )
 
     def __init__(self, runtime: "AioRuntime", src: str, dst: str) -> None:
         sender = src.encode("utf-8")
@@ -433,8 +584,36 @@ class _Outbound(asyncio.Protocol):
         self._hello = _U16.pack(len(sender)) + sender
         self._dst = dst
         self._dialing = False
+        self._retry_delay = 0.0  # what the last failed dial made the next one wait
+        self._retry_at = 0.0  # loop time before which nothing dials
         self.pending: List[bytes] = []  # length-prefixed envelopes, oldest first
+        # What ``pending`` and the connection it is bound for carry in full;
+        # emptied whenever frames encoded against it are given up.
+        self.shipped = _PayloadTable()
         self.transport: Optional[asyncio.Transport] = None
+
+    def carry(self, payloads: List[Tuple[str, Any, int]]) -> bool:
+        """Whether the next envelope may name these payloads by digest alone.
+
+        It may when every one of these very objects already went in full on
+        this connection; otherwise they go in full now and are recorded.  A
+        payload is ``(frame digest, message, frame length)``.
+        """
+        entries = self.shipped.entries
+        for payload_digest, item, _ in payloads:
+            entry = entries.get(payload_digest)
+            if entry is None or entry[0] is not item:
+                break
+        else:
+            return True
+        put = self.shipped.put
+        for payload in payloads:
+            put(*payload)
+        return False
+
+    def _give_up(self) -> None:
+        self.pending.clear()
+        self.shipped.clear()
 
     def flush(self) -> None:
         """Write everything pending at once, or dial if there is no connection."""
@@ -444,8 +623,11 @@ class _Outbound(asyncio.Protocol):
             # Until the destination table is complete (a proc worker waiting
             # for the supervisor's broadcast) frames stay buffered.
             if runtime._endpoints_ready and not self._dialing:
-                self._dialing = True
-                runtime._spawn(self._dial())
+                if runtime._running_loop().time() < self._retry_at:
+                    self._give_up()  # still unreachable: dropped, as below
+                else:
+                    self._dialing = True
+                    runtime._spawn(self._dial())
         elif self.pending:
             transport.write(b"".join(self.pending))
             self.pending.clear()
@@ -453,34 +635,40 @@ class _Outbound(asyncio.Protocol):
 
     async def _dial(self) -> None:
         runtime = self._runtime
+        loop = runtime._running_loop()
         try:
             port = runtime._ports.get(self._dst)
             if port is not None:
-                await runtime._running_loop().create_connection(
-                    lambda: self, runtime._host, port
-                )
+                await loop.create_connection(lambda: self, runtime._host, port)
         except OSError:
             pass
         finally:
             self._dialing = False
             if self.transport is None:
                 # Unknown or unreachable destination: dropped, mirroring the
-                # sim network.  The next send dials again.
-                self.pending.clear()
+                # sim network.  A later send dials again, after a wait that
+                # doubles with every failure in a row.
+                self._give_up()
+                delay = self._retry_delay = min(
+                    max(REDIAL_DELAY_S, 2 * self._retry_delay), REDIAL_MAX_DELAY_S
+                )
+                self._retry_at = loop.time() + delay
 
     def connection_made(self, transport: asyncio.Transport) -> None:
         self.transport = transport
+        self._retry_delay = self._retry_at = 0.0
         self.pending.insert(0, self._hello)
         self.flush()
 
     def connection_lost(self, exc: Optional[Exception]) -> None:
         self.transport = None
+        self._give_up()  # the next connection starts with an empty table at both ends
 
 
-class _Inbound(asyncio.Protocol):
+class _Inbound(asyncio.BufferedProtocol):
     """One accepted connection: hello, then length-prefixed envelopes for one node."""
 
-    __slots__ = ("_runtime", "_node", "_sender", "_partial", "_need", "transport")
+    __slots__ = ("_runtime", "_node", "_sender", "_partial", "_need", "carried", "transport")
 
     def __init__(self, runtime: "AioRuntime", node: Any) -> None:
         self._runtime = runtime
@@ -488,6 +676,7 @@ class _Inbound(asyncio.Protocol):
         self._sender: Optional[str] = None
         self._partial = bytearray()  # an incomplete hello or frame, kept between reads
         self._need = 0  # bytes ``_partial`` must reach before parsing resumes
+        self.carried = _PayloadTable()  # the twin of the dialling side's ``shipped``
         self.transport: Optional[asyncio.Transport] = None
 
     def connection_made(self, transport: asyncio.Transport) -> None:
@@ -501,6 +690,14 @@ class _Inbound(asyncio.Protocol):
     def _hang_up(self) -> None:
         self._runtime.frames_rejected += 1
         self.transport.close()
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._runtime._recv_buffer
+
+    def buffer_updated(self, nbytes: int) -> None:
+        # The loop is single-threaded and the parser keeps nothing of the
+        # buffer (it copies what it retains), so every connection shares it.
+        self.data_received(bytes(self._runtime._recv_buffer[:nbytes]))
 
     def data_received(self, data: bytes) -> None:
         """Deliver every complete envelope in the buffer; keep the incomplete tail."""
@@ -524,6 +721,7 @@ class _Inbound(asyncio.Protocol):
                 off = need
         if sender is not None:
             deliver = self._node.deliver
+            carried = self.carried
             while True:
                 need = 4
                 if end - off < 4:
@@ -538,7 +736,11 @@ class _Inbound(asyncio.Protocol):
                 blob = data[off + 4 : off + need]
                 off += need
                 try:
-                    message = decode_envelope(blob)
+                    message = decode_envelope(blob, sender, carried)
+                except UnresolvedReference:
+                    # The two tables disagree and every later reference may:
+                    # only a new connection puts them back in step.
+                    return self._hang_up()
                 except ValueError:
                     # Frames are length prefixed: drop this one, keep reading.
                     runtime.frames_rejected += 1
@@ -552,6 +754,8 @@ class _Inbound(asyncio.Protocol):
 
 
 # -- runtime -----------------------------------------------------------------
+
+_NOTHING_ENCODED: tuple = (None, None, (), ())  # ``AioRuntime._encoded`` between ticks
 
 
 class AioRuntime(Runtime):
@@ -575,7 +779,10 @@ class AioRuntime(Runtime):
         self._channels: Dict[Tuple[str, str], _Outbound] = {}
         self._dirty: Dict[_Outbound, None] = {}  # sent on since the last flush, in order
         self._inbound: set = set()
-        self._encoded: Tuple[Any, bytes] = (None, b"")  # last payload sent this tick, framed
+        self._recv_buffer = memoryview(bytearray(RECV_BUFFER_BYTES))
+        # The last payload sent this tick and by whom, the payloads it
+        # piggybacks, and its frame with them [in full, as references].
+        self._encoded: tuple = _NOTHING_ENCODED
         self._tasks: set = set()
         self.transport = AioTransport(self)
         self.messages_delivered = 0
@@ -636,13 +843,24 @@ class AioRuntime(Runtime):
         channel = self._channels.get((src, dst))
         if channel is None:
             channel = self._channels[src, dst] = _Outbound(self, src, dst)
-        last, frame = self._encoded
-        if payload is not last:
+        last, last_src, payloads, frames = self._encoded
+        if payload is not last or src != last_src:
+            items = payload.detached()
+            payloads = items and [  # most messages carry nothing beside their frame
+                (digest_of(item), item, len(item.wire_slice()))
+                for item in items
+                if isinstance(item, ProtocolMessage)
+            ]
+            frames = [None, None]
+            self._encoded = (payload, src, payloads, frames)
+        referenced = bool(payloads) and channel.carry(payloads)
+        frame = frames[referenced]
+        if frame is None:
             # A multicast hands the same object to every destination in one
-            # CPU item; it is encoded for the first and reused for the rest.
-            blob = encode_envelope(payload)
-            frame = _U32.pack(len(blob)) + blob
-            self._encoded = (payload, frame)
+            # CPU item; each variant (payloads in full, payloads referenced)
+            # is encoded for the first destination that needs it.
+            blob = encode_envelope(payload, src, referenced)
+            frame = frames[referenced] = _U32.pack(len(blob)) + blob
         channel.pending.append(frame)
         self.frames_sent += 1
         if not self._dirty:
@@ -651,7 +869,7 @@ class AioRuntime(Runtime):
 
     def _flush(self) -> None:
         """Once per tick: one write per channel that was sent on since the last flush."""
-        self._encoded = (None, b"")
+        self._encoded = _NOTHING_ENCODED
         dirty = self._dirty
         for channel in dirty:
             channel.flush()

@@ -17,7 +17,9 @@ shape too: one ``*Result`` dataclass in ``cluster/runner.py``, one under
 the client's decisions (reply filtering, acceptance, completion, ``Busy``
 backoff, retransmission) are defined in ``repro/smr/client.py`` only.
 The two TCP backends move messages by callbacks: no per-message task, queue
-or stream machinery may reappear in ``runtime/aio.py`` or ``runtime/proc.py``.
+or stream machinery may reappear in ``runtime/aio.py`` or ``runtime/proc.py``;
+the listener receives into the runtime's buffer, a payload table belongs to one
+connection, and no process-wide allocator setting stands in for either.
 And frames are decoded in place by ``read_x(buf, off, end)`` functions: no
 cursor object (a ``Reader`` class, a ``.take(n)`` call) may reappear under
 ``src/repro``.  The agreement engines share one skeleton: the no-op filler,
@@ -159,6 +161,75 @@ def per_message_machinery(path):
                 yield node.lineno, "sleep(0)"
 
 
+#: Constructors of a buffer: none may be called per ``get_buffer``.
+BUFFER_CONSTRUCTORS = {"bytearray", "bytes", "memoryview"}
+
+
+def _classes(tree):
+    return {node.name: node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+
+
+def _method(cls, name):
+    return next(
+        (node for node in cls.body if isinstance(node, ast.FunctionDef) and node.name == name),
+        None,
+    )
+
+
+def receive_buffer_offences(path):
+    """Why ``_Inbound`` in ``path`` would allocate a read buffer per ``recv``."""
+    inbound = _classes(ast.parse(path.read_text(), filename=str(path))).get("_Inbound")
+    if inbound is None:
+        yield "no _Inbound class"
+        return
+    if "BufferedProtocol" not in {getattr(base, "attr", None) for base in inbound.bases}:
+        yield "_Inbound is not an asyncio.BufferedProtocol"
+    get_buffer = _method(inbound, "get_buffer")
+    if get_buffer is None:
+        yield "_Inbound defines no get_buffer"
+        return
+    for node in ast.walk(get_buffer):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in BUFFER_CONSTRUCTORS:
+            yield f"get_buffer calls {node.func.id}() at line {node.lineno}"
+
+
+def payload_table_offences(path):
+    """Every payload table ``path`` builds outside a connection's ``__init__``, and every
+    connection class that builds none."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    owned = set()
+    for name in ("_Inbound", "_Outbound"):
+        init = _method(_classes(tree).get(name, ast.ClassDef(body=[])), "__init__")
+        for node in ast.walk(init) if init is not None else ():
+            target = node.targets[0] if isinstance(node, ast.Assign) else None
+            if (
+                isinstance(getattr(node, "value", None), ast.Call)
+                and getattr(node.value.func, "id", None) == "_PayloadTable"
+                and getattr(getattr(target, "value", None), "id", None) == "self"
+            ):
+                owned.add(node.value)
+                break
+        else:
+            yield f"{name}.__init__ assigns no payload table to self"
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "_PayloadTable"
+            and node not in owned
+        ):
+            yield f"a payload table is built outside a connection at line {node.lineno}"
+
+
+def process_wide_settings(path):
+    """Yield what in ``path`` reads the environment or reaches for the allocator / collector."""
+    for lineno, module in iter_imports(path):
+        if module.split(".")[0] in ("gc", "ctypes"):
+            yield f"line {lineno} imports {module}"
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv", "putenv"):
+            yield f"line {node.lineno} touches os.{node.attr}"
+
+
 class TestAioDataPathIsCallbacks:
     """Messages move through Protocol callbacks, a CPU slice and one flush per tick.
 
@@ -192,6 +263,77 @@ class TestAioDataPathIsCallbacks:
         )
         assert [what for _, what in sorted(per_message_machinery(tmp_path / "old.py"))] == [
             "Queue", "open_connection", "drain", "sleep(0)", "start_server",
+        ]
+
+    AIO = SRC / "runtime" / "aio.py"
+
+    def test_the_listener_receives_into_a_buffer_it_does_not_allocate(self):
+        """At the parent (a plain ``asyncio.Protocol``, whose transport allocates
+        256 KiB per ``recv``) the rule reports 2 offences."""
+        assert list(receive_buffer_offences(self.AIO)) == []
+
+    def test_the_buffer_rule_catches_a_plain_protocol_and_a_buffer_per_call(self, tmp_path):
+        (tmp_path / "plain.py").write_text(
+            "class _Inbound(asyncio.Protocol):\n"
+            "    def data_received(self, data): pass\n"
+        )
+        assert list(receive_buffer_offences(tmp_path / "plain.py")) == [
+            "_Inbound is not an asyncio.BufferedProtocol",
+            "_Inbound defines no get_buffer",
+        ]
+        (tmp_path / "fresh.py").write_text(
+            "class _Inbound(asyncio.BufferedProtocol):\n"
+            "    def get_buffer(self, sizehint):\n"
+            "        self._buffer = memoryview(bytearray(sizehint))\n"
+            "        return self._buffer\n"
+        )
+        assert list(receive_buffer_offences(tmp_path / "fresh.py")) == [
+            "get_buffer calls memoryview() at line 3",
+            "get_buffer calls bytearray() at line 3",
+        ]
+
+    def test_a_payload_table_belongs_to_one_connection(self):
+        """A table shared by a module or a runtime would let one co-located replica
+        hand another a decoded object.  At the parent, which has no table, the rule
+        reports 2 offences (neither connection class builds one)."""
+        assert list(payload_table_offences(self.AIO)) == []
+
+    def test_the_table_rule_catches_a_shared_table(self, tmp_path):
+        (tmp_path / "shared.py").write_text(
+            "_DECODED = _PayloadTable()\n"
+            "class AioRuntime:\n"
+            "    def __init__(self):\n"
+            "        self.carried = _PayloadTable()\n"
+            "class _Inbound:\n"
+            "    def __init__(self, runtime):\n"
+            "        self.carried = runtime.carried\n"
+            "class _Outbound:\n"
+            "    def __init__(self, runtime):\n"
+            "        self.shipped = _PayloadTable()\n"
+        )
+        assert list(payload_table_offences(tmp_path / "shared.py")) == [
+            "_Inbound.__init__ assigns no payload table to self",
+            "a payload table is built outside a connection at line 1",
+            "a payload table is built outside a connection at line 4",
+        ]
+
+    def test_no_process_wide_allocator_or_collector_setting(self):
+        """The fix for heap-layout sensitivity is not ``MALLOC_TRIM_THRESHOLD_``, ``mallopt``
+        or a ``gc`` threshold.  At the parent the rule reports 0 offences."""
+        assert list(process_wide_settings(self.AIO)) == []
+
+    def test_the_settings_rule_catches_environ_gc_and_ctypes(self, tmp_path):
+        tuned = tmp_path / "repro" / "tuned.py"  # ``iter_imports`` anchors at a ``repro`` directory
+        tuned.parent.mkdir()
+        tuned.write_text(
+            "import ctypes, gc\n"
+            "import os\n"
+            "gc.set_threshold(100_000)\n"
+            "if os.environ.get('REPRO_TRIM'):\n"
+            "    ctypes.CDLL('libc.so.6').mallopt(-1, 1 << 28)\n"
+        )
+        assert list(process_wide_settings(tuned)) == [
+            "line 1 imports ctypes", "line 1 imports gc", "line 4 touches os.environ",
         ]
 
 

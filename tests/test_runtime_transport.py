@@ -89,6 +89,10 @@ def _request(timestamp):
     return Request(Operation("noop"), timestamp=timestamp, client_id="c")
 
 
+def _timestamp(message):
+    return getattr(message, "request", message).timestamp
+
+
 def _framed(blob):
     return len(blob).to_bytes(4, "little") + blob
 
@@ -231,12 +235,16 @@ class TestOutboundChannel:
         assert _replay(second.writes).timestamps == [2, 3]
 
     def test_a_multicast_is_encoded_once_and_written_once_per_peer(self, monkeypatch):
+        """At most one encode per variant (payloads in full / referenced) per tick."""
         runtime, ticker = _ticking_runtime()
         encoded = []
         encode = aio.encode_envelope
-        monkeypatch.setattr(
-            aio, "encode_envelope", lambda message: encoded.append(message) or encode(message)
-        )
+
+        def counting(message, sender=None, referenced=False):
+            encoded.append((type(message).__name__, _timestamp(message), referenced))
+            return encode(message, sender, referenced)
+
+        monkeypatch.setattr(aio, "encode_envelope", counting)
 
         class Speaker(Node):
             def handle_message(self, src, payload):
@@ -254,13 +262,28 @@ class TestOutboundChannel:
         speaker.multicast(peers + ["evil"], _request(2))
         speaker.send("p1", _request(3))
         ticker.run()
-        assert [message.timestamp for message in encoded] == [1, 2, 3]
+        assert encoded == [("Request", 1, False), ("Request", 2, False), ("Request", 3, False)]
         assert runtime.frames_sent == 11
         assert runtime.writes_issued == 10  # 5 on connect, then one per peer
+
+        # Two peers have had the payload, three have not: one tick, two variants.
+        del encoded[:]
+        carried = _request(4)
+        prepare = core.Prepare(0, 1, digest_of(carried), carried, Mode.LION.value)
+        speaker.multicast(["p1", "p2"], prepare)
+        ticker.run()
+        commit = core.Commit(0, 1, digest_of(carried), "evil", Mode.LION.value, request=carried)
+        speaker.multicast(peers, commit)
+        ticker.run()
+        assert encoded == [("Prepare", 4, False), ("Commit", 4, True), ("Commit", 4, False)]
+        assert runtime.frames_sent == 18 and runtime.writes_issued == 17
         for peer in peers:
-            assert len(transports[peer].writes) == 2
+            received = [message for _, message in _replay(transports[peer].writes).received]
             expected = [1, 2, 3] if peer == "p1" else [1, 2]
-            assert _replay(transports[peer].writes).timestamps == expected
+            expected += [4, 4] if peer in ("p1", "p2") else [4]
+            assert [_timestamp(message) for message in received] == expected
+            if peer in ("p1", "p2"):  # the reference resolves to what the prepare brought
+                assert received[-1].request is received[-2].request
 
 
 # -- (c) the CPU slice ----------------------------------------------------------------

@@ -5,6 +5,10 @@
   ``decode_envelope(encode_envelope(m))`` with its signature, piggybacked
   payloads (view-change entries carrying batches included), inner client
   signatures and snapshot;
+* **connection forms** — the same for both envelope variants of a connection
+  (piggybacked payloads in full, then as references into the payload table)
+  and for any ``Signature`` value, of which exactly the canonical ones take
+  the 33-byte form;
 * **golden frames** — the ten hot types reproduce, byte for byte, frames and
   digests recorded from the commit *before* messages were derived from one
   declaration (``tests/data/wire_golden.json``);
@@ -17,15 +21,18 @@
 
 import json
 import pickle
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.baselines.messages  # noqa: F401 - registers the baseline classes
 from repro.core import messages as core
 from repro.crypto.digest import digest_of
 from repro.crypto.keys import KeyStore
-from repro.runtime.aio import decode_envelope, encode_envelope
+from repro.crypto.signatures import Signature
+from repro.runtime.aio import _PayloadTable, decode_envelope, encode_envelope
 from repro.smr.messages import Batch, ProtocolMessage, Reply, Request
 from repro.smr.state_machine import Operation
 from repro.wire import codec
@@ -146,6 +153,85 @@ class TestEveryRegisteredClass:
                 decode_envelope(blob[:cut])
 
 
+    def test_both_variants_round_trip_over_a_connection(self, tag, cls):
+        """As ``p0``'s connection carries it: in full, then by reference."""
+        message, table = instance_of(cls), _PayloadTable()
+        payloads = [item for item in message.detached() if isinstance(item, ProtocolMessage)]
+        full = encode_envelope(message, "p0")
+        assert len(full) < len(encode_envelope(message)) - 100  # p0's own signature: 33 bytes
+        first = decode_envelope(full, "p0", table)
+        assert set(table.entries) == {digest_of(item) for item in payloads}
+        referenced = encode_envelope(message, "p0", referenced=True)
+        assert (len(referenced) < len(full)) == bool(payloads)
+        second = decode_envelope(referenced, "p0", table)
+        for twin in (first, second):
+            assert type(twin) is cls
+            assert twin.signature == message.signature
+            assert twin.verify(KEYS.verifier(), expected_signer="p0")
+            assert encode(twin) == encode(message)
+            assert beside(twin) == beside(message)
+        resolved = [item for item in second.detached() if isinstance(item, ProtocolMessage)]
+        assert len(resolved) == len(payloads)
+        for item in resolved:  # the objects the first envelope brought, not copies
+            assert any(item is brought for brought in first.detached())
+
+
+TAG = "0123456789abcdef" * 4
+FRAME_DIGEST = "<the digest of the frame it rides beside>"
+SIGNATURES = st.none() | st.builds(
+    Signature,
+    st.sampled_from(["p0", "client-0", "someone-else", ""]),
+    st.sampled_from([FRAME_DIGEST, HEX, "synthetic", ""]),
+    st.sampled_from([TAG, TAG.upper(), TAG[:-2], TAG[:-2] + "  ", "zz" * 32, "é" * 64, ""])
+    | st.text(max_size=70),
+)
+
+
+def _beside(message, signature):
+    """``signature`` as drawn, its digest placeholder resolved against ``message``."""
+    if signature is not None and signature.payload_digest == FRAME_DIGEST:
+        signature = Signature(signature.signer_id, digest_of(message), signature.tag)
+    message.signature = signature
+    return signature
+
+
+def _bytes_on_the_wire(signature, signer, message):
+    """Beyond the form byte: 32 for the canonical shape, everything spelled out otherwise."""
+    if signature is None:
+        return 0, False
+    if (
+        signature.signer_id == signer
+        and signature.payload_digest == digest_of(message)
+        and re.fullmatch("[0-9a-f]{64}", signature.tag)
+    ):
+        return 32, True
+    fields = (signature.signer_id, signature.payload_digest, signature.tag)
+    return 6 + sum(len(field.encode("utf-8")) for field in fields), False
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(outer=SIGNATURES, inner=SIGNATURES)
+def test_any_signature_round_trips_and_exactly_the_canonical_ones_go_compact(outer, inner):
+    """Top level the signer must be the connection's sender, nested the request's own client."""
+    request = Request(Operation("get", ("k",)), timestamp=7, client_id="client-0")
+    message = core.Prepare(1, 2, digest_of(request), request, 1)
+    bare = len(encode_envelope(message, "p0"))
+    inner, outer = _beside(request, inner), _beside(message, outer)
+    blob = encode_envelope(message, "p0")
+    twin = decode_envelope(blob, "p0")
+    assert twin.signature == outer and twin.request.signature == inner
+    assert encode_envelope(twin, "p0") == blob
+    outer_bytes, outer_compact = _bytes_on_the_wire(outer, "p0", message)
+    inner_bytes, inner_compact = _bytes_on_the_wire(inner, "client-0", request)
+    assert len(blob) == bare + outer_bytes + inner_bytes
+    # Without a connection nobody is named top level; the request still names its client.
+    assert len(encode_envelope(message)) - len(blob) > 100 or not outer_compact
+    assert decode_envelope(encode_envelope(message)).signature == outer
+    if outer_compact:
+        with pytest.raises(ValueError):
+            decode_envelope(blob)
+
+
 def test_view_change_entries_carry_their_batches_and_client_signatures():
     """What nothing round-tripped before: P/C entries with batch payloads."""
     for cls in (core.ViewChange, core.NewView):
@@ -263,7 +349,7 @@ def test_a_length_inside_a_piggybacked_frame_cannot_reach_past_the_frame():
     request = signed_request(operation=Operation("put", ("k",), "pay"))
     blob = encode_envelope(core.Prepare(1, 2, HEX, request, 1).sign(KEYS.signer_for("p0")))
     length_at = blob.index(b"\x03\x00\x00\x00pay")
-    assert blob[length_at + 7] == 1  # the signature's presence flag follows the frame
+    assert blob[length_at + 7] == 2  # the signature's form byte (compact) follows the frame
     forged = blob[:length_at] + b"\x0b" + blob[length_at + 1 :]
     with pytest.raises(codec.WireDecodeError):
         decode_envelope(forged)
