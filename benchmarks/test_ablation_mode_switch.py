@@ -28,7 +28,7 @@ def run_mode_switch_experiment():
         seed=50,
         client_timeout=0.1,
     )
-    config = deployment.extras["config"]
+    config = deployment.group().config
     simulator = deployment.simulator
     deployment.start_clients()
 

@@ -39,7 +39,7 @@ def main() -> None:
         client_timeout=0.1,
         adaptive=AdaptivePolicy(),  # or adaptive=True for the same defaults
     )
-    controller = deployment.extras["adaptive"]
+    controller = deployment.group().adaptive
     simulator = deployment.simulator
     deployment.start_clients()
 
@@ -51,7 +51,7 @@ def main() -> None:
 
     # Phase 2: a public replica starts equivocating on its votes.
     attacker = "public-3"
-    make_byzantine(deployment, attacker, "equivocate")
+    make_byzantine(deployment.group(), attacker, "equivocate")
     phase_start = simulator.now
     deployment.run(0.3)
     print(f"phase 2 (attack by {attacker}, now {controller.current_mode().name}): "
@@ -59,7 +59,7 @@ def main() -> None:
 
     # Phase 3: the attack subsides; after the quiet period the controller
     # brings the group back to the cheap mode on its own.
-    restore_honest(deployment, attacker)
+    restore_honest(deployment.group(), attacker)
     phase_start = simulator.now
     deployment.run(0.6)
     print(f"phase 3 (quiet again, back to {controller.current_mode().name}): "

@@ -47,7 +47,7 @@ def main() -> None:
         seed=7,
         client_timeout=0.1,
     )
-    config = deployment.extras["config"]
+    config = deployment.group().config
     simulator = deployment.simulator
 
     deployment.start_clients()
@@ -58,8 +58,8 @@ def main() -> None:
     # --- 3. inject the faults the deployment must tolerate ------------------
     crashed = config.private_replicas[1]
     byzantine = config.public_replicas[1]
-    crash_replica(deployment, crashed)
-    make_byzantine(deployment, byzantine, "lie")
+    crash_replica(deployment.group(), crashed)
+    make_byzantine(deployment.group(), byzantine, "lie")
     print(f"faults injected    : crashed {crashed} (private), {byzantine} now lies to clients")
 
     simulator.run(until=1.2)

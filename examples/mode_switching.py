@@ -34,7 +34,7 @@ def main() -> None:
         seed=21,
         client_timeout=0.1,
     )
-    config = deployment.extras["config"]
+    config = deployment.group().config
     simulator = deployment.simulator
     trusted = deployment.replicas[config.private_replicas[0]]
 

@@ -29,7 +29,7 @@ def main() -> None:
         num_clients=8,
         seed=42,
     )
-    config = deployment.extras["config"]
+    config = deployment.group().config
     print(f"replica group: {config.network_size} replicas "
           f"({config.private_size} private, {config.public_size} public)")
     print(f"mode: {Mode.LION.name} — {Mode.LION.describe()}")

@@ -11,11 +11,10 @@ and a closed-loop client drives load until at least 100 requests commit.
 Run with:  PYTHONPATH=src python examples/real_cluster.py
 """
 
-from repro.cluster.wiring import new_keystore, wire_group
+from repro.cluster.wiring import ShardSpec, new_keystore, wire_group
 from repro.core import Mode
 from repro.net.topology import Placement
 from repro.runtime.aio import AioRuntime
-from repro.shard import ShardSpec
 from repro.smr.ledger import find_safety_violations
 from repro.workload.client_pool import ClientPool
 from repro.workload.generator import Workload
@@ -44,7 +43,7 @@ def main() -> None:
           f"({config.private_size} private, {config.public_size} public)")
     print(f"mode: {Mode.LION.name} — trusted primary, c = m = 1\n")
 
-    pool = ClientPool(runtime, keystore, Placement(), group.client_config(2.0), workload)
+    pool = ClientPool(runtime, keystore, Placement(), [group.client_config(2.0)], workload)
     (client,) = pool.spawn(1, max_requests_each=NUM_REQUESTS, window=WINDOW)
 
     started = runtime.now

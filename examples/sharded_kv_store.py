@@ -57,7 +57,7 @@ def main() -> None:
     print("=== Sharded SeeMoRe: four clusters, one keyspace ===\n")
 
     deployment = SCENARIO.build()
-    print(f"deployed {deployment.num_shards} shards "
+    print(f"deployed {len(deployment.shards)} shards "
           f"({', '.join(mode.name.lower() for mode in SCENARIO.modes)}), "
           f"{len(deployment.replicas)} replicas total")
     schedule = ", ".join(f"{event.label} at t={event.at}s" for event in SCENARIO.events)

@@ -26,7 +26,9 @@ from repro.planner import (
 )
 from repro.cluster import (
     Deployment,
+    Group,
     RunResult,
+    ShardSpec,
     build_paxos,
     build_pbft,
     build_seemore,
@@ -37,7 +39,7 @@ from repro.cluster import (
     run_sharded_deployment,
     sweep_clients,
 )
-from repro.shard import ShardedDeployment, ShardRouter, ShardSpec
+from repro.shard import ShardRouter
 from repro.workload import (
     MetricsCollector,
     Workload,
@@ -62,6 +64,7 @@ __all__ = [
     "plan_with_explicit_failures",
     "recommend_plan",
     "Deployment",
+    "Group",
     "RunResult",
     "build_seemore",
     "build_sharded_seemore",
@@ -71,7 +74,6 @@ __all__ = [
     "builder_for",
     "run_deployment",
     "run_sharded_deployment",
-    "ShardedDeployment",
     "ShardRouter",
     "ShardSpec",
     "SHARDED_SCENARIOS",

@@ -40,7 +40,7 @@ guarantees replicas rely on are exactly those of Section 5.4.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.adaptive.estimator import FaultEnvironmentEstimate, FaultEnvironmentEstimator
 from repro.adaptive.evidence import EvidenceKind, EvidenceRecord
@@ -119,33 +119,32 @@ class ControllerDecision:
 class AdaptiveModeController:
     """Evidence-driven Lion/Dog/Peacock switching for one replica group.
 
-    ``deployment`` is duck-typed (a single-cluster
-    :class:`~repro.cluster.deployment.Deployment` or one shard of a
-    sharded deployment): the controller needs ``simulator``, ``replicas``,
-    ``extras['config']``, ``metrics``, and a source of clients.  For
-    sharded deployments, pass the *shared* client pool's clients through
-    ``clients``; evidence implicating other shards' replicas is filtered
-    out by the estimator.
+    ``group`` is the :class:`~repro.cluster.wiring.Group` the controller
+    watches and switches (its replicas, config and own metrics recorder);
+    ``deployment`` supplies what is deployment-wide: the simulator clock and
+    the client pool.  Clients are shared by every group of a deployment, so
+    evidence implicating another group's replicas is filtered out by the
+    estimator.
     """
 
     def __init__(
         self,
+        group: Any,
         deployment: Any,
         policy: Optional[AdaptivePolicy] = None,
-        clients: Optional[Callable[[], List[Any]]] = None,
         name: str = "adaptive",
     ) -> None:
+        self.group = group
         self.deployment = deployment
         self.policy = policy or AdaptivePolicy()
         self.name = name
-        self.config = deployment.extras["config"]
+        self.config = group.config
         self.estimator = FaultEnvironmentEstimator(
             private_ids=self.config.private_replicas,
             public_ids=self.config.public_replicas,
             window=self.policy.window,
         )
         self._simulator = deployment.simulator
-        self._clients = clients if clients is not None else (lambda: deployment.clients)
         self._offsets: Dict[str, int] = {}
         self._started = False
         self._stopped = False
@@ -206,18 +205,19 @@ class AdaptiveModeController:
     def current_mode(self) -> Mode:
         """The mode the group operates in (most-progressed live replica)."""
         best: Optional[Any] = None
-        for replica in self.deployment.replicas.values():
+        for replica in self.group.replicas.values():
             if replica.crashed:
                 continue
             if best is None or replica.view > best.view:
                 best = replica
         if best is None:
-            return self.deployment.extras.get("mode", Mode.LION)
+            return self.group.mode
         return best.mode
 
     def _gather_evidence(self) -> None:
-        logs = [replica.evidence for replica in self.deployment.replicas.values()]
-        logs.extend(client.evidence for client in self._clients())
+        logs = [replica.evidence for replica in self.group.replicas.values()]
+        # Re-listed every poll, so surged clients count.
+        logs.extend(client.evidence for client in self.deployment.clients)
         for log in logs:
             fresh = log.records_since(self._offsets.get(log.observer, 0))
             if fresh:
@@ -230,7 +230,7 @@ class AdaptiveModeController:
         factor = self.policy.latency_drift_factor
         if factor <= 0:
             return
-        metrics = self.deployment.metrics
+        metrics = self.group.metrics
         fresh = [
             record.latency
             for record in metrics.records_since(self._latency_offset)
@@ -356,7 +356,7 @@ class AdaptiveModeController:
     def _pick_initiator(self) -> Optional[Any]:
         """A live trusted replica that is not mid-view-change (paper 5.4)."""
         for replica_id in self.config.private_replicas:
-            replica = self.deployment.replicas[replica_id]
+            replica = self.group.replicas[replica_id]
             if not replica.crashed and not replica.in_view_change:
                 return replica
         return None

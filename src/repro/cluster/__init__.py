@@ -1,14 +1,21 @@
 """Experiment harness: deployment builders and runners.
 
 This package stands up a complete simulated deployment -- network, replica
-group, clients -- for any protocol in the repository, and runs the
+groups, clients -- for any protocol in the repository, and runs the
 measurement loops used by the benchmarks:
 
-* :func:`~repro.cluster.builders.build_seemore` and the baseline builders
-  create a :class:`~repro.cluster.deployment.Deployment` (every group, on
-  every backend, is wired by :func:`repro.cluster.wiring.wire_group`);
-* :func:`~repro.cluster.runner.run_deployment` drives it (single cluster
-  or sharded) for a stretch of simulated time and
+* :func:`repro.cluster.wiring.wire_group` wires one replica group, on every
+  backend, from a :class:`~repro.cluster.wiring.ShardSpec` and returns the
+  typed :class:`~repro.cluster.wiring.Group` (config, initial mode,
+  replicas, faulty set, its own metrics, its adaptive controller);
+* :func:`~repro.cluster.builders.build_seemore`, the baseline builders and
+  :func:`~repro.cluster.builders.build_sharded_seemore` all create the one
+  :class:`~repro.cluster.deployment.Deployment`: the shared fabric once,
+  ``shards`` (a tuple of groups; a single cluster is ``(group,)``, reached
+  as ``deployment.group()``), one client pool, and a ``router`` exactly
+  when the clients are routed over several groups' keyspace;
+* :func:`~repro.cluster.runner.run_deployment` drives it (whatever the
+  group count) for a stretch of simulated time and
   :func:`~repro.cluster.runner.run_open_loop` does the same under an
   open-loop driver; both return the one
   :class:`~repro.cluster.runner.RunResult`;
@@ -23,6 +30,7 @@ pre-built); the per-bin throughput timeline is
 """
 
 from repro.cluster.deployment import Deployment
+from repro.cluster.wiring import Group, ShardSpec
 from repro.cluster.builders import (
     build_paxos,
     build_pbft,
@@ -41,6 +49,8 @@ from repro.cluster.runner import (
 
 __all__ = [
     "Deployment",
+    "Group",
+    "ShardSpec",
     "build_seemore",
     "build_sharded_seemore",
     "build_paxos",

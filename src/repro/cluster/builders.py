@@ -10,14 +10,15 @@ client pool" — onto three things:
 
 * **Simulated** — :func:`build_seemore`, :func:`build_paxos`,
   :func:`build_pbft`, :func:`build_upright` and
-  :func:`build_sharded_seemore` share :func:`_sim_deployments`: one
+  :func:`build_sharded_seemore` share :func:`_sim_deployment`: one
   simulated fabric (placement-aware latency, cost model, seeded network),
-  one keystore, one :class:`~repro.cluster.deployment.Deployment` per
-  group.  A single cluster is the one-group case; the sharded builder adds
-  a router and a routed client pool over N groups.  All take ``workload``
-  / ``num_clients`` / ``seed`` / ``cross_cloud_latency`` / ``cost_model``;
-  batching, client windows, the adaptive controller and admission control
-  are SeeMoRe-only knobs.
+  one keystore, one :class:`~repro.cluster.wiring.Group` per spec and one
+  client pool, in the one :class:`~repro.cluster.deployment.Deployment`.
+  A single cluster is the one-group case with unrouted clients; the sharded
+  builder hands the same assembly N specs and a router.  All take
+  ``workload`` / ``num_clients`` / ``seed`` / ``cross_cloud_latency`` /
+  ``cost_model``; batching, client windows, the adaptive controller and
+  admission control are SeeMoRe-only knobs.
 * **Multiprocess** — :func:`build_proc_seemore` returns an unstarted
   :class:`~repro.runtime.proc.ProcCluster` of worker specs; each worker
   process receives the picklable group settings and calls ``wire_group``
@@ -30,11 +31,11 @@ client pool" — onto three things:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Union
 
 from repro.adaptive import AdaptiveModeController, AdaptivePolicy
 from repro.cluster.deployment import Deployment
-from repro.cluster.wiring import PROTOCOLS, new_keystore, wire_group
+from repro.cluster.wiring import PROTOCOLS, ShardSpec, new_keystore, wire_group
 from repro.core import AdmissionPolicy, BatchPolicy, Mode
 from repro.net.costs import NodeCostModel
 from repro.net.latency import lan_latency
@@ -42,13 +43,7 @@ from repro.net.network import Network
 from repro.net.topology import Placement
 from repro.runtime.proc import ProcCluster, WorkerPlan, WorkerSpec
 from repro.runtime.sim import SimRuntime
-from repro.shard import (
-    ShardedClientPool,
-    ShardedDeployment,
-    ShardRouter,
-    ShardSpec,
-    make_partitioner,
-)
+from repro.shard import ShardRouter, make_partitioner
 from repro.sim.simulator import Simulator
 from repro.workload.client_pool import ClientPool
 from repro.workload.generator import ShardedKeyValueWorkload, Workload, WorkloadSpec
@@ -60,91 +55,89 @@ from repro.workload.metrics import MetricsCollector
 AdaptiveSpec = Union[bool, AdaptivePolicy, None]
 
 
-def _sim_deployments(
+def _sim_deployment(
     protocol: str,
     specs: Sequence[ShardSpec],
     workload: Workload,
+    num_clients: int,
     seed: int,
     cross_cloud_latency: Optional[float],
     cost_model: Optional[NodeCostModel],
     client_timeout: float,
-    admission: Optional[AdmissionPolicy] = None,
-    sharded: bool = False,
-) -> List[Deployment]:
-    """The shared sim assembly: one fabric, one keystore, one deployment per group.
+    client_window: Optional[int],
+    adaptive: AdaptiveSpec,
+    router: Optional[ShardRouter] = None,
+    txn_timeout: Optional[float] = None,
+) -> Deployment:
+    """The one sim assembly: a fabric, a keystore, a group per spec, a client pool.
 
-    Unsharded, the single group keeps bare replica ids and ``client-N``
-    clients.  Sharded, group ``i`` is namespaced ``s{i}-`` so N
-    independently configured clusters coexist on one runtime, placement and
-    keystore; each still gets an (empty) pool of its own because the
-    single-cluster :class:`Deployment` surface carries the group's client
-    config, metrics and timeout accessors there.
+    Unrouted, the single group keeps bare replica ids, records straight into
+    the deployment's collector and signs under the protocol's namespace.
+    Routed, group ``i`` is namespaced ``s{i}-`` so N independently
+    configured clusters coexist on one runtime, placement and keystore, and
+    each group's own recorder sits beside the aggregate one.  Clients are
+    ``client-N`` either way.
     """
     placement = Placement()
     simulator = Simulator()
     latency = lan_latency(placement, cross_cloud=cross_cloud_latency)
     network = Network(simulator, latency, cost_model=cost_model, seed=seed)
     runtime = SimRuntime(simulator, network)
-    row = PROTOCOLS[protocol]
-    keystore = new_keystore(row.namespace + ("-sharded" if sharded else ""), seed)
-    deployments = []
+    routed = router is not None
+    keystore = new_keystore(PROTOCOLS[protocol].namespace + ("-sharded" if routed else ""), seed)
+    groups = []
     for index, spec in enumerate(specs):
-        tag, suffix = (f"s{index}-", f"-s{index}") if sharded else ("", "")
         group = wire_group(
             runtime,
             keystore,
             protocol,
             spec,
             workload,
-            prefix=tag,
+            prefix=f"s{index}-" if routed else "",
             placement=placement,
             cost_model=cost_model,
-            admission=admission,
         )
-        extras = {"config": group.config}
-        if row.mode_aware:
-            extras["mode"] = spec.mode
-        if sharded:
-            extras["shard_index"] = index
-        metrics = MetricsCollector()
-        client_config = group.client_config(client_timeout)
-        deployments.append(
-            Deployment(
-                protocol=group.label + suffix,
-                simulator=simulator,
-                network=network,
-                placement=placement,
-                keystore=keystore,
-                replicas=group.replicas,
-                client_pool=ClientPool(
-                    runtime, keystore, placement, client_config, workload, metrics, f"{tag}client"
-                ),
-                metrics=metrics,
-                extras=extras,
-                runtime=runtime,
-            )
-        )
-    return deployments
-
-
-def _start_adaptive(
-    deployments: Sequence[Deployment],
-    adaptive: AdaptiveSpec,
-    clients: Optional[Callable[[], List]] = None,
-) -> Tuple[AdaptiveModeController, ...]:
-    """Attach and start one controller per deployment (none unless asked)."""
-    if not adaptive:
-        return ()
-    policy = adaptive if isinstance(adaptive, AdaptivePolicy) else AdaptivePolicy()
-    controllers = []
-    for deployment in deployments:
-        index = deployment.extras.get("shard_index")
-        name = "adaptive" if index is None else f"adaptive-s{index}"
-        controller = AdaptiveModeController(deployment, policy=policy, clients=clients, name=name)
-        deployment.extras["adaptive"] = controller
-        controller.start()
-        controllers.append(controller)
-    return tuple(controllers)
+        if routed:
+            group.label += f"-s{index}"
+        groups.append(group)
+    metrics = MetricsCollector() if routed else groups[0].metrics
+    pool = ClientPool(
+        runtime,
+        keystore,
+        placement,
+        [group.client_config(client_timeout) for group in groups],
+        workload,
+        metrics,
+        router=router,
+        shard_recorders={index: group.metrics for index, group in enumerate(groups)},
+        txn_timeout=txn_timeout,
+    )
+    # num_clients == 0 leaves the pool empty for open-loop deployments,
+    # whose connections are spawned by ClientPool.spawn_open_loop instead.
+    if num_clients > 0:
+        pool.spawn(num_clients, window=client_window)
+    deployment = Deployment(
+        protocol=f"seemore-sharded-{len(groups)}x" if routed else groups[0].label,
+        runtime=runtime,
+        simulator=simulator,
+        network=network,
+        placement=placement,
+        keystore=keystore,
+        shards=tuple(groups),
+        client_pool=pool,
+        metrics=metrics,
+        router=router,
+    )
+    if adaptive:
+        # One controller per group: each estimates its own fault environment
+        # (the clients are shared; evidence implicating another group's
+        # replicas is filtered out by its estimator) and switches its own mode.
+        policy = adaptive if isinstance(adaptive, AdaptivePolicy) else AdaptivePolicy()
+        for group in groups:
+            name = f"adaptive-s{group.index}" if routed else "adaptive"
+            group.adaptive = AdaptiveModeController(group, deployment, policy=policy, name=name)
+            group.adaptive.start()
+    return deployment
 
 
 def _build_single(
@@ -157,31 +150,26 @@ def _build_single(
     cost_model: Optional[NodeCostModel],
     client_window: Optional[int] = None,
     adaptive: AdaptiveSpec = None,
-    admission: Optional[AdmissionPolicy] = None,
     **settings,
 ) -> Deployment:
-    """A single cluster: the one-group case of :func:`_sim_deployments`.
+    """A single cluster: the one-group, unrouted case of :func:`_sim_deployment`.
 
     The public single-cluster builders forward their arguments here by name
     (``**locals()``); whatever is not an assembly knob above is a
     :class:`ShardSpec` field — the group's own settings.
     """
-    (deployment,) = _sim_deployments(
+    return _sim_deployment(
         protocol,
         [ShardSpec(**settings)],
         workload or Workload.build("0/0"),
+        num_clients,
         seed,
         cross_cloud_latency,
         cost_model,
         client_timeout,
-        admission,
+        client_window,
+        adaptive,
     )
-    # num_clients == 0 leaves the pool empty for open-loop deployments,
-    # whose connections are spawned by ClientPool.spawn_open_loop instead.
-    if num_clients > 0:
-        deployment.client_pool.spawn(num_clients, window=client_window)
-    _start_adaptive([deployment], adaptive)
-    return deployment
 
 
 # -- SeeMoRe ---------------------------------------------------------------------
@@ -218,7 +206,7 @@ def build_seemore(
     :class:`~repro.adaptive.AdaptiveModeController` (``True`` for the
     default policy, or an :class:`~repro.adaptive.AdaptivePolicy`); the
     controller is started on the simulator clock and exposed as
-    ``deployment.extras["adaptive"]``.
+    ``deployment.group().adaptive``.
 
     ``admission`` attaches primary-side admission control (see
     :class:`~repro.core.admission.AdmissionPolicy`): past the watermark the
@@ -230,14 +218,6 @@ def build_seemore(
 
 
 # -- sharded SeeMoRe --------------------------------------------------------------------
-
-
-def _reject_per_shard_spawn(*args, **kwargs):
-    raise RuntimeError(
-        "per-shard pools of a sharded deployment cannot spawn clients: an "
-        "unrouted client would send every key to one shard; spawn through "
-        "ShardedDeployment.add_clients so operations are routed"
-    )
 
 
 def build_sharded_seemore(
@@ -260,7 +240,7 @@ def build_sharded_seemore(
     batch_policy: Optional[BatchPolicy] = None,
     cost_model: Optional[NodeCostModel] = None,
     adaptive: AdaptiveSpec = None,
-) -> ShardedDeployment:
+) -> Deployment:
     """Build N SeeMoRe clusters sharing one simulated fabric.
 
     ``shard_specs`` configures each shard individually (mode, ``c``, ``m``,
@@ -285,9 +265,7 @@ def build_sharded_seemore(
     shard estimates its own fault environment (evidence implicating other
     shards' replicas is filtered out) and switches its own mode, so
     divergent per-shard environments settle into divergent per-shard
-    modes.  The controllers are exposed as
-    ``deployment.extras["adaptive"]`` (a tuple, shard order) and on each
-    shard's ``extras["adaptive"]``.
+    modes.  Each is exposed on its group: ``deployment.shards[i].adaptive``.
     """
     if shard_specs is not None:
         specs = tuple(shard_specs)
@@ -314,58 +292,19 @@ def build_sharded_seemore(
     elif isinstance(workload, ShardedKeyValueWorkload) and workload.partitioner is None:
         workload = workload.with_partitioner(partitioner)
 
-    shards = _sim_deployments(
+    return _sim_deployment(
         "seemore",
         specs,
         workload,
+        num_clients,
         seed,
         cross_cloud_latency,
         cost_model,
         client_timeout,
-        sharded=True,
-    )
-    for shard in shards:
-        # An unrouted single-cluster client would send every key to this one
-        # shard, silently breaking the keyspace partition — surge load
-        # through ShardedDeployment.add_clients instead.
-        shard.client_pool.spawn = _reject_per_shard_spawn  # type: ignore[method-assign]
-    first = shards[0]
-
-    aggregate_metrics = MetricsCollector()
-    pool = ShardedClientPool(
-        runtime=first.runtime,
-        keystore=first.keystore,
-        placement=first.placement,
-        configs=[shard.client_pool.client_config for shard in shards],
+        client_window,
+        adaptive,
         router=router,
-        workload=workload,
-        metrics=aggregate_metrics,
-        shard_recorders={index: shard.metrics for index, shard in enumerate(shards)},
         txn_timeout=txn_timeout,
-    )
-    pool.spawn(num_clients, window=client_window)
-
-    extras: Dict[str, object] = {"partition_policy": partition_policy}
-    # Clients are shared across shards; each controller's estimator keeps
-    # only evidence implicating its own shard's replicas.  The callable
-    # re-lists so surged clients count.
-    controllers = _start_adaptive(shards, adaptive, clients=lambda: pool.clients)
-    if controllers:
-        extras["adaptive"] = controllers
-
-    return ShardedDeployment(
-        protocol=f"seemore-sharded-{len(specs)}x",
-        simulator=first.simulator,
-        network=first.network,
-        placement=first.placement,
-        keystore=first.keystore,
-        shards=shards,
-        specs=specs,
-        partitioner=partitioner,
-        router=router,
-        client_pool=pool,
-        metrics=aggregate_metrics,
-        extras=extras,
     )
 
 
@@ -428,7 +367,7 @@ def _proc_client_worker(
     group = wire_group(runtime, keystore, "seemore", settings, workload, only=())
     client_config = group.client_config(client_timeout)
     pool = ClientPool(
-        runtime, keystore, Placement(), client_config, workload, name_prefix=client_id
+        runtime, keystore, Placement(), [client_config], workload, name_prefix=client_id
     )
     (client,) = pool.spawn(1, max_requests_each=num_requests, window=window)
     return WorkerPlan(
@@ -479,7 +418,7 @@ def build_proc_seemore(
         request_timeout=request_timeout,
         batch_policy=BatchPolicy(max_batch=max_batch),
     )
-    config = PROTOCOLS["seemore"].make_config(settings, "", None)
+    config = PROTOCOLS["seemore"].make_config(settings, "")
     replica_ids = list(config.all_replicas)
     num_procs = max(1, min(num_procs, len(replica_ids)))
     groups = {

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.cluster.deployment import ClientDriven, Deployment
+from repro.cluster.deployment import Deployment
 from repro.workload.metrics import (
     LatencySummary,
     MetricsCollector,
@@ -141,7 +141,7 @@ _OPEN_LOOP_COUNTERS = {
 
 
 def _measure(
-    deployment: ClientDriven,
+    deployment: Deployment,
     duration: float,
     warmup: float,
     driver: Optional["OpenLoopDriver"] = None,
@@ -150,10 +150,10 @@ def _measure(
     """The one measurement window: start load, warm up, measure, stop, judge.
 
     Every runner goes through here, so the warm-up discipline, the safety
-    check and the units can never drift between deployment kinds.  The load
-    is the deployment's closed-loop client pool unless an open-loop
-    ``driver`` is given; a sharded deployment additionally has its
-    cross-shard atomicity checked and its sharded section filled in.
+    check (every group's ledgers, and atomicity across them) and the units
+    can never drift.  The load is the deployment's closed-loop client pool
+    unless an open-loop ``driver`` is given; a deployment whose clients are
+    routed additionally has its sharded section filled in.
     """
     if duration <= 0:
         raise ValueError(f"duration must be positive: {duration}")
@@ -171,20 +171,19 @@ def _measure(
     measure_end = simulator.now
     load_stop()
 
-    shards = getattr(deployment, "shards", None)
-    violations = deployment.safety_violations()
-    atomicity = deployment.atomicity_violations() if shards is not None else []
-    if violations or atomicity:
+    violations = deployment.safety_violations() or deployment.atomicity_violations()
+    if violations:
         raise AssertionError(
-            f"{deployment.protocol}: safety violated during the run: "
-            f"{(violations or atomicity)[:3]}"
+            f"{deployment.protocol}: safety violated during the run: {violations[:3]}"
         )
     sections: Dict[str, Any] = {}
-    if shards is not None:
+    if deployment.router is not None:
         sections.update(
             per_shard=tuple(
                 per_shard_load(
-                    [shard.metrics for shard in shards], start=measure_start, end=measure_end
+                    [group.metrics for group in deployment.shards],
+                    start=measure_start,
+                    end=measure_end,
                 )
             ),
             transactions=deployment.transaction_stats(),
@@ -216,16 +215,15 @@ def _measure(
 
 
 def run_deployment(
-    deployment: ClientDriven,
+    deployment: Deployment,
     duration: float = 2.0,
     warmup: float = 0.2,
 ) -> RunResult:
     """Run a deployment under its closed-loop clients and measure the steady state.
 
-    Works on any :class:`~repro.cluster.deployment.ClientDriven` deployment;
-    a sharded one also reports per-shard load and the 2PC counters, and has
-    cross-shard atomicity verified next to every shard's ledger agreement.
-    Raises ``AssertionError`` if correct replicas' ledgers (or, sharded,
+    Works on any :class:`~repro.cluster.deployment.Deployment`; one whose
+    clients are routed also reports per-shard load and the 2PC counters.
+    Raises ``AssertionError`` if any group's correct replicas' ledgers (or
     cross-shard decisions) disagree afterwards.
 
     Args:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import copy
 from typing import Callable, Dict
 
-from repro.cluster.deployment import Deployment
+from repro.cluster.wiring import Group
 from repro.core import messages as core_msgs
 from repro.crypto.signatures import Signature
 from repro.smr.messages import Batch, Reply
@@ -230,7 +230,7 @@ BYZANTINE_STRATEGIES: Dict[str, Callable[[ReplicaBase], None]] = {
 }
 
 
-def make_byzantine(deployment: Deployment, replica_id: str, strategy: str = "silent") -> None:
+def make_byzantine(group: Group, replica_id: str, strategy: str = "silent") -> None:
     """Turn one replica Byzantine using a named strategy.
 
     Raises:
@@ -242,29 +242,26 @@ def make_byzantine(deployment: Deployment, replica_id: str, strategy: str = "sil
         raise ValueError(
             f"unknown Byzantine strategy {strategy!r}; choose one of {sorted(BYZANTINE_STRATEGIES)}"
         )
-    config = deployment.extras.get("config")
-    private = getattr(config, "private_replicas", ())
-    if replica_id in private:
+    if replica_id in getattr(group.config, "private_replicas", ()):
         raise ValueError(
             f"replica {replica_id!r} is in the trusted private cloud; "
             "the hybrid model only admits Byzantine faults in the public cloud"
         )
-    replica = deployment.replica(replica_id)
-    BYZANTINE_STRATEGIES[strategy](replica)
-    deployment.mark_faulty(replica_id)
+    BYZANTINE_STRATEGIES[strategy](group.replica(replica_id))
+    group.mark_faulty(replica_id)
 
 
-def restore_honest(deployment: Deployment, replica_id: str) -> None:
+def restore_honest(group: Group, replica_id: str) -> None:
     """Undo any Byzantine rewiring of one replica -- the attack subsides.
 
     Every strategy works by shadowing ``send``/``multicast`` with instance
     attributes, so restoring honest behaviour is dropping those shadows and
     falling back to the class implementations.  The replica *stays* in the
-    deployment's faulty set for conservative safety accounting (it may have
+    group's faulty set for conservative safety accounting (it may have
     sent arbitrary garbage while twisted), exactly like a recovered crash;
     what changes is that it stops producing fresh evidence, which is what
     lets an adaptive controller de-escalate after a quiet period.
     """
-    replica = deployment.replica(replica_id)
+    replica = group.replica(replica_id)
     replica.__dict__.pop("send", None)
     replica.__dict__.pop("multicast", None)

@@ -2,8 +2,9 @@
 
 Crash faults are the only faults the paper allows in the private cloud: a
 crashed replica stops processing and sending, drops whatever was queued on
-its CPU, and may later recover.  These helpers operate on a
-:class:`~repro.cluster.deployment.Deployment` so tests and benchmarks can
+its CPU, and may later recover.  These helpers operate on one replica
+:class:`~repro.cluster.wiring.Group` (``deployment.group()`` of a single
+cluster, ``deployment.shards[i]`` of several) so tests and benchmarks can
 crash replicas by name or by role.
 """
 
@@ -11,52 +12,51 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.cluster.deployment import Deployment
+from repro.cluster.wiring import Group
 
 
-def crash_replica(deployment: Deployment, replica_id: str) -> None:
+def crash_replica(group: Group, replica_id: str) -> None:
     """Fail-stop one replica and record it as faulty for safety accounting."""
-    replica = deployment.replica(replica_id)
+    replica = group.replica(replica_id)
     replica.crash()
-    deployment.mark_faulty(replica_id)
+    group.mark_faulty(replica_id)
 
 
-def recover_replica(deployment: Deployment, replica_id: str) -> None:
+def recover_replica(group: Group, replica_id: str) -> None:
     """Bring a crashed replica back online.
 
     The replica resumes with the state it had when it crashed; it catches up
     through the protocol's normal state-transfer / checkpoint machinery.  It
-    stays in the deployment's faulty set for conservative safety accounting.
+    stays in the group's faulty set for conservative safety accounting.
     """
-    deployment.replica(replica_id).recover()
+    group.replica(replica_id).recover()
 
 
-def current_primary_id(deployment: Deployment) -> str:
-    """The id of the primary/leader of the deployment's current view.
+def current_primary_id(group: Group) -> str:
+    """The id of the primary/leader of the group's current view.
 
-    Works for every protocol in the repository: the protocol configuration
-    is stored in ``deployment.extras['config']`` and replicas expose their
-    view; the primary of the *lowest* correct view is reported, which is the
-    one clients are still talking to.
+    Works for every protocol in the repository: replicas expose their view
+    and the group carries its protocol configuration; the primary of the
+    *lowest* correct view is reported, which is the one clients are still
+    talking to.
     """
-    config = deployment.extras["config"]
-    correct = deployment.correct_replicas()
+    correct = group.correct_replicas()
     if correct:
         lowest = min(correct, key=lambda replica: replica.view)
         view = lowest.view
         # Prefer the replica's *live* mode: after a dynamic mode switch the
-        # deployment's initial mode in ``extras`` is stale.
-        mode = getattr(lowest, "mode", deployment.extras.get("mode"))
+        # group's initial mode is stale.
+        mode = getattr(lowest, "mode", group.mode)
     else:
         view = 0
-        mode = deployment.extras.get("mode")
+        mode = group.mode
     if mode is not None:
-        return config.primary_of_view(view, mode)
-    return config.primary_of_view(view)
+        return group.config.primary_of_view(view, mode)
+    return group.config.primary_of_view(view)
 
 
-def crash_primary(deployment: Deployment, replica_id: Optional[str] = None) -> str:
+def crash_primary(group: Group, replica_id: Optional[str] = None) -> str:
     """Crash the current primary (or ``replica_id`` if given); returns its id."""
-    target = replica_id or current_primary_id(deployment)
-    crash_replica(deployment, target)
+    target = replica_id or current_primary_id(group)
+    crash_replica(group, target)
     return target

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.builders import build_proc_seemore
-from repro.cluster.wiring import new_keystore, wire_group
+from repro.cluster.wiring import ShardSpec, new_keystore, wire_group
 from repro.core import BatchPolicy, Mode, SeeMoReReplica
 from repro.core.view_change import NOOP_CLIENT
 from repro.net.latency import UniformLatencyModel
@@ -42,7 +42,6 @@ from repro.net.topology import Placement
 from repro.runtime.aio import AioRuntime
 from repro.runtime.api import Runtime
 from repro.runtime.sim import SimRuntime
-from repro.shard.deployment import ShardSpec
 from repro.sim.simulator import Simulator
 from repro.smr.client import Client
 from repro.smr.ledger import find_safety_violations
@@ -140,7 +139,7 @@ def oracle_cluster(
         runtime,
         keystore,
         Placement(),
-        group.client_config(client_timeout),
+        [group.client_config(client_timeout)],
         workload,
         name_prefix=CLIENT_PREFIX,
     )

@@ -13,7 +13,8 @@ conditions into first-class, declarative scenarios:
 * :mod:`~repro.scenarios.invariants` — checkers sampled continuously while
   a scenario runs: committed prefixes never fork, no correct client accepts
   a forged reply, exactly-once execution per request id, checkpoint digests
-  agree; per shard, plus cross-shard atomicity, on a sharded deployment;
+  agree — each judged per replica group, whatever the group count — plus
+  cross-shard atomicity when the clients are routed;
 * :mod:`~repro.scenarios.engine` — :class:`Scenario`, the one scenario type
   (single group or a mode per shard, closed loop or an :class:`OpenLoop`
   section, with or without an adaptive controller; varied with
@@ -59,6 +60,7 @@ from repro.scenarios.events import (
     ClearLinkDegradation,
     ClientSurge,
     Crash,
+    GroupEvent,
     HealPartition,
     IsolateShard,
     LinkDegradation,
@@ -76,7 +78,6 @@ from repro.scenarios.invariants import (
     ExactlyOnceExecution,
     InvariantChecker,
     NoForgedReplies,
-    PerShardInvariants,
     default_checkers,
 )
 from repro.scenarios.library import SCENARIOS, scenario_by_name, scenario_names
@@ -86,7 +87,6 @@ __all__ = [
     # sharded
     "SHARDED_BASE",
     "SHARDED_SCENARIOS",
-    "PerShardInvariants",
     "CrossShardAtomicity",
     "OnShard",
     "IsolateShard",
@@ -106,6 +106,7 @@ __all__ = [
     "CaughtUp",
     # events
     "ScenarioEvent",
+    "GroupEvent",
     "Crash",
     "Recover",
     "Byzantine",

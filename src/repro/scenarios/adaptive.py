@@ -39,6 +39,7 @@ from repro.scenarios.engine import (
     Scenario,
     ShardExpects,
     TransactionsAtLeast,
+    judged_replicas,
 )
 from repro.scenarios.events import Byzantine, Crash, OnShard, Recover, RestoreHonest
 from repro.scenarios.sharded import SHARDED_BASE
@@ -48,8 +49,8 @@ from repro.scenarios.sharded import SHARDED_BASE
 LIBRARY_POLICY = AdaptivePolicy()
 
 
-def _controller_of(deployment):
-    controller = deployment.extras.get("adaptive")
+def _controller_of(deployment, shard):
+    controller = deployment.group(shard).adaptive
     if controller is None:
         raise AssertionError(
             "a controller expectation ran against a deployment without a "
@@ -67,8 +68,8 @@ class ControllerEscalated(Expectation):
 
     to_mode: Mode = Mode.PEACOCK
 
-    def evaluate(self, deployment, initial_mode, probes) -> List[str]:
-        controller = _controller_of(deployment)
+    def evaluate(self, deployment, probes, shard=None) -> List[str]:
+        controller = _controller_of(deployment, shard)
         if any(d.to_mode is self.to_mode and d.applied for d in controller.decisions):
             return []
         return [
@@ -83,10 +84,10 @@ class FinalModeIs(Expectation):
 
     mode: Mode = Mode.LION
 
-    def evaluate(self, deployment, initial_mode, probes) -> List[str]:
+    def evaluate(self, deployment, probes, shard=None) -> List[str]:
         wrong = {
             replica.node_id: replica.mode.name
-            for replica in deployment.correct_replicas()
+            for replica in judged_replicas(deployment, shard)
             if replica.mode is not self.mode
         }
         if wrong:
@@ -101,8 +102,8 @@ class ModeCycleCompleted(Expectation):
     through: Mode = Mode.PEACOCK
     back_to: Mode = Mode.LION
 
-    def evaluate(self, deployment, initial_mode, probes) -> List[str]:
-        controller = _controller_of(deployment)
+    def evaluate(self, deployment, probes, shard=None) -> List[str]:
+        controller = _controller_of(deployment, shard)
         entered = [to for (_, _, to) in controller.mode_transitions]
         if self.through not in entered:
             return [
@@ -124,8 +125,8 @@ class TransitionsAtMost(Expectation):
 
     limit: int = 2
 
-    def evaluate(self, deployment, initial_mode, probes) -> List[str]:
-        controller = _controller_of(deployment)
+    def evaluate(self, deployment, probes, shard=None) -> List[str]:
+        controller = _controller_of(deployment, shard)
         if len(controller.mode_transitions) <= self.limit:
             return []
         return [
@@ -140,8 +141,8 @@ class NeverEntered(Expectation):
 
     mode: Mode = Mode.PEACOCK
 
-    def evaluate(self, deployment, initial_mode, probes) -> List[str]:
-        controller = _controller_of(deployment)
+    def evaluate(self, deployment, probes, shard=None) -> List[str]:
+        controller = _controller_of(deployment, shard)
         entered = [to for (_, _, to) in controller.mode_transitions]
         if self.mode in entered or any(
             d.to_mode is self.mode for d in controller.decisions

@@ -30,20 +30,14 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.cluster.builders import AdaptiveSpec, build_seemore, build_sharded_seemore
-from repro.cluster.deployment import ClientDriven, Deployment
+from repro.cluster.deployment import Deployment
 from repro.cluster.runner import RunResult, run_open_loop
+from repro.cluster.wiring import ShardSpec
 from repro.core.admission import AdmissionPolicy
 from repro.core.batching import BatchPolicy
 from repro.core.modes import Mode
 from repro.scenarios.events import _MODE_CYCLE, ScenarioEvent, resolve_target
-from repro.scenarios.invariants import (
-    CrossShardAtomicity,
-    InvariantChecker,
-    NoForgedReplies,
-    PerShardInvariants,
-    default_checkers,
-)
-from repro.shard.deployment import ShardSpec
+from repro.scenarios.invariants import CrossShardAtomicity, InvariantChecker, default_checkers
 from repro.workload.generator import Workload, WorkloadSpec
 from repro.workload.openloop import ArrivalProcess, ClientPopulation, OpenLoopDriver
 from repro.workload.slo import SlaViolation, SloSpec
@@ -56,16 +50,31 @@ class Expectation:
 
     ``probe_times`` lets an expectation capture mid-run state: the engine
     records the completion count at each requested time and hands the
-    probes back to :meth:`evaluate`.
+    probes back to :meth:`evaluate`.  ``shard`` is how :class:`ShardExpects`
+    names the group a wrapped expectation is held to; unwrapped, an
+    expectation about one group's state judges ``deployment.group()`` and
+    one about replicas at large judges every group's.
     """
 
     def probe_times(self) -> List[float]:
         return []
 
     def evaluate(
-        self, deployment: Deployment, initial_mode: Mode, probes: Dict[float, int]
+        self, deployment: Deployment, probes: Dict[float, int], shard: Optional[int] = None
     ) -> List[str]:
         raise NotImplementedError
+
+    def check(self, deployment: Deployment) -> None:
+        """Raise ``ValueError`` if the expectation cannot be judged on ``deployment``."""
+
+    @property
+    def label(self) -> str:
+        return type(self).__name__
+
+
+def judged_replicas(deployment: Deployment, shard: Optional[int]) -> list:
+    """The correct replicas an expectation judges: one group's when named, else all."""
+    return (deployment if shard is None else deployment.group(shard)).correct_replicas()
 
 
 @dataclass(frozen=True)
@@ -82,7 +91,7 @@ class ProgressAfter(Expectation):
     def probe_times(self) -> List[float]:
         return [self.at]
 
-    def evaluate(self, deployment, initial_mode, probes) -> List[str]:
+    def evaluate(self, deployment, probes, shard=None) -> List[str]:
         progressed = deployment.metrics.completed - probes[self.at]
         if progressed < self.min_completed:
             return [
@@ -98,8 +107,8 @@ class ViewAdvanced(Expectation):
 
     min_view: int = 1
 
-    def evaluate(self, deployment, initial_mode, probes) -> List[str]:
-        views = [replica.view for replica in deployment.correct_replicas()]
+    def evaluate(self, deployment, probes, shard=None) -> List[str]:
+        views = [replica.view for replica in judged_replicas(deployment, shard)]
         if not views or max(views) < self.min_view:
             return [f"no correct replica advanced to view {self.min_view} (views: {views})"]
         return []
@@ -116,12 +125,13 @@ class ModeIs(Expectation):
 
     steps: int = 1
 
-    def evaluate(self, deployment, initial_mode, probes) -> List[str]:
-        index = (_MODE_CYCLE.index(initial_mode) + self.steps) % len(_MODE_CYCLE)
+    def evaluate(self, deployment, probes, shard=None) -> List[str]:
+        group = deployment.group(shard)
+        index = (_MODE_CYCLE.index(group.mode) + self.steps) % len(_MODE_CYCLE)
         expected = _MODE_CYCLE[index]
         wrong = {
             replica.node_id: replica.mode.name
-            for replica in deployment.correct_replicas()
+            for replica in group.correct_replicas()
             if replica.mode is not expected
         }
         if wrong:
@@ -135,8 +145,9 @@ class StateTransferred(Expectation):
 
     target: str
 
-    def evaluate(self, deployment, initial_mode, probes) -> List[str]:
-        replica = deployment.replica(resolve_target(deployment, self.target))
+    def evaluate(self, deployment, probes, shard=None) -> List[str]:
+        group = deployment.group(shard)
+        replica = group.replica(resolve_target(group, self.target))
         if replica.state_transfers_completed < 1:
             return [f"{replica.node_id} never completed a state transfer"]
         return []
@@ -149,11 +160,10 @@ class CaughtUp(Expectation):
     target: str
     slack: int = 64
 
-    def evaluate(self, deployment, initial_mode, probes) -> List[str]:
-        replica = deployment.replica(resolve_target(deployment, self.target))
-        frontier = max(
-            (peer.last_executed for peer in deployment.correct_replicas()), default=0
-        )
+    def evaluate(self, deployment, probes, shard=None) -> List[str]:
+        group = deployment.group(shard)
+        replica = group.replica(resolve_target(group, self.target))
+        frontier = max((peer.last_executed for peer in group.correct_replicas()), default=0)
         if replica.last_executed < frontier - self.slack:
             return [
                 f"{replica.node_id} executed only {replica.last_executed} of "
@@ -169,7 +179,7 @@ class TransactionsAtLeast(Expectation):
     outcome: str = "committed"
     count: int = 1
 
-    def evaluate(self, deployment, initial_mode, probes) -> List[str]:
+    def evaluate(self, deployment, probes, shard=None) -> List[str]:
         reached = deployment.transaction_stats()[self.outcome]
         if reached < self.count:
             return [
@@ -181,7 +191,7 @@ class TransactionsAtLeast(Expectation):
 
 @dataclass(frozen=True)
 class ShardExpects(Expectation):
-    """Hold one shard to a single-cluster expectation (``OnShard`` for verdicts).
+    """Hold one group to an expectation (``OnShard`` for verdicts).
 
     Probes count whole-deployment completions, so wrap only expectations
     that judge end-of-run state (modes, views, controller decisions).
@@ -190,12 +200,14 @@ class ShardExpects(Expectation):
     shard: int
     expectation: Expectation
 
-    def evaluate(self, deployment, initial_mode, probes) -> List[str]:
-        group = deployment.shards[self.shard]
+    def evaluate(self, deployment, probes, shard=None) -> List[str]:
         return [
             f"shard {self.shard}: {failure}"
-            for failure in self.expectation.evaluate(group, group.extras["mode"], probes)
+            for failure in self.expectation.evaluate(deployment, probes, self.shard)
         ]
+
+    def check(self, deployment: Deployment) -> None:
+        deployment.group(self.shard)
 
 
 # -- the scenario itself ----------------------------------------------------------
@@ -233,7 +245,7 @@ class OpenLoop:
     slo: SloSpec = SloSpec(percentile=0.99, bound=0.1)
     warmup: float = 0.5
 
-    def spawn(self, deployment: ClientDriven, seed: int) -> OpenLoopDriver:
+    def spawn(self, deployment: Deployment, seed: int) -> OpenLoopDriver:
         """The driver and connection pool of one run, on ``deployment``'s client pool."""
         population = ClientPopulation(self.num_users, self.arrivals(seed=seed), seed=seed)
         return deployment.client_pool.spawn_open_loop(
@@ -276,7 +288,7 @@ class Scenario:
             group, whose mode :func:`run_scenario`'s argument picks.
         partition_policy / txn_timeout: sharded only — how the keyspace is
             split, and how long a coordinator waits for prepare votes.
-        admission: primary-side admission control (single group only).
+        admission: primary-side admission control, on every group.
         adaptive: a live mode controller per group, on this policy.
         open_loop: the load is a modeled population, see :class:`OpenLoop`
             (``num_clients`` and ``client_window`` are then unused).
@@ -306,7 +318,7 @@ class Scenario:
     adaptive: AdaptiveSpec = None
     open_loop: Optional[OpenLoop] = None
 
-    def build(self, mode: Optional[Mode] = None) -> ClientDriven:
+    def build(self, mode: Optional[Mode] = None) -> Deployment:
         """Stand up the deployment this scenario runs against (Lion by default)."""
         spec = self.workload
         if isinstance(spec, WorkloadSpec):
@@ -316,33 +328,26 @@ class Scenario:
             byzantine_tolerance=self.byzantine_tolerance,
             checkpoint_period=self.checkpoint_period,
             batch_policy=self.batch_policy,
+            admission=self.admission,
         )
         shared = dict(
             workload=Workload.build(spec),
+            # An open-loop run's connections are spawned by the engine.
+            num_clients=self.num_clients if self.open_loop is None else 0,
             seed=self.seed,
             client_timeout=self.client_timeout,
             client_window=self.client_window,
             adaptive=self.adaptive,
         )
         if self.modes is None:
-            return build_seemore(
-                mode=mode if mode is not None else Mode.LION,
-                # An open-loop run's connections are spawned by the engine.
-                num_clients=self.num_clients if self.open_loop is None else 0,
-                admission=self.admission,
-                **group,
-                **shared,
-            )
+            return build_seemore(mode=mode if mode is not None else Mode.LION, **group, **shared)
         if mode is not None:
             raise TypeError(
                 f"scenario {self.name!r} assigns a mode per shard "
                 f"(modes={[m.name for m in self.modes]}); it takes no run-wide mode"
             )
-        if self.admission is not None:
-            raise ValueError(f"scenario {self.name!r}: admission control is single-group only")
         return build_sharded_seemore(
             shard_specs=tuple(ShardSpec(mode=shard_mode, **group) for shard_mode in self.modes),
-            num_clients=self.num_clients,
             partition_policy=self.partition_policy,
             txn_timeout=self.txn_timeout,
             **shared,
@@ -352,25 +357,27 @@ class Scenario:
         """A fresh instance of every checker this scenario is judged by.
 
         A surge's verdict is the SLO's alone, over the window the measured
-        result covers; several groups are each held to the standard four,
-        and together to cross-shard atomicity.
+        result covers; otherwise every group is held to the standard four,
+        and routed clients additionally to cross-shard atomicity.
         """
         if self.open_loop is not None:
             warmup = self.open_loop.warmup
-            return [SlaViolation(self.open_loop.slo, start=warmup, end=warmup + self.duration)]
+            checkers = [SlaViolation(self.open_loop.slo, start=warmup, end=warmup + self.duration)]
+        else:
+            checkers = default_checkers()
         if self.modes is not None:
-            return [PerShardInvariants(), CrossShardAtomicity(), NoForgedReplies()]
-        return default_checkers()
+            checkers.append(CrossShardAtomicity())
+        return checkers
 
 
 @dataclass
 class ScenarioResult:
     """Everything one scenario run produced, with a pass/fail verdict.
 
-    ``mode`` is the initial mode, ``/``-joined per shard for a sharded run
-    and empty (like ``final_modes``) for a protocol that has no modes.
-    ``transactions`` and ``per_shard_completed`` are filled for sharded
-    runs and ``measured`` (the measured window's
+    ``mode`` is the initial mode, ``/``-joined per group when there are
+    several and empty (like ``final_modes``) for a protocol that has no modes.
+    ``transactions`` and ``per_shard_completed`` are filled when the
+    deployment's clients are routed and ``measured`` (the measured window's
     :class:`~repro.cluster.runner.RunResult`) for open-loop ones.
     """
 
@@ -441,7 +448,7 @@ def run_scenario(
     scenario: Scenario,
     mode: Optional[Mode] = None,
     checkers: Optional[Sequence[InvariantChecker]] = None,
-    deployment: Optional[ClientDriven] = None,
+    deployment: Optional[Deployment] = None,
 ) -> ScenarioResult:
     """Run one scenario and return its result (no assertion).
 
@@ -450,10 +457,20 @@ def run_scenario(
     ``deployment`` may be supplied when the caller needs to inspect it
     after the run, or when the schedule is to run against another protocol
     (any ``build_*`` deployment; the scenario's deployment knobs are then
-    unused).
+    unused).  A schedule that cannot run on the deployment — an event that
+    never fires, a shard or a role it does not have, a group event aimed at
+    no one group of several — is a ``ValueError`` before the clock starts.
     """
     if deployment is None:
         deployment = scenario.build(mode)
+    for item in (*scenario.events, *scenario.expectations):
+        try:
+            item.check(deployment)
+        except (KeyError, ValueError) as error:
+            raise ValueError(
+                f"scenario {scenario.name!r}: {item.label} cannot run on "
+                f"{deployment.protocol}: {error.args[0]}"
+            ) from None
     section = scenario.open_loop
     # Open loop, the load runs as one measured window (warm-up, then
     # ``duration``) under a driver instead of as a plain closed loop.
@@ -531,11 +548,9 @@ def run_scenario(
         record(checker.name, checker.finalize(deployment))
     deployment.collect_batch_sizes()
 
-    shards = getattr(deployment, "shards", None)
-    # Only SeeMoRe groups run in a mode; a baseline's extras name none.
-    initial_modes = [
-        group.extras["mode"] for group in (shards or [deployment]) if "mode" in group.extras
-    ]
+    routed = deployment.router is not None
+    # Only SeeMoRe groups run in a mode; a baseline's group names none.
+    initial_modes = [group.mode for group in deployment.shards if group.mode is not None]
     expectation_failures: List[str] = []
     if deployment.metrics.completed < scenario.min_completed:
         expectation_failures.append(
@@ -543,9 +558,7 @@ def run_scenario(
             f"run (liveness floor {scenario.min_completed})"
         )
     for expectation in scenario.expectations:
-        expectation_failures.extend(
-            expectation.evaluate(deployment, initial_modes[0] if initial_modes else None, probes)
-        )
+        expectation_failures.extend(expectation.evaluate(deployment, probes))
 
     correct = deployment.correct_replicas()
     return ScenarioResult(
@@ -571,8 +584,8 @@ def run_scenario(
         expectation_failures=expectation_failures,
         events_processed=simulator.events_processed,
         simulated_seconds=simulator.now,
-        transactions=deployment.transaction_stats() if shards else None,
-        per_shard_completed=tuple(deployment.per_shard_completed()) if shards else None,
+        transactions=deployment.transaction_stats() if routed else None,
+        per_shard_completed=tuple(deployment.per_shard_completed()) if routed else None,
         measured=measured,
     )
 

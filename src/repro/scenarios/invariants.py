@@ -10,7 +10,9 @@ Each checker implements a small protocol:
 
 All methods return a list of human-readable violation strings (empty when
 the invariant holds).  The four standard checkers cover the paper's safety
-claims:
+claims, each judged *per replica group* — every group of a deployment is
+its own replicated state machine, so state is keyed by group and a
+violation names its shard when there are several:
 
 * committed prefixes never fork across correct replicas
   (:class:`CommittedPrefixAgreement`);
@@ -21,39 +23,38 @@ claims:
 * stable checkpoint digests agree across correct replicas
   (:class:`CheckpointAgreement`).
 
-A sharded deployment is held to the same four on every shard
-(:class:`PerShardInvariants`) and to the two-phase protocol's contract
-across them: no shard commits a transaction another shard aborted
-(:class:`CrossShardAtomicity`).
+So :func:`default_checkers` is right for every deployment; one whose
+clients are routed is additionally held to the two-phase protocol's
+contract across groups: no shard commits a transaction another shard
+aborted (:class:`CrossShardAtomicity`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Dict, List, Tuple
 
-from repro.cluster.deployment import ClientDriven, Deployment
-from repro.shard.deployment import ShardedDeployment
-from repro.smr.ledger import find_safety_violations
+from repro.cluster.deployment import Deployment
+from repro.cluster.wiring import Group
+
+
+def _where(deployment: Deployment, group: Group) -> str:
+    """How a violation names its group: nothing for a single cluster."""
+    return f"shard {group.index}: " if len(deployment.shards) > 1 else ""
 
 
 class InvariantChecker:
-    """Base class; subclasses override any of the three hooks.
-
-    The deployment is whatever the scenario built: one cluster or a
-    sharded deployment (:class:`PerShardInvariants` and
-    :class:`CrossShardAtomicity` only make sense on the latter).
-    """
+    """Base class; subclasses override any of the three hooks."""
 
     name = "invariant"
 
-    def attach(self, deployment: ClientDriven) -> None:
+    def attach(self, deployment: Deployment) -> None:
         """Instrument the deployment before clients start."""
 
-    def check(self, deployment: ClientDriven) -> List[str]:
+    def check(self, deployment: Deployment) -> List[str]:
         """Periodic mid-run check; return violation descriptions."""
         return []
 
-    def finalize(self, deployment: ClientDriven) -> List[str]:
+    def finalize(self, deployment: Deployment) -> List[str]:
         """End-of-run check; return violation descriptions."""
         return self.check(deployment)
 
@@ -73,44 +74,49 @@ class CommittedPrefixAgreement(InvariantChecker):
 
     def __init__(self) -> None:
         self._offsets: Dict[str, int] = {}
-        # sequence -> (first replica to commit it while correct, digest)
-        self._agreed: Dict[int, Tuple[str, str]] = {}
-        # Structural keys of reported conflicts, so the final pairwise pass
-        # does not re-report a fork the incremental scan already flagged
-        # with the replicas phrased in the opposite order.
+        # group -> sequence -> (first replica to commit it while correct, digest)
+        self._agreed: Dict[int, Dict[int, Tuple[str, str]]] = {}
+        # Structural keys of reported conflicts (replica ids name the group),
+        # so the final pairwise pass does not re-report a fork the incremental
+        # scan already flagged with the replicas phrased in the opposite order.
         self._reported: set = set()
         self._violations: List[str] = []
 
-    def _report(self, sequence, replica_a, digest_a, replica_b, digest_b) -> None:
+    def _report(self, where, sequence, replica_a, digest_a, replica_b, digest_b) -> None:
         key = (sequence, frozenset({(replica_a, digest_a), (replica_b, digest_b)}))
         if key in self._reported:
             return
         self._reported.add(key)
         self._violations.append(
-            f"sequence {sequence}: {replica_a} committed {digest_a[:8]} "
+            f"{where}sequence {sequence}: {replica_a} committed {digest_a[:8]} "
             f"but {replica_b} committed {digest_b[:8]}"
         )
 
     def check(self, deployment: Deployment) -> List[str]:
-        for replica in deployment.correct_replicas():
-            ledger = replica.ledger
-            for entry in ledger.entries_since(self._offsets.get(replica.node_id, 0)):
-                seen = self._agreed.get(entry.sequence)
-                if seen is None:
-                    self._agreed[entry.sequence] = (replica.node_id, entry.digest)
-                elif seen[1] != entry.digest and seen[0] != replica.node_id:
-                    self._report(
-                        entry.sequence, replica.node_id, entry.digest, seen[0], seen[1]
-                    )
-            self._offsets[replica.node_id] = len(ledger)
+        for group in deployment.shards:
+            agreed = self._agreed.setdefault(group.index, {})
+            for replica in group.correct_replicas():
+                ledger = replica.ledger
+                for entry in ledger.entries_since(self._offsets.get(replica.node_id, 0)):
+                    seen = agreed.get(entry.sequence)
+                    if seen is None:
+                        agreed[entry.sequence] = (replica.node_id, entry.digest)
+                    elif seen[1] != entry.digest and seen[0] != replica.node_id:
+                        self._report(
+                            _where(deployment, group),
+                            entry.sequence,
+                            replica.node_id,
+                            entry.digest,
+                            *seen,
+                        )
+                self._offsets[replica.node_id] = len(ledger)
         return list(self._violations)
 
     def finalize(self, deployment: Deployment) -> List[str]:
         self.check(deployment)
-        for sequence, replica_a, digest_a, replica_b, digest_b in find_safety_violations(
-            deployment.correct_ledgers()
-        ):
-            self._report(sequence, replica_a, digest_a, replica_b, digest_b)
+        for group in deployment.shards:
+            for conflict in group.safety_violations():
+                self._report(_where(deployment, group), *conflict)
         return list(self._violations)
 
 
@@ -132,7 +138,7 @@ class NoForgedReplies(InvariantChecker):
         self._accepted: Dict[Tuple[str, int], Tuple[int, Any]] = {}
         self._violations: List[str] = []
 
-    def attach(self, deployment: ClientDriven) -> None:
+    def attach(self, deployment: Deployment) -> None:
         for client in deployment.clients:
             self._instrument(client)
         # Clients spawned mid-run (a ClientSurge event) must be instrumented
@@ -164,9 +170,9 @@ class NoForgedReplies(InvariantChecker):
 
         client._complete = completing  # type: ignore[method-assign]
 
-    def finalize(self, deployment: ClientDriven) -> List[str]:
+    def finalize(self, deployment: Deployment) -> List[str]:
         violations = list(self._violations)
-        groups = getattr(deployment, "shards", None) or [deployment]
+        groups = deployment.shards
         correct = [group.correct_replicas() for group in groups]
         for (client_id, timestamp), (group, accepted) in sorted(self._accepted.items()):
             executed = [
@@ -205,29 +211,34 @@ class ExactlyOnceExecution(InvariantChecker):
         # executions performed since the previous sample.
         self._offsets: Dict[str, int] = {}
         self._local: Dict[str, Dict[Tuple[str, int], Any]] = {}
-        self._agreed: Dict[Tuple[str, int], Tuple[str, Any]] = {}
+        # Per group: a client's timestamps are its own, whichever group serves them.
+        self._agreed: Dict[int, Dict[Tuple[str, int], Tuple[str, Any]]] = {}
         self._violations: List[str] = []
 
     def check(self, deployment: Deployment) -> List[str]:
-        for replica in deployment.correct_replicas():
-            executed = replica.executor.executed
-            local = self._local.setdefault(replica.node_id, {})
-            for execution in executed[self._offsets.get(replica.node_id, 0):]:
-                key = (execution.client_id, execution.timestamp)
-                if key in local and local[key] != execution.result:
-                    self._violations.append(
-                        f"{replica.node_id} executed {key} twice with different "
-                        f"results (duplicate not served from the reply cache)"
-                    )
-                local[key] = execution.result
-                seen = self._agreed.get(key)
-                if seen is None:
-                    self._agreed[key] = (replica.node_id, execution.result)
-                elif seen[1] != execution.result and seen[0] != replica.node_id:
-                    self._violations.append(
-                        f"{replica.node_id} and {seen[0]} disagree on the result of {key}"
-                    )
-            self._offsets[replica.node_id] = len(executed)
+        for group in deployment.shards:
+            where = _where(deployment, group)
+            agreed = self._agreed.setdefault(group.index, {})
+            for replica in group.correct_replicas():
+                executed = replica.executor.executed
+                local = self._local.setdefault(replica.node_id, {})
+                for execution in executed[self._offsets.get(replica.node_id, 0):]:
+                    key = (execution.client_id, execution.timestamp)
+                    if key in local and local[key] != execution.result:
+                        self._violations.append(
+                            f"{where}{replica.node_id} executed {key} twice with different "
+                            f"results (duplicate not served from the reply cache)"
+                        )
+                    local[key] = execution.result
+                    seen = agreed.get(key)
+                    if seen is None:
+                        agreed[key] = (replica.node_id, execution.result)
+                    elif seen[1] != execution.result and seen[0] != replica.node_id:
+                        self._violations.append(
+                            f"{where}{replica.node_id} and {seen[0]} disagree on the "
+                            f"result of {key}"
+                        )
+                self._offsets[replica.node_id] = len(executed)
         return list(self._violations)
 
 
@@ -242,27 +253,29 @@ class CheckpointAgreement(InvariantChecker):
     name = "checkpoint-agreement"
 
     def __init__(self) -> None:
-        # sequence -> (replica that set it, digest)
-        self._seen: Dict[int, Tuple[str, str]] = {}
+        # (group, sequence) -> (replica that set it, digest)
+        self._seen: Dict[Tuple[int, int], Tuple[str, str]] = {}
         self._violations: List[str] = []
 
     def check(self, deployment: Deployment) -> List[str]:
-        for replica in deployment.correct_replicas():
-            checkpoints = getattr(replica, "checkpoints", None)
-            if checkpoints is None or checkpoints.stable_sequence == 0:
-                continue
-            sequence = checkpoints.stable_sequence
-            state_digest = checkpoints.stable_digest
-            seen = self._seen.get(sequence)
-            if seen is None:
-                self._seen[sequence] = (replica.node_id, state_digest)
-            elif seen[1] != state_digest:
-                message = (
-                    f"checkpoint at sequence {sequence}: {replica.node_id} has digest "
-                    f"{state_digest[:8]} but {seen[0]} has {seen[1][:8]}"
+        for group in deployment.shards:
+            for replica in group.correct_replicas():
+                checkpoints = getattr(replica, "checkpoints", None)
+                if checkpoints is None or checkpoints.stable_sequence == 0:
+                    continue
+                sequence = checkpoints.stable_sequence
+                state_digest = checkpoints.stable_digest
+                seen = self._seen.setdefault(
+                    (group.index, sequence), (replica.node_id, state_digest)
                 )
-                if message not in self._violations:
-                    self._violations.append(message)
+                if seen[1] != state_digest:
+                    message = (
+                        f"{_where(deployment, group)}checkpoint at sequence {sequence}: "
+                        f"{replica.node_id} has digest {state_digest[:8]} but "
+                        f"{seen[0]} has {seen[1][:8]}"
+                    )
+                    if message not in self._violations:
+                        self._violations.append(message)
         return list(self._violations)
 
 
@@ -276,42 +289,6 @@ def default_checkers() -> List[InvariantChecker]:
     ]
 
 
-class PerShardInvariants(InvariantChecker):
-    """Run the full single-cluster checker set independently on every shard.
-
-    Committed-prefix agreement, exactly-once execution, and checkpoint
-    agreement are all *per-shard* properties — each shard is its own
-    replicated state machine — so each shard gets a fresh checker set and
-    violations are reported with the shard index.
-    """
-
-    name = "per-shard-invariants"
-
-    def __init__(self, checker_factory=default_checkers) -> None:
-        self._checker_factory = checker_factory
-        self._checkers: Dict[int, List[InvariantChecker]] = {}
-
-    def attach(self, deployment: ShardedDeployment) -> None:
-        for index, shard in enumerate(deployment.shards):
-            self._checkers[index] = list(self._checker_factory())
-            for checker in self._checkers[index]:
-                checker.attach(shard)
-
-    def _collect(self, deployment: ShardedDeployment, hook: Callable) -> List[str]:
-        return [
-            f"shard {index} [{checker.name}] {violation}"
-            for index, shard in enumerate(deployment.shards)
-            for checker in self._checkers.get(index, ())
-            for violation in hook(checker, shard)
-        ]
-
-    def check(self, deployment: ShardedDeployment) -> List[str]:
-        return self._collect(deployment, lambda checker, shard: checker.check(shard))
-
-    def finalize(self, deployment: ShardedDeployment) -> List[str]:
-        return self._collect(deployment, lambda checker, shard: checker.finalize(shard))
-
-
 class CrossShardAtomicity(InvariantChecker):
     """No shard commits a cross-shard transaction another shard aborted.
 
@@ -322,7 +299,7 @@ class CrossShardAtomicity(InvariantChecker):
 
     name = "cross-shard-atomicity"
 
-    def check(self, deployment: ShardedDeployment) -> List[str]:
+    def check(self, deployment: Deployment) -> List[str]:
         return deployment.atomicity_violations()
 
 
@@ -333,6 +310,5 @@ __all__ = [
     "ExactlyOnceExecution",
     "CheckpointAgreement",
     "default_checkers",
-    "PerShardInvariants",
     "CrossShardAtomicity",
 ]

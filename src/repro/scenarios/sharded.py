@@ -2,22 +2,26 @@
 
 The same declarative :class:`~repro.scenarios.engine.Scenario`, naming a
 mode per shard, run by the same
-:func:`~repro.scenarios.engine.run_scenario` against a
-:class:`~repro.shard.deployment.ShardedDeployment`.  What is specific to
-shards sits with its kind: the ``OnShard`` / ``IsolateShard`` events in
-:mod:`~repro.scenarios.events`, the per-shard and cross-shard-atomicity
-checkers (a scenario with ``modes`` defaults to them) in
-:mod:`~repro.scenarios.invariants`, and the ``TransactionsAtLeast`` /
-``ShardExpects`` expectations in :mod:`~repro.scenarios.engine`.
+:func:`~repro.scenarios.engine.run_scenario` against the same
+:class:`~repro.cluster.deployment.Deployment`, here with several groups and
+routed clients.  What is specific to shards sits with its kind: the
+``OnShard`` / ``IsolateShard`` events in :mod:`~repro.scenarios.events`, the
+cross-shard-atomicity checker (a scenario with ``modes`` adds it to the
+standard four) in :mod:`~repro.scenarios.invariants`, and the
+``TransactionsAtLeast`` / ``ShardExpects`` expectations in
+:mod:`~repro.scenarios.engine`.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import partial
 from typing import Dict
 
+from repro.core.admission import AdmissionPolicy
+from repro.core.batching import BatchPolicy
 from repro.core.modes import Mode
-from repro.scenarios.engine import Scenario, TransactionsAtLeast
+from repro.scenarios.engine import OpenLoop, Scenario, TransactionsAtLeast
 from repro.scenarios.events import (
     Byzantine,
     Crash,
@@ -28,6 +32,8 @@ from repro.scenarios.events import (
     Recover,
 )
 from repro.workload.generator import WorkloadSpec
+from repro.workload.openloop import BurstyArrivals
+from repro.workload.slo import SloSpec
 
 #: What a sharded scenario starts from (``replace(SHARDED_BASE, name=...,
 #: ...)``): two Lion shards under the sharded key-value mix with a fifth of
@@ -114,6 +120,42 @@ SHARD_CRASH_RECOVER_WITH_MODE_SWITCH = replace(
     duration=0.9,
 )
 
+# A transaction is never shed (a participant that prepared must learn the
+# decision), so it rides its sub-requests' backoff through a burst and lands
+# in the calm after it, at up to ~300 ms; single-shard requests are served in
+# ~40 ms or shed.  The objective sits where the transactions land.
+_SURGE_SLO = SloSpec(percentile=0.99, bound=0.4, max_violation_fraction=0.0)
+
+SURGE_SHARDED_ADMISSION_ON = replace(
+    SHARDED_BASE,
+    name="surge-sharded-admission-on",
+    description="1M modeled users surging past two Lion shards' capacity over routed "
+    "connections; both primaries shed single-shard requests with signed Busy rejects, "
+    "transactions back off instead of being shed and stay atomic, and the SLO holds.",
+    # 400 requests/s with bursts to 8,000 for a quarter second of every half.
+    open_loop=OpenLoop(
+        arrivals=partial(
+            BurstyArrivals,
+            base_rate=400.0,
+            burst_rate=8_000.0,
+            on_duration=0.25,
+            off_duration=0.25,
+        ),
+        slo=_SURGE_SLO,
+        warmup=0.25,
+    ),
+    admission=AdmissionPolicy(max_outstanding=32),
+    batch_policy=BatchPolicy(max_batch=1, linger=0.0, pipeline_depth=1),
+    workload=replace(SHARDED_BASE.workload, cross_shard_fraction=0.02),
+    # A quarter second of warm-up, then calm, burst, calm: the run ends with
+    # the burst's transactions decided rather than parked in backoff.
+    duration=0.75,
+    min_completed=0,
+    check_interval=_SURGE_SLO.bin_width,
+    # Far above the SLO bound: backpressure flows only through ``Busy`` rejects.
+    client_timeout=30.0,
+)
+
 
 #: The sharded scenario library, in presentation order.
 SHARDED_SCENARIOS: Dict[str, Scenario] = {
@@ -124,6 +166,7 @@ SHARDED_SCENARIOS: Dict[str, Scenario] = {
         MIXED_MODE_SHARDS,
         SHARD_BYZANTINE_BACKUP,
         SHARD_CRASH_RECOVER_WITH_MODE_SWITCH,
+        SURGE_SHARDED_ADMISSION_ON,
     )
 }
 

@@ -13,22 +13,23 @@ state is partitioned across N SeeMoRe clusters, each free to run the mode
   committing multi-key operations that span shards, with every prepare and
   decide record ordered through the participating shard's own consensus;
 * :mod:`~repro.shard.client` — the routed client (the single-cluster
-  client with one :class:`~repro.smr.client.Session` per shard) and its pool;
-* :mod:`~repro.shard.deployment` — :class:`ShardedDeployment`, composing N
-  per-shard :class:`~repro.cluster.deployment.Deployment` objects on one
-  simulator with aggregate safety and atomicity checks.
+  client with one :class:`~repro.smr.client.Session` per shard).
 
-Deployments are built by
-:func:`repro.cluster.builders.build_sharded_seemore`.
+This package is what is *different* about shards and nothing else.  The
+replica groups themselves are ordinary :class:`~repro.cluster.wiring.Group`
+records, each configured by a :class:`~repro.cluster.wiring.ShardSpec`; N
+of them on one fabric are the one
+:class:`~repro.cluster.deployment.Deployment` (its ``router`` set), built
+by :func:`repro.cluster.builders.build_sharded_seemore`; and routed clients
+come from the one :class:`~repro.workload.client_pool.ClientPool`.
 """
 
-from repro.shard.client import ShardedClient, ShardedClientPool
+from repro.shard.client import ShardedClient
 from repro.shard.coordinator import (
     CoordinatorStats,
     CrossShardCoordinator,
     TransactionRecord,
 )
-from repro.shard.deployment import ShardedDeployment, ShardSpec
 from repro.shard.partition import (
     HashPartitioner,
     Partitioner,
@@ -48,7 +49,4 @@ __all__ = [
     "CoordinatorStats",
     "TransactionRecord",
     "ShardedClient",
-    "ShardedClientPool",
-    "ShardedDeployment",
-    "ShardSpec",
 ]

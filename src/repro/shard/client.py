@@ -23,13 +23,11 @@ completion — only when every participant acknowledged the decision.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.shard.coordinator import CrossShardCoordinator, TransactionRecord
 from repro.shard.router import ShardRouter
 from repro.smr.client import Client, ClientConfig, CompletedRequest, Session
-from repro.workload.client_pool import ClientPool
-from repro.workload.metrics import MetricsCollector
 
 
 class ShardedClient(Client):
@@ -55,7 +53,8 @@ class ShardedClient(Client):
         self.shard_recorders = shard_recorders or {}
         self._logical_issued = 0
         self._logical_outstanding = 0
-        self._txn_parent: Dict[str, int] = {}
+        # txn id -> (the first prepare's timestamp, when the transaction counts as sent).
+        self._txn_parent: Dict[str, Tuple[int, float]] = {}
         self.coordinator = CrossShardCoordinator(
             submit=lambda shard, operation, on_result: self._submit(
                 self.sessions[shard], operation, self.now, on_result
@@ -79,68 +78,43 @@ class ShardedClient(Client):
             return False
         if self.max_requests is not None and self._logical_issued >= self.max_requests:
             return False
+        # The same two hooks Client._issue_next draws from, so an open-loop
+        # connection (arrivals from a driver's backlog, latency stamped from
+        # arrival) composes with routing.
+        operation = self._next_operation(self._logical_issued + 1)
+        if operation is None:
+            return False
+        sent_at = self._sent_time()
         self._logical_issued += 1
-        operation = self.operation_factory(self._logical_issued)
         shards = self.router.shards_of_operation(operation)
         self._logical_outstanding += 1
         if len(shards) > 1:
             parent_timestamp = self._next_timestamp + 1  # the first prepare's timestamp
             txn_id = f"{self.node_id}:{parent_timestamp}"
-            self._txn_parent[txn_id] = parent_timestamp
+            self._txn_parent[txn_id] = (parent_timestamp, sent_at)
             self.coordinator.begin(txn_id, self.router.split_writes(operation))
         else:
-            self._submit(self.sessions[shards[0]], operation, self.now)
+            self._submit(self.sessions[shards[0]], operation, sent_at)
         return True
 
     def _on_transaction_complete(self, transaction: TransactionRecord) -> None:
+        timestamp, sent_at = self._txn_parent.pop(transaction.txn_id)
         record = CompletedRequest(
-            timestamp=self._txn_parent.pop(transaction.txn_id),
-            sent_at=transaction.started_at,
-            completed_at=self.now,
-            retransmitted=False,
+            timestamp=timestamp, sent_at=sent_at, completed_at=self.now, retransmitted=False
         )
         self._finish(record, None)
+
+    def on_shed(self, timestamp: int) -> None:
+        """A shed request gives its logical window slot back.
+
+        Only whole logical requests are ever shed: a 2PC sub-request backs
+        off and retries for as long as it takes (see ``Client._on_busy``).
+        """
+        self._logical_outstanding -= 1
+        super().on_shed(timestamp)
 
     def _finish(self, record: CompletedRequest, session: Optional[Session]) -> None:
         if session is not None:
             self._record(self.shard_recorders.get(session.index), record)
         self._logical_outstanding -= 1
         super()._finish(record, session)
-
-
-class ShardedClientPool(ClientPool):
-    """A :class:`~repro.workload.client_pool.ClientPool` of sharded clients.
-
-    Same surface (``spawn`` / ``start_all`` / ``stop_all`` / totals), so
-    runners and scenario engines drive sharded and single-cluster
-    deployments alike; only the client it constructs differs — one routed
-    :class:`ShardedClient` given every shard's client config.
-    """
-
-    def __init__(
-        self,
-        configs: Sequence[ClientConfig],
-        router: ShardRouter,
-        shard_recorders: Optional[Dict[int, MetricsCollector]] = None,
-        txn_timeout: Optional[float] = None,
-        **pool: Any,
-    ) -> None:
-        """``pool`` is everything :class:`ClientPool` takes but ``client_config``."""
-        # No pool-wide client config: each client opens a session per shard config.
-        super().__init__(client_config=None, **pool)
-        self.configs = list(configs)
-        self.router = router
-        self.shard_recorders = shard_recorders or {}
-        self.txn_timeout = txn_timeout
-
-    def spawn_open_loop(self, *args, **kwargs):
-        raise NotImplementedError("open-loop load over a sharded pool is not supported")
-
-    def _new_client(self, **kwargs) -> ShardedClient:
-        return ShardedClient(
-            configs=self.configs,
-            router=self.router,
-            shard_recorders=self.shard_recorders,
-            txn_timeout=self.txn_timeout,
-            **kwargs,
-        )

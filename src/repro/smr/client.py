@@ -415,7 +415,9 @@ class Client(Node):
         self.busy_rejects += 1
         pending.busy_attempts += 1
         limit = config.max_busy_retries
-        if limit is not None and pending.busy_attempts > limit:
+        # A 2PC sub-request is never shed: a participant that prepared must
+        # learn the decision, so it backs off and retries like a closed loop.
+        if limit is not None and pending.busy_attempts > limit and pending.on_result is None:
             self._shed(pending)
             return
         delay = min(

@@ -1,13 +1,16 @@
-"""A pool of clients sharing one metrics collector (closed or open loop)."""
+"""The one pool of clients sharing one metrics collector (closed or open loop)."""
 
 from __future__ import annotations
 
 from dataclasses import replace as dataclass_replace
-from typing import TYPE_CHECKING, Callable, List, Optional
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from repro.crypto.keys import KeyStore
 from repro.net.topology import Cloud, Placement
 from repro.runtime.api import Runtime, as_runtime
+from repro.shard.client import ShardedClient
+from repro.shard.router import ShardRouter
 from repro.smr.client import Client, ClientConfig
 from repro.workload.generator import Workload
 from repro.workload.metrics import MetricsCollector
@@ -17,25 +20,44 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class ClientPool:
-    """Creates, registers, and manages N closed-loop clients."""
+    """Creates, registers, and manages the clients of one deployment.
+
+    ``client_configs`` holds one :class:`~repro.smr.client.ClientConfig` per
+    replica group.  Without a ``router`` there is one group and the pool
+    builds plain :class:`~repro.smr.client.Client` objects; with one it
+    builds :class:`~repro.shard.client.ShardedClient` objects holding a
+    session per group, recording each group's share into
+    ``shard_recorders`` and bounding 2PC prepares by ``txn_timeout`` — a
+    choice made from what the pool was given, closed loop and open loop alike.
+    """
 
     def __init__(
         self,
         runtime: Runtime,
         keystore: KeyStore,
         placement: Placement,
-        client_config: ClientConfig,
+        client_configs: Sequence[ClientConfig],
         workload: Workload,
         metrics: Optional[MetricsCollector] = None,
         name_prefix: str = "client",
+        router: Optional[ShardRouter] = None,
+        shard_recorders: Optional[Dict[int, MetricsCollector]] = None,
+        txn_timeout: Optional[float] = None,
     ) -> None:
+        if router is None and len(client_configs) != 1:
+            raise ValueError(
+                f"unrouted clients talk to one group, not {len(client_configs)}: pass a router"
+            )
         self.runtime = as_runtime(runtime)
         self.keystore = keystore
         self.placement = placement
-        self.client_config = client_config
+        self.client_configs = list(client_configs)
         self.workload = workload
         self.metrics = metrics or MetricsCollector()
         self.name_prefix = name_prefix
+        self.router = router
+        self.shard_recorders = shard_recorders or {}
+        self.txn_timeout = txn_timeout
         self.clients: List[Client] = []
 
     def _attach(self, count: int, make: Callable[..., Client]) -> List[Client]:
@@ -66,8 +88,19 @@ class ClientPool:
         self.clients.extend(created)
         return created
 
-    def _new_client(self, **kwargs) -> Client:
-        return Client(config=self.client_config, **kwargs)
+    def _client_class(
+        self, unrouted: type, routed: type, configs: Sequence[ClientConfig]
+    ) -> Callable[..., Client]:
+        """The class this pool builds, bound to its group(s): the router alone decides."""
+        if self.router is None:
+            return partial(unrouted, config=configs[0])
+        return partial(
+            routed,
+            configs=configs,
+            router=self.router,
+            shard_recorders=self.shard_recorders,
+            txn_timeout=self.txn_timeout,
+        )
 
     def spawn(
         self,
@@ -82,9 +115,10 @@ class ClientPool:
         """
         if window is None:
             window = getattr(self.workload, "client_window", 1)
+        client_class = self._client_class(Client, ShardedClient, self.client_configs)
         return self._attach(
             count,
-            lambda index, **identity: self._new_client(
+            lambda index, **identity: client_class(
                 operation_factory=self.workload.operation_factory(client_seed=index),
                 max_requests=max_requests_each,
                 window=window,
@@ -113,16 +147,22 @@ class ClientPool:
         from repro.workload.openloop import (
             OpenLoopConnection,
             OpenLoopDriver,
+            RoutedOpenLoopConnection,
             workload_operation_source,
         )
 
-        config = self.client_config
+        configs = self.client_configs
         if max_busy_retries is not None:
-            config = dataclass_replace(config, max_busy_retries=max_busy_retries)
+            configs = [
+                dataclass_replace(config, max_busy_retries=max_busy_retries) for config in configs
+            ]
+        connection_class = self._client_class(
+            OpenLoopConnection, RoutedOpenLoopConnection, configs
+        )
         created = self._attach(
             connections,
-            lambda index, **identity: OpenLoopConnection(
-                config=config, operation_factory=lambda timestamp: None, window=window, **identity
+            lambda index, **identity: connection_class(
+                operation_factory=lambda timestamp: None, window=window, **identity
             ),
         )
         return OpenLoopDriver(

@@ -37,6 +37,7 @@ from collections import OrderedDict, deque
 from typing import Any, Callable, Deque, List, Optional, Tuple
 
 from repro.runtime.api import as_runtime
+from repro.shard.client import ShardedClient
 from repro.smr.client import Client
 from repro.smr.state_machine import Operation
 from repro.workload.generator import Workload
@@ -340,6 +341,16 @@ class OpenLoopConnection(Client):
     def on_shed(self, timestamp: int) -> None:
         if self.driver is not None:
             self.driver.shed += 1
+        super().on_shed(timestamp)
+
+
+class RoutedOpenLoopConnection(OpenLoopConnection, ShardedClient):
+    """The same connection over a session per shard.
+
+    No behaviour of its own: the three hooks above are the ones
+    :meth:`ShardedClient._issue_next` draws from, so pulling arrivals
+    composes with routing, the logical window and the 2PC coordinator.
+    """
 
 
 class OpenLoopDriver:
@@ -465,7 +476,9 @@ class OpenLoopDriver:
         pulls from the backlog via :meth:`OpenLoopConnection._next_operation`).
         """
         for connection in self.connections:
-            if connection.outstanding_count < connection.window:
+            # Only the connection knows whether a slot is free: a routed one
+            # counts logical requests, not the sub-requests of a transaction.
+            if connection._issue_next():
                 connection._fill_window()
                 return
 
@@ -484,6 +497,7 @@ __all__ = [
     "DiurnalArrivals",
     "ClientPopulation",
     "OpenLoopConnection",
+    "RoutedOpenLoopConnection",
     "OpenLoopDriver",
     "workload_operation_source",
 ]

@@ -177,7 +177,7 @@ def build_adaptive(policy=None, **kwargs):
     kwargs.setdefault("num_clients", 2)
     kwargs.setdefault("seed", 11)
     deployment = build_seemore(adaptive=policy or AdaptivePolicy(), **kwargs)
-    return deployment, deployment.extras["adaptive"]
+    return deployment, deployment.group().adaptive
 
 
 class TestControllerEdgeCases:
@@ -228,16 +228,16 @@ class TestControllerEdgeCases:
         deployment, controller = build_adaptive(policy=policy, num_clients=3)
         deployment.start_clients()
         deployment.run(0.1)
-        make_byzantine(deployment, "public-3", "equivocate")
+        make_byzantine(deployment.group(), "public-3", "equivocate")
         deployment.run(0.15)
         assert controller.current_mode() is Mode.PEACOCK
-        restore_honest(deployment, "public-3")
+        restore_honest(deployment.group(), "public-3")
         # Quiet period elapses -> de-escalation -> the attacker returns the
         # moment the group is back in Lion.
         deployment.run(0.3)
         assert controller.current_mode() is Mode.LION
         deescalated_at = controller.decisions[-1].at
-        make_byzantine(deployment, "public-3", "equivocate")
+        make_byzantine(deployment.group(), "public-3", "equivocate")
         deployment.run(0.5)
         deployment.stop_clients()
         assert controller.current_mode() is Mode.PEACOCK
@@ -261,7 +261,7 @@ class TestControllerEdgeCases:
         deployment.start_clients()
         deployment.run(0.1)
         views_before = {r.node_id: r.view for r in deployment.correct_replicas()}
-        make_byzantine(deployment, "public-3", "equivocate")
+        make_byzantine(deployment.group(), "public-3", "equivocate")
         deployment.run(0.2)
         deployment.stop_clients()
         assert all(
@@ -278,7 +278,7 @@ class TestEvidenceEmission:
     def test_conflicting_lion_votes_are_flagged_by_the_primary(self):
         deployment, controller = build_adaptive(num_clients=2)
         deployment.start_clients()
-        make_byzantine(deployment, "public-3", "equivocate")
+        make_byzantine(deployment.group(), "public-3", "equivocate")
         deployment.run(0.08)
         deployment.stop_clients()
         primary = deployment.replicas["private-0"]
@@ -290,7 +290,7 @@ class TestEvidenceEmission:
     def test_corrupt_signatures_are_flagged_as_invalid(self):
         deployment, controller = build_adaptive(num_clients=2, mode=Mode.DOG)
         deployment.start_clients()
-        make_byzantine(deployment, "public-3", "corrupt")
+        make_byzantine(deployment.group(), "public-3", "corrupt")
         deployment.run(0.15)
         deployment.stop_clients()
         flagged = [
@@ -307,10 +307,10 @@ class TestEvidenceEmission:
         must keep escalation pressure without naming honest nodes (only the
         primary, via hard equivocation proofs, may be a suspect)."""
         deployment, controller = build_adaptive(num_clients=3, mode=Mode.PEACOCK)
-        config = deployment.extras["config"]
+        config = deployment.group().config
         primary = config.primary_of_view(0, Mode.PEACOCK)
         deployment.start_clients()
-        make_byzantine(deployment, primary, "equivocate")
+        make_byzantine(deployment.group(), primary, "equivocate")
         deployment.run(0.25)
         deployment.stop_clients()
         deployment.run(0.1)
@@ -329,9 +329,9 @@ class TestEvidenceEmission:
     def test_restore_honest_stops_the_evidence_stream(self):
         deployment, controller = build_adaptive(num_clients=2)
         deployment.start_clients()
-        make_byzantine(deployment, "public-3", "equivocate")
+        make_byzantine(deployment.group(), "public-3", "equivocate")
         deployment.run(0.1)
-        restore_honest(deployment, "public-3")
+        restore_honest(deployment.group(), "public-3")
         primary = deployment.replicas["private-0"]
         before = len(primary.evidence)
         deployment.run(0.2)
@@ -445,7 +445,7 @@ class TestDecisionReporting:
         deployment, controller = build_adaptive(num_clients=3)
         deployment.start_clients()
         deployment.run(0.05)
-        make_byzantine(deployment, "public-3", "equivocate")
+        make_byzantine(deployment.group(), "public-3", "equivocate")
         deployment.run(0.2)
         deployment.stop_clients()
         assert controller.switches_initiated >= 1

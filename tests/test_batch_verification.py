@@ -180,8 +180,8 @@ def _run_corrupt_scenario(mode, per_message: bool):
             replica.window_verifier = _PerMessageVerifier(replica.verifier)
         for client in deployment.clients:
             client._window_verifier = _PerMessageVerifier(client.verifier)
-    config = deployment.extras["config"]
-    make_byzantine(deployment, config.public_replicas[0], "corrupt")
+    config = deployment.group().config
+    make_byzantine(deployment.group(), config.public_replicas[0], "corrupt")
     result = run_deployment(deployment, duration=0.4, warmup=0.0)
     return deployment, result
 
@@ -212,7 +212,7 @@ class TestTwistsStayDetectedPostCodec:
     def test_corrupt_signatures_are_flagged_and_absorbed(self):
         deployment, result = _run_corrupt_scenario(Mode.DOG, False)
         flagged = _invalid_signature_records(deployment)
-        config = deployment.extras["config"]
+        config = deployment.group().config
         assert any(suspect == config.public_replicas[0] for _, suspect, _ in flagged)
         assert result.completed > 0
         assert_ledgers_consistent(
@@ -222,13 +222,13 @@ class TestTwistsStayDetectedPostCodec:
     @pytest.mark.parametrize("mode", [Mode.DOG, Mode.PEACOCK])
     def test_equivocation_never_splits_correct_ledgers(self, mode):
         deployment = build(mode, num_clients=2)
-        config = deployment.extras["config"]
+        config = deployment.group().config
         victim = (
             config.primary_of_view(0, mode)
             if mode is Mode.PEACOCK
             else config.public_replicas[0]
         )
-        make_byzantine(deployment, victim, "equivocate")
+        make_byzantine(deployment.group(), victim, "equivocate")
         result = run_deployment(deployment, duration=0.5, warmup=0.0)
         assert result.completed > 0
         assert_ledgers_consistent(
@@ -237,9 +237,9 @@ class TestTwistsStayDetectedPostCodec:
 
     def test_lying_replica_never_fools_a_client(self):
         deployment = build(Mode.DOG, num_clients=2)
-        config = deployment.extras["config"]
+        config = deployment.group().config
         liar = config.public_replicas[0]
-        make_byzantine(deployment, liar, "lie")
+        make_byzantine(deployment.group(), liar, "lie")
         result = run_deployment(deployment, duration=0.5, warmup=0.0)
         assert result.completed > 0
         # Forged results are the liar's own signed replies; the reply

@@ -92,7 +92,7 @@ class TestBatchedNormalCase:
         deployment.stop_clients()
 
         assert deployment.metrics.completed > 50
-        assert_ledgers_consistent(deployment.correct_ledgers())
+        assert_ledgers_consistent(deployment.group().correct_ledgers())
         assert_exactly_once(deployment)
         assert_no_client_holes(deployment)
 
@@ -129,7 +129,7 @@ class TestBatchedNormalCase:
         deployment.run(0.3)
         deployment.stop_clients()
 
-        primary = deployment.replicas[deployment.extras["config"].private_replicas[0]]
+        primary = deployment.replicas[deployment.group().config.private_replicas[0]]
         assert primary.batcher.batches_proposed > 0
         assert primary.batcher.mean_batch_size() == 1.0
         for slot in (primary.slots.existing_slot(seq) for seq in primary.slots.sequences):
@@ -146,7 +146,7 @@ class TestViewChangeWithInFlightBatches:
         deployment = build(mode, num_clients=4, client_window=4)
         deployment.start_clients()
         deployment.run(0.25)
-        crash_primary(deployment)
+        crash_primary(deployment.group())
         deployment.run(1.2)
         deployment.stop_clients()
 
@@ -154,7 +154,7 @@ class TestViewChangeWithInFlightBatches:
         assert completed_after > 60, "progress must resume after the view change"
         views = {replica.view for replica in deployment.correct_replicas()}
         assert views == {max(views)} and max(views) >= 1
-        assert_ledgers_consistent(deployment.correct_ledgers())
+        assert_ledgers_consistent(deployment.group().correct_ledgers())
         assert_exactly_once(deployment)
         assert_no_client_holes(deployment)
 
@@ -165,7 +165,7 @@ class TestViewChangeWithInFlightBatches:
         deployment = build(mode, num_clients=4, client_window=4)
         deployment.start_clients()
         deployment.run(0.25)
-        crash_primary(deployment)
+        crash_primary(deployment.group())
         deployment.run(1.2)
         deployment.stop_clients()
 
@@ -176,7 +176,7 @@ class TestViewChangeWithInFlightBatches:
                 if slot is not None and slot.committed and slot.request_count > 1:
                     batched_slots += 1
         assert batched_slots > 0
-        assert_ledgers_consistent(deployment.correct_ledgers())
+        assert_ledgers_consistent(deployment.group().correct_ledgers())
 
 
 class TestProposalGuard:
@@ -184,7 +184,7 @@ class TestProposalGuard:
         """A backup (or a just-demoted primary whose batcher pump fires)
         must never sign and send ordering messages."""
         deployment = build(Mode.LION)
-        config = deployment.extras["config"]
+        config = deployment.group().config
         backup = deployment.replicas[config.public_replicas[0]]
         request = make_signed_request(deployment, "guard-client", 1)
         assert not backup.is_primary()
@@ -212,7 +212,7 @@ class TestReassignmentAfterViewChange:
         from repro.smr.messages import Request
 
         deployment = build(Mode.LION)
-        config = deployment.extras["config"]
+        config = deployment.group().config
         keystore = deployment.keystore
 
         client_id = "retrans-client"
@@ -271,7 +271,7 @@ class TestNewViewReproposesBatches:
     @pytest.mark.parametrize("mode", ALL_MODES)
     def test_new_view_contains_each_uncommitted_batch_once(self, mode):
         deployment = build(mode)
-        config = deployment.extras["config"]
+        config = deployment.group().config
         collector_id = (
             config.transferer_of_view(1)
             if mode is Mode.PEACOCK

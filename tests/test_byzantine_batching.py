@@ -87,7 +87,7 @@ class TestEquivocationUnderBatching:
 
     def test_multicast_emits_digest_divergent_self_consistent_proposals(self):
         deployment = build(Mode.PEACOCK)
-        config = deployment.extras["config"]
+        config = deployment.group().config
         primary = deployment.replicas[config.primary_of_view(0, Mode.PEACOCK)]
 
         captured = []
@@ -121,7 +121,7 @@ class TestEquivocationUnderBatching:
 
     def test_correct_proxy_rejects_second_assignment(self):
         deployment = build(Mode.PEACOCK)
-        config = deployment.extras["config"]
+        config = deployment.group().config
         primary = deployment.replicas[config.primary_of_view(0, Mode.PEACOCK)]
         proxy = deployment.replicas[
             next(r for r in config.public_replicas if r != primary.node_id)
@@ -151,15 +151,15 @@ class TestEquivocationUnderBatching:
     @pytest.mark.integration
     def test_equivocating_peacock_primary_with_batches_is_removed(self):
         deployment = build(Mode.PEACOCK)
-        config = deployment.extras["config"]
+        config = deployment.group().config
         primary = config.primary_of_view(0, Mode.PEACOCK)
         simulator = deployment.simulator
         deployment.start_clients()
         simulator.run(until=0.12)
-        make_byzantine(deployment, primary, "equivocate")
+        make_byzantine(deployment.group(), primary, "equivocate")
         simulator.run(until=1.0)
         deployment.stop_clients()
-        assert_ledgers_consistent(deployment.correct_ledgers())
+        assert_ledgers_consistent(deployment.group().correct_ledgers())
         assert max(r.view for r in deployment.correct_replicas()) >= 1, (
             "a view change must remove the equivocating primary"
         )
@@ -173,21 +173,21 @@ class TestEquivocationUnderBatching:
 def test_byzantine_backup_tolerated_under_batching(mode, strategy):
     """All strategies, all modes, with multi-request batches in flight."""
     deployment = build(mode, client_window=2)
-    config = deployment.extras["config"]
+    config = deployment.group().config
     primary = config.primary_of_view(0, mode)
     victim = next(r for r in config.public_replicas if r != primary)
     simulator = deployment.simulator
     deployment.start_clients()
     simulator.run(until=0.1)
     before = deployment.metrics.completed
-    make_byzantine(deployment, victim, strategy)
+    make_byzantine(deployment.group(), victim, strategy)
     simulator.run(until=0.5)
     deployment.stop_clients()
 
     assert deployment.metrics.completed > before + 10, (
         f"{mode.name} must keep completing requests with a {strategy} replica"
     )
-    assert_ledgers_consistent(deployment.correct_ledgers())
+    assert_ledgers_consistent(deployment.group().correct_ledgers())
     batch_sizes = [
         size
         for replica in deployment.correct_replicas()

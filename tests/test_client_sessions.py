@@ -13,7 +13,8 @@ from repro.cluster import build_seemore, build_sharded_seemore
 from repro.core import Mode
 from repro.smr.messages import Busy, Reply
 from repro.workload import Workload, WorkloadSpec
-from repro.workload.openloop import ClientPopulation, PoissonArrivals
+from repro.shard import ShardedClient
+from repro.workload.openloop import ClientPopulation, OpenLoopConnection, PoissonArrivals
 
 
 def single_dog():
@@ -100,7 +101,7 @@ class TestUntrustedReplyFloor:
         session = pending.session
         lion = session.rules[int(Mode.LION)]
         assert lion.quorum == 3
-        assert lion.trusted == frozenset(deployment.extras["config"].private_replicas)
+        assert lion.trusted == frozenset(deployment.group().config.private_replicas)
         session.rules[int(Mode.LION)] = lion._replace(retransmit_quorum=1)
 
         public = sorted(session.config.members - lion.trusted)
@@ -149,9 +150,76 @@ class TestBusyOnShards:
         assert client._busy_resends == {}
 
 
+def stalled_routed_connection(cross_shard_fraction, busy_retries=1):
+    """One open-loop connection over two shards whose replicas never answer.
+
+    The connection's window (2) is full of arrivals from the driver's
+    backlog; every request sits pending until the test hands it a message.
+    """
+    deployment = build_sharded_seemore(
+        num_shards=2,
+        num_clients=0,
+        workload=Workload.build(
+            WorkloadSpec(kind="sharded-kv", cross_shard_fraction=cross_shard_fraction)
+        ),
+    )
+    for replica in deployment.replicas.values():
+        replica.crash()
+    population = ClientPopulation(num_users=10, arrivals=PoissonArrivals(rate=400.0, seed=1))
+    driver = deployment.client_pool.spawn_open_loop(
+        population, connections=1, max_busy_retries=busy_retries, window=2
+    )
+    driver.start()
+    deployment.run(0.05)
+    driver.stop()  # no further arrivals: the backlog only drains from here on
+    (connection,) = deployment.clients
+    assert connection._logical_outstanding == 2 and driver.backlog_depth > 0
+    return deployment, driver, connection
+
+
+def reject(deployment, connection, pending, times):
+    sender = sorted(pending.session.config.members)[0]
+    for _ in range(times):
+        connection.handle_message(
+            sender, signed(deployment, Busy, pending, sender, queue_depth=9)
+        )
+
+
 @pytest.mark.shard
-def test_open_loop_over_a_sharded_pool_is_refused_by_name():
-    deployment, _, _ = two_shards()
-    population = ClientPopulation(num_users=10, arrivals=PoissonArrivals(rate=10.0, seed=1))
-    with pytest.raises(NotImplementedError, match="open-loop load over a sharded pool"):
-        deployment.client_pool.spawn_open_loop(population)
+@pytest.mark.openloop
+class TestOpenLoopOverRoutedSessions:
+    """The two rules routing adds to shedding; each test fails without its rule."""
+
+    def test_a_routed_connection_is_the_sharded_client_with_the_open_loop_hooks(self):
+        deployment, driver, connection = stalled_routed_connection(cross_shard_fraction=0.0)
+        assert isinstance(connection, ShardedClient) and isinstance(connection, OpenLoopConnection)
+        assert connection.router is deployment.router and connection.driver is driver
+        assert len(connection.sessions) == 2
+
+    def test_a_shed_logical_request_gives_its_window_slot_back(self):
+        deployment, driver, connection = stalled_routed_connection(cross_shard_fraction=0.0)
+        backlog = driver.backlog_depth
+        connection._stopped = False  # keep pulling from the backlog, as mid-run
+        victim = next(iter(connection._pending.values()))
+        reject(deployment, connection, victim, times=2)  # one retry allowed, then shed
+        assert (connection.shed_requests, driver.shed) == (1, 1)
+        assert victim.request.timestamp not in connection._pending
+        # The freed slot was refilled from the backlog straight away; without
+        # the release the logical window would read 3 of 2 and wedge.
+        assert driver.backlog_depth == backlog - 1
+        assert connection._logical_outstanding == len(connection._pending) == 2
+        # ... and its latency clock started at its arrival, not at the refill.
+        refilled = list(connection._pending.values())[-1]
+        assert refilled.sent_at < refilled.last_sent_at == connection.now
+
+    def test_a_two_phase_sub_request_is_never_shed(self):
+        deployment, driver, connection = stalled_routed_connection(cross_shard_fraction=1.0)
+        prepare = next(iter(connection._pending.values()))
+        assert prepare.on_result is not None and prepare.request.operation.kind == "txn_prepare"
+        reject(deployment, connection, prepare, times=5)
+        assert connection.busy_rejects == 5 and prepare.busy_attempts == 5
+        assert (connection.shed_requests, driver.shed) == (0, 0)
+        # Still pending, backing off like a closed-loop request: the
+        # participant will be asked again.
+        assert connection._pending[prepare.request.timestamp] is prepare
+        assert prepare.request.timestamp in connection._busy_resends

@@ -127,7 +127,7 @@ def capture_crash(protocol, c, m, seed):
     )
     deployment.start_clients()
     deployment.run(0.1)
-    crash_primary(deployment)
+    crash_primary(deployment.group())
     deployment.run(0.6)
     deployment.assert_safe()
     survivor = deployment.correct_replicas()[0]
@@ -221,7 +221,7 @@ def test_conformance_sim_leg_builds_what_build_seemore_builds(mode):
     assert list(replicas) == list(deployment.replicas)
     for replica_id, replica in replicas.items():
         assert isinstance(replica, conformance.RecordingReplica)
-        assert replica.config == deployment.extras["config"]
+        assert replica.config == deployment.group().config
         assert replica.mode is deployment.replicas[replica_id].mode is mode
 
 

@@ -19,7 +19,7 @@ from repro.scenarios import Crash, Scenario, run_scenario
 class TestBuilders:
     def test_seemore_layout_matches_paper(self):
         deployment = build_seemore(crash_tolerance=2, byzantine_tolerance=2, num_clients=1)
-        config = deployment.extras["config"]
+        config = deployment.group().config
         assert config.private_size == 4          # 2c
         assert config.public_size == 7           # 3m+1
         assert len(deployment.replicas) == 11    # 3m+2c+1
@@ -109,7 +109,7 @@ class TestTimelineOfAScenario:
 
     def test_the_crash_is_applied(self):
         deployment = build_seemore(num_clients=2, seed=4, client_timeout=0.1)
-        config = deployment.extras["config"]
+        config = deployment.group().config
         scenario = Scenario(
             "crash", "primary crashes", events=(Crash(at=0.1),), duration=0.8, settle=0.0
         )

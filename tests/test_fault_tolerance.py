@@ -61,52 +61,52 @@ class TestCrashFaults:
     )
     def test_primary_crash_triggers_view_change_and_recovers(self, mode):
         deployment = build(mode)
-        before, after = run_with_fault(deployment, crash_primary)
+        before, after = run_with_fault(deployment, lambda d: crash_primary(d.group()))
         assert before > 0, "requests must complete before the crash"
         assert after > before + 10, f"{mode.name}: progress must resume after the view change"
-        assert_ledgers_consistent(deployment.correct_ledgers())
+        assert_ledgers_consistent(deployment.group().correct_ledgers())
         surviving_views = {r.view for r in deployment.correct_replicas()}
         assert max(surviving_views) >= 1, "a new view must have been installed"
 
     @pytest.mark.slow
     def test_lion_tolerates_backup_crash(self):
         deployment = build(Mode.LION)
-        config = deployment.extras["config"]
+        config = deployment.group().config
         backup = config.private_replicas[1]
         before, after = run_with_fault(
-            deployment, lambda d: crash_replica(d, backup)
+            deployment, lambda d: crash_replica(d.group(), backup)
         )
         assert after > before + 10
-        assert_ledgers_consistent(deployment.correct_ledgers())
+        assert_ledgers_consistent(deployment.group().correct_ledgers())
 
     @pytest.mark.slow
     def test_lion_tolerates_public_node_crash(self):
         deployment = build(Mode.LION)
-        config = deployment.extras["config"]
+        config = deployment.group().config
         victim = config.public_replicas[0]
-        before, after = run_with_fault(deployment, lambda d: crash_replica(d, victim))
+        before, after = run_with_fault(deployment, lambda d: crash_replica(d.group(), victim))
         assert after > before + 10
-        assert_ledgers_consistent(deployment.correct_ledgers())
+        assert_ledgers_consistent(deployment.group().correct_ledgers())
 
     @pytest.mark.slow
     @pytest.mark.parametrize("mode", [Mode.DOG, Mode.PEACOCK])
     def test_proxy_crash_is_absorbed_by_quorum(self, mode):
         deployment = build(mode)
-        config = deployment.extras["config"]
+        config = deployment.group().config
         proxies = config.proxies_of_view(0, mode)
         victim = next(p for p in proxies if p != config.primary_of_view(0, mode))
-        before, after = run_with_fault(deployment, lambda d: crash_replica(d, victim))
+        before, after = run_with_fault(deployment, lambda d: crash_replica(d.group(), victim))
         assert after > before + 10
-        assert_ledgers_consistent(deployment.correct_ledgers())
+        assert_ledgers_consistent(deployment.group().correct_ledgers())
 
     @pytest.mark.slow
     def test_paxos_leader_crash_recovers(self):
         deployment = build_paxos(
             crash_tolerance=1, byzantine_tolerance=1, num_clients=2, seed=7, client_timeout=0.1
         )
-        before, after = run_with_fault(deployment, crash_primary)
+        before, after = run_with_fault(deployment, lambda d: crash_primary(d.group()))
         assert after > before + 10
-        assert_ledgers_consistent(deployment.correct_ledgers())
+        assert_ledgers_consistent(deployment.group().correct_ledgers())
 
     @pytest.mark.slow
     @pytest.mark.parametrize("builder", [build_pbft, build_upright])
@@ -114,9 +114,9 @@ class TestCrashFaults:
         deployment = builder(
             crash_tolerance=1, byzantine_tolerance=1, num_clients=2, seed=7, client_timeout=0.1
         )
-        before, after = run_with_fault(deployment, crash_primary)
+        before, after = run_with_fault(deployment, lambda d: crash_primary(d.group()))
         assert after > before + 10
-        assert_ledgers_consistent(deployment.correct_ledgers())
+        assert_ledgers_consistent(deployment.group().correct_ledgers())
 
     @pytest.mark.parametrize(
         "builder,crash_tolerance,byzantine_tolerance",
@@ -136,11 +136,11 @@ class TestCrashFaults:
             num_clients=2,
             seed=1,
         )
-        config = deployment.extras["config"]
+        config = deployment.group().config
 
         def crash_two_primaries(d):
-            crash_replica(d, config.primary_of_view(0))
-            crash_replica(d, config.primary_of_view(1))
+            crash_replica(d.group(), config.primary_of_view(0))
+            crash_replica(d.group(), config.primary_of_view(1))
 
         before, after = run_with_fault(deployment, crash_two_primaries, fault_at=0.1, total=2.1)
         assert before > 0
@@ -148,14 +148,14 @@ class TestCrashFaults:
         survivors = deployment.correct_replicas()
         assert len(survivors) == len(config.replicas) - 2
         assert {(replica.view, replica.in_view_change) for replica in survivors} == {(2, False)}
-        assert_ledgers_consistent(deployment.correct_ledgers())
+        assert_ledgers_consistent(deployment.group().correct_ledgers())
 
     @pytest.mark.parametrize("builder", [build_paxos, build_pbft], ids=["cft", "bft"])
     def test_an_installed_view_leaves_no_view_change_state_behind(self, builder):
         """Votes and sent-markers at or below the installed view are pruned, as
         ``ViewChangeManager._prune_below`` does for SeeMoRe."""
         deployment = builder(num_clients=1, seed=3)
-        run_with_fault(deployment, crash_primary, fault_at=0.05, total=0.3)
+        run_with_fault(deployment, lambda d: crash_primary(d.group()), fault_at=0.05, total=0.3)
         survivors = deployment.correct_replicas()
         assert {replica.view for replica in survivors} == {1}
         for replica in survivors:
@@ -179,85 +179,85 @@ class TestByzantineFaults:
     )
     def test_one_byzantine_public_replica_is_tolerated(self, mode, strategy):
         deployment = build(mode)
-        config = deployment.extras["config"]
+        config = deployment.group().config
         # Pick a public replica that is not the Peacock primary so the attack
         # targets a backup/proxy (primary attacks are covered separately).
         primary = config.primary_of_view(0, mode)
         victim = next(r for r in config.public_replicas if r != primary)
         before, after = run_with_fault(
-            deployment, lambda d: make_byzantine(d, victim, strategy)
+            deployment, lambda d: make_byzantine(d.group(), victim, strategy)
         )
         assert after > before + 10, f"{mode.name} must absorb a {strategy} Byzantine replica"
-        assert_ledgers_consistent(deployment.correct_ledgers())
+        assert_ledgers_consistent(deployment.group().correct_ledgers())
 
     @pytest.mark.slow
     def test_byzantine_peacock_primary_is_replaced(self):
         deployment = build(Mode.PEACOCK)
-        config = deployment.extras["config"]
+        config = deployment.group().config
         primary = config.primary_of_view(0, Mode.PEACOCK)
         before, after = run_with_fault(
-            deployment, lambda d: make_byzantine(d, primary, "silent"), total=1.5
+            deployment, lambda d: make_byzantine(d.group(), primary, "silent"), total=1.5
         )
         assert after > before + 10
-        assert_ledgers_consistent(deployment.correct_ledgers())
+        assert_ledgers_consistent(deployment.group().correct_ledgers())
         assert max(r.view for r in deployment.correct_replicas()) >= 1
 
     @pytest.mark.slow
     def test_equivocating_peacock_primary_cannot_split_state(self):
         deployment = build(Mode.PEACOCK)
-        config = deployment.extras["config"]
+        config = deployment.group().config
         primary = config.primary_of_view(0, Mode.PEACOCK)
         run_with_fault(
-            deployment, lambda d: make_byzantine(d, primary, "equivocate"), total=1.5
+            deployment, lambda d: make_byzantine(d.group(), primary, "equivocate"), total=1.5
         )
         # Regardless of how much progress was possible, correct replicas must
         # never have committed conflicting requests.
-        assert_ledgers_consistent(deployment.correct_ledgers())
+        assert_ledgers_consistent(deployment.group().correct_ledgers())
 
     def test_byzantine_in_private_cloud_is_rejected_by_injector(self):
         deployment = build(Mode.LION)
-        config = deployment.extras["config"]
+        config = deployment.group().config
         with pytest.raises(ValueError):
-            make_byzantine(deployment, config.private_replicas[0], "silent")
+            make_byzantine(deployment.group(), config.private_replicas[0], "silent")
 
     def test_unknown_strategy_rejected(self):
         deployment = build(Mode.LION)
-        config = deployment.extras["config"]
+        config = deployment.group().config
         with pytest.raises(ValueError):
-            make_byzantine(deployment, config.public_replicas[0], "steal-keys")
+            make_byzantine(deployment.group(), config.public_replicas[0], "steal-keys")
 
     @pytest.mark.slow
     def test_lying_replicas_cannot_fool_clients(self):
         deployment = build(Mode.DOG)
-        config = deployment.extras["config"]
+        config = deployment.group().config
         primary = config.primary_of_view(0, Mode.DOG)
         victim = next(r for r in config.public_replicas if r != primary)
-        make_byzantine(deployment, victim, "lie")
+        make_byzantine(deployment.group(), victim, "lie")
         result = run_deployment(deployment, duration=0.6, warmup=0.1)
         assert result.completed > 10
         # Clients only accept results matching a quorum, so no accepted
         # result can be the forged one.
         for client in deployment.clients:
             assert all(not record.retransmitted or True for record in client.completed)
-        assert_ledgers_consistent(deployment.correct_ledgers())
+        assert_ledgers_consistent(deployment.group().correct_ledgers())
 
 
 class TestCombinedFaults:
     @pytest.mark.slow
     def test_crash_plus_byzantine_at_the_bound(self):
         deployment = build(Mode.LION, num_clients=3)
-        config = deployment.extras["config"]
+        config = deployment.group().config
         backup = config.private_replicas[1]          # c = 1 crash in private cloud
         primary = config.primary_of_view(0, Mode.LION)
         byzantine = next(r for r in config.public_replicas if r != primary)
 
         def inject(d):
-            crash_replica(d, backup)
-            make_byzantine(d, byzantine, "silent")
+            crash_replica(d.group(), backup)
+            make_byzantine(d.group(), byzantine, "silent")
 
         before, after = run_with_fault(deployment, inject)
         assert after > before + 10
-        assert_ledgers_consistent(deployment.correct_ledgers())
+        assert_ledgers_consistent(deployment.group().correct_ledgers())
 
     @pytest.mark.slow
     def test_f4_configuration_tolerates_mixed_faults(self):
@@ -269,13 +269,13 @@ class TestCombinedFaults:
             seed=11,
             client_timeout=0.1,
         )
-        config = deployment.extras["config"]
+        config = deployment.group().config
 
         def inject(d):
-            crash_replica(d, config.private_replicas[1])
-            make_byzantine(d, config.public_replicas[1], "silent")
-            make_byzantine(d, config.public_replicas[2], "corrupt")
+            crash_replica(d.group(), config.private_replicas[1])
+            make_byzantine(d.group(), config.public_replicas[1], "silent")
+            make_byzantine(d.group(), config.public_replicas[2], "corrupt")
 
         before, after = run_with_fault(deployment, inject, total=1.5)
         assert after > before + 10
-        assert_ledgers_consistent(deployment.correct_ledgers())
+        assert_ledgers_consistent(deployment.group().correct_ledgers())

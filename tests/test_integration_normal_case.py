@@ -46,7 +46,7 @@ class TestSeeMoReModes:
     def test_mode_completes_requests_safely(self, mode):
         deployment, result = run_small(build_seemore, mode=mode)
         assert result.completed > 50, f"{mode.name} should make steady progress"
-        assert_ledgers_consistent(deployment.correct_ledgers())
+        assert_ledgers_consistent(deployment.group().correct_ledgers())
 
     @pytest.mark.slow
     @pytest.mark.parametrize("mode", [Mode.LION, Mode.DOG, Mode.PEACOCK])
@@ -56,12 +56,12 @@ class TestSeeMoReModes:
         assert max(executed) > 0
         # Every replica that executed anything agrees with the others on the
         # committed prefix; allow stragglers that are still catching up.
-        ledgers = deployment.correct_ledgers()
+        ledgers = deployment.group().correct_ledgers()
         assert_ledgers_consistent(ledgers)
 
     def test_lion_only_primary_replies(self):
         deployment, _ = run_small(build_seemore, mode=Mode.LION)
-        config = deployment.extras["config"]
+        config = deployment.group().config
         primary = config.primary_of_view(0, Mode.LION)
         for replica_id, replica in deployment.replicas.items():
             if replica_id == primary:
@@ -72,7 +72,7 @@ class TestSeeMoReModes:
     @pytest.mark.slow
     def test_dog_private_cloud_stays_passive(self):
         deployment, _ = run_small(build_seemore, mode=Mode.DOG)
-        config = deployment.extras["config"]
+        config = deployment.group().config
         primary = config.primary_of_view(0, Mode.DOG)
         # Private replicas other than the primary neither reply nor vote,
         # but they still learn and execute every request via informs.
@@ -85,7 +85,7 @@ class TestSeeMoReModes:
     @pytest.mark.slow
     def test_peacock_private_cloud_not_in_agreement(self):
         deployment, _ = run_small(build_seemore, mode=Mode.PEACOCK)
-        config = deployment.extras["config"]
+        config = deployment.group().config
         for replica_id in config.private_replicas:
             replica = deployment.replicas[replica_id]
             assert replica.replies_sent == 0
@@ -94,7 +94,7 @@ class TestSeeMoReModes:
     @pytest.mark.slow
     def test_proxies_reply_in_dog_mode(self):
         deployment, _ = run_small(build_seemore, mode=Mode.DOG)
-        config = deployment.extras["config"]
+        config = deployment.group().config
         proxies = config.proxies_of_view(0, Mode.DOG)
         assert any(deployment.replicas[p].replies_sent > 0 for p in proxies)
 
@@ -140,7 +140,7 @@ class TestBaselines:
     @pytest.mark.slow
     def test_paxos_only_leader_replies(self):
         deployment, _ = run_small(build_paxos)
-        config = deployment.extras["config"]
+        config = deployment.group().config
         leader = config.primary_of_view(0)
         for replica_id, replica in deployment.replicas.items():
             if replica_id == leader:

@@ -30,7 +30,7 @@ def build(mode, **kwargs):
 
 def switch_modes(deployment, new_mode, switch_at=0.2, total=1.0):
     """Run, ask a trusted replica to switch modes mid-run, keep running."""
-    config = deployment.extras["config"]
+    config = deployment.group().config
     simulator = deployment.simulator
     deployment.start_clients()
     simulator.run(until=switch_at)
@@ -68,7 +68,7 @@ class TestModeSwitching:
         )
         modes = {replica.mode for replica in deployment.correct_replicas()}
         assert modes == {target_mode}
-        assert_ledgers_consistent(deployment.correct_ledgers())
+        assert_ledgers_consistent(deployment.group().correct_ledgers())
 
     @pytest.mark.slow
     def test_switch_advances_the_view(self):
@@ -78,7 +78,7 @@ class TestModeSwitching:
 
     def test_untrusted_replica_cannot_initiate_switch(self):
         deployment = build(Mode.LION)
-        config = deployment.extras["config"]
+        config = deployment.group().config
         untrusted = deployment.replicas[config.public_replicas[0]]
         with pytest.raises(PermissionError):
             untrusted.request_mode_switch(Mode.PEACOCK)
@@ -86,7 +86,7 @@ class TestModeSwitching:
     @pytest.mark.slow
     def test_switch_back_and_forth(self):
         deployment = build(Mode.LION)
-        config = deployment.extras["config"]
+        config = deployment.group().config
         simulator = deployment.simulator
         deployment.start_clients()
         simulator.run(until=0.2)
@@ -101,7 +101,7 @@ class TestModeSwitching:
         simulator.run(until=1.2)
         deployment.stop_clients()
 
-        assert_ledgers_consistent(deployment.correct_ledgers())
+        assert_ledgers_consistent(deployment.group().correct_ledgers())
         modes = {replica.mode for replica in deployment.correct_replicas()}
         assert modes == {Mode.LION}
         assert deployment.metrics.completed > 50
@@ -165,11 +165,11 @@ class TestModeSwitching:
         in_flight_cap = sum(client.window for client in deployment.clients)
         for replica in deployment.correct_replicas():
             assert replica.batcher.queued <= in_flight_cap
-        assert_ledgers_consistent(deployment.correct_ledgers())
+        assert_ledgers_consistent(deployment.group().correct_ledgers())
 
     def test_mode_change_message_from_untrusted_sender_is_ignored(self):
         deployment = build(Mode.LION)
-        config = deployment.extras["config"]
+        config = deployment.group().config
         simulator = deployment.simulator
         deployment.start_clients()
         simulator.run(until=0.2)

@@ -27,7 +27,9 @@ the baselines' request intake and view change, and the Dog / Peacock inform
 leg are each defined in one module, and no replica keeps a table of the
 requests it has seen.  And there is one scenario declaration: one class
 under ``scenarios/`` builds a deployment, its entry points take no
-``**overrides``, and the retired second vocabularies stay retired.
+``**overrides``, and the retired second vocabularies stay retired.  And
+there is one deployment: one ``*Deployment`` class, one ``*ClientPool``
+class, no ``getattr(x, "shards", ...)``, no ``extras`` dict on a deployment.
 """
 
 import ast
@@ -428,7 +430,8 @@ class TestOneConstructionPath:
     CLIENT_SITES = {
         "Client": Path("workload") / "client_pool.py",
         "OpenLoopConnection": Path("workload") / "client_pool.py",
-        "ShardedClient": Path("shard") / "client.py",
+        "ShardedClient": Path("workload") / "client_pool.py",
+        "RoutedOpenLoopConnection": Path("workload") / "client_pool.py",
     }
 
     @staticmethod
@@ -497,14 +500,14 @@ class TestOneConstructionPath:
             }
 
         for assembly in (
-            builders._sim_deployments,
+            builders._sim_deployment,
             builders._proc_replica_worker,
             builders._proc_client_worker,
             conformance.oracle_cluster,
         ):
             assert "wire_group" in called_by(assembly), assembly.__name__
         for builder in (builders._build_single, builders.build_sharded_seemore):
-            assert "_sim_deployments" in called_by(builder), builder.__name__
+            assert "_sim_deployment" in called_by(builder), builder.__name__
         for leg in (conformance.run_sim, conformance.run_aio):
             assert "oracle_cluster" in called_by(leg), leg.__name__
 
@@ -888,6 +891,115 @@ class TestOneAgreementSkeleton:
             "core/dog.py:2 defines on_inform",
             "smr/replica.py:2 defines known_request",
             "smr/replica.py:3 touches _known_requests",
+        ]
+
+
+def deployment_kind_sites(path, relative):
+    """Yield ``(lineno, what)`` for everything the one-deployment rule watches in ``path``.
+
+    A class named ``*Deployment`` or ``*ClientPool``; ``getattr(x, "shards",
+    ...)``; a subscript of, or ``.get`` on, an attribute named ``extras``
+    (``ProcCluster.extras`` in ``runtime/proc.py`` is a different object and
+    out of scope); and, under ``cluster/``, an assignment to ``x.spawn``.
+    """
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ClassDef) and node.name.endswith(("Deployment", "ClientPool")):
+            yield node.lineno, f"defines {node.name}"
+        elif isinstance(node, ast.Call):
+            callee, arguments = node.func, node.args
+            if (
+                isinstance(callee, ast.Name)
+                and callee.id == "getattr"
+                and len(arguments) > 1
+                and isinstance(arguments[1], ast.Constant)
+                and arguments[1].value == "shards"
+            ):
+                yield node.lineno, 'getattr(..., "shards")'
+            extras_get = (
+                isinstance(callee, ast.Attribute)
+                and callee.attr == "get"
+                and isinstance(callee.value, ast.Attribute)
+                and callee.value.attr == "extras"
+            )
+            if extras_get and relative != Path("runtime") / "proc.py":
+                yield node.lineno, "extras.get(...)"
+        elif isinstance(node, ast.Subscript):
+            value = node.value
+            if (
+                isinstance(value, ast.Attribute)
+                and value.attr == "extras"
+                and relative != Path("runtime") / "proc.py"
+            ):
+                yield node.lineno, "extras[...]"
+        elif isinstance(node, ast.Assign) and relative.parts[0] == "cluster":
+            for target in node.targets:
+                if isinstance(target, ast.Attribute) and target.attr == "spawn":
+                    yield node.lineno, "assigns .spawn"
+
+
+class TestOneDeployment:
+    """One deployment type over typed groups, one client pool, no kind-sniffing.
+
+    Under ``src/repro`` exactly one class is named ``*Deployment``
+    (``cluster/deployment.py``) and one ``*ClientPool``
+    (``workload/client_pool.py``); nothing asks ``getattr(x, "shards", ...)``
+    to tell one kind of deployment from another; no deployment carries a
+    stringly ``extras`` dict (what was in it is typed fields of ``Group``);
+    and nothing under ``cluster/`` patches a pool's ``spawn``.  Against the
+    tree before the fold (commit ``3b9f3c7``) ``offenders`` lists 22 sites:
+    2 extra classes, 3 ``getattr`` probes, 8 ``extras[...]`` subscripts, 8
+    ``extras.get(...)`` calls and the 1 patched ``spawn``.
+    """
+
+    OWNERS = {
+        (Path("cluster") / "deployment.py", "defines Deployment"),
+        (Path("workload") / "client_pool.py", "defines ClientPool"),
+    }
+
+    def offenders(self, root):
+        return [
+            f"{path.relative_to(root)}:{lineno} {what}"
+            for path in sorted(root.rglob("*.py"))
+            for lineno, what in sorted(deployment_kind_sites(path, path.relative_to(root)))
+            if (path.relative_to(root), what) not in self.OWNERS
+        ]
+
+    def test_one_of_each_and_no_duck_typing_of_the_deployment_kind(self):
+        assert self.offenders(SRC) == []
+        for owner, what in self.OWNERS:
+            assert what in {site for _, site in deployment_kind_sites(SRC / owner, owner)}
+
+    def test_the_rule_catches_the_old_fork(self, tmp_path):
+        for package in ("cluster", "shard", "scenarios", "runtime"):
+            (tmp_path / package).mkdir()
+        (tmp_path / "cluster" / "deployment.py").write_text(
+            "class ClientDriven:\n    pass\nclass Deployment(ClientDriven):\n    pass\n"
+        )
+        (tmp_path / "cluster" / "builders.py").write_text(
+            "for shard in shards:\n"
+            "    shard.client_pool.spawn = _reject_per_shard_spawn\n"
+            "    shard.extras['adaptive'] = controller\n"
+        )
+        (tmp_path / "shard" / "deployment.py").write_text(
+            "class ShardedDeployment(ClientDriven):\n    pass\n"
+        )
+        (tmp_path / "shard" / "client.py").write_text(
+            "class ShardedClientPool(ClientPool):\n    pass\n"
+        )
+        (tmp_path / "scenarios" / "engine.py").write_text(
+            "shards = getattr(deployment, 'shards', None)\n"
+            "mode = deployment.extras.get('mode')\n"
+        )
+        # A checker may wrap the pool's spawn; ProcCluster.extras is another object.
+        (tmp_path / "scenarios" / "invariants.py").write_text("pool.spawn = spawning\n")
+        (tmp_path / "runtime" / "proc.py").write_text("config = self.extras['config']\n")
+        assert self.offenders(tmp_path) == [
+            "cluster/builders.py:2 assigns .spawn",
+            "cluster/builders.py:3 extras[...]",
+            'scenarios/engine.py:1 getattr(..., "shards")',
+            "scenarios/engine.py:2 extras.get(...)",
+            "shard/client.py:1 defines ShardedClientPool",
+            "shard/deployment.py:1 defines ShardedDeployment",
         ]
 
 

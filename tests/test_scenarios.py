@@ -71,30 +71,30 @@ class TestLibrary:
 class TestTargetResolution:
     def test_primary_role(self):
         deployment = small_deployment()
-        config = deployment.extras["config"]
-        assert resolve_target(deployment, "primary") == config.primary_of_view(0, Mode.LION)
+        config = deployment.group().config
+        assert resolve_target(deployment.group(), "primary") == config.primary_of_view(0, Mode.LION)
 
     def test_cloud_index_roles(self):
         deployment = small_deployment()
-        config = deployment.extras["config"]
-        assert resolve_target(deployment, "private:1") == config.private_replicas[1]
-        assert resolve_target(deployment, "public:2") == config.public_replicas[2]
+        config = deployment.group().config
+        assert resolve_target(deployment.group(), "private:1") == config.private_replicas[1]
+        assert resolve_target(deployment.group(), "public:2") == config.public_replicas[2]
 
     def test_public_primary_prefers_untrusted_primary(self):
         peacock = small_deployment(mode=Mode.PEACOCK)
-        config = peacock.extras["config"]
-        assert resolve_target(peacock, "public-primary") == config.primary_of_view(
+        config = peacock.group().config
+        assert resolve_target(peacock.group(), "public-primary") == config.primary_of_view(
             0, Mode.PEACOCK
         )
         lion = small_deployment(mode=Mode.LION)
-        resolved = resolve_target(lion, "public-primary")
-        assert resolved in lion.extras["config"].public_replicas
+        resolved = resolve_target(lion.group(), "public-primary")
+        assert resolved in lion.group().config.public_replicas
 
     def test_public_backup_is_never_the_primary(self):
         deployment = small_deployment(mode=Mode.PEACOCK)
-        config = deployment.extras["config"]
+        config = deployment.group().config
         primary = config.primary_of_view(0, Mode.PEACOCK)
-        assert resolve_target(deployment, "public-backup") != primary
+        assert resolve_target(deployment.group(), "public-backup") != primary
 
     def test_unknown_target_raises(self):
         with pytest.raises(KeyError):
@@ -104,7 +104,7 @@ class TestTargetResolution:
 class TestEvents:
     def test_partition_and_heal(self):
         deployment = small_deployment()
-        config = deployment.extras["config"]
+        config = deployment.group().config
         Partition(at=0.0, groups=(("private",), ("public",))).apply(deployment)
         conditions = deployment.network.conditions
         assert conditions._is_partitioned(
@@ -117,7 +117,7 @@ class TestEvents:
 
     def test_link_degradation_targets_cross_cloud_only(self):
         deployment = small_deployment()
-        config = deployment.extras["config"]
+        config = deployment.group().config
         LinkDegradation(at=0.0, delay=0.005, link_class="cross").apply(deployment)
         conditions = deployment.network.conditions
         private, public = config.private_replicas[0], config.public_replicas[0]
@@ -136,7 +136,7 @@ class TestEvents:
 
     def test_crash_event_resolves_primary_at_fire_time(self):
         deployment = small_deployment()
-        config = deployment.extras["config"]
+        config = deployment.group().config
         Crash(at=0.0, target="primary").apply(deployment)
         assert deployment.replicas[config.primary_of_view(0, Mode.LION)].crashed
 

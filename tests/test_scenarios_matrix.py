@@ -76,7 +76,8 @@ def _legs():
         for mode in MODES
     }
     for name, scenario in SHARDED_SCENARIOS.items():
-        legs[name] = (scenario, None, (pytest.mark.shard,))
+        surge = (pytest.mark.openloop,) if scenario.open_loop is not None else ()
+        legs[name] = (scenario, None, (pytest.mark.shard, *surge))
     adaptive = dict(ADAPTIVE_SCENARIOS)
     adaptive[PER_SHARD_DIVERGENT_ENVIRONMENTS.name] = PER_SHARD_DIVERGENT_ENVIRONMENTS
     for name, scenario in adaptive.items():

@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.cluster import build_sharded_seemore, run_deployment
+from repro.cluster import ShardSpec, build_sharded_seemore, run_deployment
 from repro.core import Mode
-from repro.shard import ShardSpec
 from repro.workload import Workload, WorkloadSpec
 
 pytestmark = [pytest.mark.shard, pytest.mark.integration]
@@ -25,34 +24,33 @@ def _build(num_shards=2, **kwargs):
 class TestShardedDeploymentBasics:
     def test_shards_share_one_fabric_with_distinct_replicas(self):
         deployment = _build(num_shards=3)
-        assert deployment.num_shards == 3
+        assert len(deployment.shards) == 3
         all_ids = [rid for shard in deployment.shards for rid in shard.replicas]
         assert len(all_ids) == len(set(all_ids))
+        assert list(deployment.replicas) == all_ids
         assert all(
-            shard.simulator is deployment.simulator and shard.network is deployment.network
-            for shard in deployment.shards
+            replica.runtime is deployment.runtime for replica in deployment.replicas.values()
         )
 
     def test_per_shard_specs_configure_modes_independently(self):
         specs = (ShardSpec(mode=Mode.LION), ShardSpec(mode=Mode.PEACOCK, byzantine_tolerance=2))
         deployment = _build(shard_specs=specs, num_shards=None)
-        assert deployment.shards[0].extras["mode"] is Mode.LION
-        assert deployment.shards[1].extras["mode"] is Mode.PEACOCK
-        assert deployment.shards[1].extras["config"].byzantine_tolerance == 2
+        assert deployment.shards[0].mode is Mode.LION
+        assert deployment.shards[1].mode is Mode.PEACOCK
+        assert deployment.shards[1].config.byzantine_tolerance == 2
 
     def test_rejects_empty_spec_list(self):
         with pytest.raises(ValueError):
             build_sharded_seemore(shard_specs=())
 
-    def test_per_shard_pools_refuse_to_spawn_unrouted_clients(self):
+    def test_a_group_has_no_pool_to_spawn_unrouted_clients_from(self):
         # An unrouted single-cluster client would aim every key at one
-        # shard, silently breaking the keyspace partition — the per-shard
-        # pools must fail loudly instead.
+        # shard, silently breaking the keyspace partition — so there is one
+        # pool, the deployment's, and it routes.
         deployment = _build(num_shards=2)
-        with pytest.raises(RuntimeError, match="routed"):
-            deployment.shards[0].client_pool.spawn(1)
-        with pytest.raises(RuntimeError, match="routed"):
-            deployment.shards[0].add_clients(1)
+        for group in deployment.shards:
+            assert not hasattr(group, "client_pool") and not hasattr(group, "add_clients")
+        assert deployment.client_pool.router is deployment.router
 
     def test_surged_clients_route_through_the_partitioner(self):
         deployment = _build(

@@ -61,11 +61,12 @@ class TestShardedScenarioLibrary:
         result = run_scenario(PROBE, deployment=deployment)
         assert result.completed == deployment.metrics.completed > 0
 
-    def test_admission_control_is_refused_on_shards(self):
+    def test_admission_control_sits_on_every_shard(self):
         from repro.core import AdmissionPolicy
 
-        with pytest.raises(ValueError, match="single-group"):
-            replace(PROBE, admission=AdmissionPolicy(max_outstanding=4)).build()
+        policy = AdmissionPolicy(max_outstanding=4)
+        deployment = replace(PROBE, admission=policy).build()
+        assert [group.config.admission for group in deployment.shards] == [policy, policy]
 
     def test_client_surge_spawns_routed_clients(self):
         deployment = PROBE.build()

@@ -69,7 +69,7 @@ class TestNoopFilling:
 
     def test_new_view_fills_sequence_holes_with_noops(self):
         deployment = build(Mode.LION)
-        config = deployment.extras["config"]
+        config = deployment.group().config
         collector_id = config.primary_of_view(1, Mode.LION)
         collector = deployment.replicas[collector_id]
         manager = collector.view_changes
@@ -116,24 +116,24 @@ class TestNoopFilling:
         simulator = deployment.simulator
         deployment.start_clients()
         simulator.run(until=0.15)
-        crash_primary(deployment)
+        crash_primary(deployment.group())
         simulator.run(until=1.0)
         deployment.stop_clients()
         # No client ever receives a reply for the no-op client id.
         for client in deployment.clients:
             assert all(record.timestamp > 0 for record in client.completed)
-        assert_ledgers_consistent(deployment.correct_ledgers())
+        assert_ledgers_consistent(deployment.group().correct_ledgers())
 
 
 class TestJoinAndEscalation:
     @pytest.mark.slow
     def test_replicas_join_view_change_on_quorum_of_evidence(self):
         deployment = build(Mode.LION)
-        config = deployment.extras["config"]
+        config = deployment.group().config
         simulator = deployment.simulator
         deployment.start_clients()
         simulator.run(until=0.15)
-        crash_primary(deployment)
+        crash_primary(deployment.group())
         simulator.run(until=1.0)
         deployment.stop_clients()
         # Every correct replica ends in the same (new) view even though only
@@ -145,7 +145,7 @@ class TestJoinAndEscalation:
     @pytest.mark.slow
     def test_consecutive_primary_crashes_escalate_views(self):
         deployment = build(Mode.LION, num_clients=3)
-        config = deployment.extras["config"]
+        config = deployment.group().config
         simulator = deployment.simulator
         deployment.start_clients()
         simulator.run(until=0.15)
@@ -154,7 +154,7 @@ class TestJoinAndEscalation:
         # private, and S=2, so view 2 wraps back to the first (crashed)
         # replica; with c=1 only one crash is tolerated, so crash only the
         # current primary here and the *next* primary must take over.
-        first = crash_primary(deployment)
+        first = crash_primary(deployment.group())
         simulator.run(until=1.2)
         deployment.stop_clients()
         surviving_primary = config.primary_of_view(
@@ -162,7 +162,7 @@ class TestJoinAndEscalation:
         )
         assert surviving_primary != first
         assert deployment.metrics.completed > 20
-        assert_ledgers_consistent(deployment.correct_ledgers())
+        assert_ledgers_consistent(deployment.group().correct_ledgers())
 
 
 class TestNewViewReconciliation:
@@ -187,7 +187,7 @@ class TestNewViewReconciliation:
 
     def test_highest_view_entry_beats_more_votes(self):
         deployment = build(Mode.LION)
-        config = deployment.extras["config"]
+        config = deployment.group().config
         target_view = 3
         collector_id = config.primary_of_view(target_view, Mode.LION)
         collector = deployment.replicas[collector_id]
@@ -228,7 +228,7 @@ class TestNewViewReconciliation:
 
     def test_view_change_state_is_pruned_after_install(self):
         deployment = build(Mode.LION)
-        config = deployment.extras["config"]
+        config = deployment.group().config
         target_view = 3
         collector_id = config.primary_of_view(target_view, Mode.LION)
         collector = deployment.replicas[collector_id]
@@ -252,7 +252,7 @@ class TestNewViewReconciliation:
         simulator = deployment.simulator
         deployment.start_clients()
         simulator.run(until=0.15)
-        crash_primary(deployment)
+        crash_primary(deployment.group())
         simulator.run(until=1.0)
         deployment.stop_clients()
         for replica in deployment.correct_replicas():
@@ -266,7 +266,7 @@ class TestStateTransfer:
     @pytest.mark.slow
     def test_lagging_replica_catches_up_via_state_transfer(self):
         deployment = build(Mode.LION, num_clients=4, checkpoint_period=32)
-        config = deployment.extras["config"]
+        config = deployment.group().config
         simulator = deployment.simulator
         lagger_id = config.public_replicas[0]
         lagger = deployment.replicas[lagger_id]
@@ -286,7 +286,7 @@ class TestStateTransfer:
             "the recovered replica should have caught up via state transfer"
         )
         assert lagger.state_transfers_completed >= 1
-        assert_ledgers_consistent(deployment.correct_ledgers())
+        assert_ledgers_consistent(deployment.group().correct_ledgers())
 
 
 def signed_response(deployment, sender, checkpoint_sequence, state_digest, snapshot):
