@@ -34,8 +34,9 @@ arriving on it is attributed to that id.  Spoofing replica *j* would
 require writing on *j*'s connection.  A channel dials lazily on its first
 flush and buffers until the connection is up; when a connection is lost the
 next send dials again (what the kernel had not delivered is lost, as on any
-TCP reset — the protocols retransmit), and a dial that fails makes the next
-one wait, ``REDIAL_DELAY_S`` doubling up to ``REDIAL_MAX_DELAY_S``.
+TCP reset — the protocols retransmit), and a dial that fails, or whose
+connection is lost sooner than the wait it ended, makes the next one wait,
+``REDIAL_DELAY_S`` doubling up to ``REDIAL_MAX_DELAY_S``.
 
 Two things are state of a *connection* and die with it.  The sender id, and
 a **payload table** (:class:`_PayloadTable`): a request or batch piggybacked
@@ -56,7 +57,10 @@ Differences from the sim backend, by design:
   exact semantics of :class:`repro.runtime.api.TimerHandle` (pinned by the
   shared timer tests).  Pushing a timer back — what every commit does to its
   replica's request timer — only moves the deadline, and stopping one only
-  clears it; neither touches the loop's heap (see :class:`AioTimer`);
+  clears it; neither touches the loop's heap (see :class:`AioTimer`).  The
+  loop comes from :func:`new_event_loop`, whose selector ends a timed wait
+  when it was asked to: a stock asyncio loop rounds each one up to a whole
+  millisecond, which made every timer 0.7 ms late on average;
 * the CPU ignores *modeled* costs and measures real elapsed time into
   the same ``busy_time`` / ``items_processed`` stats fields;
 * delivery order between different sender pairs is whatever TCP and the
@@ -68,6 +72,8 @@ Differences from the sim backend, by design:
 from __future__ import annotations
 
 import asyncio
+import select
+import selectors
 import struct
 import time
 from collections import Counter, OrderedDict, deque
@@ -383,7 +389,49 @@ def decode_envelope(
     return message
 
 
-# -- timers ------------------------------------------------------------------
+# -- event loop and timers ---------------------------------------------------
+
+if hasattr(selectors, "EpollSelector"):
+
+    class _TimelySelector(selectors.EpollSelector):
+        """An ``EpollSelector`` whose timed wait ends when asked, not up to 1 ms later.
+
+        ``epoll_wait`` counts in whole milliseconds and the stock selector
+        rounds every timeout up to the next one.  This one waits the whole
+        milliseconds in ``epoll_wait`` and what is then left in ``select(2)``
+        on the epoll descriptor itself, which is readable exactly when
+        ``epoll_wait`` has something to return and which counts in
+        microseconds.  A wait with no timeout or a zero one (every busy tick)
+        is the stock call.
+        """
+
+        _FD_SETSIZE = 1024  # ``select(2)`` cannot name a descriptor from here up
+
+        def select(self, timeout=None):
+            if timeout is None or timeout <= 0 or self.fileno() >= self._FD_SETSIZE:
+                return super().select(timeout)
+            whole_ms = int(timeout * 1e3)
+            if whole_ms:
+                due = time.monotonic() + timeout
+                # The stock rounding makes exactly ``whole_ms`` of this; ready
+                # I/O ends the wait at once, as ever.
+                ready = super().select((whole_ms - 0.5) * 1e-3)
+                if ready:
+                    return ready
+                timeout = due - time.monotonic()  # less what that wait ran over
+            if timeout > 0 and select.select((self.fileno(),), (), (), timeout)[0]:
+                return super().select(0)
+            return []
+
+else:  # no epoll, no rounding to undo
+    _TimelySelector = None
+
+
+def new_event_loop() -> asyncio.AbstractEventLoop:
+    """The loop both TCP backends run on: the platform's, with timers that fire on time."""
+    if _TimelySelector is None:
+        return asyncio.new_event_loop()
+    return asyncio.SelectorEventLoop(_TimelySelector())
 
 
 class AioTimer(TimerHandle):
@@ -585,7 +633,9 @@ class _Outbound(asyncio.Protocol):
         self._dst = dst
         self._dialing = False
         self._retry_delay = 0.0  # what the last failed dial made the next one wait
-        self._retry_at = 0.0  # loop time before which nothing dials
+        # Loop time before which nothing dials or, while a connection is up,
+        # before which losing it counts as a failed dial.
+        self._retry_at = 0.0
         self.pending: List[bytes] = []  # length-prefixed envelopes, oldest first
         # What ``pending`` and the connection it is bound for carry in full;
         # emptied whenever frames encoded against it are given up.
@@ -636,33 +686,45 @@ class _Outbound(asyncio.Protocol):
     async def _dial(self) -> None:
         runtime = self._runtime
         loop = runtime._running_loop()
+        connected = False
         try:
             port = runtime._ports.get(self._dst)
             if port is not None:
                 await loop.create_connection(lambda: self, runtime._host, port)
+                connected = True  # what becomes of it is ``connection_lost``'s to count
         except OSError:
             pass
         finally:
             self._dialing = False
-            if self.transport is None:
+            if not connected:
                 # Unknown or unreachable destination: dropped, mirroring the
-                # sim network.  A later send dials again, after a wait that
-                # doubles with every failure in a row.
+                # sim network.
                 self._give_up()
-                delay = self._retry_delay = min(
-                    max(REDIAL_DELAY_S, 2 * self._retry_delay), REDIAL_MAX_DELAY_S
-                )
-                self._retry_at = loop.time() + delay
+                self._back_off(loop)
+
+    def _back_off(self, loop: asyncio.AbstractEventLoop) -> None:
+        """A later send dials again, after a wait that doubles with every failure in a row."""
+        delay = self._retry_delay = min(
+            max(REDIAL_DELAY_S, 2 * self._retry_delay), REDIAL_MAX_DELAY_S
+        )
+        self._retry_at = loop.time() + delay
 
     def connection_made(self, transport: asyncio.Transport) -> None:
         self.transport = transport
-        self._retry_delay = self._retry_at = 0.0
+        self._retry_at = self._runtime._running_loop().time() + max(
+            REDIAL_DELAY_S, self._retry_delay
+        )
         self.pending.insert(0, self._hello)
         self.flush()
 
     def connection_lost(self, exc: Optional[Exception]) -> None:
         self.transport = None
         self._give_up()  # the next connection starts with an empty table at both ends
+        loop = self._runtime._running_loop()
+        if loop.time() < self._retry_at:
+            self._back_off(loop)  # accepted and dropped: a failed dial by another name
+        else:
+            self._retry_delay = self._retry_at = 0.0
 
 
 class _Inbound(asyncio.BufferedProtocol):
@@ -897,7 +959,8 @@ class AioRuntime(Runtime):
         seconds).  Always shuts down cleanly: every task is cancelled and
         awaited, every connection and listener closed.
         """
-        return asyncio.run(self._main(kickoff, until, timeout))
+        with asyncio.Runner(loop_factory=new_event_loop) as runner:
+            return runner.run(self._main(kickoff, until, timeout))
 
     async def _main(
         self,
@@ -962,4 +1025,5 @@ __all__ = [
     "AioTransport",
     "decode_envelope",
     "encode_envelope",
+    "new_event_loop",
 ]

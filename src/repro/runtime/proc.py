@@ -53,7 +53,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.runtime.aio import UNTIL_POLL_S, AioRuntime
+from repro.runtime.aio import UNTIL_POLL_S, AioRuntime, new_event_loop
 
 #: Control-channel message kinds (worker -> supervisor).
 #: ("ready", ports, waits) / ("stats", snapshot) / ("done", snapshot)
@@ -138,7 +138,8 @@ class ProcWorkerRuntime(AioRuntime):
     ) -> None:
         """Build the worker's nodes, then run the supervised lifecycle."""
         plan = build(self, **dict(kwargs)) or WorkerPlan()
-        asyncio.run(self._worker_main(conn, plan, stats_interval))
+        with asyncio.Runner(loop_factory=new_event_loop) as runner:
+            runner.run(self._worker_main(conn, plan, stats_interval))
 
     async def _worker_main(self, conn, plan: WorkerPlan, stats_interval: float) -> None:
         try:

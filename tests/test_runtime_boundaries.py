@@ -20,6 +20,9 @@ The two TCP backends move messages by callbacks: no per-message task, queue
 or stream machinery may reappear in ``runtime/aio.py`` or ``runtime/proc.py``;
 the listener receives into the runtime's buffer, a payload table belongs to one
 connection, and no process-wide allocator setting stands in for either.
+Both start their event loop through ``runtime.aio.new_event_loop``, and the
+selector under it is the only code in ``src/repro`` that names ``select`` or
+``selectors``.
 And frames are decoded in place by ``read_x(buf, off, end)`` functions: no
 cursor object (a ``Reader`` class, a ``.take(n)`` call) may reappear under
 ``src/repro``.  The agreement engines share one skeleton: the no-op filler,
@@ -336,6 +339,112 @@ class TestAioDataPathIsCallbacks:
         )
         assert list(process_wide_settings(tuned)) == [
             "line 1 imports ctypes", "line 1 imports gc", "line 4 touches os.environ",
+        ]
+
+
+#: ``asyncio`` calls that start or build an event loop.
+LOOP_STARTERS = {"run", "new_event_loop", "get_event_loop", "set_event_loop", "SelectorEventLoop"}
+SELECT_MODULES = {"select", "selectors"}
+
+
+def event_loop_offences(path):
+    """Yield where ``path`` starts or builds an event loop other than through its own
+    ``new_event_loop``, and where it names ``select`` / ``selectors`` outside the top-level
+    statement that defines ``_TimelySelector`` (a plain ``import`` beside that class is fine)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    selector_home, factory = set(), set()
+    for statement in tree.body:
+        inside = set(ast.walk(statement))
+        if any(
+            isinstance(node, ast.ClassDef) and node.name == "_TimelySelector" for node in inside
+        ):
+            selector_home = inside
+        elif isinstance(statement, ast.FunctionDef) and statement.name == "new_event_loop":
+            factory = inside
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) and not selector_home:
+            for alias in node.names:
+                if alias.name.split(".")[0] in SELECT_MODULES:
+                    yield f"line {node.lineno} imports {alias.name}"
+        elif (
+            isinstance(node, ast.ImportFrom)
+            and (node.module or "").split(".")[0] in SELECT_MODULES
+        ):
+            yield f"line {node.lineno} imports from {node.module}"
+        elif isinstance(node, ast.Name) and node.id in SELECT_MODULES and node not in selector_home:
+            yield f"line {node.lineno} names {node.id} outside _TimelySelector"
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) is not None:
+            called = node.func.attr
+            if getattr(node.func.value, "id", None) != "asyncio":
+                continue
+            if called in LOOP_STARTERS and node not in factory:
+                yield f"line {node.lineno} calls asyncio.{called}"
+            elif called == "Runner" and not any(
+                keyword.arg == "loop_factory"
+                and getattr(keyword.value, "id", None) == "new_event_loop"
+                for keyword in node.keywords
+            ):
+                yield f"line {node.lineno} calls asyncio.Runner without loop_factory=new_event_loop"
+
+
+class TestOneLoopFactory:
+    """Both TCP backends run on the loop ``runtime.aio.new_event_loop`` builds.
+
+    Its selector is what makes an ``AioTimer`` fire when it is due; a backend that
+    started its loop with ``asyncio.run`` would get the stock selector back, and its
+    timers would be up to a millisecond late again without any test failing.
+    """
+
+    def test_every_loop_under_src_comes_from_the_factory(self):
+        """At the parent the rule reports 2 offences: the two ``asyncio.run`` calls."""
+        offenders = [
+            f"{path.relative_to(SRC)}: {what}"
+            for path in sorted(SRC.rglob("*.py"))
+            for what in event_loop_offences(path)
+        ]
+        assert offenders == []
+
+    def test_the_factory_exists_and_both_backends_use_it(self):
+        for name in ("aio.py", "proc.py"):
+            source = (SRC / "runtime" / name).read_text()
+            assert "asyncio.Runner(loop_factory=new_event_loop)" in source, name
+
+    def test_the_rule_catches_a_stock_loop_and_a_stray_selector(self, tmp_path):
+        (tmp_path / "backend.py").write_text(
+            "import asyncio, select\n"
+            "from selectors import EpollSelector\n"
+            "def serve(main):\n"
+            "    asyncio.run(main())\n"
+            "    with asyncio.Runner() as runner:\n"
+            "        runner.run(main())\n"
+            "    with asyncio.Runner(loop_factory=asyncio.new_event_loop) as runner:\n"
+            "        runner.run(main())\n"
+            "    with asyncio.Runner(loop_factory=new_event_loop) as runner:\n"
+            "        runner.run(main())\n"
+            "    select.select((), (), (), 0.0003)\n"
+        )
+        assert sorted(event_loop_offences(tmp_path / "backend.py")) == [
+            "line 1 imports select",
+            "line 11 names select outside _TimelySelector",
+            "line 2 imports from selectors",
+            "line 4 calls asyncio.run",
+            "line 5 calls asyncio.Runner without loop_factory=new_event_loop",
+            "line 7 calls asyncio.Runner without loop_factory=new_event_loop",
+        ]
+        (tmp_path / "home.py").write_text(
+            "import asyncio, select, selectors\n"
+            "if hasattr(selectors, 'EpollSelector'):\n"
+            "    class _TimelySelector(selectors.EpollSelector):\n"
+            "        def select(self, timeout=None):\n"
+            "            return select.select((self.fileno(),), (), (), timeout)[0]\n"
+            "def new_event_loop():\n"
+            "    return asyncio.SelectorEventLoop(_TimelySelector())\n"
+            "def elsewhere():\n"
+            "    return asyncio.new_event_loop(), selectors.DefaultSelector()\n"
+        )
+        assert sorted(event_loop_offences(tmp_path / "home.py")) == [
+            "line 9 calls asyncio.new_event_loop",
+            "line 9 names selectors outside _TimelySelector",
         ]
 
 

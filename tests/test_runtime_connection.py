@@ -387,6 +387,7 @@ class TestRedialBackoff:
         assert channel._retry_delay == REDIAL_MAX_DELAY_S
 
         channel.connection_made(_RecordingTransport())
+        loop.now += 2 * REDIAL_MAX_DELAY_S  # it lasts longer than the wait it ended
         channel.connection_lost(ConnectionResetError())
         send("p0", "sink", _request(41), 0)
         loop.run()
@@ -394,6 +395,45 @@ class TestRedialBackoff:
         send("p0", "sink", _request(42), 0)
         loop.run()
         assert len(loop.dials) == 41  # and refused again, it waits again
+
+    def test_a_thousand_sends_to_a_listener_that_accepts_and_hangs_up_dial_a_handful_of_times(self):
+        """The parent reset the back-off in ``connection_made``: the delay never grew past the
+        first 10 ms (a hundred dials here; over a real socket, where the loss comes a tick
+        after the dial returned, one nearly every tick)."""
+        runtime, loop = self.unreachable()
+
+        async def accept_then_close(factory, host, port):
+            loop.dials.append(loop.now)
+            channel = factory()
+            channel.connection_made(_RecordingTransport())
+            channel.connection_lost(None)
+
+        loop.create_connection = accept_then_close
+        for n in range(1000):
+            loop.now += 0.001
+            runtime.transport.deliver("p0", "sink", _prepare(_request(n)), 0)
+            loop.run()
+        assert 2 <= len(loop.dials) <= 8, loop.dials
+        gaps = [later - earlier for earlier, later in zip(loop.dials, loop.dials[1:])]
+        assert gaps == sorted(gaps) and gaps[-1] > 4 * gaps[0]
+        # One doubling a drop: the dial and the loss it led to are one failure, not two.
+        assert all(later < 2.5 * earlier for earlier, later in zip(gaps, gaps[1:]))
+        channel = runtime._channels["p0", "sink"]
+        assert channel.pending == [] and not channel.shipped.entries
+
+        async def accept_and_keep(factory, host, port):
+            loop.dials.append(loop.now)
+            factory().connection_made(_RecordingTransport())
+
+        loop.create_connection, dialled = accept_and_keep, len(loop.dials)
+        loop.now += 2 * REDIAL_MAX_DELAY_S
+        runtime.transport.deliver("p0", "sink", _request(1000), 0)
+        loop.run()
+        loop.now += 2 * channel._retry_delay  # outlives the wait it ended: a connection again
+        channel.connection_lost(ConnectionResetError())
+        runtime.transport.deliver("p0", "sink", _request(1001), 0)
+        loop.run()
+        assert len(loop.dials) == dialled + 2 and channel._retry_delay == 0.0
 
 
 # -- decode counts are the protocol's, not the transport's ---------------------------------------

@@ -75,6 +75,9 @@ class _Ticker:
     def call_soon(self, callback, *args):
         self.ready.append((callback, args))
 
+    def time(self):
+        return time.monotonic()
+
     def tick(self):
         for _ in range(len(self.ready)):
             callback, args = self.ready.popleft()
