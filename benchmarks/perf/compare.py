@@ -1,4 +1,4 @@
-"""Compare two ``BENCH_*.json`` documents and fail on events/sec regression.
+"""Compare two ``BENCH_*.json`` documents; fail on a regression or a changed count.
 
 Usage::
 
@@ -27,6 +27,12 @@ geometric mean — rather than any single case — keeps the gate robust
 against per-case wall-clock noise, while a real hot-path regression moves
 every case.  Per-case ratios are printed either way so a localized
 regression is still visible in the log.
+
+The check also fails (exit code 1) when a shared case's
+``completed_requests`` or ``events_processed`` differs from the baseline.
+The simulator is deterministic, so those counts are not noise: a change in
+either is a change in what the protocol did, and each differing case is
+printed.  A count missing on either side is not compared.
 """
 
 from __future__ import annotations
@@ -36,7 +42,10 @@ import json
 import math
 import pathlib
 import sys
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple
+
+#: Counts a shared case must reproduce exactly (the determinism proof).
+DETERMINISTIC_COUNTS = ("completed_requests", "events_processed")
 
 
 def load(path: pathlib.Path) -> Tuple[dict, Optional[float]]:
@@ -49,6 +58,15 @@ def load(path: pathlib.Path) -> Tuple[dict, Optional[float]]:
         print(f"note: {skipped} ungated case(s) in {path} excluded from the gate")
     calibration = document.get("host", {}).get("calibration_ops_per_second")
     return cases, calibration
+
+
+def count_differences(current: dict, baseline: dict, shared) -> Iterator[str]:
+    """Yield one line per shared case and count that differs from the baseline."""
+    for name in shared:
+        for field in DETERMINISTIC_COUNTS:
+            now, then = current[name].get(field), baseline[name].get(field)
+            if now is not None and then is not None and now != then:
+                yield f"{name}: {field} {then} -> {now}"
 
 
 def compare(
@@ -108,6 +126,10 @@ def compare(
             shown = f"{'n/a':>7}"
         print(f"{name.ljust(width)}  {now:>12,.0f}  {then:>12,.0f}  {shown}")
 
+    differing = list(count_differences(current, baseline, shared))
+    for line in differing:
+        print(f"count differs: {line}")
+
     if degenerate:
         print(
             f"warning: {len(degenerate)} case(s) with zero/missing events/sec "
@@ -127,6 +149,13 @@ def compare(
         print(
             f"FAIL: events/sec regressed by more than {max_regression:.0%} "
             f"({geomean:.3f} of baseline)",
+            file=sys.stderr,
+        )
+        return 1
+    if differing:
+        print(
+            f"FAIL: {len(differing)} committed / event count(s) differ from the "
+            "baseline; a deterministic run must reproduce them exactly",
             file=sys.stderr,
         )
         return 1

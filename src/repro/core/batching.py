@@ -6,19 +6,21 @@ lever for all three modes:
 
 * :class:`BatchPolicy` — the knobs: how large a batch may grow
   (``max_batch``), how long the primary may wait for a batch to fill
-  (``linger``, driven by a simulator timer), how many proposals may be in
-  flight at once (``pipeline_depth``), and whether the fill target adapts
-  to the observed arrival rate (``adaptive``).
+  (``linger``, on the runtime's clock), and how many proposals may be in
+  flight at once (``pipeline_depth``).
 * :class:`Batcher` — the per-primary engine: it buffers validated client
   requests, cuts them into :class:`~repro.smr.messages.Batch` payloads
   according to the policy, and hands each payload to the mode strategy for
   proposal.  A batch of one is proposed as the bare request, so a
   deployment with the default policy behaves exactly like the unbatched
-  protocol.
+  protocol.  An under-full batch is held only while the observed arrival
+  rate expects another request before the linger runs out; at a low
+  offered rate every request is proposed on arrival.
 
 The batcher is deliberately decoupled from the replica: it only needs a
-timer factory and a ``propose`` callback, which keeps it unit-testable
-(including under Hypothesis) without standing up a replica group.
+clock, a timer factory and a ``propose`` callback, which keeps it
+unit-testable (including under Hypothesis) without standing up a replica
+group.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from repro.smr.messages import Batch, Request
 
 ProposeFn = Callable[[Any], Optional[int]]
 TimerFactory = Callable[[Callable[[], None]], Any]
+Clock = Callable[[], float]
 
 
 @dataclass(frozen=True)
@@ -39,24 +42,20 @@ class BatchPolicy:
     Attributes:
         max_batch: maximum requests per batch.  ``1`` (the default)
             reproduces the unbatched protocol exactly.
-        linger: how long (simulated seconds) the primary may hold an
-            under-full batch waiting for more requests.  ``0`` proposes
-            immediately on arrival.
+        linger: how long (runtime seconds) the primary may hold an
+            under-full batch waiting for more requests.  It is held only
+            while requests arrive faster than one per ``linger``; ``0``
+            proposes immediately on arrival.
         pipeline_depth: maximum number of proposed-but-uncommitted slots
             the primary keeps in flight.  ``None`` (the default) leaves
             pipelining bounded only by the watermark window, as in the
             unbatched protocol.  A small bound makes arrival bursts
             accumulate into fuller batches while earlier slots commit.
-        adaptive: when true, the effective fill target tracks an
-            exponentially weighted moving average of recent batch sizes, so
-            a lightly loaded primary stops waiting out the full linger for
-            batches that will never fill.
     """
 
     max_batch: int = 1
     linger: float = 0.0
     pipeline_depth: Optional[int] = None
-    adaptive: bool = False
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
@@ -77,8 +76,11 @@ class Batcher:
     The owning replica enqueues every request it would previously have
     proposed directly.  The batcher flushes according to its policy:
 
-    * a batch is cut as soon as the effective fill target is reached;
-    * an under-full batch is cut when the linger timer fires;
+    * a batch is cut as soon as it holds ``max_batch`` requests;
+    * an under-full batch is cut at once when the smoothed gap between
+      fresh arrivals is at least ``linger`` (the next request is not
+      expected before the timer would fire), and otherwise when the linger
+      timer fires;
     * with ``linger == 0`` every arrival flushes immediately;
     * no batch is cut while ``pipeline_depth`` proposals are uncommitted —
       arrivals accumulate until a slot commits.
@@ -92,15 +94,22 @@ class Batcher:
         policy: BatchPolicy,
         timer_factory: TimerFactory,
         propose: ProposeFn,
+        clock: Clock,
     ) -> None:
         self.policy = policy
         self._propose = propose
+        self._clock = clock
         self._queue: List[Request] = []
         self._queued_keys: set = set()
         self._in_flight: set = set()
         self._paused = False
         self._linger_timer = timer_factory(self._on_linger)
-        self._ewma_fill: float = float(policy.max_batch)
+        # Smoothed gap between fresh arrivals (newest sample weighted 1/8),
+        # each sample capped at twice the linger so one idle spell cannot
+        # disable batching for the burst after it.  It stays 0 when
+        # ``linger == 0``.
+        self._arrival_gap = 0.0
+        self._last_arrival: Optional[float] = None
         # Telemetry consumed by benchmarks and the metrics collector.
         self.batches_proposed = 0
         self.requests_enqueued = 0
@@ -139,6 +148,8 @@ class Batcher:
         if key in self._queued_keys:
             self._pump()
             return False
+        if self.policy.linger:
+            self._observe_arrival()
         self._queue.append(request)
         self._queued_keys.add(key)
         self.requests_enqueued += 1
@@ -207,10 +218,12 @@ class Batcher:
 
     # -- flushing ------------------------------------------------------------
 
-    def _effective_target(self) -> int:
-        if not self.policy.adaptive:
-            return self.policy.max_batch
-        return max(1, min(self.policy.max_batch, round(self._ewma_fill)))
+    def _observe_arrival(self) -> None:
+        now = self._clock()
+        if self._last_arrival is not None:
+            sample = min(now - self._last_arrival, 2 * self.policy.linger)
+            self._arrival_gap += (sample - self._arrival_gap) / 8
+        self._last_arrival = now
 
     def _pipeline_open(self) -> bool:
         depth = self.policy.pipeline_depth
@@ -221,7 +234,10 @@ class Batcher:
         if self._paused:
             return
         while self._queue and self._pipeline_open():
-            ready = len(self._queue) >= self._effective_target() or self.policy.linger == 0
+            ready = (
+                len(self._queue) >= self.policy.max_batch
+                or self._arrival_gap >= self.policy.linger
+            )
             if not ready:
                 if not self._linger_timer.active:
                     self._linger_timer.start(self.policy.linger)
@@ -255,8 +271,6 @@ class Batcher:
         self._in_flight.add(sequence)
         self.batches_proposed += 1
         self.proposed_batch_sizes.append(count)
-        if self.policy.adaptive:
-            self._ewma_fill = 0.75 * self._ewma_fill + 0.25 * count
         return True
 
 

@@ -88,6 +88,7 @@ class SeeMoReReplica(ReplicaBase):
             config.batch_policy,
             timer_factory=lambda callback: self.create_timer(callback, "batch-linger"),
             propose=self._propose_payload,
+            clock=lambda: self.now,
         )
         self._assigned_sequences: Dict[tuple, int] = {}
         self.busy_rejects_sent = 0

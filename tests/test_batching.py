@@ -50,7 +50,9 @@ class RecordingProposer:
 def build_batcher(policy, simulator=None, proposer=None):
     simulator = simulator or Simulator()
     proposer = proposer or RecordingProposer()
-    batcher = Batcher(policy, timer_factory=simulator.timer, propose=proposer)
+    batcher = Batcher(
+        policy, timer_factory=simulator.timer, propose=proposer, clock=lambda: simulator.now
+    )
     return simulator, proposer, batcher
 
 
@@ -221,6 +223,94 @@ class TestBatcherBasics:
         assert batcher.mean_batch_size() == 1.0
 
 
+class TestLingerFollowsTheArrivalGap:
+    """An under-full batch waits out ``linger`` only while the smoothed gap
+    between fresh arrivals is below it, i.e. while another request is due
+    before the timer would fire."""
+
+    POLICY = BatchPolicy(max_batch=16, linger=0.002)
+
+    @staticmethod
+    def schedule(simulator, batcher, times, first_timestamp=1, after=None):
+        """Enqueue one fresh request from ``c0`` at each of ``times``."""
+        for timestamp, at in enumerate(times, start=first_timestamp):
+
+            def arrive(request=make_request("c0", timestamp)):
+                batcher.enqueue(request)
+                if after is not None:
+                    after()
+
+            simulator.call_at(at, arrive)
+
+    def test_sparse_arrivals_are_proposed_at_once(self):
+        simulator, proposer, batcher = build_batcher(self.POLICY)
+        seen = []
+        self.schedule(
+            simulator,
+            batcher,
+            [0.010 * k for k in range(1, 21)],
+            after=lambda: seen.append((batcher.queued, batcher._linger_timer.active)),
+        )
+        simulator.run(until=1.0)
+        # Until six 10 ms gaps (each counted as the 4 ms cap) lift the estimate
+        # from 0 past the linger, an arrival waits it out; from then on every
+        # arrival is proposed on the spot and no timer is armed.
+        assert seen[:6] == [(1, True)] * 6
+        assert seen[6:] == [(0, False)] * 14
+        assert [len(requests_of(payload)) for _, payload in proposer.payloads] == [1] * 20
+
+    def test_a_burst_still_lingers_and_fills_to_max_batch(self):
+        simulator, proposer, batcher = build_batcher(self.POLICY)
+        times = [0.00005 * k for k in range(1, 21)]  # 20 arrivals 50 us apart
+        self.schedule(simulator, batcher, times)
+        simulator.run(until=times[16] + 0.0019)
+        assert [len(requests_of(payload)) for _, payload in proposer.payloads] == [16]
+        assert batcher.queued == 4
+        simulator.run(until=times[16] + 0.0021)  # the linger armed by the 17th expires
+        assert [len(requests_of(payload)) for _, payload in proposer.payloads] == [16, 4]
+
+    def test_an_idle_spell_does_not_disable_batching_for_the_next_burst(self):
+        simulator, proposer, batcher = build_batcher(self.POLICY)
+        # 40 arrivals 50 ms apart hold the estimate at its cap (2 x linger).
+        self.schedule(simulator, batcher, [0.050 * k for k in range(1, 41)])
+        simulator.run(until=2.5)
+        before = len(proposer.payloads)
+        # Ten seconds of silence, then 32 back-to-back arrivals.  The idle gap
+        # counts as 4 ms, not 10 s, so the estimate falls below the linger
+        # after six of them (uncapped, all 32 would go out alone).
+        self.schedule(simulator, batcher, [12.0] * 32, first_timestamp=41)
+        simulator.run(until=13.0)
+        assert len(proposer.payloads) - before <= 8
+        assert len(proposer.proposed_requests()) == 72
+
+    def test_a_duplicate_leaves_the_estimate_unchanged(self):
+        simulator, proposer, batcher = build_batcher(self.POLICY)
+        self.schedule(simulator, batcher, [0.001, 0.0015])
+        simulator.run(until=0.0016)
+        estimate = (batcher._arrival_gap, batcher._last_arrival)
+        assert estimate[0] > 0
+        # A retransmission of the still-queued second request.
+        simulator.call_at(0.0017, lambda: batcher.enqueue(make_request("c0", 2)))
+        simulator.run(until=0.0018)
+        assert batcher.queued == 2
+        assert (batcher._arrival_gap, batcher._last_arrival) == estimate
+
+    def test_without_linger_the_clock_is_never_read(self):
+        def clock():
+            raise AssertionError("a batcher with linger == 0 read the clock")
+
+        proposer = RecordingProposer()
+        batcher = Batcher(
+            BatchPolicy(max_batch=16),
+            timer_factory=Simulator().timer,
+            propose=proposer,
+            clock=clock,
+        )
+        for timestamp in range(1, 4):
+            batcher.enqueue(make_request("c0", timestamp))
+        assert len(proposer.payloads) == 3
+
+
 # -- property-based: the exactly-once / in-order contract -----------------------
 
 ARRIVALS = st.lists(
@@ -237,7 +327,6 @@ POLICIES = st.builds(
     max_batch=st.integers(min_value=1, max_value=8),
     linger=st.sampled_from([0.0, 0.001, 0.004]),
     pipeline_depth=st.one_of(st.none(), st.integers(min_value=1, max_value=3)),
-    adaptive=st.booleans(),
 )
 
 
@@ -249,9 +338,7 @@ class TestBatcherProperties:
     ):
         """Every arrival is proposed exactly once, in arrival order,
         for arbitrary arrival schedules, linger timeouts, and commit timing."""
-        simulator = Simulator()
-        proposer = RecordingProposer()
-        batcher = Batcher(policy, timer_factory=simulator.timer, propose=proposer)
+        simulator, proposer, batcher = build_batcher(policy)
 
         # Commits free pipeline slots a fixed delay after each proposal.
         base_propose = proposer.__call__
@@ -291,9 +378,7 @@ class TestBatcherProperties:
     @settings(max_examples=60, deadline=None)
     @given(arrivals=ARRIVALS, policy=POLICIES)
     def test_batch_sizes_respect_policy(self, arrivals, policy):
-        simulator = Simulator()
-        proposer = RecordingProposer()
-        batcher = Batcher(policy, timer_factory=simulator.timer, propose=proposer)
+        simulator, proposer, batcher = build_batcher(policy)
         clock = 0.0
         timestamps = {}
         for client_index, gap_ms in arrivals:
@@ -319,7 +404,6 @@ class TestBatcherProperties:
     def test_refused_proposals_are_retried_not_lost(self, arrivals, policy, refuse_first):
         """Even when the first N proposals are refused (view change in
         progress), every request is eventually proposed exactly once."""
-        simulator = Simulator()
         proposer = RecordingProposer()
         refusals = {"left": refuse_first}
 
@@ -329,7 +413,7 @@ class TestBatcherProperties:
                 return None
             return proposer(payload)
 
-        batcher = Batcher(policy, timer_factory=simulator.timer, propose=flaky_propose)
+        simulator, _, batcher = build_batcher(policy, proposer=flaky_propose)
 
         clock = 0.0
         timestamps = {}

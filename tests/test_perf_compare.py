@@ -3,7 +3,8 @@
 ``benchmarks/perf/compare.py`` decides whether a perf run regressed, so its
 own edge cases (mismatched case sets, zero events/sec on one side, missing
 calibration) must be pinned: a gate that crashes or silently reports an
-infinite/zero geomean is worse than no gate.
+infinite/zero geomean is worse than no gate.  It also holds every shared case
+to the committed and event counts of the baseline (the determinism proof).
 """
 
 import json
@@ -164,3 +165,50 @@ class TestGatedFlag:
         baseline["cases"][-1]["gated"] = False
         assert _run(tmp_path, current, baseline) == 0
         assert "excluded from the gate" in capsys.readouterr().out
+
+
+def _counted(cases):
+    """A document whose cases carry ``(completed_requests, events_processed)``."""
+    document = _document({name: 100.0 for name in cases})
+    for case in document["cases"]:
+        case["completed_requests"], case["events_processed"] = cases[case["name"]]
+    return document
+
+
+class TestDeterministicCounts:
+    """The simulator is deterministic: a shared gated case must reproduce its
+    committed and event counts exactly, whatever its events/sec."""
+
+    BASELINE = {"lion": (11824, 99176), "dog": (16209, 332175), "peacock": (11280, 225849)}
+
+    def test_identical_counts_pass(self, tmp_path, capsys):
+        assert _run(tmp_path, _counted(self.BASELINE), _counted(self.BASELINE)) == 0
+        assert "count differs" not in capsys.readouterr().out
+
+    def test_each_differing_case_is_printed_and_fails(self, tmp_path, capsys):
+        current = dict(self.BASELINE, lion=(11825, 99176), peacock=(11280, 225850))
+        assert _run(tmp_path, _counted(current), _counted(self.BASELINE)) == 1
+        captured = capsys.readouterr()
+        assert "count differs: lion: completed_requests 11824 -> 11825" in captured.out
+        assert "count differs: peacock: events_processed 225849 -> 225850" in captured.out
+        assert captured.out.count("count differs") == 2
+        assert "FAIL: 2 committed / event count(s)" in captured.err
+
+    def test_a_count_drift_fails_even_when_faster(self, tmp_path):
+        current = _counted(dict(self.BASELINE, dog=(16209, 332176)))
+        for case in current["cases"]:
+            case["events_per_second"] = 1000.0
+        assert _run(tmp_path, current, _counted(self.BASELINE)) == 1
+
+    def test_a_count_missing_on_one_side_is_not_compared(self, tmp_path):
+        current = _counted(self.BASELINE)
+        del current["cases"][0]["completed_requests"]
+        del current["cases"][1]["events_processed"]
+        assert _run(tmp_path, current, _counted(self.BASELINE)) == 0
+
+    def test_unshared_and_ungated_cases_are_not_compared(self, tmp_path):
+        current = _counted(dict(self.BASELINE, new=(1, 1), sweep=(5, 5)))
+        baseline = _counted(dict(self.BASELINE, retired=(2, 2), sweep=(6, 6)))
+        for document in (current, baseline):
+            document["cases"][-1]["gated"] = False
+        assert _run(tmp_path, current, baseline) == 0

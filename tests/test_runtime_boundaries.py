@@ -33,6 +33,7 @@ under ``scenarios/`` builds a deployment, its entry points take no
 ``**overrides``, and the retired second vocabularies stay retired.  And
 there is one deployment: one ``*Deployment`` class, one ``*ClientPool``
 class, no ``getattr(x, "shards", ...)``, no ``extras`` dict on a deployment.
+And there is one clock: only the two TCP backends import ``time``.
 """
 
 import ast
@@ -445,6 +446,52 @@ class TestOneLoopFactory:
         assert sorted(event_loop_offences(tmp_path / "home.py")) == [
             "line 9 calls asyncio.new_event_loop",
             "line 9 names selectors outside _TimelySelector",
+        ]
+
+
+#: The only modules that may read the host's clock: the two TCP backends.
+WALL_CLOCK_OWNERS = {Path("runtime") / "aio.py", Path("runtime") / "proc.py"}
+
+
+def wall_clock_imports(root):
+    """Yield where a module under ``root`` other than the two owners imports ``time``."""
+    for path in sorted(root.rglob("*.py")):
+        relative = path.relative_to(root)
+        if relative in WALL_CLOCK_OWNERS:
+            continue
+        for lineno, module in iter_imports(path):
+            if module == "time":
+                yield f"{relative}:{lineno} imports time"
+
+
+class TestOneClock:
+    """Protocol code reads time only through its runtime's ``now``.
+
+    The batcher times the gaps between arrivals, the clients stamp latencies
+    and the adaptive controller polls; each reads the clock the runtime hands
+    it, so a simulated run stays a pure function of its seed and replays
+    exactly.  An ``import time`` anywhere but ``runtime/aio.py`` and
+    ``runtime/proc.py`` would let wall-clock time leak into a simulated run.
+    """
+
+    def test_only_the_tcp_backends_import_time(self):
+        assert list(wall_clock_imports(SRC)) == []
+        for owner in WALL_CLOCK_OWNERS:
+            assert "time" in {module for _, module in iter_imports(SRC / owner)}, owner
+
+    def test_the_rule_catches_a_planted_offender(self, tmp_path):
+        root = tmp_path / "repro"
+        (root / "core").mkdir(parents=True)
+        (root / "runtime").mkdir()
+        (root / "core" / "batching.py").write_text(
+            "import time\ndef _observe_arrival():\n    from time import monotonic\n"
+        )
+        (root / "runtime" / "aio.py").write_text("import time\n")
+        (root / "runtime" / "sim.py").write_text("import os, time as clock\nimport datetime\n")
+        assert list(wall_clock_imports(root)) == [
+            "core/batching.py:1 imports time",
+            "core/batching.py:3 imports time",
+            "runtime/sim.py:1 imports time",
         ]
 
 
