@@ -13,8 +13,9 @@ titled sections with their table lines) so ``pytest benchmarks/
 --benchmark-only`` leaves a parseable record.  The file is written only when
 at least one benchmark actually reported, so runs that collect but deselect
 the benchmarks (e.g. ``pytest -m "not slow"``) touch nothing; it is
-gitignored — the durable performance trajectory lives in the
-``benchmarks/perf/`` harness's ``BENCH_*.json`` documents instead.
+gitignored.  Wall-clock numbers come from ``benchmarks/e2e``; the exact
+simulated counts of the standard workloads are pinned by
+``tests/data/perf_counts_golden.json`` (``tests/test_perf_counts.py``).
 """
 
 from __future__ import annotations

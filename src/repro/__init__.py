@@ -17,6 +17,8 @@ Quickstart::
     print(result.throughput_kreqs, "Kreq/s at", result.mean_latency_ms, "ms")
 """
 
+import logging
+
 from repro.core import Mode, SeeMoReConfig, SeeMoReReplica, client_config_for_mode
 from repro.planner import (
     CloudPlan,
@@ -53,6 +55,10 @@ from repro.scenarios import (
 )
 
 __version__ = "1.1.0"
+
+# Lifecycle events (hang-ups, failed dials, worker deaths, view installs) are
+# logged under "repro"; silent unless the application configures logging.
+logging.getLogger("repro").addHandler(logging.NullHandler())
 
 __all__ = [
     "Mode",

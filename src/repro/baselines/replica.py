@@ -25,6 +25,7 @@ A protocol module states its phases and the four answers above.
 
 from __future__ import annotations
 
+import logging
 from typing import Any, Dict, List, Optional
 
 from repro.baselines import messages as msgs
@@ -36,6 +37,8 @@ from repro.smr.messages import ProtocolMessage, Request
 from repro.smr.replica import NOOP_CLIENT, ReplicaBase, noop_request, request_digest
 from repro.smr.slots import Slot
 from repro.smr.state_machine import StateMachine
+
+_log = logging.getLogger(__name__)
 
 
 class BaselineReplica(ReplicaBase):
@@ -288,6 +291,7 @@ class BaselineReplica(ReplicaBase):
         self._request_timer.stop()
         self._new_view_timer.stop()
         self.view_changes_completed += 1
+        _log.info("%s installed view %d (%s)", self.node_id, view, type(self).__name__)
         # Votes and sent-markers for views at or below this one can never
         # produce a new view again (both handlers refuse them).
         self._view_change_votes = {

@@ -16,6 +16,7 @@ the new mode pending, and the new view is installed under the new mode.
 
 from __future__ import annotations
 
+import logging
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.adaptive.evidence import EvidenceKind
@@ -25,6 +26,8 @@ from repro.smr.replica import NOOP_CLIENT, noop_request, request_digest
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.replica import SeeMoReReplica
+
+_log = logging.getLogger(__name__)
 
 
 class ViewChangeManager:
@@ -319,6 +322,7 @@ class ViewChangeManager:
         replica.stop_request_timer()
         replica.clear_assignments()
         self.view_changes_completed += 1
+        _log.info("%s installed view %d in %s mode", replica.node_id, message.new_view, mode.name)
 
         # Catch up if the new view starts from a checkpoint we have not reached.
         if message.checkpoint_sequence > replica.last_executed and src != replica.node_id:

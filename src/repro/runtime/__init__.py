@@ -7,7 +7,7 @@ discrete-event simulator or the asyncio machinery directly.  Two
 backends implement those interfaces:
 
 * :mod:`repro.runtime.sim` — the deterministic discrete-event backend
-  (the default for experiments, scenarios, and the perf harness);
+  (the default for experiments, scenarios, and the golden files);
 * :mod:`repro.runtime.aio` — asyncio Protocol callbacks speaking the
   binary wire codec over length-prefixed loopback TCP, with
   monotonic-clock timers and measured (not modeled) CPU time.

@@ -72,6 +72,7 @@ Differences from the sim backend, by design:
 from __future__ import annotations
 
 import asyncio
+import logging
 import select
 import selectors
 import struct
@@ -86,6 +87,8 @@ from repro.runtime.api import Cpu, Runtime, TimerHandle, Transport
 from repro.smr.messages import ProtocolMessage
 from repro.wire.codec import decode as wire_decode
 from repro.wire.primitives import pack_value, read_u16, read_value, read_window, truncated
+
+_log = logging.getLogger(__name__)
 
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
@@ -622,7 +625,7 @@ class _Outbound(asyncio.Protocol):
     """One ordered (src, dst) channel: frames wait here and leave in one write per flush."""
 
     __slots__ = (
-        "_runtime", "_hello", "_dst", "_dialing", "_retry_delay", "_retry_at",
+        "_runtime", "_hello", "_src", "_dst", "_dialing", "_retry_delay", "_retry_at",
         "pending", "shipped", "transport",
     )
 
@@ -630,7 +633,7 @@ class _Outbound(asyncio.Protocol):
         sender = src.encode("utf-8")
         self._runtime = runtime
         self._hello = _U16.pack(len(sender)) + sender
-        self._dst = dst
+        self._src, self._dst = src, dst
         self._dialing = False
         self._retry_delay = 0.0  # what the last failed dial made the next one wait
         # Loop time before which nothing dials or, while a connection is up,
@@ -686,14 +689,14 @@ class _Outbound(asyncio.Protocol):
     async def _dial(self) -> None:
         runtime = self._runtime
         loop = runtime._running_loop()
-        connected = False
+        connected, error = False, None
         try:
             port = runtime._ports.get(self._dst)
             if port is not None:
                 await loop.create_connection(lambda: self, runtime._host, port)
                 connected = True  # what becomes of it is ``connection_lost``'s to count
-        except OSError:
-            pass
+        except OSError as failure:
+            error = failure
         finally:
             self._dialing = False
             if not connected:
@@ -701,6 +704,11 @@ class _Outbound(asyncio.Protocol):
                 # sim network.
                 self._give_up()
                 self._back_off(loop)
+                if error is not None:
+                    _log.info(
+                        "%s -> %s: dial failed (%s); next dial in %.3f s",
+                        self._src, self._dst, error, self._retry_delay,
+                    )
 
     def _back_off(self, loop: asyncio.AbstractEventLoop) -> None:
         """A later send dials again, after a wait that doubles with every failure in a row."""
@@ -749,7 +757,8 @@ class _Inbound(asyncio.BufferedProtocol):
         self.transport = None
         self._runtime._inbound.discard(self)
 
-    def _hang_up(self) -> None:
+    def _hang_up(self, reason: str) -> None:
+        _log.warning("%s: hung up on sender %r: %s", self._node.node_id, self._sender, reason)
         self._runtime.frames_rejected += 1
         self.transport.close()
 
@@ -779,7 +788,7 @@ class _Inbound(asyncio.BufferedProtocol):
                 try:
                     sender = self._sender = data[2:need].decode("utf-8")
                 except UnicodeDecodeError:
-                    return self._hang_up()
+                    return self._hang_up("undecodable hello")
                 off = need
         if sender is not None:
             deliver = self._node.deliver
@@ -791,7 +800,7 @@ class _Inbound(asyncio.BufferedProtocol):
                 (length,) = _U32.unpack_from(data, off)
                 if length > MAX_FRAME_BYTES:
                     # Not buffered, so the stream cannot be resynchronised.
-                    return self._hang_up()
+                    return self._hang_up("oversized length prefix")
                 need += length
                 if end - off < need:
                     break
@@ -802,7 +811,7 @@ class _Inbound(asyncio.BufferedProtocol):
                 except UnresolvedReference:
                     # The two tables disagree and every later reference may:
                     # only a new connection puts them back in step.
-                    return self._hang_up()
+                    return self._hang_up("unresolved payload reference")
                 except ValueError:
                     # Frames are length prefixed: drop this one, keep reading.
                     runtime.frames_rejected += 1

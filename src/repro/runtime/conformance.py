@@ -22,7 +22,8 @@ batch — which is why the oracle compares flattened per-client sequences
 rather than slot-by-slot ledgers.  With a single client the flattened
 sequence is total, so this is a complete ordering check.
 
-Run directly for the standard matrix (all three modes, f=1)::
+Run directly for the standard matrix (all three modes, f=1; ``--tolerance 2``
+for c = m = 2)::
 
     PYTHONPATH=src python -m repro.runtime.conformance
 """
@@ -119,8 +120,9 @@ def oracle_cluster(
     client_timeout: float,
     max_batch: int,
     seed: int = 0,
+    tolerance: int = 1,
 ) -> Tuple[Dict[str, RecordingReplica], Client]:
-    """The oracle's c=m=1 cluster plus one closed-loop client on ``runtime``.
+    """The oracle's c = m = ``tolerance`` cluster plus one closed-loop client on ``runtime``.
 
     Wired by the same :func:`~repro.cluster.wiring.wire_group` and client
     pool the cluster builders and the proc workers use, with
@@ -128,7 +130,11 @@ def oracle_cluster(
     across backends is what the builders build.
     """
     settings = ShardSpec(
-        mode=mode, request_timeout=request_timeout, batch_policy=BatchPolicy(max_batch=max_batch)
+        mode=mode,
+        crash_tolerance=tolerance,
+        byzantine_tolerance=tolerance,
+        request_timeout=request_timeout,
+        batch_policy=BatchPolicy(max_batch=max_batch),
     )
     workload = Workload.build("0/0")
     keystore = new_keystore("conformance", seed)
@@ -195,7 +201,7 @@ def _in_process_trace(
 
 
 def run_sim(
-    mode: Mode, num_requests: int, window: int, max_batch: int, seed: int = 0
+    mode: Mode, num_requests: int, window: int, max_batch: int, seed: int = 0, tolerance: int = 1
 ) -> BackendTrace:
     """One deterministic leg on the discrete-event backend."""
     simulator = Simulator()
@@ -211,6 +217,7 @@ def run_sim(
         client_timeout=0.2,
         max_batch=max_batch,
         seed=seed,
+        tolerance=tolerance,
     )
     client.start()
     simulator.run(until=60.0)
@@ -228,6 +235,7 @@ def run_aio(
     max_batch: int,
     seed: int = 0,
     timeout: float = 60.0,
+    tolerance: int = 1,
 ) -> BackendTrace:
     """One real-network leg: one asyncio event loop over loopback TCP."""
     runtime = AioRuntime()
@@ -240,6 +248,7 @@ def run_aio(
         client_timeout=AIO_CLIENT_TIMEOUT,
         max_batch=max_batch,
         seed=seed,
+        tolerance=tolerance,
     )
     finished = runtime.run(
         kickoff=client.start,
@@ -261,6 +270,7 @@ def run_proc(
     seed: int = 0,
     timeout: float = 60.0,
     num_procs: int = 2,
+    tolerance: int = 1,
 ) -> BackendTrace:
     """One multiprocess leg: worker processes over loopback TCP.
 
@@ -274,6 +284,8 @@ def run_proc(
         num_requests=num_requests,
         window=window,
         max_batch=max_batch,
+        crash_tolerance=tolerance,
+        byzantine_tolerance=tolerance,
         request_timeout=AIO_REQUEST_TIMEOUT,
         client_timeout=AIO_CLIENT_TIMEOUT,
         seed=seed,
@@ -319,21 +331,26 @@ def check_mode(
     timeout: float = 60.0,
     backend: str = "aio",
     num_procs: int = 2,
+    tolerance: int = 1,
 ) -> Dict[str, object]:
     """Run the sim oracle plus one real backend for ``mode`` and assert
     they conform.
 
     ``backend`` picks the real leg: ``"aio"`` (one event loop) or
-    ``"proc"`` (``num_procs`` replica processes + a client process).
+    ``"proc"`` (``num_procs`` replica processes + a client process), on a
+    cluster of c = m = ``tolerance``.
     Returns a small summary dict (used by the CLI entry point and tests).
     """
-    sim = run_sim(mode, num_requests, window, max_batch, seed=seed)
+    sim = run_sim(mode, num_requests, window, max_batch, seed=seed, tolerance=tolerance)
     if backend == "aio":
-        real = run_aio(mode, num_requests, window, max_batch, seed=seed, timeout=timeout)
+        real = run_aio(
+            mode, num_requests, window, max_batch,
+            seed=seed, timeout=timeout, tolerance=tolerance,
+        )
     elif backend == "proc":
         real = run_proc(
             mode, num_requests, window, max_batch,
-            seed=seed, timeout=timeout, num_procs=num_procs,
+            seed=seed, timeout=timeout, num_procs=num_procs, tolerance=tolerance,
         )
     else:
         raise ValueError(f"unknown real backend {backend!r}; choose aio or proc")
@@ -361,6 +378,7 @@ def check_mode(
     return {
         "mode": mode.name,
         "backend": backend,
+        "tolerance": tolerance,
         "requests": num_requests,
         "sim_committed": len(sim.commit_trace),
         "real_committed": len(real.commit_trace),
@@ -377,12 +395,13 @@ def check_all(
     timeout: float = 60.0,
     backend: str = "aio",
     num_procs: int = 2,
+    tolerance: int = 1,
 ) -> List[Dict[str, object]]:
-    """The standard conformance matrix: batched Lion/Dog/Peacock at f=1."""
+    """The standard conformance matrix: batched Lion/Dog/Peacock at f = ``tolerance``."""
     return [
         check_mode(mode, num_requests=num_requests, window=window,
                    max_batch=max_batch, timeout=timeout,
-                   backend=backend, num_procs=num_procs)
+                   backend=backend, num_procs=num_procs, tolerance=tolerance)
         for mode in modes
     ]
 
@@ -413,6 +432,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=2,
         help="replica worker processes for --backend proc",
     )
+    parser.add_argument(
+        "--tolerance", type=int, default=1, help="c = m of the cluster (f = 1 by default)"
+    )
     args = parser.parse_args(argv)
     modes = (Mode[args.mode.upper()],) if args.mode else (Mode.LION, Mode.DOG, Mode.PEACOCK)
     for summary in check_all(
@@ -423,10 +445,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         timeout=args.timeout,
         backend=args.backend,
         num_procs=args.procs,
+        tolerance=args.tolerance,
     ):
         print(
-            "conformance OK: mode={mode} backend={backend} requests={requests} "
-            "sim_committed={sim_committed} real_committed={real_committed} "
+            "conformance OK: mode={mode} backend={backend} tolerance={tolerance} "
+            "requests={requests} sim_committed={sim_committed} real_committed={real_committed} "
             "common_prefix={common_prefix}".format(**summary)
         )
     return 0

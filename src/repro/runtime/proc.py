@@ -46,6 +46,7 @@ the built cluster cheaply); ``spawn`` works too provided every
 from __future__ import annotations
 
 import asyncio
+import logging
 import multiprocessing
 import time
 import traceback
@@ -54,6 +55,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.runtime.aio import UNTIL_POLL_S, AioRuntime, new_event_loop
+
+_log = logging.getLogger(__name__)
 
 #: Control-channel message kinds (worker -> supervisor).
 #: ("ready", ports, waits) / ("stats", snapshot) / ("done", snapshot)
@@ -577,11 +580,13 @@ class ProcCluster:
             worker.harvest = message[2]
             worker.has_result = True
         elif kind == "error":
+            _log.error("%s", message[1])
             self.errors.append(message[1])
             self._mark_dead(name, worker)
 
     def _mark_dead(self, name: str, worker: _Supervised) -> None:
         if not worker.dead:
+            _log.warning("worker %r marked dead", name)
             worker.dead = True
             if name not in self.deaths:
                 self.deaths.append(name)

@@ -45,7 +45,7 @@ from repro.scenarios.events import Byzantine, Crash, OnShard, Recover, RestoreHo
 from repro.scenarios.sharded import SHARDED_BASE
 
 #: Policy used by the library scenarios.  Mirrors the defaults but is named
-#: so tests, the perf harness, and the README can reference one object.
+#: so tests, the count goldens, and the README can reference one object.
 LIBRARY_POLICY = AdaptivePolicy()
 
 

@@ -393,7 +393,7 @@ class ScenarioResult:
     events_applied: List[Tuple[float, str]] = field(default_factory=list)
     invariant_violations: Dict[str, List[str]] = field(default_factory=dict)
     expectation_failures: List[str] = field(default_factory=list)
-    # Engine telemetry for the perf harness — scalars, not the deployment
+    # Engine telemetry for the count goldens — scalars, not the deployment
     # itself, so results can be aggregated without pinning every replica
     # graph and event heap in memory.
     events_processed: int = 0

@@ -10,7 +10,6 @@ replicas, the request digests must match.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import Dict, Iterable, List, Optional, Tuple
 
 
@@ -31,6 +30,7 @@ class CommitLedger:
     def __init__(self, replica_id: str) -> None:
         self.replica_id = replica_id
         self._entries: Dict[int, LedgerEntry] = {}
+        self._in_commit_order: List[LedgerEntry] = []
 
     def record(self, entry: LedgerEntry) -> None:
         """Record a commit; re-recording the same digest is a no-op.
@@ -49,6 +49,7 @@ class CommitLedger:
                 )
             return
         self._entries[entry.sequence] = entry
+        self._in_commit_order.append(entry)
 
     def digest_at(self, sequence: int) -> Optional[str]:
         entry = self._entries.get(sequence)
@@ -64,9 +65,7 @@ class CommitLedger:
         remembering ``len(ledger)`` between calls (continuous safety
         checkers do this to avoid re-comparing already-verified slots).
         """
-        if offset >= len(self._entries):
-            return []
-        return list(islice(self._entries.values(), offset, None))
+        return self._in_commit_order[offset:]
 
     @property
     def committed_sequences(self) -> List[int]:

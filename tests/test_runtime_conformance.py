@@ -13,7 +13,7 @@ import pytest
 
 from repro.core import Mode
 from repro.runtime.aio import MAX_FRAME_BYTES, AioRuntime, encode_envelope
-from repro.runtime.conformance import check_mode, run_aio, run_proc
+from repro.runtime.conformance import check_mode, oracle_cluster, run_aio, run_proc
 from repro.smr.messages import Request
 from repro.smr.state_machine import Operation
 
@@ -27,6 +27,23 @@ def test_sim_and_real_backends_commit_the_same_sequence(mode, backend):
                          timeout=30.0, backend=backend, num_procs=2)
     assert summary["common_prefix"] >= REQUESTS
     assert summary["sim_committed"] >= REQUESTS
+    assert summary["real_committed"] >= REQUESTS
+
+
+def test_dog_conforms_on_aio_at_f2():
+    """c = m = 2: a larger cluster with larger quorums commits what the sim commits."""
+    def replica_count(tolerance):
+        replicas, _ = oracle_cluster(
+            AioRuntime(), Mode.DOG, num_requests=1, window=1, request_timeout=1.0,
+            client_timeout=1.0, max_batch=1, tolerance=tolerance,
+        )
+        return len(replicas)
+
+    assert replica_count(2) > replica_count(1)
+    summary = check_mode(Mode.DOG, num_requests=REQUESTS, window=8, max_batch=8,
+                         timeout=30.0, backend="aio", tolerance=2)
+    assert summary["tolerance"] == 2
+    assert summary["common_prefix"] >= REQUESTS
     assert summary["real_committed"] >= REQUESTS
 
 

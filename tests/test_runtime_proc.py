@@ -7,6 +7,7 @@ stats collection, worker-death detection, crash survival at f=1, and the
 clean-shutdown guarantee (no orphaned process ever outlives a run).
 """
 
+import logging
 import os
 import signal
 import time
@@ -67,13 +68,14 @@ def test_proc_cluster_commits_and_streams_stats():
     _assert_fully_reaped(cluster, result)
 
 
-def test_replica_worker_crash_is_reported_and_survivors_keep_committing():
+def test_replica_worker_crash_is_reported_and_survivors_keep_committing(caplog):
     """Kill one replica process mid-run: f=1 must absorb it.
 
     In Lion mode agreement runs in the private cloud, so a worker hosting
     only public replicas is expendable; the supervisor must report the
-    death, the client must still complete every request, and shutdown
-    must reap everything within its hard grace deadline.
+    death (in ``deaths`` and in one WARNING), the client must still complete
+    every request, and shutdown must reap everything within its hard grace
+    deadline.
     """
     cluster = build_proc_seemore(
         mode=Mode.LION, num_procs=3, num_requests=100, window=8,
@@ -99,6 +101,11 @@ def test_replica_worker_crash_is_reported_and_survivors_keep_committing():
     assert met, (result.deaths, result.errors, cluster.progress)
     assert victim in result.deaths
     assert result.exitcodes[victim] == -signal.SIGKILL
+    warnings = [
+        record.getMessage() for record in caplog.records
+        if record.name.startswith("repro") and record.levelno >= logging.WARNING
+    ]
+    assert warnings == [f"worker {victim!r} marked dead"]
     assert result.harvests["client"]["completed"] >= 100
     # The dead worker ships no harvest; every survivor does.
     assert victim not in result.harvests

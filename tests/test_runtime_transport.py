@@ -9,6 +9,11 @@ scheduled during one tick run in the next, exactly the rule
 connection cut under an established channel) and run over loopback TCP.
 """
 
+import logging
+import os
+import pathlib
+import subprocess
+import sys
 import time
 from collections import deque
 
@@ -161,20 +166,56 @@ class TestInboundParser:
         assert sink.timestamps == [1, 1]
         assert not transport.closed
 
-    def test_an_oversized_length_prefix_hangs_up(self):
+    def test_an_oversized_length_prefix_hangs_up(self, caplog):
         runtime, sink, transport, inbound = _accepted()
         valid = _framed(encode_envelope(_request(1)))
         oversized = (MAX_FRAME_BYTES + 1).to_bytes(4, "little")
-        inbound.data_received(HELLO + valid + oversized + valid)
+        with caplog.at_level(logging.INFO, logger="repro"):
+            inbound.data_received(HELLO + valid + oversized + valid)
         assert transport.closed
         assert runtime.frames_rejected == 1
         assert runtime.messages_delivered == 1
+        (record,) = caplog.records
+        assert (record.name, record.levelname) == ("repro.runtime.aio", "WARNING")
+        assert record.getMessage() == "sink: hung up on sender 'evil': oversized length prefix"
 
     def test_a_hello_that_is_not_utf8_hangs_up(self):
         runtime, sink, transport, inbound = _accepted()
         inbound.data_received(b"\x02\x00\xff\xfe" + _framed(encode_envelope(_request(1))))
         assert transport.closed and sink.received == []
         assert runtime.frames_rejected == 1
+
+    def test_a_hang_up_stays_off_stderr_unless_logging_is_configured(self):
+        """``repro`` carries a ``NullHandler``: without it Python's last-resort
+        handler prints the hang-up's WARNING to stderr, and ``benchmarks/e2e``
+        counts any stderr output as a failed run.  The second run removes it and sees the line."""
+        oversized = HELLO + (MAX_FRAME_BYTES + 1).to_bytes(4, "little")
+        script = (
+            "import logging, sys\n"
+            "from repro.runtime import aio\n"
+            "if sys.argv[1] == 'unguarded':\n"
+            "    logging.getLogger('repro').handlers.clear()\n"
+            "class Sink:\n"
+            "    node_id = 'sink'\n"
+            "    def deliver(self, src, message, size): pass\n"
+            "class Transport:\n"
+            "    def close(self): pass\n"
+            "inbound = aio._Inbound(aio.AioRuntime(), Sink())\n"
+            "inbound.connection_made(Transport())\n"
+            f"inbound.data_received({oversized!r})\n"
+            "assert inbound._runtime.frames_rejected == 1\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(aio.__file__).parents[2]))
+        runs = {
+            guard: subprocess.run(
+                [sys.executable, "-c", script, guard],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            for guard in ("guarded", "unguarded")
+        }
+        assert [run.returncode for run in runs.values()] == [0, 0]
+        assert runs["guarded"].stderr == ""
+        assert "hung up on sender 'evil': oversized length prefix" in runs["unguarded"].stderr
 
 
 # -- (b) outbound: FIFO across connect-time buffering and coalesced writes ---------

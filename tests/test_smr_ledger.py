@@ -66,6 +66,16 @@ class TestCommitLedger:
         assert [entry.sequence for entry in second_pass] == [4]
         assert ledger.entries_since(len(ledger)) == []
         assert ledger.entries_since(10) == []
+        # Out-of-order commits (a state transfer or a gap filled late) stay
+        # in commit order, and a re-record with the same digest adds nothing.
+        offset = len(ledger)
+        for sequence in (7, 5, 6):
+            ledger.record(_entry(sequence, f"d{sequence}"))
+        ledger.record(_entry(5, "d5", view=3))
+        assert [entry.sequence for entry in ledger.entries_since(offset)] == [7, 5, 6]
+        assert [entry.sequence for entry in ledger.entries_since(0)] == [1, 2, 3, 4, 7, 5, 6]
+        assert ledger.entries_since(offset + 1)[0].view == 0
+        assert len(ledger) == 7 and ledger.entries_since(len(ledger)) == []
 
 
 class TestFindSafetyViolations:
