@@ -81,7 +81,7 @@ class QuorumBFTReplica(BaselineReplica):
         slot = self.fill_slot(message.sequence, message.digest, message.request, message)
         # The primary's pre-prepare counts as its prepare vote (as in PBFT).
         slot.record_vote("prepare", src, message, message.digest)
-        self.start_request_timer()
+        self.view_changes.start_request_timer()
         self._send_prepare(slot, message.digest)
 
     def _send_prepare(self, slot: Slot, digest: str) -> None:
@@ -175,7 +175,7 @@ class QuorumBFTReplica(BaselineReplica):
     def _is_prepared(self, slot: Slot) -> bool:
         return slot.vote_count("prepare") >= self.config.agreement_quorum
 
-    def _join_threshold(self) -> int:
+    def join_threshold(self) -> int:
         return max(1, self.config.network_size - self.config.commit_quorum) + 1
 
     def state_summary(self) -> Dict[str, Any]:

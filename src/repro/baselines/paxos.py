@@ -68,7 +68,7 @@ class PaxosReplica(BaselineReplica):
             replica_id=self.node_id,
         )
         self.send(src, accepted)
-        self.start_request_timer()
+        self.view_changes.start_request_timer()
 
     def _on_accepted(self, src: str, message: msgs.Accepted) -> None:
         if not self.is_primary() or message.view != self.view:
@@ -115,5 +115,5 @@ class PaxosReplica(BaselineReplica):
     def _is_prepared(self, slot: Slot) -> bool:
         return True
 
-    def _join_threshold(self) -> int:
+    def join_threshold(self) -> int:
         return 1

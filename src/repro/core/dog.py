@@ -75,7 +75,7 @@ class DogStrategy(ModeStrategy):
         slot = replica.prepare_slot(
             message.sequence, message.digest, message.request, message, force=True
         )
-        replica.start_request_timer()
+        replica.view_changes.start_request_timer()
         if not replica.is_proxy():
             # Passive replicas only log the request and wait for informs.
             return

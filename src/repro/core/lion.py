@@ -80,7 +80,7 @@ class LionStrategy(ModeStrategy):
             signed=False,
         )
         replica.send(src, accept)
-        replica.start_request_timer()
+        replica.view_changes.start_request_timer()
 
     def reenter(self, replica: "SeeMoReReplica", slot, entry: msgs.PreparedEntry) -> None:
         if replica.is_primary():

@@ -90,7 +90,7 @@ class PeacockStrategy(ModeStrategy):
         # the prepared certificate is the pre-prepare plus 2m matching
         # prepares from other proxies.
         slot.record_vote("prepare", src, message, message.digest)
-        replica.start_request_timer()
+        replica.view_changes.start_request_timer()
         if not replica.is_proxy():
             return
 

@@ -6,7 +6,8 @@ A :class:`SeeMoReReplica` glues together:
   ordered execution, ledger, slots, client replies;
 * the per-mode agreement strategies (Lion / Dog / Peacock);
 * checkpointing and garbage collection;
-* the view-change / mode-switch manager.
+* its answers to the shared view change (:mod:`repro.smr.view_change`),
+  which a mode switch rides.
 
 The replica itself is sans-IO with respect to time: all waiting is expressed
 through the runtime's timers, and all communication goes through the node's
@@ -17,7 +18,7 @@ deterministic simulator or the asyncio-TCP runtime).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Collection, Dict, List, Optional, Sequence
 
 from repro.adaptive.evidence import EvidenceKind
 from repro.core import messages as msgs
@@ -28,7 +29,6 @@ from repro.core.lion import LionStrategy
 from repro.core.modes import Mode
 from repro.core.peacock import PeacockStrategy
 from repro.core.strategy_base import ModeStrategy
-from repro.core.view_change import ViewChangeManager
 from repro.crypto.digest import digest
 from repro.crypto.signatures import Signer, Verifier
 from repro.net.costs import NodeCostModel
@@ -38,6 +38,7 @@ from repro.smr.messages import Busy, Request, requests_of
 from repro.smr.replica import NOOP_CLIENT, ReplicaBase
 from repro.smr.slots import Slot
 from repro.smr.state_machine import StateMachine
+from repro.smr.view_change import ViewChangeManager, reconcile
 
 
 def signed_state_digest(next_sequence: int, state: Any) -> str:
@@ -92,7 +93,6 @@ class SeeMoReReplica(ReplicaBase):
         )
         self._assigned_sequences: Dict[tuple, int] = {}
         self.busy_rejects_sent = 0
-        self._request_timer = self.create_timer(self._on_request_timeout, "request-timeout")
 
         # Catch-up (state transfer) bookkeeping: a replica that falls far
         # behind the commit frontier fetches a checkpointed snapshot from its
@@ -126,7 +126,7 @@ class SeeMoReReplica(ReplicaBase):
         self.register_handler(msgs.Checkpoint, self._on_checkpoint)
         self.register_handler(msgs.ViewChange, self.view_changes.on_view_change)
         self.register_handler(msgs.NewView, self.view_changes.on_new_view)
-        self.register_handler(msgs.ModeChange, self.view_changes.on_mode_change)
+        self.register_handler(msgs.ModeChange, self._on_mode_change)
         self.register_handler(msgs.StateTransferRequest, self._on_state_transfer_request)
         self.register_handler(msgs.StateTransferResponse, self._on_state_transfer_response)
 
@@ -314,7 +314,7 @@ class SeeMoReReplica(ReplicaBase):
             slot.sequence, slot.request, self.view, send_reply=reply, mode_id=int(self.mode)
         )
         self.batcher.on_slot_committed(slot.sequence)
-        self._update_request_timer()
+        self.view_changes.update_request_timer()
         self._maybe_request_catchup(slot.sequence)
         return executions
 
@@ -375,29 +375,131 @@ class SeeMoReReplica(ReplicaBase):
         # proposals the batcher had to refuse earlier.
         self.batcher.pump()
 
-    # -- request timer and view changes ------------------------------------------------------
+    # -- the view change's answers (Sections 5.1 and 5.4) --------------------------------------
 
-    def start_request_timer(self) -> None:
-        if not self._request_timer.active:
-            self._request_timer.start(self.config.request_timeout)
-
-    def stop_request_timer(self) -> None:
-        self._request_timer.stop()
-
-    def _update_request_timer(self) -> None:
-        """Stop the timer when nothing is in flight, else re-arm it."""
-        if self.slots.has_pending_proposal():
-            self._request_timer.restart(self.config.request_timeout)
-        else:
-            self._request_timer.stop()
-
-    def _on_request_timeout(self) -> None:
-        if self.crashed or self.in_view_change:
-            return
-        self.evidence.record(
-            EvidenceKind.TIMEOUT, suspect=self.current_primary(), detail=f"view={self.view}"
+    def view_change_message(self, target_view: int, mode: int, collector: bool) -> msgs.ViewChange:
+        """Every filled slot above the stable checkpoint: committed, or prepared
+        (it holds its ordering message).  The collector reports the same."""
+        checkpoint_seq = self.checkpoints.stable_sequence
+        prepared: List[msgs.PreparedEntry] = []
+        committed: List[msgs.PreparedEntry] = []
+        for slot in self.slots.slots_above(checkpoint_seq):
+            if slot.digest is None or slot.request is None:
+                continue
+            entry = msgs.PreparedEntry(
+                sequence=slot.sequence, view=slot.view, digest=slot.digest, request=slot.request
+            )
+            if slot.committed:
+                committed.append(entry)
+            elif slot.ordering_message is not None:
+                prepared.append(entry)
+        view_change = msgs.ViewChange(
+            new_view=target_view,
+            mode=int(mode),
+            replica_id=self.node_id,
+            checkpoint_sequence=checkpoint_seq,
+            checkpoint_digest=self.checkpoints.stable_digest,
+            prepared=prepared,
+            committed=committed,
         )
-        self.view_changes.start()
+        view_change.sign(self.signer)
+        return view_change
+
+    def new_view_message(
+        self, target_view: int, mode: int, votes: Sequence[msgs.ViewChange]
+    ) -> msgs.NewView:
+        """Lion commits outright what an accept quorum reports prepared."""
+        promote_at = self.config.accept_quorum(Mode.LION) if mode == Mode.LION else None
+        checkpoint_seq, commits, prepares = reconcile(votes, target_view, promote_at)
+        new_view = msgs.NewView(
+            new_view=target_view,
+            mode=int(mode),
+            replica_id=self.node_id,
+            checkpoint_sequence=checkpoint_seq,
+            prepares=prepares,
+            commits=commits,
+        )
+        new_view.sign(self.signer)
+        return new_view
+
+    def view_collector(self, target_view: int, mode: int) -> str:
+        """Who installs ``target_view``: the new primary, or the trusted transferer in Peacock."""
+        if mode == Mode.PEACOCK:
+            return self.config.transferer_of_view(target_view)
+        return self.config.primary_of_view(target_view, Mode(mode))
+
+    def view_change_voters(self, mode: int) -> Collection[str]:
+        """All replicas in Lion; only the public cloud in Dog and Peacock, where
+        the paper has the public cloud drive the view change (the trusted
+        collector contributes its own knowledge)."""
+        if mode == Mode.LION:
+            return self.config.all_replicas
+        return self.config.public_replicas
+
+    def view_change_quorum(self, mode: int) -> int:
+        return self.config.view_change_quorum(Mode(mode))
+
+    def join_threshold(self) -> int:
+        """m+1 replicas moving to a higher view include a correct one."""
+        return self.config.byzantine_tolerance + 1
+
+    def leave_view(self) -> None:
+        self.batcher.pause()
+
+    @property
+    def protocol_label(self) -> str:
+        return self.mode.name
+
+    def enter_view(self, src: str, message: msgs.NewView, previous_view: int) -> None:
+        """Adopt the new view's mode, replay its commits and re-propose its prepares."""
+        mode = Mode(message.mode)
+        # Evidence for the adaptive controller: a deliberate mode switch is
+        # marked as such so the controller's own actions never read as
+        # churn; a same-mode view change implicates the deposed primary.
+        if mode is not self.mode:
+            self.evidence.record(EvidenceKind.VIEW_CHANGE, detail="mode-switch")
+        else:
+            self.evidence.record(
+                EvidenceKind.VIEW_CHANGE,
+                suspect=self.config.primary_of_view(previous_view, self.mode),
+                detail="suspected-primary",
+            )
+        # No proposals while the new view is installed: the commits replayed
+        # below pump the batcher, and sequence numbers are only safe to hand
+        # out again once bump_sequence_counter has run.  on_view_installed
+        # (called last) resumes the batcher.
+        self.batcher.pause()
+        self.set_mode(mode)
+        self.clear_assignments()
+
+        # Catch up if the new view starts from a checkpoint we have not reached.
+        if message.checkpoint_sequence > self.last_executed and src != self.node_id:
+            self.request_state_transfer(src, message.checkpoint_sequence)
+
+        highest = message.checkpoint_sequence
+        for entry in message.commits:
+            highest = max(highest, entry.sequence)
+            if entry.request is None:
+                continue
+            slot = self.prepare_slot(entry.sequence, entry.digest, entry.request, None, force=True)
+            if not slot.committed:
+                send_reply = (
+                    self.strategy.replies_to_client(self) and entry.request.client_id != NOOP_CLIENT
+                )
+                self.finalize_commit(slot, send_reply=send_reply)
+
+        for entry in message.prepares:
+            highest = max(highest, entry.sequence)
+            if entry.request is None:
+                continue
+            # Re-run agreement for a prepared-but-uncommitted slot.
+            slot = self.prepare_slot(entry.sequence, entry.digest, entry.request, entry, force=True)
+            if not slot.committed:
+                self.strategy.reenter(self, slot, entry)
+                self.view_changes.start_request_timer()
+
+        self.bump_sequence_counter(highest + 1)
+        self.on_view_installed()
 
     def on_view_installed(self) -> None:
         """Re-home requests the batcher buffered across the view/mode change.
@@ -427,18 +529,23 @@ class SeeMoReReplica(ReplicaBase):
             else:
                 self.send(forward_to, request)
         if forward_to is not None and pending:
-            self.start_request_timer()
+            self.view_changes.start_request_timer()
         batcher.resume()
 
-    # -- view-change helpers used by the manager -------------------------------------------------
-
-    def reprocess_prepare_entry(self, entry: msgs.PreparedEntry) -> None:
-        """Re-run agreement for a prepared-but-uncommitted slot in the new view."""
-        slot = self.prepare_slot(entry.sequence, entry.digest, entry.request, entry, force=True)
-        if slot.committed:
+    def _on_mode_change(self, src: str, message: msgs.ModeChange) -> None:
+        """A trusted replica's ``MODE-CHANGE`` (Section 5.4): every replica starts
+        a view change with the new mode pending."""
+        if not self.config.is_trusted(src):
             return
-        self.strategy.reenter(self, slot, entry)
-        self.start_request_timer()
+        if not self.verify_message(src, message):
+            return
+        try:
+            new_mode = Mode(message.new_mode)
+        except ValueError:
+            return
+        if message.new_view <= self.view:
+            return
+        self.view_changes.start(new_mode=int(new_mode), target_view=message.new_view)
 
     # -- mode switching (public API) --------------------------------------------
 
@@ -459,7 +566,7 @@ class SeeMoReReplica(ReplicaBase):
         )
         mode_change.sign(self.signer)
         self.multicast(self.other_replicas(), mode_change)
-        self.view_changes.on_mode_change(self.node_id, mode_change)
+        self._on_mode_change(self.node_id, mode_change)
 
     # -- state transfer (catch-up for lagging replicas) --------------------------
 
@@ -573,7 +680,7 @@ class SeeMoReReplica(ReplicaBase):
         # Slots the snapshot jumped over committed without this replica ever
         # running finalize_commit on them; release their pipeline slots.
         self.batcher.forget_in_flight_below(self.executor.last_executed)
-        self._update_request_timer()
+        self.view_changes.update_request_timer()
 
     # -- introspection -----------------------------------------------------------
 

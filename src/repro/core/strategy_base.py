@@ -187,5 +187,5 @@ class ModeStrategy:
         primary = replica.current_primary()
         if primary != replica.node_id:
             replica.send(primary, request)
-        replica.start_request_timer()
+        replica.view_changes.start_request_timer()
         return True

@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.cluster.builders import build_proc_seemore
 from repro.cluster.wiring import ShardSpec, new_keystore, wire_group
 from repro.core import BatchPolicy, Mode, SeeMoReReplica
-from repro.core.view_change import NOOP_CLIENT
+from repro.smr.replica import NOOP_CLIENT
 from repro.net.latency import UniformLatencyModel
 from repro.net.network import Network
 from repro.net.topology import Placement

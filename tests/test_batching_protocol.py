@@ -11,11 +11,10 @@ import pytest
 from repro.cluster import build_seemore, run_deployment
 from repro.core import BatchPolicy, Mode
 from repro.core import messages as msgs
-from repro.core.view_change import NOOP_CLIENT
 from repro.faults import crash_primary
 from repro.smr.ledger import assert_ledgers_consistent
 from repro.smr.messages import Batch
-from repro.smr.replica import request_digest
+from repro.smr.replica import NOOP_CLIENT, request_digest
 from repro.smr.state_machine import Operation
 from repro.workload import Workload
 
@@ -269,7 +268,7 @@ class TestReassignmentAfterViewChange:
             prepares=[entry],
         )
         new_view.sign(new_primary.signer)
-        new_primary.view_changes.enter_new_view(new_primary_id, new_view)
+        new_primary.view_changes.install(new_primary_id, new_view)
         assert new_primary.is_primary()
         sequences_before = new_primary.next_sequence
 
@@ -311,7 +310,6 @@ class TestNewViewReproposesBatches:
             else config.primary_of_view(1, mode)
         )
         collector = deployment.replicas[collector_id]
-        manager = collector.view_changes
 
         batch_a = self._batch("alpha", 3)
         batch_b = self._batch("beta", 2)
@@ -344,7 +342,7 @@ class TestNewViewReproposesBatches:
             if replica_id != collector_id
         ]
         view_changes = [vc_from(sender) for sender in senders[:4]]
-        new_view = manager._build_new_view_message(1, mode, view_changes)
+        new_view = collector.new_view_message(1, mode, view_changes)
 
         carried = new_view.prepares + new_view.commits
         digests = [entry.digest for entry in carried if entry.sequence in (1, 2)]

@@ -150,17 +150,18 @@ class TestCrashFaults:
         assert {(replica.view, replica.in_view_change) for replica in survivors} == {(2, False)}
         assert_ledgers_consistent(deployment.group().correct_ledgers())
 
-    @pytest.mark.parametrize("builder", [build_paxos, build_pbft], ids=["cft", "bft"])
+    @pytest.mark.parametrize(
+        "builder", [build_seemore, build_paxos, build_pbft], ids=["seemore-lion", "cft", "bft"]
+    )
     def test_an_installed_view_leaves_no_view_change_state_behind(self, builder):
-        """Votes and sent-markers at or below the installed view are pruned, as
-        ``ViewChangeManager._prune_below`` does for SeeMoRe."""
+        """Votes and sent-markers at or below the installed view are pruned."""
         deployment = builder(num_clients=1, seed=3)
         run_with_fault(deployment, lambda d: crash_primary(d.group()), fault_at=0.05, total=0.3)
         survivors = deployment.correct_replicas()
         assert {replica.view for replica in survivors} == {1}
         for replica in survivors:
-            assert all(view > 1 for view in replica._view_change_votes)
-            assert all(view > 1 for view in replica._new_views_sent)
+            assert all(view > 1 for view, _mode in replica.view_changes._store)
+            assert all(view > 1 for view, _mode in replica.view_changes._new_views_sent)
 
 
 class TestByzantineFaults:

@@ -13,13 +13,12 @@ import logging
 
 import pytest
 
-from repro.baselines.replica import BaselineReplica
 from repro.cluster import builder_for
 from repro.core import Mode
 from repro.runtime.aio import REDIAL_DELAY_S, REDIAL_MAX_DELAY_S, AioRuntime, encode_envelope
 from repro.runtime.conformance import main as conformance_main, run_aio
 from repro.runtime.proc import ProcCluster, ProcClusterError, WorkerSpec
-from repro.scenarios import SCENARIOS, Crash, Scenario, ViewAdvanced, run_scenario
+from repro.scenarios import Crash, Scenario, ViewAdvanced, run_scenario
 from test_runtime_connection import _ClosedPort, _commit, _request, _run_to_completion
 from test_runtime_transport import HELLO, _accepted, _framed
 
@@ -122,29 +121,18 @@ def test_a_worker_that_fails_to_build_logs_its_error_then_its_death(caplog):
 # -- a replica: one INFO per installed view --------------------------------------------------
 
 
-@pytest.mark.parametrize("mode", [Mode.LION, Mode.DOG, Mode.PEACOCK], ids=lambda mode: mode.name)
-def test_a_seemore_replica_logs_each_view_it_installs_and_its_mode(caplog, mode):
-    scenario = SCENARIOS["primary-crash-mid-batch"]
-    deployment = scenario.build(mode)
-    with caplog.at_level(logging.INFO, logger="repro"):
-        run_scenario(scenario, deployment=deployment).assert_ok()
-    lines = _lines(caplog)
-    assert {logger for logger, _, _ in lines} == {"repro.core.view_change"}
-    assert {level for _, level, _ in lines} == {"INFO"}
-    installed = [replica for replica in deployment.correct_replicas() if replica.view >= 1]
-    assert installed
-    for replica in installed:
-        own = [message for _, _, message in lines if message.startswith(f"{replica.node_id} ")]
-        assert len(own) == replica.view_changes.view_changes_completed
-        assert own[-1] == (
-            f"{replica.node_id} installed view {replica.view} in {replica.mode.name} mode"
-        )
-
-
-@pytest.mark.parametrize("protocol", ["cft", "bft"])
-def test_a_baseline_replica_logs_each_view_it_installs_and_its_protocol(caplog, protocol):
+@pytest.mark.parametrize(
+    "protocol, label",
+    [
+        ("seemore-lion", "LION"),
+        ("cft", "PaxosReplica"),
+        ("bft", "QuorumBFTReplica"),
+        ("s-upright", "QuorumBFTReplica"),
+    ],
+)
+def test_a_replica_logs_each_view_it_installs_and_its_protocol(caplog, protocol, label):
     scenario = Scenario(
-        name="baseline-primary-crash",
+        name="primary-crash",
         description="the primary crashes; the next view must serve",
         events=(Crash(at=0.1),),
         expectations=(ViewAdvanced(1),),
@@ -154,16 +142,13 @@ def test_a_baseline_replica_logs_each_view_it_installs_and_its_protocol(caplog, 
     with caplog.at_level(logging.INFO, logger="repro"):
         run_scenario(scenario, deployment=deployment).assert_ok()
     lines = _lines(caplog)
-    assert {(logger, level) for logger, level, _ in lines} == {("repro.baselines.replica", "INFO")}
+    assert {(logger, level) for logger, level, _ in lines} == {("repro.smr.view_change", "INFO")}
     installed = [replica for replica in deployment.correct_replicas() if replica.view >= 1]
     assert installed
     for replica in installed:
-        assert isinstance(replica, BaselineReplica)
         own = [message for _, _, message in lines if message.startswith(f"{replica.node_id} ")]
-        assert len(own) == replica.view_changes_completed
-        assert own[-1] == (
-            f"{replica.node_id} installed view {replica.view} ({type(replica).__name__})"
-        )
+        assert len(own) == replica.view_changes.view_changes_completed
+        assert own[-1] == f"{replica.node_id} installed view {replica.view} ({label})"
 
 
 # -- the conformance CLI: --tolerance reaches the printed summary ----------------------------

@@ -10,7 +10,7 @@ import pytest
 
 from repro.cluster import build_seemore
 from repro.core import BatchPolicy, Mode
-from repro.core.view_change import NOOP_CLIENT
+from repro.smr.replica import NOOP_CLIENT
 from repro.smr.ledger import assert_ledgers_consistent
 from repro.workload import Workload
 

@@ -1,5 +1,7 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+from types import SimpleNamespace
+
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto import KeyStore, digest
@@ -12,7 +14,10 @@ from repro.planner import (
 from repro.planner.sizing import InfeasiblePlanError
 from repro.sim import EventQueue, Simulator
 from repro.smr import Counter, Operation, OrderedExecutor
+from repro.smr.replica import noop_request, request_digest
 from repro.smr.slots import SlotLog
+from repro.smr.view_change import reconcile
+from repro.wire.codec import Entry
 
 
 class TestQuorumIntersectionProperties:
@@ -352,3 +357,50 @@ class TestSlotLogProperties:
             voters_per_slot.setdefault(sequence, set()).add(voter)
         for sequence, voters in voters_per_slot.items():
             assert log.slot(sequence).vote_count("accept") == len(voters)
+
+
+@st.composite
+def view_change_sets(draw):
+    """Two to five view changes over sequences 1-4, views 0-3 and two or three digests."""
+    digests = ["a" * 64, "b" * 64, "c" * 64][: draw(st.integers(2, 3))]
+    reports = st.dictionaries(
+        st.integers(1, 4), st.tuples(st.integers(0, 3), st.sampled_from(digests))
+    )
+    return [
+        SimpleNamespace(
+            checkpoint_sequence=draw(st.integers(0, 1)),
+            prepared=[
+                Entry(sequence, view, digest) for sequence, (view, digest) in draw(reports).items()
+            ],
+        )
+        for _ in range(draw(st.integers(2, 5)))
+    ]
+
+
+class TestNewViewReconciliationProperties:
+    """``reconcile``, the one rule every protocol's collector applies."""
+
+    @given(votes=view_change_sets(), data=st.data(), promote_at=st.sampled_from([None, 2, 3]))
+    @settings(max_examples=200, derandomize=True)
+    def test_the_new_view_does_not_depend_on_arrival_order(self, votes, data, promote_at):
+        reordered = data.draw(st.permutations(votes))
+        assert reconcile(reordered, 5, promote_at) == reconcile(votes, 5, promote_at)
+
+    @given(votes=view_change_sets())
+    @settings(max_examples=200, derandomize=True)
+    def test_each_chosen_digest_was_prepared_in_the_highest_view_reported(self, votes):
+        checkpoint, commits, prepares = reconcile(votes, 5)
+        assert commits == []
+        reported = [
+            entry for vote in votes for entry in vote.prepared if entry.sequence > checkpoint
+        ]
+        highest = max([entry.sequence for entry in reported], default=checkpoint)
+        assert [entry.sequence for entry in prepares] == list(range(checkpoint + 1, highest + 1))
+        for chosen in prepares:
+            assert chosen.view == 5
+            candidates = [entry for entry in reported if entry.sequence == chosen.sequence]
+            if not candidates:
+                assert chosen.digest == request_digest(noop_request(chosen.sequence))
+                continue
+            top = max(entry.view for entry in candidates)
+            assert chosen.digest in {entry.digest for entry in candidates if entry.view == top}

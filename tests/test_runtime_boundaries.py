@@ -944,13 +944,27 @@ class TestOneScenario:
 
 
 #: Defined once under ``baselines/``, in the skeleton.
-SKELETON_METHODS = {
-    "_on_request",
+SKELETON_METHODS = {"_on_request"}
+#: The view-change state machine and its reconciliation rule, defined once in
+#: ``smr/view_change.py`` for SeeMoRe and the baselines alike.
+VIEW_CHANGE_MACHINE = {
+    "ViewChangeManager",
+    "reconcile",
+    "on_view_change",
+    "on_new_view",
+    "_maybe_build_new_view",
+    "_on_new_view_timeout",
+    "_on_request_timeout",
+}
+#: What the two former copies called their pieces; nothing defines these now.
+RETIRED_VIEW_CHANGE = {
     "_start_view_change",
     "_on_view_change",
     "_maybe_install_view",
     "_on_new_view",
     "_install_view",
+    "enter_new_view",
+    "_build_new_view_message",
 }
 INFORM_LEG = {"_send_informs", "on_inform"}
 REQUEST_TABLE = {"remember_request", "known_request", "_known_requests"}
@@ -966,12 +980,15 @@ def has_a_body(function):
 
 def skeleton_sites(path):
     """Yield ``(lineno, what)`` for every definition or use the skeleton rules watch."""
+    watched = SKELETON_METHODS | VIEW_CHANGE_MACHINE | RETIRED_VIEW_CHANGE | REQUEST_TABLE
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(node, ast.ClassDef) and node.name in VIEW_CHANGE_MACHINE:
+            yield node.lineno, f"defines {node.name}"
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             name = node.name
             if name.endswith("noop_request"):
                 yield node.lineno, "defines noop_request"
-            elif name in SKELETON_METHODS or name in REQUEST_TABLE:
+            elif name in watched:
                 yield node.lineno, f"defines {name}"
             elif name in INFORM_LEG and has_a_body(node):
                 yield node.lineno, f"defines {name}"
@@ -982,15 +999,18 @@ def skeleton_sites(path):
 class TestOneAgreementSkeleton:
     """What every agreement engine shares is written once.
 
-    ``smr/replica.py`` owns ``noop_request``; ``baselines/replica.py`` owns
-    the request intake and the whole view change of Paxos, PBFT and
-    S-UpRight; ``core/strategy_base.py`` owns the inform leg of Dog and
-    Peacock; and the never-pruned ``_known_requests`` table with its two
-    accessors is gone.
+    ``smr/replica.py`` owns ``noop_request``; ``smr/view_change.py`` owns
+    the view-change state machine and its one reconciliation rule, which
+    SeeMoRe and the baselines both drive (``core/`` and ``baselines/`` give
+    answers, not handlers); ``baselines/replica.py`` owns the request intake
+    of Paxos, PBFT and S-UpRight; ``core/strategy_base.py`` owns the inform
+    leg of Dog and Peacock; and the never-pruned ``_known_requests`` table
+    with its two accessors is gone.
     """
 
     OWNERS = {
         "defines noop_request": Path("smr") / "replica.py",
+        **{f"defines {name}": Path("smr") / "view_change.py" for name in VIEW_CHANGE_MACHINE},
         **{f"defines {name}": Path("baselines") / "replica.py" for name in SKELETON_METHODS},
         **{f"defines {name}": Path("core") / "strategy_base.py" for name in INFORM_LEG},
     }
@@ -1000,8 +1020,6 @@ class TestOneAgreementSkeleton:
         for path in sorted(root.rglob("*.py")):
             relative = path.relative_to(root)
             for lineno, what in sorted(skeleton_sites(path)):
-                if what.split(" ", 1)[1] in SKELETON_METHODS and relative.parts[0] != "baselines":
-                    continue  # e.g. ViewChangeManager.on_new_view is not a baseline
                 if self.OWNERS.get(what) != relative:
                     found.append(f"{relative}:{lineno} {what}")
         return found
@@ -1047,6 +1065,44 @@ class TestOneAgreementSkeleton:
             "core/dog.py:2 defines on_inform",
             "smr/replica.py:2 defines known_request",
             "smr/replica.py:3 touches _known_requests",
+        ]
+
+    def test_the_rule_catches_a_second_view_change(self, tmp_path):
+        """The two copies this rule retired: SeeMoRe's manager under ``core/``
+        and the baselines' handlers, each with its own reconciliation."""
+        (tmp_path / "smr").mkdir()
+        (tmp_path / "smr" / "view_change.py").write_text(
+            "def reconcile(votes, target_view, promote_at=None):\n"
+            "    return max(votes)\n"
+            "class ViewChangeManager:\n"
+            "    def on_view_change(self, src, message):\n"
+            "        self._maybe_build_new_view(message.new_view, 0)\n"
+        )
+        (tmp_path / "core").mkdir()
+        (tmp_path / "core" / "view_change.py").write_text(
+            "class ViewChangeManager:\n"
+            "    def on_new_view(self, src, message):\n"
+            "        self.enter_new_view(src, message)\n"
+            "    def enter_new_view(self, src, message):\n"
+            "        self.replica.view = message.new_view\n"
+        )
+        (tmp_path / "baselines").mkdir()
+        (tmp_path / "baselines" / "replica.py").write_text(
+            "class BaselineReplica(ReplicaBase):\n"
+            "    def _on_view_change(self, src, message):\n"
+            "        self._maybe_install_view(message.new_view)\n"
+            "    def _maybe_install_view(self, target_view):\n"
+            "        entries = reconcile(self._votes, target_view)\n"
+            "def reconcile(votes, target_view):\n"
+            "    return {}\n"
+        )
+        assert self.offenders(tmp_path) == [
+            "baselines/replica.py:2 defines _on_view_change",
+            "baselines/replica.py:4 defines _maybe_install_view",
+            "baselines/replica.py:6 defines reconcile",
+            "core/view_change.py:1 defines ViewChangeManager",
+            "core/view_change.py:2 defines on_new_view",
+            "core/view_change.py:4 defines enter_new_view",
         ]
 
 

@@ -10,16 +10,16 @@ replicas.
 import pytest
 
 from repro.adaptive.evidence import EvidenceKind
-from repro.cluster import build_seemore
+from repro.baselines import messages as baseline_msgs
+from repro.cluster import build_seemore, builder_for
 from repro.core import Mode, SeeMoReConfig
 from repro.core import messages as msgs
 from repro.core.replica import SeeMoReReplica
-from repro.core.view_change import NOOP_CLIENT, noop_request
 from repro.crypto.digest import digest
 from repro.faults import crash_primary
 from repro.runtime.aio import decode_envelope, encode_envelope
 from repro.smr.ledger import assert_ledgers_consistent
-from repro.smr.replica import request_digest
+from repro.smr.replica import NOOP_CLIENT, noop_request, request_digest
 from repro.smr.state_machine import Operation, TransactionalKeyValueStore
 from repro.workload import Workload
 
@@ -45,16 +45,14 @@ class TestCollectors:
         config = SeeMoReConfig.build(1, 1)
         deployment = build(Mode.LION)
         replica = next(iter(deployment.replicas.values()))
-        manager = replica.view_changes
-        assert manager.collector_for(1, Mode.LION) == config.primary_of_view(1, Mode.LION)
-        assert manager.collector_for(1, Mode.DOG) == config.primary_of_view(1, Mode.DOG)
+        assert replica.view_collector(1, Mode.LION) == config.primary_of_view(1, Mode.LION)
+        assert replica.view_collector(1, Mode.DOG) == config.primary_of_view(1, Mode.DOG)
 
     def test_peacock_collector_is_trusted_transferer(self):
         config = SeeMoReConfig.build(1, 1)
         deployment = build(Mode.PEACOCK)
         replica = next(iter(deployment.replicas.values()))
-        manager = replica.view_changes
-        collector = manager.collector_for(1, Mode.PEACOCK)
+        collector = replica.view_collector(1, Mode.PEACOCK)
         assert collector == config.transferer_of_view(1)
         assert config.is_trusted(collector)
         # ... even though the new primary itself is untrusted.
@@ -165,65 +163,91 @@ class TestJoinAndEscalation:
         assert_ledgers_consistent(deployment.group().correct_ledgers())
 
 
-class TestNewViewReconciliation:
-    """The Section 5.1 rule: conflicting prepared entries for one sequence
-    are resolved in favour of the entry prepared in the *highest* view;
-    vote count only breaks ties.  (A stale assignment from a deposed
-    primary can be reported by more replicas than the assignment a later
-    view already superseded it with.)"""
+PROTOCOLS = ["seemore-lion", "cft", "bft", "s-upright"]
 
-    def _view_change_from(self, deployment, replica_id, target_view, entries):
-        replica = deployment.replicas[replica_id]
-        view_change = msgs.ViewChange(
+
+def build_protocol(protocol):
+    """``protocol`` at c = m = 1, the deployment every view-change vote below targets."""
+    return builder_for(protocol)(
+        crash_tolerance=1, byzantine_tolerance=1, num_clients=2, seed=13, client_timeout=0.1
+    )
+
+
+def vote(deployment, sender, target_view, entries, replica_id=None):
+    """``sender``'s signed view-change message for ``target_view`` reporting ``entries``
+    prepared, naming ``replica_id`` (``sender`` unless forged) as its author."""
+    replica = deployment.replicas[sender]
+    if isinstance(replica, SeeMoReReplica):
+        message = msgs.ViewChange(
             new_view=target_view,
             mode=int(Mode.LION),
-            replica_id=replica_id,
+            replica_id=replica_id or sender,
             checkpoint_sequence=0,
             checkpoint_digest="",
             prepared=list(entries),
         )
-        view_change.sign(replica.signer)
-        return view_change
+        return message.sign(replica.signer)
+    signed = replica.config.messages_are_signed
+    message = baseline_msgs.BaselineViewChange(
+        new_view=target_view,
+        replica_id=replica_id or sender,
+        checkpoint_sequence=0,
+        prepared=list(entries),
+        signed=signed,
+    )
+    return message.sign(replica.signer) if signed else message
 
-    def test_highest_view_entry_beats_more_votes(self):
-        deployment = build(Mode.LION)
-        config = deployment.group().config
+
+def mode_id(replica):
+    """The mode a vote above names: Lion for SeeMoRe, the one mode (0) of a baseline."""
+    return int(Mode.LION) if isinstance(replica, SeeMoReReplica) else 0
+
+
+def collector_of(deployment, target_view):
+    replica = next(iter(deployment.replicas.values()))
+    return replica.view_collector(target_view, mode_id(replica))
+
+
+class TestNewViewReconciliation:
+    """The Section 5.1 rule, on every protocol: conflicting prepared entries
+    for one sequence are resolved in favour of the entry prepared in the
+    *highest* view, whatever order the votes arrive in; vote count only
+    breaks ties.  (A stale assignment from a deposed primary can be reported
+    by more replicas than the assignment a later view superseded it with.)"""
+
+    @pytest.mark.parametrize("order", ["stale-first", "fresh-first"])
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_highest_view_entry_beats_more_votes(self, protocol, order):
+        deployment = build_protocol(protocol)
         target_view = 3
-        collector_id = config.primary_of_view(target_view, Mode.LION)
+        collector_id = collector_of(deployment, target_view)
         collector = deployment.replicas[collector_id]
-        manager = collector.view_changes
 
         stale_request = noop_request(1001)
         fresh_request = noop_request(1002)
         stale_digest = request_digest(stale_request)
         fresh_digest = request_digest(fresh_request)
+        stale = msgs.PreparedEntry(sequence=1, view=0, digest=stale_digest, request=stale_request)
+        fresh = msgs.PreparedEntry(sequence=1, view=2, digest=fresh_digest, request=fresh_request)
 
-        def stale_entry():
-            return msgs.PreparedEntry(
-                sequence=1, view=0, digest=stale_digest, request=stale_request
-            )
-
-        fresh_entry = msgs.PreparedEntry(
-            sequence=1, view=2, digest=fresh_digest, request=fresh_request
-        )
-
-        senders = [r for r in config.all_replicas if r != collector_id]
-        # One replica saw the view-2 assignment; two others still report the
-        # view-0 assignment (more votes, staler view).
-        manager.on_view_change(
-            senders[0], self._view_change_from(deployment, senders[0], target_view, [fresh_entry])
-        )
-        for sender in senders[1:3]:
-            manager.on_view_change(
-                sender,
-                self._view_change_from(deployment, sender, target_view, [stale_entry()]),
+        # The collector's own vote completes the quorum.  One replica saw the
+        # view-2 assignment; the others still report the view-0 one (at least
+        # as many votes, staler view).
+        quorum = collector.view_change_quorum(mode_id(collector))
+        senders = [r for r in deployment.replicas if r != collector_id][: quorum - 1]
+        entries = {sender: [stale] for sender in senders[1:]}
+        entries[senders[0]] = [fresh]
+        if order == "stale-first":
+            senders.reverse()
+        for sender in senders:
+            collector.handle_message(
+                sender, vote(deployment, sender, target_view, entries[sender])
             )
 
         assert collector.view == target_view, "the new view must have been installed"
-        slot = collector.slots.slot(1)
-        assert slot.digest == fresh_digest, (
+        assert collector.slots.slot(1).digest == fresh_digest, (
             "the entry prepared in the highest view must win, not the one "
-            "with the most votes"
+            "with the most votes or the one seen first"
         )
 
     def test_view_change_state_is_pruned_after_install(self):
@@ -236,9 +260,7 @@ class TestNewViewReconciliation:
 
         senders = [r for r in config.all_replicas if r != collector_id]
         for sender in senders[:3]:
-            manager.on_view_change(
-                sender, self._view_change_from(deployment, sender, target_view, [])
-            )
+            manager.on_view_change(sender, vote(deployment, sender, target_view, []))
 
         assert collector.view == target_view
         assert all(key[0] > target_view for key in manager._store), (
@@ -260,6 +282,48 @@ class TestNewViewReconciliation:
             assert manager.view_changes_completed >= 1
             stale = [key for key in manager._store if key[0] <= replica.view]
             assert stale == [], f"{replica.node_id} kept view-change state for {stale}"
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+class TestAVoteCountsForItsChannelSender:
+    """A view-change message naming someone other than its channel sender
+    counts for nobody: not toward the collector's quorum, and not toward the
+    suspicions that make a replica join.  (Channels are authenticated, so
+    ``src`` is who sent it; a Byzantine replica must not vote twice, or in
+    the name of a replica that stays silent.)"""
+
+    target_view = 3
+
+    def cast(self, deployment):
+        collector_id = collector_of(deployment, self.target_view)
+        forger, named, *honest = [r for r in deployment.replicas if r != collector_id]
+        return deployment.replicas[collector_id], forger, named, honest
+
+    def test_a_mis_attributed_vote_does_not_complete_a_quorum(self, protocol):
+        deployment = build_protocol(protocol)
+        collector, forger, named, honest = self.cast(deployment)
+        # With the collector's own vote, these fall one short of a quorum.
+        short = honest[: collector.view_change_quorum(mode_id(collector)) - 2]
+        for sender in short:
+            collector.handle_message(sender, vote(deployment, sender, self.target_view, []))
+        forged = vote(deployment, forger, self.target_view, [], replica_id=named)
+        collector.handle_message(forger, forged)
+        assert collector.view == 0, "a vote naming another replica must not count"
+        collector.handle_message(forger, vote(deployment, forger, self.target_view, []))
+        assert collector.view == self.target_view
+
+    def test_a_mis_attributed_vote_does_not_make_a_replica_join(self, protocol):
+        deployment = build_protocol(protocol)
+        collector, forger, named, honest = self.cast(deployment)
+        bystander_id, *others = honest
+        bystander = deployment.replicas[bystander_id]
+        for sender in others[: bystander.join_threshold() - 1]:
+            bystander.handle_message(sender, vote(deployment, sender, self.target_view, []))
+        forged = vote(deployment, forger, self.target_view, [], replica_id=named)
+        bystander.handle_message(forger, forged)
+        assert not bystander.in_view_change, "a vote naming another replica must not count"
+        bystander.handle_message(forger, vote(deployment, forger, self.target_view, []))
+        assert bystander.in_view_change
 
 
 class TestStateTransfer:
