@@ -347,13 +347,15 @@ def _read_message(
             items.append(item)
         message.attach(iter(items))
     # A top-level message keeps its frame as its frozen form (saves a
-    # re-encode on relay).  A piggybacked request or batch keeps the digest
-    # only: its frame duplicates the payloads just decoded from it, every
-    # replica logs every batch, and it is re-sent only on a view change,
-    # where ``wire_slice()`` rebuilds the same bytes from the fields.
-    message.seed_wire_caches(None if nested else frame, frame_digest)
+    # re-encode on relay).  A piggybacked request or batch is released at
+    # once, keeping its digest and frame length: its frame duplicates the
+    # payloads just decoded from it, every replica logs every batch, and it
+    # is re-sent only on a view change, where ``wire_slice()`` rebuilds the
+    # same bytes from the fields (the codec decodes only frames it encodes).
+    message.seed_wire_caches(frame, frame_digest)
     message.__dict__["signature"] = signature  # not content: no cache to invalidate
     if nested:
+        message.release_wire_frames()
         carried.append((frame_digest, message, len(frame)))
     return message, off
 
@@ -918,7 +920,7 @@ class AioRuntime(Runtime):
         if payload is not last or src != last_src:
             items = payload.detached()
             payloads = items and [  # most messages carry nothing beside their frame
-                (digest_of(item), item, len(item.wire_slice()))
+                (digest_of(item), item, item.wire_length())
                 for item in items
                 if isinstance(item, ProtocolMessage)
             ]

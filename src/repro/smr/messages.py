@@ -15,6 +15,7 @@ the generated methods.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.crypto.digest import (
@@ -45,6 +46,7 @@ _DIGEST_BYTES = 32
 _SIGNED_BYTES = _HEADER_BYTES + _SIGNATURE_BYTES
 
 _WIRE_SLICE_ATTR = "_wire_slice"
+_WIRE_LENGTH_ATTR = "_wire_length"
 _RESULT_DIGEST_ATTR = "_result_digest"
 
 #: Instance-``__dict__`` keys holding derived wire-form state.  They are
@@ -54,10 +56,15 @@ _RESULT_DIGEST_ATTR = "_result_digest"
 _WIRE_CACHE_ATTRS = (
     DIGEST_CACHE_ATTR,
     _WIRE_SLICE_ATTR,
+    _WIRE_LENGTH_ATTR,
     WIRE_SIZE_CACHE_ATTR,
     _RESULT_DIGEST_ATTR,
     HAS_CACHE_FLAG,
 )
+
+
+class FrameMismatch(ValueError):
+    """A frame rebuilt from a message's fields does not hash to its kept digest."""
 
 
 class ProtocolMessage:
@@ -110,18 +117,29 @@ class ProtocolMessage:
         """The frozen signed byte form of this message, cached.
 
         Invalidated with the other wire caches on content mutation or copy.
-        Callers must treat the returned bytes as immutable.
+        Callers must treat the returned bytes as immutable.  A frame rebuilt
+        after :meth:`release_wire_frames` must hash to the digest kept, or
+        :class:`FrameMismatch` is raised.
         """
-        cached = self.__dict__.get(_WIRE_SLICE_ATTR)
+        instance_dict = self.__dict__
+        cached = instance_dict.get(_WIRE_SLICE_ATTR)
         if cached is None:
             cached = self.signing_bytes()
-            self.__dict__[_WIRE_SLICE_ATTR] = cached
-            self.__dict__[HAS_CACHE_FLAG] = True
+            kept = instance_dict.get(DIGEST_CACHE_ATTR)
+            if kept is not None and hashlib.sha256(cached).hexdigest() != kept:
+                raise FrameMismatch(f"rebuilt {type(self).__name__} frame is not {kept}")
+            instance_dict[_WIRE_SLICE_ATTR] = cached
+            instance_dict[HAS_CACHE_FLAG] = True
         return cached
+
+    def wire_length(self) -> int:
+        """``len(wire_slice())``, read from what a released frame left behind."""
+        length = self.__dict__.get(_WIRE_LENGTH_ATTR)
+        return len(self.wire_slice()) if length is None else length
 
     def seed_wire_caches(
         self,
-        frame: Optional[bytes],
+        frame: bytes,
         content_digest: str,
         wire_size: Optional[int] = None,
         result_digest: Optional[str] = None,
@@ -131,18 +149,31 @@ class ProtocolMessage:
         For the fused send paths of the client and the replicas and for the
         transport's decoder (the receiver's digest must cover exactly the
         bytes the sender signed).  ``frame`` must be what ``signing_bytes()``
-        would return and ``content_digest`` its SHA-256; with ``frame=None``
-        only the digest is kept and ``wire_slice()`` re-encodes on demand.
+        would return and ``content_digest`` its SHA-256.
         """
         instance_dict = self.__dict__
-        if frame is not None:
-            instance_dict[_WIRE_SLICE_ATTR] = frame
+        instance_dict[_WIRE_SLICE_ATTR] = frame
         instance_dict[DIGEST_CACHE_ATTR] = content_digest
         if wire_size is not None:
             instance_dict[WIRE_SIZE_CACHE_ATTR] = wire_size
         if result_digest is not None:
             instance_dict[_RESULT_DIGEST_ATTR] = result_digest
         instance_dict[HAS_CACHE_FLAG] = True
+
+    def release_wire_frames(self) -> None:
+        """Drop this payload's frame (and its inner requests'), keeping what is read.
+
+        For a slot payload once it executes: the digest, the modeled wire
+        size and the frame length stay, so digests, signatures, sizes and the
+        payload table are unchanged, and ``wire_slice()`` rebuilds the same
+        bytes if a view change, state transfer or re-send needs them again.
+        """
+        instance_dict = self.__dict__
+        frame = instance_dict.pop(_WIRE_SLICE_ATTR, None)
+        if frame is not None:
+            if DIGEST_CACHE_ATTR not in instance_dict:
+                instance_dict[DIGEST_CACHE_ATTR] = hashlib.sha256(frame).hexdigest()
+            instance_dict[_WIRE_LENGTH_ATTR] = len(frame)
 
     def __setattr__(self, name: str, value: Any) -> None:
         # Mutating any content field invalidates the frozen wire form.
@@ -363,6 +394,11 @@ class Batch(ProtocolMessage):
     SIGNED = False
     SIZE = _HEADER_BYTES
 
+    def release_wire_frames(self) -> None:
+        super().release_wire_frames()
+        for request in self.requests:
+            request.release_wire_frames()
+
     def __len__(self) -> int:
         return len(self.requests)
 
@@ -393,6 +429,7 @@ __all__ = [
     "Reply",
     "Busy",
     "Batch",
+    "FrameMismatch",
     "requests_of",
     "_HEADER_BYTES",
     "_SIGNATURE_BYTES",

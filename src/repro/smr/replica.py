@@ -237,6 +237,10 @@ class ReplicaBase(Node):
                 executed_slot = self.slots.existing_slot(executed_sequence)
                 if executed_slot is not None:
                     executed_slot.executed = True
+                    # Nothing reads an executed payload's frames again but a
+                    # view change, state transfer or full re-send, which rebuild.
+                    if executed_slot.request is not None:
+                        executed_slot.request.release_wire_frames()
             if send_reply:
                 self.send_reply(
                     execution.client_id, execution.timestamp, execution.result, mode_id

@@ -19,6 +19,11 @@ variable-length field is length prefixed, so no separator can be spoofed.
 Unsupported types fall back to a ``repr`` capsule that digests faithfully
 but refuses to decode.
 
+Decoding accepts only the frames encoding produces: ``encode(decode(f)) ==
+f`` for every frame ``f`` that decodes (no leading zeros or signs on
+numbers, no spelled-out canonical digest, no repeated dict key), so a
+frame rebuilt from decoded fields hashes to the digest of the one received.
+
 Decoding is in place and has one convention: ``read_x(buf, off, end)`` reads
 one field at ``off`` from the window ``[off, end)`` of ``buf`` and returns
 ``(value, next_off)``; there is no cursor object and nothing is copied but
@@ -269,7 +274,10 @@ def read_digest(buf: bytes, off: int, end: int) -> Tuple[str, int]:
             raise truncated(32, off, end)
         return buf[off:stop].hex(), stop
     if flag == 0:
-        return read_str(buf, off, end)
+        value, off = read_str(buf, off, end)
+        if len(value) == 64 and pack_digest(value)[0] == 1:
+            raise WireDecodeError("canonical hex digest spelled out as text")
+        return value, off
     raise WireDecodeError(f"garbled digest flag byte: {bytes((flag,))!r}")
 
 
@@ -288,9 +296,14 @@ def read_value(buf: bytes, off: int, end: int, depth: int = 0) -> Tuple[Any, int
     if tag in (b"I", b"f"):
         raw, off = read_bytes(buf, off, end)
         try:
-            return (int if tag == b"I" else float)(raw.decode("ascii")), off
+            value = (int if tag == b"I" else float)(raw.decode("ascii"))
         except (UnicodeDecodeError, ValueError):
             raise WireDecodeError(f"garbled numeric argument: {raw!r}") from None
+        # ``int()`` and ``float()`` also take ``07``, ``+7``, `` 7``, ``1_0``
+        # and ``1.50``: only the spelling ``pack_value`` writes decodes.
+        if (str(value) if tag == b"I" else repr(value)).encode("ascii") != raw:
+            raise WireDecodeError(f"non-canonical numeric argument: {raw!r}")
+        return value, off
     if tag == b"N":
         return None, off
     if tag in (b"U", b"L", b"D"):
@@ -308,9 +321,12 @@ def read_value(buf: bytes, off: int, end: int, depth: int = 0) -> Tuple[Any, int
         if tag == b"U":
             return tuple(items), off
         try:
-            return dict(zip(items[::2], items[1::2])), off
+            value = dict(zip(items[::2], items[1::2]))
         except TypeError:
             raise WireDecodeError("unhashable dict key") from None
+        if len(value) != count:
+            raise WireDecodeError("duplicate dict key")
+        return value, off
     if tag == b"B":
         return read_bytes(buf, off, end)
     if tag == b"R":

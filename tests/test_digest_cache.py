@@ -10,6 +10,10 @@ caches must keep:
   applied to a *warm* cache must still hash to its own (different) content;
 * assigning any content field in place drops the cached forms, so even a
   twist that skipped the copy would be re-canonicalized.
+
+They also pin what an executed payload keeps once it releases its frames:
+its digest, modeled size and frame length, and a rebuild that must hash to
+that digest.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import copy
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import messages as core_msgs
 from repro.core.batching import BatchPolicy
@@ -25,7 +30,7 @@ from repro.crypto.digest import digest, digest_bytes, digest_of
 from repro.crypto.keys import KeyStore
 from repro.crypto.signatures import Signature
 from repro.faults.byzantine import tampered_payload, tampered_request
-from repro.smr.messages import Batch, Reply, Request
+from repro.smr.messages import _WIRE_SLICE_ATTR, Batch, FrameMismatch, Reply, Request, requests_of
 from repro.smr.replica import request_digest
 from repro.smr.state_machine import Operation
 
@@ -221,6 +226,68 @@ class TestResultDigestMemo:
         assert result_digest({"v": 0.0}) == digest({"v": 0.0})
         assert result_digest({"v": -0.0}) == digest({"v": -0.0})
         assert result_digest({"v": 0.0}) != result_digest({"v": -0.0})
+
+
+ARGS = st.one_of(
+    st.integers(), st.floats(allow_nan=False), st.text(max_size=12), st.just("ünïcødé €")
+)
+# Short payloads, 4 KB ones (the paper's 4/0) and non-ASCII ones.
+PAYLOAD_TEXT = st.one_of(
+    st.text(max_size=24),
+    st.builds(lambda char, size: char * size, st.sampled_from("xé€😀"), st.just(4096)),
+)
+REQUESTS = st.builds(
+    Request,
+    operation=st.builds(
+        Operation,
+        kind=st.sampled_from(["put", "get", "wrïte"]),
+        args=st.lists(ARGS, max_size=3).map(tuple),
+        payload=PAYLOAD_TEXT,
+    ),
+    timestamp=st.integers(min_value=1, max_value=2**40),
+    client_id=st.sampled_from(["client-0", "clïent-1"]),
+)
+PAYLOADS = st.one_of(
+    REQUESTS, st.builds(Batch, requests=st.lists(REQUESTS, min_size=1, max_size=4))
+)
+
+
+class TestReleasedFrames:
+    """An executed payload drops its frames and keeps what is read of them."""
+
+    @given(payload=PAYLOADS)
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    def test_a_released_payload_rebuilds_its_own_bytes(self, payload):
+        frame = payload.wire_slice()
+        inner = [request.wire_slice() for request in requests_of(payload)]
+        content_digest, size = digest_of(payload), payload.cached_wire_size()
+
+        payload.release_wire_frames()
+        for message in (payload, *requests_of(payload)):
+            assert _WIRE_SLICE_ATTR not in message.__dict__
+        assert payload.wire_length() == len(frame)
+        assert digest_of(payload) == content_digest
+        assert payload.cached_wire_size() == size
+        assert payload.wire_slice() == frame
+        assert [request.wire_slice() for request in requests_of(payload)] == inner
+
+    @given(payload=PAYLOADS)
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    def test_a_rebuild_that_disagrees_with_the_kept_digest_raises(self, payload):
+        digest_of(payload)
+        payload.release_wire_frames()
+        lead = requests_of(payload)[0]
+        # Test-only: a direct ``__dict__`` edit skips the cache guard that an
+        # assignment would trip, so the kept digest no longer fits the fields.
+        lead.__dict__["timestamp"] = lead.timestamp + 1
+        with pytest.raises(FrameMismatch):
+            payload.wire_slice()
+
+    def test_a_release_keeps_a_digest_never_computed_before(self):
+        request = make_request()
+        frame = request.wire_slice()
+        request.release_wire_frames()
+        assert request.__dict__["_content_digest"] == digest_bytes(frame)
 
 
 class TestForcedSlotBookkeeping:

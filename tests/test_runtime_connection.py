@@ -1,6 +1,7 @@
 """What an aio connection keeps: the receive buffer, the payload table, the re-dial delay.
 
-Socket-free except for the decode count at the end (a real Lion run).  The
+Socket-free except for the decode count and the frame retention at the end (real
+Lion, Dog and Peacock runs).  The
 inbound and outbound Protocol objects are driven by hand, as in
 ``test_runtime_transport.py``, whose harness this file borrows.
 """
@@ -11,9 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.adaptive.evidence import EvidenceKind
-from repro.core import Mode
+from repro.cluster.wiring import ShardSpec, new_keystore, wire_group
+from repro.core import BatchPolicy, Mode
 from repro.core import messages as core
-from repro.crypto.digest import digest_of
+from repro.crypto.digest import digest_bytes, digest_of
 from repro.crypto.signatures import Signature
 from repro.runtime import aio
 from repro.runtime.aio import (
@@ -26,8 +28,13 @@ from repro.runtime.aio import (
     encode_envelope,
 )
 from repro.runtime.conformance import AIO_CLIENT_TIMEOUT, AIO_REQUEST_TIMEOUT, oracle_cluster
-from repro.smr.messages import Request
+from repro.net.topology import Placement
+from repro.smr import client as smr_client
+from repro.smr.messages import _WIRE_SLICE_ATTR, Batch, Request, requests_of
 from repro.smr.state_machine import Operation
+from repro.wire import primitives
+from repro.workload.client_pool import ClientPool
+from repro.workload.generator import Workload
 from test_runtime_transport import (
     HELLO,
     KEYS,
@@ -462,3 +469,70 @@ def test_a_fault_free_run_decodes_each_payload_once_per_replica(monkeypatch, mod
     )
     assert met and client.timeouts == 0 and runtime.frames_rejected == 0
     assert len(decoded) - runtime.messages_delivered == 5 * 100
+
+
+@pytest.mark.parametrize("mode", [Mode.LION, Mode.DOG, Mode.PEACOCK], ids=lambda mode: mode.name)
+def test_a_fault_free_run_keeps_no_executed_frame_and_encodes_each_payload_once(
+    monkeypatch, mode
+):
+    """Batched 4/0 (4 KB) requests over loopback TCP, two clients.
+
+    An executed slot's payload and its inner requests hold no frame at any
+    replica, and nothing is re-encoded: each request frame is built once
+    (by its client) and each batch frame once (by the primary), though
+    Lion's ``COMMIT`` is sent after its slot executed.  Without the release
+    the primary keeps every request frame and every batch frame.
+    """
+
+    def recording(encoder, frames):
+        def encode(*args):
+            frames.append(encoder(*args))
+            return frames[-1]
+
+        return encode
+
+    encoded = {"encode_request": [], "encode_batch": []}
+    for name, frames in encoded.items():
+        monkeypatch.setattr(primitives, name, recording(getattr(primitives, name), frames))
+    monkeypatch.setattr(smr_client, "encode_request", primitives.encode_request)
+    runtime = AioRuntime()
+    settings = ShardSpec(
+        mode=mode,
+        crash_tolerance=1,
+        byzantine_tolerance=1,
+        request_timeout=AIO_REQUEST_TIMEOUT,
+        batch_policy=BatchPolicy(max_batch=16, linger=0.002, pipeline_depth=2),
+    )
+    workload = Workload.build("4/0")
+    keystore = new_keystore("retention", 0)
+    group = wire_group(runtime, keystore, "seemore", settings, workload)
+    pool = ClientPool(
+        runtime, keystore, Placement(), [group.client_config(AIO_CLIENT_TIMEOUT)], workload
+    )
+    clients = pool.spawn(2, max_requests_each=60, window=8)
+    met = runtime.run(
+        kickoff=lambda: [client.start() for client in clients],
+        until=lambda: all(client.completed_count >= 60 for client in clients),
+        timeout=30.0,
+    )
+    assert met and runtime.frames_rejected == 0
+    assert all(client.timeouts == 0 for client in clients)
+
+    executed = [
+        slot.request
+        for replica in group.replicas.values()
+        for slot in replica.slots.slots_above(0)
+        if slot.executed
+    ]
+    assert len(executed) >= 6 * 8  # six replicas, several slots each
+    assert any(isinstance(payload, Batch) for payload in executed)
+    for payload in executed:
+        assert payload.wire_length() > 4096  # kept, not rebuilt: the counts below
+        for message in (payload, *requests_of(payload)):
+            assert _WIRE_SLICE_ATTR not in message.__dict__
+
+    request_frames, batch_frames = encoded["encode_request"], encoded["encode_batch"]
+    assert len(request_frames) == len(set(request_frames)) == 2 * 60
+    assert len(batch_frames) == len(set(batch_frames))
+    committed = {digest_of(payload) for payload in executed if isinstance(payload, Batch)}
+    assert {digest_bytes(frame) for frame in batch_frames} == committed

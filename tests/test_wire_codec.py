@@ -352,8 +352,9 @@ class TestRejection:
     @settings(max_examples=200)
     def test_single_byte_corruption_never_yields_the_same_digest(self, message, data):
         """Flipping any byte of a frame either fails to decode or decodes
-        to a message whose re-encoded frame differs — corruption can never
-        masquerade as the original under the frame digest."""
+        to a message whose re-encoded frame is exactly the mutated one — so
+        it differs from the original, and a frame rebuilt from the decoded
+        fields hashes to the digest of the bytes received."""
         frame = bytearray(encode(message))
         index = data.draw(st.integers(min_value=0, max_value=len(frame) - 1))
         flip = data.draw(st.integers(min_value=1, max_value=255))
@@ -363,6 +364,7 @@ class TestRejection:
             twin = decode(mutated)
         except WireDecodeError:
             return
+        assert encode(twin) == mutated
         assert digest_bytes(encode(twin)) != digest_bytes(encode(message))
 
     def test_empty_frame_is_rejected(self):
@@ -450,6 +452,50 @@ class TestRejection:
         assert decode(encode(request)).operation.args == (value,)
         with pytest.raises(WireDecodeError):
             decode(encode(Request(Operation("op", ((value,),)), timestamp=1, client_id="c")))
+
+    @staticmethod
+    def _request_with_arg(packed_arg: bytes) -> bytes:
+        """A request frame whose one argument is ``packed_arg``, spelled as given."""
+        honest = encode(Request(Operation("op", (None,)), timestamp=1, client_id="c"))
+        assert honest.count(b"N") == 1
+        return honest.replace(b"N", packed_arg)
+
+    @pytest.mark.parametrize("text", [b"07", b"+7", b" 7", b"7 ", b"1_0", b"-0"])
+    def test_an_integer_spelled_other_than_str_is_rejected(self, text):
+        canonical = self._request_with_arg(pack_value(7))
+        assert decode(canonical).operation.args == (7,)
+        with pytest.raises(WireDecodeError, match="non-canonical"):
+            decode(self._request_with_arg(b"I" + len(text).to_bytes(4, "little") + text))
+
+    @pytest.mark.parametrize("text", [b"1.50", b"1.5e0", b"+1.5", b"NaN", b"1e16"])
+    def test_a_float_spelled_other_than_repr_is_rejected(self, text):
+        canonical = self._request_with_arg(pack_value(1.5))
+        assert decode(canonical).operation.args == (1.5,)
+        with pytest.raises(WireDecodeError, match="non-canonical"):
+            decode(self._request_with_arg(b"f" + len(text).to_bytes(4, "little") + text))
+
+    def test_a_canonical_hex_digest_spelled_out_as_text_is_rejected(self):
+        digest = "ab" * 32
+        packed = encode(Checkpoint(sequence=1, state_digest=digest, replica_id="r", mode=0))
+        text = b"\x00" + len(digest).to_bytes(4, "little") + digest.encode("ascii")
+        spelled = packed.replace(b"\x01" + bytes.fromhex(digest), text)
+        assert spelled != packed
+        with pytest.raises(WireDecodeError, match="spelled out"):
+            decode(spelled)
+        # Non-canonical spellings (upper case) are text on the wire and decode.
+        upper = Checkpoint(sequence=1, state_digest="AB" * 32, replica_id="r", mode=0)
+        assert decode(encode(upper)).state_digest == "AB" * 32
+
+    def test_a_dict_with_a_repeated_key_is_rejected(self):
+        once = pack_value({"k": 1})
+        assert once.startswith(b"D\x01\x00\x00\x00")
+        twice = b"D\x02\x00\x00\x00" + once[5:] * 2
+        with pytest.raises(WireDecodeError, match="duplicate dict key"):
+            decode(self._request_with_arg(twice))
+        # 1 and True are one key to a dict, so they repeat too.
+        clash = b"D\x02\x00\x00\x00" + pack_value(1) + b"N" + pack_value(True) + b"N"
+        with pytest.raises(WireDecodeError, match="duplicate dict key"):
+            decode(self._request_with_arg(clash))
 
     @given(value=st.dictionaries(st.one_of(TEXT, st.integers()), VALUES, max_size=4))
     def test_dict_values_round_trip(self, value):
