@@ -381,6 +381,14 @@ def _proc_client_worker(
     )
 
 
+#: Proposed-but-uncommitted slots a multiprocess cluster's primary keeps in
+#: flight.  Bounded, so the client's window queues behind them and batches
+#: (and with them replies answering several requests) form; unbounded, with
+#: no linger, every slot would hold one request.  The conformance oracle's
+#: in-process legs use it too, so every leg batches alike.
+PROC_PIPELINE_DEPTH = 2
+
+
 def build_proc_seemore(
     mode: Mode = Mode.LION,
     num_procs: int = 2,
@@ -405,6 +413,8 @@ def build_proc_seemore(
     view-change and client-retransmit timers far above loopback
     scheduling noise, so jitter never masquerades as a fault.  The client
     node is ``{client_id}-0`` — the first (only) client of the worker's pool.
+    The primary batches up to ``max_batch`` requests per slot with at most
+    :data:`PROC_PIPELINE_DEPTH` slots in flight.
 
     Returns an *unstarted* :class:`~repro.runtime.proc.ProcCluster`;
     call ``run()`` (or drive ``start``/``wait``/``shutdown`` manually).
@@ -416,7 +426,7 @@ def build_proc_seemore(
         crash_tolerance=crash_tolerance,
         byzantine_tolerance=byzantine_tolerance,
         request_timeout=request_timeout,
-        batch_policy=BatchPolicy(max_batch=max_batch),
+        batch_policy=BatchPolicy(max_batch=max_batch, pipeline_depth=PROC_PIPELINE_DEPTH),
     )
     config = PROTOCOLS["seemore"].make_config(settings, "")
     replica_ids = list(config.all_replicas)

@@ -178,16 +178,18 @@ def make_lying(replica: ReplicaBase) -> None:
 
     The signature on the lie is the Byzantine replica's own (it cannot forge
     anyone else's), so clients relying on f+1 / 2m+1 matching replies are
-    never fooled as long as the fault bound holds.  Replies are per client
-    request even under batching (replicas fan replies out after executing a
-    batch), so tampering the ``result`` field covers the batched path too.
+    never fooled as long as the fault bound holds.  One reply answers every
+    request of its client in an executed slot, so the lie replaces the
+    result of every entry, the first and each of ``more``.
     """
     original_send = replica.send
 
     def lying_send(dst, payload):
         if isinstance(payload, Reply):
             lie = _decoded_twin(payload)
-            lie.result = {"ok": False, "value": "forged-by-" + replica.node_id}
+            forged = {"ok": False, "value": "forged-by-" + replica.node_id}
+            lie.result = forged
+            lie.more = tuple((timestamp, forged) for timestamp, _ in lie.more)
             lie.sign(replica.signer)
             original_send(dst, lie)
             return

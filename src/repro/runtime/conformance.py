@@ -14,7 +14,10 @@ same request count — through both runtime backends and asserts:
   sequences agree on their common prefix, and both contain every issued
   request;
 * **reply conformance**: for every timestamp, the result digest the
-  replicas cached (what clients vote on) is identical across backends.
+  replicas cached (what clients vote on) is identical across backends;
+* **no retransmission**: neither leg's client retransmitted.  Every leg is
+  fault-free, so a retransmission means a reply entry was lost, which the
+  single-request reply to the retransmission would otherwise paper over.
 
 Batch boundaries and cross-slot grouping legitimately differ between
 backends — real scheduling jitter changes how many requests share a
@@ -33,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.cluster.builders import build_proc_seemore
+from repro.cluster.builders import PROC_PIPELINE_DEPTH, build_proc_seemore
 from repro.cluster.wiring import ShardSpec, new_keystore, wire_group
 from repro.core import BatchPolicy, Mode, SeeMoReReplica
 from repro.smr.replica import NOOP_CLIENT
@@ -108,6 +111,7 @@ class BackendTrace:
     completed: int
     commit_trace: Tuple[Tuple[str, int], ...]
     reply_digests: Dict[int, str]
+    client_retransmits: int
 
 
 def oracle_cluster(
@@ -133,7 +137,7 @@ def oracle_cluster(
         crash_tolerance=tolerance,
         byzantine_tolerance=tolerance,
         request_timeout=request_timeout,
-        batch_policy=BatchPolicy(max_batch=max_batch),
+        batch_policy=BatchPolicy(max_batch=max_batch, pipeline_depth=PROC_PIPELINE_DEPTH),
     )
     workload = Workload.build("0/0")
     keystore = new_keystore("conformance", seed)
@@ -196,6 +200,7 @@ def _in_process_trace(
         reply_digests=max(
             replicas.values(), key=lambda replica: replica.last_executed
         ).reply_digests(client.node_id),
+        client_retransmits=client.timeouts,
     )
 
 
@@ -315,10 +320,20 @@ def run_proc(
             num_requests,
         ),
         reply_digests=dict(best["reply_digests"]),
+        client_retransmits=result.harvests["client"]["timeouts"],
     )
 
 
 _REAL_BACKENDS = {"aio": run_aio, "proc": run_proc}
+
+
+def _assert_no_retransmits(trace: BackendTrace) -> None:
+    """Every leg is fault-free: a retransmission means a reply entry was lost."""
+    if trace.client_retransmits:
+        raise AssertionError(
+            f"[{trace.mode.name}] the {trace.backend} client retransmitted "
+            f"{trace.client_retransmits} times on a fault-free run"
+        )
 
 
 def check_mode(
@@ -341,6 +356,7 @@ def check_mode(
     Returns a small summary dict (used by the CLI entry point and tests).
     """
     sim = run_sim(mode, num_requests, window, max_batch, seed=seed, tolerance=tolerance)
+    _assert_no_retransmits(sim)
     if backend == "aio":
         real = run_aio(
             mode, num_requests, window, max_batch,
@@ -354,6 +370,7 @@ def check_mode(
     else:
         raise ValueError(f"unknown real backend {backend!r}; choose aio or proc")
 
+    _assert_no_retransmits(real)
     common = min(len(sim.commit_trace), len(real.commit_trace))
     if sim.commit_trace[:common] != real.commit_trace[:common]:
         for index in range(common):
@@ -383,6 +400,7 @@ def check_mode(
         "real_committed": len(real.commit_trace),
         "common_prefix": common,
         "replies_compared": num_requests,
+        "client_retransmits": sim.client_retransmits + real.client_retransmits,
     }
 
 
@@ -449,7 +467,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(
             "conformance OK: mode={mode} backend={backend} tolerance={tolerance} "
             "requests={requests} sim_committed={sim_committed} real_committed={real_committed} "
-            "common_prefix={common_prefix}".format(**summary)
+            "common_prefix={common_prefix} client_retransmits={client_retransmits}".format(
+                **summary
+            )
         )
     return 0
 

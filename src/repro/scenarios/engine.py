@@ -393,11 +393,10 @@ class ScenarioResult:
     events_applied: List[Tuple[float, str]] = field(default_factory=list)
     invariant_violations: Dict[str, List[str]] = field(default_factory=dict)
     expectation_failures: List[str] = field(default_factory=list)
-    # Engine telemetry for the count goldens — scalars, not the deployment
+    # Engine telemetry for the count goldens — a scalar, not the deployment
     # itself, so results can be aggregated without pinning every replica
     # graph and event heap in memory.
     events_processed: int = 0
-    simulated_seconds: float = 0.0
     transactions: Optional[Dict[str, int]] = None
     per_shard_completed: Optional[Tuple[int, ...]] = None
     measured: Optional[RunResult] = None
@@ -583,7 +582,6 @@ def run_scenario(
         invariant_violations=violations,
         expectation_failures=expectation_failures,
         events_processed=simulator.events_processed,
-        simulated_seconds=simulator.now,
         transactions=deployment.transaction_stats() if routed else None,
         per_shard_completed=tuple(deployment.per_shard_completed()) if routed else None,
         measured=measured,

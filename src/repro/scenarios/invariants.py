@@ -124,9 +124,9 @@ class CommittedPrefixAgreement(InvariantChecker):
 class NoForgedReplies(InvariantChecker):
     """No correct client ever accepts a result forged by a Byzantine replica.
 
-    The checker wraps every client's completion path to record the result
-    each accepted reply carried and which replica group owns the request
-    (the shard it was routed to; for one cluster, the cluster).  Each
+    The checker wraps every client's per-request completion to record the
+    result accepted for each entry of a reply and which replica group owns
+    the request (the shard it was routed to; for one cluster, the cluster).  Each
     accepted result is then verified against the reply caches of that
     group's correct replicas: one of them must have executed the request
     and produced exactly the accepted result.
@@ -159,15 +159,15 @@ class NoForgedReplies(InvariantChecker):
         original_complete = client._complete
         accepted = self._accepted.setdefault(client.node_id, {})
 
-        def completing(reply, pending):
+        def completing(reply, pending, result, result_key):
             timestamp = pending.request.timestamp
-            if timestamp in accepted and accepted[timestamp][1] != reply.result:
+            if timestamp in accepted and accepted[timestamp][1] != result:
                 self._violations.append(
                     f"client {client.node_id} accepted two different results "
                     f"for timestamp {timestamp}"
                 )
-            accepted[timestamp] = (pending.session.index, reply.result)
-            original_complete(reply, pending)
+            accepted[timestamp] = (pending.session.index, result)
+            original_complete(reply, pending, result, result_key)
 
         client._complete = completing  # type: ignore[method-assign]
 
@@ -209,10 +209,9 @@ class ExactlyOnceExecution(InvariantChecker):
         # Incremental scan state, so the periodic check only pays for
         # executions performed since the previous sample.
         self._offsets: Dict[str, int] = {}
-        # replica -> client -> timestamp -> result (per client, as executors keep replies).
-        self._local: Dict[str, DefaultDict[str, Dict[int, Any]]] = {}
         # Per group: a client's timestamps are its own, whichever group serves them.
         # group -> client -> timestamp -> (first replica seen executing it, result).
+        # Every later execution, on that replica or another, must match it.
         self._agreed: Dict[int, DefaultDict[str, Dict[int, Tuple[str, Any]]]] = {}
         self._violations: List[str] = []
 
@@ -221,26 +220,27 @@ class ExactlyOnceExecution(InvariantChecker):
             where = _where(deployment, group)
             agreed = self._agreed.setdefault(group.index, defaultdict(dict))
             for replica in group.correct_replicas():
+                node_id = replica.node_id
                 executed = replica.executor.executed
-                local = self._local.setdefault(replica.node_id, defaultdict(dict))
-                start = self._offsets.get(replica.node_id, 0)
+                start = self._offsets.get(node_id, 0)
                 for _, client_id, timestamp, result in executed[start:]:
-                    mine = local[client_id]
-                    if timestamp in mine and mine[timestamp] != result:
-                        self._violations.append(
-                            f"{where}{replica.node_id} executed {(client_id, timestamp)} twice "
-                            f"with different results (duplicate not served from the reply cache)"
-                        )
-                    mine[timestamp] = result
-                    seen = agreed[client_id].get(timestamp)
+                    firsts = agreed[client_id]
+                    seen = firsts.get(timestamp)
                     if seen is None:
-                        agreed[client_id][timestamp] = (replica.node_id, result)
-                    elif seen[1] != result and seen[0] != replica.node_id:
-                        self._violations.append(
-                            f"{where}{replica.node_id} and {seen[0]} disagree on the "
-                            f"result of {(client_id, timestamp)}"
-                        )
-                self._offsets[replica.node_id] = len(executed)
+                        firsts[timestamp] = (node_id, result)
+                    elif seen[1] != result:
+                        if seen[0] == node_id:
+                            self._violations.append(
+                                f"{where}{node_id} executed {(client_id, timestamp)} twice "
+                                f"with different results (duplicate not served from the "
+                                f"reply cache)"
+                            )
+                        else:
+                            self._violations.append(
+                                f"{where}{node_id} and {seen[0]} disagree on the "
+                                f"result of {(client_id, timestamp)}"
+                            )
+                self._offsets[node_id] = len(executed)
         return list(self._violations)
 
 

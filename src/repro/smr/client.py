@@ -120,7 +120,7 @@ class Session:
         self.rules = dict(self.config.rules)
 
 
-@dataclass
+@dataclass(slots=True)
 class CompletedRequest:
     """Latency record for one completed request."""
 
@@ -475,27 +475,37 @@ class Client(Node):
         """Hook: called when a request is abandoned after repeated rejects."""
 
     def _on_reply(self, src: str, reply: Reply) -> None:
-        pending = self._pending.get(reply.timestamp)
-        if pending is None:
-            return
-        if reply.client_id != self.node_id:
-            return
-        if src not in pending.session.config.members:
-            # Only the group the request went to has a say over it: not
-            # another shard's replicas, not another client's identity.
-            return
-        if not self._window_verifier.verify(reply.replica_id, reply):
-            return
-        if reply.replica_id != src:
-            # A replica relaying someone else's reply is not acceptable.
-            return
+        """Count one replica's signed reply toward each request it answers.
 
-        result_key = reply.result_digest()
-        voters = pending.votes.setdefault(result_key, set())
-        voters.add(reply.replica_id)
-
-        if self._is_acceptable(reply, voters, pending):
-            self._complete(reply, pending)
+        The reply is checked once — addressed to this client, sent by the
+        replica that signed it, from a member of the group each answered
+        request went to, with a valid signature — and the signature is not
+        checked at all when none of its requests is still pending.  Each
+        entry then gets its own vote under its session's rule.
+        """
+        if reply.client_id != self.node_id or reply.replica_id != src:
+            # Not this client's, or a replica relaying someone else's reply.
+            return
+        pending_requests = self._pending
+        live = []
+        for timestamp, result, result_key in reply.entries():
+            pending = pending_requests.get(timestamp)
+            if pending is None:
+                continue
+            if src not in pending.session.config.members:
+                # Only the group the request went to has a say over it: not
+                # another shard's replicas, not another client's identity.
+                return
+            live.append((pending, result, result_key))
+        if not live or not self._window_verifier.verify(src, reply):
+            return
+        for pending, result, result_key in live:
+            if pending_requests.get(pending.request.timestamp) is not pending:
+                continue  # completed by an earlier entry: a reply built in memory may repeat one
+            voters = pending.votes.setdefault(result_key, set())
+            voters.add(src)
+            if self._is_acceptable(reply, voters, pending):
+                self._complete(reply, pending, result, result_key)
 
     def _is_acceptable(self, reply: Reply, voters: set, pending: _PendingRequest) -> bool:
         session = pending.session
@@ -507,7 +517,7 @@ class Client(Node):
             return True
         return len(voters) >= (retransmit_quorum if pending.retransmitted else quorum)
 
-    def _flag_minority_replies(self, reply: Reply, pending) -> None:
+    def _flag_minority_replies(self, accepted_key: str, pending) -> None:
         """Evidence: replicas whose signed result the accepted quorum contradicts.
 
         Any replica that signed a *different* result for this request is
@@ -516,7 +526,6 @@ class Client(Node):
         dropped.
         """
         votes = pending.votes
-        accepted_key = reply.result_digest()
         if len(votes) == 1 and accepted_key in votes:
             # Fast path: every reply agreed (the accepted key is always in
             # the vote map — _on_reply records it before completing).
@@ -531,8 +540,11 @@ class Client(Node):
                     detail=f"timestamp={pending.request.timestamp}",
                 )
 
-    def _complete(self, reply: Reply, pending: _PendingRequest) -> None:
-        self._flag_minority_replies(reply, pending)
+    def _complete(
+        self, reply: Reply, pending: _PendingRequest, result: Any, result_key: str
+    ) -> None:
+        """Accept ``result`` (digest ``result_key``), an entry of ``reply``, for ``pending``."""
+        self._flag_minority_replies(result_key, pending)
         # Track the view/mode the group reports so future requests go to
         # the right primary after view changes and mode switches.
         session = pending.session
@@ -544,7 +556,7 @@ class Client(Node):
             self._busy_resends.pop(timestamp, None)
         self._schedule_timer()
         if pending.on_result is not None:
-            pending.on_result(reply.result)
+            pending.on_result(result)
             return
         record = CompletedRequest(
             timestamp=timestamp,

@@ -15,7 +15,7 @@ each client's table length (:class:`ExecutorCut`), not a copy of them.
 from __future__ import annotations
 
 from itertools import islice
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.smr.state_machine import Operation, StateMachine
 
@@ -40,6 +40,40 @@ class ExecutionResult(NamedTuple):
     client_id: str
     timestamp: int
     result: Any
+
+
+class ExecutionHistory:
+    """Every execution in order, flattened into one list of their four fields.
+
+    Reads like a list of :class:`ExecutionResult` — ``len``, iteration and
+    slicing build them on demand — at four references per execution instead
+    of a tuple each: in a long run the history is the largest thing a
+    replica keeps.
+    """
+
+    __slots__ = ("_fields",)
+
+    def __init__(self) -> None:
+        self._fields: List[Any] = []
+
+    def append(self, execution: ExecutionResult) -> None:
+        self._fields.extend(execution)
+
+    def extend(self, executions: Iterable[ExecutionResult]) -> None:
+        for execution in executions:
+            self._fields.extend(execution)
+
+    def __len__(self) -> int:
+        return len(self._fields) // 4
+
+    def __iter__(self) -> Iterator[ExecutionResult]:
+        fields = iter(self._fields)
+        return map(ExecutionResult, fields, fields, fields, fields)
+
+    def __getitem__(self, index: slice) -> List[ExecutionResult]:
+        start, stop, _ = index.indices(len(self))
+        fields = iter(self._fields[4 * start : 4 * stop])
+        return list(map(ExecutionResult, fields, fields, fields, fields))
 
 
 class ExecutorCut(NamedTuple):
@@ -75,7 +109,7 @@ class OrderedExecutor:
         self._pending: Dict[int, List[BatchEntry]] = {}
         self._next_sequence = 1
         self._replies: Dict[str, Dict[int, Any]] = {}
-        self._executed: List[ExecutionResult] = []
+        self._executed = ExecutionHistory()
         self._checkpoint_interval: Optional[int] = None
         self._checkpoint_callback: Optional[Any] = None
 
@@ -114,7 +148,7 @@ class OrderedExecutor:
         return self._next_sequence - 1
 
     @property
-    def executed(self) -> List[ExecutionResult]:
+    def executed(self) -> ExecutionHistory:
         """Every execution in order (grows; callers must not mutate)."""
         return self._executed
 
@@ -167,11 +201,12 @@ class OrderedExecutor:
         executed = self._executed
         apply = self._state_machine.apply
         record = performed.append
-        record_all = executed.append
+        record_all = executed._fields.extend
         # tuple.__new__ bypasses the namedtuple's generated __new__ (an
         # eval'd lambda with keyword binding): one ExecutionResult is
         # allocated per executed request per replica, the single hottest
-        # allocation in the repository.
+        # allocation in the repository.  The history keeps its four fields,
+        # not the tuple.
         tuple_new = tuple.__new__
         result_cls = ExecutionResult
         while self._next_sequence in pending:

@@ -16,7 +16,7 @@ the generated methods.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.crypto.digest import (
     DIGEST_CACHE_ATTR,
@@ -33,6 +33,7 @@ from repro.wire.primitives import (
     TAG_REQUEST,
     WireDecodeError,
     read_digest,
+    read_i64,
     read_str,
     read_u16,
     read_u32,
@@ -259,6 +260,15 @@ class Request(ProtocolMessage):
     SIZE = _SIGNED_BYTES
 
 
+def _payload_size(result: Any) -> int:
+    """Modeled bytes a result adds to its reply: a dict result's string ``payload``."""
+    if isinstance(result, dict):
+        payload = result.get("payload", "")
+        if isinstance(payload, str):
+            return len(payload)
+    return 0
+
+
 def _read_result(buf: bytes, off: int, end: int) -> Tuple[OpaqueResult, int]:
     result_digest, off = read_digest(buf, off, end)
     return OpaqueResult(result_digest), off
@@ -270,13 +280,58 @@ _RESULT = Kind(
     arg="self.result_digest()",
     read="read_result",
     json="self.result_digest()",
-    size="self.result_payload_size()",
-    names={"read_result": _read_result},
+    size="payload_size(self.result)",
+    names={"read_result": _read_result, "payload_size": _payload_size},
+)
+
+
+def _more_size(more: Sequence[Tuple[int, Any]]) -> int:
+    """Modeled bytes of the tail: a count, then a timestamp and a digest per entry."""
+    return 4 + sum(40 + _payload_size(result) for _, result in more) if more else 0
+
+
+def _read_more(
+    buf: bytes, off: int, end: int, timestamp: int
+) -> Tuple[Tuple[Tuple[int, OpaqueResult], ...], int]:
+    if off == end:
+        return (), off
+    count, off = read_u32(buf, off, end)
+    if not count:
+        # A one-entry reply has no tail, so an empty one is never encoded.
+        raise WireDecodeError("reply frame carries an empty tail")
+    seen = {timestamp}
+    more = []
+    for _ in range(count):
+        entry_timestamp, off = read_i64(buf, off, end)
+        if entry_timestamp in seen:
+            raise WireDecodeError(f"reply frame answers timestamp {entry_timestamp} twice")
+        seen.add(entry_timestamp)
+        entry_digest, off = read_digest(buf, off, end)
+        more.append((entry_timestamp, OpaqueResult(entry_digest)))
+    return tuple(more), off
+
+
+#: The ``(timestamp, result)`` entries of a reply after its first, each
+#: result signed as its digest; absent from the frame when there are none.
+_MORE = Kind(
+    "(count u32 \\| (timestamp i64 \\| dig)*), omitted when empty",
+    arg="[(each, result_digest(result)) for each, result in {v}]",
+    read="read_more",
+    read_after=("timestamp",),
+    json="[(each, result_digest(result)) for each, result in {v}]",
+    size="more_size({v})",
+    names={"read_more": _read_more, "result_digest": result_digest, "more_size": _more_size},
 )
 
 
 class Reply(ProtocolMessage):
-    """Reply to a client: ``<REPLY, mode, view, ts, result>`` signed by the replica."""
+    """Reply to a client: ``<REPLY, mode, view, ts, result>`` signed by the replica.
+
+    One reply answers every request of its client that executed in one slot:
+    ``timestamp`` / ``result`` is the first, ``more`` holds the rest as
+    ``(timestamp, result)`` pairs (empty for a one-request reply, whose
+    frame, digest and modeled size are those of a reply without the field).
+    """
 
     TAG = TAG_REPLY
     FIELDS = (
@@ -286,12 +341,13 @@ class Reply(ProtocolMessage):
         Field("client_id", STR),
         Field("replica_id", STR),
         Field("result", _RESULT),
+        Field("more", _MORE, default=()),
     )
     ENCODER = "encode_reply"
     SIZE = _SIGNED_BYTES + 16
 
     def result_digest(self) -> str:
-        """Digest of the execution result (what clients match replies on).
+        """Digest of the first entry's result (what clients match replies on).
 
         Cached on the reply (computed at sign time, reused by the client);
         invalidated with the other wire caches on mutation or copy.
@@ -304,12 +360,12 @@ class Reply(ProtocolMessage):
             instance_dict[HAS_CACHE_FLAG] = True
         return cached
 
-    def result_payload_size(self) -> int:
-        if isinstance(self.result, dict):
-            payload = self.result.get("payload", "")
-            if isinstance(payload, str):
-                return len(payload)
-        return 0
+    def entries(self) -> List[Tuple[int, Any, str]]:
+        """``(timestamp, result, result digest)`` of every request answered, in order."""
+        entries = [(self.timestamp, self.result, self.result_digest())]
+        for timestamp, result in self.more:
+            entries.append((timestamp, result, result_digest(result)))
+        return entries
 
 
 class Busy(ProtocolMessage):
@@ -384,8 +440,8 @@ class Batch(ProtocolMessage):
     standard PBFT-style throughput lever.  The batch itself is unsigned: the
     ordering message that carries it (``PREPARE`` / ``PRE-PREPARE``) is
     signed by the primary, and each inner request keeps its own client
-    signature.  Replicas commit the batch as a unit and fan replies out per
-    request after execution.
+    signature.  Replicas commit the batch as a unit and, after execution,
+    send each client one reply answering all of its requests in the batch.
     """
 
     TAG = TAG_BATCH

@@ -17,7 +17,7 @@ still being ordered is not ordered twice.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Type
+from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
 from hashlib import sha256
 
@@ -206,7 +206,8 @@ class ReplicaBase(Node):
             view: the view in which the commit happened (for the ledger).
             send_reply: whether this replica should reply to the client for
                 executions performed now (primaries/proxies do, passive
-                replicas do not).  Replies fan out per inner request.
+                replicas do not).  Each client gets one reply per executed
+                slot, answering all of its requests in that slot.
             mode_id: protocol mode identifier carried in replies.
 
         Returns:
@@ -228,11 +229,16 @@ class ReplicaBase(Node):
         slot.committed = True
         executions = self.executor.commit_batch(sequence, entries, owned=True)
         # All executions of one drained sequence share their slot, so the
-        # slot probe is hoisted out of the per-request loop.
+        # slot probe is hoisted out of the per-request loop; replies are
+        # gathered per client over one slot and sent when the slot is done.
         marked_sequence = None
+        answered: Dict[str, Dict[int, Any]] = {}
         for execution in executions:
-            executed_sequence = execution.sequence
+            executed_sequence, client_id, timestamp, result = execution
             if executed_sequence != marked_sequence:
+                if answered:
+                    self._send_replies(answered, mode_id)
+                    answered = {}
                 marked_sequence = executed_sequence
                 executed_slot = self.slots.existing_slot(executed_sequence)
                 if executed_slot is not None:
@@ -242,26 +248,44 @@ class ReplicaBase(Node):
                     if executed_slot.request is not None:
                         executed_slot.request.release_wire_frames()
             if send_reply:
-                self.send_reply(
-                    execution.client_id, execution.timestamp, execution.result, mode_id
-                )
+                results = answered.get(client_id)
+                if results is None:
+                    answered[client_id] = {timestamp: result}
+                else:
+                    results[timestamp] = result
+        if answered:
+            self._send_replies(answered, mode_id)
         return executions
 
-    def send_reply(self, client_id: str, timestamp: int, result: Any, mode_id: int = 0) -> None:
-        """Send a signed reply to the client.
+    def _send_replies(self, answered: Dict[str, Dict[int, Any]], mode_id: int) -> None:
+        """One reply per client, answering its requests of one executed slot in order."""
+        for client_id, results in answered.items():
+            entries = iter(results.items())
+            timestamp, result = next(entries)
+            self.send_reply(client_id, timestamp, result, mode_id, tuple(entries))
 
-        Fused hot path: one reply goes out per executed request per replying
-        replica, so the wire frame, content digest, wire size, and signature
-        are built in a single pass here and seeded into the message —
-        exactly the values ``sign()``/``wire_slice()`` would compute lazily,
-        without the intermediate frames.
+    def send_reply(
+        self,
+        client_id: str,
+        timestamp: int,
+        result: Any,
+        mode_id: int = 0,
+        more: Tuple[Tuple[int, Any], ...] = (),
+    ) -> None:
+        """Send a signed reply to the client; ``more`` are further ``(timestamp, result)`` entries.
+
+        Fused hot path: one reply goes out per client per executed slot per
+        replying replica, so the wire frame, content digest, wire size, and
+        signature are built in a single pass here and seeded into the
+        message — exactly the values ``sign()``/``wire_slice()`` would
+        compute lazily, without the intermediate frames.
         """
         digest_of_result = result_digest(result)
+        more_digests = [(each, result_digest(outcome)) for each, outcome in more]
         frame = encode_reply(
-            mode_id, self.view, timestamp, client_id, self.node_id, digest_of_result
+            mode_id, self.view, timestamp, client_id, self.node_id, digest_of_result, more_digests
         )
         content_digest = sha256(frame).hexdigest()
-        payload = result.get("payload", "") if type(result) is dict else None
         reply = Reply(
             mode=mode_id,
             view=self.view,
@@ -269,14 +293,10 @@ class ReplicaBase(Node):
             client_id=client_id,
             replica_id=self.node_id,
             result=result,
+            more=more,
             signature=self.signer.sign_digest(content_digest),
         )
-        reply.seed_wire_caches(
-            frame,
-            content_digest,
-            128 + (len(payload) if type(payload) is str else 0),
-            digest_of_result,
-        )
+        reply.seed_wire_caches(frame, content_digest, reply.wire_size(), digest_of_result)
         self.replies_sent += 1
         self.send(client_id, reply)
 

@@ -13,7 +13,8 @@ from that, the way :mod:`dataclasses` builds ``__init__``:
 * ``from_buffer(buf, off, end)``, its inverse over the window ``[off, end)`` of
   a buffer, registered by tag for :func:`decode`: one bounds check and one
   ``unpack_from`` for the head, one ``read_x(buf, off, end)`` call per other
-  field, and the window must be consumed exactly;
+  field (also handed the earlier fields its kind names in ``read_after``),
+  and the window must be consumed exactly;
 * ``signing_content()``, the JSON-shaped form the differential tests keep
   as their reference;
 * ``wire_size()``, the simulator's modeled size;
@@ -77,6 +78,7 @@ class Kind:
     head: str = ""
     pack: str = ""  # bytes expression, for frames assembled inline
     read: str = ""  # name of a ``(buf, off, end) -> (value, next_off)`` function
+    read_after: Tuple[str, ...] = ()  # earlier frame fields the reader also takes
     arg: str = "{v}"  # argument(s) handed to a pinned ``ENCODER``
     json: str = "{v}"  # value in ``signing_content()``
     size: str = ""  # variable term of ``wire_size()``
@@ -295,7 +297,9 @@ def derive(cls: type) -> None:
         ", ".join(["_"] + [field.name for field in head]) + " = head.unpack_from(buf, off)",
         f"off += {size}",
     ]
-    reads += [f"{field.name}, off = {field.kind.read}(buf, off, end)" for field in tail]
+    for field in tail:
+        args = ", ".join(("buf", "off", "end") + field.kind.read_after)
+        reads.append(f"{field.name}, off = {field.kind.read}({args})")
     reads.append("if off != end: raise WireDecodeError(f'{end - off} trailing bytes after frame')")
     given = [f"{field.name}={field.name}" for field in framed]
     given += [

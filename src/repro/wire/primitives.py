@@ -55,6 +55,7 @@ TAG_CHECKPOINT = 0x16
 
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
+_I64 = struct.Struct("<q")
 REQUEST_HEAD = struct.Struct("<Bq")
 REPLY_HEAD = struct.Struct("<Bqqq")
 VOTE_HEAD = struct.Struct("<Bqqq")
@@ -170,23 +171,38 @@ def encode_batch(request_frames: Sequence[bytes]) -> bytes:
 
 
 def encode_reply(
-    mode: int, view: int, timestamp: int, client_id: str, replica_id: str, result_digest: str
+    mode: int,
+    view: int,
+    timestamp: int,
+    client_id: str,
+    replica_id: str,
+    result_digest: str,
+    more: Sequence[Tuple[int, str]] = (),
 ) -> bytes:
-    # One reply is encoded per executed request per replying replica, so
-    # pack_str is inlined here too.
+    """A reply frame; ``more`` are the ``(timestamp, result digest)`` entries after the first.
+
+    A one-entry reply has no tail at all; further entries ride one
+    ``count u32 | (timestamp i64 | dig)*`` tail with ``count >= 1``.
+    """
+    # One reply is encoded per client per executed slot per replying
+    # replica, so pack_str is inlined here too.
     u32 = _U32.pack
     client_raw = client_id.encode("utf-8")
     replica_raw = replica_id.encode("utf-8")
-    return b"".join(
-        (
-            REPLY_HEAD.pack(TAG_REPLY, mode, view, timestamp),
-            u32(len(client_raw)),
-            client_raw,
-            u32(len(replica_raw)),
-            replica_raw,
-            pack_digest(result_digest),
-        )
-    )
+    parts = [
+        REPLY_HEAD.pack(TAG_REPLY, mode, view, timestamp),
+        u32(len(client_raw)),
+        client_raw,
+        u32(len(replica_raw)),
+        replica_raw,
+        pack_digest(result_digest),
+    ]
+    if more:
+        parts.append(u32(len(more)))
+        for entry_timestamp, entry_digest in more:
+            parts.append(_I64.pack(entry_timestamp))
+            parts.append(pack_digest(entry_digest))
+    return b"".join(parts)
 
 
 def encode_vote(tag: int, view: int, sequence: int, mode: int, digest: str) -> bytes:
@@ -227,6 +243,13 @@ def read_u32(buf: bytes, off: int, end: int) -> Tuple[int, int]:
     if stop > end:
         raise truncated(4, off, end)
     return _U32.unpack_from(buf, off)[0], stop
+
+
+def read_i64(buf: bytes, off: int, end: int) -> Tuple[int, int]:
+    stop = off + 8
+    if stop > end:
+        raise truncated(8, off, end)
+    return _I64.unpack_from(buf, off)[0], stop
 
 
 def read_window(buf: bytes, off: int, end: int) -> Tuple[int, int]:

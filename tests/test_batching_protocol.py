@@ -163,7 +163,7 @@ class TestLingerOnlyWhileArrivalsAreDue:
         assert batched.mean_latency_ms < unbatched.mean_latency_ms + half_linger_ms
 
     @pytest.mark.parametrize(
-        "mode, completed", [(Mode.LION, 8720), (Mode.DOG, 5664), (Mode.PEACOCK, 5347)]
+        "mode, completed", [(Mode.LION, 11104), (Mode.DOG, 10672), (Mode.PEACOCK, 9248)]
     )
     def test_a_saturating_client_commits_what_it_did_before(self, mode, completed):
         assert self.run(mode, self.POLICY, client_window=32).completed == completed

@@ -11,7 +11,9 @@ behaviour:
   proposal arrives first and detect the conflict on the slot;
 * a correct Peacock proxy refuses the second, conflicting assignment;
 * every Byzantine strategy (equivocate / lie / corrupt) is absorbed in
-  all three modes while batching is active.
+  all three modes while batching is active;
+* a lying proxy forges every entry of a reply that answers several
+  requests, and no client accepts any of them.
 """
 
 import pytest
@@ -22,7 +24,8 @@ from repro.core import messages as msgs
 from repro.faults import make_byzantine, make_equivocating
 from repro.faults.byzantine import tampered_payload
 from repro.smr.ledger import assert_ledgers_consistent
-from repro.smr.messages import Batch, Request
+from repro.scenarios.invariants import NoForgedReplies
+from repro.smr.messages import Batch, Reply, Request
 from repro.smr.replica import request_digest
 from repro.smr.state_machine import Operation
 from repro.workload import Workload
@@ -194,3 +197,39 @@ def test_byzantine_backup_tolerated_under_batching(mode, strategy):
         for size in replica.batcher.proposed_batch_sizes
     ]
     assert any(size > 1 for size in batch_sizes), "batching must actually have engaged"
+
+
+@pytest.mark.integration
+@pytest.mark.parametrize("mode", [Mode.DOG, Mode.PEACOCK], ids=lambda mode: mode.name.lower())
+def test_a_lying_proxy_forges_every_entry_and_no_client_accepts_one(mode):
+    """A grouped reply carries several requests' results; the lie covers them all."""
+    deployment = build(mode, num_clients=1, client_window=8)
+    checker = NoForgedReplies()
+    checker.attach(deployment)
+    config = deployment.group().config
+    primary = config.primary_of_view(0, mode)
+    liar = deployment.group().replica(
+        next(r for r in config.public_replicas if r != primary)
+    )
+    lies = []
+    honest_send = liar.send
+
+    def recording_send(dst, payload):
+        if isinstance(payload, Reply):
+            lies.append(payload)
+        honest_send(dst, payload)
+
+    liar.send = recording_send
+    make_byzantine(deployment.group(), liar.node_id, "lie")
+    deployment.start_clients()
+    deployment.simulator.run(until=0.3)
+    deployment.stop_clients()
+    deployment.simulator.run(until=0.4)
+
+    forged = {"ok": False, "value": "forged-by-" + liar.node_id}
+    assert any(lie.more for lie in lies), "some reply must answer several requests"
+    assert all(result == forged for lie in lies for _, result, _ in lie.entries())
+    ((client_id, accepted),) = checker._accepted.items()
+    assert len(accepted) == deployment.metrics.completed > 100
+    assert all(result != forged for _, result in accepted.values())
+    assert checker.finalize(deployment) == []

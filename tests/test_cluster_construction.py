@@ -216,7 +216,10 @@ def test_conformance_sim_leg_builds_what_build_seemore_builds(mode):
         client_timeout=0.2,
         max_batch=8,
     )
-    deployment = build_seemore(mode=mode, batch_policy=BatchPolicy(max_batch=8))
+    deployment = build_seemore(
+        mode=mode,
+        batch_policy=BatchPolicy(max_batch=8, pipeline_depth=conformance.PROC_PIPELINE_DEPTH),
+    )
     assert client.request_timeout == deployment.clients[0].request_timeout
     assert list(replicas) == list(deployment.replicas)
     for replica_id, replica in replicas.items():

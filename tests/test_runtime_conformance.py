@@ -15,6 +15,7 @@ from repro.core import Mode
 from repro.runtime.aio import MAX_FRAME_BYTES, AioRuntime, encode_envelope
 from repro.runtime.conformance import check_mode, oracle_cluster, run_aio, run_proc
 from repro.smr.messages import Request
+from repro.smr.replica import ReplicaBase
 from repro.smr.state_machine import Operation
 
 REQUESTS = 40
@@ -45,6 +46,20 @@ def test_dog_conforms_on_aio_at_f2():
     assert summary["tolerance"] == 2
     assert summary["common_prefix"] >= REQUESTS
     assert summary["real_committed"] >= REQUESTS
+
+
+def test_a_reply_entry_lost_on_the_wire_fails_the_oracle(monkeypatch):
+    """A grouped reply that drops its tail is rescued by retransmission, and caught."""
+    assert check_mode(Mode.LION, num_requests=REQUESTS, window=8, max_batch=8,
+                      timeout=30.0)["client_retransmits"] == 0
+    send_reply = ReplicaBase.send_reply
+
+    def first_entry_only(self, client_id, timestamp, result, mode_id=0, more=()):
+        send_reply(self, client_id, timestamp, result, mode_id)
+
+    monkeypatch.setattr(ReplicaBase, "send_reply", first_entry_only)
+    with pytest.raises(AssertionError, match=r"\[LION\] the sim client retransmitted"):
+        check_mode(Mode.LION, num_requests=REQUESTS, window=8, max_batch=8, timeout=30.0)
 
 
 def test_aio_loopback_smoke():

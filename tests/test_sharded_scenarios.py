@@ -166,7 +166,7 @@ class TestNoForgedRepliesOnShards:
         pending = client._pending[timestamp]
         sender = sorted(session.rules[session.known_mode].trusted or session.config.members)[0]
         reply = Reply(session.known_mode, 0, timestamp, client.node_id, sender, result)
-        client._complete(reply, pending)
+        client._complete(reply, pending, result, reply.result_digest())
 
     def test_two_different_results_for_one_timestamp_are_flagged(self):
         checker = NoForgedReplies()

@@ -12,6 +12,7 @@ from repro.smr import (
     Operation,
     OrderedExecutor,
 )
+from repro.smr.executor import ExecutionResult
 from repro.smr.ledger import assert_ledgers_consistent, find_safety_violations
 from repro.smr.messages import Request
 from repro.smr.state_machine import StateMachine
@@ -217,6 +218,24 @@ class TestOrderedExecutor:
         for seq in (3, 1, 2):
             self.executor.commit(seq, "c1", seq, Operation("add", (seq,)))
         assert [e.sequence for e in self.executor.executed] == [1, 2, 3]
+
+    def test_executed_history_reads_like_a_list_of_executions(self):
+        self.executor.commit_batch(1, [("c1", 1, Operation("add", (1,))),
+                                       ("c2", 7, Operation("add", (2,)))])
+        self.executor.commit(2, "c1", 2, Operation("add", (3,)))
+        history = self.executor.executed
+        expected = [
+            ExecutionResult(1, "c1", 1, {"ok": True, "value": 1}),
+            ExecutionResult(1, "c2", 7, {"ok": True, "value": 3}),
+            ExecutionResult(2, "c1", 2, {"ok": True, "value": 6}),
+        ]
+        assert len(history) == 3
+        assert list(history) == expected
+        assert history[1:] == expected[1:]
+        assert history[:-1] == expected[:2]
+        assert history[5:] == []
+        history.extend([ExecutionResult(3, "c3", 1, None)])
+        assert history[3:] == [(3, "c3", 1, None)]
 
 
 class NoneResults(StateMachine):

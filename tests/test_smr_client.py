@@ -40,7 +40,7 @@ class ScriptedReplica(Node):
 
 
 def build_harness(replica_specs, replies_needed=1, trusted=frozenset(), timeout=0.05,
-                  retransmit_replies_needed=None):
+                  retransmit_replies_needed=None, window=1):
     simulator = Simulator()
     network = Network(simulator, latency_model=UniformLatencyModel(base=0.001, jitter=0.0))
     keystore = KeyStore()
@@ -81,6 +81,7 @@ def build_harness(replica_specs, replies_needed=1, trusted=frozenset(), timeout=
         operation_factory=lambda ts: Operation("noop"),
         recorder=metrics,
         max_requests=3,
+        window=window,
     )
     network.register(client)
     return simulator, client, replicas, metrics
@@ -228,3 +229,99 @@ class TestClientValidation:
         (session,) = client.sessions
         assert session.known_view == 3
         assert session.known_mode == 2
+
+
+class TestGroupedReplies:
+    """One reply answers every request of its client that executed in one slot."""
+
+    @staticmethod
+    def silent_harness(**kwargs):
+        """Three requests pending on silent replicas r0 / r1; replies are handed in."""
+        specs = [{"id": "r0", "respond": False}, {"id": "r1", "respond": False}]
+        sim, client, replicas, metrics = build_harness(specs, window=3, **kwargs)
+        client.start()
+        assert sorted(client._pending) == [1, 2, 3]
+        return client, replicas
+
+    @staticmethod
+    def grouped(replica, timestamps, client_id="client-0", replica_id=None, result=None):
+        result = result if result is not None else {"ok": True}
+        first, *rest = timestamps
+        reply = Reply(
+            mode=0,
+            view=0,
+            timestamp=first,
+            client_id=client_id,
+            replica_id=replica_id or replica.node_id,
+            result=result,
+            more=tuple((timestamp, result) for timestamp in rest),
+        )
+        return reply.sign(replica.signer)
+
+    def test_one_replicas_grouped_reply_is_one_vote_per_entry(self):
+        client, replicas = self.silent_harness(replies_needed=2)
+        client.handle_message("r0", self.grouped(replicas["r0"], [1, 2, 3]))
+        assert client.completed_count == 0
+        for timestamp in (1, 2, 3):
+            assert [set(voters) for voters in client._pending[timestamp].votes.values()] == [
+                {"r0"}
+            ]
+        client.handle_message("r1", self.grouped(replicas["r1"], [3, 1, 2]))
+        assert client.completed_count == 3
+        assert sorted(record.timestamp for record in client.completed) == [1, 2, 3]
+
+    def test_an_entry_for_a_timestamp_not_pending_is_ignored(self):
+        client, replicas = self.silent_harness()
+        client.handle_message("r0", self.grouped(replicas["r0"], [2, 99]))
+        assert [record.timestamp for record in client.completed] == [2]
+        assert sorted(client._pending) == [1, 3]
+
+    def test_a_repeated_entry_completes_its_request_once(self):
+        # Only a reply built in memory can repeat a timestamp; no frame does.
+        client, replicas = self.silent_harness()
+        client.handle_message("r0", self.grouped(replicas["r0"], [1, 1, 2]))
+        assert sorted(record.timestamp for record in client.completed) == [1, 2]
+
+    def test_a_reply_whose_entries_are_all_stale_is_never_verified(self):
+        client, replicas = self.silent_harness()
+        calls = []
+        verify = client._window_verifier.verify
+        client._window_verifier.verify = lambda *args: calls.append(args) or verify(*args)
+        client.handle_message("r0", self.grouped(replicas["r0"], [40, 41, 42]))
+        assert calls == []
+        client.handle_message("r0", self.grouped(replicas["r0"], [40, 1]))
+        assert len(calls) == 1
+        assert client.completed_count == 1
+
+    def test_a_reply_naming_another_client_is_ignored_whole(self):
+        client, replicas = self.silent_harness()
+        client.handle_message("r0", self.grouped(replicas["r0"], [1, 2], client_id="client-9"))
+        assert client.completed_count == 0
+        assert all(not pending.votes for pending in client._pending.values())
+
+    def test_a_reply_from_a_non_member_is_ignored_whole(self):
+        client, replicas = self.silent_harness()
+        client.sessions[0].config.members = frozenset({"r0"})
+        client.handle_message("r1", self.grouped(replicas["r1"], [1, 2, 3]))
+        assert client.completed_count == 0
+        assert all(not pending.votes for pending in client._pending.values())
+
+    def test_a_reply_relayed_for_another_replica_is_ignored_whole(self):
+        client, replicas = self.silent_harness()
+        client.handle_message("r0", self.grouped(replicas["r1"], [1, 2, 3]))
+        assert client.completed_count == 0
+        assert all(not pending.votes for pending in client._pending.values())
+
+    def test_a_bad_signature_rejects_every_entry(self):
+        client, replicas = self.silent_harness()
+        forged = self.grouped(replicas["r0"], [1, 2, 3])
+        forged.more = ((2, {"ok": False}), (3, {"ok": True}))  # content no longer signed
+        client.handle_message("r0", forged)
+        assert client.completed_count == 0
+        assert all(not pending.votes for pending in client._pending.values())
+
+    def test_a_trusted_replica_completes_all_its_entries_with_one_reply(self):
+        # Lion: one reply from the trusted private primary is enough.
+        client, replicas = self.silent_harness(replies_needed=2, trusted=frozenset({"r0"}))
+        client.handle_message("r0", self.grouped(replicas["r0"], [1, 2, 3]))
+        assert sorted(record.timestamp for record in client.completed) == [1, 2, 3]

@@ -17,6 +17,7 @@ here hold:
 """
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,7 +35,13 @@ from repro.crypto.digest import digest_bytes, digest_of
 from repro.smr.messages import Batch, Reply, Request
 from repro.smr.state_machine import Operation
 from repro.wire.codec import OpaqueResult, decode, encode
-from repro.wire.primitives import MAX_VALUE_DEPTH, WireDecodeError, pack_value
+from repro.wire.primitives import (
+    _U32,
+    MAX_VALUE_DEPTH,
+    WireDecodeError,
+    encode_reply,
+    pack_value,
+)
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -502,6 +509,103 @@ class TestRejection:
         request = Request(Operation("op", (value,)), timestamp=1, client_id="c")
         assert decode(encode(request)).operation.args == (value,)
         assert encode(request).endswith(pack_value(value) + b"\x00" * 4)
+
+
+# ---------------------------------------------------------------------------
+# grouped replies: one reply per client per executed slot
+# ---------------------------------------------------------------------------
+
+GOLDEN_REPLY = json.loads(
+    (Path(__file__).resolve().parent / "data" / "wire_golden.json").read_text()
+)["Reply"]
+
+RESULTS = st.one_of(
+    st.none(),
+    st.integers(),
+    TEXT,
+    st.dictionaries(IDENTIFIER, st.one_of(st.integers(), TEXT, st.booleans()), max_size=3),
+)
+
+
+@st.composite
+def grouped_replies(draw, min_entries=1):
+    """A reply answering 1-32 distinct timestamps, each with its own result."""
+    timestamps = draw(st.lists(I64, min_size=min_entries, max_size=32, unique=True))
+    (first, result), *more = [(timestamp, draw(RESULTS)) for timestamp in timestamps]
+    return Reply(
+        mode=draw(I64),
+        view=draw(I64),
+        timestamp=first,
+        client_id=draw(IDENTIFIER),
+        replica_id=draw(IDENTIFIER),
+        result=result,
+        more=tuple(more),
+    )
+
+
+def reply_frame(more, timestamp=7):
+    return encode_reply(1, 2, timestamp, "client-0", "p0", "ab" * 32, more)
+
+
+class TestGroupedReplyFrames:
+    @given(reply=grouped_replies())
+    @settings(derandomize=True, max_examples=200)
+    def test_a_grouped_frame_decodes_to_what_reencodes_it(self, reply):
+        frame = encode(reply)
+        twin = decode(frame)
+        assert encode(twin) == frame
+        assert digest_of(twin) == digest_of(reply)
+        assert [(timestamp, key) for timestamp, _, key in twin.entries()] == [
+            (timestamp, key) for timestamp, _, key in reply.entries()
+        ]
+
+    @given(reply=grouped_replies(min_entries=2), data=st.data())
+    @settings(derandomize=True, max_examples=200)
+    def test_a_cut_inside_the_tail_is_rejected(self, reply, data):
+        """Only a cut at the first entry's end decodes: a different, one-entry frame."""
+        frame = encode(reply)
+        head = len(encode(Reply(reply.mode, reply.view, reply.timestamp, reply.client_id,
+                                reply.replica_id, reply.result)))
+        cut = data.draw(st.integers(min_value=head, max_value=len(frame) - 1))
+        if cut == head:
+            assert digest_bytes(frame[:cut]) != digest_bytes(frame)
+            return
+        with pytest.raises(WireDecodeError):
+            decode(frame[:cut])
+
+    def test_a_one_entry_frame_is_the_golden_reply_frame(self):
+        reply = Reply(1, 2, 7, "client-0", "p0", {"ok": True, "value": 1}, more=())
+        assert encode(reply).hex() == GOLDEN_REPLY["frame"]
+        assert digest_of(reply) == GOLDEN_REPLY["digest"]
+        assert reply.wire_size() == Reply.SIZE
+        assert decode(bytes.fromhex(GOLDEN_REPLY["frame"])).more == ()
+
+    def test_further_entries_add_to_the_modeled_size(self):
+        payload = {"ok": True, "payload": "x" * 10}
+        reply = Reply(1, 2, 7, "client-0", "p0", payload, more=((8, payload), (9, None)))
+        assert reply.wire_size() == Reply.SIZE + 10 + 4 + (40 + 10) + 40
+
+    def test_a_repeated_timestamp_is_rejected(self):
+        with pytest.raises(WireDecodeError, match="timestamp 8 twice"):
+            decode(reply_frame([(8, "cd" * 32), (8, "cd" * 32)]))
+        with pytest.raises(WireDecodeError, match="timestamp 7 twice"):
+            decode(reply_frame([(7, "cd" * 32)]))
+
+    def test_an_empty_tail_is_rejected(self):
+        with pytest.raises(WireDecodeError, match="empty tail"):
+            decode(reply_frame(()) + _U32.pack(0))
+
+    def test_a_truncated_entry_is_rejected(self):
+        frame = reply_frame([(8, "cd" * 32), (9, "ef" * 32)])
+        for cut in (1, 32, 33, 33 + 1, 33 + 8):
+            with pytest.raises(WireDecodeError, match="truncated"):
+                decode(frame[:-cut])
+        # A count promising more entries than follow.
+        one = reply_frame([(8, "cd" * 32)])
+        tail = len(one) - len(reply_frame(()))
+        count_at = len(one) - tail
+        with pytest.raises(WireDecodeError, match="truncated"):
+            decode(one[:count_at] + _U32.pack(2) + one[count_at + 4 :])
 
 
 if __name__ == "__main__":

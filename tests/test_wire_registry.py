@@ -84,8 +84,10 @@ def sample(field, index):
         ]
     if kind is Request.FIELDS[0].kind:
         return Operation("put", ("k", {"nested": (1, [2])}), "payload")
-    if kind is Reply.FIELDS[-1].kind:
+    if kind is Reply.FIELDS[5].kind:
         return {"ok": True, "value": 1}
+    if kind is Reply.FIELDS[6].kind:
+        return ((40 + index, {"ok": True, "value": 2}), (41 + index, None))
     if kind is Batch.FIELDS[0].kind:
         return signed_batch().requests
     raise AssertionError(f"no sample for the kind of field {field.name!r}")
