@@ -6,7 +6,7 @@ table (one row each for ``seemore``, ``cft``, ``bft``, ``s-upright``) and
 :func:`~repro.cluster.wiring.wire_group`, which keys, instantiates and
 registers one group on any :class:`~repro.runtime.api.Runtime`.  This
 module only *assembles* — "table row → runtime → ``wire_group`` per group →
-client pool" — onto three things:
+client pool" — onto two things:
 
 * **Simulated** — :func:`build_seemore`, :func:`build_paxos`,
   :func:`build_pbft`, :func:`build_upright` and
@@ -19,24 +19,23 @@ client pool" — onto three things:
   ``workload`` / ``num_clients`` / ``seed`` / ``cross_cloud_latency`` /
   ``cost_model``; batching, client windows, the adaptive controller and
   admission control are SeeMoRe-only knobs.
-* **Multiprocess** — :func:`build_proc_seemore` returns an unstarted
-  :class:`~repro.runtime.proc.ProcCluster` of worker specs; each worker
-  process receives the picklable group settings and calls ``wire_group``
-  itself, on its own TCP runtime, for its slice of the replica ids.
-* **Conformance legs** — :mod:`repro.runtime.conformance` calls
-  ``wire_group`` on a bare sim runtime and on the asyncio-TCP runtime (and
-  reaches the proc leg through :func:`build_proc_seemore`), so the oracle
-  compares the very clusters the builders build.
+* **The oracle cluster** — :func:`build_proc_seemore` returns an unstarted
+  :class:`~repro.runtime.proc.ProcCluster` of worker specs; every worker
+  receives the picklable group settings and calls :func:`wire_oracle` (and
+  with it ``wire_group``) itself, for its slice of the replica ids or for
+  the one closed-loop client.  The conformance oracle runs those same specs
+  on every backend — in worker processes for proc, on one runtime in this
+  process for sim and aio — so it compares the very cluster this builds.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.adaptive import AdaptiveModeController, AdaptivePolicy
 from repro.cluster.deployment import Deployment
 from repro.cluster.wiring import PROTOCOLS, ShardSpec, new_keystore, wire_group
-from repro.core import AdmissionPolicy, BatchPolicy, Mode
+from repro.core import AdmissionPolicy, BatchPolicy, Mode, SeeMoReReplica
 from repro.net.costs import NodeCostModel
 from repro.net.latency import lan_latency
 from repro.net.network import Network
@@ -45,6 +44,10 @@ from repro.runtime.proc import ProcCluster, WorkerPlan, WorkerSpec
 from repro.runtime.sim import SimRuntime
 from repro.shard import ShardRouter, make_partitioner
 from repro.sim.simulator import Simulator
+from repro.smr.client import Client
+from repro.smr.messages import requests_of
+from repro.smr.replica import NOOP_CLIENT
+from repro.smr.state_machine import result_digest
 from repro.workload.client_pool import ClientPool
 from repro.workload.generator import ShardedKeyValueWorkload, Workload, WorkloadSpec
 from repro.workload.metrics import MetricsCollector
@@ -308,75 +311,115 @@ def build_sharded_seemore(
     )
 
 
-# -- multiprocess SeeMoRe ---------------------------------------------------------------
+# -- the oracle cluster: multiprocess SeeMoRe -------------------------------------------
 
 
-def _proc_replica_worker(
-    runtime, replica_ids: Sequence[str], settings: ShardSpec, seed: int, client_id: str
-):
-    """Build callable for one replica-group worker process.
+class RecordingReplica(SeeMoReReplica):
+    """A replica that records its flattened commit order.
 
-    Module-level (picklable under the ``spawn`` start method); runs inside
-    the child, wiring its slice of the replica set on the worker's runtime
-    from the same ``(settings, seed)`` every other worker gets.  Harvests
-    each replica's :meth:`RecordingReplica.harvest` so the supervisor can
-    run the conformance checks without shipping live protocol objects
-    across the process boundary.
+    ``commit_slot`` is the backend-agnostic choke point every committed
+    slot passes through, on every mode and every runtime; appending the
+    inner request ids there yields exactly the sequence the oracle
+    compares.
     """
-    from repro.runtime.conformance import RecordingReplica
 
-    keystore = new_keystore("seemore-proc", seed)
-    replicas = wire_group(
-        runtime,
-        keystore,
-        "seemore",
-        settings,
-        Workload.build("0/0"),
-        only=replica_ids,
-        replica_class=RecordingReplica,
-    ).replicas
-    # The client lives in another process; its key is all this one needs.
-    client_node = f"{client_id}-0"
-    keystore.register(client_node)
-    return WorkerPlan(
-        harvest=lambda: {
-            replica_id: replica.harvest(client_node) for replica_id, replica in replicas.items()
-        },
-        progress=lambda: {
-            replica_id: replica.committed_count for replica_id, replica in replicas.items()
-        },
-    )
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.commit_trace: List[Tuple[str, int]] = []
+
+    def commit_slot(self, sequence, request, view, send_reply, mode_id=0):
+        for each in requests_of(request):
+            if each.client_id != NOOP_CLIENT:
+                self.commit_trace.append((each.client_id, each.timestamp))
+        return super().commit_slot(sequence, request, view, send_reply, mode_id)
+
+    def harvest(self, client_id: str) -> Dict[str, object]:
+        """All the oracle needs from a replica, as plain data that can cross a process.
+
+        ``reply_digests`` holds the digest of every reply cached for
+        ``client_id`` (what its votes compare).
+        """
+        return {
+            "commit_trace": list(self.commit_trace),
+            "ledger": self.ledger,
+            "committed_count": self.committed_count,
+            "last_executed": self.last_executed,
+            "reply_digests": {
+                timestamp: result_digest(result)
+                for timestamp, result in self.executor.replies_to(client_id).items()
+            },
+        }
 
 
-def _proc_client_worker(
+def wire_oracle(
     runtime,
     settings: ShardSpec,
     seed: int,
     client_id: str,
-    client_timeout: float,
-    num_requests: int,
-    window: int,
-):
-    """Build callable for the client worker process (closed-loop driver).
+    replica_ids: Optional[Sequence[str]] = None,
+    client_timeout: Optional[float] = None,
+    num_requests: int = 0,
+    window: int = 1,
+) -> Tuple[Dict[str, RecordingReplica], Optional[Client]]:
+    """The oracle's cluster, or one worker's share of it, on ``runtime``.
 
-    Wires the group with no local replicas — keys and config only — and
-    spawns its one client, ``{client_id}-0``, from the shared pool.
+    Wires ``replica_ids`` (every replica by default) as
+    :class:`RecordingReplica` instances and, given a ``client_timeout``, the
+    one closed-loop client ``{client_id}-0``.  Every call derives its keys from
+    the same ``(settings, seed)``, so shares wired on one runtime or in
+    separate processes form one cluster.
     """
     keystore = new_keystore("seemore-proc", seed)
     workload = Workload.build("0/0")
-    group = wire_group(runtime, keystore, "seemore", settings, workload, only=())
-    client_config = group.client_config(client_timeout)
+    group = wire_group(
+        runtime,
+        keystore,
+        "seemore",
+        settings,
+        workload,
+        only=replica_ids,
+        replica_class=RecordingReplica,
+    )
+    if client_timeout is None:
+        # The client lives elsewhere; its key is all these replicas need.
+        keystore.register(f"{client_id}-0")
+        return group.replicas, None
     pool = ClientPool(
-        runtime, keystore, Placement(), [client_config], workload, name_prefix=client_id
+        runtime,
+        keystore,
+        Placement(),
+        [group.client_config(client_timeout)],
+        workload,
+        name_prefix=client_id,
     )
     (client,) = pool.spawn(1, max_requests_each=num_requests, window=window)
+    return group.replicas, client
+
+
+def _oracle_worker(runtime, **kwargs) -> WorkerPlan:
+    """Build callable for every worker of :func:`build_proc_seemore`.
+
+    Module-level (picklable under the ``spawn`` start method).  A replica
+    worker harvests each replica's :meth:`RecordingReplica.harvest`, so the
+    oracle's checks need no live protocol object from another process; the
+    client worker drives its closed loop and harvests its counts.
+    """
+    replicas, client = wire_oracle(runtime, **kwargs)
+    if client is None:
+        client_node = f"{kwargs['client_id']}-0"
+        return WorkerPlan(
+            harvest=lambda: {
+                replica_id: replica.harvest(client_node)
+                for replica_id, replica in replicas.items()
+            },
+            progress=lambda: {
+                replica_id: replica.committed_count for replica_id, replica in replicas.items()
+            },
+        )
     return WorkerPlan(
         kickoff=client.start,
-        until=lambda: client.completed_count >= num_requests,
-        harvest=lambda: {
-            "completed": client.completed_count,
-            "timeouts": client.timeouts,
-        },
+        until=lambda: client.completed_count >= client.max_requests,
+        harvest=lambda: {"completed": client.completed_count, "timeouts": client.timeouts},
         progress=lambda: client.completed_count,
     )
 
@@ -384,8 +427,8 @@ def _proc_client_worker(
 #: Proposed-but-uncommitted slots a multiprocess cluster's primary keeps in
 #: flight.  Bounded, so the client's window queues behind them and batches
 #: (and with them replies answering several requests) form; unbounded, with
-#: no linger, every slot would hold one request.  The conformance oracle's
-#: in-process legs use it too, so every leg batches alike.
+#: no linger, every slot would hold one request.  Every conformance leg
+#: runs this builder's workers, so every leg batches alike.
 PROC_PIPELINE_DEPTH = 2
 
 
@@ -437,11 +480,11 @@ def build_proc_seemore(
     }
     shared = {"settings": settings, "seed": seed, "client_id": client_id}
     workers = [
-        WorkerSpec(name, _proc_replica_worker, {"replica_ids": group, **shared})
+        WorkerSpec(name, _oracle_worker, {"replica_ids": group, **shared})
         for name, group in groups.items()
     ]
     client = {"client_timeout": client_timeout, "num_requests": num_requests, "window": window}
-    workers.append(WorkerSpec("client", _proc_client_worker, {**shared, **client}))
+    workers.append(WorkerSpec("client", _oracle_worker, {"replica_ids": (), **shared, **client}))
     cluster = ProcCluster(workers, start_method=start_method, stats_interval=stats_interval)
     cluster.extras.update(
         {

@@ -257,7 +257,7 @@ def wire_group(
     member; ``only`` restricts which members are instantiated here (a proc
     worker hosts a slice of the group, the client worker none of it).
     ``replica_class`` substitutes a subclass of the row's replica class (the
-    conformance oracle's ``RecordingReplica``).
+    oracle cluster's ``RecordingReplica``, wired by ``builders.wire_oracle``).
     """
     row = PROTOCOLS[protocol]
     config = row.make_config(settings, prefix)

@@ -1,9 +1,11 @@
-"""Conformance oracle: the sim and aio backends must commit the same thing.
+"""Conformance oracle: the sim, aio and proc backends must commit the same thing.
 
 The discrete-event simulator is only a trustworthy measurement instrument
 if the protocol code it runs behaves identically on a real network stack.
-This harness runs the *same* workload — same cluster shape, same client,
-same request count — through both runtime backends and asserts:
+This harness runs the *same* cluster — the worker specs of
+:func:`~repro.cluster.builders.build_proc_seemore`, in worker processes on
+proc and on one runtime in this process on sim and aio — through two
+backends and asserts:
 
 * **safety within each backend**: every correct replica's flattened
   committed-request sequence is a prefix of every other's (batch
@@ -19,11 +21,13 @@ same request count — through both runtime backends and asserts:
   fault-free, so a retransmission means a reply entry was lost, which the
   single-request reply to the retransmission would otherwise paper over.
 
-Batch boundaries and cross-slot grouping legitimately differ between
-backends — real scheduling jitter changes how many requests share a
-batch — which is why the oracle compares flattened per-client sequences
-rather than slot-by-slot ledgers.  With a single client the flattened
-sequence is total, so this is a complete ordering check.
+Every leg hands one canonicalization the same harvests: ``"client"`` plus
+one ``"replicas-i"`` per replica worker.  Batch boundaries and cross-slot
+grouping legitimately differ between backends — real scheduling jitter
+changes how many requests share a batch — which is why the oracle compares
+flattened per-client sequences rather than slot-by-slot ledgers.  With a
+single client the flattened sequence is total, so this is a complete
+ordering check.
 
 Run directly for the standard matrix (all three modes, f=1; ``--tolerance 2``
 for c = m = 2)::
@@ -36,70 +40,34 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.cluster.builders import PROC_PIPELINE_DEPTH, build_proc_seemore
-from repro.cluster.wiring import ShardSpec, new_keystore, wire_group
-from repro.core import BatchPolicy, Mode, SeeMoReReplica
-from repro.smr.replica import NOOP_CLIENT
+from repro.cluster.builders import build_proc_seemore
+from repro.core import Mode
 from repro.net.latency import UniformLatencyModel
 from repro.net.network import Network
-from repro.net.topology import Placement
 from repro.runtime.aio import AioRuntime
-from repro.runtime.api import Runtime
 from repro.runtime.sim import SimRuntime
 from repro.sim.simulator import Simulator
-from repro.smr.client import Client
 from repro.smr.ledger import find_safety_violations
-from repro.smr.messages import requests_of
-from repro.smr.state_machine import result_digest
-from repro.workload.client_pool import ClientPool
-from repro.workload.generator import Workload
 
-#: The client pool's name prefix, and the id of its one client.
+#: The client pool's name prefix; its one client is ``conformance-client-0``.
 CLIENT_PREFIX = "conformance-client"
-CLIENT_ID = f"{CLIENT_PREFIX}-0"
 
-#: Conservative real-time knobs for the aio leg: loopback scheduling noise
-#: must never masquerade as a fault, so view-change and client-retransmit
-#: timers are far above any plausible event-loop stall.
+#: Conservative real-time knobs for the aio and proc legs: loopback
+#: scheduling noise must never masquerade as a fault, so view-change and
+#: client-retransmit timers are far above any plausible event-loop stall.
 AIO_REQUEST_TIMEOUT = 5.0
 AIO_CLIENT_TIMEOUT = 2.0
 
+#: ``(request_timeout, client_timeout)`` per backend; the simulator keeps
+#: the sim builders' defaults.
+TIMEOUTS = {
+    "sim": (0.02, 0.2),
+    "aio": (AIO_REQUEST_TIMEOUT, AIO_CLIENT_TIMEOUT),
+    "proc": (AIO_REQUEST_TIMEOUT, AIO_CLIENT_TIMEOUT),
+}
 
-class RecordingReplica(SeeMoReReplica):
-    """A replica that records its flattened commit order.
-
-    ``commit_slot`` is the backend-agnostic choke point every committed
-    slot passes through, on every mode and every runtime; appending the
-    inner request ids there yields exactly the sequence the oracle
-    compares.
-    """
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.commit_trace: List[Tuple[str, int]] = []
-
-    def commit_slot(self, sequence, request, view, send_reply, mode_id=0):
-        for each in requests_of(request):
-            if each.client_id != NOOP_CLIENT:
-                self.commit_trace.append((each.client_id, each.timestamp))
-        return super().commit_slot(sequence, request, view, send_reply, mode_id)
-
-    def reply_digests(self, client_id: str) -> Dict[int, str]:
-        """Digest of every reply cached for ``client_id`` (what its votes compare)."""
-        return {
-            timestamp: result_digest(result)
-            for timestamp, result in self.executor.replies_to(client_id).items()
-        }
-
-    def harvest(self, client_id: str) -> Dict[str, object]:
-        """All the oracle needs from a replica in another process, as plain data."""
-        return {
-            "commit_trace": list(self.commit_trace),
-            "ledger": self.ledger,
-            "committed_count": self.committed_count,
-            "last_executed": self.last_executed,
-            "reply_digests": self.reply_digests(client_id),
-        }
+#: The backends :func:`check_mode` compares with the sim leg.
+REAL_BACKENDS = ("aio", "proc")
 
 
 @dataclass
@@ -114,56 +82,14 @@ class BackendTrace:
     client_retransmits: int
 
 
-def oracle_cluster(
-    runtime: Runtime,
-    mode: Mode,
-    num_requests: int,
-    window: int,
-    request_timeout: float,
-    client_timeout: float,
-    max_batch: int,
-    seed: int = 0,
-    tolerance: int = 1,
-) -> Tuple[Dict[str, RecordingReplica], Client]:
-    """The oracle's c = m = ``tolerance`` cluster plus one closed-loop client on ``runtime``.
-
-    Wired by the same :func:`~repro.cluster.wiring.wire_group` and client
-    pool the cluster builders and the proc workers use, with
-    :class:`RecordingReplica` substituted — so what the oracle compares
-    across backends is what the builders build.
-    """
-    settings = ShardSpec(
-        mode=mode,
-        crash_tolerance=tolerance,
-        byzantine_tolerance=tolerance,
-        request_timeout=request_timeout,
-        batch_policy=BatchPolicy(max_batch=max_batch, pipeline_depth=PROC_PIPELINE_DEPTH),
-    )
-    workload = Workload.build("0/0")
-    keystore = new_keystore("conformance", seed)
-    group = wire_group(
-        runtime, keystore, "seemore", settings, workload, replica_class=RecordingReplica
-    )
-    pool = ClientPool(
-        runtime,
-        keystore,
-        Placement(),
-        [group.client_config(client_timeout)],
-        workload,
-        name_prefix=CLIENT_PREFIX,
-    )
-    (client,) = pool.spawn(1, max_requests_each=num_requests, window=window)
-    return group.replicas, client
-
-
 def _canonical_sequence(
     backend: str, traces, num_requests: int
 ) -> Tuple[Tuple[str, int], ...]:
     """The longest commit trace, after asserting all traces agree on their
     common prefixes and nothing committed twice.
 
-    Works on plain flattened traces so the proc backend can feed it
-    harvested data from worker processes.
+    Works on plain flattened traces, harvested in this process or shipped
+    from worker processes alike.
     """
     ordered = sorted((list(trace) for trace in traces), key=len, reverse=True)
     canonical = tuple(tuple(entry) for entry in ordered[0])
@@ -184,89 +110,39 @@ def _canonical_sequence(
     return canonical
 
 
-def _in_process_trace(
-    backend: str, mode: Mode, replicas: Dict[str, RecordingReplica], client: Client
+def _trace(
+    backend: str, mode: Mode, harvests: Dict[str, Dict], num_requests: int
 ) -> BackendTrace:
-    """Canonicalize what an in-process leg's replicas committed."""
-    violations = find_safety_violations([replica.ledger for replica in replicas.values()])
+    """Canonicalize one leg's harvests: ``"client"`` plus ``"replicas-i"`` per worker."""
+    replicas: Dict[str, Dict[str, object]] = {}
+    for name, harvest in harvests.items():
+        if name.startswith("replicas-"):
+            replicas.update(harvest)
+    violations = find_safety_violations([data["ledger"] for data in replicas.values()])
     if violations:
         raise AssertionError(f"[{backend}] ledger safety violated: {violations[0]}")
-    traces = [replica.commit_trace for replica in replicas.values()]
-    return BackendTrace(
+    best = max(replicas.values(), key=lambda data: data["last_executed"])
+    trace = BackendTrace(
         backend=backend,
         mode=mode,
-        completed=client.completed_count,
-        commit_trace=_canonical_sequence(backend, traces, client.max_requests),
-        reply_digests=max(
-            replicas.values(), key=lambda replica: replica.last_executed
-        ).reply_digests(client.node_id),
-        client_retransmits=client.timeouts,
+        completed=harvests["client"]["completed"],
+        commit_trace=_canonical_sequence(
+            backend, [data["commit_trace"] for data in replicas.values()], num_requests
+        ),
+        reply_digests=dict(best["reply_digests"]),
+        client_retransmits=harvests["client"]["timeouts"],
     )
-
-
-def run_sim(
-    mode: Mode, num_requests: int, window: int, max_batch: int, seed: int = 0, tolerance: int = 1
-) -> BackendTrace:
-    """One deterministic leg on the discrete-event backend."""
-    simulator = Simulator()
-    network = Network(
-        simulator, latency_model=UniformLatencyModel(base=0.0002, jitter=0.0), seed=seed
-    )
-    replicas, client = oracle_cluster(
-        SimRuntime(simulator, network),
-        mode,
-        num_requests,
-        window,
-        request_timeout=0.02,
-        client_timeout=0.2,
-        max_batch=max_batch,
-        seed=seed,
-        tolerance=tolerance,
-    )
-    client.start()
-    simulator.run(until=60.0)
-    if client.completed_count < num_requests:
+    if trace.client_retransmits:
+        # Every leg is fault-free: a retransmission means a reply entry was lost.
         raise AssertionError(
-            f"[sim] client completed {client.completed_count}/{num_requests}"
+            f"[{mode.name}] the {backend} client retransmitted "
+            f"{trace.client_retransmits} times on a fault-free run"
         )
-    return _in_process_trace("sim", mode, replicas, client)
+    return trace
 
 
-def run_aio(
-    mode: Mode,
-    num_requests: int,
-    window: int,
-    max_batch: int,
-    seed: int = 0,
-    timeout: float = 60.0,
-    tolerance: int = 1,
-) -> BackendTrace:
-    """One real-network leg: one asyncio event loop over loopback TCP."""
-    runtime = AioRuntime()
-    replicas, client = oracle_cluster(
-        runtime,
-        mode,
-        num_requests,
-        window,
-        request_timeout=AIO_REQUEST_TIMEOUT,
-        client_timeout=AIO_CLIENT_TIMEOUT,
-        max_batch=max_batch,
-        seed=seed,
-        tolerance=tolerance,
-    )
-    finished = runtime.run(
-        kickoff=client.start,
-        until=lambda: client.completed_count >= num_requests,
-        timeout=timeout,
-    )
-    if not finished:
-        raise AssertionError(
-            f"[aio] timed out with {client.completed_count}/{num_requests} completed"
-        )
-    return _in_process_trace("aio", mode, replicas, client)
-
-
-def run_proc(
+def run_leg(
+    backend: str,
     mode: Mode,
     num_requests: int,
     window: int,
@@ -276,12 +152,16 @@ def run_proc(
     num_procs: int = 2,
     tolerance: int = 1,
 ) -> BackendTrace:
-    """One multiprocess leg: worker processes over loopback TCP.
+    """One leg: :func:`build_proc_seemore`'s c = m = ``tolerance`` cluster on ``backend``.
 
-    Replica ledgers, flattened commit traces, and cached-reply digests are
-    harvested from the worker processes at shutdown and fed through the
-    same canonicalization as the in-process backends.
+    ``"proc"`` runs its worker specs in ``num_procs`` replica processes plus
+    a client process.  ``"sim"`` (a 200 µs LAN, 60 simulated seconds) and
+    ``"aio"`` (one event loop over loopback TCP) call the same spec
+    builds on one runtime in this process and harvest the plans here.
     """
+    if backend not in TIMEOUTS:
+        raise ValueError(f"unknown backend {backend!r}; choose one of {sorted(TIMEOUTS)}")
+    request_timeout, client_timeout = TIMEOUTS[backend]
     cluster = build_proc_seemore(
         mode=mode,
         num_procs=num_procs,
@@ -290,50 +170,46 @@ def run_proc(
         max_batch=max_batch,
         crash_tolerance=tolerance,
         byzantine_tolerance=tolerance,
-        request_timeout=AIO_REQUEST_TIMEOUT,
-        client_timeout=AIO_CLIENT_TIMEOUT,
+        request_timeout=request_timeout,
+        client_timeout=client_timeout,
         seed=seed,
         client_id=CLIENT_PREFIX,
     )
-    result = cluster.run(timeout=timeout)
-    if not result.met:
-        completed = result.harvests.get("client", {}).get("completed", "?")
+    if backend == "proc":
+        result = cluster.run(timeout=timeout)
+        met, harvests = result.met, result.harvests
+        why = f" (deaths={result.deaths}, errors={result.errors})"
+    else:
+        if backend == "sim":
+            simulator = Simulator()
+            latency = UniformLatencyModel(base=0.0002, jitter=0.0)
+            runtime = SimRuntime(simulator, Network(simulator, latency, seed=seed))
+        else:
+            runtime = AioRuntime()
+        plans = {spec.name: spec.build(runtime, **spec.kwargs) for spec in cluster.specs}
+
+        def kickoff() -> None:
+            for plan in plans.values():
+                if plan.kickoff is not None:
+                    plan.kickoff()
+
+        def until() -> bool:
+            return all(plan.until() for plan in plans.values() if plan.until is not None)
+
+        if backend == "sim":
+            kickoff()
+            runtime.run(until=60.0)
+            met = until()
+        else:
+            met = runtime.run(kickoff=kickoff, until=until, timeout=timeout)
+        harvests = {name: plan.harvest() for name, plan in plans.items()}
+        why = ""
+    if not met:
+        completed = harvests.get("client", {}).get("completed", "?")
         raise AssertionError(
-            f"[proc] timed out with {completed}/{num_requests} completed "
-            f"(deaths={result.deaths}, errors={result.errors})"
+            f"[{backend}] timed out with {completed}/{num_requests} completed{why}"
         )
-    harvested: Dict[str, Dict[str, object]] = {}
-    for name, harvest in result.harvests.items():
-        if name.startswith("replicas-"):
-            harvested.update(harvest)
-    violations = find_safety_violations([data["ledger"] for data in harvested.values()])
-    if violations:
-        raise AssertionError(f"[proc] ledger safety violated: {violations[0]}")
-    best = max(harvested.values(), key=lambda data: data["last_executed"])
-    return BackendTrace(
-        backend="proc",
-        mode=mode,
-        completed=result.harvests["client"]["completed"],
-        commit_trace=_canonical_sequence(
-            "proc",
-            [data["commit_trace"] for data in harvested.values()],
-            num_requests,
-        ),
-        reply_digests=dict(best["reply_digests"]),
-        client_retransmits=result.harvests["client"]["timeouts"],
-    )
-
-
-_REAL_BACKENDS = {"aio": run_aio, "proc": run_proc}
-
-
-def _assert_no_retransmits(trace: BackendTrace) -> None:
-    """Every leg is fault-free: a retransmission means a reply entry was lost."""
-    if trace.client_retransmits:
-        raise AssertionError(
-            f"[{trace.mode.name}] the {trace.backend} client retransmitted "
-            f"{trace.client_retransmits} times on a fault-free run"
-        )
+    return _trace(backend, mode, harvests, num_requests)
 
 
 def check_mode(
@@ -355,22 +231,12 @@ def check_mode(
     cluster of c = m = ``tolerance``.
     Returns a small summary dict (used by the CLI entry point and tests).
     """
-    sim = run_sim(mode, num_requests, window, max_batch, seed=seed, tolerance=tolerance)
-    _assert_no_retransmits(sim)
-    if backend == "aio":
-        real = run_aio(
-            mode, num_requests, window, max_batch,
-            seed=seed, timeout=timeout, tolerance=tolerance,
-        )
-    elif backend == "proc":
-        real = run_proc(
-            mode, num_requests, window, max_batch,
-            seed=seed, timeout=timeout, num_procs=num_procs, tolerance=tolerance,
-        )
-    else:
+    if backend not in REAL_BACKENDS:
         raise ValueError(f"unknown real backend {backend!r}; choose aio or proc")
-
-    _assert_no_retransmits(real)
+    sim, real = (
+        run_leg(leg, mode, num_requests, window, max_batch, seed, timeout, num_procs, tolerance)
+        for leg in ("sim", backend)
+    )
     common = min(len(sim.commit_trace), len(real.commit_trace))
     if sim.commit_trace[:common] != real.commit_trace[:common]:
         for index in range(common):
@@ -439,7 +305,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--backend",
-        choices=sorted(_REAL_BACKENDS),
+        choices=REAL_BACKENDS,
         default="aio",
         help="which real backend to check against the sim oracle",
     )

@@ -347,6 +347,11 @@ class ProcCluster:
         return list(self._workers)
 
     @property
+    def specs(self) -> Tuple[WorkerSpec, ...]:
+        """The worker specs, in order (frozen: a run cannot be re-planned)."""
+        return tuple(worker.spec for worker in self._workers.values())
+
+    @property
     def processes(self) -> Dict[str, Any]:
         return {
             name: worker.process

@@ -38,7 +38,12 @@ from repro.cluster import (
     builder_for,
     run_deployment,
 )
-from repro.cluster.builders import build_proc_seemore
+from repro.cluster.builders import (
+    PROC_PIPELINE_DEPTH,
+    RecordingReplica,
+    build_proc_seemore,
+    wire_oracle,
+)
 from repro.core import BatchPolicy, Mode
 from repro.faults import crash_primary
 from repro.runtime import conformance
@@ -207,23 +212,20 @@ def test_conformance_sim_leg_builds_what_build_seemore_builds(mode):
     """The oracle's cluster is the builders' cluster: one wiring function."""
     simulator = Simulator()
     runtime = SimRuntime(simulator, Network(simulator))
-    replicas, client = conformance.oracle_cluster(
-        runtime,
-        mode,
-        num_requests=1,
-        window=1,
-        request_timeout=0.02,
-        client_timeout=0.2,
-        max_batch=8,
+    request_timeout, client_timeout = conformance.TIMEOUTS["sim"]
+    cluster = build_proc_seemore(mode=mode, request_timeout=request_timeout)
+    settings = cluster.specs[0].kwargs["settings"]
+    replicas, client = wire_oracle(
+        runtime, settings, 0, conformance.CLIENT_PREFIX, client_timeout=client_timeout
     )
     deployment = build_seemore(
         mode=mode,
-        batch_policy=BatchPolicy(max_batch=8, pipeline_depth=conformance.PROC_PIPELINE_DEPTH),
+        batch_policy=BatchPolicy(max_batch=8, pipeline_depth=PROC_PIPELINE_DEPTH),
     )
     assert client.request_timeout == deployment.clients[0].request_timeout
     assert list(replicas) == list(deployment.replicas)
     for replica_id, replica in replicas.items():
-        assert isinstance(replica, conformance.RecordingReplica)
+        assert isinstance(replica, RecordingReplica)
         assert replica.config == deployment.group().config
         assert replica.mode is deployment.replicas[replica_id].mode is mode
 

@@ -16,7 +16,7 @@ import pytest
 from repro.cluster import builder_for
 from repro.core import Mode
 from repro.runtime.aio import REDIAL_DELAY_S, REDIAL_MAX_DELAY_S, AioRuntime, encode_envelope
-from repro.runtime.conformance import main as conformance_main, run_aio
+from repro.runtime.conformance import main as conformance_main, run_leg
 from repro.runtime.proc import ProcCluster, ProcClusterError, WorkerSpec
 from repro.scenarios import Crash, Scenario, ViewAdvanced, run_scenario
 from test_runtime_connection import _ClosedPort, _commit, _request, _run_to_completion
@@ -89,7 +89,7 @@ def test_each_refused_dial_logs_one_info_with_the_back_off_it_chose(caplog):
 @pytest.mark.parametrize("mode", [Mode.LION, Mode.DOG, Mode.PEACOCK], ids=lambda mode: mode.name)
 def test_an_orderly_aio_run_and_its_shutdown_log_nothing(caplog, mode):
     with caplog.at_level(logging.DEBUG, logger="repro"):
-        trace = run_aio(mode, num_requests=30, window=4, max_batch=4, timeout=30.0)
+        trace = run_leg("aio", mode, num_requests=30, window=4, max_batch=4, timeout=30.0)
     assert len(trace.commit_trace) >= 30
     assert _lines(caplog) == []
 

@@ -641,31 +641,66 @@ class TestOneConstructionPath:
         assert offenders == []
 
     def test_every_backend_calls_the_same_wire_group(self):
-        """Sim builders, proc workers and both in-process conformance legs."""
+        """Two assemblies call ``wire_group``: the sim builders' and the oracle cluster's.
+
+        Every conformance leg reaches the second one through
+        ``build_proc_seemore``'s worker specs, so the oracle module wires
+        nothing itself.
+        """
         from repro.cluster import builders, wiring
         from repro.runtime import conformance
 
-        assert builders.wire_group is conformance.wire_group is wiring.wire_group
+        assert builders.wire_group is wiring.wire_group
 
-        def called_by(function):
-            tree = ast.parse(inspect.getsource(function))
+        def called_names(node):
             return {
-                node.func.id
-                for node in ast.walk(tree)
-                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                call.func.id if isinstance(call.func, ast.Name) else call.func.attr
+                for call in ast.walk(node)
+                if isinstance(call, ast.Call) and isinstance(call.func, (ast.Name, ast.Attribute))
             }
 
-        for assembly in (
-            builders._sim_deployment,
-            builders._proc_replica_worker,
-            builders._proc_client_worker,
-            conformance.oracle_cluster,
-        ):
-            assert "wire_group" in called_by(assembly), assembly.__name__
+        def function_defs(path):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            return [
+                node
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            ]
+
+        callers = {
+            function.name
+            for path in SRC.rglob("*.py")
+            for function in function_defs(path)
+            if "wire_group" in called_names(function)
+        }
+        assert callers == {"_sim_deployment", "wire_oracle"}
+
+        def called_by(function):
+            return called_names(ast.parse(inspect.getsource(function)))
+
         for builder in (builders._build_single, builders.build_sharded_seemore):
             assert "_sim_deployment" in called_by(builder), builder.__name__
-        for leg in (conformance.run_sim, conformance.run_aio):
-            assert "oracle_cluster" in called_by(leg), leg.__name__
+        assert "wire_oracle" in called_by(builders._oracle_worker)
+        specs = builders.build_proc_seemore(num_procs=3).specs
+        assert [spec.build for spec in specs] == [builders._oracle_worker] * 4
+
+        conformance_path = SRC / "runtime" / "conformance.py"
+        assert "wire_group" not in called_names(ast.parse(conformance_path.read_text()))
+        assert not hasattr(conformance, "wire_group")
+
+        # run_leg builds the one cluster unconditionally; the only branch
+        # before it is the guard that refuses an unknown backend.
+        (run_leg,) = ast.parse(inspect.getsource(conformance.run_leg)).body
+        builds = [
+            index
+            for index, statement in enumerate(run_leg.body)
+            if "build_proc_seemore" in called_names(statement)
+        ]
+        assert len(builds) == 1
+        for statement in run_leg.body[: builds[0]]:
+            if isinstance(statement, ast.If):
+                assert [type(each) for each in statement.body] == [ast.Raise]
+            assert not isinstance(statement, (ast.For, ast.While, ast.Try, ast.With))
 
 
 #: The methods in which a client decides what a reply, a ``Busy`` or a

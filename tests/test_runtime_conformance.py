@@ -11,9 +11,12 @@ import asyncio
 
 import pytest
 
+from repro.cluster.builders import wire_oracle
+from repro.cluster.wiring import ShardSpec
 from repro.core import Mode
+from repro.runtime import conformance
 from repro.runtime.aio import MAX_FRAME_BYTES, AioRuntime, encode_envelope
-from repro.runtime.conformance import check_mode, oracle_cluster, run_aio, run_proc
+from repro.runtime.conformance import CLIENT_PREFIX, check_mode, run_leg
 from repro.smr.messages import Request
 from repro.smr.replica import ReplicaBase
 from repro.smr.state_machine import Operation
@@ -34,10 +37,10 @@ def test_sim_and_real_backends_commit_the_same_sequence(mode, backend):
 def test_dog_conforms_on_aio_at_f2():
     """c = m = 2: a larger cluster with larger quorums commits what the sim commits."""
     def replica_count(tolerance):
-        replicas, _ = oracle_cluster(
-            AioRuntime(), Mode.DOG, num_requests=1, window=1, request_timeout=1.0,
-            client_timeout=1.0, max_batch=1, tolerance=tolerance,
+        settings = ShardSpec(
+            mode=Mode.DOG, crash_tolerance=tolerance, byzantine_tolerance=tolerance
         )
+        replicas, _ = wire_oracle(AioRuntime(), settings, 0, CLIENT_PREFIX)
         return len(replicas)
 
     assert replica_count(2) > replica_count(1)
@@ -64,8 +67,7 @@ def test_a_reply_entry_lost_on_the_wire_fails_the_oracle(monkeypatch):
 
 def test_aio_loopback_smoke():
     """The asyncio backend alone: real sockets, real timers, clean exit."""
-    trace = run_aio(Mode.LION, num_requests=20, window=4, max_batch=4,
-                    timeout=20.0)
+    trace = run_leg("aio", Mode.LION, num_requests=20, window=4, max_batch=4, timeout=20.0)
     assert trace.completed == 20
     assert len(trace.commit_trace) >= 20
     # Exactly-once over the flattened trace.
@@ -76,8 +78,8 @@ def test_aio_loopback_smoke():
 
 def test_proc_loopback_smoke():
     """The multiprocess backend alone: worker processes, harvested traces."""
-    trace = run_proc(Mode.LION, num_requests=20, window=4, max_batch=4,
-                     timeout=30.0, num_procs=2)
+    trace = run_leg("proc", Mode.LION, num_requests=20, window=4, max_batch=4,
+                    timeout=30.0, num_procs=2)
     assert trace.completed == 20
     assert len(trace.commit_trace) >= 20
     assert len(set(trace.commit_trace)) == len(trace.commit_trace)
@@ -87,10 +89,47 @@ def test_proc_loopback_smoke():
 def test_aio_runtime_can_run_twice_in_one_process():
     """Server sockets and tasks from a finished run must not leak into or
     wedge a subsequent run (each ``run`` builds a fresh loop)."""
-    first = run_aio(Mode.LION, num_requests=10, window=4, max_batch=4, timeout=20.0)
-    second = run_aio(Mode.LION, num_requests=10, window=4, max_batch=4, timeout=20.0)
+    first = run_leg("aio", Mode.LION, num_requests=10, window=4, max_batch=4, timeout=20.0)
+    second = run_leg("aio", Mode.LION, num_requests=10, window=4, max_batch=4, timeout=20.0)
     assert first.completed == second.completed == 10
     assert first.commit_trace[:10] == second.commit_trace[:10]
+
+
+def test_the_sim_and_proc_legs_hand_the_trace_the_same_harvests(monkeypatch):
+    """One cluster on every backend: same workers, same replicas, same fields."""
+    handed = {}
+    trace = conformance._trace
+
+    def recording(backend, mode, harvests, num_requests):
+        handed[backend] = harvests
+        return trace(backend, mode, harvests, num_requests)
+
+    monkeypatch.setattr(conformance, "_trace", recording)
+    for backend in ("sim", "proc"):
+        run_leg(backend, Mode.DOG, num_requests=10, window=4, max_batch=4, timeout=30.0)
+
+    def shape(harvests):
+        return {
+            name: {replica_id: sorted(data) for replica_id, data in harvest.items()}
+            if name.startswith("replicas-") else sorted(harvest)
+            for name, harvest in harvests.items()
+        }
+
+    assert sorted(handed["sim"]) == ["client", "replicas-0", "replicas-1"]
+    assert shape(handed["sim"]) == shape(handed["proc"])
+
+
+@pytest.mark.parametrize("backend", ["bogus", "sim"])
+def test_an_unknown_backend_is_refused_before_anything_is_built(monkeypatch, backend):
+    def unreachable(**kwargs):
+        raise AssertionError("built a cluster for a backend that was refused")
+
+    monkeypatch.setattr(conformance, "build_proc_seemore", unreachable)
+    if backend == "bogus":
+        with pytest.raises(ValueError, match="unknown backend 'bogus'"):
+            run_leg(backend, Mode.LION, num_requests=1, window=1, max_batch=1)
+    with pytest.raises(ValueError, match=f"unknown real backend '{backend}'"):
+        check_mode(Mode.LION, num_requests=1, backend=backend)
 
 
 class _Sink:

@@ -27,7 +27,7 @@ from repro.runtime.aio import (
     decode_envelope,
     encode_envelope,
 )
-from repro.runtime.conformance import AIO_CLIENT_TIMEOUT, AIO_REQUEST_TIMEOUT, oracle_cluster
+from repro.runtime.conformance import AIO_CLIENT_TIMEOUT, AIO_REQUEST_TIMEOUT
 from repro.net.topology import Placement
 from repro.smr import client as smr_client
 from repro.smr.messages import _WIRE_SLICE_ATTR, Batch, Request, requests_of
@@ -39,6 +39,7 @@ from test_runtime_transport import (
     HELLO,
     KEYS,
     _accepted,
+    _aio_oracle,
     _framed,
     _RecordingTransport,
     _Ticker,
@@ -261,10 +262,7 @@ class TestBadSignaturesLeaveTheSameEvidence:
 
     @pytest.fixture(autouse=True)
     def cluster(self):
-        replicas, client = oracle_cluster(
-            AioRuntime(), Mode.LION, num_requests=1, window=1,
-            request_timeout=AIO_REQUEST_TIMEOUT, client_timeout=AIO_CLIENT_TIMEOUT, max_batch=1,
-        )
+        replicas, client = _aio_oracle(AioRuntime(), Mode.LION, num_requests=1, window=1)
         self.primary, self.replica, self.client = (
             replicas["private-0"], replicas["public-3"], client
         )
@@ -460,10 +458,7 @@ def test_a_fault_free_run_decodes_each_payload_once_per_replica(monkeypatch, mod
     wire_decode = aio.wire_decode
     monkeypatch.setattr(aio, "wire_decode", lambda frame: decoded.append(1) or wire_decode(frame))
     runtime = AioRuntime()
-    _, client = oracle_cluster(
-        runtime, mode, num_requests=100, window=8,
-        request_timeout=AIO_REQUEST_TIMEOUT, client_timeout=AIO_CLIENT_TIMEOUT, max_batch=1,
-    )
+    _, client = _aio_oracle(runtime, mode, num_requests=100, window=8)
     met = runtime.run(
         kickoff=client.start, until=lambda: client.completed_count >= 100, timeout=30.0
     )

@@ -16,7 +16,7 @@ import pytest
 
 from repro.cluster.builders import build_proc_seemore
 from repro.core import Mode
-from repro.runtime.conformance import run_aio
+from repro.runtime.conformance import run_leg
 
 
 def _wait_for_progress(cluster, worker, minimum, timeout):
@@ -148,7 +148,7 @@ def test_four_proc_cluster_doubles_single_process_aio_throughput():
     requests, window, max_batch = 400, 16, 16
 
     started = time.perf_counter()
-    run_aio(Mode.LION, requests, window, max_batch, seed=3, timeout=120.0)  # raises if short
+    run_leg("aio", Mode.LION, requests, window, max_batch, seed=3, timeout=120.0)  # raises if short
     aio_rps = requests / (time.perf_counter() - started)
 
     cluster = build_proc_seemore(

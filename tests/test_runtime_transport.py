@@ -10,6 +10,7 @@ connection cut under an established channel) and run over loopback TCP.
 """
 
 import logging
+import math
 import os
 import pathlib
 import subprocess
@@ -19,7 +20,9 @@ from collections import deque
 
 import pytest
 
-from repro.core import Mode
+from repro.cluster.builders import PROC_PIPELINE_DEPTH, wire_oracle
+from repro.cluster.wiring import ShardSpec
+from repro.core import BatchPolicy, Mode
 from repro.core import messages as core
 from repro.crypto.digest import digest_of
 from repro.crypto.keys import KeyStore
@@ -32,7 +35,7 @@ from repro.runtime.aio import (
     decode_envelope,
     encode_envelope,
 )
-from repro.runtime.conformance import AIO_CLIENT_TIMEOUT, AIO_REQUEST_TIMEOUT, oracle_cluster
+from repro.runtime.conformance import AIO_CLIENT_TIMEOUT, AIO_REQUEST_TIMEOUT, CLIENT_PREFIX
 from repro.smr.messages import Batch, Reply, Request
 from repro.smr.state_machine import Operation
 
@@ -337,20 +340,35 @@ def _spin(counter):
     counter[0] += sum(range(40))
 
 
+def _items_lasting(seconds, work, args):
+    """How many ``work(*args)`` items are at least ten times ``seconds`` of work here.
+
+    Probed on this host, not assumed: a count that is 50 ms of work on one
+    machine is under 5 ms on another.  The CPU's own per-item cost comes on
+    top, so the backlog only gets longer than the probe says.
+    """
+    started = time.perf_counter()
+    for _ in range(1000):
+        work(*args)
+    per_item = (time.perf_counter() - started) / 1000
+    return max(1000, math.ceil(10 * seconds / per_item))
+
+
 class TestCpuSlice:
     def test_a_slice_is_bounded_and_keeps_fifo_order(self):
         runtime, ticker = _ticking_runtime()
         cpu = runtime.create_cpu("n0")
         ran = []
-        for index in range(20_000):
+        count = _items_lasting(CPU_SLICE_S, [].append, (0,))
+        for index in range(count):
             cpu.submit(0.0, ran.append, (index,))
         ticker.tick()
         first = len(ran)
-        assert 0 < first < 20_000, "one slice ran the whole backlog"
-        assert cpu.queue_depth == 20_000 - first and len(ticker.ready) == 1
+        assert 0 < first < count, "one slice ran the whole backlog"
+        assert cpu.queue_depth == count - first and len(ticker.ready) == 1
         ticker.run()
-        assert ran == list(range(20_000))
-        assert cpu.items_processed == 20_000 and cpu.busy_time > 0.0
+        assert ran == list(range(count))
+        assert cpu.items_processed == count and cpu.busy_time > 0.0
 
     def test_a_crash_from_inside_a_handler_stops_the_slice(self):
         runtime, ticker = _ticking_runtime()
@@ -379,13 +397,14 @@ class TestCpuSlice:
         assert ran == ["next"] and cpu.items_processed == 2
 
     def test_a_backlog_on_one_node_does_not_hold_up_another_nodes_timer(self):
-        """10 000 queued items are ~50 ms of work; the 5 ms timer must not wait for them."""
+        """The queued items are at least 50 ms of work; the 5 ms timer must not wait for them."""
         runtime = AioRuntime()
         busy = runtime.create_cpu("busy")
         counter, fired = [0], []
+        count = _items_lasting(0.005, _spin, ([0],))
 
         def kickoff():
-            for _ in range(10_000):
+            for _ in range(count):
                 busy.submit(0.0, _spin, (counter,))
             armed_at = runtime.now
             runtime.call_later(
@@ -393,7 +412,7 @@ class TestCpuSlice:
             )
 
         runtime.run(kickoff=kickoff, until=lambda: fired and not busy.queue_depth, timeout=20.0)
-        assert busy.items_processed == 10_000
+        assert busy.items_processed == count
         ((elapsed, backlog_then),) = fired
         assert backlog_then > 0, "the backlog drained before the timer: the test shows nothing"
         # Due at 5 ms; one slice may be running when it falls due.  The bound
@@ -485,12 +504,22 @@ class TestTimerDeadline:
 # -- (d) coalescing on a real run, (bugfix) reconnect -----------------------------------
 
 
+def _aio_oracle(runtime, mode, num_requests, window):
+    """The conformance oracle's cluster, unbatched, and its client on ``runtime``."""
+    settings = ShardSpec(
+        mode=mode,
+        request_timeout=AIO_REQUEST_TIMEOUT,
+        batch_policy=BatchPolicy(max_batch=1, pipeline_depth=PROC_PIPELINE_DEPTH),
+    )
+    return wire_oracle(
+        runtime, settings, 0, CLIENT_PREFIX,
+        client_timeout=AIO_CLIENT_TIMEOUT, num_requests=num_requests, window=window,
+    )
+
+
 def test_a_window_16_closed_loop_run_coalesces_writes():
     runtime = AioRuntime()
-    _, client = oracle_cluster(
-        runtime, Mode.LION, num_requests=200, window=16,
-        request_timeout=AIO_REQUEST_TIMEOUT, client_timeout=AIO_CLIENT_TIMEOUT, max_batch=1,
-    )
+    _, client = _aio_oracle(runtime, Mode.LION, num_requests=200, window=16)
     met = runtime.run(
         kickoff=client.start, until=lambda: client.completed_count >= 200, timeout=30.0
     )
