@@ -232,14 +232,14 @@ def _read_operation(buf: bytes, off: int, end: int) -> Tuple[Operation, int]:
         arg, off = read_value(buf, off, end)
         args.append(arg)
     payload, off = read_str(buf, off, end)
-    return Operation(kind=kind, args=tuple(args), payload=payload), off
+    return Operation(kind, tuple(args) if count else (), payload), off
 
 
 #: Request's operation, framed by the pinned ``encode_request``.
 _OPERATION = Kind(
     "(kind str \\| argc u16 \\| arg* \\| payload str)",
     arg="{v}.kind, {v}.args, {v}.payload",
-    read="read_operation",
+    read="{v}, off = read_operation(buf, off, end)",
     json="{v}.to_wire()",
     size="{v}.wire_size()",
     names={"read_operation": _read_operation},
@@ -278,7 +278,7 @@ def _read_result(buf: bytes, off: int, end: int) -> Tuple[OpaqueResult, int]:
 _RESULT = Kind(
     "dig (of the result)",
     arg="self.result_digest()",
-    read="read_result",
+    read="{v}, off = read_result(buf, off, end)",
     json="self.result_digest()",
     size="payload_size(self.result)",
     names={"read_result": _read_result, "payload_size": _payload_size},
@@ -316,8 +316,7 @@ def _read_more(
 _MORE = Kind(
     "(count u32 \\| (timestamp i64 \\| dig)*), omitted when empty",
     arg="[(each, result_digest(result)) for each, result in {v}]",
-    read="read_more",
-    read_after=("timestamp",),
+    read="{v}, off = read_more(buf, off, end, timestamp)",
     json="[(each, result_digest(result)) for each, result in {v}]",
     size="more_size({v})",
     names={"read_more": _read_more, "result_digest": result_digest, "more_size": _more_size},
@@ -418,7 +417,7 @@ def _signature_slot(item: Any) -> Optional[Signature]:
 _REQUEST_FRAMES = Kind(
     "(count u32 \\| (length u32 \\| request frame)*)",
     arg="[request.wire_slice() for request in {v}]",
-    read="read_request_frames",
+    read="{v}, off = read_request_frames(buf, off, end)",
     json="[digest_of(request) for request in {v}]",
     size="sum(request.cached_wire_size() for request in {v})",
     check="if not {v}: raise ValueError('a batch must contain at least one request')",

@@ -21,7 +21,6 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.crypto.digest import digest
 
 
-@dataclass(frozen=True)
 class Operation:
     """A client-issued state machine operation.
 
@@ -30,11 +29,30 @@ class Operation:
         args: positional arguments.
         payload: opaque bytes-equivalent payload; only its size matters to
             the micro-benchmarks but it is carried through execution.
+
+    A ``__slots__`` class, not a frozen dataclass (whose ``__init__`` sets
+    each field through ``object.__setattr__``): a TCP receiver builds one per
+    request it decodes.  ``==``, ``hash`` and ``repr`` are the dataclass's;
+    operations are immutable by convention, as messages are.
     """
 
-    kind: str
-    args: Tuple[Any, ...] = ()
-    payload: str = ""
+    __slots__ = ("kind", "args", "payload")
+
+    def __init__(self, kind: str, args: Tuple[Any, ...] = (), payload: str = "") -> None:
+        self.kind = kind
+        self.args = args
+        self.payload = payload
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is not Operation:
+            return NotImplemented
+        return (self.kind, self.args, self.payload) == (other.kind, other.args, other.payload)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.args, self.payload))
+
+    def __repr__(self) -> str:
+        return f"Operation(kind={self.kind!r}, args={self.args!r}, payload={self.payload!r})"
 
     def to_wire(self) -> Dict[str, Any]:
         return {"kind": self.kind, "args": list(self.args), "payload_len": len(self.payload)}

@@ -12,9 +12,11 @@ from that, the way :mod:`dataclasses` builds ``__init__``:
   declaration order`` (``FRAME`` overrides the order);
 * ``from_buffer(buf, off, end)``, its inverse over the window ``[off, end)`` of
   a buffer, registered by tag for :func:`decode`: one bounds check and one
-  ``unpack_from`` for the head, one ``read_x(buf, off, end)`` call per other
-  field (also handed the earlier fields its kind names in ``read_after``),
-  and the window must be consumed exactly;
+  ``unpack_from`` for the head, then each other field's ``read`` template
+  (``str`` and ``dig`` read inline, every other kind calls its
+  ``read_x(buf, off, end)``); the window must be consumed exactly, and the
+  message is built in one step — ``object.__new__`` and one fill of its
+  ``__dict__`` with what ``__init__`` would set, after the same checks;
 * ``signing_content()``, the JSON-shaped form the differential tests keep
   as their reference;
 * ``wire_size()``, the simulator's modeled size;
@@ -52,7 +54,6 @@ from repro.wire.primitives import (
     WireDecodeError,
     pack_digest,
     read_digest,
-    read_str,
     read_u32,
     truncated,
 )
@@ -67,9 +68,9 @@ _REQUIRED = object()
 class Kind:
     """How one kind of field is packed, read, sized and shown.
 
-    Every attribute but ``label``, ``read`` and ``names`` is a source template
-    over ``{v}`` (the field's value expression) that :func:`derive` splices
-    into the generated methods.  A kind with a ``head`` struct code is
+    Every attribute but ``label`` and ``names`` is a source template over
+    ``{v}`` (the field's value expression) that :func:`derive` splices into
+    the generated methods.  A kind with a ``head`` struct code is
     fixed-width and rides in the frame's leading struct; one with neither
     ``head`` nor ``read`` is unsigned and travels detached.
     """
@@ -77,8 +78,7 @@ class Kind:
     label: str  # the field's type in the README table
     head: str = ""
     pack: str = ""  # bytes expression, for frames assembled inline
-    read: str = ""  # name of a ``(buf, off, end) -> (value, next_off)`` function
-    read_after: Tuple[str, ...] = ()  # earlier frame fields the reader also takes
+    read: str = ""  # statements reading ``{v}`` at ``off`` in ``buf[:end]``, advancing ``off``
     arg: str = "{v}"  # argument(s) handed to a pinned ``ENCODER``
     json: str = "{v}"  # value in ``signing_content()``
     size: str = ""  # variable term of ``wire_size()``
@@ -115,11 +115,32 @@ def value_slot(item: Any) -> Any:
 
 
 I64 = Kind("i64", head="q")
-STR = Kind("str", pack="primitives.pack_str({v})", read="read_str", names={"read_str": read_str})
+#: ``read_str`` inlined: the same checks and errors without a call per field.
+STR = Kind(
+    "str",
+    pack="primitives.pack_str({v})",
+    read="""start = off + 4
+if start > end: raise truncated(4, off, end)
+stop = start + u32_at(buf, off)[0]
+if stop > end: raise truncated(stop - start, start, end)
+try: {v} = buf[start:stop].decode("utf-8")
+except UnicodeDecodeError as exc:
+    raise WireDecodeError(f"garbled UTF-8 string field: {{exc}}") from None
+off = stop""",
+    names={"u32_at": _U32.unpack_from},
+)
+#: The packed branch of ``read_digest`` inlined; every other flag byte (the
+#: spelled-out ``0x00`` form, a garbled flag, no byte at all) goes to
+#: ``read_digest``, which holds the canonical checks.
 DIGEST = Kind(
     "dig",
     pack="primitives.pack_digest({v})",
-    read="read_digest",
+    read="""if off < end and buf[off] == 1:
+    stop = off + 33
+    if stop > end: raise truncated(32, off + 1, end)
+    {v} = buf[off + 1 : stop].hex()
+    off = stop
+else: {v}, off = read_digest(buf, off, end)""",
     names={"read_digest": read_digest},
 )
 #: View-change entries: ``(sequence, view, digest)`` signed, each entry's
@@ -127,7 +148,7 @@ DIGEST = Kind(
 ENTRIES = Kind(
     "entry*",
     pack="pack_entries({v})",
-    read="read_entries",
+    read="{v}, off = read_entries(buf, off, end)",
     json="[entry.to_wire() for entry in {v}]",
     size="sum(entry.wire_size() for entry in {v})",
     detach="[entry.request for entry in {v}]",
@@ -237,6 +258,27 @@ def frame_fields(cls: type) -> List[Field]:
     return [f for f in signed if f.kind.head] + [f for f in signed if not f.kind.head]
 
 
+#: The kind of the ``signed`` flag and ``signature`` every message carries.
+_META = Kind("")
+
+
+def _entry(field: Field) -> Tuple[str, str, str]:
+    """``field``'s ``__init__`` parameter, the value ``__init__`` stores, and the decoded one.
+
+    A decoded message holds its frame fields as read and every other field
+    at its default (``None`` where it has none).
+    """
+    name, default = field.name, field.default
+    if default is _REQUIRED:
+        param, value, fallback = name, name, "None"
+    elif default in (list, dict):
+        fallback = f"{default.__name__}()"
+        param, value = f"{name}=None", f"{fallback} if {name} is None else {name}"
+    else:
+        param, value, fallback = f"{name}={default!r}", name, repr(default)
+    return param, value, name if field.kind.signed else fallback
+
+
 def derive(cls: type) -> None:
     """Generate ``cls``'s constructor, frame, decoder, JSON form and size; register it."""
     fields: Sequence[Field] = cls.FIELDS
@@ -244,7 +286,7 @@ def derive(cls: type) -> None:
     head = [field for field in framed if field.kind.head]
     tail = [field for field in framed if not field.kind.head]
     detached = [field for field in fields if field.kind.detach]
-    names: Dict[str, Any] = {"cls": cls, "tag": cls.TAG}
+    names: Dict[str, Any] = {"cls": cls, "tag": cls.TAG, "new_object": object.__new__}
     names["head"] = struct.Struct("<B" + "".join(field.kind.head for field in head))
     for field in fields:
         names.update(field.kind.names or {})
@@ -252,26 +294,23 @@ def derive(cls: type) -> None:
     def spliced(template: str, field: Field) -> str:
         return template.format(v=f"self.{field.name}")
 
-    # Constructor: bulk-populating the instance dict skips the per-field
-    # ``__setattr__`` cache guard (no caches can exist yet).
-    params, checks, entries = ["self"], [], []
-    for field in fields:
-        default, value = field.default, field.name
-        if default in (list, dict):
-            value, default = f"{default.__name__}() if {value} is None else {value}", None
-        params.append(field.name if default is _REQUIRED else f"{field.name}={default!r}")
-        entries.append(f"{field.name!r}: {value}")
-        if field.kind.check:
-            checks.append(field.kind.check.format(v=field.name))
-    params += [f"signed={cls.SIGNED!r}", "signature=None"]
-    entries += ["'signed': signed", "'signature': signature"]
-    body = checks + ["self.__dict__.update({" + ", ".join(entries) + "})"]
-    cls.__init__ = _compile("__init__", ", ".join(params), body, names)
+    # Constructor and decoder each fill the instance dict in one update, which
+    # skips the per-field ``__setattr__`` cache guard (no caches exist yet),
+    # from one entry list, so the two set the same keys to the same defaults.
+    every = [*fields, Field("signed", _META, cls.SIGNED), Field("signature", _META, None)]
+    params, stored, decoded = zip(*map(_entry, every))
 
-    every = [field.name for field in fields] + ["signed", "signature"]
-    shown = ", ".join(f"{name}={{self.{name}!r}}" for name in every)
+    def fill(target: str, values: Sequence[str]) -> str:
+        pairs = ", ".join(f"{field.name!r}: {value}" for field, value in zip(every, values))
+        return f"{target}.__dict__.update({{{pairs}}})"
+
+    checks = [field.kind.check.format(v=field.name) for field in fields if field.kind.check]
+    body = checks + [fill("self", stored)]
+    cls.__init__ = _compile("__init__", ", ".join(["self", *params]), body, names)
+
+    shown = ", ".join(f"{field.name}={{self.{field.name}!r}}" for field in every)
     cls.__repr__ = _compile("__repr__", "self", [f"return f'{cls.__name__}({shown})'"], names)
-    mine = "(" + ", ".join(f"self.{name}" for name in every) + ",)"
+    mine = "(" + ", ".join(f"self.{field.name}" for field in every) + ",)"
     body = [
         "if other.__class__ is not cls: return NotImplemented",
         f"return {mine} == {mine.replace('self.', 'other.')}",
@@ -298,16 +337,10 @@ def derive(cls: type) -> None:
         f"off += {size}",
     ]
     for field in tail:
-        args = ", ".join(("buf", "off", "end") + field.kind.read_after)
-        reads.append(f"{field.name}, off = {field.kind.read}({args})")
+        reads += field.kind.read.format(v=field.name).split("\n")
     reads.append("if off != end: raise WireDecodeError(f'{end - off} trailing bytes after frame')")
-    given = [f"{field.name}={field.name}" for field in framed]
-    given += [
-        f"{field.name}=None"
-        for field in fields
-        if not field.kind.signed and field.default is _REQUIRED
-    ]
-    body = reads + [f"return cls({', '.join(given)})"]
+    reads += [f.kind.check.format(v=value) for f, value in zip(fields, decoded) if f.kind.check]
+    body = reads + ["message = new_object(cls)", fill("message", decoded), "return message"]
     cls.from_buffer = staticmethod(_compile("from_buffer", "buf, off, end", body, names))
 
     content = [f"'type': {cls.__name__!r}"]

@@ -27,14 +27,19 @@ frame rebuilt from decoded fields hashes to the digest of the one received.
 Decoding is in place and has one convention: ``read_x(buf, off, end)`` reads
 one field at ``off`` from the window ``[off, end)`` of ``buf`` and returns
 ``(value, next_off)``; there is no cursor object and nothing is copied but
-the field itself.  Every read checks its bounds against ``end`` and raises
-:class:`WireDecodeError` (built by :func:`truncated`) rather than reading
-past it.  ``end`` is therefore always the end of the *innermost* frame being
-decoded — a request embedded in a batch is read with its own end, not the
-batch's — or a length inside one frame could reach into whatever follows it
-in the buffer; whoever opens a nested window also checks that it was
-consumed exactly.  Decode is on the hot path of the TCP backends (every
-message a node receives); the simulator never decodes.
+the field itself.  Hand-written readers call the ``read_x`` functions; the
+decoders :mod:`repro.wire.codec` generates read their ``str`` and ``dig``
+fields inline, from source templates that make the same checks and raise
+the same errors as :func:`read_str` and :func:`read_digest` (a spelled-out
+``0x00`` digest still goes through :func:`read_digest`).  Every read checks
+its bounds against ``end`` and raises :class:`WireDecodeError` (built by
+:func:`truncated`) rather than reading past it.  ``end`` is therefore
+always the end of the *innermost* frame being decoded — a request embedded
+in a batch is read with its own end, not the batch's — or a length inside
+one frame could reach into whatever follows it in the buffer; whoever opens
+a nested window also checks that it was consumed exactly.  Decode is on the
+hot path of the TCP backends (every message a node receives); the simulator
+never decodes.
 """
 
 from __future__ import annotations

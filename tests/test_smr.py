@@ -1,5 +1,8 @@
 """Unit tests for state machines, the ordered executor, and commit ledgers."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.crypto import digest
@@ -29,6 +32,76 @@ class TestOperations:
         wire = op.to_wire()
         assert wire["kind"] == "put"
         assert wire["payload_len"] == 2
+
+
+class TestOperationValue:
+    """``Operation`` is a slotted value class that behaves as the frozen dataclass it replaced."""
+
+    OP = Operation("put", ("k", 12, 2.5, None, (1, "a")), "xyz")
+
+    def test_keyword_positional_and_default_construction_agree(self):
+        assert Operation(kind="put", args=self.OP.args, payload="xyz") == self.OP
+        assert Operation("put", self.OP.args, payload="xyz") == self.OP
+        bare = Operation("noop")
+        assert (bare.kind, bare.args, bare.payload) == ("noop", (), "")
+        assert Operation(kind="noop") == bare == Operation("noop", (), "")
+
+    def test_equal_values_are_equal_and_hash_alike(self):
+        twin = Operation("put", ("k", 12, 2.5, None, (1, "a")), "xyz")
+        assert twin is not self.OP
+        assert twin == self.OP and not twin != self.OP
+        assert hash(twin) == hash(self.OP)
+        assert len({twin, self.OP}) == 1
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            Operation("get", ("k", 12, 2.5, None, (1, "a")), "xyz"),
+            Operation("put", ("k", 12, 2.5, None, (1, "b")), "xyz"),
+            Operation("put", ("k", 12, 2.5, None, (1, "a")), "xy"),
+        ],
+        ids=["kind", "args", "payload"],
+    )
+    def test_one_differing_field_makes_a_different_value(self, other):
+        assert other != self.OP and not other == self.OP
+        assert hash(other) != hash(self.OP)
+
+    def test_other_types_never_compare_equal(self):
+        assert self.OP != ("put", self.OP.args, "xyz")
+        assert self.OP.__eq__(("put", self.OP.args, "xyz")) is NotImplemented
+
+    def test_repr_is_the_dataclass_repr(self):
+        assert repr(self.OP) == (
+            "Operation(kind='put', args=('k', 12, 2.5, None, (1, 'a')), payload='xyz')"
+        )
+        assert repr(Operation("noop")) == "Operation(kind='noop', args=(), payload='')"
+        quoted = Operation(kind="get", args=("k'\"",), payload="é")
+        assert repr(quoted) == "Operation(kind='get', args=('k\\'\"',), payload='é')"
+
+    def test_to_wire_and_wire_size_are_unchanged(self):
+        assert self.OP.to_wire() == {
+            "kind": "put",
+            "args": ["k", 12, 2.5, None, (1, "a")],
+            "payload_len": 3,
+        }
+        assert self.OP.wire_size() == 37
+        assert Operation("noop").to_wire() == {"kind": "noop", "args": [], "payload_len": 0}
+        assert Operation("noop").wire_size() == 16
+        assert Operation("get", ("k'\"",), "é").wire_size() == 20
+
+    def test_copies_and_pickles_are_equal_values(self):
+        for clone in (
+            copy.copy(self.OP),
+            copy.deepcopy(self.OP),
+            pickle.loads(pickle.dumps(self.OP)),
+        ):
+            assert type(clone) is Operation
+            assert clone == self.OP and hash(clone) == hash(self.OP)
+            assert repr(clone) == repr(self.OP)
+
+    def test_it_is_slotted(self):
+        assert Operation.__slots__ == ("kind", "args", "payload")
+        assert not hasattr(self.OP, "__dict__")
 
 
 class TestKeyValueStore:

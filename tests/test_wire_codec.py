@@ -13,15 +13,22 @@ here hold:
   types it is exactly as fine-grained);
 * **rejection** — truncated, garbled, trailing-padded, and unknown-tag
   frames raise :class:`WireDecodeError`, never a stray exception and never
-  a silently-wrong message.
+  a silently-wrong message;
+* **decoder parity** — every registered class's generated ``from_buffer``
+  builds the message its keyword constructor builds (same type, same
+  ``__dict__``, fresh containers), in any window of a buffer, and its inline
+  ``str`` and ``dig`` reads reject what :func:`read_str` and
+  :func:`read_digest` reject, with the same error text.
 """
 
+import inspect
 import json
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.baselines.messages  # noqa: F401 - registers the baseline classes
 from repro.core.messages import (
     Accept,
     Checkpoint,
@@ -34,6 +41,7 @@ from repro.core.messages import (
 from repro.crypto.digest import digest_bytes, digest_of
 from repro.smr.messages import Batch, Reply, Request
 from repro.smr.state_machine import Operation
+from repro.wire import codec
 from repro.wire.codec import OpaqueResult, decode, encode
 from repro.wire.primitives import (
     _U32,
@@ -41,6 +49,8 @@ from repro.wire.primitives import (
     WireDecodeError,
     encode_reply,
     pack_value,
+    read_digest,
+    read_str,
 )
 
 # ---------------------------------------------------------------------------
@@ -515,9 +525,8 @@ class TestRejection:
 # grouped replies: one reply per client per executed slot
 # ---------------------------------------------------------------------------
 
-GOLDEN_REPLY = json.loads(
-    (Path(__file__).resolve().parent / "data" / "wire_golden.json").read_text()
-)["Reply"]
+GOLDEN = json.loads((Path(__file__).resolve().parent / "data" / "wire_golden.json").read_text())
+GOLDEN_REPLY = GOLDEN["Reply"]
 
 RESULTS = st.one_of(
     st.none(),
@@ -606,6 +615,148 @@ class TestGroupedReplyFrames:
         count_at = len(one) - tail
         with pytest.raises(WireDecodeError, match="truncated"):
             decode(one[:count_at] + _U32.pack(2) + one[count_at + 4 :])
+
+
+# ---------------------------------------------------------------------------
+# decoder parity: generated decoders against the constructor and the readers
+# ---------------------------------------------------------------------------
+
+PARITY_CLASSES = sorted(codec.REGISTRY.values(), key=lambda cls: cls.TAG)
+
+
+def keyword_built(decoded):
+    """The message the keyword constructor builds from ``decoded``'s frame fields."""
+    cls = type(decoded)
+    framed = {field.name for field in codec.frame_fields(cls)}
+    params = inspect.signature(cls).parameters
+    given = {}
+    for field in cls.FIELDS:
+        if field.name in framed:
+            given[field.name] = getattr(decoded, field.name)
+        elif params[field.name].default is inspect.Parameter.empty:
+            given[field.name] = None
+    return cls(**given)
+
+
+def assert_decodes_as_constructed(cls, frame):
+    """``from_buffer`` builds what the constructor would, in any window, fresh each time."""
+    decoded = cls.from_buffer(frame, 0, len(frame))
+    built = keyword_built(decoded)
+    assert type(decoded) is type(built) is cls
+    assert list(decoded.__dict__.items()) == list(built.__dict__.items())
+    padded = b"\xff" * 3 + frame + b"\x00" * 40
+    again = cls.from_buffer(padded, 3, 3 + len(frame))
+    assert again.__dict__ == decoded.__dict__
+    for name, value in decoded.__dict__.items():
+        if isinstance(value, (list, dict)):
+            assert again.__dict__[name] is not value, f"{name} is shared between decodes"
+    assert encode(decoded) == frame
+    return decoded
+
+
+def field_values(field):
+    """Values for one constructor argument of a registered class, by its kind."""
+    kind = field.kind
+    if kind is codec.I64:
+        return I64
+    if kind is codec.STR:
+        return st.one_of(IDENTIFIER, TEXT)
+    if kind is codec.DIGEST:
+        return DIGEST
+    if kind is codec.ENTRIES:
+        return st.lists(st.builds(codec.Entry, I64, I64, DIGEST), max_size=3)
+    if kind in (codec.PAYLOAD, codec.ATTACHMENT):
+        return st.none()
+    if kind is Request.FIELDS[0].kind:
+        return OPERATIONS
+    if kind is Batch.FIELDS[0].kind:
+        return st.lists(REQUESTS, min_size=1, max_size=3)
+    raise AssertionError(f"no values for the kind of field {field.name!r}")
+
+
+def messages_of(cls):
+    if cls is Reply:  # its ``more`` entries answer distinct timestamps
+        return st.one_of(REPLIES, grouped_replies())
+    return st.builds(cls, **{field.name: field_values(field) for field in cls.FIELDS})
+
+
+def first_tail_field_of_kind(kind):
+    """``(cls, head size)`` of the classes whose first field after the head has ``kind``."""
+    found = []
+    for cls in PARITY_CLASSES:
+        framed = codec.frame_fields(cls)
+        head = [field for field in framed if field.kind.head]
+        if len(framed) > len(head) and framed[len(head)].kind is kind:
+            found.append(pytest.param(cls, 1 + 8 * len(head), id=cls.__name__))
+    assert found
+    return found
+
+
+#: Bytes from a string field's offset: each is rejected by ``read_str``.
+BAD_STRINGS = {
+    "truncated-length-prefix": b"\x05\x00",
+    "no-length-prefix": b"",
+    "length-past-end": _U32.pack(10) + b"abc",
+    "length-past-a-huge-end": _U32.pack(2**32 - 1) + b"abc",
+    "invalid-utf8": _U32.pack(2) + b"\xff\xfe",
+    "truncated-utf8": _U32.pack(1) + "é".encode("utf-8")[:1],
+}
+
+#: Bytes from a digest field's offset: each is rejected by ``read_digest``.
+BAD_DIGESTS = {
+    "no-flag-byte": b"",
+    "packed-with-31-bytes": b"\x01" + b"\xab" * 31,
+    "packed-with-no-bytes": b"\x01",
+    "spelled-out-canonical": b"\x00" + _U32.pack(64) + b"ab" * 32,
+    "spelled-out-truncated-length": b"\x00\x01",
+    "spelled-out-length-past-end": b"\x00" + _U32.pack(9) + b"abc",
+    "spelled-out-invalid-utf8": b"\x00" + _U32.pack(1) + b"\xff",
+    "garbled-flag": b"\x7f" + b"\x00" * 40,
+}
+
+
+class TestDecoderParity:
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_every_golden_frame_decodes_as_constructed(self, name):
+        frame = bytes.fromhex(GOLDEN[name]["frame"])
+        cls = codec.REGISTRY[frame[0]]
+        assert cls.__name__ == name
+        assert_decodes_as_constructed(cls, frame)
+
+    @pytest.mark.parametrize("cls", PARITY_CLASSES, ids=lambda cls: cls.__name__)
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_every_registered_class_decodes_as_constructed(self, cls, data):
+        message = data.draw(messages_of(cls))
+        decoded = assert_decodes_as_constructed(cls, encode(message))
+        for field in codec.frame_fields(cls):
+            if field.kind in (codec.I64, codec.STR, codec.DIGEST):
+                assert getattr(decoded, field.name) == getattr(message, field.name)
+
+    @given(message=HOT_MESSAGES)
+    def test_every_hot_message_decodes_as_constructed(self, message):
+        assert_decodes_as_constructed(type(message), encode(message))
+
+    @staticmethod
+    def assert_same_rejection(cls, head_size, tail, reader):
+        frame = bytes([cls.TAG]) + b"\x00" * (head_size - 1) + tail
+        # Bytes past ``end`` must never be read: a missing bound would find them.
+        padded = frame + b"\x01" + b"\x00" * 64
+        with pytest.raises(WireDecodeError) as expected:
+            reader(padded, head_size, len(frame))
+        with pytest.raises(WireDecodeError) as inline:
+            cls.from_buffer(padded, 0, len(frame))
+        assert str(inline.value) == str(expected.value)
+
+    @pytest.mark.parametrize("tail", BAD_STRINGS.values(), ids=list(BAD_STRINGS))
+    @pytest.mark.parametrize("cls,head_size", first_tail_field_of_kind(codec.STR))
+    def test_an_inline_string_read_fails_as_read_str_does(self, cls, head_size, tail):
+        self.assert_same_rejection(cls, head_size, tail, read_str)
+
+    @pytest.mark.parametrize("tail", BAD_DIGESTS.values(), ids=list(BAD_DIGESTS))
+    @pytest.mark.parametrize("cls,head_size", first_tail_field_of_kind(codec.DIGEST))
+    def test_an_inline_digest_read_fails_as_read_digest_does(self, cls, head_size, tail):
+        self.assert_same_rejection(cls, head_size, tail, read_digest)
 
 
 if __name__ == "__main__":
