@@ -3,7 +3,7 @@
 SeeMoRe's headline ability is *moving between* modes so a deployment pays
 only for the fault model it currently faces (Section 5.4); this module
 closes that loop in-protocol.  An :class:`AdaptiveModeController` polls a
-running deployment on the simulator clock, pulls fresh evidence records
+running deployment on its runtime's clock, pulls fresh evidence records
 from every replica and client log, aggregates them into a
 :class:`~repro.adaptive.estimator.FaultEnvironmentEstimate`, and picks the
 cheapest mode that is safe for the environment it sees:
@@ -121,10 +121,10 @@ class AdaptiveModeController:
 
     ``group`` is the :class:`~repro.cluster.wiring.Group` the controller
     watches and switches (its replicas, config and own metrics recorder);
-    ``deployment`` supplies what is deployment-wide: the simulator clock and
-    the client pool.  Clients are shared by every group of a deployment, so
-    evidence implicating another group's replicas is filtered out by the
-    estimator.
+    ``deployment`` supplies what is deployment-wide: the runtime whose clock
+    and timers it polls on, and the client pool.  Clients are shared by
+    every group of a deployment, so evidence implicating another group's
+    replicas is filtered out by the estimator.
     """
 
     def __init__(
@@ -144,7 +144,7 @@ class AdaptiveModeController:
             public_ids=self.config.public_replicas,
             window=self.policy.window,
         )
-        self._simulator = deployment.simulator
+        self._runtime = deployment.runtime
         self._offsets: Dict[str, int] = {}
         self._started = False
         self._stopped = False
@@ -171,7 +171,7 @@ class AdaptiveModeController:
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> None:
-        """Schedule the poll loop on the simulator clock.
+        """Schedule the poll loop on the deployment's runtime clock.
 
         Idempotent while running, and restartable after :meth:`stop` — a
         controller paused for a maintenance window resumes polling from
@@ -188,7 +188,7 @@ class AdaptiveModeController:
         self._stopped = True
 
     def _schedule_tick(self, generation: int) -> None:
-        self._simulator.call_later(
+        self._runtime.call_later(
             self.policy.poll_interval,
             lambda: self._tick(generation),
             label=f"{self.name}:poll",
@@ -300,7 +300,7 @@ class AdaptiveModeController:
     def poll(self) -> Optional[ControllerDecision]:
         """One control iteration; returns the decision if a switch was initiated."""
         self.polls += 1
-        now = self._simulator.now
+        now = self._runtime.now
         current = self.current_mode()
         if self._last_observed_mode is None:
             self._last_observed_mode = current
@@ -387,7 +387,7 @@ class AdaptiveModeController:
         planner's job, not the controller's; reports surface it as an
         alert.
         """
-        estimate = self.estimator.estimate(self._simulator.now)
+        estimate = self.estimator.estimate(self._runtime.now)
         return estimate.within_tolerance(
             self.config.byzantine_tolerance, self.config.crash_tolerance
         )

@@ -15,9 +15,8 @@ measurement loops used by the benchmarks:
   as ``deployment.group()``), one client pool, and a ``router`` exactly
   when the clients are routed over several groups' keyspace;
 * :func:`~repro.cluster.runner.run_deployment` drives it (whatever the
-  group count) for a stretch of simulated time and
-  :func:`~repro.cluster.runner.run_open_loop` does the same under an
-  open-loop driver; both return the one
+  group count, under its closed-loop clients or an open-loop ``driver=``)
+  for a stretch of its runtime's time and returns the one
   :class:`~repro.cluster.runner.RunResult`;
 * :func:`~repro.cluster.runner.sweep_clients` repeats that for increasing
   client counts, producing the latency-throughput curves of Figures 2-3.
@@ -42,7 +41,6 @@ from repro.cluster.builders import (
 from repro.cluster.runner import (
     RunResult,
     run_deployment,
-    run_open_loop,
     run_sharded_deployment,
     sweep_clients,
 )
@@ -59,7 +57,6 @@ __all__ = [
     "builder_for",
     "RunResult",
     "run_deployment",
-    "run_open_loop",
     "run_sharded_deployment",
     "sweep_clients",
 ]

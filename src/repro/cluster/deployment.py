@@ -42,9 +42,9 @@ class Deployment:
         protocol: human-readable protocol name (``"seemore-lion"``, ``"pbft"``,
             ``"seemore-sharded-2x"``...).
         runtime: the runtime facade the nodes were built against.
-        simulator / network: the discrete-event simulator owning time and the
-            message fabric; first-class fields because the scenario / adaptive
-            / fault layers are sim-only tooling and reach into them directly.
+        simulator / network: the discrete-event simulator behind ``runtime``
+            (read for its event count; time, timers and runs come from
+            ``runtime``) and the message fabric (its conditions and counters).
         placement: cloud placement of every node.
         keystore: key material for all nodes.
         shards: the replica groups, in shard order; a single cluster is
@@ -136,9 +136,9 @@ class Deployment:
     def stop_clients(self) -> None:
         self.client_pool.stop_all()
 
-    def run(self, duration: float) -> float:
-        """Advance simulated time by ``duration`` seconds."""
-        return self.simulator.run(until=self.simulator.now + duration)
+    def run(self, duration: float) -> bool:
+        """Serve ``duration`` of the runtime's seconds (see ``Runtime.run``)."""
+        return self.runtime.run(timeout=duration)
 
     # -- invariants --------------------------------------------------------------
 

@@ -2,10 +2,10 @@
 
 These functions implement the measurement methodology of Section 6:
 
-* :func:`run_deployment` — start the clients, run for a stretch of
-  simulated time, discard a warm-up window, and report throughput and
-  latency over the measurement window (single cluster or sharded);
-* :func:`run_open_loop` — the same window under an open-loop driver;
+* :func:`run_deployment` — start the load (the closed-loop clients or an
+  open-loop driver), run the deployment's runtime for a stretch of time,
+  discard a warm-up window, and report throughput and latency over the
+  measurement window (single cluster or sharded);
 * :func:`sweep_clients` — repeat that for increasing client counts to trace
   one latency-vs-throughput curve (one line of Figures 2 and 3).
 
@@ -140,35 +140,40 @@ _OPEN_LOOP_COUNTERS = {
 }
 
 
-def _measure(
+def run_deployment(
     deployment: Deployment,
-    duration: float,
-    warmup: float,
+    duration: float = 2.0,
+    warmup: float = 0.2,
     driver: Optional["OpenLoopDriver"] = None,
     slo: Optional[SloSpec] = None,
 ) -> RunResult:
     """The one measurement window: start load, warm up, measure, stop, judge.
 
-    Every runner goes through here, so the warm-up discipline, the safety
-    check (every group's ledgers, and atomicity across them) and the units
-    can never drift.  The load is the deployment's closed-loop client pool
-    unless an open-loop ``driver`` is given; a deployment whose clients are
-    routed additionally has its sharded section filled in.
+    Every measured run goes through here, so the warm-up discipline, the
+    safety check (every group's ledgers, and atomicity across them) and the
+    units can never drift.  The load is the deployment's closed-loop clients
+    unless an open-loop ``driver`` is given, whose section of the result
+    separates offered from served load; routed clients add the sharded
+    section, and ``slo`` judges the measured window bin by bin.  ``duration``
+    and ``warmup`` are in the runtime's seconds, on a freshly built
+    deployment.  Raises ``AssertionError`` if any group's correct replicas'
+    ledgers (or cross-shard decisions) disagree afterwards.
     """
     if duration <= 0:
         raise ValueError(f"duration must be positive: {duration}")
-    simulator = deployment.simulator
+    if warmup < 0:
+        raise ValueError(f"warmup must not be negative: {warmup}")
+    runtime = deployment.runtime
     load_start, load_stop = (
         (deployment.start_clients, deployment.stop_clients)
         if driver is None
         else (driver.start, driver.stop)
     )
-    load_start()
-    simulator.run(until=simulator.now + warmup)
-    measure_start = simulator.now
+    runtime.run(kickoff=load_start, timeout=warmup)
+    measure_start = runtime.now
     before = driver.stats() if driver is not None else {}
-    simulator.run(until=measure_start + duration)
-    measure_end = simulator.now
+    runtime.run(timeout=duration)
+    measure_end = runtime.now
     load_stop()
 
     violations = deployment.safety_violations() or deployment.atomicity_violations()
@@ -214,47 +219,9 @@ def _measure(
     )
 
 
-def run_deployment(
-    deployment: Deployment,
-    duration: float = 2.0,
-    warmup: float = 0.2,
-) -> RunResult:
-    """Run a deployment under its closed-loop clients and measure the steady state.
-
-    Works on any :class:`~repro.cluster.deployment.Deployment`; one whose
-    clients are routed also reports per-shard load and the 2PC counters.
-    Raises ``AssertionError`` if any group's correct replicas' ledgers (or
-    cross-shard decisions) disagree afterwards.
-
-    Args:
-        deployment: a freshly built deployment (clients not yet started).
-        duration: measured window of simulated seconds (after warm-up).
-        warmup: simulated seconds of load discarded before measuring.
-    """
-    return _measure(deployment, duration, warmup)
-
-
 # benchmarks/e2e/adapters.py imports this name and BENCHMARK.json freezes that
 # file, so the sharded spelling stays bound to the same function object.
 run_sharded_deployment = run_deployment
-
-
-def run_open_loop(
-    deployment: Deployment,
-    driver: "OpenLoopDriver",
-    duration: float = 2.0,
-    warmup: float = 0.2,
-    slo: Optional[SloSpec] = None,
-) -> RunResult:
-    """Run a deployment under an open-loop driver and measure the window.
-
-    Same window as :func:`run_deployment`, but the load comes from
-    ``driver`` (a :class:`~repro.workload.openloop.OpenLoopDriver` feeding a
-    modeled population through a bounded connection pool) and the result's
-    open-loop section separates offered from served load.  When ``slo`` is
-    given the measured window is judged against it bin by bin.
-    """
-    return _measure(deployment, duration, warmup, driver=driver, slo=slo)
 
 
 def sweep_clients(

@@ -28,7 +28,7 @@ from typing import Any, Iterable, Optional
 
 from repro.crypto.digest import WIRE_SIZE_CACHE_ATTR
 from repro.net.costs import NodeCostModel
-from repro.runtime.api import Runtime, TimerHandle, Transport, as_runtime
+from repro.runtime.api import Runtime, TimerHandle, Transport
 
 
 def wire_size_of(payload: Any) -> int:
@@ -74,14 +74,11 @@ class Node:
     def __init__(
         self,
         node_id: str,
-        runtime: Any,
+        runtime: Runtime,
         cost_model: Optional[NodeCostModel] = None,
     ) -> None:
         self.node_id = node_id
-        # Accepts a Runtime or (for compatibility with the many tests and
-        # tools that build nodes directly) a bare Simulator, which gets a
-        # transport-less sim runtime wrapped around it.
-        self.runtime: Runtime = as_runtime(runtime)
+        self.runtime = runtime
         self.cost_model = cost_model or NodeCostModel()
         self.process = self.runtime.create_cpu(node_id, self.cost_model)
         self._transport: Optional[Transport] = None

@@ -2,9 +2,9 @@
 
 The protocol layers (``repro.core``, ``repro.smr``, ``repro.net.node``)
 are written against the narrow interfaces in :mod:`repro.runtime.api` —
-a clock, timers, a CPU, and a transport — and never import the
-discrete-event simulator or the asyncio machinery directly.  Two
-backends implement those interfaces:
+a clock, timers, a CPU, a transport and one ``run(kickoff, until,
+timeout)``, which the runners and observers drive too — and never import
+the simulator or the asyncio machinery.  Two backends implement them:
 
 * :mod:`repro.runtime.sim` — the deterministic discrete-event backend
   (the default for experiments, scenarios, and the golden files);
@@ -26,7 +26,6 @@ from repro.runtime.api import (
     Runtime,
     TimerHandle,
     Transport,
-    as_runtime,
 )
 
 __all__ = [
@@ -35,5 +34,4 @@ __all__ = [
     "Runtime",
     "TimerHandle",
     "Transport",
-    "as_runtime",
 ]

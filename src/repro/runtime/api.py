@@ -189,22 +189,18 @@ class Runtime(ClockSource):
         """Fire-and-forget variant of :meth:`call_later` (no handle)."""
         raise NotImplementedError
 
+    def run(
+        self,
+        kickoff: Optional[Callable[[], None]] = None,
+        until: Optional[Callable[[], bool]] = None,
+        timeout: float = 10.0,
+    ) -> bool:
+        """Serve the nodes for ``timeout`` of this runtime's seconds.
 
-def as_runtime(runtime_or_simulator: Any) -> Runtime:
-    """Coerce a runtime-or-simulator into a :class:`Runtime`.
+        ``kickoff`` is called once, inside the run, before anything else is
+        served.  Returns whether ``until()`` held at the end (always ``True``
+        with no predicate).  A backend may return as soon as ``until()``
+        holds; the simulator always serves the whole ``timeout``.
+        """
+        raise NotImplementedError
 
-    Nodes historically took a bare ``Simulator``; a large body of tests
-    and tools still constructs them that way.  Anything that is already a
-    ``Runtime`` passes through; a bare simulator is wrapped in a
-    transport-less :class:`~repro.runtime.sim.SimRuntime` (the node can
-    compute, arm timers, and be registered with a ``Network`` later).
-
-    The sim adapter is imported lazily: importing it at module scope
-    would pull ``repro.sim`` (and, through the network, ``repro.net``)
-    into every protocol module that imports this interface.
-    """
-    if isinstance(runtime_or_simulator, Runtime):
-        return runtime_or_simulator
-    from repro.runtime.sim import SimRuntime
-
-    return SimRuntime(runtime_or_simulator)

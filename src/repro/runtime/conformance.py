@@ -155,9 +155,10 @@ def run_leg(
     """One leg: :func:`build_proc_seemore`'s c = m = ``tolerance`` cluster on ``backend``.
 
     ``"proc"`` runs its worker specs in ``num_procs`` replica processes plus
-    a client process.  ``"sim"`` (a 200 µs LAN, 60 simulated seconds) and
-    ``"aio"`` (one event loop over loopback TCP) call the same spec
-    builds on one runtime in this process and harvest the plans here.
+    a client process.  ``"sim"`` (a 200 µs LAN) and ``"aio"`` (one event
+    loop over loopback TCP) call the same spec builds on one runtime in
+    this process, run it for ``timeout`` of its seconds (simulated ones on
+    sim) and harvest the plans here.
     """
     if backend not in TIMEOUTS:
         raise ValueError(f"unknown backend {backend!r}; choose one of {sorted(TIMEOUTS)}")
@@ -196,12 +197,7 @@ def run_leg(
         def until() -> bool:
             return all(plan.until() for plan in plans.values() if plan.until is not None)
 
-        if backend == "sim":
-            kickoff()
-            runtime.run(until=60.0)
-            met = until()
-        else:
-            met = runtime.run(kickoff=kickoff, until=until, timeout=timeout)
+        met = runtime.run(kickoff=kickoff, until=until, timeout=timeout)
         harvests = {name: plan.harvest() for name, plan in plans.items()}
         why = ""
     if not met:

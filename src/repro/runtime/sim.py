@@ -1,8 +1,9 @@
 """Deterministic runtime backend: the discrete-event simulator adapter.
 
 :class:`SimRuntime` wraps the existing :class:`~repro.sim.simulator.Simulator`
-and (optionally) a :class:`~repro.net.network.Network` behind the
-:mod:`repro.runtime.api` interface.  The adapter is intentionally thin and
+and its :class:`~repro.net.network.Network` behind the
+:mod:`repro.runtime.api` interface; its ``run(timeout=...)`` serves exactly
+that many simulated seconds.  The adapter is intentionally thin and
 behaviour-preserving: the same event counts, the same committed ledgers,
 the same stats as the pre-runtime code — which is what makes the sim the
 conformance oracle for the real asyncio backend.
@@ -20,6 +21,7 @@ from heapq import heappush
 from typing import Any, Callable, Optional
 
 from repro.net.costs import NodeCostModel
+from repro.net.network import Network
 from repro.runtime.api import Cpu, Runtime
 from repro.sim.process import Process
 from repro.sim.simulator import Simulator, Timer
@@ -111,15 +113,9 @@ class SimCpu(Process, Cpu):
 
 
 class SimRuntime(Runtime):
-    """Runtime facade over a simulator and its modeled network.
+    """Runtime facade over a simulator and its modeled network."""
 
-    ``network`` may be ``None`` for compute-and-timers-only uses (several
-    engine tests build bare nodes on a bare simulator); such nodes can
-    still be attached to a network later via ``Network.register``, which
-    hands the node its transport directly.
-    """
-
-    def __init__(self, simulator: Simulator, network: Any = None) -> None:
+    def __init__(self, simulator: Simulator, network: Network) -> None:
         self.simulator = simulator
         self.network = network
 
@@ -134,11 +130,6 @@ class SimRuntime(Runtime):
         return SimCpu(self.simulator, name=name, cost_model=cost_model)
 
     def register(self, node: Any) -> None:
-        if self.network is None:
-            raise RuntimeError(
-                "this SimRuntime wraps a bare simulator with no network; "
-                "construct it with SimRuntime(simulator, network) to register nodes"
-            )
         self.network.register(node)
 
     def call_later(self, delay: float, action: Callable[[], None], label: str = "") -> Any:
@@ -148,7 +139,15 @@ class SimRuntime(Runtime):
         self.simulator.defer(delay, action, args)
 
     def run(
-        self, until: Optional[float] = None, max_events: Optional[int] = None
-    ) -> float:
-        """Run the simulator loop (delegates to :meth:`Simulator.run`)."""
-        return self.simulator.run(until=until, max_events=max_events)
+        self,
+        kickoff: Optional[Callable[[], None]] = None,
+        until: Optional[Callable[[], bool]] = None,
+        timeout: float = 10.0,
+    ) -> bool:
+        """Serve exactly ``timeout`` simulated seconds, then judge ``until``."""
+        if timeout < 0:
+            raise ValueError(f"timeout must not be negative: {timeout}")
+        if kickoff is not None:
+            kickoff()
+        self.simulator.run(until=self.simulator.now + timeout)
+        return until is None or until()

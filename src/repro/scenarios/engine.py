@@ -12,8 +12,8 @@ seed, a shorter run, a steeper surge) is ``dataclasses.replace(scenario,
 ...)``.
 
 :func:`run_scenario` is the one engine: it schedules the events on the
-simulator clock, samples every invariant checker periodically while the
-load runs, lets the network settle after the load stops, and returns a
+deployment's runtime, samples every invariant checker periodically while
+the load runs, lets the network settle after the load stops, and returns a
 :class:`ScenarioResult` that knows whether the run upheld every invariant
 and expectation.  Handed a pre-built ``deployment`` it runs the schedule
 against that instead, which is how the baselines (``cft`` / ``bft`` /
@@ -31,7 +31,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.cluster.builders import AdaptiveSpec, build_seemore, build_sharded_seemore
 from repro.cluster.deployment import Deployment
-from repro.cluster.runner import RunResult, run_open_loop
+from repro.cluster.runner import RunResult, run_deployment
 from repro.cluster.wiring import ShardSpec
 from repro.core.admission import AdmissionPolicy
 from repro.core.batching import BatchPolicy
@@ -245,6 +245,10 @@ class OpenLoop:
     slo: SloSpec = SloSpec(percentile=0.99, bound=0.1)
     warmup: float = 0.5
 
+    def __post_init__(self) -> None:
+        if self.warmup < 0:
+            raise ValueError(f"open-loop warmup must not be negative: {self.warmup}")
+
     def spawn(self, deployment: Deployment, seed: int) -> OpenLoopDriver:
         """The driver and connection pool of one run, on ``deployment``'s client pool."""
         population = ClientPopulation(self.num_users, self.arrivals(seed=seed), seed=seed)
@@ -264,7 +268,7 @@ class Scenario:
     Attributes:
         name: registry key (kebab-case).
         description: one line for reports.
-        events: timed events, applied on the simulator clock.
+        events: timed events, applied on the deployment's runtime clock.
         expectations: post-conditions checked after the run settles.
         duration: simulated seconds of client load.
         settle: extra simulated seconds after the clients stop, so
@@ -317,6 +321,19 @@ class Scenario:
     admission: Optional[AdmissionPolicy] = None
     adaptive: AdaptiveSpec = None
     open_loop: Optional[OpenLoop] = None
+
+    def __post_init__(self) -> None:
+        # Refused here, before anything is built: a zero check interval would
+        # re-arm the sampler at one instant forever, a negative settle would
+        # fail only once the whole load had run.
+        if self.duration <= 0:
+            raise ValueError(f"scenario {self.name!r}: duration must be positive: {self.duration}")
+        if self.settle < 0:
+            raise ValueError(f"scenario {self.name!r}: settle must not be negative: {self.settle}")
+        if self.check_interval <= 0:
+            raise ValueError(
+                f"scenario {self.name!r}: check_interval must be positive: {self.check_interval}"
+            )
 
     def build(self, mode: Optional[Mode] = None) -> Deployment:
         """Stand up the deployment this scenario runs against (Lion by default)."""
@@ -478,9 +495,9 @@ def run_scenario(
     for checker in active_checkers:
         checker.attach(deployment)
 
-    simulator = deployment.simulator
+    runtime = deployment.runtime
     load_seconds = scenario.duration + (section.warmup if section is not None else 0.0)
-    start = simulator.now
+    start = runtime.now
     end = start + load_seconds
 
     events_applied: List[Tuple[float, str]] = []
@@ -492,10 +509,11 @@ def run_scenario(
             )
 
         def fire(event: ScenarioEvent = event) -> None:
-            events_applied.append((round(simulator.now - start, 6), event.label))
+            events_applied.append((round(runtime.now - start, 6), event.label))
             event.apply(deployment)
 
-        simulator.call_at(start + event.at, fire, label=f"scenario:{event.label}")
+        # Scheduled while the clock reads ``start``: it fires at ``start + at``.
+        runtime.call_later(event.at, fire, label=f"scenario:{event.label}")
 
     # Completion-count probes for expectations like ProgressAfter.
     probes: Dict[float, int] = {}
@@ -511,7 +529,7 @@ def run_scenario(
                     probes[at] = deployment.metrics.completed
 
                 probes[at] = 0
-                simulator.call_at(start + at, capture, label="scenario:probe")
+                runtime.call_later(at, capture, label="scenario:probe")
 
     # Periodic invariant sampling (deduplicated; checkers may accumulate).
     violations: Dict[str, List[str]] = {}
@@ -526,22 +544,21 @@ def run_scenario(
     def sample() -> None:
         for checker in active_checkers:
             record(checker.name, checker.check(deployment))
-        if simulator.now < end:
-            simulator.call_later(scenario.check_interval, sample, label="scenario:check")
+        if runtime.now < end:
+            runtime.call_later(scenario.check_interval, sample, label="scenario:check")
 
     if active_checkers:  # nothing to sample otherwise
-        simulator.call_later(scenario.check_interval, sample, label="scenario:check")
+        runtime.call_later(scenario.check_interval, sample, label="scenario:check")
 
     measured = None
     if driver is None:
-        deployment.start_clients()
-        simulator.run(until=end)
+        runtime.run(kickoff=deployment.start_clients, timeout=load_seconds)
         deployment.stop_clients()
     else:
-        measured = run_open_loop(
-            deployment, driver, duration=scenario.duration, warmup=section.warmup, slo=section.slo
+        measured = run_deployment(
+            deployment, scenario.duration, section.warmup, driver=driver, slo=section.slo
         )
-    simulator.run(until=end + scenario.settle)
+    runtime.run(timeout=scenario.settle)
 
     for checker in active_checkers:
         record(checker.name, checker.finalize(deployment))
@@ -581,7 +598,7 @@ def run_scenario(
         events_applied=events_applied,
         invariant_violations=violations,
         expectation_failures=expectation_failures,
-        events_processed=simulator.events_processed,
+        events_processed=deployment.simulator.events_processed,
         transactions=deployment.transaction_stats() if routed else None,
         per_shard_completed=tuple(deployment.per_shard_completed()) if routed else None,
         measured=measured,

@@ -8,7 +8,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from repro.crypto.keys import KeyStore
 from repro.net.topology import Cloud, Placement
-from repro.runtime.api import Runtime, as_runtime
+from repro.runtime.api import Runtime
 from repro.shard.client import ShardedClient
 from repro.shard.router import ShardRouter
 from repro.smr.client import Client, ClientConfig
@@ -48,7 +48,7 @@ class ClientPool:
             raise ValueError(
                 f"unrouted clients talk to one group, not {len(client_configs)}: pass a router"
             )
-        self.runtime = as_runtime(runtime)
+        self.runtime = runtime
         self.keystore = keystore
         self.placement = placement
         self.client_configs = list(client_configs)

@@ -34,9 +34,9 @@ from __future__ import annotations
 import math
 import random
 from collections import OrderedDict, deque
-from typing import Any, Callable, Deque, List, Optional, Tuple
+from typing import Callable, Deque, List, Optional, Tuple
 
-from repro.runtime.api import as_runtime
+from repro.runtime.api import Runtime
 from repro.shard.client import ShardedClient
 from repro.smr.client import Client
 from repro.smr.state_machine import Operation
@@ -373,7 +373,7 @@ class OpenLoopDriver:
 
     def __init__(
         self,
-        runtime: Any,
+        runtime: Runtime,
         population: ClientPopulation,
         connections: List[OpenLoopConnection],
         operation_source: OperationSource,
@@ -383,7 +383,7 @@ class OpenLoopDriver:
             raise ValueError("an open-loop driver needs at least one connection")
         if max_backlog < 1:
             raise ValueError(f"backlog bound must be positive: {max_backlog}")
-        self.runtime = as_runtime(runtime)
+        self.runtime = runtime
         self.population = population
         self.connections = list(connections)
         self.operation_source = operation_source

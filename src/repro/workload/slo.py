@@ -77,13 +77,21 @@ class SloSpec:
 
 @dataclass(frozen=True)
 class SloEvaluation:
-    """Outcome of judging one :class:`SloSpec` over a latency timeline."""
+    """Outcome of judging one :class:`SloSpec` over a latency timeline.
+
+    ``over_bound`` lists each violating bin as ``(bin_start, value)``, in
+    time order.
+    """
 
     spec: SloSpec
     bins: int
     violating_bins: int
     worst: float
-    first_violation_at: Optional[float] = None
+    over_bound: Tuple[Tuple[float, float], ...] = ()
+
+    @property
+    def first_violation_at(self) -> Optional[float]:
+        return self.over_bound[0][0] if self.over_bound else None
 
     @property
     def violation_fraction(self) -> float:
@@ -118,26 +126,18 @@ def evaluate_slo(
     in the neighbouring bins' percentiles and in the shed/drop counters,
     not here).
     """
-    timeline = metrics.latency_timeline(spec.bin_width, start=start, end=end)
-    populated: List[Tuple[float, LatencySummary]] = [
-        (bin_start, summary) for bin_start, summary in timeline if summary.count > 0
+    values = [
+        (bin_start, spec.value_of(summary))
+        for bin_start, summary in metrics.latency_timeline(spec.bin_width, start=start, end=end)
+        if summary.count > 0
     ]
-    violating = 0
-    worst = 0.0
-    first_violation_at: Optional[float] = None
-    for bin_start, summary in populated:
-        value = spec.value_of(summary)
-        worst = max(worst, value)
-        if value > spec.bound:
-            violating += 1
-            if first_violation_at is None:
-                first_violation_at = bin_start
+    over_bound = tuple((bin_start, value) for bin_start, value in values if value > spec.bound)
     return SloEvaluation(
         spec=spec,
-        bins=len(populated),
-        violating_bins=violating,
-        worst=worst,
-        first_violation_at=first_violation_at,
+        bins=len(values),
+        violating_bins=len(over_bound),
+        worst=max((value for _, value in values), default=0.0),
+        over_bound=over_bound,
     )
 
 
@@ -172,34 +172,26 @@ class SlaViolation:
         self._metrics = deployment.metrics
 
     def _judge(self, deployment, end: Optional[float]) -> List[str]:
-        """Scan the bins of ``[start, end)`` once; report iff the budget is spent.
+        """Judge ``[start, end)`` with :func:`evaluate_slo`; report iff it fails.
 
         Individual over-bound bins are tracked internally; the checker only
         *reports* once the violating fraction exceeds the spec's budget, so
         a tolerated blip does not fail a scenario.
         """
         metrics = self._metrics if self._metrics is not None else deployment.metrics
-        populated = 0
-        for bin_start, summary in metrics.latency_timeline(
-            self.spec.bin_width, start=self.start, end=end
-        ):
-            if summary.count == 0:
-                continue
-            populated += 1
-            value = self.spec.value_of(summary)
-            if value > self.spec.bound and bin_start not in self._reported_bins:
+        evaluation = evaluate_slo(self.spec, metrics, start=self.start, end=end)
+        for bin_start, value in evaluation.over_bound:
+            if bin_start not in self._reported_bins:
                 self._reported_bins.add(bin_start)
                 self._violations.append(
                     f"{self.spec.field_name} {value * 1000:.1f}ms > "
                     f"{self.spec.bound * 1000:g}ms in bin starting at {bin_start:.3f}s"
                 )
-        if populated and len(self._reported_bins) / populated > self.spec.max_violation_fraction:
-            return list(self._violations)
-        return []
+        return [] if evaluation.holds else list(self._violations)
 
     def check(self, deployment) -> List[str]:
         # Judge only bins that have fully closed by now.
-        now = deployment.simulator.now
+        now = deployment.runtime.now
         if self.end is not None:
             now = min(now, self.end)
         closed_end = (

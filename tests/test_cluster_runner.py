@@ -74,6 +74,13 @@ class TestRunDeployment:
         with pytest.raises(ValueError):
             run_deployment(deployment, duration=0.0)
 
+    def test_negative_warmup_rejected_before_any_client_starts(self):
+        deployment = build_seemore(num_clients=1)
+        with pytest.raises(ValueError, match="warmup"):
+            run_deployment(deployment, duration=0.1, warmup=-0.1)
+        assert deployment.network.messages_offered == 0
+        assert deployment.runtime.now == 0.0
+
     @pytest.mark.slow
     def test_more_clients_more_throughput_until_saturation(self):
         results = sweep_clients(

@@ -3,14 +3,15 @@
 import pytest
 
 from repro.net import Network, NetworkConditions, Node, NodeCostModel, UniformLatencyModel
+from repro.runtime.sim import SimRuntime
 from repro.sim import Simulator
 
 
 class RecordingNode(Node):
     """Test double that records every handled message."""
 
-    def __init__(self, node_id, simulator, **kwargs):
-        super().__init__(node_id, simulator, **kwargs)
+    def __init__(self, node_id, runtime, **kwargs):
+        super().__init__(node_id, runtime, **kwargs)
         self.received = []
 
     def handle_message(self, src, payload):
@@ -38,9 +39,10 @@ def build_network(seed=0, latency=None, conditions=None):
         conditions=conditions,
         seed=seed,
     )
+    runtime = SimRuntime(sim, network)
     nodes = {}
     for name in ("a", "b", "c"):
-        node = RecordingNode(name, sim)
+        node = RecordingNode(name, runtime)
         network.register(node)
         nodes[name] = node
     return sim, network, nodes
@@ -74,7 +76,7 @@ class TestNetworkDelivery:
     def test_duplicate_node_registration_rejected(self):
         sim, network, nodes = build_network()
         with pytest.raises(ValueError):
-            network.register(RecordingNode("a", sim))
+            network.register(RecordingNode("a", nodes["b"].runtime))
 
     def test_unknown_destination_dropped(self):
         sim, network, nodes = build_network()

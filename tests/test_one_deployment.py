@@ -24,7 +24,6 @@ from repro.cluster import (
     build_seemore,
     build_sharded_seemore,
     run_deployment,
-    run_open_loop,
 )
 from repro.core import AdmissionPolicy, Mode
 from repro.faults import crash_primary, make_byzantine
@@ -141,7 +140,7 @@ class TestOneTypeOnePath:
     @pytest.mark.parametrize("build", [build_seemore, one_shard], ids=["single", "routed"])
     def test_the_open_loop_runner_takes_either(self, build):
         deployment = build(num_clients=0)
-        result = run_open_loop(deployment, poisson(deployment), duration=0.3, warmup=0.05)
+        result = run_deployment(deployment, duration=0.3, warmup=0.05, driver=poisson(deployment))
         assert result.served > 0 and result.offered > 0
         assert all(isinstance(client, OpenLoopConnection) for client in deployment.clients)
         assert (result.transactions is not None) == (deployment.router is not None)

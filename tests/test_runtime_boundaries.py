@@ -33,7 +33,10 @@ under ``scenarios/`` builds a deployment, its entry points take no
 ``**overrides``, and the retired second vocabularies stay retired.  And
 there is one deployment: one ``*Deployment`` class, one ``*ClientPool``
 class, no ``getattr(x, "shards", ...)``, no ``extras`` dict on a deployment.
-And there is one clock: only the two TCP backends import ``time``.
+And there is one clock: only the two TCP backends import ``time``, and
+only the sim backend, the modeled network and the deployment's builder and
+holder read a ``.simulator`` attribute (plus the engine's one event-count
+read); every runner and observer takes its clock from ``deployment.runtime``.
 """
 
 import ast
@@ -117,8 +120,8 @@ class TestRuntimeApiIsALeaf:
             if module.startswith("repro")
         ]
         assert offenders == [], (
-            "repro.runtime.api must stay a dependency leaf (backend imports "
-            "belong in as_runtime's lazy import):\n" + "\n".join(offenders)
+            "repro.runtime.api must stay a dependency leaf (a backend imports "
+            "the interface, never the other way round):\n" + "\n".join(offenders)
         )
 
 
@@ -464,6 +467,48 @@ def wall_clock_imports(root):
                 yield f"{relative}:{lineno} imports time"
 
 
+#: The only modules that may read a ``.simulator`` attribute: the sim backend,
+#: the modeled network, and the builders and the deployment that hold one.
+SIMULATOR_READERS = {
+    Path("runtime") / "sim.py",
+    Path("net") / "network.py",
+    Path("cluster") / "builders.py",
+    Path("cluster") / "deployment.py",
+}
+
+#: The one other read: the engine's event count, the scenario goldens' telemetry.
+ENGINE = Path("scenarios") / "engine.py"
+
+
+def simulator_reads(root):
+    """Yield where a module under ``root`` reads ``.simulator`` outside the readers.
+
+    ``scenarios/engine.py`` may read it once, as ``<x>.simulator.events_processed``.
+    """
+    for path in sorted(root.rglob("*.py")):
+        relative = path.relative_to(root)
+        if relative in SIMULATOR_READERS:
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        telemetry = {
+            id(node.value)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "events_processed"
+        }
+        allowance = 1 if relative == ENGINE else 0
+        for node in ast.walk(tree):
+            if not (
+                isinstance(node, ast.Attribute)
+                and node.attr == "simulator"
+                and isinstance(node.ctx, ast.Load)
+            ):
+                continue
+            if allowance and id(node) in telemetry:
+                allowance -= 1
+                continue
+            yield f"{relative}:{node.lineno} reads .simulator"
+
+
 class TestOneClock:
     """Protocol code reads time only through its runtime's ``now``.
 
@@ -472,6 +517,12 @@ class TestOneClock:
     it, so a simulated run stays a pure function of its seed and replays
     exactly.  An ``import time`` anywhere but ``runtime/aio.py`` and
     ``runtime/proc.py`` would let wall-clock time leak into a simulated run.
+
+    Runners and observers (the measurement window, the scenario engine, the
+    adaptive controller, the SLO checker) take their clock, timers and run
+    loop from ``deployment.runtime`` the same way: a ``.simulator`` read
+    outside the sim backend, the network and the deployment's builder and
+    holder would tie one of them to the simulator again.
     """
 
     def test_only_the_tcp_backends_import_time(self):
@@ -492,6 +543,46 @@ class TestOneClock:
             "core/batching.py:1 imports time",
             "core/batching.py:3 imports time",
             "runtime/sim.py:1 imports time",
+        ]
+
+    def test_only_the_simulator_owners_read_it(self):
+        assert list(simulator_reads(SRC)) == []
+        engine = ast.parse((SRC / ENGINE).read_text())
+        reads = [
+            node
+            for node in ast.walk(engine)
+            if isinstance(node, ast.Attribute) and node.attr == "simulator"
+        ]
+        assert len(reads) == 1, "the engine's event-count read is the rule's one exception"
+
+    def test_the_simulator_rule_catches_the_old_window_and_controller(self, tmp_path):
+        root = tmp_path / "repro"
+        for package in ("cluster", "adaptive", "scenarios", "runtime"):
+            (root / package).mkdir(parents=True)
+        (root / "cluster" / "runner.py").write_text(
+            "def _measure(deployment, duration, warmup):\n"
+            "    simulator = deployment.simulator\n"
+            "    simulator.run(until=simulator.now + warmup)\n"
+        )
+        (root / "adaptive" / "controller.py").write_text(
+            "class AdaptiveModeController:\n"
+            "    def __init__(self, group, deployment):\n"
+            "        self._simulator = deployment.simulator\n"
+        )
+        (root / "scenarios" / "engine.py").write_text(
+            "def run_scenario(deployment):\n"
+            "    start = deployment.simulator.now\n"
+            "    return deployment.simulator.events_processed\n"
+        )
+        (root / "runtime" / "sim.py").write_text(
+            "class SimRuntime:\n"
+            "    def now(self):\n"
+            "        return self.simulator.now\n"
+        )
+        assert list(simulator_reads(root)) == [
+            "adaptive/controller.py:3 reads .simulator",
+            "cluster/runner.py:2 reads .simulator",
+            "scenarios/engine.py:2 reads .simulator",
         ]
 
 

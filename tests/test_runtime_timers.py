@@ -26,6 +26,7 @@ import types
 
 import pytest
 
+from repro.net.network import Network
 from repro.runtime import aio
 from repro.runtime.aio import AioRuntime
 from repro.runtime.sim import SimRuntime
@@ -86,22 +87,25 @@ def _probe_worker(runtime, setup, unit):
     )
 
 
+def new_runtime(backend):
+    """A fresh in-process runtime: a simulator and its network, or one event loop."""
+    if backend == "aio":
+        return AioRuntime()
+    simulator = Simulator()
+    return SimRuntime(simulator, Network(simulator))
+
+
 def drive(backend, setup, duration_units):
     """Build a runtime, let ``setup`` arm timers, run for ``duration_units``.
 
     ``setup(runtime, unit)`` runs inside the backend's scheduling context
-    (plain call for sim, kickoff inside the loop for aio/proc) and may
+    (the run's kickoff for sim/aio, the worker's kickoff for proc) and may
     return a state object that the test inspects afterwards.
     """
     unit = UNIT[backend]
     state = {}
-    if backend == "sim":
-        simulator = Simulator()
-        runtime = SimRuntime(simulator)
-        state["result"] = setup(runtime, unit)
-        simulator.run(until=duration_units * unit)
-    elif backend == "aio":
-        runtime = AioRuntime()
+    if backend in ("sim", "aio"):
+        runtime = new_runtime(backend)
 
         def kickoff():
             state["result"] = setup(runtime, unit)
@@ -261,6 +265,42 @@ def test_call_later_returns_a_stoppable_handle(backend):
         return fired
 
     assert drive(backend, setup, 3) == []
+
+
+@pytest.mark.parametrize("backend", ["sim", "aio"])
+class TestRunContract:
+    """``Runtime.run(kickoff, until, timeout)`` means the same on both in-process backends."""
+
+    def test_kickoff_runs_once_inside_the_run(self, backend):
+        runtime = new_runtime(backend)
+        unit = UNIT[backend]
+        kicked, fired = [], []
+
+        def kickoff():
+            kicked.append(runtime.now)
+            runtime.call_later(1 * unit, lambda: fired.append(runtime.now))
+
+        assert runtime.run(kickoff=kickoff, timeout=3 * unit) is True
+        assert len(kicked) == 1 and len(fired) == 1
+
+    def test_a_predicate_that_never_holds_times_out(self, backend):
+        runtime = new_runtime(backend)
+        timeout = 2 * UNIT[backend]
+        before, started = runtime.now, time.monotonic()
+        assert runtime.run(until=lambda: False, timeout=timeout) is False
+        if backend == "sim":
+            assert runtime.now == before + timeout
+        else:
+            assert time.monotonic() - started >= timeout
+
+    def test_a_predicate_that_holds_is_met(self, backend):
+        runtime = new_runtime(backend)
+        assert runtime.run(until=lambda: True, timeout=UNIT[backend]) is True
+
+
+def test_the_simulator_refuses_a_negative_timeout():
+    with pytest.raises(ValueError, match="timeout"):
+        new_runtime("sim").run(timeout=-0.1)
 
 
 # -- the selector under the TCP backends' loop ---------------------------------------------------

@@ -30,10 +30,11 @@ from repro.scenarios import (
     resolve_target,
     scenario_by_name,
 )
-from repro.scenarios.engine import ModeIs, ProgressAfter
+from repro.scenarios.engine import ModeIs, OpenLoop, ProgressAfter
 from repro.smr.ledger import LedgerEntry
 from repro.smr.executor import ExecutionResult
 from repro.workload import Workload
+from repro.workload.openloop import PoissonArrivals
 
 
 def small_deployment(mode=Mode.LION, **kwargs):
@@ -266,6 +267,28 @@ class TestEngine:
         )
         with pytest.raises(ValueError, match="never captured"):
             run_scenario(unreachable_probe, Mode.LION)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("duration", 0.0),
+            ("duration", -1.0),
+            ("settle", -0.1),
+            ("check_interval", 0.0),
+            ("check_interval", -0.05),
+        ],
+    )
+    def test_timing_inputs_are_refused_before_the_clock_starts(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            Scenario(name="bad-timing", description="refused", **{field: value})
+
+    def test_a_negative_open_loop_warmup_is_refused(self):
+        with pytest.raises(ValueError, match="warmup"):
+            OpenLoop(arrivals=PoissonArrivals, warmup=-0.1)
+
+    def test_zero_settle_and_warmup_are_allowed(self):
+        Scenario(name="no-settle", description="ok", settle=0.0)
+        OpenLoop(arrivals=PoissonArrivals, warmup=0.0)
 
     def test_state_transfers_counted_for_recovered_replicas(self):
         result = run_scenario(SCENARIOS["recover-via-state-transfer"], Mode.LION)

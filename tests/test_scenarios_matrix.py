@@ -38,7 +38,6 @@ from dataclasses import replace
 import pytest
 
 from repro.cluster import build_seemore, build_sharded_seemore, builder_for, run_deployment
-from repro.cluster.runner import run_open_loop
 from repro.core import Mode
 from repro.scenarios import (
     SCENARIOS,
@@ -152,13 +151,13 @@ def _open_loop_run():
     driver = deployment.client_pool.spawn_open_loop(
         population, connections=8, max_backlog=100, window=2
     )
-    return deployment, run_open_loop(deployment, driver, duration=1.0, warmup=0.2)
+    return deployment, run_deployment(deployment, duration=1.0, warmup=0.2, driver=driver)
 
 
 MEASURED_RUNS = {
     "run_deployment": _plain_run,
     "run_deployment:sharded": _sharded_run,
-    "run_open_loop": _open_loop_run,
+    "run_open_loop": _open_loop_run,  # run_deployment under an open-loop driver
 }
 
 

@@ -1,6 +1,7 @@
 """Latency SLOs, admission control, and the open-loop surge scenarios."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.admission import AdmissionPolicy
 from repro.scenarios import run_scenario
@@ -85,7 +86,7 @@ class TestEvaluateSlo:
         assert evaluation.bins == 0
 
 
-class _FakeSimulator:
+class _FakeRuntime:
     def __init__(self, now):
         self.now = now
 
@@ -93,7 +94,7 @@ class _FakeSimulator:
 class _FakeDeployment:
     def __init__(self, metrics, now):
         self.metrics = metrics
-        self.simulator = _FakeSimulator(now)
+        self.runtime = _FakeRuntime(now)
 
 
 class TestSlaViolationChecker:
@@ -103,7 +104,7 @@ class TestSlaViolationChecker:
         deployment = _FakeDeployment(collector, now=0.1)
         checker.attach(deployment)
         assert checker.check(deployment) == []  # bin [0, 0.25) still open
-        deployment.simulator.now = 0.3
+        deployment.runtime.now = 0.3
         assert checker.check(deployment)  # now closed, over bound
 
     def test_finalize_judges_everything(self):
@@ -137,7 +138,7 @@ class TestSlaViolationChecker:
         deployment = _FakeDeployment(collector, now=0.8)
         checker.attach(deployment)
         assert checker.check(deployment) == []
-        deployment.simulator.now = 1.5
+        deployment.runtime.now = 1.5
         assert checker.check(deployment) == []
         assert checker.finalize(deployment) == []
         # The same data judged from t=0 does violate: the window is what differs.
@@ -157,6 +158,35 @@ class TestSlaViolationChecker:
         assert len(calls) == 1
         assert checker.finalize(deployment) == []
         assert len(calls) == 2
+
+    @given(
+        completions=st.lists(
+            st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 0.3)), max_size=40
+        ),
+        spec=st.builds(
+            SloSpec,
+            percentile=st.sampled_from([0.5, 0.95, 0.99, 0.999]),
+            bound=st.floats(0.01, 0.2),
+            max_violation_fraction=st.floats(0.0, 0.9),
+            bin_width=st.sampled_from([0.1, 0.25, 0.5]),
+        ),
+        start=st.sampled_from([0.0, 0.3, 1.0]),
+        end=st.sampled_from([None, 1.5, 2.5]),
+        now=st.floats(0.0, 3.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_the_checker_fires_exactly_when_the_evaluation_fails(
+        self, completions, spec, start, end, now
+    ):
+        collector = MetricsCollector()
+        for timestamp, (sent_at, latency) in enumerate(completions, start=1):
+            collector.record_completion("c0", timestamp, sent_at, sent_at + latency)
+        checker = SlaViolation(spec, start=start, end=end)
+        deployment = _FakeDeployment(collector, now=now)
+        checker.attach(deployment)
+        checker.check(deployment)  # a mid-run sample first: its dedup must not skew the verdict
+        evaluation = evaluate_slo(spec, collector, start=start, end=end)
+        assert bool(checker.finalize(deployment)) is not evaluation.holds
 
     def test_an_open_loop_scenario_hands_its_checker_the_measured_window(self):
         (checker,) = SURGE_ADMISSION_ON.default_checkers()
@@ -213,7 +243,7 @@ class TestSurgeScenarios:
 class TestOpenLoopEndToEnd:
     def test_counters_conserve_and_requests_complete(self):
         from repro.cluster.builders import build_seemore
-        from repro.cluster.runner import run_open_loop
+        from repro.cluster.runner import run_deployment
         from repro.workload.openloop import ClientPopulation, PoissonArrivals
 
         deployment = build_seemore(num_clients=0, seed=5)
@@ -223,7 +253,7 @@ class TestOpenLoopEndToEnd:
         driver = deployment.client_pool.spawn_open_loop(
             population, connections=8, max_backlog=100, window=2
         )
-        result = run_open_loop(deployment, driver, duration=1.0, warmup=0.2)
+        result = run_deployment(deployment, duration=1.0, warmup=0.2, driver=driver)
         assert result.served > 100
         # ``completed`` is the whole run, ``served`` the measured window.
         assert result.completed == deployment.metrics.completed >= result.served
@@ -246,7 +276,7 @@ class TestOpenLoopEndToEnd:
         import tracemalloc
 
         from repro.cluster.builders import build_seemore
-        from repro.cluster.runner import run_open_loop
+        from repro.cluster.runner import run_deployment
         from repro.workload.openloop import ClientPopulation, PoissonArrivals
 
         tracemalloc.start()
@@ -260,7 +290,7 @@ class TestOpenLoopEndToEnd:
             driver = deployment.client_pool.spawn_open_loop(
                 population, connections=8, max_backlog=100, window=2
             )
-            result = run_open_loop(deployment, driver, duration=0.5, warmup=0.1)
+            result = run_deployment(deployment, duration=0.5, warmup=0.1, driver=driver)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

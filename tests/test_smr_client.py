@@ -2,6 +2,7 @@
 
 from repro.crypto import KeyStore
 from repro.net import Network, Node, UniformLatencyModel
+from repro.runtime.sim import SimRuntime
 from repro.sim import Simulator
 from repro.smr.client import Client, ClientConfig, ReplyRule
 from repro.smr.messages import Reply, Request
@@ -12,8 +13,8 @@ from repro.workload import MetricsCollector
 class ScriptedReplica(Node):
     """A fake replica that replies according to a small script."""
 
-    def __init__(self, node_id, simulator, signer, respond=True, result=None, delay=0.0):
-        super().__init__(node_id, simulator)
+    def __init__(self, node_id, runtime, signer, respond=True, result=None, delay=0.0):
+        super().__init__(node_id, runtime)
         self.signer = signer
         self.respond = respond
         self.result = result if result is not None else {"ok": True}
@@ -43,6 +44,7 @@ def build_harness(replica_specs, replies_needed=1, trusted=frozenset(), timeout=
                   retransmit_replies_needed=None, window=1):
     simulator = Simulator()
     network = Network(simulator, latency_model=UniformLatencyModel(base=0.001, jitter=0.0))
+    runtime = SimRuntime(simulator, network)
     keystore = KeyStore()
     replica_ids = [spec["id"] for spec in replica_specs]
     for replica_id in replica_ids:
@@ -53,7 +55,7 @@ def build_harness(replica_specs, replies_needed=1, trusted=frozenset(), timeout=
     for spec in replica_specs:
         replica = ScriptedReplica(
             spec["id"],
-            simulator,
+            runtime,
             keystore.signer_for(spec["id"]),
             respond=spec.get("respond", True),
             result=spec.get("result"),
@@ -74,7 +76,7 @@ def build_harness(replica_specs, replies_needed=1, trusted=frozenset(), timeout=
     metrics = MetricsCollector()
     client = Client(
         node_id="client-0",
-        runtime=simulator,
+        runtime=runtime,
         signer=keystore.signer_for("client-0"),
         verifier=keystore.verifier(),
         config=config,
