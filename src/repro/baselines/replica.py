@@ -26,12 +26,11 @@ A protocol module states its phases and the four answers above.
 
 from __future__ import annotations
 
-from typing import Any, Collection, Dict, List, Optional, Sequence
+from typing import Any, Collection, Dict, List, Sequence
 
 from repro.baselines import messages as msgs
 from repro.baselines.config import BaselineConfig
 from repro.crypto.signatures import Signer, Verifier
-from repro.net.costs import NodeCostModel
 from repro.smr.executor import ExecutionResult
 from repro.smr.messages import ProtocolMessage, Request
 from repro.smr.replica import NOOP_CLIENT, ReplicaBase, request_digest
@@ -51,11 +50,10 @@ class BaselineReplica(ReplicaBase):
         signer: Signer,
         verifier: Verifier,
         state_machine: StateMachine,
-        cost_model: Optional[NodeCostModel] = None,
     ) -> None:
         if node_id not in config.replicas:
             raise ValueError(f"replica {node_id!r} is not part of the configuration")
-        super().__init__(node_id, runtime, signer, verifier, state_machine, cost_model)
+        super().__init__(node_id, runtime, signer, verifier, state_machine)
         self.config = config
         self.in_view_change = False
         self.next_sequence = 1

@@ -98,7 +98,6 @@ def _sim_deployment(
             workload,
             prefix=f"s{index}-" if routed else "",
             placement=placement,
-            cost_model=cost_model,
         )
         if routed:
             group.label += f"-s{index}"

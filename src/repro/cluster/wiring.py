@@ -39,7 +39,6 @@ from repro.core import (
     client_config_for_mode,
 )
 from repro.crypto.keys import KeyStore
-from repro.net.costs import NodeCostModel
 from repro.net.topology import Cloud, Placement
 from repro.runtime.api import Runtime
 from repro.smr.client import ClientConfig
@@ -246,7 +245,6 @@ def wire_group(
     workload: Workload,
     prefix: str = "",
     placement: Optional[Placement] = None,
-    cost_model: Optional[NodeCostModel] = None,
     only: Optional[Sequence[str]] = None,
     replica_class: Optional[type] = None,
 ) -> Group:
@@ -287,7 +285,6 @@ def wire_group(
             signer=keystore.signer_for(replica_id),
             verifier=verifier,
             state_machine=state_machine_factory(),
-            cost_model=cost_model,
             **initial_mode,
         )
         runtime.register(replica)

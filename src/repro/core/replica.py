@@ -31,7 +31,6 @@ from repro.core.peacock import PeacockStrategy
 from repro.core.strategy_base import ModeStrategy
 from repro.crypto.digest import digest
 from repro.crypto.signatures import Signer, Verifier
-from repro.net.costs import NodeCostModel
 from repro.smr.checkpointing import CheckpointManager
 from repro.smr.executor import ExecutionResult
 from repro.smr.messages import Busy, Request
@@ -65,11 +64,10 @@ class SeeMoReReplica(ReplicaBase):
         verifier: Verifier,
         state_machine: StateMachine,
         initial_mode: Mode = Mode.LION,
-        cost_model: Optional[NodeCostModel] = None,
     ) -> None:
         if node_id not in config.all_replicas:
             raise ValueError(f"replica {node_id!r} is not part of the configuration")
-        super().__init__(node_id, runtime, signer, verifier, state_machine, cost_model)
+        super().__init__(node_id, runtime, signer, verifier, state_machine)
         self.config = config
         self.mode = initial_mode
         self.strategy = _STRATEGIES[initial_mode]

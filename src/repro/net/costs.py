@@ -1,6 +1,6 @@
 """Per-node CPU and bandwidth cost model.
 
-Each node is a single-threaded server (see :mod:`repro.sim.process`).  The
+Each node is a single-threaded server (see :mod:`repro.runtime.sim`).  The
 cost model determines how much CPU a message charges when it is sent and
 when it is handled, and how long its bytes occupy the wire.  Together with
 the crypto cost model this is what makes protocols with more phases, more

@@ -116,7 +116,7 @@ class Network:
             heappush(
                 queue._heap,
                 (
-                    simulator._clock._now + delay,
+                    simulator._now + delay,
                     seq,
                     self._arrive,
                     (src, dst, payload, size_bytes),

@@ -19,7 +19,8 @@ Message accounting follows the paper's deployment:
 The node only *classifies* each message (wire size, signed or not, how
 many signatures to verify); turning that classification into CPU cost is
 the runtime's job — modeled service times in the sim backend, measured
-elapsed time in the aio backend.
+elapsed time in the aio backend.  A node holds no cost model: the runtime
+builds its CPU from the node's name alone.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from __future__ import annotations
 from typing import Any, Iterable, Optional
 
 from repro.crypto.digest import WIRE_SIZE_CACHE_ATTR
-from repro.net.costs import NodeCostModel
 from repro.runtime.api import Runtime, TimerHandle, Transport
 
 
@@ -71,16 +71,10 @@ def signature_count_of(payload: Any) -> int:
 class Node:
     """A machine: one CPU, one transport interface, many timers."""
 
-    def __init__(
-        self,
-        node_id: str,
-        runtime: Runtime,
-        cost_model: Optional[NodeCostModel] = None,
-    ) -> None:
+    def __init__(self, node_id: str, runtime: Runtime) -> None:
         self.node_id = node_id
         self.runtime = runtime
-        self.cost_model = cost_model or NodeCostModel()
-        self.process = self.runtime.create_cpu(node_id, self.cost_model)
+        self.process = self.runtime.create_cpu(node_id)
         self._transport: Optional[Transport] = None
         self.messages_handled = 0
         self.messages_sent = 0

@@ -873,10 +873,7 @@ class AioRuntime(Runtime):
     def timer(self, callback: Callable[[], None], label: str = "") -> AioTimer:
         return AioTimer(self, callback, label)
 
-    def create_cpu(self, name: str, cost_model: Any = None) -> AioCpu:
-        # The modeled cost tables are meaningless on real hardware; the
-        # parameter is accepted (same construction path as the sim) and
-        # dropped.
+    def create_cpu(self, name: str) -> AioCpu:
         return AioCpu(self, name)
 
     def register(self, node: Any) -> None:

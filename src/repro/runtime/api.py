@@ -72,11 +72,11 @@ class Cpu:
     """A node's serial execution resource, with cost accounting behind it.
 
     All CPU-cost policy lives here — *not* in protocol code.  The sim
-    backend charges modeled costs from a :class:`~repro.net.costs.NodeCostModel`
-    (send/receive/multicast service times in simulated seconds); the aio
-    backend ignores the modeled costs and measures real elapsed time into
-    the same stats fields (``busy_time``, ``items_processed``), so
-    utilisation numbers stay comparable across backends.
+    backend charges every CPU by its deployment's one cost model, a
+    :class:`~repro.net.costs.NodeCostModel` (send/receive/multicast service
+    times in simulated seconds); the aio backend has none and measures real
+    elapsed time into the same stats fields (``busy_time``,
+    ``items_processed``), so utilisation numbers stay comparable across backends.
 
     The crash flag models fail-stop: a crashed CPU drops submitted and
     queued work silently.  ``crashed`` is a plain attribute on every
@@ -167,8 +167,8 @@ class Runtime(ClockSource):
         """Create an unarmed timer."""
         raise NotImplementedError
 
-    def create_cpu(self, name: str, cost_model: Any = None) -> Cpu:
-        """Create the serial CPU for the node named ``name``."""
+    def create_cpu(self, name: str) -> Cpu:
+        """Create the serial CPU for the node named ``name``; the backend picks its costs."""
         raise NotImplementedError
 
     def register(self, node: Any) -> None:

@@ -8,47 +8,104 @@ behaviour-preserving: the same event counts, the same committed ledgers,
 the same stats as the pre-runtime code — which is what makes the sim the
 conformance oracle for the real asyncio backend.
 
-:class:`SimCpu` is where the modeled CPU-cost accounting now lives.  The
-cost computations (including the memoized cost-model probes) used to sit
-inline in ``repro.net.node``; they moved here verbatim so protocol code
-never touches :class:`~repro.net.costs.NodeCostModel` arithmetic, while
-the event sequence stays byte-identical.
+:class:`SimCpu` is the simulated machine: one serial CPU per node, charged
+by the deployment's one :class:`~repro.net.costs.NodeCostModel` (the
+network's, which :meth:`SimRuntime.create_cpu` hands to every CPU, clients'
+included), so protocol code never touches cost-model arithmetic.
+Saturation of that serial resource is what bends the latency-throughput
+curves in Figures 2 and 3.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from heapq import heappush
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Deque, Optional, Tuple
 
 from repro.net.costs import NodeCostModel
 from repro.net.network import Network
 from repro.runtime.api import Cpu, Runtime
-from repro.sim.process import Process
 from repro.sim.simulator import Simulator, Timer
 
 
-class SimCpu(Process, Cpu):
-    """A simulated serial CPU that owns its node's cost model.
+class SimCpu(Cpu):
+    """A serial execution resource (one CPU core) in the simulation.
 
-    Extends :class:`~repro.sim.process.Process` with the cost-aware
-    ``submit_send`` / ``submit_receive`` / ``submit_multicast`` entry
-    points.  Each replicates the exact inlined fast path the node used to
-    run (memo probe, then the idle-CPU direct schedule), so a sim run
-    produces the same event heap contents as before the refactor.
+    Work items are ``(cost_seconds, handler)`` pairs drained in FIFO order.
+    The CPU is non-preemptive: once a handler's cost has been charged the
+    handler runs to completion at that instant.  A crashed CPU silently
+    drops all submitted and queued work, which is exactly the fail-stop
+    behaviour the paper assumes for the private cloud.
     """
 
-    def __init__(
-        self, simulator: Simulator, name: str, cost_model: Optional[NodeCostModel] = None
-    ) -> None:
-        super().__init__(simulator, name=name)
-        self.cost_model = cost_model or NodeCostModel()
+    def __init__(self, simulator: Simulator, name: str, cost_model: NodeCostModel) -> None:
+        self._simulator = simulator
+        self.name = name
+        self.cost_model = cost_model
+        self._queue: Deque[Tuple[float, Callable[..., None], tuple]] = deque()
+        self._busy = False
+        # ``crashed`` is a plain attribute (not a property) because every
+        # send/deliver/handle on the owning node reads it.
+        self.crashed = False
+        self._busy_time = 0.0
+        self._items_processed = 0
+        # Hot-path preallocations: one completion event fires per work item,
+        # so the callback is a single pre-bound method (the running handler
+        # and its arguments park in ``_current``/``_current_args``) instead
+        # of a fresh closure or partial per item.
+        self._current: Optional[Callable[..., None]] = None
+        self._current_args: tuple = ()
+        self._finish_current = self._finish
+
+    @property
+    def queue_depth(self) -> int:
+        """Number of work items waiting for the CPU (excludes the running one)."""
+        return len(self._queue)
+
+    @property
+    def busy_time(self) -> float:
+        """Total simulated seconds spent executing work (utilisation numerator)."""
+        return self._busy_time
+
+    @property
+    def items_processed(self) -> int:
+        return self._items_processed
+
+    def submit(self, cost: float, handler: Callable[..., None], args: tuple = ()) -> None:
+        """Enqueue a work item costing ``cost`` simulated seconds of CPU.
+
+        ``args`` is star-applied to ``handler`` when the CPU reaches the
+        item, which lets hot callers avoid a ``functools.partial`` per
+        message.  Work submitted to a crashed CPU is dropped silently:
+        a crashed server neither processes nor acknowledges anything.
+        """
+        if cost < 0:
+            raise ValueError(f"work cost cannot be negative: {cost}")
+        if self.crashed:
+            return
+        if self._busy:
+            self._queue.append((cost, handler, args))
+            return
+        # Idle fast path: an idle CPU always has an empty queue (the
+        # completion handler refills from the queue before going idle), so
+        # the item starts immediately — skip the deque round trip and
+        # schedule the completion directly (inlined Simulator.defer).
+        self._busy = True
+        self._busy_time += cost
+        self._current = handler
+        self._current_args = args
+        simulator = self._simulator
+        queue = simulator._queue
+        seq = queue._counter
+        queue._counter = seq + 1
+        queue._live += 1
+        heappush(queue._heap, (simulator._now + cost, seq, self._finish_current, ()))
 
     def submit_send(
         self, size: int, signed: bool, handler: Callable[..., None], args: tuple = ()
     ) -> None:
-        # Inlined cost-memo probe and Process.submit idle fast path: this
-        # runs once per sent message, hundreds of thousands of times per
-        # benchmark run.
+        # Inlined cost-memo probe and submit idle fast path: this runs once
+        # per sent message, hundreds of thousands of times per benchmark run.
         cost_model = self.cost_model
         cost = cost_model._cost_memo.get((size, signed))
         if cost is None:
@@ -67,9 +124,7 @@ class SimCpu(Process, Cpu):
         seq = queue._counter
         queue._counter = seq + 1
         queue._live += 1
-        heappush(
-            queue._heap, (simulator._clock._now + cost, seq, self._finish_current, ())
-        )
+        heappush(queue._heap, (simulator._now + cost, seq, self._finish_current, ()))
 
     def submit_receive(
         self,
@@ -98,9 +153,7 @@ class SimCpu(Process, Cpu):
         seq = queue._counter
         queue._counter = seq + 1
         queue._live += 1
-        heappush(
-            queue._heap, (simulator._clock._now + cost, seq, self._finish_current, ())
-        )
+        heappush(queue._heap, (simulator._now + cost, seq, self._finish_current, ()))
 
     def submit_multicast(
         self, size: int, signed: bool, fanout: int, handler: Callable[..., None], args: tuple = ()
@@ -110,6 +163,54 @@ class SimCpu(Process, Cpu):
         first_cost = cost_model.send_cost(size, signed)
         rest_cost = cost_model.send_cost(size, False)
         self.submit(first_cost + rest_cost * (fanout - 1), handler, args)
+
+    def crash(self) -> None:
+        """Fail-stop the CPU: drop queued work and refuse new work."""
+        self.crashed = True
+        self._queue.clear()
+
+    def recover(self) -> None:
+        """Bring a crashed CPU back (used by crash-recover experiments)."""
+        self.crashed = False
+
+    def _finish(self) -> None:
+        handler = self._current
+        args = self._current_args
+        self._current = None
+        if not self.crashed and handler is not None:
+            self._items_processed += 1
+            if args:
+                handler(*args)
+            else:
+                handler()
+        # The next item starts here, not in a helper: one completion fires per
+        # work item, so the extra frame (and the re-checks it would repeat) add up.
+        work_queue = self._queue
+        if self.crashed or not work_queue:
+            self._busy = False
+            return
+        self._busy = True
+        cost, handler, args = work_queue.popleft()
+        self._busy_time += cost
+        self._current = handler
+        self._current_args = args
+        simulator = self._simulator
+        queue = simulator._queue
+        seq = queue._counter
+        queue._counter = seq + 1
+        queue._live += 1
+        heappush(queue._heap, (simulator._now + cost, seq, self._finish_current, ()))
+
+    def utilisation(self, elapsed: Optional[float] = None) -> float:
+        """Fraction of time the CPU has been busy.
+
+        Args:
+            elapsed: window length; defaults to the current simulated time.
+        """
+        window = elapsed if elapsed is not None else self._simulator.now
+        if window <= 0:
+            return 0.0
+        return min(1.0, self._busy_time / window)
 
 
 class SimRuntime(Runtime):
@@ -126,8 +227,8 @@ class SimRuntime(Runtime):
     def timer(self, callback: Callable[[], None], label: str = "") -> Timer:
         return self.simulator.timer(callback, label=label)
 
-    def create_cpu(self, name: str, cost_model: Optional[NodeCostModel] = None) -> SimCpu:
-        return SimCpu(self.simulator, name=name, cost_model=cost_model)
+    def create_cpu(self, name: str) -> SimCpu:
+        return SimCpu(self.simulator, name, self.network.cost_model)
 
     def register(self, node: Any) -> None:
         self.network.register(node)

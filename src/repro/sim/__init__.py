@@ -3,24 +3,20 @@
 The simulator is the substrate that stands in for the paper's Amazon EC2
 testbed.  Everything in the repository -- network links, replica CPUs,
 clients, fault injectors -- runs on top of a single :class:`Simulator`
-instance that owns simulated time and a priority queue of events.
+instance that owns simulated time and a priority queue of events.  A node's
+simulated CPU is the sim backend's :class:`~repro.runtime.sim.SimCpu`.
 
 The kernel is intentionally tiny and deterministic: events scheduled for the
 same timestamp fire in insertion order, and all randomness used by higher
 layers flows through a seeded :class:`random.Random` owned by the caller.
 """
 
-from repro.sim.clock import Clock
 from repro.sim.events import Event, EventQueue
 from repro.sim.simulator import Simulator, Timer
-from repro.sim.process import Process, ProcessState
 
 __all__ = [
-    "Clock",
     "Event",
     "EventQueue",
     "Simulator",
     "Timer",
-    "Process",
-    "ProcessState",
 ]

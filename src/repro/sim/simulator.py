@@ -1,6 +1,7 @@
 """The discrete-event simulator that drives every experiment.
 
-A :class:`Simulator` owns the clock and the event queue.  Components
+A :class:`Simulator` owns the clock (simulated seconds from ``0.0``, moved
+forward by the event loop alone) and the event queue.  Components
 schedule callbacks either after a relative delay (:meth:`Simulator.call_later`)
 or at an absolute time (:meth:`Simulator.call_at`), and the experiment
 harness runs the loop with :meth:`Simulator.run`.
@@ -14,7 +15,6 @@ from __future__ import annotations
 import heapq
 from typing import Callable, Optional
 
-from repro.sim.clock import Clock
 from repro.sim.events import Event, EventQueue
 
 
@@ -76,15 +76,15 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._clock = Clock()
+        # The clock: a plain float the hot paths read as ``simulator._now``.
+        self._now = 0.0
         self._queue = EventQueue()
         self._events_processed = 0
-        self._running = False
 
     @property
     def now(self) -> float:
         """Current simulated time in seconds."""
-        return self._clock.now
+        return self._now
 
     @property
     def events_processed(self) -> int:
@@ -100,7 +100,7 @@ class Simulator:
         """Schedule ``action`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise ValueError(f"cannot schedule an event in the past: delay={delay}")
-        return self._queue.push(self._clock.now + delay, action, label=label)
+        return self._queue.push(self._now + delay, action, label=label)
 
     def defer(
         self, delay: float, action: Callable[..., None], args: tuple = ()
@@ -122,13 +122,13 @@ class Simulator:
         seq = queue._counter
         queue._counter = seq + 1
         queue._live += 1
-        heapq.heappush(queue._heap, (self._clock._now + delay, seq, action, args))
+        heapq.heappush(queue._heap, (self._now + delay, seq, action, args))
 
     def call_at(self, timestamp: float, action: Callable[[], None], label: str = "") -> Event:
         """Schedule ``action`` to run at absolute simulated time ``timestamp``."""
-        if timestamp < self._clock.now:
+        if timestamp < self._now:
             raise ValueError(
-                f"cannot schedule an event in the past: now={self._clock.now}, at={timestamp}"
+                f"cannot schedule an event in the past: now={self._now}, at={timestamp}"
             )
         # float() so the run loop's direct clock write keeps time a float.
         return self._queue.push(float(timestamp), action, label=label)
@@ -146,81 +146,67 @@ class Simulator:
         """Create an unarmed :class:`Timer` bound to this simulator."""
         return Timer(self, callback, label=label)
 
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
+    def run(self, until: Optional[float] = None) -> float:
         """Run the event loop.
 
         Args:
             until: stop once the clock would pass this simulated time.  Events
-                scheduled exactly at ``until`` are executed.
-            max_events: safety valve for runaway simulations; stop after this
-                many events have been processed in this call.
+                scheduled exactly at ``until`` are executed, and the clock
+                ends at ``until``.  A time in the past is refused before any
+                event fires: the simulator never rewinds.
 
         Returns:
             The simulated time at which the loop stopped.
         """
-        self._running = True
-        processed_this_call = 0
+        if until is not None and until < self._now:
+            raise ValueError(f"cannot run until a past time: now={self._now}, until={until}")
         # Local bindings shave attribute lookups off the per-event path —
         # this loop is the single hottest code in the repository.  The
-        # peek-and-pop and Clock.advance_to are inlined here (heap pop order
+        # peek-and-pop and the clock advance are inlined here (heap pop order
         # guarantees monotone times, so the advance needs no check; one heap
         # operation per event, where a separate peek then pop would sift
         # twice); compaction mutates the heap list in place, so the local
         # binding stays valid across auto-compactions.
         queue = self._queue
-        clock = self._clock
         heap = queue._heap
         heappop = heapq.heappop
-        try:
-            while self._running:
-                while heap:
-                    entry = heap[0]
-                    time = entry[0]
-                    payload = entry[2]
-                    if payload.__class__ is Event:
-                        if payload.cancelled:
-                            heappop(heap)
-                            queue._cancelled_in_heap -= 1
-                            continue
-                        if until is not None and time > until:
-                            payload = None
-                            break
+        while True:
+            while heap:
+                entry = heap[0]
+                time = entry[0]
+                payload = entry[2]
+                if payload.__class__ is Event:
+                    if payload.cancelled:
                         heappop(heap)
-                        payload.fired = True
-                        queue._live -= 1
-                        payload = payload.action
-                        args = ()
-                        break
+                        queue._cancelled_in_heap -= 1
+                        continue
                     if until is not None and time > until:
                         payload = None
                         break
                     heappop(heap)
+                    payload.fired = True
                     queue._live -= 1
-                    args = entry[3]
+                    payload = payload.action
+                    args = ()
                     break
-                else:
+                if until is not None and time > until:
                     payload = None
-                    time = None
-                if payload is None:
-                    if until is not None and time is not None:
-                        # Live events remain, but all after the horizon.
-                        self._clock.advance_to(until)
                     break
-                clock._now = time
-                if args:
-                    payload(*args)
-                else:
-                    payload()
-                self._events_processed += 1
-                processed_this_call += 1
-                if max_events is not None and processed_this_call >= max_events:
-                    break
-        finally:
-            self._running = False
-        if until is not None and self._clock.now < until and self._queue.peek_time() is None:
-            self._clock.advance_to(until)
-        return self._clock.now
-
-    def stop(self) -> None:
-        """Request the event loop to stop after the current event."""
-        self._running = False
+                heappop(heap)
+                queue._live -= 1
+                args = entry[3]
+                break
+            else:
+                payload = None
+            if payload is None:
+                break
+            self._now = time
+            if args:
+                payload(*args)
+            else:
+                payload()
+            self._events_processed += 1
+        if until is not None:
+            # Whether live events remain past the horizon or none are left.
+            self._now = float(until)
+        return self._now

@@ -39,7 +39,6 @@ from typing import Any, Callable, Dict, FrozenSet, List, NamedTuple, Optional, S
 
 from repro.adaptive.evidence import EvidenceKind, EvidenceLog
 from repro.crypto.signatures import Signer, Verifier, WindowVerifier
-from repro.net.costs import NodeCostModel
 from repro.net.node import Node
 from repro.smr.messages import _HEADER_BYTES, _SIGNATURE_BYTES, Busy, Reply, Request
 from repro.smr.state_machine import Operation
@@ -166,10 +165,9 @@ class Client(Node):
         operation_factory: OperationFactory,
         recorder: Optional[Any] = None,
         max_requests: Optional[int] = None,
-        cost_model: Optional[NodeCostModel] = None,
         window: int = 1,
     ) -> None:
-        super().__init__(node_id, runtime, cost_model=cost_model)
+        super().__init__(node_id, runtime)
         if window < 1:
             raise ValueError(f"client window must be at least 1: {window}")
         self.signer = signer

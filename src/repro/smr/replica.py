@@ -17,14 +17,13 @@ still being ordered is not ordered twice.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple, Type
+from typing import Any, Callable, Dict, List, Tuple, Type
 
 from hashlib import sha256
 
 from repro.adaptive.evidence import EvidenceKind, EvidenceLog
 from repro.crypto.digest import digest_of
 from repro.crypto.signatures import Signer, Verifier, WindowVerifier
-from repro.net.costs import NodeCostModel
 from repro.net.node import Node
 from repro.smr.executor import ExecutionResult, OrderedExecutor
 from repro.smr.ledger import CommitLedger, LedgerEntry
@@ -67,9 +66,8 @@ class ReplicaBase(Node):
         signer: Signer,
         verifier: Verifier,
         state_machine: StateMachine,
-        cost_model: Optional[NodeCostModel] = None,
     ) -> None:
-        super().__init__(node_id, runtime, cost_model=cost_model)
+        super().__init__(node_id, runtime)
         self.signer = signer
         self.verifier = verifier
         # Batch-amortized front for the verifier: rolling per-sender

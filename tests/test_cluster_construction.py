@@ -25,6 +25,7 @@ Regenerate (only when a behaviour change is intended and explained)::
 
 import inspect
 import json
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -47,6 +48,7 @@ from repro.cluster.builders import (
 from repro.core import BatchPolicy, Mode
 from repro.faults import crash_primary
 from repro.runtime import conformance
+from repro.net.costs import NodeCostModel
 from repro.net.network import Network
 from repro.runtime.sim import SimRuntime
 from repro.sim.simulator import Simulator
@@ -269,6 +271,30 @@ def test_surged_sharded_clients_issue_their_own_operation_stream():
     assert len(deployment.clients) == 4
     _assert_streams_distinct(deployment.clients)
 
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        build_seemore,
+        pytest.param(partial(build_sharded_seemore, num_shards=2), marks=pytest.mark.shard),
+        build_pbft,
+    ],
+    ids=["seemore", "sharded", "pbft"],
+)
+@pytest.mark.parametrize(
+    "cost_model", [None, NodeCostModel(send_base_cost=1e-3)], ids=["default", "custom"]
+)
+def test_every_node_is_charged_by_the_deployment_cost_model(build, cost_model):
+    """One cost model per deployment: the network's, on every replica and client CPU."""
+    deployment = build(num_clients=1, cost_model=cost_model)
+    deployment.add_clients(1, start=False)
+    model = deployment.network.cost_model
+    if cost_model is not None:
+        assert model is cost_model
+    nodes = [*deployment.replicas.values(), *deployment.clients]
+    assert len(deployment.clients) == 2
+    assert [node.node_id for node in nodes if node.process.cost_model is not model] == []
 
 if __name__ == "__main__":
     GOLDEN_PATH.write_text(json.dumps(capture_all(), indent=1, sort_keys=True) + "\n")

@@ -3,9 +3,12 @@
 The whole point of ``repro.runtime`` is that the protocol core sees only
 the narrow runtime interface, never a concrete backend.  These tests walk
 the import statements (via ``ast``, so string mentions in docstrings and
-comments don't count) of every module under ``repro/core`` and
-``repro/smr`` and fail if any of them reaches into the simulator or the
-simulated network directly.  ``repro/runtime/api.py`` must additionally
+comments don't count) of every module under ``repro/core``, ``repro/smr``,
+``repro/baselines`` and ``repro/shard``, and of ``repro/net/node.py``, and
+fail if any of them reaches into the simulator, the simulated network or a
+cost model directly.  The machine model has one home: ``create_cpu`` takes
+only a name on every backend, and only the three runtime modules define a
+CPU.  ``repro/runtime/api.py`` must additionally
 stay a dependency leaf: it is imported by everything, so it may import
 nothing from ``repro`` at module scope.
 
@@ -46,11 +49,14 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 #: Modules the protocol core must never import: the concrete simulator
-#: package and the simulated network.  ``repro.net.node``/``repro.net.latency``
-#: are allowed — the base Node class and latency models are backend-neutral.
-FORBIDDEN_PREFIXES = ("repro.sim", "repro.net.network")
+#: package, the simulated network, and the two cost models the sim backend
+#: charges a CPU by.  ``repro.net.node``/``repro.net.latency`` are allowed —
+#: the base Node class and latency models are backend-neutral.
+FORBIDDEN_PREFIXES = ("repro.sim", "repro.net.network", "repro.net.costs", "repro.crypto.costs")
 
-PROTOCOL_PACKAGES = ("core", "smr")
+#: Protocol code: the replica engines, the clients, and the node they all extend.
+PROTOCOL_PACKAGES = ("core", "smr", "baselines", "shard")
+PROTOCOL_MODULES = (Path("net") / "node.py",)
 
 
 def iter_imports(path, top_level_only=False):
@@ -81,33 +87,102 @@ def iter_imports(path, top_level_only=False):
                 yield node.lineno, ".".join(base + suffix)
 
 
-def forbidden_imports(path):
+def protocol_modules(root):
+    """Every protocol module under ``root`` (a ``repro`` source tree)."""
+    for package in PROTOCOL_PACKAGES:
+        yield from sorted((root / package).rglob("*.py"))
+    for module in PROTOCOL_MODULES:
+        yield root / module
+
+
+def forbidden_imports(root):
+    """Where a protocol module under ``root`` imports a backend or a cost model."""
     return [
-        f"{path.relative_to(SRC.parent)}:{lineno} imports {module}"
+        f"{path.relative_to(root)}:{lineno} imports {module}"
+        for path in protocol_modules(root)
         for lineno, module in iter_imports(path)
         if module.startswith(FORBIDDEN_PREFIXES)
     ]
 
 
+#: The one CPU per backend: no other module under ``src/repro`` defines ``submit_receive``.
+CPU_MODULES = {Path("runtime") / name for name in ("api.py", "sim.py", "aio.py")}
+
+
+def cpu_definitions(root):
+    """Yield ``path:line defines a CPU`` for each ``submit_receive`` outside :data:`CPU_MODULES`."""
+    for path in sorted(root.rglob("*.py")):
+        relative = path.relative_to(root)
+        if relative in CPU_MODULES:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.FunctionDef) and node.name == "submit_receive":
+                yield f"{relative}:{node.lineno} defines a CPU"
+
+
 class TestProtocolCoreIsBackendAgnostic:
-    def test_no_module_under_core_or_smr_imports_a_backend(self):
-        offenders = []
-        for package in PROTOCOL_PACKAGES:
-            for path in sorted((SRC / package).rglob("*.py")):
-                offenders.extend(forbidden_imports(path))
+    def test_no_protocol_module_imports_a_backend_or_a_cost_model(self):
+        offenders = forbidden_imports(SRC)
         assert offenders == [], (
             "protocol modules must depend only on repro.runtime, never on "
-            "the simulator or simulated network:\n" + "\n".join(offenders)
+            "the simulator, the simulated network or a cost model:\n" + "\n".join(offenders)
         )
 
     def test_the_walk_actually_sees_the_protocol_modules(self):
         # Guard against a refactor silently emptying the walk.
-        seen = [
-            path
-            for package in PROTOCOL_PACKAGES
-            for path in (SRC / package).rglob("*.py")
+        seen = list(protocol_modules(SRC))
+        assert len(seen) >= 20
+        assert all(path.exists() for path in seen)
+
+
+class TestOneSimulatedMachine:
+    """The machine model (CPU and cost model) belongs to the runtime, not to a node.
+
+    A node asks its runtime for a CPU by name; the sim backend charges every
+    CPU by its deployment's one cost model, so no protocol constructor takes
+    or holds a cost model.  Each backend defines one CPU, in its own module.
+    """
+
+    def test_create_cpu_takes_only_a_name(self):
+        from repro.runtime.aio import AioRuntime
+        from repro.runtime.api import Runtime
+        from repro.runtime.sim import SimRuntime
+
+        for runtime_class in (Runtime, SimRuntime, AioRuntime):
+            parameters = list(inspect.signature(runtime_class.create_cpu).parameters)
+            assert parameters == ["self", "name"], runtime_class
+
+    def test_only_the_runtime_modules_define_a_cpu(self):
+        assert list(cpu_definitions(SRC)) == []
+        for module in CPU_MODULES:
+            source = (SRC / module).read_text()
+            assert "def submit_receive" in source, module
+
+    def test_the_rules_catch_a_node_cost_model_and_a_second_cpu(self, tmp_path):
+        root = tmp_path / "repro"
+        for package in (*PROTOCOL_PACKAGES, "net", "sim"):
+            (root / package).mkdir(parents=True)
+        (root / "net" / "node.py").write_text(
+            "from repro.net.costs import NodeCostModel\n"
+            "class Node:\n"
+            "    def __init__(self, node_id, runtime, cost_model=None):\n"
+            "        self.cost_model = cost_model or NodeCostModel()\n"
+            "        self.process = runtime.create_cpu(node_id, self.cost_model)\n"
+        )
+        (root / "smr" / "client.py").write_text("from ..crypto.costs import CryptoCostModel\n")
+        (root / "sim" / "process.py").write_text(
+            "class Process:\n"
+            "    def submit(self, cost, handler, args=()):\n"
+            "        pass\n"
+            "class SimCpu(Process):\n"
+            "    def submit_receive(self, size, signed, count, handler, args=()):\n"
+            "        pass\n"
+        )
+        assert forbidden_imports(root) == [
+            "smr/client.py:1 imports repro.crypto.costs",
+            "net/node.py:1 imports repro.net.costs",
         ]
-        assert len(seen) >= 10
+        assert list(cpu_definitions(root)) == ["sim/process.py:5 defines a CPU"]
 
 
 class TestRuntimeApiIsALeaf:

@@ -2,34 +2,41 @@
 
 import pytest
 
-from repro.sim import Clock, EventQueue, Simulator
+from repro.sim import EventQueue, Simulator
 
 
 class TestClock:
     def test_starts_at_zero(self):
-        assert Clock().now == 0.0
+        assert Simulator().now == 0.0
 
-    def test_custom_start(self):
-        assert Clock(5.0).now == 5.0
+    def test_run_until_advances_clock(self):
+        sim = Simulator()
+        sim.run(until=3.5)
+        assert sim.now == 3.5
 
-    def test_negative_start_rejected(self):
-        with pytest.raises(ValueError):
-            Clock(-1.0)
+    def test_run_until_same_time_allowed(self):
+        sim = Simulator()
+        sim.run(until=2.0)
+        sim.run(until=2.0)
+        assert sim.now == 2.0
 
-    def test_advance_forward(self):
-        clock = Clock()
-        clock.advance_to(3.5)
-        assert clock.now == 3.5
+    def test_run_until_in_the_past_rejected_with_empty_queue(self):
+        sim = Simulator()
+        sim.run(until=1.0)
+        with pytest.raises(ValueError, match=r"now=1\.0, until=0\.5"):
+            sim.run(until=0.5)
+        assert sim.now == 1.0
 
-    def test_advance_backwards_rejected(self):
-        clock = Clock(2.0)
-        with pytest.raises(ValueError):
-            clock.advance_to(1.0)
-
-    def test_advance_to_same_time_allowed(self):
-        clock = Clock(2.0)
-        clock.advance_to(2.0)
-        assert clock.now == 2.0
+    def test_run_until_in_the_past_rejected_before_any_event_fires(self):
+        sim = Simulator()
+        sim.run(until=1.0)
+        fired = []
+        sim.call_later(0.25, lambda: fired.append(sim.now))
+        with pytest.raises(ValueError, match=r"now=1\.0, until=0\.5"):
+            sim.run(until=0.5)
+        assert fired == []
+        assert sim.now == 1.0
+        assert sim.pending_events == 1
 
 
 class TestEventQueue:
@@ -147,23 +154,6 @@ class TestSimulator:
         sim.cancel(event)
         sim.run()
         assert fired == []
-
-    def test_max_events_limits_processing(self):
-        sim = Simulator()
-        fired = []
-        for i in range(10):
-            sim.call_later(float(i + 1), lambda i=i: fired.append(i))
-        sim.run(max_events=3)
-        assert len(fired) == 3
-
-    def test_stop_halts_loop(self):
-        sim = Simulator()
-        fired = []
-        sim.call_later(1.0, lambda: (fired.append(1), sim.stop()))
-        sim.call_later(2.0, lambda: fired.append(2))
-        sim.run()
-        assert fired == [(1, None)] or fired == [1]  # tuple from lambda, value irrelevant
-        assert sim.pending_events == 1
 
     def test_events_processed_counter(self):
         sim = Simulator()
