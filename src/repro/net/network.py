@@ -101,20 +101,18 @@ class Network:
         # partition / delay / duplication condition is configured.
         conditions = self.conditions
         if conditions.quiet:
-            # Inlined _total_delay + Simulator.defer for the quiet (no
-            # pathology) case — the steady-state path of every benchmark.
+            # _total_delay and Simulator.defer's heap push, inlined for the
+            # quiet (no pathology) case — the steady-state path of every benchmark.
             # Exactly one latency sample (one RNG draw) per delivery.
             delay = (
                 self.latency_model.sample(src, dst, self._rng)
                 + size_bytes * self._seconds_per_byte
             )
             simulator = self.simulator
-            queue = simulator._queue
-            seq = queue._counter
-            queue._counter = seq + 1
-            queue._live += 1
+            seq = simulator._seq
+            simulator._seq = seq + 1
             heappush(
-                queue._heap,
+                simulator._heap,
                 (
                     simulator._now + delay,
                     seq,

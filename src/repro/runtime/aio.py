@@ -477,6 +477,8 @@ class AioTimer(TimerHandle):
         return self._due is not None
 
     def start(self, delay: float) -> None:
+        if delay < 0:
+            raise ValueError(f"cannot schedule an event in the past: delay={delay}")
         loop = self._runtime._running_loop()
         due = self._due = loop.time() + delay
         wakeup = self._wakeup
@@ -889,17 +891,14 @@ class AioRuntime(Runtime):
         timer.start(delay)
         return timer
 
-    def defer(self, delay: float, action: Callable[..., None], args: tuple = ()) -> None:
-        self._running_loop().call_later(delay, partial(action, *args))
-
     # -- loop plumbing -----------------------------------------------------
 
     def _running_loop(self) -> asyncio.AbstractEventLoop:
         loop = self._loop
         if loop is None:
             raise RuntimeError(
-                "the aio runtime's loop is not running; timers, sends, and "
-                "deferred calls only work inside run() (arm them from kickoff)"
+                "the aio runtime's loop is not running; timers and sends "
+                "only work inside run() (arm them from kickoff)"
             )
         return loop
 
@@ -967,6 +966,8 @@ class AioRuntime(Runtime):
         seconds).  Always shuts down cleanly: every task is cancelled and
         awaited, every connection and listener closed.
         """
+        if timeout < 0:
+            raise ValueError(f"timeout must not be negative: {timeout}")
         with asyncio.Runner(loop_factory=new_event_loop) as runner:
             return runner.run(self._main(kickoff, until, timeout))
 

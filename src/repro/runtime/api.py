@@ -156,7 +156,8 @@ class Runtime(ClockSource):
 
     A node built against a ``Runtime`` never touches the simulator or the
     modeled network directly; everything it needs funnels through this
-    surface.
+    surface.  Every callback it schedules is a :class:`TimerHandle`, armed
+    by hand (:meth:`timer`) or already started (:meth:`call_later`).
     """
 
     @property
@@ -177,16 +178,12 @@ class Runtime(ClockSource):
 
     def call_later(
         self, delay: float, action: Callable[[], None], label: str = ""
-    ) -> Any:
+    ) -> TimerHandle:
         """Schedule a one-shot callback ``delay`` seconds from now.
 
-        Returns a handle exposing at least an idempotent ``stop()``;
-        stopping after the callback fired is a no-op.
+        Returns the started :class:`TimerHandle`: stopping it after the
+        callback fired is a no-op.  A negative ``delay`` is a ``ValueError``.
         """
-        raise NotImplementedError
-
-    def defer(self, delay: float, action: Callable[..., None], args: tuple = ()) -> None:
-        """Fire-and-forget variant of :meth:`call_later` (no handle)."""
         raise NotImplementedError
 
     def run(
@@ -200,7 +197,8 @@ class Runtime(ClockSource):
         ``kickoff`` is called once, inside the run, before anything else is
         served.  Returns whether ``until()`` held at the end (always ``True``
         with no predicate).  A backend may return as soon as ``until()``
-        holds; the simulator always serves the whole ``timeout``.
+        holds; the simulator always serves the whole ``timeout``.  A negative
+        ``timeout`` is a ``ValueError`` before ``kickoff`` runs.
         """
         raise NotImplementedError
 

@@ -88,18 +88,16 @@ class SimCpu(Cpu):
             return
         # Idle fast path: an idle CPU always has an empty queue (the
         # completion handler refills from the queue before going idle), so
-        # the item starts immediately — skip the deque round trip and
-        # schedule the completion directly (inlined Simulator.defer).
+        # the item starts immediately — skip the deque round trip and push
+        # the completion onto the simulator's heap as Simulator.defer would.
         self._busy = True
         self._busy_time += cost
         self._current = handler
         self._current_args = args
         simulator = self._simulator
-        queue = simulator._queue
-        seq = queue._counter
-        queue._counter = seq + 1
-        queue._live += 1
-        heappush(queue._heap, (simulator._now + cost, seq, self._finish_current, ()))
+        seq = simulator._seq
+        simulator._seq = seq + 1
+        heappush(simulator._heap, (simulator._now + cost, seq, self._finish_current, ()))
 
     def submit_send(
         self, size: int, signed: bool, handler: Callable[..., None], args: tuple = ()
@@ -120,11 +118,9 @@ class SimCpu(Cpu):
         self._current = handler
         self._current_args = args
         simulator = self._simulator
-        queue = simulator._queue
-        seq = queue._counter
-        queue._counter = seq + 1
-        queue._live += 1
-        heappush(queue._heap, (simulator._now + cost, seq, self._finish_current, ()))
+        seq = simulator._seq
+        simulator._seq = seq + 1
+        heappush(simulator._heap, (simulator._now + cost, seq, self._finish_current, ()))
 
     def submit_receive(
         self,
@@ -149,11 +145,9 @@ class SimCpu(Cpu):
         self._current = handler
         self._current_args = args
         simulator = self._simulator
-        queue = simulator._queue
-        seq = queue._counter
-        queue._counter = seq + 1
-        queue._live += 1
-        heappush(queue._heap, (simulator._now + cost, seq, self._finish_current, ()))
+        seq = simulator._seq
+        simulator._seq = seq + 1
+        heappush(simulator._heap, (simulator._now + cost, seq, self._finish_current, ()))
 
     def submit_multicast(
         self, size: int, signed: bool, fanout: int, handler: Callable[..., None], args: tuple = ()
@@ -195,11 +189,9 @@ class SimCpu(Cpu):
         self._current = handler
         self._current_args = args
         simulator = self._simulator
-        queue = simulator._queue
-        seq = queue._counter
-        queue._counter = seq + 1
-        queue._live += 1
-        heappush(queue._heap, (simulator._now + cost, seq, self._finish_current, ()))
+        seq = simulator._seq
+        simulator._seq = seq + 1
+        heappush(simulator._heap, (simulator._now + cost, seq, self._finish_current, ()))
 
     def utilisation(self, elapsed: Optional[float] = None) -> float:
         """Fraction of time the CPU has been busy.
@@ -233,11 +225,10 @@ class SimRuntime(Runtime):
     def register(self, node: Any) -> None:
         self.network.register(node)
 
-    def call_later(self, delay: float, action: Callable[[], None], label: str = "") -> Any:
-        return self.simulator.call_later(delay, action, label=label)
-
-    def defer(self, delay: float, action: Callable[..., None], args: tuple = ()) -> None:
-        self.simulator.defer(delay, action, args)
+    def call_later(self, delay: float, action: Callable[[], None], label: str = "") -> Timer:
+        timer = self.simulator.timer(action, label=label)
+        timer.start(delay)
+        return timer
 
     def run(
         self,

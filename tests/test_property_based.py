@@ -12,7 +12,7 @@ from repro.planner import (
     plan_with_failure_ratio,
 )
 from repro.planner.sizing import InfeasiblePlanError
-from repro.sim import EventQueue, Simulator
+from repro.sim import Simulator
 from repro.smr import Counter, Operation, OrderedExecutor
 from repro.smr.replica import noop_request, request_digest
 from repro.smr.slots import SlotLog
@@ -318,16 +318,56 @@ class TestSimulatorProperties:
         assert fired == sorted(fired)
         assert len(fired) == len(delays)
 
-    @given(st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=1, max_size=30))
+    @given(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.5, 10.0]), min_size=1, max_size=30))
     @settings(max_examples=50)
-    def test_event_queue_pops_in_order(self, times):
-        queue = EventQueue()
-        for time in times:
-            queue.push(time, lambda: None)
-        popped = []
-        while queue:
-            popped.append(queue.pop().time)
-        assert popped == sorted(popped)
+    def test_events_fire_by_time_then_in_scheduling_order(self, times):
+        simulator = Simulator()
+        fired = []
+        for index, time in enumerate(times):
+            simulator.call_at(time, lambda entry=(time, index): fired.append(entry))
+        simulator.run()
+        assert fired == sorted(fired)
+        assert len(fired) == len(times)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["call_later", "call_at", "defer", "cancel", "start", "stop"]),
+                st.floats(min_value=0.0, max_value=10.0),
+                st.integers(0, 1_000),
+                st.integers(1, 32),  # repeats, so heaps reach the compaction floor
+            ),
+            max_size=40,
+        )
+    )
+    @settings(max_examples=100)
+    def test_pending_events_is_what_fires(self, operations):
+        """Over any mix of scheduling and cancelling, ``pending_events`` is
+        exactly the number of callbacks still to fire, compactions included."""
+        simulator = Simulator()
+        fired = []
+        events = []
+        timers = [simulator.timer(lambda: fired.append("timer")) for _ in range(3)]
+        for operation, when, pick, repeat in operations:
+            for index in range(pick, pick + repeat):
+                if operation == "call_later":
+                    events.append(simulator.call_later(when, lambda: fired.append("later")))
+                elif operation == "call_at":
+                    events.append(simulator.call_at(when, lambda: fired.append("at")))
+                elif operation == "defer":
+                    simulator.defer(when, fired.append, ("defer",))
+                elif operation == "cancel" and events:
+                    simulator.cancel(events[index % len(events)])
+                elif operation == "start":
+                    timers[index % 3].start(when)
+                elif operation == "stop":
+                    timers[index % 3].stop()
+        pending = simulator.pending_events
+        simulator.run(until=5.0)
+        assert simulator.pending_events == pending - len(fired)
+        simulator.run()
+        assert len(fired) == pending
+        assert simulator.pending_events == 0
 
 
 class TestSlotLogProperties:

@@ -40,6 +40,8 @@ And there is one clock: only the two TCP backends import ``time``, and
 only the sim backend, the modeled network and the deployment's builder and
 holder read a ``.simulator`` attribute (plus the engine's one event-count
 read); every runner and observer takes its clock from ``deployment.runtime``.
+And there is one event heap: only ``sim/simulator.py`` and the two hot paths
+that inline its push (``runtime/sim.py``, ``net/network.py``) touch it.
 """
 
 import ast
@@ -120,6 +122,38 @@ def cpu_definitions(root):
                 yield f"{relative}:{node.lineno} defines a CPU"
 
 
+#: The modules that push onto a simulator's heap: its owner, and the two hot
+#: paths (``SimCpu``'s completions, ``Network.deliver``'s arrivals) that inline the push.
+HEAP_OWNERS = {Path("sim") / "simulator.py", Path("runtime") / "sim.py", Path("net") / "network.py"}
+#: A simulator's heap and sequence counter, by attribute name.
+HEAP_ATTRIBUTES = {"_heap", "_seq"}
+
+
+def heap_touches(root):
+    """Where a module under ``root`` touches a simulator's heap or imports ``repro.sim.events``.
+
+    Outside :data:`HEAP_OWNERS`, reading ``._heap`` / ``._seq`` off anything,
+    or any private attribute off something named ``*simulator``, counts.
+    """
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        relative = path.relative_to(root)
+        for lineno, module in iter_imports(path):
+            if module == "repro.sim.events":
+                found.append((str(relative), lineno, "imports repro.sim.events"))
+        if relative in HEAP_OWNERS:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Attribute):
+                continue
+            owner = getattr(node.value, "attr", None) or getattr(node.value, "id", "")
+            if node.attr in HEAP_ATTRIBUTES or (
+                node.attr.startswith("_") and owner.endswith("simulator")
+            ):
+                found.append((str(relative), node.lineno, f"touches {owner}.{node.attr}"))
+    return [f"{path}:{lineno} {what}" for path, lineno, what in sorted(found)]
+
+
 class TestProtocolCoreIsBackendAgnostic:
     def test_no_protocol_module_imports_a_backend_or_a_cost_model(self):
         offenders = forbidden_imports(SRC)
@@ -141,6 +175,8 @@ class TestOneSimulatedMachine:
     A node asks its runtime for a CPU by name; the sim backend charges every
     CPU by its deployment's one cost model, so no protocol constructor takes
     or holds a cost model.  Each backend defines one CPU, in its own module.
+    The simulator owns the one event heap: only it and the two hot paths
+    that inline its push touch the heap or its sequence counter.
     """
 
     def test_create_cpu_takes_only_a_name(self):
@@ -183,6 +219,40 @@ class TestOneSimulatedMachine:
             "net/node.py:1 imports repro.net.costs",
         ]
         assert list(cpu_definitions(root)) == ["sim/process.py:5 defines a CPU"]
+
+    def test_only_the_heap_owners_touch_the_heap(self):
+        assert heap_touches(SRC) == []
+        for module in HEAP_OWNERS:
+            assert "._seq" in (SRC / module).read_text(), module
+
+    def test_the_rule_catches_a_second_owner_of_the_heap(self, tmp_path):
+        root = tmp_path / "repro"
+        for package in ("net", "runtime", "sim"):
+            (root / package).mkdir(parents=True)
+        push = (
+            "    simulator = self._simulator\n"
+            "    seq = simulator._seq\n"
+            "    simulator._seq = seq + 1\n"
+            "    heappush(simulator._heap, (simulator._now + cost, seq, done, ()))\n"
+        )
+        (root / "runtime" / "sim.py").write_text("def submit(self, cost, done):\n" + push)
+        # The inlined push as it read when the heap belonged to an EventQueue.
+        (root / "net" / "node.py").write_text(
+            "from repro.sim.events import EventQueue\n"
+            "def submit(self, cost, done):\n"
+            "    simulator = self._simulator\n"
+            "    queue = simulator._queue\n"
+            "    seq = queue._counter\n"
+            "    queue._counter = seq + 1\n"
+            "    queue._live += 1\n"
+            "    heappush(queue._heap, (simulator._now + cost, seq, done, ()))\n"
+        )
+        assert heap_touches(root) == [
+            "net/node.py:1 imports repro.sim.events",
+            "net/node.py:4 touches simulator._queue",
+            "net/node.py:8 touches queue._heap",
+            "net/node.py:8 touches simulator._now",
+        ]
 
 
 class TestRuntimeApiIsALeaf:

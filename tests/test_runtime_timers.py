@@ -298,9 +298,33 @@ class TestRunContract:
         assert runtime.run(until=lambda: True, timeout=UNIT[backend]) is True
 
 
-def test_the_simulator_refuses_a_negative_timeout():
-    with pytest.raises(ValueError, match="timeout"):
-        new_runtime("sim").run(timeout=-0.1)
+@pytest.mark.parametrize("backend", ["sim", "aio"])
+class TestNegativeTimesAreRefused:
+    """Both in-process backends refuse a time in the past before anything runs."""
+
+    def test_a_negative_timeout_is_refused_before_kickoff(self, backend):
+        kicked = []
+        with pytest.raises(ValueError, match="timeout must not be negative: -0.1"):
+            new_runtime(backend).run(kickoff=lambda: kicked.append(1), timeout=-0.1)
+        assert kicked == []
+
+    def test_a_negative_delay_is_refused(self, backend):
+        def setup(runtime, unit):
+            fired, refused = [], []
+            arms = (
+                lambda: runtime.call_later(-unit, lambda: fired.append("call_later")),
+                lambda: runtime.timer(lambda: fired.append("timer")).start(-unit),
+            )
+            for arm in arms:
+                try:
+                    arm()
+                except ValueError as error:
+                    refused.append(str(error))
+            return fired, refused
+
+        fired, refused = drive(backend, setup, 2)
+        assert fired == []
+        assert refused == [f"cannot schedule an event in the past: delay={-UNIT[backend]}"] * 2
 
 
 # -- the selector under the TCP backends' loop ---------------------------------------------------

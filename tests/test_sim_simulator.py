@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim import EventQueue, Simulator
+from repro.sim import Simulator
+from repro.sim.simulator import _COMPACT_MIN_HEAP
 
 
 class TestClock:
@@ -39,52 +40,48 @@ class TestClock:
         assert sim.pending_events == 1
 
 
-class TestEventQueue:
+class TestEventHeap:
     def test_orders_by_time(self):
-        queue = EventQueue()
+        sim = Simulator()
         fired = []
-        queue.push(2.0, lambda: fired.append("b"))
-        queue.push(1.0, lambda: fired.append("a"))
-        queue.push(3.0, lambda: fired.append("c"))
-        while queue:
-            queue.pop().action()
+        sim.call_at(2.0, lambda: fired.append("b"))
+        sim.call_at(1.0, lambda: fired.append("a"))
+        sim.call_at(3.0, lambda: fired.append("c"))
+        sim.run()
         assert fired == ["a", "b", "c"]
 
-    def test_fifo_within_same_time(self):
-        queue = EventQueue()
+    def test_fifo_within_same_time_across_both_entry_shapes(self):
+        sim = Simulator()
         fired = []
         for name in "abcde":
-            queue.push(1.0, lambda n=name: fired.append(n))
-        while queue:
-            queue.pop().action()
-        assert fired == list("abcde")
+            sim.call_at(1.0, lambda n=name: fired.append(n))
+            sim.defer(1.0, fired.append, (name.upper(),))
+        sim.run()
+        assert fired == ["a", "A", "b", "B", "c", "C", "d", "D", "e", "E"]
 
-    def test_cancelled_events_skipped(self):
-        queue = EventQueue()
-        event = queue.push(1.0, lambda: None)
-        queue.push(2.0, lambda: None)
-        event.cancel()
-        popped = queue.pop()
-        assert popped.time == 2.0
+    def test_a_cancelled_head_is_skipped_without_moving_the_clock(self):
+        sim = Simulator()
+        fired = []
+        event = sim.call_at(1.0, lambda: fired.append(sim.now))
+        sim.call_at(5.0, lambda: fired.append(sim.now))
+        sim.cancel(event)
+        assert sim.run(until=3.0) == 3.0
+        assert fired == [] and sim.pending_events == 1
+        sim.run()
+        assert fired == [5.0]
 
-    def test_peek_time_skips_cancelled(self):
-        queue = EventQueue()
-        event = queue.push(1.0, lambda: None)
-        queue.push(5.0, lambda: None)
-        event.cancel()
-        assert queue.peek_time() == 5.0
+    def test_pending_events_tracks_live_events(self):
+        sim = Simulator()
+        sim.call_at(1.0, lambda: None)
+        event = sim.call_at(2.0, lambda: None)
+        assert sim.pending_events == 2
+        sim.cancel(event)
+        assert sim.pending_events == 1
 
-    def test_len_tracks_live_events(self):
-        queue = EventQueue()
-        queue.push(1.0, lambda: None)
-        event = queue.push(2.0, lambda: None)
-        assert len(queue) == 2
-        event.cancel()
-        assert len(queue) == 1
-
-    def test_empty_queue_pops_none(self):
-        assert EventQueue().pop() is None
-        assert EventQueue().peek_time() is None
+    def test_an_empty_heap_runs_nothing(self):
+        sim = Simulator()
+        assert sim.run() == 0.0
+        assert sim.events_processed == 0 and sim.pending_events == 0
 
 
 class TestSimulator:
@@ -162,14 +159,6 @@ class TestSimulator:
         sim.run()
         assert sim.events_processed == 4
 
-    def test_deterministic_tie_break(self):
-        sim = Simulator()
-        fired = []
-        for name in "abc":
-            sim.call_later(1.0, lambda n=name: fired.append(n))
-        sim.run()
-        assert fired == ["a", "b", "c"]
-
     def test_run_until_with_empty_queue_advances_clock(self):
         sim = Simulator()
         sim.run(until=7.0)
@@ -218,3 +207,113 @@ class TestTimer:
         timer = sim.timer(lambda: None)
         timer.stop()
         assert not timer.active
+
+
+class TestCancelAccounting:
+    """Cancelled events must never skew ``pending_events`` (double cancels,
+    a cancel after the fire) nor stay in the heap forever."""
+
+    def test_cancel_is_idempotent(self):
+        simulator = Simulator()
+        event = simulator.call_later(1.0, lambda: None)
+        simulator.call_later(2.0, lambda: None)
+        simulator.cancel(event)
+        simulator.cancel(event)  # second cancel is a no-op
+        assert simulator.pending_events == 1
+        assert simulator._cancelled == 1
+
+    def test_cancelling_a_fired_event_is_a_noop(self):
+        simulator = Simulator()
+        event = simulator.call_later(1.0, lambda: None)
+        simulator.call_later(2.0, lambda: None)
+        simulator.run(until=1.0)
+        simulator.cancel(event)
+        assert simulator.pending_events == 1
+        assert simulator._cancelled == 0
+
+    def test_timer_repeated_start_stop_keeps_live_count(self):
+        simulator = Simulator()
+        fired = []
+        timer = simulator.timer(lambda: fired.append(simulator.now), label="t")
+        for _ in range(50):
+            timer.start(0.5)
+            timer.stop()
+            timer.stop()  # double stop
+        assert simulator.pending_events == 0
+
+        timer.start(0.25)
+        simulator.run()
+        assert fired == [0.25]
+        timer.stop()  # stop after fire must not decrement live count
+        assert simulator.pending_events == 0
+
+        # The heap still works normally afterwards.
+        timer.start(1.0)
+        assert simulator.pending_events == 1
+        simulator.run()
+        assert len(fired) == 2
+
+    def test_many_double_cancels_keep_counts_exact_and_compact(self):
+        simulator = Simulator()
+        events = [simulator.call_later(1.0, lambda: None) for _ in range(10_000)]
+        for event in events[:-1]:
+            simulator.cancel(event)
+            simulator.cancel(event)
+        assert simulator.pending_events == 1
+        assert simulator._cancelled >= 0
+        assert len(simulator._heap) <= 2 * _COMPACT_MIN_HEAP  # compaction fired
+
+    def test_fast_path_events_count_and_fire(self):
+        simulator = Simulator()
+        fired = []
+        simulator.defer(0.5, lambda: fired.append("fast"))
+        simulator.call_later(1.0, lambda: fired.append("slow"))
+        assert simulator.pending_events == 2
+        simulator.run()
+        assert fired == ["fast", "slow"]
+        assert simulator.pending_events == 0
+
+
+class TestCompaction:
+    def test_compacts_when_cancelled_majority(self):
+        simulator = Simulator()
+        events = [simulator.call_at(float(i), lambda: None) for i in range(2 * _COMPACT_MIN_HEAP)]
+        # Cancel just over half; the simulator must shrink its heap on its own.
+        for event in events[: _COMPACT_MIN_HEAP + 1]:
+            simulator.cancel(event)
+        assert simulator._cancelled == 0  # compaction already ran
+        assert len(simulator._heap) == simulator.pending_events == _COMPACT_MIN_HEAP - 1
+
+    def test_small_heaps_are_left_alone(self):
+        simulator = Simulator()
+        events = [simulator.call_at(float(i), lambda: None) for i in range(8)]
+        for event in events[:7]:
+            simulator.cancel(event)
+        # Below the floor: cancelled entries stay until the run loop skips them.
+        assert simulator._cancelled == 7
+        assert len(simulator._heap) == 8
+        assert simulator.pending_events == 1
+
+    def test_order_survives_compaction(self):
+        simulator = Simulator()
+        fired = []
+        keep = []
+        for i in range(4 * _COMPACT_MIN_HEAP):
+            event = simulator.call_at(float(i), lambda i=i: fired.append(i))
+            if i % 4 == 0:
+                simulator.defer(float(i), fired.append, (-i,))
+                keep.extend([i, -i])
+            else:
+                simulator.cancel(event)
+        assert len(simulator._heap) < 4 * _COMPACT_MIN_HEAP  # compaction ran
+        simulator.run()
+        assert fired == keep
+
+    def test_timer_churn_does_not_grow_heap_unboundedly(self):
+        simulator = Simulator()
+        timer = simulator.timer(lambda: None, label="churn")
+        for _ in range(10_000):
+            timer.start(1.0)
+        # Without compaction the heap would hold ~10k cancelled events.
+        assert len(simulator._heap) <= 2 * _COMPACT_MIN_HEAP
+        assert simulator.pending_events == 1
