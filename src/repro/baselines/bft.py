@@ -14,12 +14,14 @@ multicasts a signed ``PREPARE``; once a replica holds a prepare certificate
 it multicasts a signed ``COMMIT``; once it holds a commit certificate it
 executes and replies to the client, which waits for f+1 (resp. m+1)
 matching replies.  Every ``checkpoint_period`` executions a replica signs a
-checkpoint; a commit quorum of matching ones makes it stable and garbage
-collects below it.
+:class:`~repro.smr.messages.Checkpoint` over the state at that boundary; a
+commit quorum of matching ones makes it stable and garbage collects below it.
 
-Request intake, the request timer and the view change are
-:class:`~repro.baselines.replica.BaselineReplica`'s.  This module states the
-three phases, the checkpoint votes, and its answers to the skeleton: nothing
+Request intake, the commit entry, the checkpoint vote rule, the request
+timer and the view change are the skeleton's
+(:class:`~repro.smr.replica.ReplicaBase`,
+:class:`~repro.baselines.replica.BaselineReplica`).  This module states the
+three phases, when a checkpoint is sent, and its answers to the skeleton: nothing
 at or below the stable checkpoint is reported in a view change, a slot is
 reported once it holds a prepare certificate, joining takes one suspicion
 more than there can be faulty replicas, and every replica re-enters a
@@ -28,14 +30,13 @@ re-proposed slot with a fresh prepare vote.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import List, Tuple
 
 from repro.baselines import messages as msgs
 from repro.baselines.replica import BaselineReplica
-from repro.crypto.digest import digest as digest_fn
 from repro.smr.checkpointing import CheckpointManager
 from repro.smr.executor import ExecutionResult
-from repro.smr.messages import Request
+from repro.smr.messages import Checkpoint, Request
 from repro.smr.replica import request_digest
 from repro.smr.slots import Slot
 
@@ -45,10 +46,13 @@ class QuorumBFTReplica(BaselineReplica):
 
     def _register_phases(self) -> None:
         self.checkpoints = CheckpointManager(self.config.checkpoint_period)
+        # (boundary, state digest) cut by the executor hook, sent after the slot's replies.
+        self._unsent_checkpoints: List[Tuple[int, str]] = []
+        self.executor.set_checkpoint_hook(self.config.checkpoint_period, self._cut)
         self.register_handler(msgs.BftPrePrepare, self._on_preprepare)
         self.register_handler(msgs.BftPrepare, self._on_prepare)
         self.register_handler(msgs.BftCommit, self._on_commit)
-        self.register_handler(msgs.BaselineCheckpoint, self._on_checkpoint)
+        self.register_handler(Checkpoint, self.on_checkpoint)
 
     # -- pre-prepare / prepare / commit ---------------------------------------------------
 
@@ -131,39 +135,20 @@ class QuorumBFTReplica(BaselineReplica):
             return
         if slot.vote_count("commit") < self.config.commit_quorum:
             return
-        self._finalize(slot, send_reply=True)
+        self.finalize(slot, send_reply=True)
 
     # -- checkpoints ---------------------------------------------------------------------
 
-    def _after_commit(self, executions: List[ExecutionResult]) -> None:
-        for execution in executions:
-            if self.checkpoints.is_checkpoint_sequence(execution.sequence):
-                self._take_checkpoint(execution.sequence)
+    def _cut(self, sequence: int) -> None:
+        self._unsent_checkpoints.append((sequence, self.cut_checkpoint(sequence)))
 
-    def _take_checkpoint(self, sequence: int) -> None:
-        state_digest = digest_fn(
-            {"next": self.executor.next_sequence, "state": self.executor.state_machine.snapshot()}
-        )
-        checkpoint = msgs.BaselineCheckpoint(
-            sequence=sequence, state_digest=state_digest, replica_id=self.node_id
-        )
-        checkpoint.sign(self.signer)
-        self._record_checkpoint_vote(sequence, state_digest, self.node_id)
-        self.multicast(self.other_replicas(), checkpoint)
+    def _after_commit(self, sequence: int, executions: List[ExecutionResult]) -> None:
+        for boundary, state_digest in self._unsent_checkpoints:
+            self.send_checkpoint(boundary, state_digest)
+        self._unsent_checkpoints.clear()
 
-    def _on_checkpoint(self, src: str, message: msgs.BaselineCheckpoint) -> None:
-        if not message.verify(self.verifier, expected_signer=src):
-            return
-        self._record_checkpoint_vote(message.sequence, message.state_digest, src)
-
-    def _record_checkpoint_vote(self, sequence: int, state_digest: str, replica_id: str) -> None:
-        votes = self.checkpoints.record_vote(sequence, state_digest, replica_id)
-        if votes >= self.config.commit_quorum and self.checkpoints.mark_stable(
-            sequence, state_digest
-        ):
-            self.slots.collect_below(sequence)
-            self.executor.discard_below(sequence)
-            self.prune_assignments(sequence)
+    def checkpoint_quorum(self, voter: str, mode: int) -> int:
+        return self.config.commit_quorum
 
     # -- what the skeleton asks -------------------------------------------------------------
 
@@ -178,8 +163,3 @@ class QuorumBFTReplica(BaselineReplica):
 
     def join_threshold(self) -> int:
         return max(1, self.config.network_size - self.config.commit_quorum) + 1
-
-    def state_summary(self) -> Dict[str, Any]:
-        summary = super().state_summary()
-        summary["stable_checkpoint"] = self.checkpoints.stable_sequence
-        return summary

@@ -13,14 +13,13 @@ class BaselineConfig:
     Attributes:
         replicas: replica ids in identifier order.
         checkpoint_period: how often replicas checkpoint and garbage collect.
-        request_timeout: backup timeout before suspecting the primary.
-        view_change_timeout: how long to wait for a new view to be installed.
+        request_timeout: backup timeout before suspecting the primary; twice
+            it is how long a replica waits for a new view to be installed.
     """
 
     replicas: Tuple[str, ...]
     checkpoint_period: int = 128
     request_timeout: float = 0.02
-    view_change_timeout: float = 0.04
 
     def __post_init__(self) -> None:
         if len(self.replicas) < self.minimum_network_size:

@@ -76,15 +76,7 @@ class BftCommit(ProtocolMessage):
     SIZE = _SIGNED_BYTES + _DIGEST_BYTES
 
 
-# -- shared: checkpoints and view changes ---------------------------------------------
-
-
-class BaselineCheckpoint(ProtocolMessage):
-    """Periodic checkpoint message (signed for the BFT-style protocols)."""
-
-    TAG = 0x26
-    FIELDS = (Field("sequence", I64), Field("state_digest", DIGEST), _REPLICA)
-    SIZE = _SIGNED_BYTES + _DIGEST_BYTES
+# -- shared: view changes (a BFT checkpoint is repro.smr.messages.Checkpoint) ----------
 
 
 #: Per-sequence entry carried in view-change / new-view messages.
@@ -124,7 +116,6 @@ __all__ = [
     "BftPrePrepare",
     "BftPrepare",
     "BftCommit",
-    "BaselineCheckpoint",
     "BaselineEntry",
     "BaselineViewChange",
     "BaselineNewView",

@@ -15,8 +15,9 @@ Messages are unsigned: under the crash model, pairwise-authenticated
 channels are sufficient, which is exactly why CFT outperforms the Byzantine
 protocols in Figures 2 and 3.
 
-Request intake, the request timer and the leader change are
-:class:`~repro.baselines.replica.BaselineReplica`'s.  This module states the
+Request intake, the commit entry, the request timer and the leader change
+are the skeleton's (:class:`~repro.smr.replica.ReplicaBase`,
+:class:`~repro.baselines.replica.BaselineReplica`).  This module states the
 three phases and Paxos's answers to the skeleton: nothing at or below its
 own ``last_executed`` is reported in a view change, every accepted value is
 reported (any of them may have been chosen), one suspicion is enough to
@@ -83,7 +84,7 @@ class PaxosReplica(BaselineReplica):
             view=self.view, sequence=slot.sequence, digest=slot.digest, request=slot.request
         )
         self.multicast(self.other_replicas(), learn)
-        self._finalize(slot, send_reply=True)
+        self.finalize(slot, send_reply=True)
 
     def _on_learn(self, src: str, message: msgs.Learn) -> None:
         if message.view < self.view:
@@ -91,7 +92,7 @@ class PaxosReplica(BaselineReplica):
         if src != self.config.primary_of_view(message.view):
             return
         slot = self.fill_slot(message.sequence, message.digest, message.request, None, force=True)
-        self._finalize(slot, send_reply=False)
+        self.finalize(slot, send_reply=False)
 
     # -- what the skeleton asks -------------------------------------------------------
 
@@ -104,7 +105,7 @@ class PaxosReplica(BaselineReplica):
         )
         self.multicast(self.other_replicas(), accept_request)
 
-    def _after_commit(self, executions: List[ExecutionResult]) -> None:
+    def _after_commit(self, sequence: int, executions: List[ExecutionResult]) -> None:
         executed = self.last_executed
         if executed and executed % self.config.checkpoint_period == 0:
             self.slots.collect_below(executed - self.config.checkpoint_period)

@@ -1,15 +1,12 @@
 """The primary-backup skeleton under the three baseline protocols.
 
 Paxos, PBFT and S-UpRight differ in their agreement phases and agree on
-everything around them, so :class:`BaselineReplica` writes the rest once:
+everything around them.  The request intake and the commit entry are
+:class:`~repro.smr.replica.ReplicaBase`'s, as for SeeMoRe; a baseline
+primary orders a request by allocating the next sequence number and handing
+``(sequence, digest, request)`` to :meth:`BaselineReplica._propose`.
+:class:`BaselineReplica` writes the rest once:
 
-* **request intake** — a cached reply is re-sent; a backup forwards the
-  request to the primary and arms its request timer; the primary verifies
-  the client's signature, refuses duplicates, allocates the next sequence
-  number and hands ``(sequence, digest, request)`` to :meth:`_propose`;
-* **commit** — :meth:`_finalize` commits a slot once, replies unless it
-  holds a no-op, calls :meth:`_after_commit` and re-arms or stops the
-  request timer;
 * **the view change's answers** — the state machine is
   :class:`~repro.smr.view_change.ViewChangeManager`'s; here a view-change
   message lists every slot above ``_floor()`` for which
@@ -26,14 +23,13 @@ A protocol module states its phases and the four answers above.
 
 from __future__ import annotations
 
-from typing import Any, Collection, Dict, List, Sequence
+from typing import Any, Collection, List, Sequence
 
 from repro.baselines import messages as msgs
 from repro.baselines.config import BaselineConfig
 from repro.crypto.signatures import Signer, Verifier
-from repro.smr.executor import ExecutionResult
 from repro.smr.messages import ProtocolMessage, Request
-from repro.smr.replica import NOOP_CLIENT, ReplicaBase, request_digest
+from repro.smr.replica import ReplicaBase, request_digest
 from repro.smr.slots import Slot
 from repro.smr.state_machine import StateMachine
 from repro.smr.view_change import ViewChangeManager, reconcile
@@ -55,11 +51,8 @@ class BaselineReplica(ReplicaBase):
             raise ValueError(f"replica {node_id!r} is not part of the configuration")
         super().__init__(node_id, runtime, signer, verifier, state_machine)
         self.config = config
-        self.in_view_change = False
-        self.next_sequence = 1
         self.view_changes = ViewChangeManager(self)
 
-        self.register_handler(Request, self._on_request)
         self.register_handler(msgs.BaselineViewChange, self.view_changes.on_view_change)
         self.register_handler(msgs.BaselineNewView, self.view_changes.on_new_view)
         self._register_phases()
@@ -76,10 +69,6 @@ class BaselineReplica(ReplicaBase):
 
     def _reenter(self, slot: Slot, entry: msgs.BaselineEntry) -> None:
         """Restart agreement on an uncommitted slot a new view re-proposes."""
-        raise NotImplementedError
-
-    def _after_commit(self, executions: List[ExecutionResult]) -> None:
-        """Checkpoint or garbage-collect after a commit executed ``executions``."""
         raise NotImplementedError
 
     def _floor(self) -> int:
@@ -99,9 +88,6 @@ class BaselineReplica(ReplicaBase):
     def current_primary(self) -> str:
         return self.config.primary_of_view(self.view)
 
-    def is_primary(self) -> bool:
-        return not self.in_view_change and self.current_primary() == self.node_id
-
     def other_replicas(self) -> List[str]:
         return self.config.other_replicas(self.node_id)
 
@@ -115,35 +101,12 @@ class BaselineReplica(ReplicaBase):
             return True
         return message.signed and message.verify(self.verifier, expected_signer=src)
 
-    # -- client requests -----------------------------------------------------------
+    # -- ordering ----------------------------------------------------------------------
 
-    def _on_request(self, src: str, request: Request) -> None:
-        if self.resend_cached_reply(request):
-            return
-        if not self.is_primary():
-            primary = self.current_primary()
-            if primary != self.node_id:
-                self.send(primary, request)
-            self.view_changes.start_request_timer()
-            return
-        if not request.verify(self.verifier, expected_signer=request.client_id):
-            return
-        if self.already_assigned(request):
-            return
+    def order(self, request: Request) -> None:
         sequence = self.next_sequence
         self.next_sequence += 1
-        self.record_assignment(request, sequence)
         self._propose(sequence, request_digest(request), request)
-
-    # -- commit ------------------------------------------------------------------------
-
-    def _finalize(self, slot: Slot, send_reply: bool) -> None:
-        if slot.request is None or slot.committed:
-            return
-        reply = send_reply and slot.request.client_id != NOOP_CLIENT
-        executions = self.commit_slot(slot.sequence, slot.request, self.view, send_reply=reply)
-        self._after_commit(executions)
-        self.view_changes.update_request_timer()
 
     # -- the view change's answers ----------------------------------------------------------
 
@@ -222,18 +185,6 @@ class BaselineReplica(ReplicaBase):
             slot = self.fill_slot(entry.sequence, entry.digest, entry.request, entry, force=True)
             if not slot.committed:
                 self._reenter(slot, entry)
-        self.next_sequence = max(self.next_sequence, highest + 1, self.last_executed + 1)
+        self.bump_sequence_counter(highest + 1)
         if any(not slot.committed for slot in self.slots.slots_above(self._floor())):
             self.view_changes.start_request_timer()
-
-    # -- introspection -------------------------------------------------------------------------
-
-    def state_summary(self) -> Dict[str, Any]:
-        summary = super().state_summary()
-        summary.update(
-            {
-                "is_primary": self.is_primary() if not self.crashed else False,
-                "view_changes": self.view_changes.view_changes_completed,
-            }
-        )
-        return summary

@@ -39,9 +39,9 @@ class SeeMoReConfig:
         checkpoint_period: a checkpoint is taken every this many executed
             requests.
         request_timeout: view-change timeout ``τ`` (seconds of simulated
-            time a backup waits for a commit after seeing a prepare).
-        view_change_timeout: how long to wait for a new-view before
-            suspecting the *next* primary as well.
+            time a backup waits for a commit after seeing a prepare).  A
+            replica waits ``2τ`` for a new view before suspecting the
+            *next* primary as well.
         batch_policy: how the primary groups client requests into consensus
             slots (see :class:`repro.core.batching.BatchPolicy`).  The
             default policy proposes one request per slot, exactly like the
@@ -56,7 +56,6 @@ class SeeMoReConfig:
     byzantine_tolerance: int
     checkpoint_period: int = 128
     request_timeout: float = 0.02
-    view_change_timeout: float = 0.04
     batch_policy: BatchPolicy = field(default_factory=BatchPolicy)
     # Primary-side admission control (None = accept everything, the paper's
     # closed-loop setting; see repro.core.admission for the open-loop story).

@@ -46,7 +46,7 @@ class DogStrategy(ModeStrategy):
         return replica.is_proxy()
 
     # -- request handling --------------------------------------------------------
-    # Client requests funnel through the shared ModeStrategy.on_request path:
+    # Client requests enter through the replica's shared on_request:
     # the primary batches them and proposes via the hook below.  The trusted
     # primary casts no vote of its own — the 3m+1 proxies form the quorum.
 
@@ -72,7 +72,7 @@ class DogStrategy(ModeStrategy):
             return
 
         # Trusted primary: adopt its assignment even over stale slot content.
-        slot = replica.prepare_slot(
+        slot = replica.fill_slot(
             message.sequence, message.digest, message.request, message, force=True
         )
         replica.view_changes.start_request_timer()
@@ -143,7 +143,7 @@ class DogStrategy(ModeStrategy):
         commit.sign(replica.signer)
         replica.multicast(replica.other_proxies(), commit)
         self._send_informs(replica, slot)
-        replica.finalize_commit(slot, send_reply=True)
+        replica.finalize(slot, send_reply=True)
 
     def on_commit(self, replica: "SeeMoReReplica", src: str, message: msgs.Commit) -> None:
         if not replica.is_proxy():
@@ -162,4 +162,4 @@ class DogStrategy(ModeStrategy):
         # A slow proxy catches up from m+1 matching commits by other proxies.
         if count >= replica.config.byzantine_tolerance + 1:
             self._send_informs(replica, slot)
-            replica.finalize_commit(slot, send_reply=True)
+            replica.finalize(slot, send_reply=True)

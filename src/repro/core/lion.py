@@ -40,7 +40,7 @@ class LionStrategy(ModeStrategy):
         return replica.is_primary()
 
     # -- request handling --------------------------------------------------------
-    # Client requests funnel through the shared ModeStrategy.on_request path:
+    # Client requests enter through the replica's shared on_request:
     # the primary batches them and proposes via the hooks below.
 
     def ordering_message(self, replica, sequence, digest, payload):
@@ -70,7 +70,7 @@ class LionStrategy(ModeStrategy):
 
         # The primary is trusted, so its assignment supersedes any stale
         # uncommitted content this slot may hold from an earlier view/mode.
-        replica.prepare_slot(message.sequence, message.digest, message.request, message, force=True)
+        replica.fill_slot(message.sequence, message.digest, message.request, message, force=True)
         accept = msgs.Accept(
             view=message.view,
             sequence=message.sequence,
@@ -134,7 +134,7 @@ class LionStrategy(ModeStrategy):
         )
         commit.sign(replica.signer)
         replica.multicast(replica.other_replicas(), commit)
-        replica.finalize_commit(slot, send_reply=True)
+        replica.finalize(slot, send_reply=True)
 
     def on_commit(self, replica: "SeeMoReReplica", src: str, message: msgs.Commit) -> None:
         if not replica.accepts_ordering_from(src, message.view, message.mode):
@@ -145,9 +145,9 @@ class LionStrategy(ModeStrategy):
             return
         # Even a replica that never saw the prepare can execute: the commit
         # comes from the trusted primary and carries the request.
-        slot = replica.prepare_slot(
-            message.sequence, message.digest, message.request, ordering_message=None, force=True
+        slot = replica.fill_slot(
+            message.sequence, message.digest, message.request, None, force=True
         )
         if slot.committed:
             return
-        replica.finalize_commit(slot, send_reply=False)
+        replica.finalize(slot, send_reply=False)

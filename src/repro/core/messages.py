@@ -10,8 +10,9 @@ Message flavours and who signs what follow the paper:
 * the Peacock mode reuses PBFT's ``PRE-PREPARE`` / ``PREPARE`` / ``COMMIT``
   phases among proxies, all signed.
 * ``INFORM`` messages notify passive replicas of committed requests.
-* ``CHECKPOINT``, ``VIEW-CHANGE``, ``NEW-VIEW``, and ``MODE-CHANGE`` drive
-  state transfer, liveness, and dynamic mode switching.
+* ``VIEW-CHANGE``, ``NEW-VIEW``, and ``MODE-CHANGE`` drive liveness and
+  dynamic mode switching; ``CHECKPOINT`` is the shared
+  :class:`~repro.smr.messages.Checkpoint`.
 
 Ordering messages carry one slot *payload*: either a bare client
 :class:`~repro.smr.messages.Request` or a :class:`~repro.smr.messages.Batch`
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 from repro.smr.messages import (
     Batch,
+    Checkpoint,
     ProtocolMessage,
     requests_of,
     _DIGEST_BYTES,
@@ -37,7 +39,6 @@ from repro.smr.messages import (
 from repro.wire.codec import ATTACHMENT, DIGEST, ENTRIES, I64, PAYLOAD, STR, Entry, Field
 from repro.wire.primitives import (
     TAG_ACCEPT,
-    TAG_CHECKPOINT,
     TAG_COMMIT,
     TAG_INFORM,
     TAG_PREPARE,
@@ -111,15 +112,6 @@ class Inform(ProtocolMessage):
     TAG = TAG_INFORM
     FIELDS = _ATTRIBUTED_VOTE
     ENCODER = "encode_attributed_vote"
-    SIZE = _SIGNED_VOTE_BYTES
-
-
-class Checkpoint(ProtocolMessage):
-    """``<CHECKPOINT, n, d>_r`` — periodic state digest for garbage collection."""
-
-    TAG = TAG_CHECKPOINT
-    FIELDS = (_SEQUENCE, Field("state_digest", DIGEST), _REPLICA, _MODE)
-    ENCODER = "encode_checkpoint"
     SIZE = _SIGNED_VOTE_BYTES
 
 

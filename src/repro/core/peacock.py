@@ -40,7 +40,7 @@ class PeacockStrategy(ModeStrategy):
         return replica.is_proxy()
 
     # -- request handling --------------------------------------------------------
-    # Client requests funnel through the shared ModeStrategy.on_request path:
+    # Client requests enter through the replica's shared on_request:
     # the primary batches them and proposes via the hooks below.
 
     def ordering_message(self, replica, sequence, digest, payload):
@@ -85,7 +85,7 @@ class PeacockStrategy(ModeStrategy):
             )
             return
 
-        slot = replica.prepare_slot(message.sequence, message.digest, message.request, message)
+        slot = replica.fill_slot(message.sequence, message.digest, message.request, message)
         # As in PBFT, the primary's pre-prepare counts as its prepare vote:
         # the prepared certificate is the pre-prepare plus 2m matching
         # prepares from other proxies.
@@ -185,4 +185,4 @@ class PeacockStrategy(ModeStrategy):
         if slot.vote_count("commit") < replica.config.commit_quorum(self.mode):
             return
         self._send_informs(replica, slot)
-        replica.finalize_commit(slot, send_reply=True)
+        replica.finalize(slot, send_reply=True)

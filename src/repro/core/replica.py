@@ -3,9 +3,11 @@
 A :class:`SeeMoReReplica` glues together:
 
 * the shared SMR machinery (:class:`repro.smr.replica.ReplicaBase`):
-  ordered execution, ledger, slots, client replies;
-* the per-mode agreement strategies (Lion / Dog / Peacock);
-* checkpointing and garbage collection;
+  the request intake, the commit entry, ordered execution, ledger, slots,
+  client replies and the checkpoint vote rule;
+* the per-mode agreement strategies (Lion / Dog / Peacock), and the
+  batcher through which a primary orders requests;
+* who checkpoints in which mode, and state transfer;
 * its answers to the shared view change (:mod:`repro.smr.view_change`),
   which a mode switch rides.
 
@@ -29,20 +31,13 @@ from repro.core.lion import LionStrategy
 from repro.core.modes import Mode
 from repro.core.peacock import PeacockStrategy
 from repro.core.strategy_base import ModeStrategy
-from repro.crypto.digest import digest
 from repro.crypto.signatures import Signer, Verifier
-from repro.smr.checkpointing import CheckpointManager
+from repro.smr.checkpointing import CheckpointManager, signed_state_digest
 from repro.smr.executor import ExecutionResult
 from repro.smr.messages import Busy, Request
-from repro.smr.replica import NOOP_CLIENT, ReplicaBase
-from repro.smr.slots import Slot
+from repro.smr.replica import ReplicaBase
 from repro.smr.state_machine import StateMachine
 from repro.smr.view_change import ViewChangeManager, reconcile
-
-
-def signed_state_digest(next_sequence: int, state: Any) -> str:
-    """What a checkpoint and a state-transfer response sign: the executor's position and state."""
-    return digest({"next_sequence": next_sequence, "state": state})
 
 
 _STRATEGIES: Dict[Mode, ModeStrategy] = {
@@ -71,16 +66,9 @@ class SeeMoReReplica(ReplicaBase):
         self.config = config
         self.mode = initial_mode
         self.strategy = _STRATEGIES[initial_mode]
-        self.in_view_change = False
-        self.next_sequence = 1
         self.watermark_window = 4 * config.checkpoint_period
 
         self.checkpoints = CheckpointManager(config.checkpoint_period)
-        # The hook fires mid-drain, so the digest covers exactly the state at
-        # the boundary even when one commit fills a gap and several buffered
-        # sequences execute at once (routine under pipelining); digesting at
-        # the drain frontier instead would diverge across replicas and keep
-        # Peacock checkpoints from ever reaching a matching quorum.
         self.executor.set_checkpoint_hook(config.checkpoint_period, self._take_checkpoint)
         self.view_changes = ViewChangeManager(self)
         self.batcher = Batcher(
@@ -109,7 +97,6 @@ class SeeMoReReplica(ReplicaBase):
         self._register_handlers()
 
     def _register_handlers(self) -> None:
-        self.register_handler(Request, lambda src, m: self.strategy.on_request(self, src, m))
         self.register_handler(msgs.Prepare, lambda src, m: self.strategy.on_prepare(self, src, m))
         self.register_handler(msgs.Accept, lambda src, m: self.strategy.on_accept(self, src, m))
         self.register_handler(msgs.Commit, lambda src, m: self.strategy.on_commit(self, src, m))
@@ -120,7 +107,7 @@ class SeeMoReReplica(ReplicaBase):
             msgs.ProxyPrepare, lambda src, m: self.strategy.on_proxy_prepare(self, src, m)
         )
         self.register_handler(msgs.Inform, lambda src, m: self.strategy.on_inform(self, src, m))
-        self.register_handler(msgs.Checkpoint, self._on_checkpoint)
+        self.register_handler(msgs.Checkpoint, self.on_checkpoint)
         self.register_handler(msgs.ViewChange, self.view_changes.on_view_change)
         self.register_handler(msgs.NewView, self.view_changes.on_new_view)
         self.register_handler(msgs.ModeChange, self._on_mode_change)
@@ -129,11 +116,12 @@ class SeeMoReReplica(ReplicaBase):
 
     # -- roles ------------------------------------------------------------------
 
+    @property
+    def mode_id(self) -> int:
+        return int(self.mode)
+
     def current_primary(self) -> str:
         return self.config.primary_of_view(self.view, self.mode)
-
-    def is_primary(self) -> bool:
-        return not self.in_view_change and self.current_primary() == self.node_id
 
     def current_proxies(self) -> List[str]:
         return self.config.proxies_of_view(self.view, self.mode)
@@ -224,36 +212,31 @@ class SeeMoReReplica(ReplicaBase):
         self.next_sequence += 1
         return candidate
 
-    def bump_sequence_counter(self, value: int) -> None:
-        self.next_sequence = max(self.next_sequence, value, self.last_executed + 1)
+    def order(self, request: Request) -> None:
+        """Admission control, then the batcher, which proposes one slot per batch.
 
-    def shed_if_overloaded(self, request: Request) -> bool:
-        """Admission control at the primary: reject ``request`` if saturated.
-
-        Returns ``True`` when the request was shed (a signed ``Busy`` went
-        back to the client) and must not be enqueued.  With no admission
-        policy configured — the paper's closed-loop setting — this is a
-        single ``None`` check on the hot path.
+        With an admission policy (none in the paper's closed-loop setting) a
+        saturated primary sheds the request instead: a signed ``Busy`` goes
+        back to the client.
         """
         policy = self.config.admission
-        if policy is None:
-            return False
-        queued = self.batcher.queued
-        in_flight = self.batcher.in_flight
-        if not policy.should_shed(queued, in_flight):
-            return False
-        busy = Busy(
-            mode=int(self.mode),
-            view=self.view,
-            timestamp=request.timestamp,
-            client_id=request.client_id,
-            replica_id=self.node_id,
-            queue_depth=queued + in_flight,
-        )
-        busy.sign(self.signer)
-        self.send(request.client_id, busy)
-        self.busy_rejects_sent += 1
-        return True
+        if policy is not None:
+            queued = self.batcher.queued
+            in_flight = self.batcher.in_flight
+            if policy.should_shed(queued, in_flight):
+                busy = Busy(
+                    mode=int(self.mode),
+                    view=self.view,
+                    timestamp=request.timestamp,
+                    client_id=request.client_id,
+                    replica_id=self.node_id,
+                    queue_depth=queued + in_flight,
+                )
+                busy.sign(self.signer)
+                self.send(request.client_id, busy)
+                self.busy_rejects_sent += 1
+                return
+        self.batcher.enqueue(request)
 
     def _propose_payload(self, payload: Any) -> Optional[int]:
         """Batcher callback: propose one slot payload in the current mode."""
@@ -261,89 +244,30 @@ class SeeMoReReplica(ReplicaBase):
 
     # -- slots and commits -------------------------------------------------------------
 
-    def prepare_slot(
-        self,
-        sequence: int,
-        digest_value: str,
-        request: Request,
-        ordering_message: Any,
-        force: bool = False,
-    ) -> Slot:
-        """Fill a slot (see ``fill_slot``) and record its sequence assignments.
-
-        Assignments are recorded on every path that fills a slot — including
-        new-view re-proposals, which run *after* clear_assignments().  Without
-        this, a client retransmission arriving at the new primary while its
-        re-proposed slot is still uncommitted would be assigned a second
-        sequence number.
-        """
-        slot = self.fill_slot(sequence, digest_value, request, ordering_message, force)
-        self.record_assignment(request, sequence)
-        return slot
-
-    def finalize_commit(self, slot: Slot, send_reply: bool) -> List[ExecutionResult]:
-        """Commit a slot, execute what became ready, checkpoint, manage timers."""
-        if slot.request is None or slot.committed:
-            return []
-        reply = send_reply and slot.request.client_id != NOOP_CLIENT
-        executions = self.commit_slot(
-            slot.sequence, slot.request, self.view, send_reply=reply, mode_id=int(self.mode)
-        )
-        self.batcher.on_slot_committed(slot.sequence)
-        self.view_changes.update_request_timer()
-        self._maybe_request_catchup(slot.sequence)
-        return executions
+    def _after_commit(self, sequence: int, executions: List[ExecutionResult]) -> None:
+        self.batcher.on_slot_committed(sequence)
+        self._maybe_request_catchup(sequence)
 
     # -- checkpointing -------------------------------------------------------------------
 
     def _take_checkpoint(self, sequence: int) -> None:
         """Executor hook: execution just crossed checkpoint boundary ``sequence``."""
-        cut = self.executor.cut()
-        state_digest = signed_state_digest(cut.next_sequence, cut.state)
-        self.checkpoints.record_local_checkpoint(sequence, state_digest, cut)
-        checkpoint = msgs.Checkpoint(
-            sequence=sequence,
-            state_digest=state_digest,
-            replica_id=self.node_id,
-            mode=int(self.mode),
-        )
-        checkpoint.sign(self.signer)
-        if self.mode.has_trusted_primary:
-            # The trusted primary's signed checkpoint alone is a certificate.
-            if self.is_primary():
-                self.multicast(self.other_replicas(), checkpoint)
-                self._stabilise_checkpoint(sequence, state_digest)
-        else:
-            # Peacock: PBFT-style quorum of proxy checkpoints.
-            if self.is_proxy():
-                self.checkpoints.record_vote(sequence, state_digest, self.node_id)
-                self.multicast(self.other_replicas(), checkpoint)
-                self._maybe_stabilise_by_votes(sequence, state_digest)
+        state_digest = self.cut_checkpoint(sequence)
+        sends = self.is_primary() if self.mode.has_trusted_primary else self.is_proxy()
+        if sends:
+            self.send_checkpoint(sequence, state_digest)
 
-    def _on_checkpoint(self, src: str, message: msgs.Checkpoint) -> None:
-        if not self.verify_message(src, message):
-            return
-        if message.replica_id != src:
-            return
-        if self.mode.has_trusted_primary or Mode(message.mode).has_trusted_primary:
-            if self.config.is_trusted(src):
-                self._stabilise_checkpoint(message.sequence, message.state_digest)
-            return
-        if src in self.config.public_replicas:
-            self.checkpoints.record_vote(message.sequence, message.state_digest, src)
-            self._maybe_stabilise_by_votes(message.sequence, message.state_digest)
+    def checkpoint_quorum(self, voter: str, mode: int) -> int:
+        """In Lion and Dog a trusted replica's signed checkpoint alone is a
+        certificate; in Peacock (as in PBFT) 2m+1 matching public ones are.
+        A mode id that names no mode counts as Peacock's."""
+        if self.mode.has_trusted_primary or mode in (Mode.LION, Mode.DOG):
+            return int(self.config.is_trusted(voter))
+        if voter not in self.config.public_replicas:
+            return 0
+        return 2 * self.config.byzantine_tolerance + 1
 
-    def _maybe_stabilise_by_votes(self, sequence: int, state_digest: str) -> None:
-        votes = self.checkpoints.vote_count(sequence, state_digest)
-        if votes >= 2 * self.config.byzantine_tolerance + 1:
-            self._stabilise_checkpoint(sequence, state_digest)
-
-    def _stabilise_checkpoint(self, sequence: int, state_digest: str) -> None:
-        if not self.checkpoints.mark_stable(sequence, state_digest):
-            return
-        self.slots.collect_below(sequence)
-        self.executor.discard_below(sequence)
-        self.prune_assignments(sequence)
+    def _after_stable_checkpoint(self) -> None:
         # The advanced low watermark may re-open the sequence window for
         # proposals the batcher had to refuse earlier.
         self.batcher.pump()
@@ -454,19 +378,15 @@ class SeeMoReReplica(ReplicaBase):
             highest = max(highest, entry.sequence)
             if entry.request is None:
                 continue
-            slot = self.prepare_slot(entry.sequence, entry.digest, entry.request, None, force=True)
-            if not slot.committed:
-                send_reply = (
-                    self.strategy.replies_to_client(self) and entry.request.client_id != NOOP_CLIENT
-                )
-                self.finalize_commit(slot, send_reply=send_reply)
+            slot = self.fill_slot(entry.sequence, entry.digest, entry.request, None, force=True)
+            self.finalize(slot, send_reply=self.strategy.replies_to_client(self))
 
         for entry in message.prepares:
             highest = max(highest, entry.sequence)
             if entry.request is None:
                 continue
             # Re-run agreement for a prepared-but-uncommitted slot.
-            slot = self.prepare_slot(entry.sequence, entry.digest, entry.request, entry, force=True)
+            slot = self.fill_slot(entry.sequence, entry.digest, entry.request, entry, force=True)
             if not slot.committed:
                 self.strategy.reenter(self, slot, entry)
                 self.view_changes.start_request_timer()
@@ -479,9 +399,10 @@ class SeeMoReReplica(ReplicaBase):
 
         Proposals from the old view are forgotten (the new-view message
         already re-proposed every uncommitted batch).  Requests that were
-        still waiting in the batch buffer either re-enter the new primary's
-        batcher or are forwarded to it, so a mode switch mid-batch loses
-        nothing; the executor's reply cache keeps re-proposals exactly-once.
+        still waiting in the batch buffer go through the request intake
+        again: they re-enter the new primary's batcher or are forwarded to
+        it, so a mode switch mid-batch loses nothing; the executor's reply
+        cache keeps re-proposals exactly-once.
         """
         batcher = self.batcher
         batcher.reset_in_flight()
@@ -491,18 +412,8 @@ class SeeMoReReplica(ReplicaBase):
                 for slot in self.slots.uncommitted_slots()
                 if slot.request is not None
             )
-        pending = batcher.drain()
-        forward_to = None if self.is_primary() else self.current_primary()
-        for request in pending:
-            if self.resend_cached_reply(request, mode_id=int(self.mode)):
-                continue
-            if forward_to is None:
-                if not self.already_assigned(request):
-                    batcher.enqueue(request)
-            else:
-                self.send(forward_to, request)
-        if forward_to is not None and pending:
-            self.view_changes.start_request_timer()
+        for request in batcher.drain():
+            self.on_request(self.node_id, request)
         batcher.resume()
 
     def _on_mode_change(self, src: str, message: msgs.ModeChange) -> None:
@@ -652,7 +563,7 @@ class SeeMoReReplica(ReplicaBase):
         self._catchup_votes.clear()
         self.state_transfers_completed += 1
         # Slots the snapshot jumped over committed without this replica ever
-        # running finalize_commit on them; release their pipeline slots.
+        # running finalize on them; release their pipeline slots.
         self.batcher.forget_in_flight_below(self.executor.last_executed)
         self.view_changes.update_request_timer()
 
@@ -663,10 +574,7 @@ class SeeMoReReplica(ReplicaBase):
         summary.update(
             {
                 "mode": self.mode.name,
-                "is_primary": self.is_primary() if not self.crashed else False,
-                "is_proxy": self.is_proxy() if not self.crashed else False,
-                "stable_checkpoint": self.checkpoints.stable_sequence,
-                "view_changes": self.view_changes.view_changes_completed,
+                "is_proxy": not self.crashed and self.is_proxy(),
                 "batches_proposed": self.batcher.batches_proposed,
                 "mean_batch_size": round(self.batcher.mean_batch_size(), 2),
                 "busy_rejects_sent": self.busy_rejects_sent,

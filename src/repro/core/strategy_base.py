@@ -6,11 +6,12 @@ replica (:class:`repro.core.replica.SeeMoReReplica`) owns all state and
 delegates message handling to its current strategy; switching modes swaps
 the strategy during a view change.
 
-What the modes do alike is written here once: the primary's request intake
-and proposal (``on_request`` / ``propose_payload``), a non-primary's
-forward-and-suspect path, and the inform leg between proxies and passive
-replicas (``_send_informs`` / ``on_inform``, Dog and Peacock; Lion has no
-proxies, so no inform passes the sender check).  A mode states its phases:
+What the modes do alike is written here once: the primary's proposal of
+one slot payload (``propose_payload``, which the replica's batcher calls),
+and the inform leg between proxies and passive replicas (``_send_informs``
+/ ``on_inform``, Dog and Peacock; Lion has no proxies, so no inform passes
+the sender check).  The request intake and the commit entry are the
+replica's (:class:`~repro.smr.replica.ReplicaBase`).  A mode states its phases:
 its ordering message, its vote handlers, and ``reenter`` — the vote it
 casts for a slot that a new view re-proposes.
 """
@@ -22,7 +23,6 @@ from typing import TYPE_CHECKING, Any, Optional
 from repro.adaptive.evidence import EvidenceKind
 from repro.core.modes import Mode
 from repro.core import messages as msgs
-from repro.smr.messages import Request
 from repro.smr.replica import request_digest
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -36,26 +36,6 @@ class ModeStrategy:
     mode: Mode
 
     # -- normal case ---------------------------------------------------------
-
-    def on_request(self, replica: "SeeMoReReplica", src: str, request: Request) -> None:
-        """Handle a client request (either direct or a retransmission).
-
-        The primary-side path is shared by all three modes: validate, then
-        hand the request to the replica's batcher, which proposes one slot
-        per batch through :meth:`propose_payload`.
-        """
-        if not replica.is_primary():
-            self.handle_retransmission_or_forward(replica, src, request)
-            return
-        if replica.resend_cached_reply(request, mode_id=int(self.mode)):
-            return
-        if not replica.request_is_valid(request):
-            return
-        if replica.already_assigned(request):
-            return
-        if replica.shed_if_overloaded(request):
-            return
-        replica.batcher.enqueue(request)
 
     def propose_payload(self, replica: "SeeMoReReplica", payload: Any) -> Optional[int]:
         """Order one slot payload (a request or a batch) as the primary.
@@ -74,7 +54,7 @@ class ModeStrategy:
         digest = request_digest(payload)
         message = self.ordering_message(replica, sequence, digest, payload)
         message.sign(replica.signer)
-        slot = replica.prepare_slot(sequence, digest, payload, message)
+        slot = replica.fill_slot(sequence, digest, payload, message)
         self.record_proposal_vote(replica, slot, digest)
         replica.multicast(replica.other_replicas(), message)
         return sequence
@@ -158,34 +138,10 @@ class ModeStrategy:
             )
             return
         if count >= replica.config.inform_quorum(self.mode):
-            replica.finalize_commit(slot, send_reply=False)
+            replica.finalize(slot, send_reply=False)
 
     # -- roles ----------------------------------------------------------------
 
     def replies_to_client(self, replica: "SeeMoReReplica") -> bool:
         """Whether this replica sends replies to clients when it executes."""
         raise NotImplementedError
-
-    # -- shared helpers ---------------------------------------------------------
-
-    def handle_retransmission_or_forward(
-        self, replica: "SeeMoReReplica", src: str, request: Request
-    ) -> bool:
-        """Common handling for requests arriving at a non-primary replica.
-
-        A replica that already executed the request re-sends the cached
-        reply; otherwise it forwards the request to the primary it believes
-        is current and starts its view-change timer so a dead primary is
-        eventually suspected (Section 5.1, client behaviour on timeout).
-
-        Returns ``True`` if the request was fully dealt with here.
-        """
-        if replica.resend_cached_reply(request, mode_id=int(replica.mode)):
-            return True
-        if not replica.request_is_valid(request):
-            return True
-        primary = replica.current_primary()
-        if primary != replica.node_id:
-            replica.send(primary, request)
-        replica.view_changes.start_request_timer()
-        return True

@@ -9,7 +9,8 @@ are received.  A stable checkpoint lets the replica discard all protocol
 messages at or below its sequence number.
 
 The PBFT-style baselines certify checkpoints the Peacock way, so the vote
-table lives here, below both ``core`` and ``baselines``.
+table and what a checkpoint signs (:func:`signed_state_digest`) live here,
+below both ``core`` and ``baselines``.
 
 A local checkpoint is an :class:`~repro.smr.executor.ExecutorCut`, whose
 replies are materialized only when a state transfer is served.
@@ -20,7 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
+from repro.crypto.digest import digest
 from repro.smr.executor import ExecutorCut
+
+
+def signed_state_digest(next_sequence: int, state: Any) -> str:
+    """What a checkpoint and a state-transfer response sign: the executor's position and state."""
+    return digest({"next_sequence": next_sequence, "state": state})
 
 
 @dataclass

@@ -47,6 +47,11 @@ from repro.wire.primitives import encode_request
 #: Fixed per-request wire overhead (header + client signature), matching
 #: ``Request.wire_size``.
 _REQUEST_OVERHEAD = _HEADER_BYTES + _SIGNATURE_BYTES
+#: First re-send delay after a signed ``Busy`` reject from an
+#: admission-controlled primary; it doubles per consecutive reject of the
+#: same request, up to ``BUSY_BACKOFF_CAP``.
+BUSY_BACKOFF_BASE = 0.005
+BUSY_BACKOFF_CAP = 0.08
 
 TargetSelector = Callable[[int, int], List[str]]
 OperationFactory = Callable[[int], Operation]
@@ -80,10 +85,6 @@ class ClientConfig:
             sent to the group (anyone else's ``Reply`` or ``Busy`` is ignored).
         request_timeout: seconds to wait before retransmitting.
         initial_mode: protocol mode id assumed before the first reply.
-        busy_backoff_base: first re-send delay after a signed ``Busy``
-            reject from an admission-controlled primary; doubles per
-            consecutive reject of the same request.
-        busy_backoff_cap: upper bound on the per-request backoff delay.
         max_busy_retries: give up on a request after this many consecutive
             ``Busy`` rejects (the request is *shed*: dropped and counted,
             never completed).  ``None`` — the closed-loop default — retries
@@ -98,8 +99,6 @@ class ClientConfig:
     members: FrozenSet[str]
     request_timeout: float = 0.05
     initial_mode: int = 0
-    busy_backoff_base: float = 0.005
-    busy_backoff_cap: float = 0.08
     max_busy_retries: Optional[int] = None
 
 
@@ -418,10 +417,7 @@ class Client(Node):
         if limit is not None and pending.busy_attempts > limit and pending.on_result is None:
             self._shed(pending)
             return
-        delay = min(
-            config.busy_backoff_cap,
-            config.busy_backoff_base * (2 ** (pending.busy_attempts - 1)),
-        )
+        delay = min(BUSY_BACKOFF_CAP, BUSY_BACKOFF_BASE * (2 ** (pending.busy_attempts - 1)))
         resend_at = self.now + delay
         self._busy_resends[busy.timestamp] = resend_at
         # Park the retransmit deadline past the resend time so the regular

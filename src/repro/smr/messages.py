@@ -1,7 +1,8 @@
 """Messages shared by every replication protocol in the repository.
 
 Client-facing messages (``REQUEST`` and ``REPLY``) have the same structure in
-SeeMoRe, Paxos, PBFT, and S-UpRight, so they live here in the SMR substrate.
+SeeMoRe, Paxos, PBFT, and S-UpRight, and SeeMoRe and the BFT baselines sign
+the same ``CHECKPOINT``, so they live here in the SMR substrate.
 Protocol-internal messages (prepare/accept/commit/...) are defined by each
 protocol package.
 
@@ -16,7 +17,7 @@ the generated methods.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.crypto.digest import (
     DIGEST_CACHE_ATTR,
@@ -26,9 +27,10 @@ from repro.crypto.digest import (
 )
 from repro.crypto.signatures import Signature, Signer, Verifier
 from repro.smr.state_machine import Operation, result_digest
-from repro.wire.codec import I64, STR, Field, Kind, OpaqueResult, derive
+from repro.wire.codec import DIGEST, I64, STR, Field, Kind, OpaqueResult, derive
 from repro.wire.primitives import (
     TAG_BATCH,
+    TAG_CHECKPOINT,
     TAG_REPLY,
     TAG_REQUEST,
     WireDecodeError,
@@ -471,6 +473,23 @@ class Batch(ProtocolMessage):
         return self.requests[0].timestamp
 
 
+class Checkpoint(ProtocolMessage):
+    """``<CHECKPOINT, n, d>_r`` — a replica's signed state digest at checkpoint boundary ``n``.
+
+    ``mode`` is the sender's mode id (a baseline's is 0).
+    """
+
+    TAG = TAG_CHECKPOINT
+    FIELDS = (
+        Field("sequence", I64),
+        Field("state_digest", DIGEST),
+        Field("replica_id", STR),
+        Field("mode", I64),
+    )
+    ENCODER = "encode_checkpoint"
+    SIZE = _SIGNED_BYTES + _DIGEST_BYTES
+
+
 def requests_of(payload: Any) -> List[Request]:
     """The client requests inside a slot payload (a batch or a bare request)."""
     if isinstance(payload, Batch):
@@ -484,6 +503,7 @@ __all__ = [
     "Reply",
     "Busy",
     "Batch",
+    "Checkpoint",
     "FrameMismatch",
     "requests_of",
     "_HEADER_BYTES",

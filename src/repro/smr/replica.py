@@ -4,12 +4,15 @@
 ordered executor over a state machine, a commit ledger for safety checking,
 a slot log, crypto material, and exactly-once replies from the executor's
 reply cache.  What every agreement engine does the same way is written here
-once: filling a slot (:meth:`ReplicaBase.fill_slot`), committing it
-(:meth:`ReplicaBase.commit_slot`), replying, and the no-op request a new
-view puts into a sequence hole (:func:`noop_request`).  Concrete protocols
-(SeeMoRe's three modes, Paxos, PBFT, S-UpRight) subclass it and register
-handlers for their message types.  A replica keeps no table of the requests
-it has seen: a slot holds its payload until checkpoint GC, and a
+once: the request intake (:meth:`ReplicaBase.on_request`, which hands a
+fresh request to the protocol's :meth:`~ReplicaBase.order`), filling a slot
+(:meth:`ReplicaBase.fill_slot`), the commit entry
+(:meth:`ReplicaBase.finalize`), replying, the checkpoint cut, message and
+vote rule (:meth:`ReplicaBase.count_checkpoint_vote`), and the no-op request
+a new view puts into a sequence hole (:func:`noop_request`).  Concrete
+protocols (SeeMoRe's three modes, Paxos, PBFT, S-UpRight) subclass it and
+register handlers for their phases.  A replica keeps no table of the
+requests it has seen: a slot holds its payload until checkpoint GC, and a
 retransmission is answered from the reply cache.  Until checkpoint GC it
 keeps each request's assigned sequence, per client, so a retransmission
 still being ordered is not ordered twice.
@@ -17,7 +20,7 @@ still being ordered is not ordered twice.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Tuple, Type
+from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
 from hashlib import sha256
 
@@ -25,9 +28,10 @@ from repro.adaptive.evidence import EvidenceKind, EvidenceLog
 from repro.crypto.digest import digest_of
 from repro.crypto.signatures import Signer, Verifier, WindowVerifier
 from repro.net.node import Node
+from repro.smr.checkpointing import CheckpointManager, signed_state_digest
 from repro.smr.executor import ExecutionResult, OrderedExecutor
 from repro.smr.ledger import CommitLedger, LedgerEntry
-from repro.smr.messages import Reply, Request, requests_of
+from repro.smr.messages import Checkpoint, Reply, Request, requests_of
 from repro.smr.slots import Slot, SlotLog
 from repro.smr.state_machine import Operation, StateMachine, result_digest
 from repro.wire.primitives import encode_reply
@@ -55,9 +59,17 @@ def noop_request(sequence: int) -> Request:
 class ReplicaBase(Node):
     """Base class for every protocol replica.
 
-    Subclasses register message handlers with :meth:`register_handler` and
-    drive ordering; this class owns execution, replies, and safety records.
+    Subclasses name their primary (:meth:`current_primary`), order a request
+    (:meth:`order`), create ``view_changes`` (the shared
+    :class:`~repro.smr.view_change.ViewChangeManager`) and register their
+    phases' handlers with :meth:`register_handler`; this class owns the
+    request intake, execution, replies, checkpoint votes and safety records.
     """
+
+    #: The mode id this replica's replies and checkpoints carry (a baseline has one: 0).
+    mode_id = 0
+    #: Checkpoint votes and local cuts, in a protocol that certifies checkpoints.
+    checkpoints: Optional[CheckpointManager] = None
 
     def __init__(
         self,
@@ -77,7 +89,9 @@ class ReplicaBase(Node):
         self.ledger = CommitLedger(node_id)
         self.slots = SlotLog()
         self.view = 0
-        self._handlers: Dict[Type, Callable[[str, Any], None]] = {}
+        self.in_view_change = False
+        self.next_sequence = 1
+        self._handlers: Dict[Type, Callable[[str, Any], None]] = {Request: self.on_request}
         self.replies_sent = 0
         # client_id -> {timestamp: assigned sequence}, above the stable checkpoint.
         self._assigned: Dict[str, Dict[int, int]] = {}
@@ -119,7 +133,41 @@ class ReplicaBase(Node):
         )
         return False
 
-    # -- requests and slots ----------------------------------------------------
+    # -- roles and requests ----------------------------------------------------
+
+    def current_primary(self) -> str:
+        """Who orders requests in the current view."""
+        raise NotImplementedError
+
+    def is_primary(self) -> bool:
+        return not self.in_view_change and self.current_primary() == self.node_id
+
+    def on_request(self, src: str, request: Request) -> None:
+        """The one request intake: a client's request, a retransmission or a forward.
+
+        A backup forwards a request to the primary it believes is current and
+        arms its request timer, so a dead primary is eventually suspected.
+        """
+        if self.resend_cached_reply(request, self.mode_id):
+            return
+        if not self.request_is_valid(request):
+            return
+        if not self.is_primary():
+            primary = self.current_primary()
+            if primary != self.node_id:
+                self.send(primary, request)
+            self.view_changes.start_request_timer()
+            return
+        if not self.already_assigned(request):
+            self.order(request)
+
+    def order(self, request: Request) -> None:
+        """Primary: start ordering a fresh ``request`` whose client signature verified."""
+        raise NotImplementedError
+
+    def bump_sequence_counter(self, value: int) -> None:
+        """Never hand out a sequence below ``value`` or one already executed."""
+        self.next_sequence = max(self.next_sequence, value, self.last_executed + 1)
 
     def request_is_valid(self, request: Request) -> bool:
         """Validate the client's signature on a request.
@@ -140,6 +188,12 @@ class ReplicaBase(Node):
         is emptied first (votes included): a new view's certified entries,
         or a trusted primary's assignment, supersede whatever this replica
         tentatively accepted from a deposed or equivocating primary.
+
+        The requests of ``request`` are recorded as holding ``sequence`` on
+        every path that fills a slot, new-view re-proposals included (they
+        run after ``clear_assignments``): otherwise a retransmission reaching
+        a new primary while its re-proposed slot is still uncommitted would
+        be ordered a second time.
         """
         slot = self.slots.slot(sequence)
         if force and not slot.committed and slot.digest is not None and slot.digest != digest:
@@ -154,6 +208,7 @@ class ReplicaBase(Node):
         if ordering is not None and slot.ordering_message is None:
             slot.ordering_message = ordering
         slot.view = self.view
+        self.record_assignment(request, sequence)
         return slot
 
     # -- sequence assignments -------------------------------------------------
@@ -186,6 +241,20 @@ class ReplicaBase(Node):
         }
 
     # -- execution and replies ------------------------------------------------
+
+    def finalize(self, slot: Slot, send_reply: bool) -> None:
+        """The one commit entry: commit ``slot`` once, then the protocol's
+        :meth:`_after_commit`, then the request timer.  Nobody replies to a no-op."""
+        request = slot.request
+        if request is None or slot.committed:
+            return
+        reply = send_reply and request.client_id != NOOP_CLIENT
+        executions = self.commit_slot(slot.sequence, request, self.view, reply, self.mode_id)
+        self._after_commit(slot.sequence, executions)
+        self.view_changes.update_request_timer()
+
+    def _after_commit(self, sequence: int, executions: List[ExecutionResult]) -> None:
+        """What the protocol does once committing ``sequence`` executed ``executions``."""
 
     def commit_slot(
         self,
@@ -310,6 +379,65 @@ class ReplicaBase(Node):
         self.send_reply(request.client_id, request.timestamp, replies[request.timestamp], mode_id)
         return True
 
+    # -- checkpoints ----------------------------------------------------------
+
+    def cut_checkpoint(self, sequence: int) -> str:
+        """Keep the executor's cut at boundary ``sequence``; return the digest a checkpoint signs.
+
+        Called from the executor's checkpoint hook, which fires mid-drain, so
+        the digest is of the state at the boundary even when one commit fills
+        a gap and several buffered sequences execute at once: every correct
+        replica signs the same one whatever order its slots committed in.
+        """
+        cut = self.executor.cut()
+        state_digest = signed_state_digest(cut.next_sequence, cut.state)
+        self.checkpoints.record_local_checkpoint(sequence, state_digest, cut)
+        return state_digest
+
+    def checkpoint_quorum(self, voter: str, mode: int) -> int:
+        """Matching checkpoints that make one stable, if ``voter``'s (sent in ``mode``)
+        counts at all; else 0."""
+        raise NotImplementedError
+
+    def send_checkpoint(self, sequence: int, state_digest: str) -> None:
+        """Sign and multicast this replica's checkpoint, then count it as its own vote."""
+        checkpoint = Checkpoint(
+            sequence=sequence, state_digest=state_digest, replica_id=self.node_id, mode=self.mode_id
+        )
+        checkpoint.sign(self.signer)
+        self.multicast(self.other_replicas(), checkpoint)
+        quorum = self.checkpoint_quorum(self.node_id, self.mode_id)
+        self.count_checkpoint_vote(sequence, state_digest, self.node_id, quorum)
+
+    def on_checkpoint(self, src: str, message: Checkpoint) -> None:
+        """A peer's checkpoint counts under its channel sender, if the protocol counts it."""
+        if not self.verify_message(src, message) or message.replica_id != src:
+            return
+        quorum = self.checkpoint_quorum(src, message.mode)
+        if quorum:
+            self.count_checkpoint_vote(message.sequence, message.state_digest, src, quorum)
+
+    def count_checkpoint_vote(
+        self, sequence: int, state_digest: str, voter: str, quorum: int
+    ) -> None:
+        """Count ``voter``'s checkpoint; ``quorum`` matching ones make it stable.
+
+        A checkpoint that becomes stable garbage-collects the slots, buffered
+        commits and sequence assignments at or below it.
+        """
+        checkpoints = self.checkpoints
+        if checkpoints.record_vote(sequence, state_digest, voter) < quorum:
+            return
+        if not checkpoints.mark_stable(sequence, state_digest):
+            return
+        self.slots.collect_below(sequence)
+        self.executor.discard_below(sequence)
+        self.prune_assignments(sequence)
+        self._after_stable_checkpoint()
+
+    def _after_stable_checkpoint(self) -> None:
+        """What the protocol does once a checkpoint became stable."""
+
     # -- introspection ---------------------------------------------------------
 
     @property
@@ -322,10 +450,15 @@ class ReplicaBase(Node):
 
     def state_summary(self) -> Dict[str, Any]:
         """Small status dict used by tests and examples."""
-        return {
+        summary = {
             "replica": self.node_id,
             "view": self.view,
             "last_executed": self.last_executed,
             "committed": self.committed_count,
             "crashed": self.crashed,
+            "is_primary": not self.crashed and self.is_primary(),
+            "view_changes": self.view_changes.view_changes_completed,
         }
+        if self.checkpoints is not None:
+            summary["stable_checkpoint"] = self.checkpoints.stable_sequence
+        return summary

@@ -6,8 +6,9 @@ ordering, and multicasts a view-change message describing its stable
 checkpoint and the slots it holds above it.  A designated *collector*
 gathers a quorum of them, reconciles them with :func:`reconcile`, and
 installs the new view with a new-view message.  A new-view timer escalates
-to the next view when the collector stays silent, and seeing enough
-distinct replicas already moving to a higher view makes a replica join.
+to the next view when the collector stays silent for twice the request
+timeout, and seeing enough distinct replicas already moving to a higher
+view makes a replica join.
 
 :class:`ViewChangeManager` is that state machine, written once for SeeMoRe's
 three modes and for Paxos, PBFT and S-UpRight.  Votes are kept per
@@ -157,7 +158,8 @@ class ViewChangeManager:
         view_change = replica.view_change_message(target_view, mode, collector=False)
         self._store.setdefault((target_view, mode), {})[replica.node_id] = view_change
         replica.multicast(replica.other_replicas(), view_change)
-        self._new_view_timer.start(replica.config.view_change_timeout)
+        # A new view has twice the request timeout to be installed.
+        self._new_view_timer.start(2 * replica.config.request_timeout)
         self._maybe_build_new_view(target_view, mode)
 
     def _on_new_view_timeout(self) -> None:

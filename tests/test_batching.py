@@ -211,7 +211,7 @@ class TestBatcherBasics:
         batcher.enqueue(make_request("c0", 2))
         assert len(proposer.payloads) == 1  # pipeline full, seq 1 in flight
         # A snapshot adoption advanced the commit frontier past seq 1 without
-        # a finalize_commit ever firing here.
+        # a finalize ever firing here.
         batcher.forget_in_flight_below(1)
         assert len(proposer.payloads) == 2
 

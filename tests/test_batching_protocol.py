@@ -273,7 +273,7 @@ class TestReassignmentAfterViewChange:
         sequences_before = new_primary.next_sequence
 
         # The client retransmits while the re-proposed slot is uncommitted.
-        new_primary.strategy.on_request(new_primary, client_id, request)
+        new_primary.on_request(client_id, request)
         assert new_primary.next_sequence == sequences_before, (
             "retransmitted request was assigned a second sequence number"
         )

@@ -11,6 +11,7 @@ import pytest
 
 from repro.cluster import build_seemore, build_sharded_seemore
 from repro.core import Mode
+from repro.smr.client import BUSY_BACKOFF_BASE
 from repro.smr.messages import Busy, Reply
 from repro.workload import Workload, WorkloadSpec
 from repro.shard import ShardedClient
@@ -131,7 +132,7 @@ class TestBusyOnShards:
         client._send_request = lambda targets, request: resent.append(
             (list(targets), request.timestamp)
         )
-        deployment.run(2 * session.config.busy_backoff_base)
+        deployment.run(2 * BUSY_BACKOFF_BASE)
         assert resent == [(expected, pending.request.timestamp)]
 
     def test_a_completed_request_leaves_no_resend_behind(self):

@@ -7,10 +7,14 @@ import types
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster import build_seemore, run_deployment
+from repro.baselines.messages import BftCommit, BftPrePrepare
+from repro.cluster import build_pbft, build_seemore, run_deployment
 from repro.core import Mode
+from repro.core import messages as msgs
 from repro.smr import Counter, Operation, OrderedExecutor
 from repro.smr.checkpointing import CheckpointManager
+from repro.smr.messages import Request
+from repro.smr.replica import request_digest
 from repro.workload import Workload
 
 
@@ -203,3 +207,65 @@ class TestCheckpointingInDeployment:
         assert digests, "at least one stable checkpoint expected"
         for sequence, observed in digests.items():
             assert len(observed) == 1, f"checkpoint digests diverged at {sequence}"
+
+
+class TestBftCheckpointAtItsBoundary:
+    """A PBFT checkpoint signs the state at its boundary (Castro & Liskov,
+    OSDI '99), so every correct replica signs the same digest whatever order
+    its slots committed in, and a commit quorum of them can match."""
+
+    @staticmethod
+    def commit(deployment, replica, sequence):
+        """Commit ``sequence`` at ``replica`` through its handlers: the
+        primary's pre-prepare, then a commit quorum of other replicas' votes."""
+        keystore = deployment.keystore
+        config = deployment.group().config
+        primary = config.primary_of_view(0)
+        client = deployment.clients[0].node_id
+        operation = Operation("put", (f"k{sequence}", sequence))
+        request = Request(operation=operation, timestamp=sequence, client_id=client)
+        request.sign(keystore.signer_for(client))
+        digest = request_digest(request)
+        preprepare = BftPrePrepare(view=0, sequence=sequence, digest=digest, request=request)
+        replica.handle_message(primary, preprepare.sign(keystore.signer_for(primary)))
+        voters = [each for each in config.replicas if each != replica.node_id]
+        for voter in voters[: config.commit_quorum]:
+            vote = BftCommit(view=0, sequence=sequence, digest=digest, replica_id=voter)
+            replica.handle_message(voter, vote.sign(keystore.signer_for(voter)))
+
+    def test_two_commit_orders_sign_one_digest(self):
+        deployment = build_pbft(checkpoint_period=2)
+        config = deployment.group().config
+        backups = [each for each in config.replicas if each != config.primary_of_view(0)]
+        signed = {}
+        for replica_id, order in zip(backups, ([1, 2, 3], [3, 1, 2])):
+            replica = deployment.replicas[replica_id]
+            sent = []
+            replica.multicast = lambda targets, message, sent=sent: sent.append(message)
+            for sequence in order:
+                self.commit(deployment, replica, sequence)
+            assert replica.last_executed == 3
+            signed[replica_id] = [
+                (message.sequence, message.state_digest)
+                for message in sent
+                if hasattr(message, "state_digest")
+            ]
+        first, second = signed.values()
+        assert len(first) == 1 and first[0][0] == 2
+        assert first == second
+
+
+@pytest.mark.parametrize("mode_id", [0, 7, -1])
+def test_a_checkpoint_naming_no_mode_is_counted_not_raised(mode_id):
+    """A Byzantine public replica may sign any mode id into its checkpoint;
+    a Peacock replica counts it toward the public quorum instead of failing."""
+    deployment = build_seemore(mode=Mode.PEACOCK)
+    config = deployment.group().config
+    sender = config.public_replicas[0]
+    receiver = deployment.replicas[config.public_replicas[1]]
+    checkpoint = msgs.Checkpoint(
+        sequence=128, state_digest="ab" * 32, replica_id=sender, mode=mode_id
+    )
+    receiver.handle_message(sender, checkpoint.sign(deployment.keystore.signer_for(sender)))
+    assert receiver.checkpoints.vote_count(128, "ab" * 32) == 1
+    assert receiver.checkpoints.stable_sequence == 0

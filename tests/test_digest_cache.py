@@ -302,10 +302,10 @@ class TestForcedSlotBookkeeping:
 
         tentative = make_request(timestamp=1, client="client-A")
         certified = make_request(timestamp=2, client="client-B")
-        replica.prepare_slot(1, rd(tentative), tentative, None)
+        replica.fill_slot(1, rd(tentative), tentative, None)
         assert replica.already_assigned(tentative)
 
-        replica.prepare_slot(1, rd(certified), certified, None, force=True)
+        replica.fill_slot(1, rd(certified), certified, None, force=True)
         assert replica.already_assigned(certified)
         assert replica.slots.slot(1).request is certified
 

@@ -17,9 +17,10 @@ harness gated on.  ``python tests/test_perf_counts.py``
 rewrites it from the current tree.  No wall-clock number is pinned here:
 events/s and peak heap come from ``benchmarks/e2e`` and nowhere else.
 
-Six cases run on every push: the four single-cluster ones below in the fast
-tier, the four-shard one under the ``shard`` marker and the adaptive one
-under ``adaptive``.  The other nineteen are ``slow`` and run nightly.
+Eight cases run on every push: the six single-cluster ones below (each
+mode's batched run and its primary crash) in the fast tier, the four-shard
+one under the ``shard`` marker and the adaptive one under ``adaptive``.  The
+other seventeen are ``slow`` and run nightly.
 """
 
 import json
@@ -50,6 +51,8 @@ SMOKE = {
     "dog-f1-batched": (),
     "peacock-f1-batched": (),
     "lion-f1-batched-primary-crash": (),
+    "dog-f1-batched-primary-crash": (),
+    "peacock-f1-batched-primary-crash": (),
     "sharded-4x-f1-batched": (pytest.mark.shard,),
     "adaptive-attack-recovery": (pytest.mark.adaptive,),
 }

@@ -1214,8 +1214,31 @@ class TestOneScenario:
         ]
 
 
-#: Defined once under ``baselines/``, in the skeleton.
-SKELETON_METHODS = {"_on_request"}
+#: The request intake, the role test, the commit entry and the checkpoint
+#: handler and vote rule of every agreement engine, defined once in
+#: ``smr/replica.py``.  (``finalize`` is also the name
+#: of an invariant checker's last look, so only the protocol packages count.)
+SKELETON_METHODS = {
+    "on_request",
+    "is_primary",
+    "finalize",
+    "on_checkpoint",
+    "count_checkpoint_vote",
+}
+AGREEMENT_PACKAGES = {"smr", "core", "baselines"}
+#: What the former copies of the intake, the commit entry and the checkpoint
+#: vote rule were called, and the baselines' own checkpoint message; nothing
+#: defines these now.
+RETIRED_SKELETON = {
+    "_on_request",
+    "handle_retransmission_or_forward",
+    "finalize_commit",
+    "_finalize",
+    "_record_checkpoint_vote",
+    "_maybe_stabilise_by_votes",
+    "_on_checkpoint",
+    "BaselineCheckpoint",
+}
 #: The view-change state machine and its reconciliation rule, defined once in
 #: ``smr/view_change.py`` for SeeMoRe and the baselines alike.
 VIEW_CHANGE_MACHINE = {
@@ -1263,13 +1286,14 @@ def skeleton_sites(path):
     """Yield ``(lineno, what)`` for every definition or use the skeleton rules watch."""
     watched = (
         SKELETON_METHODS
+        | RETIRED_SKELETON
         | VIEW_CHANGE_MACHINE
         | RETIRED_VIEW_CHANGE
         | REQUEST_TABLE
         | ASSIGNMENT_ACCESSORS
     )
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-        if isinstance(node, ast.ClassDef) and node.name in VIEW_CHANGE_MACHINE:
+        if isinstance(node, ast.ClassDef) and node.name in VIEW_CHANGE_MACHINE | RETIRED_SKELETON:
             yield node.lineno, f"defines {node.name}"
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             name = node.name
@@ -1286,14 +1310,17 @@ def skeleton_sites(path):
 class TestOneAgreementSkeleton:
     """What every agreement engine shares is written once.
 
-    ``smr/replica.py`` owns ``noop_request``; ``smr/view_change.py`` owns
-    the view-change state machine and its one reconciliation rule, which
-    SeeMoRe and the baselines both drive (``core/`` and ``baselines/`` give
-    answers, not handlers); ``baselines/replica.py`` owns the request intake
-    of Paxos, PBFT and S-UpRight; ``core/strategy_base.py`` owns the inform
-    leg of Dog and Peacock; the never-pruned ``_known_requests`` table with
-    its two accessors is gone; and ``smr/replica.py`` owns the one
-    sequence-assignment table, ``_assigned``, with its accessors.
+    ``smr/replica.py`` owns ``noop_request`` and, for SeeMoRe and the
+    baselines alike, the request intake (``on_request``), ``is_primary`` and
+    the commit entry (``finalize``); the former copies of those and of the
+    checkpoint vote rule, and ``BaselineCheckpoint``, are gone;
+    ``smr/view_change.py`` owns the view-change state machine and its one
+    reconciliation rule, which SeeMoRe and the baselines both drive
+    (``core/`` and ``baselines/`` give answers, not handlers);
+    ``core/strategy_base.py`` owns the inform leg of Dog and Peacock; the
+    never-pruned ``_known_requests`` table with its two accessors is gone;
+    and ``smr/replica.py`` owns the one sequence-assignment table,
+    ``_assigned``, with its accessors.
     """
 
     OWNERS = {
@@ -1301,7 +1328,7 @@ class TestOneAgreementSkeleton:
         "touches _assigned": Path("smr") / "replica.py",
         **{f"defines {name}": Path("smr") / "replica.py" for name in ASSIGNMENT_ACCESSORS},
         **{f"defines {name}": Path("smr") / "view_change.py" for name in VIEW_CHANGE_MACHINE},
-        **{f"defines {name}": Path("baselines") / "replica.py" for name in SKELETON_METHODS},
+        **{f"defines {name}": Path("smr") / "replica.py" for name in SKELETON_METHODS},
         **{f"defines {name}": Path("core") / "strategy_base.py" for name in INFORM_LEG},
     }
 
@@ -1309,7 +1336,10 @@ class TestOneAgreementSkeleton:
         found = []
         for path in sorted(root.rglob("*.py")):
             relative = path.relative_to(root)
+            in_agreement = relative.parts[0] in AGREEMENT_PACKAGES
             for lineno, what in sorted(skeleton_sites(path)):
+                if what.split()[-1] in SKELETON_METHODS and not in_agreement:
+                    continue
                 if self.OWNERS.get(what) != relative:
                     found.append(f"{relative}:{lineno} {what}")
         return found
@@ -1379,10 +1409,65 @@ class TestOneAgreementSkeleton:
         )
         assert self.offenders(tmp_path) == [
             "baselines/replica.py:3 touches _assigned",
+            "baselines/replica.py:4 defines _on_request",
             "baselines/replica.py:6 touches _assigned",
             "baselines/replica.py:8 touches _assigned",
             "core/replica.py:2 defines already_assigned",
             "core/replica.py:3 touches _assigned_sequences",
+        ]
+
+    def test_the_rule_catches_the_old_intakes_commit_entries_and_checkpoint_votes(self, tmp_path):
+        """The two intakes this rule retired (SeeMoRe's strategy and the
+        baselines' skeleton), their commit entries and their vote rules."""
+        (tmp_path / "core").mkdir()
+        (tmp_path / "core" / "strategy_base.py").write_text(
+            "class ModeStrategy:\n"
+            "    def on_request(self, replica, src, request):\n"
+            "        if not replica.is_primary():\n"
+            "            self.handle_retransmission_or_forward(replica, src, request)\n"
+            "    def handle_retransmission_or_forward(self, replica, src, request):\n"
+            "        replica.send(replica.current_primary(), request)\n"
+        )
+        (tmp_path / "core" / "replica.py").write_text(
+            "class SeeMoReReplica(ReplicaBase):\n"
+            "    def is_primary(self):\n"
+            "        return self.current_primary() == self.node_id\n"
+            "    def finalize_commit(self, slot, send_reply):\n"
+            "        self.commit_slot(slot.sequence, slot.request, self.view, send_reply)\n"
+            "    def _maybe_stabilise_by_votes(self, sequence, state_digest):\n"
+            "        pass\n"
+        )
+        (tmp_path / "baselines").mkdir()
+        (tmp_path / "baselines" / "replica.py").write_text(
+            "class BaselineReplica(ReplicaBase):\n"
+            "    def _on_request(self, src, request):\n"
+            "        self._propose(self.next_sequence, request_digest(request), request)\n"
+            "    def _finalize(self, slot, send_reply):\n"
+            "        self.commit_slot(slot.sequence, slot.request, self.view, send_reply)\n"
+        )
+        (tmp_path / "baselines" / "bft.py").write_text(
+            "class BaselineCheckpoint(ProtocolMessage):\n"
+            "    TAG = 0x26\n"
+            "class QuorumBFTReplica(BaselineReplica):\n"
+            "    def _record_checkpoint_vote(self, sequence, state_digest, replica_id):\n"
+            "        pass\n"
+        )
+        (tmp_path / "scenarios").mkdir()
+        (tmp_path / "scenarios" / "invariants.py").write_text(
+            "class PrefixAgreement:\n"
+            "    def finalize(self, deployment):\n"
+            "        return []\n"
+        )
+        assert self.offenders(tmp_path) == [
+            "baselines/bft.py:1 defines BaselineCheckpoint",
+            "baselines/bft.py:4 defines _record_checkpoint_vote",
+            "baselines/replica.py:2 defines _on_request",
+            "baselines/replica.py:4 defines _finalize",
+            "core/replica.py:2 defines is_primary",
+            "core/replica.py:4 defines finalize_commit",
+            "core/replica.py:6 defines _maybe_stabilise_by_votes",
+            "core/strategy_base.py:2 defines on_request",
+            "core/strategy_base.py:5 defines handle_retransmission_or_forward",
         ]
 
     def test_the_rule_catches_a_second_view_change(self, tmp_path):

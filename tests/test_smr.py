@@ -5,7 +5,9 @@ import pickle
 
 import pytest
 
+from repro.cluster import builder_for
 from repro.crypto import digest
+from repro.faults.crash import current_primary_id
 from repro.smr import (
     CommitLedger,
     Counter,
@@ -403,3 +405,30 @@ class TestCommitLedger:
         assert ledger.highest_committed == 0
         assert ledger.committed_sequences == []
         assert ledger.entry_at(1) is None
+
+
+@pytest.mark.parametrize(
+    "protocol", ["seemore-lion", "seemore-dog", "seemore-peacock", "cft", "bft", "s-upright"]
+)
+def test_a_backup_forwards_only_a_request_whose_client_signature_verifies(protocol):
+    """The one request intake checks the client's signature before a backup
+    forwards, so a forged request costs the primary nothing."""
+    deployment = builder_for(protocol)()
+    primary = current_primary_id(deployment.group())
+    backup = next(
+        replica for replica_id, replica in deployment.replicas.items() if replica_id != primary
+    )
+    sent = []
+    backup.send = lambda dst, message: sent.append((dst, message))
+    client = deployment.clients[0].node_id
+
+    def request(timestamp, signer):
+        operation = Operation("put", ("k", timestamp))
+        unsigned = Request(operation=operation, timestamp=timestamp, client_id=client)
+        return unsigned.sign(deployment.keystore.signer_for(signer))
+
+    backup.handle_message(client, request(1, signer=backup.node_id))
+    assert sent == []
+    genuine = request(2, signer=client)
+    backup.handle_message(client, genuine)
+    assert sent == [(primary, genuine)]

@@ -496,3 +496,30 @@ class TestStateTransferSnapshotIsChecked:
         assert SeeMoReReplica._snapshot_is_what_was_signed(received)
         received.snapshot["state"]["data"]["k"] = "tampered"
         assert not SeeMoReReplica._snapshot_is_what_was_signed(received)
+
+
+class TestNewViewTimer:
+    """A new view has twice the request timeout to be installed before the
+    next primary is suspected too, whatever the request timeout is."""
+
+    @pytest.mark.parametrize("protocol", ["seemore-lion", "cft", "bft"])
+    def test_a_silent_collector_is_given_twice_the_request_timeout(self, protocol):
+        deployment = builder_for(protocol)(request_timeout=0.5)
+        replicas = deployment.replicas
+        mode = deployment.group().mode or 0
+        collector = next(iter(replicas.values())).view_collector(1, mode)
+        others = set(replicas) - {collector}
+        deployment.network.conditions.partition({collector}, others)
+        for replica_id in sorted(others):
+            replicas[replica_id].view_changes.start()
+
+        def highest_view():
+            return max(
+                max(replica.view, replica.view_changes.active_target or 0)
+                for replica in replicas.values()
+            )
+
+        deployment.run(0.9)
+        assert highest_view() == 1
+        deployment.run(0.2)
+        assert highest_view() == 2

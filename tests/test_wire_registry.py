@@ -112,7 +112,8 @@ REGISTERED = sorted(REGISTRY.items())
 
 
 def test_all_three_message_modules_are_registered():
-    assert len(REGISTERED) == 25
+    assert len(REGISTERED) == 24
+    assert 0x26 not in REGISTRY  # BaselineCheckpoint retired: the BFT baselines send Checkpoint
     assert {cls.__module__ for _, cls in REGISTERED} == {
         "repro.smr.messages",
         "repro.core.messages",
