@@ -5,7 +5,10 @@ experiment once (wrapped in ``benchmark.pedantic`` so pytest-benchmark
 records the wall-clock cost of the whole experiment), prints the rows /
 series the paper reports, and applies *shape* assertions — who wins, by
 roughly what factor — rather than absolute-number assertions, since the
-substrate is a simulator rather than the authors' EC2 testbed.
+substrate is a simulator rather than the authors' EC2 testbed.  The points
+of a sweep are independent seeded runs, so :func:`sweep` computes them side
+by side on up to two worker processes; the test suite's long scenario and
+determinism matrices use it the same way.
 
 Results are echoed into the terminal summary and written as machine-readable
 JSON to ``benchmarks/results.json`` (one document per session: a list of
@@ -22,8 +25,11 @@ from __future__ import annotations
 
 import datetime
 import json
+import multiprocessing
+import os
 import pathlib
-from typing import Dict, List, Sequence
+from concurrent.futures import Executor, Future, ProcessPoolExecutor
+from typing import Any, Callable, Dict, List, Sequence
 
 import pytest
 
@@ -42,6 +48,15 @@ FIGURE_PROTOCOLS = ("bft", "s-upright", "seemore-peacock", "seemore-dog", "seemo
 CLIENT_SWEEP = (2, 6, 14)
 MEASURE_DURATION = 0.25
 WARMUP = 0.08
+
+#: Worker processes a sweep spreads its points over.  Every point is a
+#: seeded simulation that shares nothing with the others, so the points run
+#: side by side on up to two cores and come back exactly as a sequential
+#: sweep would compute them.  Without fork or a second core they run in this
+#: process.
+SWEEP_WORKERS = (
+    min(2, os.cpu_count() or 1) if "fork" in multiprocessing.get_all_start_methods() else 1
+)
 
 _report_lines: List[str] = []
 _report_sections: List[Dict] = []
@@ -127,6 +142,35 @@ def run_point(
     return run_deployment(deployment, duration=duration, warmup=warmup)
 
 
+class _InProcessExecutor(Executor):
+    """An executor that runs each submitted call at once, in this process."""
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as error:
+            future.set_exception(error)
+        return future
+
+
+def sweep_pool() -> Executor:
+    """An executor over :data:`SWEEP_WORKERS` forked processes (this one if just one).
+
+    What it runs must be a module-level function with picklable arguments
+    and results.
+    """
+    if SWEEP_WORKERS < 2:
+        return _InProcessExecutor()
+    return ProcessPoolExecutor(SWEEP_WORKERS, mp_context=multiprocessing.get_context("fork"))
+
+
+def sweep(function: Callable[..., Any], points: Sequence[tuple]) -> List[Any]:
+    """``[function(*point) for point in points]``, computed by a :func:`sweep_pool`."""
+    with sweep_pool() as pool:
+        return list(pool.map(function, *zip(*points)))
+
+
 def run_curves(
     crash_tolerance: int,
     byzantine_tolerance: int,
@@ -136,20 +180,19 @@ def run_curves(
     **kwargs,
 ) -> Dict[str, List[RunResult]]:
     """Latency/throughput curves for every protocol in one figure panel."""
-    curves: Dict[str, List[RunResult]] = {}
-    for protocol in protocols:
-        curves[protocol] = [
-            run_point(
-                protocol,
-                count,
-                crash_tolerance,
-                byzantine_tolerance,
-                workload=workload,
-                **kwargs,
-            )
-            for count in client_counts
-        ]
-    return curves
+    points = [
+        (protocol, count, crash_tolerance, byzantine_tolerance, workload, kwargs)
+        for protocol in protocols
+        for count in client_counts
+    ]
+    results = iter(sweep(_run_curve_point, points))
+    return {protocol: [next(results) for _ in client_counts] for protocol in protocols}
+
+
+def _run_curve_point(protocol, count, crash_tolerance, byzantine_tolerance, workload, kwargs):
+    return run_point(
+        protocol, count, crash_tolerance, byzantine_tolerance, workload=workload, **kwargs
+    )
 
 
 def peak(curve: List[RunResult]) -> float:

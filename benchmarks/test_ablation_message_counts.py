@@ -14,6 +14,8 @@ from repro.analysis import format_results_table, messages_per_request
 from repro.cluster import builder_for, run_deployment
 from repro.workload import Workload
 
+from benchmarks.conftest import sweep
+
 PROTOCOLS = ("seemore-lion", "seemore-dog", "seemore-peacock", "cft", "bft", "s-upright")
 
 
@@ -41,7 +43,7 @@ def measure_messages(protocol: str):
 @pytest.mark.benchmark(group="ablation")
 def test_ablation_messages_per_request(benchmark, report):
     def run_all():
-        return {protocol: measure_messages(protocol) for protocol in PROTOCOLS}
+        return dict(zip(PROTOCOLS, sweep(measure_messages, [(p,) for p in PROTOCOLS])))
 
     measured = benchmark.pedantic(run_all, rounds=1, iterations=1)
 

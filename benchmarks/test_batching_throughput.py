@@ -21,6 +21,8 @@ from repro.cluster import build_seemore, run_deployment
 from repro.core import BatchPolicy, Mode
 from repro.workload import Workload
 
+from benchmarks.conftest import sweep
+
 # f=3 (c=1, m=2): the mid-size network of Figure 2, where per-slot agreement
 # cost is pronounced enough that batching's amortization shows cleanly.
 CRASH_TOLERANCE = 1
@@ -37,36 +39,34 @@ POLICIES = [
 ]
 
 
+def measure_policy(mode, label, policy):
+    deployment = build_seemore(
+        crash_tolerance=CRASH_TOLERANCE,
+        byzantine_tolerance=BYZANTINE_TOLERANCE,
+        mode=mode,
+        workload=Workload.build("0/0").with_client_window(CLIENT_WINDOW),
+        num_clients=NUM_CLIENTS,
+        batch_policy=policy,
+        seed=7,
+    )
+    result = run_deployment(deployment, duration=DURATION, warmup=WARMUP)
+    deployment.collect_batch_sizes()
+    batch_stats = deployment.metrics.batch_summary()
+    return {
+        "mode": mode.name,
+        "policy": label,
+        "max_batch": policy.max_batch,
+        "throughput_kreqs_per_s": round(result.throughput / 1000, 3),
+        "mean_latency_ms": round(result.latency.mean * 1000, 3),
+        "mean_batch_fill": round(batch_stats.mean, 1),
+        "completed": result.completed,
+    }
+
+
 def run_batching_curves():
-    results = {}
-    for mode in (Mode.LION, Mode.DOG, Mode.PEACOCK):
-        rows = []
-        for label, policy in POLICIES:
-            deployment = build_seemore(
-                crash_tolerance=CRASH_TOLERANCE,
-                byzantine_tolerance=BYZANTINE_TOLERANCE,
-                mode=mode,
-                workload=Workload.build("0/0").with_client_window(CLIENT_WINDOW),
-                num_clients=NUM_CLIENTS,
-                batch_policy=policy,
-                seed=7,
-            )
-            result = run_deployment(deployment, duration=DURATION, warmup=WARMUP)
-            deployment.collect_batch_sizes()
-            batch_stats = deployment.metrics.batch_summary()
-            rows.append(
-                {
-                    "mode": mode.name,
-                    "policy": label,
-                    "max_batch": policy.max_batch,
-                    "throughput_kreqs_per_s": round(result.throughput / 1000, 3),
-                    "mean_latency_ms": round(result.latency.mean * 1000, 3),
-                    "mean_batch_fill": round(batch_stats.mean, 1),
-                    "completed": result.completed,
-                }
-            )
-        results[mode.name] = rows
-    return results
+    modes = (Mode.LION, Mode.DOG, Mode.PEACOCK)
+    rows = iter(sweep(measure_policy, [(mode, *policy) for mode in modes for policy in POLICIES]))
+    return {mode.name: [next(rows) for _ in POLICIES] for mode in modes}
 
 
 @pytest.mark.benchmark(group="batching")

@@ -21,13 +21,17 @@ from repro.scenarios.adaptive import (
     PER_SHARD_DIVERGENT_ENVIRONMENTS,
 )
 
+from benchmarks.conftest import sweep
+
 pytestmark = [pytest.mark.adaptive, pytest.mark.integration]
 
 
 @pytest.fixture(scope="module")
 def library_results():
-    """Run the single-cluster adaptive library once; tests assert on the cache."""
-    return {name: run_scenario(scenario) for name, scenario in ADAPTIVE_SCENARIOS.items()}
+    """Run the single-cluster adaptive library once, the scenarios side by side;
+    tests assert on the cache."""
+    scenarios = list(ADAPTIVE_SCENARIOS.values())
+    return dict(zip(ADAPTIVE_SCENARIOS, sweep(run_scenario, [(s,) for s in scenarios])))
 
 
 class TestAdaptiveScenarioLibrary:

@@ -171,16 +171,32 @@ class TestLingerOnlyWhileArrivalsAreDue:
 
 @pytest.mark.slow
 class TestViewChangeWithInFlightBatches:
+    @pytest.fixture(scope="class")
+    def crashed_mid_pipeline(self):
+        """A deployment per mode whose primary crashed with batches in flight.
+
+        Both tests below only read the finished run, so each mode runs once.
+        """
+        runs = {}
+
+        def run(mode):
+            if mode not in runs:
+                deployment = build(mode, num_clients=4, client_window=4)
+                deployment.start_clients()
+                deployment.run(0.25)
+                crash_primary(deployment.group())
+                deployment.run(1.2)
+                deployment.stop_clients()
+                runs[mode] = deployment
+            return runs[mode]
+
+        return run
+
     @pytest.mark.parametrize("mode", ALL_MODES)
-    def test_primary_crash_mid_pipeline_recovers_exactly_once(self, mode):
+    def test_primary_crash_mid_pipeline_recovers_exactly_once(self, mode, crashed_mid_pipeline):
         """Crash the primary while batches are in flight: the new view must
         recover every request without loss or double execution."""
-        deployment = build(mode, num_clients=4, client_window=4)
-        deployment.start_clients()
-        deployment.run(0.25)
-        crash_primary(deployment.group())
-        deployment.run(1.2)
-        deployment.stop_clients()
+        deployment = crashed_mid_pipeline(mode)
 
         completed_after = deployment.metrics.completed
         assert completed_after > 60, "progress must resume after the view change"
@@ -191,15 +207,10 @@ class TestViewChangeWithInFlightBatches:
         assert_no_client_holes(deployment)
 
     @pytest.mark.parametrize("mode", ALL_MODES)
-    def test_batches_survive_the_view_change_intact(self, mode):
+    def test_batches_survive_the_view_change_intact(self, mode, crashed_mid_pipeline):
         """Batched slots committed after the crash keep their multi-request
         payloads: the new view re-proposes whole batches, not fragments."""
-        deployment = build(mode, num_clients=4, client_window=4)
-        deployment.start_clients()
-        deployment.run(0.25)
-        crash_primary(deployment.group())
-        deployment.run(1.2)
-        deployment.stop_clients()
+        deployment = crashed_mid_pipeline(mode)
 
         batched_slots = 0
         for replica in deployment.correct_replicas():

@@ -41,17 +41,35 @@ def run_small(builder, **kwargs):
     return deployment, result
 
 
+@pytest.fixture(scope="module")
+def shared_run():
+    """``run_small`` once per argument set, for the tests that only read the run.
+
+    The simulator is deterministic, so a second identical run would only
+    repeat the first.
+    """
+    runs = {}
+
+    def run(builder, **kwargs):
+        key = (builder, tuple(sorted(kwargs.items())))
+        if key not in runs:
+            runs[key] = run_small(builder, **kwargs)
+        return runs[key]
+
+    return run
+
+
 class TestSeeMoReModes:
     @pytest.mark.parametrize("mode", [Mode.LION, Mode.DOG, Mode.PEACOCK])
-    def test_mode_completes_requests_safely(self, mode):
-        deployment, result = run_small(build_seemore, mode=mode)
+    def test_mode_completes_requests_safely(self, mode, shared_run):
+        deployment, result = shared_run(build_seemore, mode=mode)
         assert result.completed > 50, f"{mode.name} should make steady progress"
         assert_ledgers_consistent(deployment.group().correct_ledgers())
 
     @pytest.mark.slow
     @pytest.mark.parametrize("mode", [Mode.LION, Mode.DOG, Mode.PEACOCK])
-    def test_replicas_converge_on_committed_prefix(self, mode):
-        deployment, _ = run_small(build_seemore, mode=mode)
+    def test_replicas_converge_on_committed_prefix(self, mode, shared_run):
+        deployment, _ = shared_run(build_seemore, mode=mode)
         executed = [replica.last_executed for replica in deployment.correct_replicas()]
         assert max(executed) > 0
         # Every replica that executed anything agrees with the others on the
@@ -59,8 +77,8 @@ class TestSeeMoReModes:
         ledgers = deployment.group().correct_ledgers()
         assert_ledgers_consistent(ledgers)
 
-    def test_lion_only_primary_replies(self):
-        deployment, _ = run_small(build_seemore, mode=Mode.LION)
+    def test_lion_only_primary_replies(self, shared_run):
+        deployment, _ = shared_run(build_seemore, mode=Mode.LION)
         config = deployment.group().config
         primary = config.primary_of_view(0, Mode.LION)
         for replica_id, replica in deployment.replicas.items():
@@ -70,8 +88,8 @@ class TestSeeMoReModes:
                 assert replica.replies_sent == 0
 
     @pytest.mark.slow
-    def test_dog_private_cloud_stays_passive(self):
-        deployment, _ = run_small(build_seemore, mode=Mode.DOG)
+    def test_dog_private_cloud_stays_passive(self, shared_run):
+        deployment, _ = shared_run(build_seemore, mode=Mode.DOG)
         config = deployment.group().config
         primary = config.primary_of_view(0, Mode.DOG)
         # Private replicas other than the primary neither reply nor vote,
@@ -83,8 +101,8 @@ class TestSeeMoReModes:
                 assert replica.last_executed > 0
 
     @pytest.mark.slow
-    def test_peacock_private_cloud_not_in_agreement(self):
-        deployment, _ = run_small(build_seemore, mode=Mode.PEACOCK)
+    def test_peacock_private_cloud_not_in_agreement(self, shared_run):
+        deployment, _ = shared_run(build_seemore, mode=Mode.PEACOCK)
         config = deployment.group().config
         for replica_id in config.private_replicas:
             replica = deployment.replicas[replica_id]
@@ -92,8 +110,8 @@ class TestSeeMoReModes:
             assert replica.last_executed > 0  # informed of results
 
     @pytest.mark.slow
-    def test_proxies_reply_in_dog_mode(self):
-        deployment, _ = run_small(build_seemore, mode=Mode.DOG)
+    def test_proxies_reply_in_dog_mode(self, shared_run):
+        deployment, _ = shared_run(build_seemore, mode=Mode.DOG)
         config = deployment.group().config
         proxies = config.proxies_of_view(0, Mode.DOG)
         assert any(deployment.replicas[p].replies_sent > 0 for p in proxies)
@@ -123,23 +141,23 @@ class TestSeeMoReModes:
 
 class TestBaselines:
     @pytest.mark.slow
-    def test_paxos_completes_requests(self):
-        deployment, result = run_small(build_paxos)
+    def test_paxos_completes_requests(self, shared_run):
+        deployment, result = shared_run(build_paxos)
         assert result.completed > 50
 
     @pytest.mark.slow
-    def test_pbft_completes_requests(self):
-        deployment, result = run_small(build_pbft)
+    def test_pbft_completes_requests(self, shared_run):
+        deployment, result = shared_run(build_pbft)
         assert result.completed > 50
 
     @pytest.mark.slow
-    def test_upright_completes_requests(self):
-        deployment, result = run_small(build_upright)
+    def test_upright_completes_requests(self, shared_run):
+        deployment, result = shared_run(build_upright)
         assert result.completed > 50
 
     @pytest.mark.slow
-    def test_paxos_only_leader_replies(self):
-        deployment, _ = run_small(build_paxos)
+    def test_paxos_only_leader_replies(self, shared_run):
+        deployment, _ = shared_run(build_paxos)
         config = deployment.group().config
         leader = config.primary_of_view(0)
         for replica_id, replica in deployment.replicas.items():
@@ -149,8 +167,8 @@ class TestBaselines:
                 assert replica.replies_sent == 0
 
     @pytest.mark.slow
-    def test_pbft_all_replicas_reply(self):
-        deployment, _ = run_small(build_pbft)
+    def test_pbft_all_replicas_reply(self, shared_run):
+        deployment, _ = shared_run(build_pbft)
         assert all(replica.replies_sent > 0 for replica in deployment.replicas.values())
 
     def test_network_sizes_match_paper_for_f2(self):

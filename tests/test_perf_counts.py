@@ -38,6 +38,8 @@ from repro.scenarios.adaptive import DEESCALATE_AFTER_QUIET_PERIOD
 from repro.workload import Workload, WorkloadSpec
 from test_scenarios_matrix import run_record, scenario_record
 
+from benchmarks.conftest import sweep_pool
+
 pytestmark = pytest.mark.integration
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "perf_counts_golden.json"
@@ -124,9 +126,13 @@ def load_golden(path=GOLDEN_PATH):
     return json.loads(pathlib.Path(path).read_text())
 
 
-def check_case(name, golden):
-    """Run one case; fail naming every field that differs from ``golden``."""
-    record, expected = CASES[name](), golden[name]
+def run_case(name):
+    return CASES[name]()
+
+
+def check_case(name, golden, record):
+    """Fail naming every field of case ``name``'s ``record`` that differs from ``golden``."""
+    expected = golden[name]
     differences = [
         f"{name}: {field} {expected.get(field)!r} -> {record.get(field)!r}"
         for field in sorted(expected.keys() | record.keys())
@@ -140,6 +146,19 @@ def golden():
     return load_golden()
 
 
+@pytest.fixture(scope="module")
+def records(request):
+    """A future record of every case this session selected, all submitted up
+    front so the cases run side by side; a case that raises fails only its test."""
+    pool = sweep_pool()
+    yield {
+        item.callspec.params["name"]: pool.submit(run_case, item.callspec.params["name"])
+        for item in request.session.items
+        if getattr(item, "function", None) is test_case_matches_golden
+    }
+    pool.shutdown(cancel_futures=True)
+
+
 def test_golden_covers_exactly_the_cases(golden):
     assert len(CASES) == 25
     assert set(golden) == set(CASES)
@@ -150,8 +169,8 @@ def test_golden_covers_exactly_the_cases(golden):
     "name",
     [pytest.param(name, marks=SMOKE.get(name, (pytest.mark.slow,)), id=name) for name in CASES],
 )
-def test_case_matches_golden(name, golden):
-    check_case(name, golden)
+def test_case_matches_golden(name, golden, records):
+    check_case(name, golden, records[name].result())
 
 
 def test_a_changed_count_fails_naming_case_field_and_both_values(golden, tmp_path):
@@ -163,7 +182,7 @@ def test_a_changed_count_fails_naming_case_field_and_both_values(golden, tmp_pat
     path.write_text(json.dumps(changed))
     line = f"{name}: completed {current + 1} -> {current}"
     with pytest.raises(AssertionError, match=re.escape(line)):
-        check_case(name, load_golden(path))
+        check_case(name, load_golden(path), run_case(name))
 
 
 def test_a_case_reads_the_same_record_twice_in_one_process():

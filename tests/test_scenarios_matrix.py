@@ -54,6 +54,8 @@ from repro.workload import Workload, WorkloadSpec
 from repro.workload.openloop import ClientPopulation, PoissonArrivals
 from test_cluster_construction import completion_trace
 
+from benchmarks.conftest import sweep_pool
+
 pytestmark = pytest.mark.integration
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "scenario_golden.json"
@@ -186,6 +188,19 @@ def golden():
     return json.loads(GOLDEN_PATH.read_text())
 
 
+@pytest.fixture(scope="module")
+def leg_runs(request):
+    """A future ``run_leg`` of every leg this session selected, all submitted up
+    front so the legs run side by side; a leg that raises fails only its test."""
+    pool = sweep_pool()
+    yield {
+        item.callspec.params["key"]: pool.submit(run_leg, item.callspec.params["key"])
+        for item in request.session.items
+        if getattr(item, "function", None) is test_scenario_matrix
+    }
+    pool.shutdown(cancel_futures=True)
+
+
 def test_library_is_large_enough():
     """The acceptance floor: at least 10 named scenarios in the library."""
     assert len(SCENARIOS) >= 10
@@ -198,9 +213,9 @@ def test_golden_covers_exactly_the_libraries(golden):
 @pytest.mark.parametrize(
     "key", [pytest.param(key, marks=leg[2], id=key) for key, leg in LEGS.items()]
 )
-def test_scenario_matrix(key, golden):
+def test_scenario_matrix(key, golden, leg_runs):
     scenario = LEGS[key][0]
-    result, record = run_leg(key)
+    result, record = leg_runs[key].result()
     if scenario.name in EXPECTED_TO_FAIL:
         assert set(result.invariant_violations) == {EXPECTED_TO_FAIL[scenario.name]}
         assert not result.expectation_failures
