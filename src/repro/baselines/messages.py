@@ -1,9 +1,11 @@
 """Protocol messages used by the baseline protocols.
 
-Paxos messages are unsigned (crash model: channel MACs suffice); the
-BFT-style messages (PBFT and S-UpRight) are signed, matching how the
-original protocols are deployed and how the paper's cost comparison counts
-cryptographic work.
+Paxos messages are unsigned (crash model: channel MACs suffice).  PBFT and
+S-UpRight send the signed ``PrePrepare`` / ``ProxyPrepare`` / ``Commit``
+and ``Checkpoint`` of :mod:`repro.smr.messages` (mode 0), which they share
+with SeeMoRe; the view-change messages here are signed iff the
+configuration says so, matching how the original protocols are deployed
+and how the paper's cost comparison counts cryptographic work.
 
 Each class is one declaration (see :mod:`repro.smr.messages`).
 """
@@ -49,34 +51,7 @@ class Learn(ProtocolMessage):
     SIZE = _HEADER_BYTES + _DIGEST_BYTES
 
 
-# -- PBFT / S-UpRight (Byzantine fault tolerant) --------------------------------------
-
-
-class BftPrePrepare(ProtocolMessage):
-    """Primary -> replicas: proposal of ``request`` at ``sequence``."""
-
-    TAG = 0x23
-    FIELDS = _PROPOSAL
-    SIZE = _SIGNED_BYTES + _DIGEST_BYTES
-
-
-class BftPrepare(ProtocolMessage):
-    """Replica -> replicas: prepare vote for a pre-prepared proposal."""
-
-    TAG = 0x24
-    FIELDS = _VOTE
-    SIZE = _SIGNED_BYTES + _DIGEST_BYTES
-
-
-class BftCommit(ProtocolMessage):
-    """Replica -> replicas: commit vote after gathering a prepare certificate."""
-
-    TAG = 0x25
-    FIELDS = _VOTE
-    SIZE = _SIGNED_BYTES + _DIGEST_BYTES
-
-
-# -- shared: view changes (a BFT checkpoint is repro.smr.messages.Checkpoint) ----------
+# -- shared: view changes ---------------------------------------------------------
 
 
 #: Per-sequence entry carried in view-change / new-view messages.
@@ -113,9 +88,6 @@ __all__ = [
     "AcceptRequest",
     "Accepted",
     "Learn",
-    "BftPrePrepare",
-    "BftPrepare",
-    "BftCommit",
     "BaselineEntry",
     "BaselineViewChange",
     "BaselineNewView",

@@ -18,7 +18,9 @@ primary orders a request by allocating the next sequence number and handing
 
 View-change and new-view messages are signed and verified iff the
 configuration says replica messages are (``config.messages_are_signed``).
-A protocol module states its phases and the four answers above.
+A protocol module states its phases (Paxos its own; PBFT and S-UpRight
+give the answers of :class:`~repro.smr.pbft.PbftAgreement`) and the four
+answers above.
 """
 
 from __future__ import annotations

@@ -7,12 +7,16 @@ Message flavours and who signs what follow the paper:
   carry the client request so lagging replicas can still execute.
 * ``ACCEPT`` is unsigned in the Lion mode (it only flows back to the
   trusted primary) but signed in the Dog mode (proxies use it as evidence).
-* the Peacock mode reuses PBFT's ``PRE-PREPARE`` / ``PREPARE`` / ``COMMIT``
-  phases among proxies, all signed.
+* the Peacock mode runs PBFT's ``PRE-PREPARE`` / ``PREPARE`` / ``COMMIT``
+  phases among proxies, all signed (:mod:`repro.smr.pbft`; the bft and
+  s-upright baselines send the same three messages).
 * ``INFORM`` messages notify passive replicas of committed requests.
 * ``VIEW-CHANGE``, ``NEW-VIEW``, and ``MODE-CHANGE`` drive liveness and
-  dynamic mode switching; ``CHECKPOINT`` is the shared
-  :class:`~repro.smr.messages.Checkpoint`.
+  dynamic mode switching.
+
+``CHECKPOINT``, ``PRE-PREPARE``, the PBFT ``PREPARE`` (:class:`ProxyPrepare`)
+and ``COMMIT`` are shared with the baselines, so they are declared in
+:mod:`repro.smr.messages` and re-exported here.
 
 Ordering messages carry one slot *payload*: either a bare client
 :class:`~repro.smr.messages.Request` or a :class:`~repro.smr.messages.Batch`
@@ -29,38 +33,30 @@ from __future__ import annotations
 from repro.smr.messages import (
     Batch,
     Checkpoint,
+    Commit,
+    PrePrepare,
     ProtocolMessage,
+    ProxyPrepare,
     requests_of,
+    _ATTRIBUTED_VOTE,
     _DIGEST_BYTES,
     _HEADER_BYTES,
+    _MODE,
+    _ORDERING,
+    _REPLICA,
     _SIGNATURE_BYTES,
     _SIGNED_BYTES,
+    _SIGNED_VOTE_BYTES,
 )
-from repro.wire.codec import ATTACHMENT, DIGEST, ENTRIES, I64, PAYLOAD, STR, Entry, Field
-from repro.wire.primitives import (
-    TAG_ACCEPT,
-    TAG_COMMIT,
-    TAG_INFORM,
-    TAG_PREPARE,
-    TAG_PREPREPARE,
-    TAG_PROXY_PREPARE,
-)
-
-_SIGNED_VOTE_BYTES = _SIGNED_BYTES + _DIGEST_BYTES
-
-#: ``(view, sequence, digest, ·, mode)``: the signed content of every vote.
-_VIEW, _SEQUENCE, _DIGEST, _MODE = (
-    Field("view", I64), Field("sequence", I64), Field("digest", DIGEST), Field("mode", I64)
-)
-_REPLICA = Field("replica_id", STR)
-_ATTRIBUTED_VOTE = (_VIEW, _SEQUENCE, _DIGEST, _REPLICA, _MODE)
+from repro.wire.codec import ATTACHMENT, DIGEST, ENTRIES, I64, STR, Entry, Field
+from repro.wire.primitives import TAG_ACCEPT, TAG_INFORM, TAG_PREPARE
 
 
 class Prepare(ProtocolMessage):
     """``<<PREPARE, v, n, d>_p, µ>`` from the trusted primary (Lion/Dog)."""
 
     TAG = TAG_PREPARE
-    FIELDS = (_VIEW, _SEQUENCE, _DIGEST, Field("request", PAYLOAD), _MODE)
+    FIELDS = _ORDERING
     ENCODER = "encode_vote"
     SIZE = _SIGNED_VOTE_BYTES
 
@@ -74,36 +70,6 @@ class Accept(ProtocolMessage):
     SIGNED = False
     SIZE = _HEADER_BYTES + _DIGEST_BYTES
     SIZE_IF_SIGNED = _SIGNATURE_BYTES
-
-
-class Commit(ProtocolMessage):
-    """``<<COMMIT, v, n, d>, µ>`` — primary's commit (Lion) or proxy commit (Dog).
-
-    ``request`` carries the payload to lagging replicas (Lion).
-    """
-
-    TAG = TAG_COMMIT
-    FIELDS = _ATTRIBUTED_VOTE + (Field("request", PAYLOAD, None),)
-    ENCODER = "encode_attributed_vote"
-    SIZE = _SIGNED_VOTE_BYTES
-
-
-class PrePrepare(ProtocolMessage):
-    """``<<PRE-PREPARE, v, n, d>_p, µ>`` from the untrusted Peacock primary."""
-
-    TAG = TAG_PREPREPARE
-    FIELDS = Prepare.FIELDS
-    ENCODER = "encode_vote"
-    SIZE = _SIGNED_VOTE_BYTES
-
-
-class ProxyPrepare(ProtocolMessage):
-    """PBFT-style ``PREPARE`` vote exchanged among Peacock proxies."""
-
-    TAG = TAG_PROXY_PREPARE
-    FIELDS = _ATTRIBUTED_VOTE
-    ENCODER = "encode_attributed_vote"
-    SIZE = _SIGNED_VOTE_BYTES
 
 
 class Inform(ProtocolMessage):

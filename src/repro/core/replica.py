@@ -185,18 +185,6 @@ class SeeMoReReplica(ReplicaBase):
 
     # -- validation helpers ------------------------------------------------------
 
-    def valid_view(self, view: int) -> bool:
-        return view == self.view and not self.in_view_change
-
-    def accepts_ordering_from(self, src: str, view: int, mode: int) -> bool:
-        """Whether an ordering message (prepare / pre-prepare / primary commit)
-        from ``src`` for ``view`` should be processed right now."""
-        if not self.valid_view(view):
-            return False
-        if mode != int(self.mode):
-            return False
-        return src == self.config.primary_of_view(view, self.mode)
-
     def in_watermark_window(self, sequence: int) -> bool:
         low = self.slots.low_watermark
         return low < sequence <= low + self.watermark_window

@@ -11,9 +11,11 @@ one slot payload (``propose_payload``, which the replica's batcher calls),
 and the inform leg between proxies and passive replicas (``_send_informs``
 / ``on_inform``, Dog and Peacock; Lion has no proxies, so no inform passes
 the sender check).  The request intake and the commit entry are the
-replica's (:class:`~repro.smr.replica.ReplicaBase`).  A mode states its phases:
-its ordering message, its vote handlers, and ``reenter`` — the vote it
-casts for a slot that a new view re-proposes.
+replica's (:class:`~repro.smr.replica.ReplicaBase`).  Lion and Dog state
+their phases: their ordering message, their vote handlers, and ``reenter`` —
+the vote they cast for a slot that a new view re-proposes.  Peacock's are
+PBFT's, written once with the BFT baselines in
+:class:`~repro.smr.pbft.PbftAgreement`.
 """
 
 from __future__ import annotations

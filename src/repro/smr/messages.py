@@ -1,10 +1,12 @@
 """Messages shared by every replication protocol in the repository.
 
 Client-facing messages (``REQUEST`` and ``REPLY``) have the same structure in
-SeeMoRe, Paxos, PBFT, and S-UpRight, and SeeMoRe and the BFT baselines sign
-the same ``CHECKPOINT``, so they live here in the SMR substrate.
-Protocol-internal messages (prepare/accept/commit/...) are defined by each
-protocol package.
+SeeMoRe, Paxos, PBFT, and S-UpRight, SeeMoRe and the BFT baselines sign the
+same ``CHECKPOINT``, and Peacock and the BFT baselines run PBFT's agreement
+(:mod:`repro.smr.pbft`) on the same ``PRE-PREPARE`` / ``PREPARE`` /
+``COMMIT``, so they live here in the SMR substrate.  A message only one
+protocol sends (Lion's and Dog's prepare and accept, the informs, SeeMoRe's
+and the baselines' view changes, Paxos's phases) is defined by its package.
 
 Every message class is *declared once*: a wire ``TAG``, an ordered tuple of
 typed ``FIELDS``, whether it is ``SIGNED`` by default (drives the CPU cost
@@ -27,10 +29,13 @@ from repro.crypto.digest import (
 )
 from repro.crypto.signatures import Signature, Signer, Verifier
 from repro.smr.state_machine import Operation, result_digest
-from repro.wire.codec import DIGEST, I64, STR, Field, Kind, OpaqueResult, derive
+from repro.wire.codec import DIGEST, I64, PAYLOAD, STR, Field, Kind, OpaqueResult, derive
 from repro.wire.primitives import (
     TAG_BATCH,
     TAG_CHECKPOINT,
+    TAG_COMMIT,
+    TAG_PREPREPARE,
+    TAG_PROXY_PREPARE,
     TAG_REPLY,
     TAG_REQUEST,
     WireDecodeError,
@@ -47,6 +52,7 @@ _HEADER_BYTES = 48
 _SIGNATURE_BYTES = 64
 _DIGEST_BYTES = 32
 _SIGNED_BYTES = _HEADER_BYTES + _SIGNATURE_BYTES
+_SIGNED_VOTE_BYTES = _SIGNED_BYTES + _DIGEST_BYTES
 
 _WIRE_SLICE_ATTR = "_wire_slice"
 _WIRE_LENGTH_ATTR = "_wire_length"
@@ -490,6 +496,50 @@ class Checkpoint(ProtocolMessage):
     SIZE = _SIGNED_BYTES + _DIGEST_BYTES
 
 
+#: ``(view, sequence, digest, ·, mode)``: the signed content of every vote.
+_VIEW, _SEQUENCE, _DIGEST, _MODE = (
+    Field("view", I64), Field("sequence", I64), Field("digest", DIGEST), Field("mode", I64)
+)
+_REPLICA = Field("replica_id", STR)
+_ATTRIBUTED_VOTE = (_VIEW, _SEQUENCE, _DIGEST, _REPLICA, _MODE)
+#: A primary's ordering message: the slot payload rides beside the frame.
+_ORDERING = (_VIEW, _SEQUENCE, _DIGEST, Field("request", PAYLOAD), _MODE)
+
+
+# -- PBFT's phases (repro.smr.pbft): Peacock among its proxies, bft and s-upright (mode 0) --
+
+
+class PrePrepare(ProtocolMessage):
+    """``<<PRE-PREPARE, v, n, d>_p, µ>`` from an untrusted primary."""
+
+    TAG = TAG_PREPREPARE
+    FIELDS = _ORDERING
+    ENCODER = "encode_vote"
+    SIZE = _SIGNED_VOTE_BYTES
+
+
+class ProxyPrepare(ProtocolMessage):
+    """PBFT's ``PREPARE`` vote, among Peacock's proxies or a BFT baseline's replicas."""
+
+    TAG = TAG_PROXY_PREPARE
+    FIELDS = _ATTRIBUTED_VOTE
+    ENCODER = "encode_attributed_vote"
+    SIZE = _SIGNED_VOTE_BYTES
+
+
+class Commit(ProtocolMessage):
+    """``<<COMMIT, v, n, d>, µ>`` — PBFT's commit vote, the Lion primary's commit
+    or a Dog proxy's.
+
+    ``request`` carries the payload to lagging replicas (Lion).
+    """
+
+    TAG = TAG_COMMIT
+    FIELDS = _ATTRIBUTED_VOTE + (Field("request", PAYLOAD, None),)
+    ENCODER = "encode_attributed_vote"
+    SIZE = _SIGNED_VOTE_BYTES
+
+
 def requests_of(payload: Any) -> List[Request]:
     """The client requests inside a slot payload (a batch or a bare request)."""
     if isinstance(payload, Batch):
@@ -504,6 +554,9 @@ __all__ = [
     "Busy",
     "Batch",
     "Checkpoint",
+    "PrePrepare",
+    "ProxyPrepare",
+    "Commit",
     "FrameMismatch",
     "requests_of",
     "_HEADER_BYTES",

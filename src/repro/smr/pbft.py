@@ -1,0 +1,202 @@
+"""PBFT's normal case (Castro & Liskov, OSDI '99), shared by Peacock and the BFT baselines.
+
+The untrusted primary multicasts a signed ``PRE-PREPARE`` with the slot
+payload, which counts as its prepare vote; every participant multicasts a
+signed ``PREPARE`` to the others; once a quorum of matching prepares (its
+own included) makes the slot prepared it multicasts a signed ``COMMIT``,
+and a quorum of matching commits commits the slot.  A second, conflicting
+pre-prepare for a slot is refused and recorded as EQUIVOCATION evidence:
+the slot stalls and the request timer removes the primary.
+
+:class:`PbftAgreement` writes those three phases once, for SeeMoRe's
+Peacock mode (PBFT among the 3m+1 public-cloud proxies, Section 5.3) and
+for the bft and s-upright baselines (PBFT among every replica).  It is
+stateless, as a :class:`~repro.core.strategy_base.ModeStrategy` is: every
+handler takes the replica it runs on.  A protocol subclasses it with its
+answers — whose votes count (``counts_vote_from``; the replica takes part
+iff its own would), whom it multicasts to (``peers``), the ``quorum``, what
+else an ordering message must pass (``admits``) and what runs just before a
+committed slot is finalized (``committing``).  Its messages carry ``mode``
+(a baseline's is 0).
+"""
+
+from __future__ import annotations
+
+from typing import Any, List
+
+from repro.adaptive.evidence import EvidenceKind
+from repro.smr.messages import Commit, PrePrepare, ProxyPrepare
+from repro.smr.replica import request_digest
+from repro.smr.slots import Slot
+
+
+class PbftAgreement:
+    """Pre-prepare, prepare and commit; a protocol subclasses it with its answers."""
+
+    #: The mode id every message of the agreement carries.
+    mode = 0
+
+    # -- the answers a protocol gives ----------------------------------------------
+
+    def counts_vote_from(self, replica: Any, src: str) -> bool:
+        """Whether ``src`` takes part in the agreement ``replica`` runs."""
+        raise NotImplementedError
+
+    def peers(self, replica: Any) -> List[str]:
+        """The other participants, to whom ``replica`` multicasts its votes."""
+        raise NotImplementedError
+
+    def quorum(self, replica: Any) -> int:
+        """Matching votes that prepare a slot, and matching commits that commit it."""
+        raise NotImplementedError
+
+    def admits(self, replica: Any, sequence: int) -> bool:
+        """Whether a verified ordering message for ``sequence`` may fill its slot."""
+        return True
+
+    def committing(self, replica: Any, slot: Slot) -> None:
+        """What the protocol does just before a committed ``slot`` is finalized."""
+
+    # -- pre-prepare ------------------------------------------------------------------
+
+    def ordering_message(
+        self, replica: Any, sequence: int, digest: str, payload: Any
+    ) -> PrePrepare:
+        return PrePrepare(
+            view=replica.view,
+            sequence=sequence,
+            digest=digest,
+            request=payload,
+            mode=int(self.mode),
+        )
+
+    def record_proposal_vote(self, replica: Any, slot: Slot, digest: str) -> None:
+        # As in PBFT, the primary's pre-prepare doubles as its prepare vote.
+        slot.record_vote("prepare", replica.node_id, digest)
+
+    def on_preprepare(self, replica: Any, src: str, message: PrePrepare) -> None:
+        if not replica.accepts_ordering_from(src, message.view, message.mode):
+            return
+        if not replica.verify_message(src, message):
+            return
+        if not self.admits(replica, message.sequence):
+            return
+        if message.digest != request_digest(message.request):
+            return
+
+        existing = replica.slots.existing_slot(message.sequence)
+        if (
+            existing is not None
+            and existing.digest is not None
+            and existing.digest != message.digest
+        ):
+            # The untrusted primary equivocated; refuse the second assignment
+            # and let the timer trigger a view change.  Two conflicting
+            # signed assignments for one slot are a hard proof of Byzantine
+            # behaviour -- record it for the adaptive controller.
+            replica.evidence.record(
+                EvidenceKind.EQUIVOCATION,
+                suspect=src,
+                detail=f"pre-prepare seq={message.sequence} view={message.view}",
+            )
+            return
+
+        slot = replica.fill_slot(message.sequence, message.digest, message.request, message)
+        # As in PBFT, the primary's pre-prepare counts as its prepare vote:
+        # the prepared certificate is the pre-prepare plus matching prepares
+        # from the other participants.
+        slot.record_vote("prepare", src, message.digest)
+        replica.view_changes.start_request_timer()
+        if not self.counts_vote_from(replica, replica.node_id):
+            return
+
+        self._send_prepare(replica, slot, message.digest)
+        self._maybe_send_commit(replica, slot)
+
+    # -- prepare ----------------------------------------------------------------------
+
+    def _send_prepare(self, replica: Any, slot: Slot, digest: str) -> None:
+        """A participant's signed prepare vote, counted locally and sent to its peers."""
+        prepare = ProxyPrepare(
+            view=replica.view,
+            sequence=slot.sequence,
+            digest=digest,
+            replica_id=replica.node_id,
+            mode=int(self.mode),
+        )
+        prepare.sign(replica.signer)
+        slot.record_vote("prepare", replica.node_id, digest)
+        replica.multicast(self.peers(replica), prepare)
+
+    def reenter(self, replica: Any, slot: Slot, entry: Any) -> None:
+        """A fresh prepare vote for a slot the new view re-proposes."""
+        if self.counts_vote_from(replica, replica.node_id):
+            self._send_prepare(replica, slot, entry.digest)
+
+    def _counts_vote(self, replica: Any, src: str, message: Any) -> bool:
+        """Whether ``src``'s vote counts: both take part, in this view, and it verifies."""
+        return (
+            self.counts_vote_from(replica, replica.node_id)
+            and replica.valid_view(message.view)
+            and self.counts_vote_from(replica, src)
+            and replica.verify_message(src, message)
+        )
+
+    def on_proxy_prepare(self, replica: Any, src: str, message: ProxyPrepare) -> None:
+        if not self._counts_vote(replica, src, message):
+            return
+        slot = replica.slots.slot(message.sequence)
+        if slot.digest is not None and message.digest != slot.digest:
+            # A same-view vote contradicting the slot's accepted assignment
+            # proves Byzantine behaviour, but the assignment came from an
+            # *untrusted* primary: either the voter lied or the primary
+            # equivocated, and this receiver cannot tell which.  Record the
+            # event unattributed — it still counts toward escalation, but
+            # never names an honest participant.
+            replica.evidence.record(
+                EvidenceKind.CONFLICTING_VOTE,
+                detail=f"proxy-prepare seq={message.sequence} view={message.view}: "
+                f"{src} contradicts the accepted untrusted assignment",
+            )
+        slot.record_vote("prepare", src, message.digest)
+        self._maybe_send_commit(replica, slot)
+
+    def _maybe_send_commit(self, replica: Any, slot: Slot) -> None:
+        if slot.digest is None or slot.request is None:
+            return
+        if slot.has_vote_from("commit", replica.node_id):
+            return
+        # Prepared: the pre-prepare plus matching prepares from distinct
+        # participants (the replica's own prepare counts).
+        if slot.vote_count("prepare") < self.quorum(replica):
+            return
+
+        commit = Commit(
+            view=replica.view,
+            sequence=slot.sequence,
+            digest=slot.digest,
+            replica_id=replica.node_id,
+            mode=int(self.mode),
+            request=None,
+        )
+        commit.sign(replica.signer)
+        slot.record_vote("commit", replica.node_id, slot.digest)
+        replica.multicast(self.peers(replica), commit)
+        self._maybe_commit(replica, slot)
+
+    # -- commit -----------------------------------------------------------------------
+
+    def on_commit(self, replica: Any, src: str, message: Commit) -> None:
+        if not self._counts_vote(replica, src, message):
+            return
+        slot = replica.slots.slot(message.sequence)
+        slot.record_vote("commit", src, message.digest)
+        self._maybe_commit(replica, slot)
+
+    def _maybe_commit(self, replica: Any, slot: Slot) -> None:
+        if slot.committed or slot.digest is None or slot.request is None:
+            return
+        if slot.vote_count("commit") < self.quorum(replica):
+            return
+        self.committing(replica, slot)
+        replica.finalize(slot, send_reply=True)

@@ -142,6 +142,14 @@ class ReplicaBase(Node):
     def is_primary(self) -> bool:
         return not self.in_view_change and self.current_primary() == self.node_id
 
+    def valid_view(self, view: int) -> bool:
+        return view == self.view and not self.in_view_change
+
+    def accepts_ordering_from(self, src: str, view: int, mode: int) -> bool:
+        """Whether an ordering message (prepare / pre-prepare / primary commit)
+        from ``src`` for ``view`` in ``mode`` should be processed right now."""
+        return self.valid_view(view) and mode == self.mode_id and src == self.current_primary()
+
     def on_request(self, src: str, request: Request) -> None:
         """The one request intake: a client's request, a retransmission or a forward.
 

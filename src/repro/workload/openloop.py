@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import random
 from collections import OrderedDict, deque
-from typing import Callable, Deque, List, Optional, Tuple
+from typing import Any, Callable, Deque, List, Optional, Tuple
 
 from repro.runtime.api import Runtime
 from repro.shard.client import ShardedClient

@@ -7,13 +7,12 @@ import types
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.baselines.messages import BftCommit, BftPrePrepare
 from repro.cluster import build_pbft, build_seemore, run_deployment
 from repro.core import Mode
 from repro.core import messages as msgs
 from repro.smr import Counter, Operation, OrderedExecutor
 from repro.smr.checkpointing import CheckpointManager
-from repro.smr.messages import Request
+from repro.smr.messages import Commit, PrePrepare, Request
 from repro.smr.replica import request_digest
 from repro.workload import Workload
 
@@ -226,11 +225,11 @@ class TestBftCheckpointAtItsBoundary:
         request = Request(operation=operation, timestamp=sequence, client_id=client)
         request.sign(keystore.signer_for(client))
         digest = request_digest(request)
-        preprepare = BftPrePrepare(view=0, sequence=sequence, digest=digest, request=request)
+        preprepare = PrePrepare(view=0, sequence=sequence, digest=digest, request=request, mode=0)
         replica.handle_message(primary, preprepare.sign(keystore.signer_for(primary)))
         voters = [each for each in config.replicas if each != replica.node_id]
         for voter in voters[: config.commit_quorum]:
-            vote = BftCommit(view=0, sequence=sequence, digest=digest, replica_id=voter)
+            vote = Commit(view=0, sequence=sequence, digest=digest, replica_id=voter, mode=0)
             replica.handle_message(voter, vote.sign(keystore.signer_for(voter)))
 
     def test_two_commit_orders_sign_one_digest(self):

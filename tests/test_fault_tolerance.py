@@ -14,10 +14,15 @@ the fault) and safety (correct replicas never diverge).
 
 import pytest
 
+from repro.adaptive.evidence import EvidenceKind
 from repro.cluster import build_paxos, build_pbft, build_seemore, build_upright, run_deployment
 from repro.core import Mode
 from repro.faults import crash_primary, crash_replica, make_byzantine
+from repro.faults.byzantine import tampered_payload
 from repro.smr.ledger import assert_ledgers_consistent
+from repro.smr.messages import Commit, PrePrepare, ProxyPrepare, Request
+from repro.smr.replica import request_digest
+from repro.smr.state_machine import Operation
 from repro.workload import Workload
 
 
@@ -162,6 +167,51 @@ class TestCrashFaults:
         for replica in survivors:
             assert all(view > 1 for view, _mode in replica.view_changes._store)
             assert all(view > 1 for view, _mode in replica.view_changes._new_views_sent)
+
+
+@pytest.mark.parametrize("builder", [build_pbft, build_upright], ids=["bft", "s-upright"])
+class TestBftBaselineAgreement:
+    """bft and s-upright run Peacock's PBFT phases, with the same admission and vote rules."""
+
+    @staticmethod
+    def primary_backup_request(builder):
+        deployment = builder(num_clients=1)
+        config = deployment.group().config
+        primary = deployment.replicas[config.primary_of_view(0)]
+        backup = deployment.replicas[next(r for r in config.replicas if r != primary.node_id)]
+        client = deployment.clients[0].node_id
+        request = Request(operation=Operation("put", ("k", 1)), timestamp=1, client_id=client)
+        request.sign(deployment.keystore.signer_for(client))
+        return deployment, primary, backup, request
+
+    def test_only_replicas_vote(self, builder):
+        """A client holds a key too, but its prepare or commit is no vote."""
+        deployment, primary, backup, request = self.primary_backup_request(builder)
+        digest = request_digest(request)
+        slot = backup.slots.slot(1)
+        for sender in (request.client_id, primary.node_id):
+            signer = deployment.keystore.signer_for(sender)
+            for vote in (
+                ProxyPrepare(view=0, sequence=1, digest=digest, replica_id=sender, mode=0),
+                Commit(view=0, sequence=1, digest=digest, replica_id=sender, mode=0),
+            ):
+                backup.handle_message(sender, vote.sign(signer))
+        assert slot.voters("prepare") == slot.voters("commit") == [primary.node_id]
+
+    def test_a_second_assignment_is_refused_as_equivocation(self, builder):
+        deployment, primary, backup, request = self.primary_backup_request(builder)
+        honest, twisted = (
+            PrePrepare(view=0, sequence=1, digest=request_digest(payload), request=payload, mode=0)
+            for payload in (request, tampered_payload(request))
+        )
+        for preprepare in (honest, twisted):
+            backup.handle_message(primary.node_id, preprepare.sign(primary.signer))
+        assert backup.slots.slot(1).digest == honest.digest
+        assert [
+            record.suspect
+            for record in backup.evidence.records
+            if record.kind is EvidenceKind.EQUIVOCATION
+        ] == [primary.node_id]
 
 
 class TestByzantineFaults:

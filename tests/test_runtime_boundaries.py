@@ -1272,6 +1272,31 @@ ASSIGNMENT_ACCESSORS = {
     "prune_assignments",
 }
 ASSIGNMENT_TABLE = {"_assigned", "_assigned_sequences"}
+#: PBFT's phase handlers, defined once in ``smr/pbft.py`` for Peacock and the
+#: BFT baselines (``ModeStrategy``'s empty defaults for Lion and Dog aside).
+PBFT_PHASES = {
+    "on_preprepare",
+    "on_proxy_prepare",
+    "_send_prepare",
+    "_maybe_send_commit",
+    "_maybe_commit",
+}
+#: What the BFT baselines' former copy called its handlers; nothing defines these now.
+RETIRED_PBFT = {"_on_preprepare", "_on_prepare", "_on_commit"}
+#: The wire tags of the retired ``BftPrePrepare`` / ``BftPrepare`` / ``BftCommit``.
+RETIRED_PBFT_TAGS = {0x23, 0x24, 0x25}
+
+
+def declared_tag(cls):
+    """The constant a class body assigns to ``TAG``, if any."""
+    for node in cls.body:
+        if (
+            isinstance(node, ast.Assign)
+            and any(getattr(target, "id", None) == "TAG" for target in node.targets)
+            and isinstance(node.value, ast.Constant)
+        ):
+            return node.value.value
+    return None
 
 
 def has_a_body(function):
@@ -1293,15 +1318,18 @@ def skeleton_sites(path):
         | ASSIGNMENT_ACCESSORS
     )
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-        if isinstance(node, ast.ClassDef) and node.name in VIEW_CHANGE_MACHINE | RETIRED_SKELETON:
-            yield node.lineno, f"defines {node.name}"
+        if isinstance(node, ast.ClassDef):
+            if node.name in VIEW_CHANGE_MACHINE | RETIRED_SKELETON or node.name.startswith("Bft"):
+                yield node.lineno, f"defines {node.name}"
+            if declared_tag(node) in RETIRED_PBFT_TAGS:
+                yield node.lineno, f"declares tag {declared_tag(node):#04x}"
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             name = node.name
             if name.endswith("noop_request"):
                 yield node.lineno, "defines noop_request"
-            elif name in watched:
+            elif name in watched | RETIRED_PBFT:
                 yield node.lineno, f"defines {name}"
-            elif name in INFORM_LEG and has_a_body(node):
+            elif name in INFORM_LEG | PBFT_PHASES and has_a_body(node):
                 yield node.lineno, f"defines {name}"
         elif isinstance(node, ast.Attribute) and node.attr in REQUEST_TABLE | ASSIGNMENT_TABLE:
             yield node.lineno, f"touches {node.attr}"
@@ -1319,8 +1347,10 @@ class TestOneAgreementSkeleton:
     (``core/`` and ``baselines/`` give answers, not handlers);
     ``core/strategy_base.py`` owns the inform leg of Dog and Peacock; the
     never-pruned ``_known_requests`` table with its two accessors is gone;
-    and ``smr/replica.py`` owns the one sequence-assignment table,
-    ``_assigned``, with its accessors.
+    ``smr/replica.py`` owns the one sequence-assignment table,
+    ``_assigned``, with its accessors; and ``smr/pbft.py`` owns PBFT's
+    phase handlers, which Peacock and the BFT baselines both run (on one
+    message family: no ``Bft*`` class, no tag 0x23–0x25).
     """
 
     OWNERS = {
@@ -1330,6 +1360,7 @@ class TestOneAgreementSkeleton:
         **{f"defines {name}": Path("smr") / "view_change.py" for name in VIEW_CHANGE_MACHINE},
         **{f"defines {name}": Path("smr") / "replica.py" for name in SKELETON_METHODS},
         **{f"defines {name}": Path("core") / "strategy_base.py" for name in INFORM_LEG},
+        **{f"defines {name}": Path("smr") / "pbft.py" for name in PBFT_PHASES},
     }
 
     def offenders(self, root):
@@ -1468,6 +1499,57 @@ class TestOneAgreementSkeleton:
             "core/replica.py:6 defines _maybe_stabilise_by_votes",
             "core/strategy_base.py:2 defines on_request",
             "core/strategy_base.py:5 defines handle_retransmission_or_forward",
+        ]
+
+    def test_the_rule_catches_the_two_pbft_copies_and_their_messages(self, tmp_path):
+        """Peacock's phases and the BFT baselines' own, each on its own messages."""
+        (tmp_path / "baselines").mkdir()
+        (tmp_path / "baselines" / "bft.py").write_text(
+            "class QuorumBFTReplica(BaselineReplica):\n"
+            "    def _on_preprepare(self, src, message):\n"
+            "        self._send_prepare(slot, message.digest)\n"
+            "    def _send_prepare(self, slot, digest):\n"
+            "        self._maybe_send_commit(slot)\n"
+            "    def _on_prepare(self, src, message):\n"
+            "        self._maybe_send_commit(slot)\n"
+            "    def _maybe_send_commit(self, slot):\n"
+            "        self._maybe_commit(slot)\n"
+            "    def _on_commit(self, src, message):\n"
+            "        self._maybe_commit(slot)\n"
+            "    def _maybe_commit(self, slot):\n"
+            "        self.finalize(slot, send_reply=True)\n"
+        )
+        (tmp_path / "baselines" / "messages.py").write_text(
+            "class BftPrePrepare(ProtocolMessage):\n"
+            "    TAG = 0x23\n"
+            "class Proposal(ProtocolMessage):\n"
+            "    TAG = 0x25\n"
+        )
+        (tmp_path / "core").mkdir()
+        (tmp_path / "core" / "peacock.py").write_text(
+            "class PeacockStrategy(ModeStrategy):\n"
+            "    def on_preprepare(self, replica, src, message):\n"
+            "        self._send_prepare(replica, slot, message.digest)\n"
+            "    def on_proxy_prepare(self, replica, src, message):\n"
+            "        self._maybe_send_commit(replica, slot)\n"
+        )
+        (tmp_path / "core" / "strategy_base.py").write_text(
+            "class ModeStrategy:\n"
+            "    def on_preprepare(self, replica, src, message):\n"
+            "        \"\"\"Handle the untrusted primary's pre-prepare (Peacock mode only).\"\"\"\n"
+        )
+        assert self.offenders(tmp_path) == [
+            "baselines/bft.py:2 defines _on_preprepare",
+            "baselines/bft.py:4 defines _send_prepare",
+            "baselines/bft.py:6 defines _on_prepare",
+            "baselines/bft.py:8 defines _maybe_send_commit",
+            "baselines/bft.py:10 defines _on_commit",
+            "baselines/bft.py:12 defines _maybe_commit",
+            "baselines/messages.py:1 declares tag 0x23",
+            "baselines/messages.py:1 defines BftPrePrepare",
+            "baselines/messages.py:3 declares tag 0x25",
+            "core/peacock.py:2 defines on_preprepare",
+            "core/peacock.py:4 defines on_proxy_prepare",
         ]
 
     def test_the_rule_catches_a_second_view_change(self, tmp_path):

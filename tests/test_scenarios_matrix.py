@@ -37,11 +37,13 @@ from dataclasses import replace
 
 import pytest
 
+from repro.adaptive.evidence import EvidenceKind
 from repro.cluster import build_seemore, build_sharded_seemore, builder_for, run_deployment
 from repro.core import Mode
 from repro.scenarios import (
     SCENARIOS,
     SHARDED_SCENARIOS,
+    Byzantine,
     Crash,
     Scenario,
     ViewAdvanced,
@@ -274,6 +276,37 @@ def test_the_engine_runs_a_schedule_against_a_baseline(protocol):
     for target in ("public-backup", "private:1"):
         with pytest.raises(KeyError, match=target):
             Crash(at=0.0, target=target).apply(deployment)
+
+
+@pytest.mark.parametrize(
+    "protocol", ["bft", "s-upright"], ids=lambda name: f"{name}-primary-equivocates"
+)
+def test_an_equivocating_primary_reaches_the_bft_baselines(protocol):
+    """``equivocate`` forks the one ``PrePrepare`` every PBFT engine sends.
+
+    Each backup receives one side of the fork, so what it sees are prepares
+    contradicting the assignment it accepted: evidence of the fork, while
+    no correct replica diverges and a later view serves.
+    """
+    scenario = Scenario(
+        name="baseline-primary-equivocates",
+        description="the primary forks its pre-prepares; the next view must serve",
+        events=(Byzantine(at=0.1, target="primary", strategy="equivocate"),),
+        expectations=(ViewAdvanced(1),),
+        duration=0.5,
+    )
+    deployment = builder_for(protocol)(num_clients=2, seed=7, client_timeout=0.1)
+    result = run_scenario(scenario, deployment=deployment)
+    result.assert_ok()
+    assert deployment.safety_violations() == []
+    witnesses = [
+        replica.node_id
+        for replica in deployment.group().correct_replicas()
+        if any(
+            record.kind is EvidenceKind.CONFLICTING_VOTE for record in replica.evidence.records
+        )
+    ]
+    assert witnesses, "no correct backup saw the fork"
 
 
 def _first_operations(deployment, count=5):
