@@ -102,7 +102,7 @@ class QuorumBFTReplica(BaselineReplica):
         return self.checkpoints.stable_sequence
 
     def _is_prepared(self, slot: Slot) -> bool:
-        return slot.vote_count("prepare") >= self.config.agreement_quorum
+        return slot.vote_count("prepare") >= _AGREEMENT.quorum(self)
 
     def join_threshold(self) -> int:
         return max(1, self.config.network_size - self.config.commit_quorum) + 1

@@ -481,15 +481,19 @@ class TestTimerDeadline:
     def test_stop_then_start_reuses_the_pending_wakeup(self):
         # The pending wake-up is due well before the new deadline, so a loop
         # held up by a busy host still wakes early and re-arms for the remainder.
+        # The run lasts well past the deadline, so one fire means exactly one.
+        started = []
+
         def scenario(runtime, timer, fired):
             timer.start(0.01)
             timer.stop()
             assert not timer.active
+            started.append(runtime._running_loop().time())
             timer.start(0.3)
             assert timer.active
 
-        fired, scheduled = _run_timer(scenario, until=len, timeout=1.0)
-        assert len(fired) == 1
+        fired, scheduled = _run_timer(scenario, timeout=0.6)
+        assert len(fired) == 1 and fired[0] >= started[0] + 0.3
         assert scheduled == ["call_at", "call_at"]  # armed once, re-armed once for the remainder
 
     def test_stop_between_the_deadline_and_the_wakeup_does_not_fire(self):
