@@ -35,11 +35,10 @@ from __future__ import annotations
 from functools import partial
 from typing import List, Tuple
 
-from repro.baselines import messages as msgs
 from repro.baselines.replica import BaselineReplica
 from repro.smr.checkpointing import CheckpointManager
 from repro.smr.executor import ExecutionResult
-from repro.smr.messages import Checkpoint, Commit, PrePrepare, ProxyPrepare, Request
+from repro.smr.messages import Checkpoint, Commit, PrePrepare, ProxyPrepare
 from repro.smr.pbft import PbftAgreement
 from repro.smr.slots import Slot
 
@@ -63,6 +62,8 @@ _AGREEMENT = _BaselineAgreement()
 class QuorumBFTReplica(BaselineReplica):
     """A PBFT-like replica whose quorum sizes come from its configuration."""
 
+    agreement = _AGREEMENT
+
     def _register_phases(self) -> None:
         self.checkpoints = CheckpointManager(self.config.checkpoint_period)
         # (boundary, state digest) cut by the executor hook, sent after the slot's replies.
@@ -72,13 +73,6 @@ class QuorumBFTReplica(BaselineReplica):
         self.register_handler(ProxyPrepare, partial(_AGREEMENT.on_proxy_prepare, self))
         self.register_handler(Commit, partial(_AGREEMENT.on_commit, self))
         self.register_handler(Checkpoint, self.on_checkpoint)
-
-    def _propose(self, sequence: int, digest: str, request: Request) -> None:
-        preprepare = _AGREEMENT.ordering_message(self, sequence, digest, request)
-        preprepare.sign(self.signer)
-        slot = self.fill_slot(sequence, digest, request, preprepare)
-        _AGREEMENT.record_proposal_vote(self, slot, digest)
-        self.multicast(self.other_replicas(), preprepare)
 
     # -- checkpoints ---------------------------------------------------------------------
 
@@ -94,9 +88,6 @@ class QuorumBFTReplica(BaselineReplica):
         return self.config.commit_quorum
 
     # -- what the skeleton asks -------------------------------------------------------------
-
-    def _reenter(self, slot: Slot, entry: msgs.BaselineEntry) -> None:
-        _AGREEMENT.reenter(self, slot, entry)
 
     def _floor(self) -> int:
         return self.checkpoints.stable_sequence

@@ -1,61 +1,21 @@
-"""Protocol messages used by the baseline protocols.
+"""The one message only the baseline protocols send: their view change.
 
-Paxos messages are unsigned (crash model: channel MACs suffice).  PBFT and
-S-UpRight send the signed ``PrePrepare`` / ``ProxyPrepare`` / ``Commit``
-and ``Checkpoint`` of :mod:`repro.smr.messages` (mode 0), which they share
-with SeeMoRe; the view-change messages here are signed iff the
-configuration says so, matching how the original protocols are deployed
-and how the paper's cost comparison counts cryptographic work.
+Every other message a baseline sends is SeeMoRe's, declared in
+:mod:`repro.smr.messages` and sent with mode 0: Paxos runs Lion's
+``Prepare`` / ``Accept`` / ``Commit`` unsigned, PBFT and S-UpRight
+Peacock's signed ``PrePrepare`` / ``ProxyPrepare`` / ``Commit``, the BFT
+baselines sign ``Checkpoint``, and all three install a view with
+``NewView`` (no commits).  The view-change messages are signed iff the
+configuration says so, matching how the original protocols are deployed and
+how the paper's cost comparison counts cryptographic work.
 
-Each class is one declaration (see :mod:`repro.smr.messages`).
+The class is one declaration (see :mod:`repro.smr.messages`).
 """
 
 from __future__ import annotations
 
-from repro.smr.messages import ProtocolMessage, _DIGEST_BYTES, _HEADER_BYTES, _SIGNED_BYTES
-from repro.wire.codec import DIGEST, ENTRIES, I64, PAYLOAD, STR, Entry, Field
-
-_SLOT = (Field("view", I64), Field("sequence", I64), Field("digest", DIGEST))
-_PROPOSAL = _SLOT + (Field("request", PAYLOAD),)
-_REPLICA = Field("replica_id", STR)
-_VOTE = _SLOT + (_REPLICA,)
-
-
-# -- Paxos (crash fault tolerant) ------------------------------------------------
-
-
-class AcceptRequest(ProtocolMessage):
-    """Leader -> replicas: order ``request`` at ``sequence`` (phase 2a)."""
-
-    TAG = 0x20
-    FIELDS = _PROPOSAL
-    SIGNED = False
-    SIZE = _HEADER_BYTES + _DIGEST_BYTES
-
-
-class Accepted(ProtocolMessage):
-    """Replica -> leader: acknowledgement of an AcceptRequest (phase 2b)."""
-
-    TAG = 0x21
-    FIELDS = _VOTE
-    SIGNED = False
-    SIZE = _HEADER_BYTES + _DIGEST_BYTES
-
-
-class Learn(ProtocolMessage):
-    """Leader -> replicas: the value at ``sequence`` is chosen; execute it."""
-
-    TAG = 0x22
-    FIELDS = _PROPOSAL
-    SIGNED = False
-    SIZE = _HEADER_BYTES + _DIGEST_BYTES
-
-
-# -- shared: view changes ---------------------------------------------------------
-
-
-#: Per-sequence entry carried in view-change / new-view messages.
-BaselineEntry = Entry
+from repro.smr.messages import ProtocolMessage, _SIGNED_BYTES
+from repro.wire.codec import ENTRIES, I64, STR, Field
 
 
 class BaselineViewChange(ProtocolMessage):
@@ -64,31 +24,11 @@ class BaselineViewChange(ProtocolMessage):
     TAG = 0x27
     FIELDS = (
         Field("new_view", I64),
-        _REPLICA,
+        Field("replica_id", STR),
         Field("checkpoint_sequence", I64),
         Field("prepared", ENTRIES, list),
     )
     SIZE = _SIGNED_BYTES
 
 
-class BaselineNewView(ProtocolMessage):
-    """New primary -> all: install the new view and re-propose pending slots."""
-
-    TAG = 0x28
-    FIELDS = (
-        Field("new_view", I64),
-        _REPLICA,
-        Field("checkpoint_sequence", I64),
-        Field("prepares", ENTRIES, list),
-    )
-    SIZE = _SIGNED_BYTES
-
-
-__all__ = [
-    "AcceptRequest",
-    "Accepted",
-    "Learn",
-    "BaselineEntry",
-    "BaselineViewChange",
-    "BaselineNewView",
-]
+__all__ = ["BaselineViewChange"]

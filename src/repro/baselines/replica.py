@@ -2,24 +2,25 @@
 
 Paxos, PBFT and S-UpRight differ in their agreement phases and agree on
 everything around them.  The request intake and the commit entry are
-:class:`~repro.smr.replica.ReplicaBase`'s, as for SeeMoRe; a baseline
-primary orders a request by allocating the next sequence number and handing
-``(sequence, digest, request)`` to :meth:`BaselineReplica._propose`.
-:class:`BaselineReplica` writes the rest once:
+:class:`~repro.smr.replica.ReplicaBase`'s, as for SeeMoRe.  Each protocol
+runs a stateless ``agreement``: Paxos :class:`~repro.smr.leader.LeaderAgreement`
+(Lion's, unsigned), PBFT and S-UpRight :class:`~repro.smr.pbft.PbftAgreement`
+(Peacock's).  :class:`BaselineReplica` writes the rest once:
 
+* **ordering** — the primary allocates the next sequence number and
+  proposes its ``agreement``'s ordering message there;
 * **the view change's answers** — the state machine is
   :class:`~repro.smr.view_change.ViewChangeManager`'s; here a view-change
   message lists every slot above ``_floor()`` for which
   ``_is_prepared(slot)`` (the collector's own, every slot it has filled),
   ``join_threshold()`` suspicions make a replica join, the new primary
-  collects ``agreement_quorum`` votes, and installing a new view
-  force-fills each listed slot and hands the uncommitted ones to
-  :meth:`_reenter`.
+  collects ``agreement_quorum`` votes into a ``NewView`` (mode 0, no
+  commits), and installing it force-fills each listed slot and hands the
+  uncommitted ones to the agreement's ``reenter``.
 
 View-change and new-view messages are signed and verified iff the
 configuration says replica messages are (``config.messages_are_signed``).
-A protocol module states its phases (Paxos its own; PBFT and S-UpRight
-give the answers of :class:`~repro.smr.pbft.PbftAgreement`) and the four
+A protocol module registers its agreement's handlers and gives the three
 answers above.
 """
 
@@ -30,15 +31,19 @@ from typing import Any, Collection, List, Sequence
 from repro.baselines import messages as msgs
 from repro.baselines.config import BaselineConfig
 from repro.crypto.signatures import Signer, Verifier
-from repro.smr.messages import ProtocolMessage, Request
-from repro.smr.replica import ReplicaBase, request_digest
+from repro.smr.messages import NewView, ProtocolMessage, Request
+from repro.smr.replica import ReplicaBase
 from repro.smr.slots import Slot
 from repro.smr.state_machine import StateMachine
 from repro.smr.view_change import ViewChangeManager, reconcile
+from repro.wire.codec import Entry
 
 
 class BaselineReplica(ReplicaBase):
     """One replica of a primary-backup baseline; subclasses add the agreement phases."""
+
+    #: The stateless agreement whose handlers ``_register_phases`` registers.
+    agreement: Any
 
     def __init__(
         self,
@@ -56,21 +61,13 @@ class BaselineReplica(ReplicaBase):
         self.view_changes = ViewChangeManager(self)
 
         self.register_handler(msgs.BaselineViewChange, self.view_changes.on_view_change)
-        self.register_handler(msgs.BaselineNewView, self.view_changes.on_new_view)
+        self.register_handler(NewView, self.view_changes.on_new_view)
         self._register_phases()
 
     # -- what a protocol states ------------------------------------------------
 
     def _register_phases(self) -> None:
         """Register the agreement phases' handlers and create their state."""
-        raise NotImplementedError
-
-    def _propose(self, sequence: int, digest: str, request: Request) -> None:
-        """Primary: start agreement on ``request`` at the freshly allocated ``sequence``."""
-        raise NotImplementedError
-
-    def _reenter(self, slot: Slot, entry: msgs.BaselineEntry) -> None:
-        """Restart agreement on an uncommitted slot a new view re-proposes."""
         raise NotImplementedError
 
     def _floor(self) -> int:
@@ -108,7 +105,7 @@ class BaselineReplica(ReplicaBase):
     def order(self, request: Request) -> None:
         sequence = self.next_sequence
         self.next_sequence += 1
-        self._propose(sequence, request_digest(request), request)
+        self.propose(self.agreement, sequence, request)
 
     # -- the view change's answers ----------------------------------------------------------
 
@@ -127,7 +124,7 @@ class BaselineReplica(ReplicaBase):
                 replica_id=self.node_id,
                 checkpoint_sequence=floor,
                 prepared=[
-                    msgs.BaselineEntry(
+                    Entry(
                         sequence=slot.sequence,
                         view=slot.view,
                         digest=slot.digest,
@@ -144,16 +141,18 @@ class BaselineReplica(ReplicaBase):
 
     def new_view_message(
         self, target_view: int, mode: int, votes: Sequence[msgs.BaselineViewChange]
-    ) -> msgs.BaselineNewView:
+    ) -> NewView:
         # A baseline's votes report no commits and nothing is promoted, so
         # every entry is a prepare.
         checkpoint_seq, _commits, prepares = reconcile(votes, target_view)
         return self._signed(
-            msgs.BaselineNewView(
+            NewView(
                 new_view=target_view,
+                mode=0,
                 replica_id=self.node_id,
                 checkpoint_sequence=checkpoint_seq,
                 prepares=prepares,
+                commits=[],
                 signed=self.config.messages_are_signed,
             )
         )
@@ -174,8 +173,8 @@ class BaselineReplica(ReplicaBase):
     def protocol_label(self) -> str:
         return type(self).__name__
 
-    def enter_view(self, src: str, message: msgs.BaselineNewView, previous_view: int) -> None:
-        """Force-fill each listed slot and hand the uncommitted ones to ``_reenter``."""
+    def enter_view(self, src: str, message: NewView, previous_view: int) -> None:
+        """Force-fill each listed slot and hand the uncommitted ones to the agreement."""
         self.clear_assignments()
         highest = message.checkpoint_sequence
         for entry in message.prepares:
@@ -186,7 +185,7 @@ class BaselineReplica(ReplicaBase):
             # old primary got this replica to tentatively accept.
             slot = self.fill_slot(entry.sequence, entry.digest, entry.request, entry, force=True)
             if not slot.committed:
-                self._reenter(slot, entry)
+                self.agreement.reenter(self, slot, entry)
         self.bump_sequence_counter(highest + 1)
         if any(not slot.committed for slot in self.slots.slots_above(self._floor())):
             self.view_changes.start_request_timer()

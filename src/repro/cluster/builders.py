@@ -30,7 +30,7 @@ client pool" — onto two things:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 from repro.adaptive import AdaptiveModeController, AdaptivePolicy
 from repro.cluster.deployment import Deployment
@@ -45,7 +45,6 @@ from repro.runtime.sim import SimRuntime
 from repro.shard import ShardRouter, make_partitioner
 from repro.sim.simulator import Simulator
 from repro.smr.client import Client
-from repro.smr.messages import requests_of
 from repro.smr.replica import NOOP_CLIENT
 from repro.smr.state_machine import result_digest
 from repro.workload.client_pool import ClientPool
@@ -313,41 +312,28 @@ def build_sharded_seemore(
 # -- the oracle cluster: multiprocess SeeMoRe -------------------------------------------
 
 
-class RecordingReplica(SeeMoReReplica):
-    """A replica that records its flattened commit order.
+def _harvest(replica: SeeMoReReplica, client_id: str) -> Dict[str, object]:
+    """All the oracle needs from a replica, as plain data that can cross a process.
 
-    ``commit_slot`` is the backend-agnostic choke point every committed
-    slot passes through, on every mode and every runtime; appending the
-    inner request ids there yields exactly the sequence the oracle
-    compares.
+    ``commit_trace`` is the replica's execution order flattened to
+    ``(client_id, timestamp)`` pairs, no-ops left out; ``reply_digests``
+    holds the digest of every reply cached for ``client_id`` (what its
+    votes compare).
     """
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.commit_trace: List[Tuple[str, int]] = []
-
-    def commit_slot(self, sequence, request, view, send_reply, mode_id=0):
-        for each in requests_of(request):
-            if each.client_id != NOOP_CLIENT:
-                self.commit_trace.append((each.client_id, each.timestamp))
-        return super().commit_slot(sequence, request, view, send_reply, mode_id)
-
-    def harvest(self, client_id: str) -> Dict[str, object]:
-        """All the oracle needs from a replica, as plain data that can cross a process.
-
-        ``reply_digests`` holds the digest of every reply cached for
-        ``client_id`` (what its votes compare).
-        """
-        return {
-            "commit_trace": list(self.commit_trace),
-            "ledger": self.ledger,
-            "committed_count": self.committed_count,
-            "last_executed": self.last_executed,
-            "reply_digests": {
-                timestamp: result_digest(result)
-                for timestamp, result in self.executor.replies_to(client_id).items()
-            },
-        }
+    return {
+        "commit_trace": [
+            (each.client_id, each.timestamp)
+            for each in replica.executor.executed
+            if each.client_id != NOOP_CLIENT
+        ],
+        "ledger": replica.ledger,
+        "committed_count": replica.committed_count,
+        "last_executed": replica.last_executed,
+        "reply_digests": {
+            timestamp: result_digest(result)
+            for timestamp, result in replica.executor.replies_to(client_id).items()
+        },
+    }
 
 
 def wire_oracle(
@@ -359,26 +345,17 @@ def wire_oracle(
     client_timeout: Optional[float] = None,
     num_requests: int = 0,
     window: int = 1,
-) -> Tuple[Dict[str, RecordingReplica], Optional[Client]]:
+) -> Tuple[Dict[str, SeeMoReReplica], Optional[Client]]:
     """The oracle's cluster, or one worker's share of it, on ``runtime``.
 
-    Wires ``replica_ids`` (every replica by default) as
-    :class:`RecordingReplica` instances and, given a ``client_timeout``, the
-    one closed-loop client ``{client_id}-0``.  Every call derives its keys from
-    the same ``(settings, seed)``, so shares wired on one runtime or in
-    separate processes form one cluster.
+    Wires ``replica_ids`` (every replica by default) and, given a
+    ``client_timeout``, the one closed-loop client ``{client_id}-0``.  Every
+    call derives its keys from the same ``(settings, seed)``, so shares wired
+    on one runtime or in separate processes form one cluster.
     """
     keystore = new_keystore("seemore-proc", seed)
     workload = Workload.build("0/0")
-    group = wire_group(
-        runtime,
-        keystore,
-        "seemore",
-        settings,
-        workload,
-        only=replica_ids,
-        replica_class=RecordingReplica,
-    )
+    group = wire_group(runtime, keystore, "seemore", settings, workload, only=replica_ids)
     if client_timeout is None:
         # The client lives elsewhere; its key is all these replicas need.
         keystore.register(f"{client_id}-0")
@@ -399,7 +376,7 @@ def _oracle_worker(runtime, **kwargs) -> WorkerPlan:
     """Build callable for every worker of :func:`build_proc_seemore`.
 
     Module-level (picklable under the ``spawn`` start method).  A replica
-    worker harvests each replica's :meth:`RecordingReplica.harvest`, so the
+    worker harvests each replica (:func:`_harvest`), so the
     oracle's checks need no live protocol object from another process; the
     client worker drives its closed loop and harvests its counts.
     """
@@ -408,7 +385,7 @@ def _oracle_worker(runtime, **kwargs) -> WorkerPlan:
         client_node = f"{kwargs['client_id']}-0"
         return WorkerPlan(
             harvest=lambda: {
-                replica_id: replica.harvest(client_node)
+                replica_id: _harvest(replica, client_node)
                 for replica_id, replica in replicas.items()
             },
             progress=lambda: {

@@ -246,7 +246,6 @@ def wire_group(
     prefix: str = "",
     placement: Optional[Placement] = None,
     only: Optional[Sequence[str]] = None,
-    replica_class: Optional[type] = None,
 ) -> Group:
     """Place, key, instantiate and register one replica group on ``runtime``.
 
@@ -254,8 +253,6 @@ def wire_group(
     one runtime, placement and keystore.  Keys are registered for *every*
     member; ``only`` restricts which members are instantiated here (a proc
     worker hosts a slice of the group, the client worker none of it).
-    ``replica_class`` substitutes a subclass of the row's replica class (the
-    oracle cluster's ``RecordingReplica``, wired by ``builders.wire_oracle``).
     """
     row = PROTOCOLS[protocol]
     config = row.make_config(settings, prefix)
@@ -275,10 +272,9 @@ def wire_group(
         mode, initial_mode = (settings.mode,), {"initial_mode": settings.mode}
 
     state_machine_factory = workload.state_machine_factory()
-    construct = replica_class or row.replica_class
     replicas: Dict[str, ReplicaBase] = {}
     for replica_id in replica_ids if only is None else only:
-        replica = construct(
+        replica = row.replica_class(
             node_id=replica_id,
             runtime=runtime,
             config=config,

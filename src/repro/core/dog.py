@@ -108,7 +108,8 @@ class DogStrategy(ModeStrategy):
             return
         if not replica.is_current_proxy(src):
             return
-        if not replica.verify_message(src, message):
+        # Proxies sign their accepts (Algorithm 2): an unsigned one is no vote.
+        if not (message.signed and replica.verify_message(src, message)):
             return
 
         slot = replica.slots.slot(message.sequence)

@@ -14,9 +14,11 @@ Message flavours and who signs what follow the paper:
 * ``VIEW-CHANGE``, ``NEW-VIEW``, and ``MODE-CHANGE`` drive liveness and
   dynamic mode switching.
 
-``CHECKPOINT``, ``PRE-PREPARE``, the PBFT ``PREPARE`` (:class:`ProxyPrepare`)
-and ``COMMIT`` are shared with the baselines, so they are declared in
-:mod:`repro.smr.messages` and re-exported here.
+``CHECKPOINT``, ``NEW-VIEW``, the leader agreement's ``PREPARE`` /
+``ACCEPT`` / ``COMMIT`` (Lion's, which Paxos sends unsigned) and PBFT's
+``PRE-PREPARE`` / ``PREPARE`` (:class:`ProxyPrepare`) / ``COMMIT`` are
+shared with the baselines, so they are declared in :mod:`repro.smr.messages`
+and re-exported here.
 
 Ordering messages carry one slot *payload*: either a bare client
 :class:`~repro.smr.messages.Request` or a :class:`~repro.smr.messages.Batch`
@@ -31,45 +33,25 @@ Each class is one declaration (see :mod:`repro.smr.messages`).
 from __future__ import annotations
 
 from repro.smr.messages import (
+    Accept,
     Batch,
     Checkpoint,
     Commit,
+    NewView,
     PrePrepare,
+    Prepare,
     ProtocolMessage,
     ProxyPrepare,
     requests_of,
     _ATTRIBUTED_VOTE,
-    _DIGEST_BYTES,
     _HEADER_BYTES,
     _MODE,
-    _ORDERING,
     _REPLICA,
-    _SIGNATURE_BYTES,
     _SIGNED_BYTES,
     _SIGNED_VOTE_BYTES,
 )
-from repro.wire.codec import ATTACHMENT, DIGEST, ENTRIES, I64, STR, Entry, Field
-from repro.wire.primitives import TAG_ACCEPT, TAG_INFORM, TAG_PREPARE
-
-
-class Prepare(ProtocolMessage):
-    """``<<PREPARE, v, n, d>_p, µ>`` from the trusted primary (Lion/Dog)."""
-
-    TAG = TAG_PREPARE
-    FIELDS = _ORDERING
-    ENCODER = "encode_vote"
-    SIZE = _SIGNED_VOTE_BYTES
-
-
-class Accept(ProtocolMessage):
-    """``<ACCEPT, v, n, d, r>`` — unsigned to a trusted primary, signed among proxies."""
-
-    TAG = TAG_ACCEPT
-    FIELDS = _ATTRIBUTED_VOTE
-    ENCODER = "encode_attributed_vote"
-    SIGNED = False
-    SIZE = _HEADER_BYTES + _DIGEST_BYTES
-    SIZE_IF_SIGNED = _SIGNATURE_BYTES
+from repro.wire.codec import ATTACHMENT, DIGEST, ENTRIES, I64, Entry, Field
+from repro.wire.primitives import TAG_INFORM
 
 
 class Inform(ProtocolMessage):
@@ -99,21 +81,6 @@ class ViewChange(ProtocolMessage):
         Field("committed", ENTRIES, list),
     )
     SIZE = _SIGNED_VOTE_BYTES
-
-
-class NewView(ProtocolMessage):
-    """``<NEW-VIEW, v+1, P', C'>`` from the new primary (or the transferer)."""
-
-    TAG = 0x18
-    FIELDS = (
-        Field("new_view", I64),
-        _MODE,
-        _REPLICA,
-        Field("checkpoint_sequence", I64),
-        Field("prepares", ENTRIES, list),
-        Field("commits", ENTRIES, list),
-    )
-    SIZE = _SIGNED_BYTES
 
 
 class ModeChange(ProtocolMessage):

@@ -6,16 +6,17 @@ replica (:class:`repro.core.replica.SeeMoReReplica`) owns all state and
 delegates message handling to its current strategy; switching modes swaps
 the strategy during a view change.
 
-What the modes do alike is written here once: the primary's proposal of
+What the modes do alike is written here once: when the primary proposes
 one slot payload (``propose_payload``, which the replica's batcher calls),
 and the inform leg between proxies and passive replicas (``_send_informs``
 / ``on_inform``, Dog and Peacock; Lion has no proxies, so no inform passes
-the sender check).  The request intake and the commit entry are the
-replica's (:class:`~repro.smr.replica.ReplicaBase`).  Lion and Dog state
-their phases: their ordering message, their vote handlers, and ``reenter`` —
-the vote they cast for a slot that a new view re-proposes.  Peacock's are
-PBFT's, written once with the BFT baselines in
-:class:`~repro.smr.pbft.PbftAgreement`.
+the sender check).  The request intake, the proposal itself and the commit
+entry are the replica's (:class:`~repro.smr.replica.ReplicaBase`).  Dog
+states its phases: its ordering message, its vote handlers, and
+``reenter`` — the vote it casts for a slot that a new view re-proposes.
+Lion's are the leader agreement's, written once with the CFT baseline in
+:class:`~repro.smr.leader.LeaderAgreement`, and Peacock's are PBFT's,
+written once with the BFT baselines in :class:`~repro.smr.pbft.PbftAgreement`.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from typing import TYPE_CHECKING, Any, Optional
 from repro.adaptive.evidence import EvidenceKind
 from repro.core.modes import Mode
 from repro.core import messages as msgs
-from repro.smr.replica import request_digest
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.replica import SeeMoReReplica
@@ -51,14 +51,8 @@ class ModeStrategy:
         if not replica.is_primary():
             return None
         sequence = replica.allocate_sequence()
-        if sequence is None:
-            return None
-        digest = request_digest(payload)
-        message = self.ordering_message(replica, sequence, digest, payload)
-        message.sign(replica.signer)
-        slot = replica.fill_slot(sequence, digest, payload, message)
-        self.record_proposal_vote(replica, slot, digest)
-        replica.multicast(replica.other_replicas(), message)
+        if sequence is not None:
+            replica.propose(self, sequence, payload)
         return sequence
 
     def ordering_message(

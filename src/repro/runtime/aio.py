@@ -354,6 +354,8 @@ def _read_message(
     # same bytes from the fields (the codec decodes only frames it encodes).
     message.seed_wire_caches(frame, frame_digest)
     message.__dict__["signature"] = signature  # not content: no cache to invalidate
+    if signature is not None:  # signed iff its class signs by default or it carries one
+        message.__dict__["signed"] = True
     if nested:
         message.release_wire_frames()
         carried.append((frame_digest, message, len(frame)))

@@ -8,9 +8,10 @@ proc and on one runtime in this process on sim and aio — through two
 backends and asserts:
 
 * **safety within each backend**: every correct replica's flattened
-  committed-request sequence is a prefix of every other's (batch
-  boundaries may differ, so the comparison flattens batches to the inner
-  ``(client_id, timestamp)`` pairs and drops view-change noops);
+  committed-request sequence (its ``executor.executed``, in execution
+  order) is a prefix of every other's (batch boundaries may differ, so the
+  comparison flattens batches to the inner ``(client_id, timestamp)`` pairs
+  and drops view-change noops);
 * **exactly-once**: no backend commits a client request twice;
 * **ledger conformance across backends**: the two canonical committed
   sequences agree on their common prefix, and both contain every issued

@@ -2,16 +2,20 @@
 
 Client-facing messages (``REQUEST`` and ``REPLY``) have the same structure in
 SeeMoRe, Paxos, PBFT, and S-UpRight, SeeMoRe and the BFT baselines sign the
-same ``CHECKPOINT``, and Peacock and the BFT baselines run PBFT's agreement
+same ``CHECKPOINT``, Peacock and the BFT baselines run PBFT's agreement
 (:mod:`repro.smr.pbft`) on the same ``PRE-PREPARE`` / ``PREPARE`` /
-``COMMIT``, so they live here in the SMR substrate.  A message only one
-protocol sends (Lion's and Dog's prepare and accept, the informs, SeeMoRe's
-and the baselines' view changes, Paxos's phases) is defined by its package.
+``COMMIT``, Lion and Paxos run the leader agreement (:mod:`repro.smr.leader`)
+on the same ``PREPARE`` / ``ACCEPT`` / ``COMMIT`` (Paxos's unsigned), and
+every protocol installs a view with the same ``NEW-VIEW``, so they live here
+in the SMR substrate.  A message only SeeMoRe sends (the informs, its view
+change, mode change and state transfer) is defined in :mod:`repro.core`,
+and the baselines' view change in :mod:`repro.baselines`.
 
 Every message class is *declared once*: a wire ``TAG``, an ordered tuple of
 typed ``FIELDS``, whether it is ``SIGNED`` by default (drives the CPU cost
 model in :mod:`repro.net.costs`) and its modeled fixed ``SIZE`` in bytes
-(drives bandwidth and hashing costs).  :class:`ProtocolMessage` derives the
+(drives bandwidth and hashing costs), plus ``SIZE_IF_SIGNED`` where one
+class travels both signed and unsigned.  :class:`ProtocolMessage` derives the
 rest at class creation through :func:`repro.wire.codec.derive`, which lists
 the generated methods.
 """
@@ -29,11 +33,13 @@ from repro.crypto.digest import (
 )
 from repro.crypto.signatures import Signature, Signer, Verifier
 from repro.smr.state_machine import Operation, result_digest
-from repro.wire.codec import DIGEST, I64, PAYLOAD, STR, Field, Kind, OpaqueResult, derive
+from repro.wire.codec import DIGEST, ENTRIES, I64, PAYLOAD, STR, Field, Kind, OpaqueResult, derive
 from repro.wire.primitives import (
+    TAG_ACCEPT,
     TAG_BATCH,
     TAG_CHECKPOINT,
     TAG_COMMIT,
+    TAG_PREPARE,
     TAG_PREPREPARE,
     TAG_PROXY_PREPARE,
     TAG_REPLY,
@@ -506,6 +512,31 @@ _ATTRIBUTED_VOTE = (_VIEW, _SEQUENCE, _DIGEST, _REPLICA, _MODE)
 _ORDERING = (_VIEW, _SEQUENCE, _DIGEST, Field("request", PAYLOAD), _MODE)
 
 
+# -- the leader agreement (repro.smr.leader): Lion, signed; cft (mode 0), unsigned --
+
+
+class Prepare(ProtocolMessage):
+    """``<<PREPARE, v, n, d>_p, µ>`` from a trusted primary (Lion, Dog) or a Paxos leader."""
+
+    TAG = TAG_PREPARE
+    FIELDS = _ORDERING
+    ENCODER = "encode_vote"
+    SIZE = _HEADER_BYTES + _DIGEST_BYTES
+    SIZE_IF_SIGNED = _SIGNATURE_BYTES
+
+
+class Accept(ProtocolMessage):
+    """``<ACCEPT, v, n, d, r>`` — unsigned to a trusted primary or a Paxos leader,
+    signed among Dog's proxies."""
+
+    TAG = TAG_ACCEPT
+    FIELDS = _ATTRIBUTED_VOTE
+    ENCODER = "encode_attributed_vote"
+    SIGNED = False
+    SIZE = _HEADER_BYTES + _DIGEST_BYTES
+    SIZE_IF_SIGNED = _SIGNATURE_BYTES
+
+
 # -- PBFT's phases (repro.smr.pbft): Peacock among its proxies, bft and s-upright (mode 0) --
 
 
@@ -528,16 +559,35 @@ class ProxyPrepare(ProtocolMessage):
 
 
 class Commit(ProtocolMessage):
-    """``<<COMMIT, v, n, d>, µ>`` — PBFT's commit vote, the Lion primary's commit
-    or a Dog proxy's.
+    """``<<COMMIT, v, n, d>, µ>`` — PBFT's commit vote, a Dog proxy's, or the
+    Lion primary's (signed) or Paxos leader's (unsigned) commit.
 
-    ``request`` carries the payload to lagging replicas (Lion).
+    ``request`` carries the payload to lagging replicas (Lion, Paxos).
     """
 
     TAG = TAG_COMMIT
     FIELDS = _ATTRIBUTED_VOTE + (Field("request", PAYLOAD, None),)
     ENCODER = "encode_attributed_vote"
-    SIZE = _SIGNED_VOTE_BYTES
+    SIZE = _HEADER_BYTES + _DIGEST_BYTES
+    SIZE_IF_SIGNED = _SIGNATURE_BYTES
+
+
+class NewView(ProtocolMessage):
+    """``<NEW-VIEW, v+1, P', C'>`` from the new primary (or SeeMoRe's transferer).
+
+    A baseline's carries mode 0 and no commits.
+    """
+
+    TAG = 0x18
+    FIELDS = (
+        Field("new_view", I64),
+        _MODE,
+        _REPLICA,
+        Field("checkpoint_sequence", I64),
+        Field("prepares", ENTRIES, list),
+        Field("commits", ENTRIES, list),
+    )
+    SIZE = _SIGNED_BYTES
 
 
 def requests_of(payload: Any) -> List[Request]:
@@ -554,9 +604,12 @@ __all__ = [
     "Busy",
     "Batch",
     "Checkpoint",
+    "Prepare",
+    "Accept",
     "PrePrepare",
     "ProxyPrepare",
     "Commit",
+    "NewView",
     "FrameMismatch",
     "requests_of",
     "_HEADER_BYTES",

@@ -5,7 +5,8 @@ ordered executor over a state machine, a commit ledger for safety checking,
 a slot log, crypto material, and exactly-once replies from the executor's
 reply cache.  What every agreement engine does the same way is written here
 once: the request intake (:meth:`ReplicaBase.on_request`, which hands a
-fresh request to the protocol's :meth:`~ReplicaBase.order`), filling a slot
+fresh request to the protocol's :meth:`~ReplicaBase.order`), the primary's
+proposal (:meth:`ReplicaBase.propose`), filling a slot
 (:meth:`ReplicaBase.fill_slot`), the commit entry
 (:meth:`ReplicaBase.finalize`), replying, the checkpoint cut, message and
 vote rule (:meth:`ReplicaBase.count_checkpoint_vote`), and the no-op request
@@ -172,6 +173,17 @@ class ReplicaBase(Node):
     def order(self, request: Request) -> None:
         """Primary: start ordering a fresh ``request`` whose client signature verified."""
         raise NotImplementedError
+
+    def propose(self, agreement: Any, sequence: int, payload: Any) -> None:
+        """Primary: multicast ``agreement``'s ordering message for ``payload`` at ``sequence``,
+        signed iff the message is, and count the primary's own vote."""
+        digest = request_digest(payload)
+        message = agreement.ordering_message(self, sequence, digest, payload)
+        if message.signed:
+            message.sign(self.signer)
+        slot = self.fill_slot(sequence, digest, payload, message)
+        agreement.record_proposal_vote(self, slot, digest)
+        self.multicast(self.other_replicas(), message)
 
     def bump_sequence_counter(self, value: int) -> None:
         """Never hand out a sequence below ``value`` or one already executed."""

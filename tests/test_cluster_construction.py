@@ -39,13 +39,8 @@ from repro.cluster import (
     builder_for,
     run_deployment,
 )
-from repro.cluster.builders import (
-    PROC_PIPELINE_DEPTH,
-    RecordingReplica,
-    build_proc_seemore,
-    wire_oracle,
-)
-from repro.core import BatchPolicy, Mode
+from repro.cluster.builders import PROC_PIPELINE_DEPTH, build_proc_seemore, wire_oracle
+from repro.core import BatchPolicy, Mode, SeeMoReReplica
 from repro.faults import crash_primary
 from repro.runtime import conformance
 from repro.net.costs import NodeCostModel
@@ -227,7 +222,7 @@ def test_conformance_sim_leg_builds_what_build_seemore_builds(mode):
     assert client.request_timeout == deployment.clients[0].request_timeout
     assert list(replicas) == list(deployment.replicas)
     for replica_id, replica in replicas.items():
-        assert isinstance(replica, RecordingReplica)
+        assert type(replica) is SeeMoReReplica
         assert replica.config == deployment.group().config
         assert replica.mode is deployment.replicas[replica_id].mode is mode
 

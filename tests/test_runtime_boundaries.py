@@ -1214,13 +1214,14 @@ class TestOneScenario:
         ]
 
 
-#: The request intake, the role test, the commit entry and the checkpoint
-#: handler and vote rule of every agreement engine, defined once in
-#: ``smr/replica.py``.  (``finalize`` is also the name
+#: The request intake, the role test, the primary's proposal, the commit
+#: entry and the checkpoint handler and vote rule of every agreement engine,
+#: defined once in ``smr/replica.py``.  (``finalize`` is also the name
 #: of an invariant checker's last look, so only the protocol packages count.)
 SKELETON_METHODS = {
     "on_request",
     "is_primary",
+    "propose",
     "finalize",
     "on_checkpoint",
     "count_checkpoint_vote",
@@ -1285,6 +1286,21 @@ PBFT_PHASES = {
 RETIRED_PBFT = {"_on_preprepare", "_on_prepare", "_on_commit"}
 #: The wire tags of the retired ``BftPrePrepare`` / ``BftPrepare`` / ``BftCommit``.
 RETIRED_PBFT_TAGS = {0x23, 0x24, 0x25}
+#: The leader agreement's phase handlers, defined once in ``smr/leader.py`` for
+#: Lion and the CFT baseline (``ModeStrategy``'s empty defaults aside).
+LEADER_PHASES = {"on_prepare", "on_accept", "on_commit"}
+#: Where else a phase handler of that name may live: Dog's own phases (its
+#: prepare arms the request timer before it votes), and PBFT's commit.
+OTHER_PHASE_OWNERS = {
+    "defines on_prepare": {Path("core") / "dog.py"},
+    "defines on_accept": {Path("core") / "dog.py"},
+    "defines on_commit": {Path("core") / "dog.py", Path("smr") / "pbft.py"},
+}
+#: What the CFT baseline's former copy called its handlers; nothing defines these now.
+RETIRED_LEADER = {"_on_accept_request", "_on_accepted", "_on_learn"}
+#: The CFT baseline's former messages and its own new view, and their wire tags.
+RETIRED_LEADER_MESSAGES = {"AcceptRequest", "Accepted", "Learn", "BaselineNewView"}
+RETIRED_LEADER_TAGS = {0x20, 0x21, 0x22, 0x28}
 
 
 def declared_tag(cls):
@@ -1319,17 +1335,18 @@ def skeleton_sites(path):
     )
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.ClassDef):
-            if node.name in VIEW_CHANGE_MACHINE | RETIRED_SKELETON or node.name.startswith("Bft"):
+            retired = VIEW_CHANGE_MACHINE | RETIRED_SKELETON | RETIRED_LEADER_MESSAGES
+            if node.name in retired or node.name.startswith("Bft"):
                 yield node.lineno, f"defines {node.name}"
-            if declared_tag(node) in RETIRED_PBFT_TAGS:
+            if declared_tag(node) in RETIRED_PBFT_TAGS | RETIRED_LEADER_TAGS:
                 yield node.lineno, f"declares tag {declared_tag(node):#04x}"
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             name = node.name
             if name.endswith("noop_request"):
                 yield node.lineno, "defines noop_request"
-            elif name in watched | RETIRED_PBFT:
+            elif name in watched | RETIRED_PBFT | RETIRED_LEADER:
                 yield node.lineno, f"defines {name}"
-            elif name in INFORM_LEG | PBFT_PHASES and has_a_body(node):
+            elif name in INFORM_LEG | PBFT_PHASES | LEADER_PHASES and has_a_body(node):
                 yield node.lineno, f"defines {name}"
         elif isinstance(node, ast.Attribute) and node.attr in REQUEST_TABLE | ASSIGNMENT_TABLE:
             yield node.lineno, f"touches {node.attr}"
@@ -1348,9 +1365,12 @@ class TestOneAgreementSkeleton:
     ``core/strategy_base.py`` owns the inform leg of Dog and Peacock; the
     never-pruned ``_known_requests`` table with its two accessors is gone;
     ``smr/replica.py`` owns the one sequence-assignment table,
-    ``_assigned``, with its accessors; and ``smr/pbft.py`` owns PBFT's
+    ``_assigned``, with its accessors; ``smr/pbft.py`` owns PBFT's
     phase handlers, which Peacock and the BFT baselines both run (on one
-    message family: no ``Bft*`` class, no tag 0x23–0x25).
+    message family: no ``Bft*`` class, no tag 0x23–0x25); and
+    ``smr/leader.py`` owns the leader agreement's, which Lion and the CFT
+    baseline both run (on Lion's messages: no ``AcceptRequest`` /
+    ``Accepted`` / ``Learn`` / ``BaselineNewView``, no tag 0x20–0x22 or 0x28).
     """
 
     OWNERS = {
@@ -1361,6 +1381,7 @@ class TestOneAgreementSkeleton:
         **{f"defines {name}": Path("smr") / "replica.py" for name in SKELETON_METHODS},
         **{f"defines {name}": Path("core") / "strategy_base.py" for name in INFORM_LEG},
         **{f"defines {name}": Path("smr") / "pbft.py" for name in PBFT_PHASES},
+        **{f"defines {name}": Path("smr") / "leader.py" for name in LEADER_PHASES},
     }
 
     def offenders(self, root):
@@ -1371,7 +1392,9 @@ class TestOneAgreementSkeleton:
             for lineno, what in sorted(skeleton_sites(path)):
                 if what.split()[-1] in SKELETON_METHODS and not in_agreement:
                     continue
-                if self.OWNERS.get(what) != relative:
+                if self.OWNERS.get(what) != relative and relative not in OTHER_PHASE_OWNERS.get(
+                    what, ()
+                ):
                     found.append(f"{relative}:{lineno} {what}")
         return found
 
@@ -1412,6 +1435,7 @@ class TestOneAgreementSkeleton:
             "baselines/paxos.py:1 defines noop_request",
             "baselines/paxos.py:4 defines _on_request",
             "baselines/paxos.py:5 touches remember_request",
+            "baselines/paxos.py:6 defines _on_accept_request",
             "baselines/paxos.py:8 defines _install_view",
             "baselines/paxos.py:9 touches _assigned",
             "core/dog.py:2 defines on_inform",
@@ -1550,6 +1574,55 @@ class TestOneAgreementSkeleton:
             "baselines/messages.py:3 declares tag 0x25",
             "core/peacock.py:2 defines on_preprepare",
             "core/peacock.py:4 defines on_proxy_prepare",
+        ]
+
+    def test_the_rule_catches_the_two_leader_agreements_and_their_messages(self, tmp_path):
+        """Lion's phases and the CFT baseline's own, each on its own messages."""
+        (tmp_path / "core").mkdir()
+        (tmp_path / "core" / "lion.py").write_text(
+            "class LionStrategy(ModeStrategy):\n"
+            "    def on_prepare(self, replica, src, message):\n"
+            "        replica.send(src, accept)\n"
+            "    def on_accept(self, replica, src, message):\n"
+            "        replica.finalize(slot, send_reply=True)\n"
+            "    def on_commit(self, replica, src, message):\n"
+            "        replica.finalize(slot, send_reply=False)\n"
+        )
+        (tmp_path / "core" / "dog.py").write_text(
+            "class DogStrategy(ModeStrategy):\n"
+            "    def on_prepare(self, replica, src, message):\n"
+            "        replica.view_changes.start_request_timer()\n"
+        )
+        (tmp_path / "baselines").mkdir()
+        (tmp_path / "baselines" / "paxos.py").write_text(
+            "class PaxosReplica(BaselineReplica):\n"
+            "    def _on_accept_request(self, src, message):\n"
+            "        self.send(src, accepted)\n"
+            "    def _on_accepted(self, src, message):\n"
+            "        self.multicast(self.other_replicas(), learn)\n"
+            "    def _on_learn(self, src, message):\n"
+            "        self.finalize(slot, send_reply=False)\n"
+        )
+        (tmp_path / "baselines" / "messages.py").write_text(
+            "class AcceptRequest(ProtocolMessage):\n"
+            "    TAG = 0x20\n"
+            "class BaselineNewView(ProtocolMessage):\n"
+            "    TAG = 0x28\n"
+            "class Proposal(ProtocolMessage):\n"
+            "    TAG = 0x22\n"
+        )
+        assert self.offenders(tmp_path) == [
+            "baselines/messages.py:1 declares tag 0x20",
+            "baselines/messages.py:1 defines AcceptRequest",
+            "baselines/messages.py:3 declares tag 0x28",
+            "baselines/messages.py:3 defines BaselineNewView",
+            "baselines/messages.py:5 declares tag 0x22",
+            "baselines/paxos.py:2 defines _on_accept_request",
+            "baselines/paxos.py:4 defines _on_accepted",
+            "baselines/paxos.py:6 defines _on_learn",
+            "core/lion.py:2 defines on_prepare",
+            "core/lion.py:4 defines on_accept",
+            "core/lion.py:6 defines on_commit",
         ]
 
     def test_the_rule_catches_a_second_view_change(self, tmp_path):

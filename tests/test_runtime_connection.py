@@ -310,6 +310,57 @@ class TestBadSignaturesLeaveTheSameEvidence:
         )
 
 
+class TestDogAcceptsKeepTheirSignatureOverTheWire:
+    """A decoded message is signed iff its class signs by default or it carries a signature."""
+
+    @pytest.fixture(autouse=True)
+    def cluster(self):
+        replicas, _ = _aio_oracle(AioRuntime(), Mode.DOG, num_requests=1, window=1)
+        config = replicas["private-0"].config
+        self.receiver, self.voter = (
+            replicas[name] for name in sorted(config.proxy_set_of_view(0, Mode.DOG))[:2]
+        )
+
+    def accept(self, signed=True):
+        accept = core.Accept(0, 1, "ab" * 32, self.voter.node_id, Mode.DOG.value, signed=signed)
+        return accept.sign(self.voter.signer) if signed else accept
+
+    def over_the_wire(self, message):
+        sender = self.voter.node_id
+        return decode_envelope(encode_envelope(message, sender), sender, aio._PayloadTable())
+
+    def votes(self):
+        slot = self.receiver.slots.existing_slot(1)
+        return [] if slot is None else slot.voters("accept")
+
+    def test_a_round_trip_keeps_signed(self):
+        assert self.over_the_wire(self.accept()).signed
+        assert not self.over_the_wire(self.accept(signed=False)).signed
+        # Stripped of its signature, a prepare is still signed, and so fails to verify.
+        stripped = _prepare(_request(1))
+        stripped.signature = None
+        assert self.over_the_wire(stripped).signed
+
+    def test_an_honest_accept_over_the_wire_is_a_vote(self):
+        self.receiver.handle_message(self.voter.node_id, self.over_the_wire(self.accept()))
+        assert self.votes() == [self.voter.node_id]
+
+    def test_an_accept_whose_tag_is_zeroed_is_no_vote_and_is_evidence(self):
+        accept = self.accept()
+        accept.signature = Signature(
+            accept.signature.signer_id, accept.signature.payload_digest, "0" * 64
+        )
+        self.receiver.handle_message(self.voter.node_id, self.over_the_wire(accept))
+        assert self.votes() == []
+        assert [(r.kind, r.suspect, r.detail) for r in self.receiver.evidence.records] == [
+            (EvidenceKind.INVALID_SIGNATURE, self.voter.node_id, "Accept")
+        ]
+
+    def test_an_unsigned_accept_from_a_current_proxy_is_no_vote(self):
+        self.receiver.handle_message(self.voter.node_id, self.accept(signed=False))
+        assert self.votes() == []
+
+
 # -- the receive buffer ----------------------------------------------------------------------
 
 
