@@ -32,13 +32,12 @@ every replica re-enters a re-proposed slot with a fresh prepare vote.
 
 from __future__ import annotations
 
-from functools import partial
-from typing import List, Tuple
+from typing import Any, List, Tuple
 
 from repro.baselines.replica import BaselineReplica
 from repro.smr.checkpointing import CheckpointManager
 from repro.smr.executor import ExecutionResult
-from repro.smr.messages import Checkpoint, Commit, PrePrepare, ProxyPrepare
+from repro.smr.messages import Checkpoint
 from repro.smr.pbft import PbftAgreement
 from repro.smr.slots import Slot
 
@@ -56,22 +55,17 @@ class _BaselineAgreement(PbftAgreement):
         return replica.config.commit_quorum
 
 
-_AGREEMENT = _BaselineAgreement()
-
-
 class QuorumBFTReplica(BaselineReplica):
     """A PBFT-like replica whose quorum sizes come from its configuration."""
 
-    agreement = _AGREEMENT
+    agreement = _BaselineAgreement()
 
-    def _register_phases(self) -> None:
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
         self.checkpoints = CheckpointManager(self.config.checkpoint_period)
         # (boundary, state digest) cut by the executor hook, sent after the slot's replies.
         self._unsent_checkpoints: List[Tuple[int, str]] = []
         self.executor.set_checkpoint_hook(self.config.checkpoint_period, self._cut)
-        self.register_handler(PrePrepare, partial(_AGREEMENT.on_preprepare, self))
-        self.register_handler(ProxyPrepare, partial(_AGREEMENT.on_proxy_prepare, self))
-        self.register_handler(Commit, partial(_AGREEMENT.on_commit, self))
         self.register_handler(Checkpoint, self.on_checkpoint)
 
     # -- checkpoints ---------------------------------------------------------------------
@@ -93,7 +87,7 @@ class QuorumBFTReplica(BaselineReplica):
         return self.checkpoints.stable_sequence
 
     def _is_prepared(self, slot: Slot) -> bool:
-        return slot.vote_count("prepare") >= _AGREEMENT.quorum(self)
+        return slot.vote_count("prepare") >= self.agreement.quorum(self)
 
     def join_threshold(self) -> int:
         return max(1, self.config.network_size - self.config.commit_quorum) + 1

@@ -31,13 +31,11 @@ model).
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Any, List
 
 from repro.baselines.replica import BaselineReplica
 from repro.smr.executor import ExecutionResult
 from repro.smr.leader import LeaderAgreement
-from repro.smr.messages import Accept, Commit, Prepare
 from repro.smr.slots import Slot
 
 
@@ -58,18 +56,10 @@ class _CftAgreement(LeaderAgreement):
         replica.multicast(replica.other_replicas(), prepare)
 
 
-_AGREEMENT = _CftAgreement()
-
-
 class PaxosReplica(BaselineReplica):
     """One replica of the CFT baseline."""
 
-    agreement = _AGREEMENT
-
-    def _register_phases(self) -> None:
-        self.register_handler(Prepare, partial(_AGREEMENT.on_prepare, self))
-        self.register_handler(Accept, partial(_AGREEMENT.on_accept, self))
-        self.register_handler(Commit, partial(_AGREEMENT.on_commit, self))
+    agreement = _CftAgreement()
 
     # -- what the skeleton asks -------------------------------------------------------
 

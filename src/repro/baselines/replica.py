@@ -5,7 +5,10 @@ everything around them.  The request intake and the commit entry are
 :class:`~repro.smr.replica.ReplicaBase`'s, as for SeeMoRe.  Each protocol
 runs a stateless ``agreement``: Paxos :class:`~repro.smr.leader.LeaderAgreement`
 (Lion's, unsigned), PBFT and S-UpRight :class:`~repro.smr.pbft.PbftAgreement`
-(Peacock's).  :class:`BaselineReplica` writes the rest once:
+(Peacock's), and installs it at construction with
+:meth:`~repro.smr.replica.ReplicaBase.install_agreement`, the one way
+SeeMoRe's modes install theirs too.  :class:`BaselineReplica` writes the
+rest once:
 
 * **ordering** — the primary allocates the next sequence number and
   proposes its ``agreement``'s ordering message there;
@@ -20,8 +23,7 @@ runs a stateless ``agreement``: Paxos :class:`~repro.smr.leader.LeaderAgreement`
 
 View-change and new-view messages are signed and verified iff the
 configuration says replica messages are (``config.messages_are_signed``).
-A protocol module registers its agreement's handlers and gives the three
-answers above.
+A protocol module names its ``agreement`` and gives the three answers above.
 """
 
 from __future__ import annotations
@@ -40,10 +42,7 @@ from repro.wire.codec import Entry
 
 
 class BaselineReplica(ReplicaBase):
-    """One replica of a primary-backup baseline; subclasses add the agreement phases."""
-
-    #: The stateless agreement whose handlers ``_register_phases`` registers.
-    agreement: Any
+    """One replica of a primary-backup baseline; a subclass names its ``agreement``."""
 
     def __init__(
         self,
@@ -62,13 +61,9 @@ class BaselineReplica(ReplicaBase):
 
         self.register_handler(msgs.BaselineViewChange, self.view_changes.on_view_change)
         self.register_handler(NewView, self.view_changes.on_new_view)
-        self._register_phases()
+        self.install_agreement(self.agreement)
 
     # -- what a protocol states ------------------------------------------------
-
-    def _register_phases(self) -> None:
-        """Register the agreement phases' handlers and create their state."""
-        raise NotImplementedError
 
     def _floor(self) -> int:
         """The sequence at or below which this replica reports nothing in a view change."""

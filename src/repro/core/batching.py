@@ -10,10 +10,10 @@ lever for all three modes:
   flight at once (``pipeline_depth``).
 * :class:`Batcher` — the per-primary engine: it buffers validated client
   requests, cuts them into :class:`~repro.smr.messages.Batch` payloads
-  according to the policy, and hands each payload to the mode strategy for
-  proposal.  A batch of one is proposed as the bare request, so a
-  deployment with the default policy behaves exactly like the unbatched
-  protocol.  An under-full batch is held only while the observed arrival
+  according to the policy, and hands each payload to the replica, which
+  proposes it in the current mode.  A batch of one is proposed as the bare
+  request, so a deployment with the default policy behaves exactly like the
+  unbatched protocol.  An under-full batch is held only while the observed arrival
   rate expects another request before the linger runs out; at a low
   offered rate every request is proposed on arrival.
 

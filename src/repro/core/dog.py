@@ -19,6 +19,11 @@ Normal-case flow (Algorithm 2):
 Sequence numbers still come from the trusted primary, so the Dog mode keeps
 the two-phase structure of the Lion mode while moving the quadratic message
 exchange into the public cloud.
+
+Dog's phases are its own, but the replica installs them the way it installs
+Lion's and Peacock's: :class:`DogAgreement` declares the messages it
+handles in ``handlers``.  The inform leg (step 6) is the replica's, shared
+with Peacock.
 """
 
 from __future__ import annotations
@@ -28,27 +33,22 @@ from typing import TYPE_CHECKING
 from repro.adaptive.evidence import EvidenceKind
 from repro.core import messages as msgs
 from repro.core.modes import Mode
-from repro.core.strategy_base import ModeStrategy
 from repro.smr.replica import request_digest
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.replica import SeeMoReReplica
 
 
-class DogStrategy(ModeStrategy):
+class DogAgreement:
     """Agreement logic of the Dog mode."""
 
     mode = Mode.DOG
-
-    # -- roles ----------------------------------------------------------------
-
-    def replies_to_client(self, replica: "SeeMoReReplica") -> bool:
-        return replica.is_proxy()
+    #: The phase message classes this agreement handles, and the method for each.
+    handlers = {msgs.Prepare: "on_prepare", msgs.Accept: "on_accept", msgs.Commit: "on_commit"}
 
     # -- request handling --------------------------------------------------------
     # Client requests enter through the replica's shared on_request:
-    # the primary batches them and proposes via the hook below.  The trusted
-    # primary casts no vote of its own — the 3m+1 proxies form the quorum.
+    # the primary batches them and proposes via the hooks below.
 
     def ordering_message(self, replica, sequence, digest, payload):
         return msgs.Prepare(
@@ -59,7 +59,10 @@ class DogStrategy(ModeStrategy):
             mode=int(self.mode),
         )
 
-    # -- prepare / accept / commit (the inform leg is ModeStrategy's) -----------------
+    def record_proposal_vote(self, replica: "SeeMoReReplica", slot, digest: str) -> None:
+        """The trusted primary casts no vote of its own: the 3m+1 proxies form the quorum."""
+
+    # -- prepare / accept / commit (the inform leg is the replica's) ------------------
 
     def on_prepare(self, replica: "SeeMoReReplica", src: str, message: msgs.Prepare) -> None:
         if not replica.accepts_ordering_from(src, message.view, message.mode):
@@ -143,7 +146,7 @@ class DogStrategy(ModeStrategy):
         )
         commit.sign(replica.signer)
         replica.multicast(replica.other_proxies(), commit)
-        self._send_informs(replica, slot)
+        replica.send_informs(slot)
         replica.finalize(slot, send_reply=True)
 
     def on_commit(self, replica: "SeeMoReReplica", src: str, message: msgs.Commit) -> None:
@@ -162,5 +165,5 @@ class DogStrategy(ModeStrategy):
             return
         # A slow proxy catches up from m+1 matching commits by other proxies.
         if count >= replica.config.byzantine_tolerance + 1:
-            self._send_informs(replica, slot)
+            replica.send_informs(slot)
             replica.finalize(slot, send_reply=True)

@@ -15,10 +15,10 @@ Because the primary is trusted, no replica-to-replica phase is needed to
 detect equivocation: two phases and a linear number of messages suffice.
 
 The phases are :class:`~repro.smr.leader.LeaderAgreement`'s, the same code
-the cft baseline runs unsigned; this module gives its answers: the leader
-signs, 2m+c+1 accepts commit a slot, a prepare must fall in the watermark
-window, and a new view's re-proposed slot gets the primary's own accept or
-a backup's accept to it.
+the cft baseline runs unsigned, installed the same way; this module gives
+its answers: the leader signs, 2m+c+1 accepts commit a slot, a prepare must
+fall in the watermark window, and a new view's re-proposed slot gets the
+primary's own accept or a backup's accept to it.
 """
 
 from __future__ import annotations
@@ -27,22 +27,16 @@ from typing import TYPE_CHECKING
 
 from repro.core import messages as msgs
 from repro.core.modes import Mode
-from repro.core.strategy_base import ModeStrategy
 from repro.smr.leader import LeaderAgreement
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.replica import SeeMoReReplica
 
 
-class LionStrategy(LeaderAgreement, ModeStrategy):
+class LionAgreement(LeaderAgreement):
     """Agreement logic of the Lion mode."""
 
     mode = Mode.LION
-
-    # -- roles ----------------------------------------------------------------
-
-    def replies_to_client(self, replica: "SeeMoReReplica") -> bool:
-        return replica.is_primary()
 
     # -- the leader agreement's answers ------------------------------------------------
     # Client requests enter through the replica's shared on_request: the

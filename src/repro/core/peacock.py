@@ -15,10 +15,11 @@ exactly what makes the mode attractive when the private cloud is loaded or
 far away; its trusted nodes return as *transferers* during view changes.
 
 The three phases are :class:`~repro.smr.pbft.PbftAgreement`'s, the same
-code the bft and s-upright baselines run; this module gives its answers:
-the current proxies take part and vote, 2m+1 matching votes prepare and
-commit a slot, a pre-prepare must fall in the watermark window, and a
-committing proxy sends its informs.
+code the bft and s-upright baselines run, installed the same way; this
+module gives its answers: the current proxies take part and vote, 2m+1
+matching votes prepare and commit a slot, a pre-prepare must fall in the
+watermark window, and a committing proxy sends its informs (the replica's
+inform leg, shared with Dog).
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List
 
 from repro.core.modes import Mode
-from repro.core.strategy_base import ModeStrategy
 from repro.smr.pbft import PbftAgreement
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -34,15 +34,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.smr.slots import Slot
 
 
-class PeacockStrategy(PbftAgreement, ModeStrategy):
+class PeacockAgreement(PbftAgreement):
     """Agreement logic of the Peacock mode."""
 
     mode = Mode.PEACOCK
-
-    # -- roles ----------------------------------------------------------------
-
-    def replies_to_client(self, replica: "SeeMoReReplica") -> bool:
-        return replica.is_proxy()
 
     # -- PBFT among the proxies: the agreement's answers --------------------------------
     # Client requests enter through the replica's shared on_request: the
@@ -61,4 +56,4 @@ class PeacockStrategy(PbftAgreement, ModeStrategy):
         return replica.in_watermark_window(sequence)
 
     def committing(self, replica: "SeeMoReReplica", slot: "Slot") -> None:
-        self._send_informs(replica, slot)
+        replica.send_informs(slot)

@@ -5,8 +5,13 @@ A :class:`SeeMoReReplica` glues together:
 * the shared SMR machinery (:class:`repro.smr.replica.ReplicaBase`):
   the request intake, the commit entry, ordered execution, ledger, slots,
   client replies and the checkpoint vote rule;
-* the per-mode agreement strategies (Lion / Dog / Peacock), and the
-  batcher through which a primary orders requests;
+* the per-mode agreements (Lion / Dog / Peacock): ``set_mode`` installs
+  the current mode's phase handlers with
+  :meth:`~repro.smr.replica.ReplicaBase.install_agreement`, in place of the
+  previous mode's, as the baselines install theirs at construction;
+* what the modes do alike around them: the batcher through which a primary
+  proposes, the inform leg between proxies and passive replicas (Dog and
+  Peacock), and who replies to the client;
 * who checkpoints in which mode, and state transfer;
 * its answers to the shared view change (:mod:`repro.smr.view_change`),
   which a mode switch rides.
@@ -26,24 +31,24 @@ from repro.adaptive.evidence import EvidenceKind
 from repro.core import messages as msgs
 from repro.core.batching import Batcher
 from repro.core.config import SeeMoReConfig
-from repro.core.dog import DogStrategy
-from repro.core.lion import LionStrategy
+from repro.core.dog import DogAgreement
+from repro.core.lion import LionAgreement
 from repro.core.modes import Mode
-from repro.core.peacock import PeacockStrategy
-from repro.core.strategy_base import ModeStrategy
+from repro.core.peacock import PeacockAgreement
 from repro.crypto.signatures import Signer, Verifier
 from repro.smr.checkpointing import CheckpointManager, signed_state_digest
 from repro.smr.executor import ExecutionResult
 from repro.smr.messages import Busy, Request
 from repro.smr.replica import ReplicaBase
+from repro.smr.slots import Slot
 from repro.smr.state_machine import StateMachine
 from repro.smr.view_change import ViewChangeManager, reconcile
 
 
-_STRATEGIES: Dict[Mode, ModeStrategy] = {
-    Mode.LION: LionStrategy(),
-    Mode.DOG: DogStrategy(),
-    Mode.PEACOCK: PeacockStrategy(),
+_AGREEMENTS: Dict[Mode, Any] = {
+    Mode.LION: LionAgreement(),
+    Mode.DOG: DogAgreement(),
+    Mode.PEACOCK: PeacockAgreement(),
 }
 
 
@@ -64,8 +69,7 @@ class SeeMoReReplica(ReplicaBase):
             raise ValueError(f"replica {node_id!r} is not part of the configuration")
         super().__init__(node_id, runtime, signer, verifier, state_machine)
         self.config = config
-        self.mode = initial_mode
-        self.strategy = _STRATEGIES[initial_mode]
+        self.set_mode(initial_mode)
         self.watermark_window = 4 * config.checkpoint_period
 
         self.checkpoints = CheckpointManager(config.checkpoint_period)
@@ -97,16 +101,7 @@ class SeeMoReReplica(ReplicaBase):
         self._register_handlers()
 
     def _register_handlers(self) -> None:
-        self.register_handler(msgs.Prepare, lambda src, m: self.strategy.on_prepare(self, src, m))
-        self.register_handler(msgs.Accept, lambda src, m: self.strategy.on_accept(self, src, m))
-        self.register_handler(msgs.Commit, lambda src, m: self.strategy.on_commit(self, src, m))
-        self.register_handler(
-            msgs.PrePrepare, lambda src, m: self.strategy.on_preprepare(self, src, m)
-        )
-        self.register_handler(
-            msgs.ProxyPrepare, lambda src, m: self.strategy.on_proxy_prepare(self, src, m)
-        )
-        self.register_handler(msgs.Inform, lambda src, m: self.strategy.on_inform(self, src, m))
+        self.register_handler(msgs.Inform, self.on_inform)
         self.register_handler(msgs.Checkpoint, self.on_checkpoint)
         self.register_handler(msgs.ViewChange, self.view_changes.on_view_change)
         self.register_handler(msgs.NewView, self.view_changes.on_new_view)
@@ -155,10 +150,6 @@ class SeeMoReReplica(ReplicaBase):
             ]
         return cached
 
-    def passive_replicas(self) -> List[str]:
-        passive = self.config.passive_replicas(self.view, self.mode)
-        return [replica for replica in passive if replica != self.node_id]
-
     def inform_targets(self) -> List[str]:
         """Recipients of inform messages: the private cloud plus non-proxy
         public replicas (Section 5.2/5.3), excluding the sender itself.
@@ -178,10 +169,16 @@ class SeeMoReReplica(ReplicaBase):
             ]
         return cached
 
+    def replies_to_client(self) -> bool:
+        """Whether this replica replies to clients when it executes: Lion's
+        primary, Dog's and Peacock's proxies."""
+        return self.is_primary() if self.mode is Mode.LION else self.is_proxy()
+
     def set_mode(self, mode: Mode) -> None:
-        """Adopt ``mode`` (called when a new view is installed)."""
+        """Adopt ``mode`` and install its agreement's phase handlers
+        (at construction, and when a new view is installed)."""
         self.mode = mode
-        self.strategy = _STRATEGIES[mode]
+        self.install_agreement(_AGREEMENTS[mode])
 
     # -- validation helpers ------------------------------------------------------
 
@@ -227,14 +224,75 @@ class SeeMoReReplica(ReplicaBase):
         self.batcher.enqueue(request)
 
     def _propose_payload(self, payload: Any) -> Optional[int]:
-        """Batcher callback: propose one slot payload in the current mode."""
-        return self.strategy.propose_payload(self, payload)
+        """Batcher callback: order one slot payload (a request or a batch) as the primary.
+
+        Returns the assigned sequence number, or ``None`` when this replica
+        may not propose right now (not the primary — e.g. a demoted primary
+        whose batcher pump fires after a view change — view change in
+        progress, or watermark window full); the batcher keeps the payload
+        queued in that case.
+        """
+        if not self.is_primary():
+            return None
+        sequence = self.allocate_sequence()
+        if sequence is not None:
+            self.propose(self.agreement, sequence, payload)
+        return sequence
 
     # -- slots and commits -------------------------------------------------------------
 
     def _after_commit(self, sequence: int, executions: List[ExecutionResult]) -> None:
         self.batcher.on_slot_committed(sequence)
         self._maybe_request_catchup(sequence)
+
+    # -- the inform leg (Dog and Peacock) ------------------------------------------------
+
+    def send_informs(self, slot: Slot) -> None:
+        """A committing proxy tells every passive replica the outcome."""
+        inform = msgs.Inform(
+            view=self.view,
+            sequence=slot.sequence,
+            digest=slot.digest,
+            replica_id=self.node_id,
+            mode=int(self.mode),
+        )
+        inform.sign(self.signer)
+        targets = self.inform_targets()
+        if targets:
+            self.multicast(targets, inform)
+
+    def on_inform(self, src: str, message: msgs.Inform) -> None:
+        """A passive replica commits on a mode-specific quorum of matching informs.
+
+        Lion has no proxies, so no inform passes the sender check there.
+        """
+        if self.is_proxy():
+            return
+        if not self.valid_view(message.view):
+            return
+        if not self.is_current_proxy(src):
+            return
+        if not self.verify_message(src, message):
+            return
+
+        slot = self.slots.slot(message.sequence)
+        count = slot.record_vote("inform", src, message.digest)
+        if slot.committed or slot.request is None:
+            return
+        if slot.digest is not None and slot.digest != message.digest:
+            # Against a trusted primary's assignment the contradicting proxy
+            # is provably faulty.  Against an untrusted one either the proxy
+            # lied or the primary equivocated and this receiver cannot tell
+            # which: the event still counts toward escalation, but never
+            # names an honest proxy.
+            self.evidence.record(
+                EvidenceKind.CONFLICTING_VOTE,
+                suspect=src if self.mode.has_trusted_primary else None,
+                detail=f"inform seq={message.sequence} view={message.view} from {src}",
+            )
+            return
+        if count >= self.config.inform_quorum(self.mode):
+            self.finalize(slot, send_reply=False)
 
     # -- checkpointing -------------------------------------------------------------------
 
@@ -367,7 +425,7 @@ class SeeMoReReplica(ReplicaBase):
             if entry.request is None:
                 continue
             slot = self.fill_slot(entry.sequence, entry.digest, entry.request, None, force=True)
-            self.finalize(slot, send_reply=self.strategy.replies_to_client(self))
+            self.finalize(slot, send_reply=self.replies_to_client())
 
         for entry in message.prepares:
             highest = max(highest, entry.sequence)
@@ -376,7 +434,7 @@ class SeeMoReReplica(ReplicaBase):
             # Re-run agreement for a prepared-but-uncommitted slot.
             slot = self.fill_slot(entry.sequence, entry.digest, entry.request, entry, force=True)
             if not slot.committed:
-                self.strategy.reenter(self, slot, entry)
+                self.agreement.reenter(self, slot, entry)
                 self.view_changes.start_request_timer()
 
         self.bump_sequence_counter(highest + 1)

@@ -11,8 +11,9 @@ equivocating leader, so two phases and a linear number of messages suffice.
 
 :class:`LeaderAgreement` writes those phases once, for Lion (signed, at
 2m+c+1) and for the cft baseline (unsigned, mode 0, at f+1).  It is
-stateless, as a :class:`~repro.core.strategy_base.ModeStrategy` is: every
-handler takes the replica it runs on.  A protocol subclasses it with its
+stateless: every handler takes the replica it runs on, and
+:meth:`~repro.smr.replica.ReplicaBase.install_agreement` routes the
+messages ``handlers`` names to them.  A protocol subclasses it with its
 answers — the ``quorum``, whether the leader ``signs``, what else a prepare
 must pass (``admits``) and the vote it casts for a slot a new view
 re-proposes (``reenter``).  A prepare and a commit are taken only from the
@@ -36,6 +37,8 @@ class LeaderAgreement:
     mode = 0
     #: Whether the leader signs its prepare and commit.
     signs = True
+    #: The phase message classes this agreement handles, and the method for each.
+    handlers = {Prepare: "on_prepare", Accept: "on_accept", Commit: "on_commit"}
 
     # -- the answers a protocol gives ----------------------------------------------
 

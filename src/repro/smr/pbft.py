@@ -11,8 +11,9 @@ the slot stalls and the request timer removes the primary.
 :class:`PbftAgreement` writes those three phases once, for SeeMoRe's
 Peacock mode (PBFT among the 3m+1 public-cloud proxies, Section 5.3) and
 for the bft and s-upright baselines (PBFT among every replica).  It is
-stateless, as a :class:`~repro.core.strategy_base.ModeStrategy` is: every
-handler takes the replica it runs on.  A protocol subclasses it with its
+stateless: every handler takes the replica it runs on, and
+:meth:`~repro.smr.replica.ReplicaBase.install_agreement` routes the
+messages ``handlers`` names to them.  A protocol subclasses it with its
 answers — whose votes count (``counts_vote_from``; the replica takes part
 iff its own would), whom it multicasts to (``peers``), the ``quorum``, what
 else an ordering message must pass (``admits``) and what runs just before a
@@ -35,6 +36,8 @@ class PbftAgreement:
 
     #: The mode id every message of the agreement carries.
     mode = 0
+    #: The phase message classes this agreement handles, and the method for each.
+    handlers = {PrePrepare: "on_preprepare", ProxyPrepare: "on_proxy_prepare", Commit: "on_commit"}
 
     # -- the answers a protocol gives ----------------------------------------------
 

@@ -11,18 +11,21 @@ proposal (:meth:`ReplicaBase.propose`), filling a slot
 (:meth:`ReplicaBase.finalize`), replying, the checkpoint cut, message and
 vote rule (:meth:`ReplicaBase.count_checkpoint_vote`), and the no-op request
 a new view puts into a sequence hole (:func:`noop_request`).  Concrete
-protocols (SeeMoRe's three modes, Paxos, PBFT, S-UpRight) subclass it and
-register handlers for their phases.  A replica keeps no table of the
-requests it has seen: a slot holds its payload until checkpoint GC, and a
-retransmission is answered from the reply cache.  Until checkpoint GC it
-keeps each request's assigned sequence, per client, so a retransmission
-still being ordered is not ordered twice.
+protocols (SeeMoRe, Paxos, PBFT, S-UpRight) subclass it, and each wires
+its phases the one way, :meth:`ReplicaBase.install_agreement`: an agreement
+declares the message classes it handles and the method for each.  A
+replica keeps no table of the requests it has seen: a slot holds its
+payload until checkpoint GC, and a retransmission is answered from the
+reply cache.  Until checkpoint GC it keeps each request's assigned
+sequence, per client, so a retransmission still being ordered is not
+ordered twice.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
+from functools import partial
 from hashlib import sha256
 
 from repro.adaptive.evidence import EvidenceKind, EvidenceLog
@@ -62,13 +65,16 @@ class ReplicaBase(Node):
 
     Subclasses name their primary (:meth:`current_primary`), order a request
     (:meth:`order`), create ``view_changes`` (the shared
-    :class:`~repro.smr.view_change.ViewChangeManager`) and register their
-    phases' handlers with :meth:`register_handler`; this class owns the
-    request intake, execution, replies, checkpoint votes and safety records.
+    :class:`~repro.smr.view_change.ViewChangeManager`) and install their
+    agreement's phase handlers with :meth:`install_agreement`; this class
+    owns the request intake, execution, replies, checkpoint votes and safety
+    records.
     """
 
     #: The mode id this replica's replies and checkpoints carry (a baseline has one: 0).
     mode_id = 0
+    #: The stateless agreement whose phase handlers are installed.
+    agreement: Any = None
     #: Checkpoint votes and local cuts, in a protocol that certifies checkpoints.
     checkpoints: Optional[CheckpointManager] = None
 
@@ -105,6 +111,21 @@ class ReplicaBase(Node):
     def register_handler(self, message_type: Type, handler: Callable[[str, Any], None]) -> None:
         """Route messages of ``message_type`` to ``handler(src, message)``."""
         self._handlers[message_type] = handler
+
+    def install_agreement(self, agreement: Any) -> None:
+        """Route each phase message class ``agreement.handlers`` names to its method,
+        bound to this replica, in place of the previously installed agreement's.
+
+        A phase message no installed agreement handles reaches
+        :meth:`on_unhandled_message`.
+        """
+        handlers = self._handlers
+        if self.agreement is not None:
+            for message_type in self.agreement.handlers:
+                handlers.pop(message_type, None)
+        for message_type, name in agreement.handlers.items():
+            handlers[message_type] = partial(getattr(agreement, name), self)
+        self.agreement = agreement
 
     def handle_message(self, src: str, payload: Any) -> None:
         handler = self._handlers.get(type(payload))

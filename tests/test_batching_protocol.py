@@ -231,7 +231,7 @@ class TestProposalGuard:
         backup = deployment.replicas[config.public_replicas[0]]
         request = make_signed_request(deployment, "guard-client", 1)
         assert not backup.is_primary()
-        assert backup.strategy.propose_payload(backup, request) is None
+        assert backup._propose_payload(request) is None
         assert backup.next_sequence == 1
 
 

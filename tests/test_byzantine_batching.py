@@ -143,11 +143,11 @@ class TestEquivocationUnderBatching:
         )
         twisted.sign(primary.signer)
 
-        proxy.strategy.on_preprepare(proxy, primary.node_id, honest)
+        proxy.handle_message(primary.node_id, honest)
         slot = proxy.slots.slot(1)
         assert slot.digest == honest.digest
 
-        proxy.strategy.on_preprepare(proxy, primary.node_id, twisted)
+        proxy.handle_message(primary.node_id, twisted)
         assert slot.digest == honest.digest, "the conflicting assignment must be refused"
         assert slot.request is batch
 

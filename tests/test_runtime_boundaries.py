@@ -1261,7 +1261,8 @@ RETIRED_VIEW_CHANGE = {
     "enter_new_view",
     "_build_new_view_message",
 }
-INFORM_LEG = {"_send_informs", "on_inform"}
+#: The inform leg of Dog and Peacock, defined once on ``SeeMoReReplica``.
+INFORM_LEG = {"send_informs", "on_inform"}
 REQUEST_TABLE = {"remember_request", "known_request", "_known_requests"}
 #: The per-client sequence-assignment table and its accessors, one copy in
 #: ``smr/replica.py`` for SeeMoRe and the baselines; ``_assigned_sequences``
@@ -1274,7 +1275,7 @@ ASSIGNMENT_ACCESSORS = {
 }
 ASSIGNMENT_TABLE = {"_assigned", "_assigned_sequences"}
 #: PBFT's phase handlers, defined once in ``smr/pbft.py`` for Peacock and the
-#: BFT baselines (``ModeStrategy``'s empty defaults for Lion and Dog aside).
+#: BFT baselines.
 PBFT_PHASES = {
     "on_preprepare",
     "on_proxy_prepare",
@@ -1287,14 +1288,22 @@ RETIRED_PBFT = {"_on_preprepare", "_on_prepare", "_on_commit"}
 #: The wire tags of the retired ``BftPrePrepare`` / ``BftPrepare`` / ``BftCommit``.
 RETIRED_PBFT_TAGS = {0x23, 0x24, 0x25}
 #: The leader agreement's phase handlers, defined once in ``smr/leader.py`` for
-#: Lion and the CFT baseline (``ModeStrategy``'s empty defaults aside).
+#: Lion and the CFT baseline.
 LEADER_PHASES = {"on_prepare", "on_accept", "on_commit"}
-#: Where else a phase handler of that name may live: Dog's own phases (its
-#: prepare arms the request timer before it votes), and PBFT's commit.
+#: The phase messages an agreement declares in its ``handlers``; only
+#: ``ReplicaBase.install_agreement`` routes them, never a ``register_handler`` call.
+PHASE_MESSAGES = {"Prepare", "Accept", "Commit", "PrePrepare", "ProxyPrepare"}
+#: The second wiring that ``install_agreement`` replaced: SeeMoRe's strategy layer
+#: and the baselines' own registration hook; nothing defines or calls these now.
+RETIRED_WIRING = {"ModeStrategy", "_register_phases"}
+#: Where else a watched site may be: Dog's own phases (its prepare arms the
+#: request timer before it votes), PBFT's commit, and ``smr/replica.py``, where
+#: the one wiring path lives.
 OTHER_PHASE_OWNERS = {
     "defines on_prepare": {Path("core") / "dog.py"},
     "defines on_accept": {Path("core") / "dog.py"},
     "defines on_commit": {Path("core") / "dog.py", Path("smr") / "pbft.py"},
+    **{f"registers {name}": {Path("smr") / "replica.py"} for name in PHASE_MESSAGES},
 }
 #: What the CFT baseline's former copy called its handlers; nothing defines these now.
 RETIRED_LEADER = {"_on_accept_request", "_on_accepted", "_on_learn"}
@@ -1335,7 +1344,9 @@ def skeleton_sites(path):
     )
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.ClassDef):
-            retired = VIEW_CHANGE_MACHINE | RETIRED_SKELETON | RETIRED_LEADER_MESSAGES
+            retired = (
+                VIEW_CHANGE_MACHINE | RETIRED_SKELETON | RETIRED_LEADER_MESSAGES | RETIRED_WIRING
+            )
             if node.name in retired or node.name.startswith("Bft"):
                 yield node.lineno, f"defines {node.name}"
             if declared_tag(node) in RETIRED_PBFT_TAGS | RETIRED_LEADER_TAGS:
@@ -1344,11 +1355,18 @@ def skeleton_sites(path):
             name = node.name
             if name.endswith("noop_request"):
                 yield node.lineno, "defines noop_request"
-            elif name in watched | RETIRED_PBFT | RETIRED_LEADER:
+            elif name in watched | RETIRED_PBFT | RETIRED_LEADER | RETIRED_WIRING:
                 yield node.lineno, f"defines {name}"
             elif name in INFORM_LEG | PBFT_PHASES | LEADER_PHASES and has_a_body(node):
                 yield node.lineno, f"defines {name}"
-        elif isinstance(node, ast.Attribute) and node.attr in REQUEST_TABLE | ASSIGNMENT_TABLE:
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "register_handler":
+            for argument in node.args:
+                name = getattr(argument, "attr", getattr(argument, "id", None))
+                if name in PHASE_MESSAGES:
+                    yield node.lineno, f"registers {name}"
+        elif isinstance(node, ast.Attribute) and node.attr in (
+            REQUEST_TABLE | ASSIGNMENT_TABLE | RETIRED_WIRING
+        ):
             yield node.lineno, f"touches {node.attr}"
 
 
@@ -1362,7 +1380,7 @@ class TestOneAgreementSkeleton:
     ``smr/view_change.py`` owns the view-change state machine and its one
     reconciliation rule, which SeeMoRe and the baselines both drive
     (``core/`` and ``baselines/`` give answers, not handlers);
-    ``core/strategy_base.py`` owns the inform leg of Dog and Peacock; the
+    ``core/replica.py`` owns the inform leg of Dog and Peacock; the
     never-pruned ``_known_requests`` table with its two accessors is gone;
     ``smr/replica.py`` owns the one sequence-assignment table,
     ``_assigned``, with its accessors; ``smr/pbft.py`` owns PBFT's
@@ -1371,6 +1389,10 @@ class TestOneAgreementSkeleton:
     ``smr/leader.py`` owns the leader agreement's, which Lion and the CFT
     baseline both run (on Lion's messages: no ``AcceptRequest`` /
     ``Accepted`` / ``Learn`` / ``BaselineNewView``, no tag 0x20–0x22 or 0x28).
+    Every agreement's phase handlers are installed one way, by
+    ``ReplicaBase.install_agreement`` from the agreement's ``handlers``: no
+    ``register_handler`` call outside ``smr/replica.py`` passes a phase
+    message, and no ``ModeStrategy`` or ``_register_phases`` is left.
     """
 
     OWNERS = {
@@ -1379,7 +1401,7 @@ class TestOneAgreementSkeleton:
         **{f"defines {name}": Path("smr") / "replica.py" for name in ASSIGNMENT_ACCESSORS},
         **{f"defines {name}": Path("smr") / "view_change.py" for name in VIEW_CHANGE_MACHINE},
         **{f"defines {name}": Path("smr") / "replica.py" for name in SKELETON_METHODS},
-        **{f"defines {name}": Path("core") / "strategy_base.py" for name in INFORM_LEG},
+        **{f"defines {name}": Path("core") / "replica.py" for name in INFORM_LEG},
         **{f"defines {name}": Path("smr") / "pbft.py" for name in PBFT_PHASES},
         **{f"defines {name}": Path("smr") / "leader.py" for name in LEADER_PHASES},
     }
@@ -1521,6 +1543,7 @@ class TestOneAgreementSkeleton:
             "core/replica.py:2 defines is_primary",
             "core/replica.py:4 defines finalize_commit",
             "core/replica.py:6 defines _maybe_stabilise_by_votes",
+            "core/strategy_base.py:1 defines ModeStrategy",
             "core/strategy_base.py:2 defines on_request",
             "core/strategy_base.py:5 defines handle_retransmission_or_forward",
         ]
@@ -1574,6 +1597,7 @@ class TestOneAgreementSkeleton:
             "baselines/messages.py:3 declares tag 0x25",
             "core/peacock.py:2 defines on_preprepare",
             "core/peacock.py:4 defines on_proxy_prepare",
+            "core/strategy_base.py:1 defines ModeStrategy",
         ]
 
     def test_the_rule_catches_the_two_leader_agreements_and_their_messages(self, tmp_path):
@@ -1623,6 +1647,71 @@ class TestOneAgreementSkeleton:
             "core/lion.py:2 defines on_prepare",
             "core/lion.py:4 defines on_accept",
             "core/lion.py:6 defines on_commit",
+        ]
+
+    def test_the_rule_catches_the_second_wiring(self, tmp_path):
+        """SeeMoRe's strategy lambdas and the baselines' ``_register_phases``."""
+        (tmp_path / "core").mkdir()
+        (tmp_path / "core" / "replica.py").write_text(
+            "class SeeMoReReplica(ReplicaBase):\n"
+            "    def _register_handlers(self) -> None:\n"
+            "        self.register_handler(msgs.Prepare, lambda src, m: "
+            "self.strategy.on_prepare(self, src, m))\n"
+            "        self.register_handler(msgs.Accept, lambda src, m: "
+            "self.strategy.on_accept(self, src, m))\n"
+            "        self.register_handler(msgs.Commit, lambda src, m: "
+            "self.strategy.on_commit(self, src, m))\n"
+            "        self.register_handler(\n"
+            "            msgs.PrePrepare, lambda src, m: "
+            "self.strategy.on_preprepare(self, src, m)\n"
+            "        )\n"
+            "        self.register_handler(\n"
+            "            msgs.ProxyPrepare, lambda src, m: "
+            "self.strategy.on_proxy_prepare(self, src, m)\n"
+            "        )\n"
+            "        self.register_handler(msgs.Inform, lambda src, m: "
+            "self.strategy.on_inform(self, src, m))\n"
+            "        self.register_handler(msgs.Checkpoint, self.on_checkpoint)\n"
+        )
+        (tmp_path / "core" / "strategy_base.py").write_text(
+            "class ModeStrategy:\n"
+            "    def on_prepare(self, replica, src, message):\n"
+            "        \"\"\"Handle the trusted primary's prepare (Lion and Dog modes).\"\"\"\n"
+        )
+        (tmp_path / "baselines").mkdir()
+        (tmp_path / "baselines" / "replica.py").write_text(
+            "class BaselineReplica(ReplicaBase):\n"
+            "    def __init__(self, node_id, runtime, config, signer, verifier, state_machine):\n"
+            "        self.register_handler(NewView, self.view_changes.on_new_view)\n"
+            "        self._register_phases()\n"
+        )
+        (tmp_path / "baselines" / "paxos.py").write_text(
+            "class PaxosReplica(BaselineReplica):\n"
+            "    agreement = _AGREEMENT\n"
+            "\n"
+            "    def _register_phases(self) -> None:\n"
+            "        self.register_handler(Prepare, partial(_AGREEMENT.on_prepare, self))\n"
+            "        self.register_handler(Accept, partial(_AGREEMENT.on_accept, self))\n"
+            "        self.register_handler(Commit, partial(_AGREEMENT.on_commit, self))\n"
+        )
+        (tmp_path / "smr").mkdir()
+        (tmp_path / "smr" / "replica.py").write_text(
+            "class ReplicaBase(Node):\n"
+            "    def install_agreement(self, agreement):\n"
+            "        self.register_handler(Prepare, partial(agreement.on_prepare, self))\n"
+        )
+        assert self.offenders(tmp_path) == [
+            "baselines/paxos.py:4 defines _register_phases",
+            "baselines/paxos.py:5 registers Prepare",
+            "baselines/paxos.py:6 registers Accept",
+            "baselines/paxos.py:7 registers Commit",
+            "baselines/replica.py:4 touches _register_phases",
+            "core/replica.py:3 registers Prepare",
+            "core/replica.py:4 registers Accept",
+            "core/replica.py:5 registers Commit",
+            "core/replica.py:6 registers PrePrepare",
+            "core/replica.py:9 registers ProxyPrepare",
+            "core/strategy_base.py:1 defines ModeStrategy",
         ]
 
     def test_the_rule_catches_a_second_view_change(self, tmp_path):

@@ -113,7 +113,7 @@ def _lion() -> Cast:
     quorum = deployment.group().config.accept_quorum(Mode.LION)
 
     def propose(leader, payload):
-        leader.strategy.propose_payload(leader, payload)
+        leader._propose_payload(payload)
 
     return _cast(deployment, int(Mode.LION), True, quorum, propose)
 
