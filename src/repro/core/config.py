@@ -183,7 +183,10 @@ class SeeMoReConfig:
         return self.quorum_size(mode)
 
     def commit_quorum(self, mode: Mode) -> int:
-        """Matching commit votes a Peacock proxy needs to commit."""
+        """Matching commits that commit a slot at a proxy: m+1 catch up a Dog
+        proxy (a prepared one commits at once), 2m+1 commit a Peacock one."""
+        if mode is Mode.DOG:
+            return self.byzantine_tolerance + 1
         return 2 * self.byzantine_tolerance + 1
 
     def inform_quorum(self, mode: Mode) -> int:

@@ -2,11 +2,12 @@
 
 Message flavours and who signs what follow the paper:
 
-* ``PREPARE`` / ``COMMIT`` in the Lion and Dog modes are signed by the
-  trusted primary (they may later serve as proofs during view changes) and
-  carry the client request so lagging replicas can still execute.
+* ``PREPARE`` / ``COMMIT`` from the trusted primary (Lion; Dog's
+  ``PREPARE``) are signed (they may later serve as proofs during view
+  changes) and carry the client request so lagging replicas can execute.
 * ``ACCEPT`` is unsigned in the Lion mode (it only flows back to the
-  trusted primary) but signed in the Dog mode (proxies use it as evidence).
+  trusted primary); Dog's proxies run PBFT's votes (:mod:`repro.smr.pbft`)
+  as a signed ``ACCEPT`` and ``COMMIT``.
 * the Peacock mode runs PBFT's ``PRE-PREPARE`` / ``PREPARE`` / ``COMMIT``
   phases among proxies, all signed (:mod:`repro.smr.pbft`; the bft and
   s-upright baselines send the same three messages).

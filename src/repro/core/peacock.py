@@ -16,10 +16,11 @@ far away; its trusted nodes return as *transferers* during view changes.
 
 The three phases are :class:`~repro.smr.pbft.PbftAgreement`'s, the same
 code the bft and s-upright baselines run, installed the same way; this
-module gives its answers: the current proxies take part and vote, 2m+1
-matching votes prepare and commit a slot, a pre-prepare must fall in the
-watermark window, and a committing proxy sends its informs (the replica's
-inform leg, shared with Dog).
+module gives its answers: the current proxies take part and vote, Table 1's
+quorums for the mode (2m+1 matching votes prepare and commit a Peacock
+slot), a pre-prepare must fall in the watermark window, and a committing
+proxy sends its informs (the replica's inform leg).  The Dog mode runs the
+same answers with a trusted primary (:mod:`repro.core.dog`).
 """
 
 from __future__ import annotations
@@ -50,6 +51,9 @@ class PeacockAgreement(PbftAgreement):
         return replica.other_proxies()
 
     def quorum(self, replica: "SeeMoReReplica") -> int:
+        return replica.config.accept_quorum(self.mode)
+
+    def commit_quorum(self, replica: "SeeMoReReplica") -> int:
         return replica.config.commit_quorum(self.mode)
 
     def admits(self, replica: "SeeMoReReplica", sequence: int) -> bool:

@@ -109,6 +109,23 @@ class TestQuorums:
         assert config.inform_quorum(Mode.DOG) == 5
         assert config.inform_quorum(Mode.PEACOCK) == 3
 
+    @pytest.mark.parametrize("c", [1, 2])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_each_modes_phase_quorums_match_table1(self, c, m):
+        """Accepts (prepares) that prepare a slot, commits that commit it at a proxy,
+        and informs that commit it at a passive replica; Lion has neither of the last two."""
+        config = SeeMoReConfig.build(c, m)
+        table = {
+            Mode.LION: (2 * m + c + 1, None, None),
+            Mode.DOG: (2 * m + 1, m + 1, 2 * m + 1),
+            Mode.PEACOCK: (2 * m + 1, 2 * m + 1, m + 1),
+        }
+        for mode, (accept, commit, inform) in table.items():
+            assert config.accept_quorum(mode) == accept, mode
+            if commit is not None:
+                assert config.commit_quorum(mode) == commit, mode
+                assert config.inform_quorum(mode) == inform, mode
+
     def test_proxy_count(self):
         assert SeeMoReConfig.build(1, 1).proxy_count == 4
         assert SeeMoReConfig.build(1, 3).proxy_count == 10

@@ -1285,6 +1285,9 @@ PBFT_PHASES = {
 }
 #: What the BFT baselines' former copy called its handlers; nothing defines these now.
 RETIRED_PBFT = {"_on_preprepare", "_on_prepare", "_on_commit"}
+#: Dog's former own accept vote and commit rule, now PBFT's ``_send_prepare`` and
+#: ``_maybe_send_commit`` under a trusted primary; nothing defines these now.
+RETIRED_DOG = {"_send_accept", "_maybe_commit_from_accepts"}
 #: The wire tags of the retired ``BftPrePrepare`` / ``BftPrepare`` / ``BftCommit``.
 RETIRED_PBFT_TAGS = {0x23, 0x24, 0x25}
 #: The leader agreement's phase handlers, defined once in ``smr/leader.py`` for
@@ -1296,13 +1299,10 @@ PHASE_MESSAGES = {"Prepare", "Accept", "Commit", "PrePrepare", "ProxyPrepare"}
 #: The second wiring that ``install_agreement`` replaced: SeeMoRe's strategy layer
 #: and the baselines' own registration hook; nothing defines or calls these now.
 RETIRED_WIRING = {"ModeStrategy", "_register_phases"}
-#: Where else a watched site may be: Dog's own phases (its prepare arms the
-#: request timer before it votes), PBFT's commit, and ``smr/replica.py``, where
-#: the one wiring path lives.
+#: Where else a watched site may be: PBFT's commit, and ``smr/replica.py``,
+#: where the one wiring path lives.
 OTHER_PHASE_OWNERS = {
-    "defines on_prepare": {Path("core") / "dog.py"},
-    "defines on_accept": {Path("core") / "dog.py"},
-    "defines on_commit": {Path("core") / "dog.py", Path("smr") / "pbft.py"},
+    "defines on_commit": {Path("smr") / "pbft.py"},
     **{f"registers {name}": {Path("smr") / "replica.py"} for name in PHASE_MESSAGES},
 }
 #: What the CFT baseline's former copy called its handlers; nothing defines these now.
@@ -1355,7 +1355,7 @@ def skeleton_sites(path):
             name = node.name
             if name.endswith("noop_request"):
                 yield node.lineno, "defines noop_request"
-            elif name in watched | RETIRED_PBFT | RETIRED_LEADER | RETIRED_WIRING:
+            elif name in watched | RETIRED_PBFT | RETIRED_DOG | RETIRED_LEADER | RETIRED_WIRING:
                 yield node.lineno, f"defines {name}"
             elif name in INFORM_LEG | PBFT_PHASES | LEADER_PHASES and has_a_body(node):
                 yield node.lineno, f"defines {name}"
@@ -1384,11 +1384,13 @@ class TestOneAgreementSkeleton:
     never-pruned ``_known_requests`` table with its two accessors is gone;
     ``smr/replica.py`` owns the one sequence-assignment table,
     ``_assigned``, with its accessors; ``smr/pbft.py`` owns PBFT's
-    phase handlers, which Peacock and the BFT baselines both run (on one
-    message family: no ``Bft*`` class, no tag 0x23–0x25); and
+    phase handlers, which Peacock and the BFT baselines run on one message
+    family (no ``Bft*`` class, no tag 0x23–0x25) and Dog on its own (no
+    ``_send_accept`` / ``_maybe_commit_from_accepts``); and
     ``smr/leader.py`` owns the leader agreement's, which Lion and the CFT
     baseline both run (on Lion's messages: no ``AcceptRequest`` /
     ``Accepted`` / ``Learn`` / ``BaselineNewView``, no tag 0x20–0x22 or 0x28).
+    Those two modules are the only ones that define phase handlers.
     Every agreement's phase handlers are installed one way, by
     ``ReplicaBase.install_agreement`` from the agreement's ``handlers``: no
     ``register_handler`` call outside ``smr/replica.py`` passes a phase
@@ -1644,9 +1646,37 @@ class TestOneAgreementSkeleton:
             "baselines/paxos.py:2 defines _on_accept_request",
             "baselines/paxos.py:4 defines _on_accepted",
             "baselines/paxos.py:6 defines _on_learn",
+            "core/dog.py:2 defines on_prepare",
             "core/lion.py:2 defines on_prepare",
             "core/lion.py:4 defines on_accept",
             "core/lion.py:6 defines on_commit",
+        ]
+
+    def test_the_rule_catches_dogs_own_phases(self, tmp_path):
+        """Dog's agreement as it was before it ran on PBFT's engine."""
+        (tmp_path / "core").mkdir()
+        (tmp_path / "core" / "dog.py").write_text(
+            "class DogAgreement:\n"
+            "    handlers = {msgs.Prepare: 'on_prepare', msgs.Accept: 'on_accept'}\n"
+            "    def on_prepare(self, replica, src, message):\n"
+            "        self._send_accept(replica, slot, message.digest)\n"
+            "    def _send_accept(self, replica, slot, digest):\n"
+            "        replica.multicast(replica.other_proxies(), accept)\n"
+            "    def reenter(self, replica, slot, entry):\n"
+            "        self._send_accept(replica, slot, entry.digest)\n"
+            "    def on_accept(self, replica, src, message):\n"
+            "        self._maybe_commit_from_accepts(replica, slot)\n"
+            "    def _maybe_commit_from_accepts(self, replica, slot):\n"
+            "        replica.finalize(slot, send_reply=True)\n"
+            "    def on_commit(self, replica, src, message):\n"
+            "        replica.finalize(slot, send_reply=True)\n"
+        )
+        assert self.offenders(tmp_path) == [
+            "core/dog.py:3 defines on_prepare",
+            "core/dog.py:5 defines _send_accept",
+            "core/dog.py:9 defines on_accept",
+            "core/dog.py:11 defines _maybe_commit_from_accepts",
+            "core/dog.py:13 defines on_commit",
         ]
 
     def test_the_rule_catches_the_second_wiring(self, tmp_path):

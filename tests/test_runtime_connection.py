@@ -331,7 +331,7 @@ class TestDogAcceptsKeepTheirSignatureOverTheWire:
 
     def votes(self):
         slot = self.receiver.slots.existing_slot(1)
-        return [] if slot is None else slot.voters("accept")
+        return [] if slot is None else slot.voters(self.receiver.agreement.prepare_phase)
 
     def test_a_round_trip_keeps_signed(self):
         assert self.over_the_wire(self.accept()).signed
