@@ -57,6 +57,7 @@ class BaselineReplica(ReplicaBase):
             raise ValueError(f"replica {node_id!r} is not part of the configuration")
         super().__init__(node_id, runtime, signer, verifier, state_machine)
         self.config = config
+        self.install_roles()
         self.view_changes = ViewChangeManager(self)
 
         self.register_handler(msgs.BaselineViewChange, self.view_changes.on_view_change)
@@ -79,8 +80,8 @@ class BaselineReplica(ReplicaBase):
 
     # -- roles -------------------------------------------------------------------
 
-    def current_primary(self) -> str:
-        return self.config.primary_of_view(self.view)
+    def install_roles(self) -> None:
+        self._primary = self.config.primary_of_view(self.view)
 
     def other_replicas(self) -> List[str]:
         return self.config.other_replicas(self.node_id)

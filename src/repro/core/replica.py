@@ -91,12 +91,8 @@ class SeeMoReReplica(ReplicaBase):
         self._catchup_votes: Dict[tuple, set] = {}
         self.state_transfers_completed = 0
 
-        # Multicast target lists, rebuilt lazily per (view, mode): the
-        # membership is fixed for a run, so the per-message list/set
-        # comprehensions are pure overhead on the commit path.
+        # Built on first use: the membership is fixed for a run.
         self._other_replicas: Optional[List[str]] = None
-        self._other_proxies_cache: Dict[tuple, List[str]] = {}
-        self._inform_targets_cache: Dict[tuple, List[str]] = {}
 
         self._register_handlers()
 
@@ -111,24 +107,24 @@ class SeeMoReReplica(ReplicaBase):
 
     # -- roles ------------------------------------------------------------------
 
-    @property
-    def mode_id(self) -> int:
-        return int(self.mode)
+    def install_roles(self) -> None:
+        """The primary, the proxies and the multicast targets of the current view and mode.
 
-    def current_primary(self) -> str:
-        return self.config.primary_of_view(self.view, self.mode)
-
-    def current_proxies(self) -> List[str]:
-        return self.config.proxies_of_view(self.view, self.mode)
-
-    def is_current_proxy(self, node_id: str) -> bool:
-        """Membership test against the current proxy set (memoized frozenset)."""
-        return node_id in self.config.proxy_set_of_view(self.view, self.mode)
-
-    def is_proxy(self) -> bool:
-        if self.mode is Mode.LION:
-            return False
-        return self.is_current_proxy(self.node_id)
+        Callers treat the target lists as read-only.
+        """
+        view, mode, config, node_id = self.view, self.mode, self.config, self.node_id
+        self.mode_id = int(mode)
+        self._primary = config.primary_of_view(view, mode)
+        proxies = self._proxies = config.proxy_set_of_view(view, mode)
+        self._is_proxy = node_id in proxies
+        self._other_proxies = [
+            proxy for proxy in config.proxies_of_view(view, mode) if proxy != node_id
+        ]
+        self._inform_targets = [
+            replica
+            for replica in config.all_replicas
+            if replica not in proxies and replica != node_id
+        ]
 
     def other_replicas(self) -> List[str]:
         # Static per node (membership never changes mid-run); every
@@ -142,32 +138,12 @@ class SeeMoReReplica(ReplicaBase):
         return cached
 
     def other_proxies(self) -> List[str]:
-        key = (self.view, self.mode)
-        cached = self._other_proxies_cache.get(key)
-        if cached is None:
-            cached = self._other_proxies_cache[key] = [
-                proxy for proxy in self.current_proxies() if proxy != self.node_id
-            ]
-        return cached
+        return self._other_proxies
 
     def inform_targets(self) -> List[str]:
         """Recipients of inform messages: the private cloud plus non-proxy
-        public replicas (Section 5.2/5.3), excluding the sender itself.
-
-        Cached per ``(view, mode)`` — a Dog/Peacock proxy recomputes this
-        set once per committed batch otherwise.  Callers treat the returned
-        list as read-only.
-        """
-        key = (self.view, self.mode)
-        cached = self._inform_targets_cache.get(key)
-        if cached is None:
-            proxies = set(self.current_proxies())
-            cached = self._inform_targets_cache[key] = [
-                replica
-                for replica in self.config.all_replicas
-                if replica not in proxies and replica != self.node_id
-            ]
-        return cached
+        public replicas (Section 5.2/5.3), excluding the sender itself."""
+        return self._inform_targets
 
     def replies_to_client(self) -> bool:
         """Whether this replica replies to clients when it executes: Lion's
@@ -175,9 +151,10 @@ class SeeMoReReplica(ReplicaBase):
         return self.is_primary() if self.mode is Mode.LION else self.is_proxy()
 
     def set_mode(self, mode: Mode) -> None:
-        """Adopt ``mode`` and install its agreement's phase handlers
+        """Adopt ``mode``, its roles and its agreement's phase handlers
         (at construction, and when a new view is installed)."""
         self.mode = mode
+        self.install_roles()
         self.install_agreement(_AGREEMENTS[mode])
 
     # -- validation helpers ------------------------------------------------------

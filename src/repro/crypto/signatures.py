@@ -188,7 +188,7 @@ class WindowVerifier:
     around it.  :meth:`verify` is the flattened per-message fast path: all
     structural checks (signer identity, digest-vs-content match) run
     inline and the real HMAC is paid at most once per signature via the
-    signature's memo.
+    signature's memo, which a first sight fills itself.
 
     :meth:`verify_batch` checks a same-sender group with a single group
     MAC over claimed-vs-observed digests when every signature's memo is
@@ -226,9 +226,14 @@ class WindowVerifier:
         ok = cache.get(secret) if cache is not None else None
         if ok is None:
             # Memo-cold tag (first sight of a foreign or corrupted
-            # signature): pay the real HMAC through the reference path.
+            # signature): the checks above are the reference path's, so
+            # only its HMAC is left to pay, once, into the same memo.
             self.fallback_verifications += 1
-            ok = self._verifier.verify_digest(content_digest, signature)
+            ok = hmac.compare_digest(_compute_tag(secret, content_digest), signature.tag)
+            if cache is None:
+                signature._tag_ok_by_secret = {secret: ok}
+            else:
+                cache[secret] = ok
         if not ok:
             return False
         self.messages_verified += 1

@@ -16,56 +16,19 @@ Message accounting follows the paper's deployment:
   sender; a multicast signs the content once and then pays only the
   per-destination serialization cost.
 
-The node only *classifies* each message (wire size, signed or not, how
-many signatures to verify); turning that classification into CPU cost is
-the runtime's job — modeled service times in the sim backend, measured
-elapsed time in the aio backend.  A node holds no cost model: the runtime
-builds its CPU from the node's name alone.
+The node classifies nothing: it hands its CPU each message it sends,
+multicasts or receives, and the runtime's CPU turns the message into a
+cost — the sim backend classifies it (wire size, signed or not, how many
+signatures to verify) against its modeled service times, the aio backend
+only queues it and measures elapsed time.  A node holds no cost model: the
+runtime builds its CPU from the node's name alone.
 """
 
 from __future__ import annotations
 
 from typing import Any, Iterable, Optional
 
-from repro.crypto.digest import WIRE_SIZE_CACHE_ATTR
 from repro.runtime.api import Runtime, TimerHandle, Transport
-
-
-def wire_size_of(payload: Any) -> int:
-    """Serialized size in bytes of a protocol message.
-
-    Messages may expose ``wire_size()``; otherwise we approximate with the
-    length of the repr, which is stable enough for cost purposes.  Protocol
-    messages cache the estimate (batch sizes walk every inner request, and
-    the same object is re-sized on every retransmission and relay); the
-    cache is dropped by ``copy.copy`` together with the digest caches.
-    """
-    try:
-        cached = payload.__dict__.get(WIRE_SIZE_CACHE_ATTR)
-    except AttributeError:
-        cached = None
-    if cached is not None:
-        return cached
-    cached_fn = getattr(payload, "cached_wire_size", None)
-    if callable(cached_fn):
-        return cached_fn()
-    size_fn = getattr(payload, "wire_size", None)
-    if callable(size_fn):
-        return int(size_fn())
-    return len(repr(payload))
-
-
-def is_signed(payload: Any) -> bool:
-    """Whether the message carries a public-key signature to verify."""
-    return bool(getattr(payload, "signed", False))
-
-
-def signature_count_of(payload: Any) -> int:
-    """How many signatures a receiver must verify for this message."""
-    count = getattr(payload, "signature_count", None)
-    if count is None:
-        return 1 if is_signed(payload) else 0
-    return int(count)
 
 
 class Node:
@@ -78,7 +41,7 @@ class Node:
         self._transport: Optional[Transport] = None
         self.messages_handled = 0
         self.messages_sent = 0
-        self.bytes_sent = 0
+        self.bytes_sent = 0  # modeled bytes; 0 on a backend that models none
 
     # -- wiring -----------------------------------------------------------
 
@@ -119,17 +82,7 @@ class Node:
         process = self.process
         if process.crashed:
             return
-        # Inlined wire_size_of cache probe: it hits on virtually every
-        # send of a steady-state run.  The cost lookup happens inside the
-        # CPU (modeled in sim, measured in aio).
-        try:
-            size = payload.__dict__.get(WIRE_SIZE_CACHE_ATTR)
-        except AttributeError:
-            size = None
-        if size is None:
-            size = wire_size_of(payload)
-        signed = True if getattr(payload, "signed", False) else False
-        process.submit_send(size, signed, self._transmit, (dst, payload, size))
+        process.submit_send(payload, self._transmit, (dst, payload))
 
     def multicast(self, destinations: Iterable[str], payload: Any) -> None:
         """Send the same message to many destinations.
@@ -142,14 +95,12 @@ class Node:
         targets = [dst for dst in destinations if dst != self.node_id]
         if not targets:
             return
-        size = wire_size_of(payload)
-        signed = is_signed(payload)
 
-        def transmit_all() -> None:
+        def transmit_all(size: int) -> None:
             for dst in targets:
                 self._transmit(dst, payload, size)
 
-        self.process.submit_multicast(size, signed, len(targets), transmit_all)
+        self.process.submit_multicast(payload, len(targets), transmit_all)
 
     def _transmit(self, dst: str, payload: Any, size: int) -> None:
         if self.process.crashed:
@@ -171,15 +122,7 @@ class Node:
         process = self.process
         if process.crashed:
             return
-        # Inlined is_signed / signature_count_of: a few getattrs and call
-        # frames per delivery add up at hundreds of thousands of messages.
-        if getattr(payload, "signed", False):
-            count = getattr(payload, "signature_count", None)
-            process.submit_receive(
-                size, True, 1 if count is None else int(count), self._handle, (src, payload)
-            )
-        else:
-            process.submit_receive(size, False, 0, self._handle, (src, payload))
+        process.submit_receive(payload, size, self._handle, (src, payload))
 
     def _handle(self, src: str, payload: Any) -> None:
         if self.process.crashed:

@@ -512,10 +512,11 @@ class AioTimer(TimerHandle):
 class AioCpu(Cpu):
     """A node's serial executor: a FIFO drained in bounded slices, measured time.
 
-    The modeled size/signed/fanout classifications are accepted and
-    ignored — on this backend serialization and HMAC work is *real*, so
-    the CPU simply measures elapsed wall time per slice into the same stats
-    fields the sim CPU fills with modeled costs.
+    It only queues what a node hands it: on this backend serialization and
+    HMAC work is *real*, so the CPU classifies nothing and measures elapsed
+    wall time per slice into the same stats fields the sim CPU fills with
+    modeled costs.  A send's handler gets size 0 (the runtime counts the
+    real bytes it frames).
     """
 
     __slots__ = (
@@ -539,25 +540,18 @@ class AioCpu(Cpu):
             self._scheduled = True
             self.runtime._running_loop().call_soon(self._run_slice)
 
-    def submit_send(
-        self, size: int, signed: bool, handler: Callable[..., None], args: tuple = ()
-    ) -> None:
-        self.submit(0.0, handler, args)
+    def submit_send(self, payload: Any, handler: Callable[..., None], args: tuple = ()) -> None:
+        self.submit(0.0, handler, (*args, 0))
 
     def submit_receive(
-        self,
-        size: int,
-        signed: bool,
-        signature_count: int,
-        handler: Callable[..., None],
-        args: tuple = (),
+        self, payload: Any, size: int, handler: Callable[..., None], args: tuple = ()
     ) -> None:
         self.submit(0.0, handler, args)
 
     def submit_multicast(
-        self, size: int, signed: bool, fanout: int, handler: Callable[..., None], args: tuple = ()
+        self, payload: Any, fanout: int, handler: Callable[..., None], args: tuple = ()
     ) -> None:
-        self.submit(0.0, handler, args)
+        self.submit(0.0, handler, (*args, 0))
 
     def _run_slice(self) -> None:
         """Run queued items in order for at most ``CPU_SLICE_S``, then yield the loop."""

@@ -2,8 +2,8 @@
 
 Protocol code (``repro.core``, ``repro.smr``, ``repro.net.node``) is
 sans-IO: replicas and clients express *what* to do — send this message,
-arm this timer, charge this much CPU — and a :class:`Runtime` decides
-*how*.  Two interchangeable implementations exist:
+arm this timer, handle this delivery — and a :class:`Runtime` decides
+*how*, and what it costs.  Two interchangeable implementations exist:
 
 * :class:`repro.runtime.sim.SimRuntime` adapts the deterministic
   discrete-event simulator (``repro.sim``) and its modeled network —
@@ -71,12 +71,19 @@ class TimerHandle:
 class Cpu:
     """A node's serial execution resource, with cost accounting behind it.
 
-    All CPU-cost policy lives here — *not* in protocol code.  The sim
-    backend charges every CPU by its deployment's one cost model, a
-    :class:`~repro.net.costs.NodeCostModel` (send/receive/multicast service
-    times in simulated seconds); the aio backend has none and measures real
-    elapsed time into the same stats fields (``busy_time``,
-    ``items_processed``), so utilisation numbers stay comparable across backends.
+    All CPU-cost policy lives here — *not* in protocol code.  A node hands
+    its CPU each message it sends or receives; what that costs is the
+    backend's business.  The sim backend classifies the message (wire size,
+    signed or not, how many signatures to verify) and charges its
+    deployment's one cost model, a :class:`~repro.net.costs.NodeCostModel`
+    (send/receive/multicast service times in simulated seconds); the aio
+    backend has none, only queues the work, and measures real elapsed time
+    into the same stats fields (``busy_time``, ``items_processed``), so
+    utilisation numbers stay comparable across backends.
+
+    A send's handler is called with its ``args`` followed by the message's
+    modeled wire size, which the node hands its transport; a backend that
+    models no size passes 0.
 
     The crash flag models fail-stop: a crashed CPU drops submitted and
     queued work silently.  ``crashed`` is a plain attribute on every
@@ -89,27 +96,23 @@ class Cpu:
         """Enqueue a work item with an explicit modeled cost."""
         raise NotImplementedError
 
-    def submit_send(
-        self, size: int, signed: bool, handler: Callable[..., None], args: tuple = ()
-    ) -> None:
-        """Enqueue a send: serialization plus (if ``signed``) signing cost."""
+    def submit_send(self, payload: Any, handler: Callable[..., None], args: tuple = ()) -> None:
+        """Enqueue the send of ``payload``: serialization plus (if signed) signing;
+        then ``handler(*args, size)``."""
         raise NotImplementedError
 
     def submit_receive(
-        self,
-        size: int,
-        signed: bool,
-        signature_count: int,
-        handler: Callable[..., None],
-        args: tuple = (),
+        self, payload: Any, size: int, handler: Callable[..., None], args: tuple = ()
     ) -> None:
-        """Enqueue a receive: deserialization, digest, and verification cost."""
+        """Enqueue the receipt of ``payload`` (``size`` bytes as the transport carried it):
+        deserialization, digest and verification; then ``handler(*args)``."""
         raise NotImplementedError
 
     def submit_multicast(
-        self, size: int, signed: bool, fanout: int, handler: Callable[..., None], args: tuple = ()
+        self, payload: Any, fanout: int, handler: Callable[..., None], args: tuple = ()
     ) -> None:
-        """Enqueue a fanout send: content signed once, serialized per target."""
+        """Enqueue the send of ``payload`` to ``fanout`` targets, content signed once and
+        serialized per target; then ``handler(*args, size)``."""
         raise NotImplementedError
 
     def crash(self) -> None:

@@ -11,9 +11,11 @@ conformance oracle for the real asyncio backend.
 :class:`SimCpu` is the simulated machine: one serial CPU per node, charged
 by the deployment's one :class:`~repro.net.costs.NodeCostModel` (the
 network's, which :meth:`SimRuntime.create_cpu` hands to every CPU, clients'
-included), so protocol code never touches cost-model arithmetic.
-Saturation of that serial resource is what bends the latency-throughput
-curves in Figures 2 and 3.
+included), so protocol code never touches cost-model arithmetic.  A node
+hands its CPU each message it sends or receives, and :class:`SimCpu` alone
+classifies it (wire size, signed or not, how many signatures to verify)
+into a modeled cost.  Saturation of that serial resource is what bends the
+latency-throughput curves in Figures 2 and 3.
 """
 
 from __future__ import annotations
@@ -22,10 +24,40 @@ from collections import deque
 from heapq import heappush
 from typing import Any, Callable, Deque, Optional, Tuple
 
+from repro.crypto.digest import WIRE_SIZE_CACHE_ATTR
 from repro.net.costs import NodeCostModel
 from repro.net.network import Network
 from repro.runtime.api import Cpu, Runtime
 from repro.sim.simulator import Simulator, Timer
+
+
+def wire_size_of(payload: Any) -> int:
+    """Serialized size in bytes of a protocol message.
+
+    Messages may expose ``wire_size()``; otherwise we approximate with the
+    length of the repr, which is stable enough for cost purposes.  Protocol
+    messages cache the estimate (batch sizes walk every inner request, and
+    the same object is re-sized on every retransmission and relay); the
+    cache is dropped by ``copy.copy`` together with the digest caches.
+    """
+    try:
+        cached = payload.__dict__.get(WIRE_SIZE_CACHE_ATTR)
+    except AttributeError:
+        cached = None
+    if cached is not None:
+        return cached
+    cached_fn = getattr(payload, "cached_wire_size", None)
+    if callable(cached_fn):
+        return cached_fn()
+    size_fn = getattr(payload, "wire_size", None)
+    if callable(size_fn):
+        return int(size_fn())
+    return len(repr(payload))
+
+
+def is_signed(payload: Any) -> bool:
+    """Whether the message carries a public-key signature to verify."""
+    return bool(getattr(payload, "signed", False))
 
 
 class SimCpu(Cpu):
@@ -99,17 +131,24 @@ class SimCpu(Cpu):
         simulator._seq = seq + 1
         heappush(simulator._heap, (simulator._now + cost, seq, self._finish_current, ()))
 
-    def submit_send(
-        self, size: int, signed: bool, handler: Callable[..., None], args: tuple = ()
-    ) -> None:
-        # Inlined cost-memo probe and submit idle fast path: this runs once
-        # per sent message, hundreds of thousands of times per benchmark run.
+    def submit_send(self, payload: Any, handler: Callable[..., None], args: tuple = ()) -> None:
+        # Inlined wire_size_of cache probe, cost-memo probe and submit idle
+        # fast path: this runs once per sent message, hundreds of thousands
+        # of times per benchmark run.
+        try:
+            size = payload.__dict__.get(WIRE_SIZE_CACHE_ATTR)
+        except AttributeError:
+            size = None
+        if size is None:
+            size = wire_size_of(payload)
+        signed = True if getattr(payload, "signed", False) else False
         cost_model = self.cost_model
         cost = cost_model._cost_memo.get((size, signed))
         if cost is None:
             cost = cost_model.send_cost(size, signed)
         if self.crashed:
             return
+        args = (*args, size)
         if self._busy:
             self._queue.append((cost, handler, args))
             return
@@ -123,18 +162,21 @@ class SimCpu(Cpu):
         heappush(simulator._heap, (simulator._now + cost, seq, self._finish_current, ()))
 
     def submit_receive(
-        self,
-        size: int,
-        signed: bool,
-        signature_count: int,
-        handler: Callable[..., None],
-        args: tuple = (),
+        self, payload: Any, size: int, handler: Callable[..., None], args: tuple = ()
     ) -> None:
+        # A signed message carries ``signature_count`` signatures to verify
+        # (one unless it says otherwise).  Inlined, with the cost-memo probe:
+        # a few getattrs and call frames per delivery add up at hundreds of
+        # thousands of messages.
+        if getattr(payload, "signed", False):
+            count = getattr(payload, "signature_count", None)
+            key = (size, True, 1 if count is None else int(count))
+        else:
+            key = (size, False, 0)
         cost_model = self.cost_model
-        key = (size, signed, signature_count)
         cost = cost_model._cost_memo.get(key)
         if cost is None:
-            cost = cost_model.receive_cost(size, signed, signature_count)
+            cost = cost_model.receive_cost(*key)
         if self.crashed:
             return
         if self._busy:
@@ -150,13 +192,15 @@ class SimCpu(Cpu):
         heappush(simulator._heap, (simulator._now + cost, seq, self._finish_current, ()))
 
     def submit_multicast(
-        self, size: int, signed: bool, fanout: int, handler: Callable[..., None], args: tuple = ()
+        self, payload: Any, fanout: int, handler: Callable[..., None], args: tuple = ()
     ) -> None:
         """Content signed once, then per-destination serialization cost."""
+        size = wire_size_of(payload)
+        signed = is_signed(payload)
         cost_model = self.cost_model
         first_cost = cost_model.send_cost(size, signed)
         rest_cost = cost_model.send_cost(size, False)
-        self.submit(first_cost + rest_cost * (fanout - 1), handler, args)
+        self.submit(first_cost + rest_cost * (fanout - 1), handler, (*args, size))
 
     def crash(self) -> None:
         """Fail-stop the CPU: drop queued work and refuse new work."""

@@ -63,8 +63,8 @@ def noop_request(sequence: int) -> Request:
 class ReplicaBase(Node):
     """Base class for every protocol replica.
 
-    Subclasses name their primary (:meth:`current_primary`), order a request
-    (:meth:`order`), create ``view_changes`` (the shared
+    Subclasses derive their roles in the current view (:meth:`install_roles`),
+    order a request (:meth:`order`), create ``view_changes`` (the shared
     :class:`~repro.smr.view_change.ViewChangeManager`) and install their
     agreement's phase handlers with :meth:`install_agreement`; this class
     owns the request intake, execution, replies, checkpoint votes and safety
@@ -73,6 +73,11 @@ class ReplicaBase(Node):
 
     #: The mode id this replica's replies and checkpoints carry (a baseline has one: 0).
     mode_id = 0
+    #: The roles of the current view, set by :meth:`install_roles`: the primary,
+    #: the proxies (a baseline and Lion have none) and whether this replica is one.
+    _primary = ""
+    _proxies: frozenset = frozenset()
+    _is_proxy = False
     #: The stateless agreement whose phase handlers are installed.
     agreement: Any = None
     #: Checkpoint votes and local cuts, in a protocol that certifies checkpoints.
@@ -157,12 +162,29 @@ class ReplicaBase(Node):
 
     # -- roles and requests ----------------------------------------------------
 
-    def current_primary(self) -> str:
-        """Who orders requests in the current view."""
+    def install_roles(self) -> None:
+        """Derive this replica's roles in its current view (and mode) from its configuration.
+
+        Called whenever either changes — at construction, by SeeMoRe's
+        ``set_mode`` and where the view change installs a view — so the
+        per-message role checks below read attributes.
+        """
         raise NotImplementedError
 
+    def current_primary(self) -> str:
+        """Who orders requests in the current view."""
+        return self._primary
+
     def is_primary(self) -> bool:
-        return not self.in_view_change and self.current_primary() == self.node_id
+        return not self.in_view_change and self._primary == self.node_id
+
+    def is_proxy(self) -> bool:
+        """Whether this replica is one of the current view's proxies."""
+        return self._is_proxy
+
+    def is_current_proxy(self, node_id: str) -> bool:
+        """Whether ``node_id`` is one of the current view's proxies."""
+        return node_id in self._proxies
 
     def valid_view(self, view: int) -> bool:
         return view == self.view and not self.in_view_change
@@ -170,7 +192,12 @@ class ReplicaBase(Node):
     def accepts_ordering_from(self, src: str, view: int, mode: int) -> bool:
         """Whether an ordering message (prepare / pre-prepare / primary commit)
         from ``src`` for ``view`` in ``mode`` should be processed right now."""
-        return self.valid_view(view) and mode == self.mode_id and src == self.current_primary()
+        return (
+            view == self.view
+            and not self.in_view_change
+            and mode == self.mode_id
+            and src == self._primary
+        )
 
     def on_request(self, src: str, request: Request) -> None:
         """The one request intake: a client's request, a retransmission or a forward.
@@ -183,7 +210,7 @@ class ReplicaBase(Node):
         if not self.request_is_valid(request):
             return
         if not self.is_primary():
-            primary = self.current_primary()
+            primary = self._primary
             if primary != self.node_id:
                 self.send(primary, request)
             self.view_changes.start_request_timer()
@@ -249,6 +276,7 @@ class ReplicaBase(Node):
         if ordering is not None and slot.ordering_message is None:
             slot.ordering_message = ordering
         slot.view = self.view
+        self.slots.track(slot)
         self.record_assignment(request, sequence)
         return slot
 
@@ -335,6 +363,7 @@ class ReplicaBase(Node):
         )
         slot = self.slots.slot(sequence)
         slot.committed = True
+        self.slots.track(slot)
         executions = self.executor.commit_batch(sequence, entries, owned=True)
         # All executions of one drained sequence share their slot, so the
         # slot probe is hoisted out of the per-request loop; replies are

@@ -11,7 +11,7 @@ here in the substrate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Set
 
 from repro.smr.messages import Request, requests_of
 
@@ -94,6 +94,9 @@ class SlotLog:
     def __init__(self) -> None:
         self._slots: Dict[int, Slot] = {}
         self._low_watermark = 0
+        # The live slots that hold an ordered-but-uncommitted proposal, kept
+        # by :meth:`track` and :meth:`collect_below`.
+        self._pending: Set[int] = set()
 
     @property
     def low_watermark(self) -> int:
@@ -131,24 +134,25 @@ class SlotLog:
     def uncommitted_slots(self) -> List[Slot]:
         return [self._slots[seq] for seq in sorted(self._slots) if not self._slots[seq].committed]
 
+    def track(self, slot: Slot) -> None:
+        """Note whether live ``slot`` now holds an ordered-but-uncommitted proposal
+        (a payload and an ordering message); called after either, or the
+        commit flag, changed."""
+        sequence = slot.sequence
+        if self._slots.get(sequence) is not slot:
+            return
+        if not slot.committed and slot.request is not None and slot.ordering_message is not None:
+            self._pending.add(sequence)
+        else:
+            self._pending.discard(sequence)
+
     def has_pending_proposal(self) -> bool:
         """Whether any slot holds an ordered-but-uncommitted proposal.
 
-        Equivalent to scanning :meth:`uncommitted_slots` for a slot with a
-        request and an ordering message, but without sorting or building a
-        list — the request-timer update runs this on every commit.  Scans
-        newest-first: under pipelining the youngest slots are almost always
-        the in-flight ones, so the typical probe is O(1) instead of walking
-        the long committed prefix awaiting checkpoint GC.
+        The request-timer update asks this on every commit, so the answer is
+        kept as slots change instead of walking the log.
         """
-        for slot in reversed(self._slots.values()):
-            if (
-                not slot.committed
-                and slot.request is not None
-                and slot.ordering_message is not None
-            ):
-                return True
-        return False
+        return bool(self._pending)
 
     def highest_sequence(self) -> int:
         return max(self._slots) if self._slots else self._low_watermark
@@ -164,5 +168,6 @@ class SlotLog:
         stale = [seq for seq in self._slots if seq <= watermark]
         for seq in stale:
             del self._slots[seq]
+        self._pending.difference_update(stale)
         self._low_watermark = watermark
         return len(stale)

@@ -26,6 +26,7 @@ between protocols are the answers the replica gives:
   and how many suspicions make a replica join;
 * ``verify_message(src, message)`` — whether a vote or new view is authentic;
 * ``leave_view()`` — stop ordering in the view being left;
+* ``install_roles()`` — the roles of the view just assigned;
 * ``enter_view(src, message, previous_view)`` — the protocol's half of
   installing a view: re-proposing what the new view lists;
 * ``protocol_label`` — what the install log line names.
@@ -229,6 +230,7 @@ class ViewChangeManager:
         """Enter the view ``message`` installs, then let the protocol re-propose."""
         replica = self.replica
         previous_view, replica.view = replica.view, message.new_view
+        replica.install_roles()
         replica.in_view_change = False
         self.pending_mode = None
         self.active_target = None

@@ -147,6 +147,27 @@ class TestAcceptedCount:
         assert window.messages_verified == 1
 
 
+class TestFirstSight:
+    """A memo-cold signature, which is every one that crossed a real wire, costs one
+    HMAC on first sight: the reference path's verdict, memoized for the next check."""
+
+    @pytest.mark.parametrize("valid", [True, False], ids=["valid", "corrupted"])
+    def test_one_hmac_then_the_memo(self, channel, valid):
+        signer, verifier, window = channel
+        (message,) = signed_requests(signer, "sender", 1)
+        signed = message.signature
+        tag = signed.tag if valid else "0" * 64
+        reference = verifier.verify_digest(
+            signed.payload_digest, Signature(signed.signer_id, signed.payload_digest, tag)
+        )
+        message.signature = Signature(signed.signer_id, signed.payload_digest, tag)
+        assert window.verify("sender", message) is reference is valid
+        assert window.fallback_verifications == 1
+        assert list(message.signature._tag_ok_by_secret.values()) == [valid]
+        assert window.verify("sender", message) is valid
+        assert window.fallback_verifications == 1
+
+
 class _PerMessageVerifier:
     """Reference front: every check goes through the per-message path."""
 

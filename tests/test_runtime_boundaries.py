@@ -8,8 +8,10 @@ comments don't count) of every module under ``repro/core``, ``repro/smr``,
 fail if any of them reaches into the simulator, the simulated network or a
 cost model directly.  The machine model has one home: ``create_cpu`` takes
 only a name on every backend, and only the three runtime modules define a
-CPU.  ``repro/runtime/api.py`` must additionally
-stay a dependency leaf: it is imported by everything, so it may import
+CPU.  A message's modeled cost is classified by the simulated CPU alone:
+no other module names ``wire_size_of`` and its kin, and the node and the
+two TCP backends name nothing of the cost model.  ``repro/runtime/api.py``
+must additionally stay a dependency leaf: it is imported by everything, so it may import
 nothing from ``repro`` at module scope.
 
 Cluster construction is held to one path the same way: only
@@ -122,6 +124,51 @@ def cpu_definitions(root):
                 yield f"{relative}:{node.lineno} defines a CPU"
 
 
+#: The modeled-cost classification of a message: its wire size, whether it is
+#: signed, how many signatures it carries.  Only the simulated CPU classifies.
+CLASSIFIERS = {"wire_size_of", "is_signed", "signature_count_of"}
+CLASSIFIER_OWNER = Path("runtime") / "sim.py"
+#: Everything of the cost model besides: a module that runs unmodeled references none.
+COST_MODEL_NAMES = CLASSIFIERS | {
+    "NodeCostModel", "cost_model", "_cost_memo", "send_cost", "receive_cost", "WIRE_SIZE_CACHE_ATTR"
+}
+#: The node every backend runs, and the two TCP backends, which measure instead of modeling.
+UNMODELED = {Path("net") / "node.py", Path("runtime") / "aio.py", Path("runtime") / "proc.py"}
+
+
+def _referenced_names(tree):
+    """Yield ``(lineno, name)`` for each name, attribute, definition and import in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.lineno, node.attr
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.lineno, node.name
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield node.lineno, alias.name
+
+
+def cost_classification_sites(root):
+    """Where a module under ``root`` classifies a message's modeled cost out of turn.
+
+    Outside :data:`CLASSIFIER_OWNER` no module names a classifier (the modeled
+    network sizes a transmission from the size it is handed), and the
+    :data:`UNMODELED` modules name nothing of the cost model.
+    """
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        relative = path.relative_to(root)
+        if relative == CLASSIFIER_OWNER:
+            continue
+        watched = COST_MODEL_NAMES if relative in UNMODELED else CLASSIFIERS
+        for lineno, name in _referenced_names(ast.parse(path.read_text(), filename=str(path))):
+            if name in watched:
+                found.append(f"{relative}:{lineno} references {name}")
+    return sorted(set(found))
+
+
 #: The modules that push onto a simulator's heap: its owner, and the two hot
 #: paths (``SimCpu``'s completions, ``Network.deliver``'s arrivals) that inline the push.
 HEAP_OWNERS = {Path("sim") / "simulator.py", Path("runtime") / "sim.py", Path("net") / "network.py"}
@@ -211,7 +258,7 @@ class TestOneSimulatedMachine:
             "    def submit(self, cost, handler, args=()):\n"
             "        pass\n"
             "class SimCpu(Process):\n"
-            "    def submit_receive(self, size, signed, count, handler, args=()):\n"
+            "    def submit_receive(self, payload, size, handler, args=()):\n"
             "        pass\n"
         )
         assert forbidden_imports(root) == [
@@ -219,6 +266,47 @@ class TestOneSimulatedMachine:
             "net/node.py:1 imports repro.net.costs",
         ]
         assert list(cpu_definitions(root)) == ["sim/process.py:5 defines a CPU"]
+
+    def test_only_the_simulated_cpu_classifies_a_messages_cost(self):
+        assert cost_classification_sites(SRC) == []
+        assert "def wire_size_of" in (SRC / CLASSIFIER_OWNER).read_text()
+
+    def test_the_classification_rule_catches_a_classifying_node(self, tmp_path):
+        """The node that classified each message for a CPU that, on TCP, discarded it."""
+        root = tmp_path / "repro"
+        for package in ("net", "runtime", "smr"):
+            (root / package).mkdir(parents=True)
+        (root / "net" / "node.py").write_text(
+            "from repro.crypto.digest import WIRE_SIZE_CACHE_ATTR\n"
+            "def wire_size_of(payload):\n"
+            "    return len(repr(payload))\n"
+            "class Node:\n"
+            "    def send(self, dst, payload):\n"
+            "        size = payload.__dict__.get(WIRE_SIZE_CACHE_ATTR)\n"
+            "        if size is None:\n"
+            "            size = wire_size_of(payload)\n"
+            "        signed = True if getattr(payload, 'signed', False) else False\n"
+            "        self.process.submit_send(size, signed, self._transmit, (dst, payload, size))\n"
+        )
+        (root / "runtime" / "aio.py").write_text(
+            "class AioCpu:\n"
+            "    def submit_send(self, payload, handler, args=()):\n"
+            "        self.submit(self.cost_model.send_cost(len(payload), False), handler, args)\n"
+        )
+        (root / "runtime" / "sim.py").write_text("def wire_size_of(payload):\n    return 0\n")
+        (root / "smr" / "replica.py").write_text(
+            "from repro.runtime.sim import wire_size_of\nBATCH_BYTES = wire_size_of(None)\n"
+        )
+        assert cost_classification_sites(root) == [
+            "net/node.py:1 references WIRE_SIZE_CACHE_ATTR",
+            "net/node.py:2 references wire_size_of",
+            "net/node.py:6 references WIRE_SIZE_CACHE_ATTR",
+            "net/node.py:8 references wire_size_of",
+            "runtime/aio.py:3 references cost_model",
+            "runtime/aio.py:3 references send_cost",
+            "smr/replica.py:1 references wire_size_of",
+            "smr/replica.py:2 references wire_size_of",
+        ]
 
     def test_only_the_heap_owners_touch_the_heap(self):
         assert heap_touches(SRC) == []

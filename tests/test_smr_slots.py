@@ -1,6 +1,14 @@
-"""Unit tests for slot bookkeeping (votes, digest matching, watermarks)."""
+"""Unit tests for slot bookkeeping (votes, digest matching, watermarks, pending proposals)."""
 
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
+
+from repro.cluster import build_seemore
+from repro.core import Mode
+from repro.smr.messages import NewView
+from repro.smr.replica import noop_request, request_digest
 from repro.smr.slots import Slot, SlotLog
+from repro.wire.codec import Entry
 
 
 class TestSlot:
@@ -88,3 +96,86 @@ class TestSlotLog:
         log.slot(7)
         log.slot(3)
         assert log.highest_sequence() == 7
+
+
+def walked_pending(log):
+    """The walk ``has_pending_proposal`` replaced: any live ordered-but-uncommitted slot."""
+    return any(
+        not slot.committed and slot.request is not None and slot.ordering_message is not None
+        for slot in log._slots.values()
+    )
+
+
+SEQUENCES = st.integers(min_value=1, max_value=12)
+VARIANTS = st.integers(min_value=0, max_value=1)
+
+
+class PendingProposals(RuleBasedStateMachine):
+    """A Lion backup's slot log under fills, force-fills, commits, collection and
+    view entry, driven through the replica's own entry points: after every step
+    the kept answer is the walk's."""
+
+    @initialize()
+    def build_replica(self):
+        deployment = build_seemore(mode=Mode.LION, num_clients=1)
+        config = deployment.group().config
+        self.replica = deployment.replicas[config.private_replicas[1]]
+
+    @staticmethod
+    def payload(sequence, variant):
+        request = noop_request(100 * sequence + variant)
+        return request_digest(request), request
+
+    @rule(sequence=SEQUENCES, variant=VARIANTS, ordered=st.booleans(), force=st.booleans())
+    def fill(self, sequence, variant, ordered, force):
+        digest, request = self.payload(sequence, variant)
+        ordering = ("ordering", sequence, variant) if ordered else None
+        self.replica.fill_slot(sequence, digest, request, ordering, force=force)
+
+    @rule(sequence=SEQUENCES)
+    def commit(self, sequence):
+        slot = self.replica.slots.existing_slot(sequence)
+        if slot is not None and slot.request is not None:
+            self.replica.finalize(slot, send_reply=False)
+
+    @rule(watermark=SEQUENCES)
+    def collect(self, watermark):
+        self.replica.slots.collect_below(watermark)
+
+    @rule(
+        commits=st.lists(st.tuples(SEQUENCES, VARIANTS), max_size=3),
+        prepares=st.lists(st.tuples(SEQUENCES, VARIANTS), max_size=3),
+    )
+    def enter_view(self, commits, prepares):
+        replica = self.replica
+        ledger = replica.ledger
+
+        def entries(picked):
+            # One entry per sequence, as reconcile gives; and a sequence commits
+            # with one digest only (a second one is a safety violation).
+            return [
+                Entry(sequence, replica.view + 1, *self.payload(sequence, variant))
+                for sequence, variant in dict(picked).items()
+                if ledger.digest_at(sequence) in (None, self.payload(sequence, variant)[0])
+            ]
+
+        replica.view_changes.install(
+            replica.node_id,
+            NewView(
+                new_view=replica.view + 1,
+                mode=int(Mode.LION),
+                replica_id=replica.node_id,
+                checkpoint_sequence=0,
+                prepares=entries(prepares),
+                commits=entries(commits),
+            ),
+        )
+
+    @invariant()
+    def kept_answer_is_the_walks(self):
+        slots = self.replica.slots
+        assert slots.has_pending_proposal() == walked_pending(slots)
+
+
+TestPendingProposals = PendingProposals.TestCase
+TestPendingProposals.settings = settings(max_examples=60, stateful_step_count=30, deadline=None)

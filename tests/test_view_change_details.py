@@ -21,6 +21,7 @@ from repro.runtime.aio import decode_envelope, encode_envelope
 from repro.smr.ledger import assert_ledgers_consistent
 from repro.smr.replica import NOOP_CLIENT, noop_request, request_digest
 from repro.smr.state_machine import Operation, TransactionalKeyValueStore
+from repro.smr.view_change import ViewChangeManager
 from repro.workload import Workload
 
 
@@ -523,3 +524,82 @@ class TestNewViewTimer:
         assert highest_view() == 1
         deployment.run(0.2)
         assert highest_view() == 2
+
+
+def assert_roles_match_the_config(replica):
+    """Every role a replica installed equals what its configuration says for its view."""
+    config, node = replica.config, replica.node_id
+    if isinstance(replica, SeeMoReReplica):
+        members, mode = config.all_replicas, replica.mode
+        primary = config.primary_of_view(replica.view, mode)
+        proxies = config.proxies_of_view(replica.view, mode)
+        assert replica.other_proxies() == [proxy for proxy in proxies if proxy != node]
+        assert replica.inform_targets() == [
+            member for member in members if member not in proxies and member != node
+        ]
+    else:
+        members, mode = config.replicas, 0
+        primary, proxies = config.primary_of_view(replica.view), []
+    where = (node, replica.view, int(mode))
+    assert replica.current_primary() == primary, where
+    assert replica.mode_id == int(mode), where
+    assert replica.is_proxy() == (node in proxies), where
+    assert [member for member in members if replica.is_current_proxy(member)] == proxies, where
+
+
+class TestRolesFollowTheInstalledView:
+    """Roles are installed per view and mode, not derived per message: after every
+    installed view and every mode switch each replica's installed roles must equal
+    the configuration's answer for its new view."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        """Check every replica's roles after each view install and mode switch."""
+        installs = []
+        install, set_mode = ViewChangeManager.install, SeeMoReReplica.set_mode
+
+        def checked_install(manager, src, message):
+            install(manager, src, message)
+            assert_roles_match_the_config(manager.replica)
+            installs.append((manager.replica.view, manager.replica.mode_id))
+
+        def checked_set_mode(replica, mode):
+            set_mode(replica, mode)
+            assert_roles_match_the_config(replica)
+
+        monkeypatch.setattr(ViewChangeManager, "install", checked_install)
+        monkeypatch.setattr(SeeMoReReplica, "set_mode", checked_set_mode)
+        return installs
+
+    def test_lion_to_dog_to_peacock(self, checked):
+        deployment = build(Mode.LION)
+        config = deployment.group().config
+        simulator = deployment.simulator
+        deployment.start_clients()
+        simulator.run(until=0.1)
+        crash_primary(deployment.group())  # a same-mode view change in Lion
+        simulator.run(until=0.4)
+        initiator = deployment.replicas[config.private_replicas[1]]
+        initiator.request_mode_switch(Mode.DOG)
+        simulator.run(until=0.7)
+        initiator.request_mode_switch(Mode.PEACOCK)
+        simulator.run(until=1.0)
+        survivors = deployment.correct_replicas()
+        # Views 2 and 4 are collected by the crashed replica: they time out, never installed.
+        assert set(checked) == {(1, Mode.LION), (3, Mode.DOG), (5, Mode.PEACOCK)}
+        assert {(replica.view, replica.mode) for replica in survivors} == {(5, Mode.PEACOCK)}
+        for replica in survivors:
+            assert_roles_match_the_config(replica)
+
+    @pytest.mark.parametrize("protocol", ["cft", "bft", "s-upright"])
+    def test_a_baseline_primary_crash(self, checked, protocol):
+        deployment = builder_for(protocol)(num_clients=1, seed=3)
+        for replica in deployment.replicas.values():
+            assert_roles_match_the_config(replica)
+        deployment.start_clients()
+        deployment.simulator.run(until=0.05)
+        crash_primary(deployment.group())
+        deployment.simulator.run(until=0.3)
+        survivors = deployment.correct_replicas()
+        assert {replica.view for replica in survivors} == {1}
+        assert len(checked) == len(survivors)
