@@ -19,7 +19,7 @@ boundary; a commit quorum of matching ones makes it stable and garbage
 collects below it.
 
 Request intake, the commit entry, the checkpoint vote rule, the request
-timer and the view change are the skeleton's
+timer, the view change and catch-up are the skeleton's
 (:class:`~repro.smr.replica.ReplicaBase`,
 :class:`~repro.baselines.replica.BaselineReplica`).  This module gives the
 agreement's answers (every replica takes part and votes, at the

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 
 @dataclass(frozen=True)
@@ -64,9 +64,6 @@ class BaselineConfig:
         if view < 0:
             raise ValueError(f"view numbers are non-negative: {view}")
         return self.replicas[view % len(self.replicas)]
-
-    def other_replicas(self, replica_id: str) -> List[str]:
-        return [replica for replica in self.replicas if replica != replica_id]
 
     @classmethod
     def build(cls, *args, prefix: str = "replica", **kwargs) -> "BaselineConfig":

@@ -18,8 +18,8 @@ That is Lion's agreement, written once in
 pairwise-authenticated channels are sufficient, which is exactly why CFT
 outperforms the Byzantine protocols in Figures 2 and 3.
 
-Request intake, the commit entry, the request timer and the leader change
-are the skeleton's (:class:`~repro.smr.replica.ReplicaBase`,
+Request intake, the commit entry, the request timer, the leader change and
+catch-up are the skeleton's (:class:`~repro.smr.replica.ReplicaBase`,
 :class:`~repro.baselines.replica.BaselineReplica`).  This module gives the
 agreement's answers (unsigned, at the configuration's ``agreement_quorum``,
 and the new leader re-proposes what the new view lists) and answers the

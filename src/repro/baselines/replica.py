@@ -20,6 +20,9 @@ rest once:
   collects ``agreement_quorum`` votes into a ``NewView`` (mode 0, no
   commits), and installing it force-fills each listed slot and hands the
   uncommitted ones to the agreement's ``reenter``.
+* **catch-up** — a lagging replica adopts a snapshot that as many matching
+  responses name as a client needs matching replies
+  (``state_transfer_quorum``).
 
 View-change and new-view messages are signed and verified iff the
 configuration says replica messages are (``config.messages_are_signed``).
@@ -28,7 +31,7 @@ A protocol module names its ``agreement`` and gives the three answers above.
 
 from __future__ import annotations
 
-from typing import Any, Collection, List, Sequence
+from typing import Any, Collection, Sequence
 
 from repro.baselines import messages as msgs
 from repro.baselines.config import BaselineConfig
@@ -53,9 +56,7 @@ class BaselineReplica(ReplicaBase):
         verifier: Verifier,
         state_machine: StateMachine,
     ) -> None:
-        if node_id not in config.replicas:
-            raise ValueError(f"replica {node_id!r} is not part of the configuration")
-        super().__init__(node_id, runtime, signer, verifier, state_machine)
+        super().__init__(node_id, runtime, config.replicas, signer, verifier, state_machine)
         self.config = config
         self.install_roles()
         self.view_changes = ViewChangeManager(self)
@@ -83,9 +84,6 @@ class BaselineReplica(ReplicaBase):
     def install_roles(self) -> None:
         self._primary = self.config.primary_of_view(self.view)
 
-    def other_replicas(self) -> List[str]:
-        return self.config.other_replicas(self.node_id)
-
     def _signed(self, message: ProtocolMessage) -> ProtocolMessage:
         if self.config.messages_are_signed:
             message.sign(self.signer)
@@ -95,6 +93,11 @@ class BaselineReplica(ReplicaBase):
         if not self.config.messages_are_signed:
             return True
         return message.signed and message.verify(self.verifier, expected_signer=src)
+
+    def state_transfer_quorum(self, src: str) -> int:
+        """As many matching responses as a client needs matching replies:
+        one in the crash model, one more than can lie in the Byzantine ones."""
+        return self.config.client_reply_quorum
 
     # -- ordering ----------------------------------------------------------------------
 

@@ -15,11 +15,11 @@ Message flavours and who signs what follow the paper:
 * ``VIEW-CHANGE``, ``NEW-VIEW``, and ``MODE-CHANGE`` drive liveness and
   dynamic mode switching.
 
-``CHECKPOINT``, ``NEW-VIEW``, the leader agreement's ``PREPARE`` /
-``ACCEPT`` / ``COMMIT`` (Lion's, which Paxos sends unsigned) and PBFT's
-``PRE-PREPARE`` / ``PREPARE`` (:class:`ProxyPrepare`) / ``COMMIT`` are
-shared with the baselines, so they are declared in :mod:`repro.smr.messages`
-and re-exported here.
+``CHECKPOINT``, ``NEW-VIEW``, the state transfer pair, the leader
+agreement's ``PREPARE`` / ``ACCEPT`` / ``COMMIT`` (Lion's, which Paxos sends
+unsigned) and PBFT's ``PRE-PREPARE`` / ``PREPARE`` (:class:`ProxyPrepare`) /
+``COMMIT`` are shared with the baselines, so they are declared in
+:mod:`repro.smr.messages` and re-exported here.
 
 Ordering messages carry one slot *payload*: either a bare client
 :class:`~repro.smr.messages.Request` or a :class:`~repro.smr.messages.Batch`
@@ -43,15 +43,16 @@ from repro.smr.messages import (
     Prepare,
     ProtocolMessage,
     ProxyPrepare,
+    StateTransferRequest,
+    StateTransferResponse,
     requests_of,
     _ATTRIBUTED_VOTE,
-    _HEADER_BYTES,
     _MODE,
     _REPLICA,
     _SIGNED_BYTES,
     _SIGNED_VOTE_BYTES,
 )
-from repro.wire.codec import ATTACHMENT, DIGEST, ENTRIES, I64, Entry, Field
+from repro.wire.codec import DIGEST, ENTRIES, I64, Entry, Field
 from repro.wire.primitives import TAG_INFORM
 
 
@@ -90,32 +91,6 @@ class ModeChange(ProtocolMessage):
     TAG = 0x19
     FIELDS = (Field("new_view", I64), Field("new_mode", I64), _REPLICA)
     SIZE = _SIGNED_BYTES
-
-
-class StateTransferRequest(ProtocolMessage):
-    """A lagging replica asks a peer for the state at its stable checkpoint."""
-
-    TAG = 0x1A
-    FIELDS = (_REPLICA, Field("known_sequence", I64))
-    SIGNED = False
-    SIZE = _HEADER_BYTES
-
-
-class StateTransferResponse(ProtocolMessage):
-    """Checkpointed application state shipped to a lagging replica.
-
-    The snapshot rides beside the signed frame; the receiver adopts it only
-    if it is the state ``checkpoint_sequence`` and ``state_digest`` name.
-    """
-
-    TAG = 0x1B
-    FIELDS = (
-        _REPLICA,
-        Field("checkpoint_sequence", I64),
-        Field("state_digest", DIGEST),
-        Field("snapshot", ATTACHMENT, dict),
-    )
-    SIZE = _SIGNED_VOTE_BYTES + 1024
 
 
 __all__ = [

@@ -12,7 +12,7 @@ A :class:`SeeMoReReplica` glues together:
 * what the modes do alike around them: the batcher through which a primary
   proposes, the inform leg between proxies and passive replicas (Dog and
   Peacock), and who replies to the client;
-* who checkpoints in which mode, and state transfer;
+* who checkpoints in which mode, and whose state-transfer response counts;
 * its answers to the shared view change (:mod:`repro.smr.view_change`),
   which a mode switch rides.
 
@@ -36,7 +36,7 @@ from repro.core.lion import LionAgreement
 from repro.core.modes import Mode
 from repro.core.peacock import PeacockAgreement
 from repro.crypto.signatures import Signer, Verifier
-from repro.smr.checkpointing import CheckpointManager, signed_state_digest
+from repro.smr.checkpointing import CheckpointManager
 from repro.smr.executor import ExecutionResult
 from repro.smr.messages import Busy, Request
 from repro.smr.replica import ReplicaBase
@@ -65,9 +65,7 @@ class SeeMoReReplica(ReplicaBase):
         state_machine: StateMachine,
         initial_mode: Mode = Mode.LION,
     ) -> None:
-        if node_id not in config.all_replicas:
-            raise ValueError(f"replica {node_id!r} is not part of the configuration")
-        super().__init__(node_id, runtime, signer, verifier, state_machine)
+        super().__init__(node_id, runtime, config.all_replicas, signer, verifier, state_machine)
         self.config = config
         self.set_mode(initial_mode)
         self.watermark_window = 4 * config.checkpoint_period
@@ -82,18 +80,6 @@ class SeeMoReReplica(ReplicaBase):
             clock=lambda: self.now,
         )
         self.busy_rejects_sent = 0
-
-        # Catch-up (state transfer) bookkeeping: a replica that falls far
-        # behind the commit frontier fetches a checkpointed snapshot from its
-        # peers instead of waiting for messages it will never receive again.
-        self._catchup_target = 0
-        self._catchup_requested_at = -1.0
-        self._catchup_votes: Dict[tuple, set] = {}
-        self.state_transfers_completed = 0
-
-        # Built on first use: the membership is fixed for a run.
-        self._other_replicas: Optional[List[str]] = None
-
         self._register_handlers()
 
     def _register_handlers(self) -> None:
@@ -102,8 +88,6 @@ class SeeMoReReplica(ReplicaBase):
         self.register_handler(msgs.ViewChange, self.view_changes.on_view_change)
         self.register_handler(msgs.NewView, self.view_changes.on_new_view)
         self.register_handler(msgs.ModeChange, self._on_mode_change)
-        self.register_handler(msgs.StateTransferRequest, self._on_state_transfer_request)
-        self.register_handler(msgs.StateTransferResponse, self._on_state_transfer_response)
 
     # -- roles ------------------------------------------------------------------
 
@@ -125,17 +109,6 @@ class SeeMoReReplica(ReplicaBase):
             for replica in config.all_replicas
             if replica not in proxies and replica != node_id
         ]
-
-    def other_replicas(self) -> List[str]:
-        # Static per node (membership never changes mid-run); every
-        # protocol multicast asks for this list, so build it once.
-        # Callers treat the returned list as read-only.
-        cached = self._other_replicas
-        if cached is None:
-            cached = self._other_replicas = [
-                replica for replica in self.config.all_replicas if replica != self.node_id
-            ]
-        return cached
 
     def other_proxies(self) -> List[str]:
         return self._other_proxies
@@ -220,7 +193,6 @@ class SeeMoReReplica(ReplicaBase):
 
     def _after_commit(self, sequence: int, executions: List[ExecutionResult]) -> None:
         self.batcher.on_slot_committed(sequence)
-        self._maybe_request_catchup(sequence)
 
     # -- the inform leg (Dog and Peacock) ------------------------------------------------
 
@@ -392,10 +364,6 @@ class SeeMoReReplica(ReplicaBase):
         self.set_mode(mode)
         self.clear_assignments()
 
-        # Catch up if the new view starts from a checkpoint we have not reached.
-        if message.checkpoint_sequence > self.last_executed and src != self.node_id:
-            self.request_state_transfer(src, message.checkpoint_sequence)
-
         highest = message.checkpoint_sequence
         for entry in message.commits:
             highest = max(highest, entry.sequence)
@@ -475,120 +443,16 @@ class SeeMoReReplica(ReplicaBase):
         self.multicast(self.other_replicas(), mode_change)
         self._on_mode_change(self.node_id, mode_change)
 
-    # -- state transfer (catch-up for lagging replicas) --------------------------
+    # -- state transfer ------------------------------------------------------------
 
-    def _maybe_request_catchup(self, committed_sequence: int) -> None:
-        """Fetch a snapshot from peers when the commit frontier runs far ahead.
+    def state_transfer_quorum(self, src: str) -> int:
+        """A trusted replica's response alone; m+1 matching untrusted ones."""
+        return 1 if self.config.is_trusted(src) else self.config.byzantine_tolerance + 1
 
-        A replica that missed informs/commits around a view or mode change
-        keeps committing new sequence numbers while its executor is stuck at
-        a gap; once that backlog exceeds a checkpoint period, waiting longer
-        will not help (the missing messages are gone), so it asks its peers
-        for a checkpointed snapshot.
-        """
-        backlog = committed_sequence - self.last_executed
-        if backlog <= self.config.checkpoint_period:
-            return
-        recently_asked = (
-            self._catchup_requested_at >= 0
-            and self.now - self._catchup_requested_at < 10 * self.config.request_timeout
-            and self.last_executed < self._catchup_target
-        )
-        if recently_asked:
-            return
-        self._catchup_target = committed_sequence
-        self._catchup_requested_at = self.now
-        self._catchup_votes.clear()
-        self.request_state_transfer(None, committed_sequence)
-
-    def request_state_transfer(self, target: Optional[str], up_to_sequence: int) -> None:
-        """Ask ``target`` (or every other replica) for a checkpointed snapshot."""
-        request = msgs.StateTransferRequest(
-            replica_id=self.node_id, known_sequence=self.last_executed
-        )
-        if target is None:
-            self.multicast(self.other_replicas(), request)
-        else:
-            self.send(target, request)
-
-    def _on_state_transfer_request(self, src: str, message: msgs.StateTransferRequest) -> None:
-        if message.known_sequence >= self.last_executed:
-            return
-        # Prefer the latest local checkpoint snapshot: it sits on a period
-        # boundary, so caught-up replicas produce byte-identical snapshots
-        # and the requester can cross-check untrusted responses.
-        checkpoint_sequence, snapshot = self.checkpoints.latest_snapshot()
-        if snapshot is None or checkpoint_sequence <= message.known_sequence:
-            checkpoint_sequence, snapshot = self.last_executed, self.executor.snapshot()
-        state_digest = signed_state_digest(snapshot["next_sequence"], snapshot["state"])
-        response = msgs.StateTransferResponse(
-            replica_id=self.node_id,
-            checkpoint_sequence=checkpoint_sequence,
-            state_digest=state_digest,
-            snapshot=snapshot,
-        )
-        response.sign(self.signer)
-        self.send(src, response)
-
-    def _on_state_transfer_response(self, src: str, message: msgs.StateTransferResponse) -> None:
-        if not self.verify_message(src, message):
-            return
-        snapshot = message.snapshot
-        if not self._snapshot_is_what_was_signed(message):
-            # The snapshot rides beside the signed frame; one that is not the
-            # state the frame names was swapped in by the channel peer.
-            self.evidence.record(
-                EvidenceKind.INVALID_SIGNATURE, suspect=src, detail="StateTransferResponse snapshot"
-            )
-            return
-        if message.checkpoint_sequence <= self.last_executed:
-            return
-        trusted = self.config.is_trusted(src)
-        matches_stable = (
-            message.checkpoint_sequence == self.checkpoints.stable_sequence
-            and message.state_digest == self.checkpoints.stable_digest
-        )
-        if not (trusted or matches_stable):
-            # Untrusted responses are only adopted once m+1 of them agree on
-            # the same checkpointed state.
-            key = (message.checkpoint_sequence, message.state_digest)
-            voters = self._catchup_votes.setdefault(key, set())
-            voters.add(src)
-            if len(voters) < self.config.byzantine_tolerance + 1:
-                return
-        self._adopt_snapshot(snapshot)
-
-    @staticmethod
-    def _snapshot_is_what_was_signed(message: msgs.StateTransferResponse) -> bool:
-        """Whether the unsigned snapshot is the state ``message``'s signed fields name.
-
-        Only ``checkpoint_sequence`` and ``state_digest`` are signed, and
-        every trust decision is made on them, so the snapshot must digest to
-        exactly what ``_on_state_transfer_request`` signed.  Anything may
-        come off the wire in its place: a wrong shape is a mismatch.
-        """
-        snapshot = message.snapshot
-        try:
-            next_sequence, state = snapshot["next_sequence"], snapshot["state"]
-            return (
-                next_sequence - 1 == message.checkpoint_sequence
-                and signed_state_digest(next_sequence, state) == message.state_digest
-                and isinstance(snapshot["replies"], dict)
-                and all(type(key) is tuple and len(key) == 2 for key in snapshot["replies"])
-            )
-        except (KeyError, TypeError, ValueError):
-            return False
-
-    def _adopt_snapshot(self, snapshot: Dict[str, Any]) -> None:
-        self.executor.restore(snapshot)
-        self.slots.collect_below(self.executor.last_executed)
-        self.bump_sequence_counter(self.executor.next_sequence)
-        self._catchup_votes.clear()
-        self.state_transfers_completed += 1
+    def _after_state_transfer(self) -> None:
         # Slots the snapshot jumped over committed without this replica ever
         # running finalize on them; release their pipeline slots.
         self.batcher.forget_in_flight_below(self.executor.last_executed)
-        self.view_changes.update_request_timer()
 
     # -- introspection -----------------------------------------------------------
 

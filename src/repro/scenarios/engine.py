@@ -590,10 +590,9 @@ def run_scenario(
         else (),
         # Telemetry over *all* replicas: a crashed-then-recovered replica
         # stays in the conservative faulty set, but its state transfer is
-        # exactly what the report should show.  (The baselines have none.)
+        # exactly what the report should show.
         state_transfers=sum(
-            getattr(replica, "state_transfers_completed", 0)
-            for replica in deployment.replicas.values()
+            replica.state_transfers_completed for replica in deployment.replicas.values()
         ),
         events_applied=events_applied,
         invariant_violations=violations,

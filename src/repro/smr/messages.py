@@ -6,10 +6,10 @@ same ``CHECKPOINT``, Peacock and the BFT baselines run PBFT's agreement
 (:mod:`repro.smr.pbft`) on the same ``PRE-PREPARE`` / ``PREPARE`` /
 ``COMMIT``, Lion and Paxos run the leader agreement (:mod:`repro.smr.leader`)
 on the same ``PREPARE`` / ``ACCEPT`` / ``COMMIT`` (Paxos's unsigned), and
-every protocol installs a view with the same ``NEW-VIEW``, so they live here
-in the SMR substrate.  A message only SeeMoRe sends (the informs, its view
-change, mode change and state transfer) is defined in :mod:`repro.core`,
-and the baselines' view change in :mod:`repro.baselines`.
+every protocol installs a view with the same ``NEW-VIEW`` and catches up with
+the same state transfer, so they live here in the SMR substrate.  A message
+only SeeMoRe sends (the informs, its view change and mode change) is defined
+in :mod:`repro.core`, and the baselines' view change in :mod:`repro.baselines`.
 
 Every message class is *declared once*: a wire ``TAG``, an ordered tuple of
 typed ``FIELDS``, whether it is ``SIGNED`` by default (drives the CPU cost
@@ -33,7 +33,18 @@ from repro.crypto.digest import (
 )
 from repro.crypto.signatures import Signature, Signer, Verifier
 from repro.smr.state_machine import Operation, result_digest
-from repro.wire.codec import DIGEST, ENTRIES, I64, PAYLOAD, STR, Field, Kind, OpaqueResult, derive
+from repro.wire.codec import (
+    ATTACHMENT,
+    DIGEST,
+    ENTRIES,
+    I64,
+    PAYLOAD,
+    STR,
+    Field,
+    Kind,
+    OpaqueResult,
+    derive,
+)
 from repro.wire.primitives import (
     TAG_ACCEPT,
     TAG_BATCH,
@@ -590,6 +601,35 @@ class NewView(ProtocolMessage):
     SIZE = _SIGNED_BYTES
 
 
+# -- state transfer (ReplicaBase's catch-up): every protocol --
+
+
+class StateTransferRequest(ProtocolMessage):
+    """A lagging replica asks a peer for the state at its stable checkpoint."""
+
+    TAG = 0x1A
+    FIELDS = (_REPLICA, Field("known_sequence", I64))
+    SIGNED = False
+    SIZE = _HEADER_BYTES
+
+
+class StateTransferResponse(ProtocolMessage):
+    """Checkpointed application state shipped to a lagging replica.
+
+    The snapshot rides beside the signed frame; the receiver adopts it only
+    if it is the state ``checkpoint_sequence`` and ``state_digest`` name.
+    """
+
+    TAG = 0x1B
+    FIELDS = (
+        _REPLICA,
+        Field("checkpoint_sequence", I64),
+        Field("state_digest", DIGEST),
+        Field("snapshot", ATTACHMENT, dict),
+    )
+    SIZE = _SIGNED_VOTE_BYTES + 1024
+
+
 def requests_of(payload: Any) -> List[Request]:
     """The client requests inside a slot payload (a batch or a bare request)."""
     if isinstance(payload, Batch):
@@ -610,6 +650,8 @@ __all__ = [
     "ProxyPrepare",
     "Commit",
     "NewView",
+    "StateTransferRequest",
+    "StateTransferResponse",
     "FrameMismatch",
     "requests_of",
     "_HEADER_BYTES",

@@ -19,11 +19,16 @@ payload until checkpoint GC, and a retransmission is answered from the
 reply cache.  Until checkpoint GC it keeps each request's assigned
 sequence, per client, so a retransmission still being ordered is not
 ordered twice.
+
+Catch-up is written here once too: a replica that falls behind (its commits
+run more than a checkpoint period ahead of execution, or a new view starts
+above it) fetches a checkpointed snapshot, and each protocol says only how
+many matching responses it adopts (:meth:`ReplicaBase.state_transfer_quorum`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple, Type
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 from functools import partial
 from hashlib import sha256
@@ -35,7 +40,14 @@ from repro.net.node import Node
 from repro.smr.checkpointing import CheckpointManager, signed_state_digest
 from repro.smr.executor import ExecutionResult, OrderedExecutor
 from repro.smr.ledger import CommitLedger, LedgerEntry
-from repro.smr.messages import Checkpoint, Reply, Request, requests_of
+from repro.smr.messages import (
+    Checkpoint,
+    Reply,
+    Request,
+    StateTransferRequest,
+    StateTransferResponse,
+    requests_of,
+)
 from repro.smr.slots import Slot, SlotLog
 from repro.smr.state_machine import Operation, StateMachine, result_digest
 from repro.wire.primitives import encode_reply
@@ -67,8 +79,8 @@ class ReplicaBase(Node):
     order a request (:meth:`order`), create ``view_changes`` (the shared
     :class:`~repro.smr.view_change.ViewChangeManager`) and install their
     agreement's phase handlers with :meth:`install_agreement`; this class
-    owns the request intake, execution, replies, checkpoint votes and safety
-    records.
+    owns the request intake, execution, replies, checkpoint votes, state
+    transfer and safety records.
     """
 
     #: The mode id this replica's replies and checkpoints carry (a baseline has one: 0).
@@ -87,11 +99,16 @@ class ReplicaBase(Node):
         self,
         node_id: str,
         runtime: Any,
+        replicas: Sequence[str],
         signer: Signer,
         verifier: Verifier,
         state_machine: StateMachine,
     ) -> None:
+        if node_id not in replicas:
+            raise ValueError(f"replica {node_id!r} is not part of the configuration")
         super().__init__(node_id, runtime)
+        # The group is fixed for a run, and every multicast reads this list.
+        self._other_replicas = [replica for replica in replicas if replica != node_id]
         self.signer = signer
         self.verifier = verifier
         # Batch-amortized front for the verifier: rolling per-sender
@@ -103,13 +120,23 @@ class ReplicaBase(Node):
         self.view = 0
         self.in_view_change = False
         self.next_sequence = 1
-        self._handlers: Dict[Type, Callable[[str, Any], None]] = {Request: self.on_request}
+        self._handlers: Dict[Type, Callable[[str, Any], None]] = {
+            Request: self.on_request,
+            StateTransferRequest: self._on_state_transfer_request,
+            StateTransferResponse: self._on_state_transfer_response,
+        }
         self.replies_sent = 0
         # client_id -> {timestamp: assigned sequence}, above the stable checkpoint.
         self._assigned: Dict[str, Dict[int, int]] = {}
         # Runtime fault evidence this replica observed (timeouts, conflicting
         # votes, invalid signatures...); consumed by the adaptive controller.
         self.evidence = EvidenceLog(node_id, self.runtime)
+        # Catch-up: the commit that last triggered a request, when, and the
+        # responders per (checkpoint sequence, state digest).
+        self._catchup_target = 0
+        self._catchup_requested_at = -1.0
+        self._catchup_votes: Dict[Tuple[int, str], set] = {}
+        self.state_transfers_completed = 0
 
     # -- dispatch -----------------------------------------------------------
 
@@ -181,6 +208,10 @@ class ReplicaBase(Node):
     def is_proxy(self) -> bool:
         """Whether this replica is one of the current view's proxies."""
         return self._is_proxy
+
+    def other_replicas(self) -> List[str]:
+        """Every replica of the group but this one; callers treat the list as read-only."""
+        return self._other_replicas
 
     def is_current_proxy(self, node_id: str) -> bool:
         """Whether ``node_id`` is one of the current view's proxies."""
@@ -320,6 +351,7 @@ class ReplicaBase(Node):
         reply = send_reply and request.client_id != NOOP_CLIENT
         executions = self.commit_slot(slot.sequence, request, self.view, reply, self.mode_id)
         self._after_commit(slot.sequence, executions)
+        self._maybe_request_catchup(slot.sequence)
         self.view_changes.update_request_timer()
 
     def _after_commit(self, sequence: int, executions: List[ExecutionResult]) -> None:
@@ -507,6 +539,129 @@ class ReplicaBase(Node):
 
     def _after_stable_checkpoint(self) -> None:
         """What the protocol does once a checkpoint became stable."""
+
+    # -- state transfer (catch-up for lagging replicas) --------------------------
+
+    def state_transfer_quorum(self, src: str) -> int:
+        """Matching state-transfer responses that must agree when ``src`` is one of them."""
+        raise NotImplementedError
+
+    def _maybe_request_catchup(self, committed_sequence: int) -> None:
+        """Fetch a snapshot from peers when the commit frontier runs far ahead.
+
+        A replica that missed commits (it was down, or a view change left it
+        short of a quorum) keeps committing new sequence numbers while its
+        executor is stuck at a gap; once that backlog exceeds a checkpoint
+        period, waiting longer will not help (the missing messages are
+        gone), so it asks its peers for a checkpointed snapshot.
+        """
+        backlog = committed_sequence - self.last_executed
+        if backlog <= self.config.checkpoint_period:
+            return
+        recently_asked = (
+            self._catchup_requested_at >= 0
+            and self.now - self._catchup_requested_at < 10 * self.config.request_timeout
+            and self.last_executed < self._catchup_target
+        )
+        if recently_asked:
+            return
+        self._catchup_target = committed_sequence
+        self._catchup_requested_at = self.now
+        self._catchup_votes.clear()
+        self.request_state_transfer(None)
+
+    def catch_up_to_view(self, collector: str, checkpoint_sequence: int) -> None:
+        """A new view from ``collector`` starts at ``checkpoint_sequence``; fetch it if behind.
+
+        The collector alone is asked when its response is enough by itself,
+        every other replica otherwise.
+        """
+        if checkpoint_sequence <= self.last_executed or collector == self.node_id:
+            return
+        alone = self.state_transfer_quorum(collector) == 1
+        self.request_state_transfer(collector if alone else None)
+
+    def request_state_transfer(self, target: Optional[str]) -> None:
+        """Ask ``target`` (or every other replica) for a checkpointed snapshot."""
+        request = StateTransferRequest(replica_id=self.node_id, known_sequence=self.last_executed)
+        if target is None:
+            self.multicast(self.other_replicas(), request)
+        else:
+            self.send(target, request)
+
+    def _on_state_transfer_request(self, src: str, message: StateTransferRequest) -> None:
+        if message.known_sequence >= self.last_executed:
+            return
+        # Prefer the latest local checkpoint snapshot: it sits on a period
+        # boundary, so caught-up replicas produce byte-identical snapshots
+        # and the requester can cross-check their responses.
+        checkpoint_sequence, snapshot = 0, None
+        if self.checkpoints is not None:
+            checkpoint_sequence, snapshot = self.checkpoints.latest_snapshot()
+        if snapshot is None or checkpoint_sequence <= message.known_sequence:
+            checkpoint_sequence, snapshot = self.last_executed, self.executor.snapshot()
+        response = StateTransferResponse(
+            replica_id=self.node_id,
+            checkpoint_sequence=checkpoint_sequence,
+            state_digest=signed_state_digest(snapshot["next_sequence"], snapshot["state"]),
+            snapshot=snapshot,
+        )
+        response.sign(self.signer)
+        self.send(src, response)
+
+    def _on_state_transfer_response(self, src: str, message: StateTransferResponse) -> None:
+        if not self.verify_message(src, message):
+            return
+        if not self._snapshot_is_what_was_signed(message):
+            # The snapshot rides beside the signed frame; one that is not the
+            # state the frame names was swapped in by the channel peer.
+            self.evidence.record(
+                EvidenceKind.INVALID_SIGNATURE, suspect=src, detail="StateTransferResponse snapshot"
+            )
+            return
+        if message.checkpoint_sequence <= self.last_executed:
+            return
+        key = (message.checkpoint_sequence, message.state_digest)
+        checkpoints = self.checkpoints
+        if checkpoints is None or key != (checkpoints.stable_sequence, checkpoints.stable_digest):
+            voters = self._catchup_votes.setdefault(key, set())
+            voters.add(src)
+            if len(voters) < self.state_transfer_quorum(src):
+                return
+        self._adopt_snapshot(message.snapshot)
+
+    @staticmethod
+    def _snapshot_is_what_was_signed(message: StateTransferResponse) -> bool:
+        """Whether the unsigned snapshot is the state ``message``'s signed fields name.
+
+        Only ``checkpoint_sequence`` and ``state_digest`` are signed, and
+        every trust decision is made on them, so the snapshot must digest to
+        exactly what ``_on_state_transfer_request`` signed.  Anything may
+        come off the wire in its place: a wrong shape is a mismatch.
+        """
+        snapshot = message.snapshot
+        try:
+            next_sequence, state = snapshot["next_sequence"], snapshot["state"]
+            return (
+                next_sequence - 1 == message.checkpoint_sequence
+                and signed_state_digest(next_sequence, state) == message.state_digest
+                and isinstance(snapshot["replies"], dict)
+                and all(type(key) is tuple and len(key) == 2 for key in snapshot["replies"])
+            )
+        except (KeyError, TypeError, ValueError):
+            return False
+
+    def _adopt_snapshot(self, snapshot: Dict[str, Any]) -> None:
+        self.executor.restore(snapshot)
+        self.slots.collect_below(self.executor.last_executed)
+        self.bump_sequence_counter(self.executor.next_sequence)
+        self._catchup_votes.clear()
+        self.state_transfers_completed += 1
+        self._after_state_transfer()
+        self.view_changes.update_request_timer()
+
+    def _after_state_transfer(self) -> None:
+        """What the protocol does once a snapshot moved execution forward."""
 
     # -- introspection ---------------------------------------------------------
 

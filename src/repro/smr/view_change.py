@@ -28,7 +28,9 @@ between protocols are the answers the replica gives:
 * ``leave_view()`` — stop ordering in the view being left;
 * ``install_roles()`` — the roles of the view just assigned;
 * ``enter_view(src, message, previous_view)`` — the protocol's half of
-  installing a view: re-proposing what the new view lists;
+  installing a view: re-proposing what the new view lists (a replica behind
+  the new view's checkpoint has asked for it first, through
+  :meth:`~repro.smr.replica.ReplicaBase.catch_up_to_view`);
 * ``protocol_label`` — what the install log line names.
 """
 
@@ -241,6 +243,7 @@ class ViewChangeManager:
         self._new_view_timer.stop()
         self._request_timer.stop()
         self.view_changes_completed += 1
+        replica.catch_up_to_view(src, message.checkpoint_sequence)
         replica.enter_view(src, message, previous_view)
         _log.info(
             "%s installed view %d (%s)", replica.node_id, replica.view, replica.protocol_label

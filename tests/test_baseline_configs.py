@@ -33,12 +33,6 @@ class TestPaxosConfig:
         with pytest.raises(ValueError):
             PaxosConfig.build(1).primary_of_view(-1)
 
-    def test_other_replicas_excludes_self(self):
-        config = PaxosConfig.build(1)
-        me = config.replicas[0]
-        assert me not in config.other_replicas(me)
-        assert len(config.other_replicas(me)) == config.network_size - 1
-
 
 class TestPBFTConfig:
     def test_build_sizes(self):

@@ -1871,6 +1871,130 @@ class TestOneAgreementSkeleton:
         ]
 
 
+#: The catch-up path: the lag check, the request, both handlers, the snapshot
+#: check and the adoption, defined once in ``smr/replica.py`` for all six
+#: protocols; each protocol answers ``state_transfer_quorum`` only.
+CATCH_UP_PATH = {
+    "_maybe_request_catchup",
+    "request_state_transfer",
+    "_on_state_transfer_request",
+    "_on_state_transfer_response",
+    "_snapshot_is_what_was_signed",
+    "_adopt_snapshot",
+}
+STATE_TRANSFER_MESSAGES = {"StateTransferRequest", "StateTransferResponse"}
+
+
+def catch_up_sites(path):
+    """Yield ``(lineno, what)`` for every catch-up definition or handler route in ``path``.
+
+    A route is a state-transfer message passed to ``register_handler`` or used
+    as a key of a dict literal (a handler table).
+    """
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ClassDef) and node.name in STATE_TRANSFER_MESSAGES:
+            yield node.lineno, f"defines {node.name}"
+        elif (
+            isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name in CATCH_UP_PATH
+        ):
+            yield node.lineno, f"defines {node.name}"
+        elif isinstance(node, (ast.Call, ast.Dict)):
+            if isinstance(node, ast.Dict):
+                routed = node.keys
+            elif getattr(node.func, "attr", None) == "register_handler":
+                routed = node.args[:1]
+            else:
+                continue
+            for key in routed:
+                name = getattr(key, "attr", getattr(key, "id", None))
+                if name in STATE_TRANSFER_MESSAGES:
+                    yield key.lineno, f"registers {name}"
+
+
+class TestOneCatchUpPath:
+    """State transfer is written once, in ``smr/replica.py``, for SeeMoRe and
+    the baselines alike, and its two messages are declared once, in
+    ``smr/messages.py`` (``core.messages`` re-exports them).  No other module
+    defines a piece of the path or routes a state-transfer message to a
+    handler of its own."""
+
+    OWNERS = {
+        **{f"defines {name}": Path("smr") / "replica.py" for name in CATCH_UP_PATH},
+        **{f"registers {name}": Path("smr") / "replica.py" for name in STATE_TRANSFER_MESSAGES},
+        **{f"defines {name}": Path("smr") / "messages.py" for name in STATE_TRANSFER_MESSAGES},
+    }
+
+    def offenders(self, root):
+        return [
+            f"{path.relative_to(root)}:{lineno} {what}"
+            for path in sorted(root.rglob("*.py"))
+            for lineno, what in sorted(catch_up_sites(path))
+            if self.OWNERS[what] != path.relative_to(root)
+        ]
+
+    def test_state_transfer_has_one_owner(self):
+        assert self.offenders(SRC) == []
+        for what, owner in self.OWNERS.items():
+            assert what in {site for _, site in catch_up_sites(SRC / owner)}, (what, owner)
+
+    def test_the_rule_catches_seemores_own_catch_up_path(self, tmp_path):
+        """The path as ``SeeMoReReplica`` held it, and a handler table in a baseline."""
+        (tmp_path / "core").mkdir()
+        (tmp_path / "core" / "replica.py").write_text(
+            "class SeeMoReReplica(ReplicaBase):\n"
+            "    def _register_handlers(self) -> None:\n"
+            "        self.register_handler(msgs.ModeChange, self._on_mode_change)\n"
+            "        self.register_handler(msgs.StateTransferRequest, "
+            "self._on_state_transfer_request)\n"
+            "        self.register_handler(\n"
+            "            msgs.StateTransferResponse, self._on_state_transfer_response\n"
+            "        )\n"
+            "    def _after_commit(self, sequence, executions):\n"
+            "        self._maybe_request_catchup(sequence)\n"
+            "    def _maybe_request_catchup(self, committed_sequence):\n"
+            "        self.request_state_transfer(None, committed_sequence)\n"
+            "    def request_state_transfer(self, target, up_to_sequence):\n"
+            "        self.multicast(self.other_replicas(), request)\n"
+            "    def _on_state_transfer_request(self, src, message):\n"
+            "        self.send(src, response)\n"
+            "    def _on_state_transfer_response(self, src, message):\n"
+            "        self._adopt_snapshot(message.snapshot)\n"
+            "    @staticmethod\n"
+            "    def _snapshot_is_what_was_signed(message):\n"
+            "        return True\n"
+            "    def _adopt_snapshot(self, snapshot):\n"
+            "        self.executor.restore(snapshot)\n"
+        )
+        (tmp_path / "core" / "messages.py").write_text(
+            "class StateTransferRequest(ProtocolMessage):\n"
+            "    TAG = 0x1A\n"
+            "class StateTransferResponse(ProtocolMessage):\n"
+            "    TAG = 0x1B\n"
+        )
+        (tmp_path / "baselines").mkdir()
+        (tmp_path / "baselines" / "replica.py").write_text(
+            "class BaselineReplica(ReplicaBase):\n"
+            "    def __init__(self):\n"
+            "        self._handlers = {\n"
+            "            StateTransferRequest: self._serve_snapshot,\n"
+            "        }\n"
+        )
+        assert self.offenders(tmp_path) == [
+            "baselines/replica.py:4 registers StateTransferRequest",
+            "core/messages.py:1 defines StateTransferRequest",
+            "core/messages.py:3 defines StateTransferResponse",
+            "core/replica.py:4 registers StateTransferRequest",
+            "core/replica.py:6 registers StateTransferResponse",
+            "core/replica.py:10 defines _maybe_request_catchup",
+            "core/replica.py:12 defines request_state_transfer",
+            "core/replica.py:14 defines _on_state_transfer_request",
+            "core/replica.py:16 defines _on_state_transfer_response",
+            "core/replica.py:19 defines _snapshot_is_what_was_signed",
+            "core/replica.py:21 defines _adopt_snapshot",
+        ]
+
+
 def deployment_kind_sites(path, relative):
     """Yield ``(lineno, what)`` for everything the one-deployment rule watches in ``path``.
 

@@ -45,8 +45,11 @@ from repro.scenarios import (
     SCENARIOS,
     SHARDED_SCENARIOS,
     Byzantine,
+    CaughtUp,
     Crash,
+    Recover,
     Scenario,
+    StateTransferred,
     ViewAdvanced,
     run_scenario,
     run_scenario_matrix,
@@ -280,6 +283,32 @@ def test_the_engine_runs_a_schedule_against_a_baseline(protocol):
             Crash(at=0.0, target=target).apply(deployment)
 
 
+@pytest.mark.parametrize(
+    "protocol", ["cft", "bft", "s-upright"], ids=lambda name: f"{name}-backup-catches-up"
+)
+def test_a_recovered_baseline_backup_catches_up_by_state_transfer(protocol):
+    """A backup sleeps through checkpoints (hundreds of requests at a period of
+    32 between 0.1 s and 0.35 s) and comes back behind its peers' checkpoint:
+    its commits run ahead of execution, so it asks every other replica and
+    adopts the snapshot ``state_transfer_quorum`` matching responses name."""
+    deployment = builder_for(protocol)(
+        num_clients=2, seed=7, client_timeout=0.1, checkpoint_period=32
+    )
+    backup = deployment.group().config.replicas[-1]
+    scenario = Scenario(
+        name="baseline-backup-catches-up",
+        description="a backup sleeps through checkpoints and must catch up",
+        events=(Crash(at=0.1, target=backup), Recover(at=0.35, target=backup)),
+        expectations=(StateTransferred(target=backup), CaughtUp(target=backup)),
+        duration=0.8,
+    )
+    result = run_scenario(scenario, deployment=deployment)
+    result.assert_ok()
+    assert result.events_applied == [(0.1, f"crash({backup})"), (0.35, f"recover({backup})")]
+    assert result.state_transfers >= 1 and result.completed > 500
+    assert deployment.safety_violations() == []
+
+
 EQUIVOCATING_PROTOCOLS = pytest.mark.parametrize(
     "protocol", ["bft", "s-upright"], ids=lambda name: f"{name}-primary-equivocates"
 )
@@ -321,8 +350,11 @@ def test_an_equivocating_primary_reaches_the_bft_baselines(protocol):
     by construction (the handler test in ``tests/test_fault_tolerance.py``
     covers it).  What a backup sees are prepares contradicting the
     assignment it accepted: CONFLICTING_VOTE evidence of the fork, while no
-    correct replica diverges and a later view serves.  The two known
-    defects of this run are pinned by the strict xfails below.
+    correct replica diverges and a later view serves.  The view-1 primary
+    is left two slots short of a commit quorum (ROADMAP item 14) and catches
+    up by state transfer once its commits run a checkpoint period ahead of
+    execution.  The one known defect left in this run is pinned by the
+    strict xfail below.
     """
     deployment, result, _ = equivocating_primary_run(protocol)
     result.assert_ok()
@@ -335,9 +367,8 @@ def test_an_equivocating_primary_reaches_the_bft_baselines(protocol):
         )
     ]
     assert witnesses, "no correct backup saw the fork"
-    # The stalled replica below times out view after view; the views climb
-    # to 9 on both protocols, and no further.
-    assert 1 <= result.max_view <= 9
+    # The view-1 primary catches up instead of timing out view after view.
+    assert result.max_view == 1
 
 
 @EQUIVOCATING_PROTOCOLS
@@ -360,13 +391,9 @@ def test_no_correct_replica_executes_a_request_its_client_did_not_sign(protocol)
 
 
 @EQUIVOCATING_PROTOCOLS
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="a replica never re-sends a commit it cast in an earlier view, and the "
-    "baselines have no state transfer: the view-1 primary stalls for good",
-)
 def test_every_correct_replica_reaches_the_same_sequence(protocol):
+    """The view-1 primary never receives the commits that would let it execute
+    the two forked slots; its lag check fetches a snapshot past them."""
     deployment, _, _ = equivocating_primary_run(protocol)
     frontiers = {
         replica.node_id: replica.last_executed

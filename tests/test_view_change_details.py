@@ -7,6 +7,8 @@ assembled, no-op filling, join-on-evidence, and state transfer for lagging
 replicas.
 """
 
+from typing import Any, Callable, NamedTuple, Tuple
+
 import pytest
 
 from repro.adaptive.evidence import EvidenceKind
@@ -19,7 +21,7 @@ from repro.crypto.digest import digest
 from repro.faults import crash_primary
 from repro.runtime.aio import decode_envelope, encode_envelope
 from repro.smr.ledger import assert_ledgers_consistent
-from repro.smr.replica import NOOP_CLIENT, noop_request, request_digest
+from repro.smr.replica import NOOP_CLIENT, ReplicaBase, noop_request, request_digest
 from repro.smr.state_machine import Operation, TransactionalKeyValueStore
 from repro.smr.view_change import ViewChangeManager
 from repro.workload import Workload
@@ -364,23 +366,63 @@ def signed_response(deployment, sender, checkpoint_sequence, state_digest, snaps
     return response.sign(deployment.keystore.signer_for(sender))
 
 
+class Cast(NamedTuple):
+    """Who plays what in a state-transfer check on one protocol.
+
+    ``victim`` holds a stable checkpoint; ``liars`` are two replicas whose
+    response alone is not adopted; ``lagger`` sleeps through the run, and
+    the responses of ``donors`` (one trusted replica in SeeMoRe, f+1 in
+    bft) are what it takes to adopt a snapshot.
+    """
+
+    build: Callable[[], Any]
+    victim: str
+    liars: Tuple[str, str]
+    lagger: str
+    donors: Tuple[str, ...]
+
+
+CASTS = {
+    "peacock": Cast(
+        lambda: build(Mode.PEACOCK, seed=3, checkpoint_period=8),
+        victim="private-1",
+        liars=("public-1", "public-2"),
+        lagger="public-3",
+        donors=("private-0",),
+    ),
+    "bft": Cast(
+        lambda: builder_for("bft")(num_clients=2, seed=3, client_timeout=0.1, checkpoint_period=8),
+        victim="bft-1",
+        liars=("bft-2", "bft-3"),
+        lagger="bft-3",
+        donors=("bft-0", "bft-2"),
+    ),
+}
+
+
+@pytest.fixture(params=sorted(CASTS))
+def cast(request):
+    return CASTS[request.param]
+
+
 class TestStateTransferSnapshotIsChecked:
     """Only the checkpoint sequence and state digest of a response are signed;
     the snapshot beside them must be the state they name before anyone's
-    trust (a trusted sender, the victim's own stable checkpoint, m+1 matching
-    votes) is spent on it."""
+    trust (a trusted sender, the victim's own stable checkpoint, matching
+    votes: m+1 untrusted in SeeMoRe, f+1 in bft) is spent on it."""
 
-    def peacock_with_stable_checkpoint(self):
-        deployment = build(Mode.PEACOCK, seed=3, checkpoint_period=8)
+    def with_stable_checkpoint(self, cast):
+        deployment = cast.build()
         deployment.start_clients()
         deployment.run(0.25)
         deployment.stop_clients()
-        victim = deployment.replicas["private-1"]
+        victim = deployment.replicas[cast.victim]
         assert victim.checkpoints.stable_sequence >= 8
         return deployment, victim
 
-    def test_a_forged_snapshot_beside_an_honestly_signed_frame_is_ignored(self):
-        deployment, victim = self.peacock_with_stable_checkpoint()
+    def test_a_forged_snapshot_beside_an_honestly_signed_frame_is_ignored(self, cast):
+        deployment, victim = self.with_stable_checkpoint(cast)
+        liar = cast.liars[1]
         executed, state = victim.last_executed, victim.executor.state_machine.snapshot()
         forged = {
             "next_sequence": executed + 1000,
@@ -388,75 +430,82 @@ class TestStateTransferSnapshotIsChecked:
             "replies": {},
         }
         # Sequence and digest of a stable checkpoint are public knowledge, so
-        # one untrusted replica can name the victim's own and pass the
-        # ``matches_stable`` branch with no quorum at all.
+        # one replica can name the victim's own and pass the stable-checkpoint
+        # branch with no quorum at all.
         response = signed_response(
             deployment,
-            "public-2",
+            liar,
             victim.checkpoints.stable_sequence,
             victim.checkpoints.stable_digest,
             forged,
         )
-        victim.handle_message("public-2", response)
+        victim.handle_message(liar, response)
 
         assert victim.last_executed == executed
         assert victim.executor.state_machine.snapshot() == state
         assert victim.state_transfers_completed == 0
         assert [
             (record.kind, record.suspect) for record in victim.evidence.records[-1:]
-        ] == [(EvidenceKind.INVALID_SIGNATURE, "public-2")]
+        ] == [(EvidenceKind.INVALID_SIGNATURE, liar)]
 
-    def test_matching_votes_cannot_carry_a_different_snapshot(self):
-        """m+1 untrusted votes are counted on ``(sequence, digest)``: the last
+    def test_matching_votes_cannot_carry_a_different_snapshot(self, cast):
+        """Untrusted votes are counted on ``(sequence, digest)``: the last
         responder's snapshot must be the state that digest names too."""
-        deployment, victim = self.peacock_with_stable_checkpoint()
+        deployment, victim = self.with_stable_checkpoint(cast)
         executed = victim.last_executed
         target = executed + 8
         honest = {"next_sequence": target + 1, "state": {"k": "v"}, "replies": {}}
         state_digest = digest({"next_sequence": target + 1, "state": {"k": "v"}})
         forged = dict(honest, state={"forged": True})
+        first, second = cast.liars
         victim.handle_message(
-            "public-1", signed_response(deployment, "public-1", target, state_digest, honest)
+            first, signed_response(deployment, first, target, state_digest, honest)
         )
         victim.handle_message(
-            "public-2", signed_response(deployment, "public-2", target, state_digest, forged)
+            second, signed_response(deployment, second, target, state_digest, forged)
         )
         assert victim.last_executed == executed
         assert victim.state_transfers_completed == 0
 
     @pytest.mark.parametrize("replies", [{7: {"ok": True}}, {("client-0", 1, 2): None}])
-    def test_replies_not_keyed_by_client_and_timestamp_are_a_mismatch(self, replies):
+    def test_replies_not_keyed_by_client_and_timestamp_are_a_mismatch(self, cast, replies):
         """Replies are restored into per-client tables, so a key that is not
         ``(client_id, timestamp)`` is refused before anything is adopted."""
-        deployment, victim = self.peacock_with_stable_checkpoint()
+        deployment, victim = self.with_stable_checkpoint(cast)
         executed = victim.last_executed
         target = executed + 8
         snapshot = {"next_sequence": target + 1, "state": {"k": "v"}, "replies": replies}
         state_digest = digest({"next_sequence": target + 1, "state": {"k": "v"}})
-        victim.handle_message(
-            "private-0", signed_response(deployment, "private-0", target, state_digest, snapshot)
-        )
+        for donor in cast.donors:
+            victim.handle_message(
+                donor, signed_response(deployment, donor, target, state_digest, snapshot)
+            )
         assert victim.last_executed == executed
         assert victim.state_transfers_completed == 0
+        assert [record.kind for record in victim.evidence.records[-len(cast.donors) :]] == [
+            EvidenceKind.INVALID_SIGNATURE
+        ] * len(cast.donors)
 
     @pytest.mark.parametrize("shape", [None, [], {"next_sequence": "9"}, {"next_sequence": 9}])
-    def test_a_malformed_snapshot_is_a_mismatch_not_a_crash(self, shape):
-        deployment, victim = self.peacock_with_stable_checkpoint()
+    def test_a_malformed_snapshot_is_a_mismatch_not_a_crash(self, cast, shape):
+        deployment, victim = self.with_stable_checkpoint(cast)
         executed = victim.last_executed
+        liar = cast.liars[1]
         response = signed_response(
             deployment,
-            "public-2",
+            liar,
             victim.checkpoints.stable_sequence,
             victim.checkpoints.stable_digest,
             {},
         )
         response.__dict__["snapshot"] = shape  # what a hostile peer may put beside the frame
-        victim.handle_message("public-2", response)
+        victim.handle_message(liar, response)
         assert victim.last_executed == executed
 
-    def test_an_honest_response_still_restores(self):
-        deployment = build(Mode.PEACOCK, seed=3, checkpoint_period=8)
-        lagger = deployment.replicas["public-3"]
+    def test_an_honest_response_still_restores(self, cast):
+        """One trusted response in SeeMoRe; in bft one is not enough and f+1 are."""
+        deployment = cast.build()
+        lagger = deployment.replicas[cast.lagger]
         lagger.crash()
         deployment.start_clients()
         deployment.run(0.25)
@@ -464,16 +513,21 @@ class TestStateTransferSnapshotIsChecked:
         lagger.recover()
         assert lagger.last_executed == 0
 
-        donor = deployment.replicas["private-0"]  # trusted: one response is enough
-        checkpoint_sequence, snapshot = donor.checkpoints.latest_snapshot()
+        donors = [deployment.replicas[donor] for donor in cast.donors]
+        checkpoint_sequence, snapshot = donors[0].checkpoints.latest_snapshot()
         assert checkpoint_sequence >= 8
         state_digest = digest(
             {"next_sequence": snapshot["next_sequence"], "state": snapshot["state"]}
         )
-        lagger.handle_message(
-            donor.node_id,
-            signed_response(deployment, donor.node_id, checkpoint_sequence, state_digest, snapshot),
-        )
+        for donor in donors:
+            assert lagger.state_transfers_completed == 0
+            assert donor.checkpoints.latest_snapshot() == (checkpoint_sequence, snapshot)
+            lagger.handle_message(
+                donor.node_id,
+                signed_response(
+                    deployment, donor.node_id, checkpoint_sequence, state_digest, snapshot
+                ),
+            )
         assert lagger.last_executed == checkpoint_sequence
         assert lagger.state_transfers_completed == 1
         assert lagger.executor.state_machine.snapshot() == snapshot["state"]
@@ -494,9 +548,30 @@ class TestStateTransferSnapshotIsChecked:
         sent = signed_response(deployment, "private-0", 8, state_digest, snapshot)
         received = decode_envelope(encode_envelope(sent))
         assert received is not sent and received.snapshot == snapshot
-        assert SeeMoReReplica._snapshot_is_what_was_signed(received)
+        assert ReplicaBase._snapshot_is_what_was_signed(received)
         received.snapshot["state"]["data"]["k"] = "tampered"
-        assert not SeeMoReReplica._snapshot_is_what_was_signed(received)
+        assert not ReplicaBase._snapshot_is_what_was_signed(received)
+
+
+def test_a_cft_replica_adopts_one_honest_response():
+    """Nobody lies in the crash model: a Paxos replica, which keeps no
+    checkpoints, answers with its executor's snapshot, and the lagger adopts
+    that one response."""
+    deployment = builder_for("cft")(num_clients=2, seed=3, client_timeout=0.1)
+    lagger, donor = deployment.replicas["cft-2"], deployment.replicas["cft-0"]
+    lagger.crash()
+    deployment.start_clients()
+    deployment.run(0.25)
+    deployment.stop_clients()
+    lagger.recover()
+    assert lagger.last_executed == 0 < donor.last_executed
+    assert lagger.state_transfer_quorum(donor.node_id) == 1
+
+    lagger.request_state_transfer(donor.node_id)
+    deployment.run(0.05)
+    assert lagger.state_transfers_completed == 1
+    assert lagger.last_executed == donor.last_executed
+    assert lagger.executor.state_machine.snapshot() == donor.executor.state_machine.snapshot()
 
 
 class TestNewViewTimer:
