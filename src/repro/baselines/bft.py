@@ -22,8 +22,8 @@ Request intake, the commit entry, the checkpoint vote rule, the request
 timer, the view change and catch-up are the skeleton's
 (:class:`~repro.smr.replica.ReplicaBase`,
 :class:`~repro.baselines.replica.BaselineReplica`).  This module gives the
-agreement's answers (every replica takes part and votes, at the
-configuration's commit quorum), says when a checkpoint is sent, and answers
+agreement's answers (every replica takes part and votes; the replica's
+quorums are the configuration's), says when a checkpoint is sent, and answers
 the skeleton: nothing at or below the stable checkpoint is reported in a
 view change, a slot is reported once it holds a prepare certificate,
 joining takes one suspicion more than there can be faulty replicas, and
@@ -50,9 +50,6 @@ class _BaselineAgreement(PbftAgreement):
 
     def peers(self, replica: "QuorumBFTReplica") -> List[str]:
         return replica.other_replicas()
-
-    def quorum(self, replica: "QuorumBFTReplica") -> int:
-        return replica.config.commit_quorum
 
 
 class QuorumBFTReplica(BaselineReplica):
@@ -87,7 +84,7 @@ class QuorumBFTReplica(BaselineReplica):
         return self.checkpoints.stable_sequence
 
     def _is_prepared(self, slot: Slot) -> bool:
-        return slot.vote_count("prepare") >= self.agreement.quorum(self)
+        return slot.vote_count("prepare") >= self.quorum
 
     def join_threshold(self) -> int:
         return max(1, self.config.network_size - self.config.commit_quorum) + 1

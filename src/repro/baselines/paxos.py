@@ -21,12 +21,12 @@ outperforms the Byzantine protocols in Figures 2 and 3.
 Request intake, the commit entry, the request timer, the leader change and
 catch-up are the skeleton's (:class:`~repro.smr.replica.ReplicaBase`,
 :class:`~repro.baselines.replica.BaselineReplica`).  This module gives the
-agreement's answers (unsigned, at the configuration's ``agreement_quorum``,
-and the new leader re-proposes what the new view lists) and answers the
-skeleton: nothing at or below its own ``last_executed`` is reported in a
-view change, every accepted value is reported (any of them may have been
-chosen), and one suspicion is enough to join (nobody lies in the crash
-model).
+agreement's answers (unsigned, and the new leader re-proposes what the new
+view lists; the replica's quorum is the configuration's
+``agreement_quorum``) and answers the skeleton: nothing at or below its own
+``last_executed`` is reported in a view change, every accepted value is
+reported (any of them may have been chosen), and one suspicion is enough to
+join (nobody lies in the crash model).
 """
 
 from __future__ import annotations
@@ -43,9 +43,6 @@ class _CftAgreement(LeaderAgreement):
     """Lion's agreement, unsigned, at the configuration's agreement quorum."""
 
     signs = False
-
-    def quorum(self, replica: "PaxosReplica") -> int:
-        return replica.config.agreement_quorum
 
     def reenter(self, replica: "PaxosReplica", slot: Slot, entry: Any) -> None:
         # The new leader re-proposes what the new view lists; a backup waits for it.

@@ -82,7 +82,10 @@ class BaselineReplica(ReplicaBase):
     # -- roles -------------------------------------------------------------------
 
     def install_roles(self) -> None:
-        self._primary = self.config.primary_of_view(self.view)
+        config = self.config
+        self._primary = config.primary_of_view(self.view)
+        self.quorum = config.agreement_quorum
+        self.commit_quorum = config.commit_quorum
 
     def _signed(self, message: ProtocolMessage) -> ProtocolMessage:
         if self.config.messages_are_signed:

@@ -16,9 +16,10 @@ detect equivocation: two phases and a linear number of messages suffice.
 
 The phases are :class:`~repro.smr.leader.LeaderAgreement`'s, the same code
 the cft baseline runs unsigned, installed the same way; this module gives
-its answers: the leader signs, 2m+c+1 accepts commit a slot, a prepare must
-fall in the watermark window, and a new view's re-proposed slot gets the
-primary's own accept or a backup's accept to it.
+its answers: the leader signs, a prepare must fall in the watermark window,
+and a new view's re-proposed slot gets the primary's own accept or a
+backup's accept to it.  The replica installs the quorum with its roles:
+2m+c+1 accepts commit a slot.
 """
 
 from __future__ import annotations
@@ -41,9 +42,6 @@ class LionAgreement(LeaderAgreement):
     # -- the leader agreement's answers ------------------------------------------------
     # Client requests enter through the replica's shared on_request: the
     # primary batches them and proposes a signed PREPARE to every replica.
-
-    def quorum(self, replica: "SeeMoReReplica") -> int:
-        return replica.config.accept_quorum(self.mode)
 
     def admits(self, replica: "SeeMoReReplica", sequence: int) -> bool:
         return replica.in_watermark_window(sequence)

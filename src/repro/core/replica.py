@@ -92,7 +92,8 @@ class SeeMoReReplica(ReplicaBase):
     # -- roles ------------------------------------------------------------------
 
     def install_roles(self) -> None:
-        """The primary, the proxies and the multicast targets of the current view and mode.
+        """The primary, the proxies, the multicast targets and the quorums of the
+        current view and mode.
 
         Callers treat the target lists as read-only.
         """
@@ -109,6 +110,9 @@ class SeeMoReReplica(ReplicaBase):
             for replica in config.all_replicas
             if replica not in proxies and replica != node_id
         ]
+        self.quorum = config.accept_quorum(mode)
+        self.commit_quorum = config.commit_quorum(mode)
+        self.inform_quorum = config.inform_quorum(mode)
 
     def other_proxies(self) -> List[str]:
         return self._other_proxies
@@ -240,7 +244,7 @@ class SeeMoReReplica(ReplicaBase):
                 detail=f"inform seq={message.sequence} view={message.view} from {src}",
             )
             return
-        if count >= self.config.inform_quorum(self.mode):
+        if count >= self.inform_quorum:
             self.finalize(slot, send_reply=False)
 
     # -- checkpointing -------------------------------------------------------------------

@@ -12,6 +12,11 @@ HMAC over per-node secrets held by a trusted :class:`KeyStore`), plus a
 *cost model* that charges simulated CPU time for each operation so that the
 performance impact of authentication is visible in the benchmarks, exactly
 as it is on the paper's EC2 testbed.
+
+On the TCP backends the HMACs are real work, 5 to 58 of them per request.
+The keystore keeps each secret as its HMAC key schedule (the precomputed
+inner and outer SHA-256 states, RFC 2104 section 4), so signing and
+verifying pay no key setup per tag.
 """
 
 from repro.crypto.digest import digest, digest_bytes, digest_of

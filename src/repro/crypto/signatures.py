@@ -2,10 +2,12 @@
 
 Signatures are HMAC-SHA256 tags computed with a per-node secret that only
 the :class:`~repro.crypto.keys.KeyStore` and the owning node's
-:class:`Signer` hold.  Verification recomputes the tag from the claimed
-signer's secret, so a node that does not hold another node's secret cannot
-produce a tag that verifies -- the forgery-resistance property the paper
-assumes.
+:class:`Signer` hold.  Both hold it as its HMAC key schedule, derived once
+when the key is registered (RFC 2104, section 4): so a tag costs two
+state copies and two short hashes, and no key setup.  Verification
+recomputes the tag from the claimed signer's schedule, so a node that does
+not hold another node's secret cannot produce a tag that verifies -- the
+forgery-resistance property the paper assumes.
 
 The indirection through :class:`Signature` (rather than bare strings) lets
 Byzantine attack strategies construct deliberately *invalid* signatures and
@@ -25,11 +27,15 @@ Two verification fronts are provided:
 
 from __future__ import annotations
 
-import hashlib
 import hmac
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.crypto.digest import digest_of
+
+
+#: One key's precomputed HMAC-SHA256 states, ``(inner, outer)``; see
+#: :func:`repro.crypto.keys.key_schedule`.  Never updated, only copied.
+KeySchedule = Tuple[Any, Any]
 
 
 class InvalidSignatureError(Exception):
@@ -52,7 +58,7 @@ class Signature:
         self.signer_id = signer_id
         self.payload_digest = payload_digest
         self.tag = tag
-        self._tag_ok_by_secret: Optional[Dict[bytes, bool]] = None
+        self._tag_ok_by_secret: Optional[Dict[KeySchedule, bool]] = None
 
     def to_wire(self) -> Dict[str, str]:
         """Stable representation used when a signature is itself hashed."""
@@ -81,14 +87,20 @@ class Signature:
         )
 
 
-def _compute_tag(secret: bytes, payload_digest: str) -> str:
-    return hmac.digest(secret, payload_digest.encode("utf-8"), hashlib.sha256).hex()
+def _compute_tag(secret: KeySchedule, payload_digest: str) -> str:
+    """``hmac.digest(key, payload_digest, sha256).hex()``, from the key's schedule."""
+    inner_state, outer_state = secret
+    inner = inner_state.copy()
+    inner.update(payload_digest.encode("utf-8"))
+    outer = outer_state.copy()
+    outer.update(inner.digest())
+    return outer.hexdigest()
 
 
 class Signer:
     """Holds one node's private key and produces signatures with it."""
 
-    def __init__(self, node_id: str, secret: bytes) -> None:
+    def __init__(self, node_id: str, secret: KeySchedule) -> None:
         self._node_id = node_id
         self._secret = secret
 
@@ -139,7 +151,7 @@ class Signer:
 class Verifier:
     """Verifies signatures from any registered node."""
 
-    def __init__(self, secrets: Dict[str, bytes]) -> None:
+    def __init__(self, secrets: Dict[str, KeySchedule]) -> None:
         self._secrets = secrets
 
     def verify(self, message: Any, signature: Signature) -> bool:
@@ -150,12 +162,13 @@ class Verifier:
         """Verify a signature against an already-computed content digest.
 
         The HMAC check is memoized on the (immutable) signature object,
-        keyed by the claimed signer's secret: a multicast message carries
-        one ``Signature`` that every receiver re-verifies, and the tag
-        comparison is a pure function of ``(secret, payload_digest, tag)``
-        — all frozen — so recomputing it per receiver is pure waste.  The
-        content-vs-digest comparison above the cache still runs per call,
-        so a mismatched message is always rejected.
+        keyed by the claimed signer's key schedule (one object per key and
+        keystore): a multicast message carries one ``Signature`` that every
+        receiver re-verifies, and the tag comparison is a pure function of
+        ``(secret, payload_digest, tag)`` — all frozen — so recomputing it
+        per receiver is pure waste.  The content-vs-digest comparison above
+        the cache still runs per call, so a mismatched message is always
+        rejected.
         """
         secret = self._secrets.get(signature.signer_id)
         if secret is None:
@@ -269,8 +282,7 @@ class WindowVerifier:
                 )
         if group_ok and claimed:
             group_ok = hmac.compare_digest(
-                hmac.digest(secret, "".join(claimed).encode("utf-8"), hashlib.sha256),
-                hmac.digest(secret, "".join(observed).encode("utf-8"), hashlib.sha256),
+                _compute_tag(secret, "".join(claimed)), _compute_tag(secret, "".join(observed))
             )
         if group_ok:
             self.messages_verified += len(observed)

@@ -14,10 +14,11 @@ equivocating leader, so two phases and a linear number of messages suffice.
 stateless: every handler takes the replica it runs on, and
 :meth:`~repro.smr.replica.ReplicaBase.install_agreement` routes the
 messages ``handlers`` names to them.  A protocol subclasses it with its
-answers — the ``quorum``, whether the leader ``signs``, what else a prepare
-must pass (``admits``) and the vote it casts for a slot a new view
-re-proposes (``reenter``).  A prepare and a commit are taken only from the
-current view's primary, in view and in the protocol's mode.
+answers — whether the leader ``signs``, what else a prepare must pass
+(``admits``) and the vote it casts for a slot a new view re-proposes
+(``reenter``).  The replica's ``quorum``, installed with its roles, is how
+many matching accepts commit a slot.  A prepare and a commit are taken only
+from the current view's primary, in view and in the protocol's mode.
 """
 
 from __future__ import annotations
@@ -41,10 +42,6 @@ class LeaderAgreement:
     handlers = {Prepare: "on_prepare", Accept: "on_accept", Commit: "on_commit"}
 
     # -- the answers a protocol gives ----------------------------------------------
-
-    def quorum(self, replica: Any) -> int:
-        """Matching accepts, the leader's own included, that commit a slot."""
-        raise NotImplementedError
 
     def admits(self, replica: Any, sequence: int) -> bool:
         """Whether a verified prepare for ``sequence`` may fill its slot."""
@@ -122,7 +119,7 @@ class LeaderAgreement:
             return
 
         count = slot.record_vote("accept", src, message.digest)
-        if count < self.quorum(replica):
+        if count < replica.quorum:
             return
 
         commit = Commit(

@@ -19,10 +19,12 @@ stateless: every handler takes the replica it runs on, and
 messages ``handlers`` names to them.  A protocol subclasses it with its
 answers — its ordering and vote classes, whether the primary is trusted,
 whose votes count (``counts_vote_from``; the replica takes part iff its own
-would), whom it multicasts to (``peers``), the ``quorum`` and
-``commit_quorum``, what else an ordering message must pass (``admits``) and
-what runs just before a committed slot is finalized (``committing``).  Its
-messages carry ``mode`` (a baseline's is 0).
+would), whom it multicasts to (``peers``), what else an ordering message
+must pass (``admits``) and what runs just before a committed slot is
+finalized (``committing``).  Its messages carry ``mode`` (a baseline's is
+0).  The replica's ``quorum`` and ``commit_quorum``, installed with its
+roles, say how many matching prepares prepare a slot and how many matching
+commits commit it.
 """
 
 from __future__ import annotations
@@ -56,14 +58,6 @@ class PbftAgreement:
     def peers(self, replica: Any) -> List[str]:
         """The other participants, to whom ``replica`` multicasts its votes."""
         raise NotImplementedError
-
-    def quorum(self, replica: Any) -> int:
-        """Matching prepares, the replica's own included, that prepare a slot."""
-        raise NotImplementedError
-
-    def commit_quorum(self, replica: Any) -> int:
-        """Matching commits that commit a slot."""
-        return self.quorum(replica)
 
     def admits(self, replica: Any, sequence: int) -> bool:
         """Whether a verified ordering message for ``sequence`` may fill its slot."""
@@ -196,7 +190,7 @@ class PbftAgreement:
             return
         # Prepared: the pre-prepare plus matching prepares from distinct
         # participants (the replica's own prepare counts).
-        if slot.vote_count(self.prepare_phase) < self.quorum(replica):
+        if slot.vote_count(self.prepare_phase) < replica.quorum:
             return
 
         commit = Commit(
@@ -230,7 +224,7 @@ class PbftAgreement:
     def _maybe_commit(self, replica: Any, slot: Slot) -> None:
         if slot.committed or slot.digest is None or slot.request is None:
             return
-        if slot.vote_count("commit") < self.commit_quorum(replica):
+        if slot.vote_count("commit") < replica.commit_quorum:
             return
         self._commit(replica, slot)
 

@@ -90,6 +90,11 @@ class ReplicaBase(Node):
     _primary = ""
     _proxies: frozenset = frozenset()
     _is_proxy = False
+    #: The installed agreement's quorums, set with the roles: matching votes
+    #: (the replica's own included) that prepare a slot, or commit it in the
+    #: leader agreement, and matching commits that commit a slot in PBFT's.
+    quorum = 0
+    commit_quorum = 0
     #: The stateless agreement whose phase handlers are installed.
     agreement: Any = None
     #: Checkpoint votes and local cuts, in a protocol that certifies checkpoints.
@@ -190,11 +195,13 @@ class ReplicaBase(Node):
     # -- roles and requests ----------------------------------------------------
 
     def install_roles(self) -> None:
-        """Derive this replica's roles in its current view (and mode) from its configuration.
+        """Derive this replica's roles and quorums in its current view (and mode)
+        from its configuration.
 
         Called whenever either changes — at construction, by SeeMoRe's
         ``set_mode`` and where the view change installs a view — so the
-        per-message role checks below read attributes.
+        per-message role checks below and the agreements' quorum checks read
+        attributes.
         """
         raise NotImplementedError
 

@@ -44,6 +44,9 @@ holder read a ``.simulator`` attribute (plus the engine's one event-count
 read); every runner and observer takes its clock from ``deployment.runtime``.
 And there is one event heap: only ``sim/simulator.py`` and the two hot paths
 that inline its push (``runtime/sim.py``, ``net/network.py``) touch it.
+And there is one key schedule: only ``crypto/signatures.py`` imports ``hmac``
+(for ``compare_digest``), nothing calls a per-call key setup such as
+``hmac.digest``, and no module outside ``crypto/`` reads a node's key material.
 """
 
 import ast
@@ -816,6 +819,71 @@ class TestOneClock:
             "adaptive/controller.py:3 reads .simulator",
             "cluster/runner.py:2 reads .simulator",
             "scenarios/engine.py:2 reads .simulator",
+        ]
+
+
+#: The one module that imports ``hmac``, for ``compare_digest``: every tag comes
+#: from a key's precomputed schedule, through ``signatures._compute_tag``.
+HMAC_OWNER = Path("crypto") / "signatures.py"
+#: ``hmac`` calls that set a key up on every call.
+PER_CALL_KEY_SETUP = {"digest", "new", "HMAC"}
+#: A signer's and a keystore's key material, which only ``crypto/`` touches.
+KEY_MATERIAL = {"_secret", "_secrets"}
+
+
+def key_material_sites(root):
+    """Yield where a module under ``root`` imports ``hmac`` outside :data:`HMAC_OWNER`,
+    calls a per-call key setup, or reads key material outside ``crypto/``."""
+    for path in sorted(root.rglob("*.py")):
+        relative = path.relative_to(root)
+        if relative != HMAC_OWNER:
+            for lineno, module in iter_imports(path):
+                if module.split(".")[0] == "hmac":
+                    yield f"{relative}:{lineno} imports hmac"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Attribute):
+                continue
+            if node.attr in PER_CALL_KEY_SETUP and getattr(node.value, "id", None) == "hmac":
+                yield f"{relative}:{node.lineno} calls hmac.{node.attr}"
+            elif node.attr in KEY_MATERIAL and relative.parts[0] != "crypto":
+                yield f"{relative}:{node.lineno} reads .{node.attr}"
+
+
+class TestOneKeySchedule:
+    """Every HMAC runs from its key's schedule, derived once when the key is registered.
+
+    ``hmac.digest(secret, ...)`` rebuilds the key schedule on each call, which
+    cost more than half of every tag on the TCP backends.  A second ``hmac``
+    importer or a key read outside ``crypto/`` is where such a call would
+    come back.
+    """
+
+    def test_one_module_imports_hmac_and_only_crypto_reads_keys(self):
+        assert list(key_material_sites(SRC)) == []
+        assert "hmac" in {module for _, module in iter_imports(SRC / HMAC_OWNER)}
+
+    def test_the_rule_catches_a_planted_hmac_digest(self, tmp_path):
+        root = tmp_path / "repro"
+        for package in ("crypto", "runtime"):
+            (root / package).mkdir(parents=True)
+        (root / "crypto" / "signatures.py").write_text(
+            "import hmac\n"
+            "def _compute_tag(secret, payload_digest):\n"
+            "    return hmac.digest(secret, payload_digest.encode(), 'sha256').hex()\n"
+        )
+        (root / "crypto" / "keys.py").write_text(
+            "def signer_for(self, node_id):\n    return self._secrets[node_id]\n"
+        )
+        (root / "runtime" / "aio.py").write_text(
+            "import hmac\n"
+            "def _frame_mac(signer, frame):\n"
+            "    return hmac.new(signer._secret, frame, 'sha256').digest()\n"
+        )
+        assert sorted(key_material_sites(root)) == [
+            "crypto/signatures.py:3 calls hmac.digest",
+            "runtime/aio.py:1 imports hmac",
+            "runtime/aio.py:3 calls hmac.new",
+            "runtime/aio.py:3 reads ._secret",
         ]
 
 
